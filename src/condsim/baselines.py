@@ -20,7 +20,7 @@ import numpy as np
 from .contacts import AugmentedDynamics, contact_jacobian_matrix
 from .errors import DimensionMismatchError
 from .sparse import DenseSymmetric, SpdFactor, factor_spd, solve_with
-from .solver import _project_batch
+from .solver import _contact_params, _project_batch
 
 
 @dataclass
@@ -63,10 +63,7 @@ def assemble_delassus(aug: AugmentedDynamics) -> DelassusProblem:
     a_c = jc @ ainv_jt
     b_c = jc @ solve_with(factor, aug.b)
     elapsed = time.perf_counter() - t0
-    cs = aug.contacts.contacts
-    mu = np.array([c.mu for c in cs])
-    mu2 = np.array([c.mu2 if c.mu2 is not None else c.mu for c in cs])
-    phi = np.array([c.phi_n for c in cs])
+    mu, mu2, phi = _contact_params(aug)
     return DelassusProblem(
         DenseSymmetric(a_c.shape[0], 0.5 * (a_c + a_c.T)),
         b_c,

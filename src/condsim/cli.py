@@ -18,7 +18,6 @@ from .harness import (
     load_scenario,
     report_csv,
     run,
-    thread_budget,
 )
 
 EXIT_OK = 0
@@ -80,7 +79,7 @@ def cmd_run(args) -> int:
         report_csv(result.rows, args.out)
     else:
         last = result.rows[-1] if result.rows else None
-        print(f"steps={len(result.rows)} threads<={thread_budget()}")
+        print(f"steps={len(result.rows)}")
         if last is not None:
             print(
                 f"final: iters={last.iters} residual={last.residual:.3e} "

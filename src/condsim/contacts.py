@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .dynamics import Body, SystemState, _quat_to_rot
+from .dynamics import Bodies, RigidBody, SystemState, _quat_to_rot, triples
 from .errors import DimensionMismatchError, InvalidStateError
 from .sparse import SparseSymmetric
 
@@ -41,29 +41,11 @@ class StaticSphere:
 
 
 @dataclass
-class NodeProxy:
-    """Bounding sphere on an existing 3-DOF node."""
-
-    body_index: int
-    v_offset: int
-    radius: float
-
-
-@dataclass
-class RigidPointSet:
-    """Surface sample points of a rigid body, in body frame."""
-
-    body_index: int
-    local_points: np.ndarray  # (k, 3)
-    radius: float = 0.0
-
-
-@dataclass
 class Geometry:
+    """Static primitives; the dynamic proxies live on ``Bodies``."""
+
     planes: list = field(default_factory=list)
     spheres: list = field(default_factory=list)
-    node_proxies: list = field(default_factory=list)
-    rigid_points: list = field(default_factory=list)
     margin: float = DEFAULT_MARGIN
 
 
@@ -72,7 +54,8 @@ class RawContact:
     """Detector output before nodalization.
 
     ``first``/``second`` identify the provenance of each side:
-    ("node", v_offset), ("rigid", body_index, point_index) or ("static",).
+    ("node", v_offset), ("rigid", index into ``Bodies.rigid``, point index)
+    or ("static",).
     The normal points from the second side toward the first.
     """
 
@@ -95,7 +78,6 @@ class Contact:
     phi_n: float = 0.0
     slot_j: tuple | None = None
     mu2: float | None = None
-    warm_impulse: np.ndarray | None = None
     key: tuple | None = None  # provenance, for warm-start matching
 
 
@@ -149,67 +131,70 @@ def contact_frame(normal: np.ndarray) -> np.ndarray:
     return np.vstack([n, t1, t2])
 
 
-def _world_rigid_points(state: SystemState, bodies, rp: RigidPointSet):
-    body = bodies[rp.body_index]
+def _world_rigid_points(state: SystemState, body: RigidBody) -> np.ndarray:
     pos = state.q[body.q_offset : body.q_offset + 3]
     rot = _quat_to_rot(state.q[body.q_offset + 3 : body.q_offset + 7])
-    return pos + rp.local_points @ rot.T
+    return pos + body.contact_points @ rot.T
 
 
-def detect_contacts(state: SystemState, bodies, geometry: Geometry) -> list:
-    """One raw contact per (proxy, primitive) or (proxy, proxy) pair within margin."""
+def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> list:
+    """One raw contact per (proxy, primitive) or (proxy, proxy) pair within margin.
+
+    The proxies are the node spheres, then the rigid surface points; contacts
+    with the static primitives come out proxy by proxy, planes before spheres.
+    """
     margin = geometry.margin
+
+    # every dynamic proxy sphere: centers, radii and provenance
+    proxied = bodies.node_radius > 0
+    proxy_v = bodies.node_v[proxied]
+    centers = [state.q[triples(bodies.node_q[proxied])]]
+    radii = [bodies.node_radius[proxied]]
+    rigid_prov = []
+    for r, body in enumerate(bodies.rigid):
+        centers.append(_world_rigid_points(state, body))
+        radii.append(np.full(body.contact_points.shape[0], float(body.contact_radius)))
+        rigid_prov.extend(("rigid", r, k) for k in range(body.contact_points.shape[0]))
+    centers = np.concatenate(centers)
+    radii = np.concatenate(radii)
+    n_nodes = proxy_v.shape[0]
+
+    def provenance(e: int) -> tuple:
+        return ("node", int(proxy_v[e])) if e < n_nodes else rigid_prov[e - n_nodes]
+
+    # signed distances (proxy, primitive) to every plane and static sphere
+    sd_cols, normal_cols = [], []
+    for plane in geometry.planes:
+        sd_cols.append((centers - plane.point) @ plane.normal - radii)
+        normal_cols.append(np.broadcast_to(plane.normal, centers.shape))
+    for sphere in geometry.spheres:
+        d = centers - sphere.center
+        dist = np.linalg.norm(d, axis=1)
+        apart = dist > 1e-12
+        sd_cols.append(np.where(apart, dist - sphere.radius - radii, np.inf))
+        normal_cols.append(d / np.where(apart, dist, 1.0)[:, None])
     out = []
-
-    # gather all dynamic proxy spheres: (position, radius, provenance)
-    entries = []
-    for p in geometry.node_proxies:
-        body = bodies[p.body_index]
-        pos = state.q[body.q_offset : body.q_offset + 3]
-        entries.append((pos, p.radius, ("node", p.v_offset)))
-    for rp in geometry.rigid_points:
-        pts = _world_rigid_points(state, bodies, rp)
-        for k, pt in enumerate(pts):
-            entries.append((pt, rp.radius, ("rigid", rp.body_index, k)))
-
-    for pos, r, prov in entries:
-        for plane in geometry.planes:
-            sd = float(np.dot(plane.normal, pos - plane.point)) - r
-            if sd < margin:
-                out.append(
-                    RawContact(
-                        point=pos - r * plane.normal,
-                        normal=np.array(plane.normal, dtype=float),
-                        depth=max(0.0, -sd),
-                        first=prov,
-                    )
-                )
-        for sphere in geometry.spheres:
-            d = pos - sphere.center
-            dist = float(np.linalg.norm(d))
-            sd = dist - sphere.radius - r
-            if sd < margin and dist > 1e-12:
-                normal = d / dist
-                out.append(
-                    RawContact(
-                        point=pos - r * normal,
-                        normal=normal,
-                        depth=max(0.0, -sd),
-                        first=prov,
-                    )
-                )
+    if sd_cols:
+        sd = np.stack(sd_cols, axis=1)
+        hit_e, hit_p = np.nonzero(sd < margin)  # row-major: proxy by proxy
+        normals = np.stack(normal_cols, axis=1)[hit_e, hit_p]
+        points = centers[hit_e] - radii[hit_e, None] * normals
+        depths = np.maximum(0.0, -sd[hit_e, hit_p]).tolist()
+        out = [
+            RawContact(point=points[m], normal=normals[m], depth=depths[m], first=provenance(e))
+            for m, e in enumerate(hit_e.tolist())
+        ]
 
     # dynamic-dynamic pairs via a KD-tree over proxy centers
-    if len(entries) > 1:
-        centers = np.array([e[0] for e in entries])
-        radii = np.array([e[1] for e in entries])
+    if centers.shape[0] > 1:
         tree = cKDTree(centers)
         reach = 2.0 * radii.max() + margin
         for i, j in tree.query_pairs(r=reach):
-            pi, ri, provi = entries[i]
-            pj, rj, provj = entries[j]
+            provi, provj = provenance(i), provenance(j)
             if provi[0] == "rigid" and provj[0] == "rigid" and provi[1] == provj[1]:
                 continue  # same body
+            pi, ri = centers[i], radii[i]
+            pj, rj = centers[j], radii[j]
             d = pi - pj
             dist = float(np.linalg.norm(d))
             sd = dist - ri - rj
@@ -254,7 +239,7 @@ def _slot_and_jv(raw_side, state, bodies, point, jv_rows, next_virtual, used):
         jv_rows.append((next_virtual, raw_side[1], np.eye(3)))
         return ("virt", next_virtual), next_virtual + 1
     if raw_side[0] == "rigid":
-        body = bodies[raw_side[1]]
+        body = bodies.rigid[raw_side[1]]
         lever = point - state.q[body.q_offset : body.q_offset + 3]
         lx = np.array(
             [
@@ -271,7 +256,7 @@ def _slot_and_jv(raw_side, state, bodies, point, jv_rows, next_virtual, used):
 def nodalize(
     raw_contacts,
     state: SystemState,
-    bodies,
+    bodies: Bodies,
     k_v: float,
     mu: float = 0.5,
     mu2: float | None = None,
@@ -325,7 +310,7 @@ def _side_velocity(state, bodies, side, point):
     if side[0] == "node":
         return state.v[side[1] : side[1] + 3]
     if side[0] == "rigid":
-        body = bodies[side[1]]
+        body = bodies.rigid[side[1]]
         lever = point - state.q[body.q_offset : body.q_offset + 3]
         vlin = state.v[body.v_offset : body.v_offset + 3]
         omega = state.v[body.v_offset + 3 : body.v_offset + 6]

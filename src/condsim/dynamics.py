@@ -1,8 +1,8 @@
 """Per-step linearized implicit dynamics.
 
 Builds the symmetric positive definite system ``A v_hat = b`` from point
-masses, rigid bodies and quadratic constraint potentials, using the midpoint
-velocity discretization: one implicit linear solve per step, with
+masses, rigid bodies and distance springs, using the midpoint velocity
+discretization: one implicit linear solve per step, with
 
     A = (2/t) M + (t/2) (Je^T K Je + E)
     b = (2/t) M v - C v - Je^T K e + f_ext
@@ -10,6 +10,10 @@ velocity discretization: one implicit linear solve per step, with
 All right-hand-side terms are kept at force level (Newtons); contact impulses
 later enter the same balance as forces. Gravity goes straight into f_ext and
 its potential Hessian is dropped.
+
+Scene data is kept as arrays: 3-DOF nodes (particles and lattice nodes) and
+springs are rows of index and parameter arrays, so the step layers walk them in
+batched passes. Only the few rigid bodies are records.
 """
 
 from __future__ import annotations
@@ -25,28 +29,41 @@ from .sparse import SparseSymmetric
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
 
 
-@dataclass
-class Body:
-    """One simulated body: a 3-DOF point mass or a 6-DOF rigid body.
+def triples(offsets) -> np.ndarray:
+    """(k, 3) indices of the three consecutive entries starting at each offset."""
+    return np.asarray(offsets, dtype=int).reshape(-1, 1) + np.arange(3)
 
-    ``q_offset``/``v_offset`` locate the body inside the global coordinate and
-    velocity vectors. Rigid bodies use 7 coordinates (position + unit
-    quaternion, scalar first) but 6 velocity DOF (linear, then angular).
+
+@dataclass
+class RigidBody:
+    """A 6-DOF rigid body.
+
+    It uses 7 coordinates (position + unit quaternion, scalar first) but 6
+    velocity DOF (linear, then angular), starting at ``q_offset``/``v_offset``.
     """
 
-    kind: str  # "particle3" | "rigid6"
     mass: float
-    q_offset: int = 0
-    v_offset: int = 0
-    inertia: np.ndarray | None = None  # body-frame 3x3, rigid only
+    q_offset: int
+    v_offset: int
+    inertia: np.ndarray  # body-frame 3x3
+    contact_points: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # body frame
+    contact_radius: float = 0.0
 
-    @property
-    def q_dim(self) -> int:
-        return 3 if self.kind == "particle3" else 7
 
-    @property
-    def v_dim(self) -> int:
-        return 3 if self.kind == "particle3" else 6
+@dataclass
+class Bodies:
+    """Every body of a scene.
+
+    Row m of the node arrays is one 3-DOF point mass (a particle or a lattice
+    node) whose coordinates and velocity start at ``node_q[m]``/``node_v[m]``.
+    A node with ``node_radius[m] > 0`` carries a sphere contact proxy.
+    """
+
+    node_q: np.ndarray  # (n,) int
+    node_v: np.ndarray  # (n,) int
+    node_mass: np.ndarray  # (n,) kg
+    node_radius: np.ndarray  # (n,) m, 0 means no proxy
+    rigid: list = field(default_factory=list)  # RigidBody records
 
 
 @dataclass
@@ -70,26 +87,21 @@ class DampingPolicy:
 
 
 @dataclass
-class ConstraintPotential:
-    """Quadratic potential 0.5 e^T K e.
+class Springs:
+    """Distance springs with potential 0.5 k e^2, e = |p_i - p_j| - rest.
 
-    kind "distance-spring": scalar e = |p_i - p_j| - rest, stiffness K in N/m.
-    kind "tie": vector e = p_i - p_j, K = stiffness * I3.
-    Offsets address the two participating 3-DOF nodes.
+    Row m joins the 3-DOF nodes at coordinate offsets ``qi[m]``/``qj[m]``
+    (velocity offsets ``vi[m]``/``vj[m]``) with stiffness ``k[m]`` in N/m.
+    All springs share the scene's damping policy.
     """
 
-    kind: str
-    qi: int
-    qj: int
-    vi: int
-    vj: int
-    stiffness: float
-    rest: float = 0.0
+    qi: np.ndarray
+    qj: np.ndarray
+    vi: np.ndarray
+    vj: np.ndarray
+    k: np.ndarray
+    rest: np.ndarray
     damping: DampingPolicy = field(default_factory=DampingPolicy)
-
-    @property
-    def error_dim(self) -> int:
-        return 1 if self.kind == "distance-spring" else 3
 
 
 @dataclass
@@ -99,51 +111,35 @@ class AssembledDynamics:
     n: int
 
 
-def constraint_eval(c: ConstraintPotential, q: np.ndarray):
-    """Return (e, J_rows) with J_rows a dense (error_dim, 6) block over the
-    stacked coordinates (node i, node j)."""
-    pi = q[c.qi : c.qi + 3]
-    pj = q[c.qj : c.qj + 3]
-    if c.kind == "distance-spring":
-        d = pi - pj
-        dist = float(np.linalg.norm(d))
-        if dist < 1e-12:
-            raise DegenerateConstraintError("distance spring endpoints coincide")
-        dhat = d / dist
-        e = np.array([dist - c.rest])
-        j = np.concatenate([dhat, -dhat]).reshape(1, 6)
-        return e, j
-    if c.kind == "tie":
-        e = pi - pj
-        j = np.hstack([np.eye(3), -np.eye(3)])
-        return e, j
-    raise ValueError(f"unknown constraint kind {c.kind!r}")
+def _spring_geometry(springs: Springs, q: np.ndarray):
+    """Length (m,) and unit direction p_i - p_j (m, 3) of every spring."""
+    d = q[triples(springs.qi)] - q[triples(springs.qj)]
+    dist = np.linalg.norm(d, axis=1)
+    if np.any(dist < 1e-12):
+        raise DegenerateConstraintError("distance spring endpoints coincide")
+    return dist, d / dist[:, None]
 
 
-def _spring_error_hessian(c: ConstraintPotential, q: np.ndarray) -> np.ndarray:
-    """6x6 Hessian of the scalar distance error."""
-    pi = q[c.qi : c.qi + 3]
-    pj = q[c.qj : c.qj + 3]
-    d = pi - pj
-    dist = float(np.linalg.norm(d))
-    dhat = d / dist
-    h = (np.eye(3) - np.outer(dhat, dhat)) / dist
-    return np.block([[h, -h], [-h, h]])
+def spring_eval(springs: Springs, q: np.ndarray):
+    """Return (e, J): errors (m,) and Jacobian rows (m, 6) over the stacked
+    coordinates (node i, node j) of every spring."""
+    dist, dhat = _spring_geometry(springs, q)
+    return dist - springs.rest, np.hstack([dhat, -dhat])
 
 
-def damping_matrix(policy: DampingPolicy, c: ConstraintPotential, q: np.ndarray) -> np.ndarray:
-    """Diagonal damping contribution of one constraint over its 6 coordinates."""
+def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
+    """Diagonal damping (m, 6) of every spring over its 6 coordinates."""
+    policy = springs.damping
     if policy.variant == "constant":
-        return np.full(6, float(policy.value))
+        return np.full((springs.k.shape[0], 6), float(policy.value))
     if policy.variant == "geometric-projection":
-        # diagonal abs-column-sum surrogate of the geometric stiffness
-        # (d Je / dq)^T K e, plus the positive floor
-        e, _ = constraint_eval(c, q)
-        if c.kind == "distance-spring":
-            g = c.stiffness * float(e[0]) * _spring_error_hessian(c, q)
-        else:
-            g = np.zeros((6, 6))  # tie error is linear in q
-        return np.abs(g).sum(axis=0) + policy.eps_floor
+        # abs column sums of the geometric stiffness k e [[h, -h], [-h, h]],
+        # h = (I - dhat dhat^T) / |d| the Hessian of the distance, plus the floor
+        dist, dhat = _spring_geometry(springs, q)
+        h = (np.eye(3) - dhat[:, :, None] * dhat[:, None, :]) / dist[:, None, None]
+        ke = np.abs(springs.k * (dist - springs.rest))
+        cols = 2.0 * ke[:, None] * np.abs(h).sum(axis=1)
+        return np.tile(cols, 2) + policy.eps_floor
     raise ValueError(f"unknown damping variant {policy.variant!r}")
 
 
@@ -158,58 +154,57 @@ def _quat_to_rot(quat: np.ndarray) -> np.ndarray:
     )
 
 
-def world_inertia(body: Body, q: np.ndarray) -> np.ndarray:
+def world_inertia(body: RigidBody, q: np.ndarray) -> np.ndarray:
     rot = _quat_to_rot(q[body.q_offset + 3 : body.q_offset + 7])
     return rot @ body.inertia @ rot.T
 
 
-def mass_diag_blocks(bodies, q: np.ndarray):
-    """Yield (v_offset, block) pairs for the block-diagonal mass matrix."""
-    for body in bodies:
-        if body.kind == "particle3":
-            yield body.v_offset, body.mass * np.eye(3)
-        else:
-            yield body.v_offset, body.mass * np.eye(3)
-            yield body.v_offset + 3, world_inertia(body, q)
+def _rigid_mass(body: RigidBody, q: np.ndarray) -> np.ndarray:
+    """6x6 mass block diag(m I, world inertia)."""
+    block = np.zeros((6, 6))
+    block[:3, :3] = body.mass * np.eye(3)
+    block[3:, 3:] = world_inertia(body, q)
+    return block
 
 
-def assemble_step(state: SystemState, bodies, constraints, f_ext: np.ndarray | None = None) -> AssembledDynamics:
+def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: np.ndarray | None = None) -> AssembledDynamics:
     """Assemble A and b for one implicit step."""
     if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.v))):
         raise InvalidStateError("state contains non-finite values")
     n = state.v.shape[0]
     t = state.dt
-    rows, cols, vals = [], [], []
     b = np.zeros(n)
     if f_ext is not None:
         b += f_ext
 
-    for off, block in mass_diag_blocks(bodies, state.q):
-        k = block.shape[0]
-        ii, jj = np.meshgrid(range(off, off + k), range(off, off + k), indexing="ij")
-        rows.append(ii.ravel())
-        cols.append(jj.ravel())
-        vals.append((2.0 / t) * block.ravel())
-        b[off : off + k] += (2.0 / t) * block @ state.v[off : off + k]
+    # node masses: a diagonal
+    node_idx = triples(bodies.node_v)
+    coef = (2.0 / t) * bodies.node_mass
+    b[node_idx] += coef[:, None] * state.v[node_idx]
+    rows, cols, vals = [node_idx.ravel()], [node_idx.ravel()], [np.repeat(coef, 3)]
 
-    # gyroscopic term of C v for rigid bodies
-    for body in bodies:
-        if body.kind == "rigid6":
-            omega = state.v[body.v_offset + 3 : body.v_offset + 6]
-            iw = world_inertia(body, state.q)
-            b[body.v_offset + 3 : body.v_offset + 6] -= np.cross(omega, iw @ omega)
-
-    for c in constraints:
-        e, j = constraint_eval(c, state.q)
-        evals = damping_matrix(c.damping, c, state.q)
-        block = 0.5 * t * (c.stiffness * j.T @ j + np.diag(evals))
-        idx = np.concatenate([np.arange(c.vi, c.vi + 3), np.arange(c.vj, c.vj + 3)])
-        ii, jj = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(ii.ravel())
-        cols.append(jj.ravel())
+    for body in bodies.rigid:
+        idx = np.arange(body.v_offset, body.v_offset + 6)
+        block = (2.0 / t) * _rigid_mass(body, state.q)
+        rows.append(np.repeat(idx, 6))
+        cols.append(np.tile(idx, 6))
         vals.append(block.ravel())
-        force = c.stiffness * j.T @ e
-        b[idx] -= force
+        b[idx] += block @ state.v[idx]
+        # gyroscopic term of C v
+        omega = state.v[idx[3:]]
+        b[idx[3:]] -= np.cross(omega, world_inertia(body, state.q) @ omega)
+
+    e, jac = spring_eval(springs, state.q)
+    blocks = springs.k[:, None, None] * (jac[:, :, None] * jac[:, None, :])
+    diag = np.arange(6)
+    blocks[:, diag, diag] += spring_damping(springs, state.q)
+    blocks *= 0.5 * t
+    idx = np.hstack([triples(springs.vi), triples(springs.vj)])  # (m, 6)
+    rows.append(np.repeat(idx, 6, axis=1).ravel())
+    cols.append(np.tile(idx, 6).ravel())
+    vals.append(blocks.ravel())
+    force = (springs.k[:, None] * jac) * e[:, None]
+    np.subtract.at(b, idx, force)
 
     a = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -234,32 +229,30 @@ def _quat_exp(rotvec: np.ndarray) -> np.ndarray:
     return np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
 
 
-def integrate(state: SystemState, v_hat: np.ndarray, bodies, dt: float | None = None) -> SystemState:
+def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies, dt: float | None = None) -> SystemState:
     """Advance the configuration by the representative velocity.
 
-    Particles translate; rigid orientations update by the exponential map of
+    Nodes translate; rigid orientations update by the exponential map of
     the angular velocity. The stored next-step velocity is ``2 v_hat - v``.
     """
     t = state.dt if dt is None else dt
     q = state.q.copy()
-    for body in bodies:
-        if body.kind == "particle3":
-            q[body.q_offset : body.q_offset + 3] += t * v_hat[body.v_offset : body.v_offset + 3]
-        else:
-            q[body.q_offset : body.q_offset + 3] += t * v_hat[body.v_offset : body.v_offset + 3]
-            omega = v_hat[body.v_offset + 3 : body.v_offset + 6]
-            dq = _quat_exp(t * omega)
-            quat = _quat_mul(dq, q[body.q_offset + 3 : body.q_offset + 7])
-            q[body.q_offset + 3 : body.q_offset + 7] = quat / np.linalg.norm(quat)
+    q[triples(bodies.node_q)] += t * v_hat[triples(bodies.node_v)]
+    for body in bodies.rigid:
+        q[body.q_offset : body.q_offset + 3] += t * v_hat[body.v_offset : body.v_offset + 3]
+        omega = v_hat[body.v_offset + 3 : body.v_offset + 6]
+        dq = _quat_exp(t * omega)
+        quat = _quat_mul(dq, q[body.q_offset + 3 : body.q_offset + 7])
+        q[body.q_offset + 3 : body.q_offset + 7] = quat / np.linalg.norm(quat)
     v_next = 2.0 * v_hat - state.v
     return replace(state, q=q, v=v_next, step_index=state.step_index + 1)
 
 
-def kinetic_energy(state: SystemState, bodies) -> float:
+def kinetic_energy(state: SystemState, bodies: Bodies) -> float:
     """0.5 v^T M v in joules."""
-    total = 0.0
-    for off, block in mass_diag_blocks(bodies, state.q):
-        k = block.shape[0]
-        vseg = state.v[off : off + k]
-        total += 0.5 * vseg @ block @ vseg
-    return float(total)
+    v = state.v[triples(bodies.node_v)]
+    total = 0.5 * float(bodies.node_mass @ np.einsum("ij,ij->i", v, v))
+    for body in bodies.rigid:
+        seg = state.v[body.v_offset : body.v_offset + 6]
+        total += 0.5 * float(seg @ _rigid_mass(body, state.q) @ seg)
+    return total

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -21,9 +20,7 @@ import numpy as np
 from . import baselines as bl
 from .contacts import (
     Geometry,
-    NodeProxy,
     Plane,
-    RigidPointSet,
     StabilizationParams,
     StaticSphere,
     augment_dynamics,
@@ -31,13 +28,15 @@ from .contacts import (
     nodalize,
 )
 from .dynamics import (
-    Body,
-    ConstraintPotential,
+    Bodies,
     DampingPolicy,
+    RigidBody,
+    Springs,
     SystemState,
     assemble_step,
     integrate,
     kinetic_energy,
+    triples,
 )
 from .errors import (
     DivergenceError,
@@ -183,6 +182,16 @@ SCENARIO_SCHEMA = {
 }
 
 
+def _scenario_validator():
+    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+    cls.check_schema(SCENARIO_SCHEMA)
+    return cls(SCENARIO_SCHEMA)
+
+
+# built once: jsonschema.validate checks the schema itself again on every call
+_SCENARIO_VALIDATOR = _scenario_validator()
+
+
 @dataclass
 class Scenario:
     """Validated scenario description, still close to the JSON shape."""
@@ -241,16 +250,15 @@ class RunConfig:
 class RunResult:
     rows: list
     state: SystemState
-    bodies: list
+    bodies: Bodies
     positions: list = field(default_factory=list)  # optional per-step q snapshots
     any_diverged: bool = False
     assembly_s: float = 0.0  # baseline Delassus assembly total
 
 
 def validate_scenario(data: dict) -> None:
-    try:
-        jsonschema.validate(data, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(data))
+    if exc is not None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ScenarioValidationError(f"scenario invalid at {loc}: {exc.message}") from exc
     steps = data["duration"] / data["step_size"]
@@ -273,63 +281,59 @@ def load_scenario(path: str) -> Scenario:
 
 @dataclass
 class Scene:
-    """Instantiated scenario: bodies, constraints, geometry and force schedule."""
+    """Instantiated scenario: bodies, springs, geometry and force schedule."""
 
-    bodies: list
+    bodies: Bodies
     state: SystemState
     geometry: Geometry
-    constraints: list
-    force_entries: list  # (start, end, vector, velocity-offset list)
+    constraints: Springs
+    force_entries: list  # (start, end, (k, 3) velocity indices, (k, 3) forces)
     stab: StabilizationParams
     mu: float
     mu2: float | None
     k_v: float
     gravity: np.ndarray
-    lattice_node_offsets: list = field(default_factory=list)
 
 
-def _lattice_nodes(spec: dict, rng: np.random.Generator):
-    nx, ny, nz = spec["nx"], spec["ny"], spec["nz"]
-    h = spec["spacing"]
+def _lattice_nodes(spec: dict, rng: np.random.Generator) -> np.ndarray:
+    """Node positions, x fastest, then y, then z."""
+    k, j, i = np.indices((spec["nz"], spec["ny"], spec["nx"])).reshape(3, -1)
     origin = np.array(spec.get("origin", [0.0, 0.0, 0.0]), dtype=float)
-    pts = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                pts.append(origin + h * np.array([i, j, k], dtype=float))
-    pts = np.array(pts)
+    pts = origin + spec["spacing"] * np.stack([i, j, k], axis=1).astype(float)
     jitter = spec.get("position_jitter", 0.0)
     if jitter > 0:
         pts[:, :2] += rng.uniform(-jitter, jitter, size=(pts.shape[0], 2))
     return pts
 
 
-def _lattice_edges(nx: int, ny: int, nz: int, diagonals: bool):
-    def idx(i, j, k):
-        return (k * ny + j) * nx + i
+# per node (i, j, k), candidate edges as grid steps (end a, end b): the three
+# axis edges, then both diagonals of the xy, xz and yz faces
+_EDGE_STEPS = np.array(
+    [
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 1, 1, 0],
+        [1, 0, 0, 0, 1, 0],
+        [0, 0, 0, 1, 0, 1],
+        [1, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 1, 1],
+        [0, 1, 0, 0, 0, 1],
+    ]
+)
 
-    edges = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                a = idx(i, j, k)
-                if i + 1 < nx:
-                    edges.append((a, idx(i + 1, j, k)))
-                if j + 1 < ny:
-                    edges.append((a, idx(i, j + 1, k)))
-                if k + 1 < nz:
-                    edges.append((a, idx(i, j, k + 1)))
-                if diagonals:
-                    if i + 1 < nx and j + 1 < ny:
-                        edges.append((a, idx(i + 1, j + 1, k)))
-                        edges.append((idx(i + 1, j, k), idx(i, j + 1, k)))
-                    if i + 1 < nx and k + 1 < nz:
-                        edges.append((a, idx(i + 1, j, k + 1)))
-                        edges.append((idx(i + 1, j, k), idx(i, j, k + 1)))
-                    if j + 1 < ny and k + 1 < nz:
-                        edges.append((a, idx(i, j + 1, k + 1)))
-                        edges.append((idx(i, j + 1, k), idx(i, j, k + 1)))
-    return edges
+
+def _lattice_edges(nx: int, ny: int, nz: int, diagonals: bool) -> np.ndarray:
+    """(m, 2) node index pairs, node by node in ``_lattice_nodes`` order."""
+    steps = _EDGE_STEPS if diagonals else _EDGE_STEPS[:3]
+    k, j, i = np.indices((nz, ny, nx)).reshape(3, -1, 1)
+    reach = np.maximum(steps[:, :3], steps[:, 3:])
+    inside = (i + reach[:, 0] < nx) & (j + reach[:, 1] < ny) & (k + reach[:, 2] < nz)
+
+    def node(s):
+        return ((k + s[:, 2]) * ny + j + s[:, 1]) * nx + i + s[:, 0]
+
+    return np.stack([node(steps[:, :3])[inside], node(steps[:, 3:])[inside]], axis=1)
 
 
 def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
@@ -339,7 +343,6 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     rng = np.random.default_rng(seed)
     dt = s.step_size
 
-    bodies, q_parts, v_parts = [], [], []
     geometry = Geometry()
     geo = data.get("geometry", {})
     for p in geo.get("planes", []):
@@ -350,81 +353,71 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     if "margin" in geo:
         geometry.margin = geo["margin"]
 
-    damp_spec = data.get("damping", {"variant": "constant", "value": 0.0})
-    damping = DampingPolicy(damp_spec["variant"], damp_spec.get("value", 0.0))
-
-    q_off = v_off = 0
-    body_specs = data.get("bodies", [])
-    for bs in body_specs:
-        if bs["type"] == "particle":
-            body = Body("particle3", bs["mass"], q_off, v_off)
-            q_parts.append(np.array(bs.get("position", [0, 0, 0]), dtype=float))
-            v_parts.append(np.array(bs.get("velocity", [0, 0, 0]), dtype=float))
-            if bs.get("radius", 0.0) > 0.0:
-                geometry.node_proxies.append(NodeProxy(len(bodies), v_off, bs["radius"]))
-        else:
-            inertia = np.diag(np.array(bs.get("inertia", [1.0, 1.0, 1.0]), dtype=float))
-            body = Body("rigid6", bs["mass"], q_off, v_off, inertia)
-            quat = np.array(bs.get("orientation", [1, 0, 0, 0]), dtype=float)
-            q_parts.append(np.array(bs.get("position", [0, 0, 0]), dtype=float))
-            q_parts.append(quat / np.linalg.norm(quat))
-            v_parts.append(np.array(bs.get("velocity", [0, 0, 0]), dtype=float))
-            v_parts.append(np.array(bs.get("angular_velocity", [0, 0, 0]), dtype=float))
-            pts = bs.get("contact_points", [])
-            if pts:
-                geometry.rigid_points.append(
-                    RigidPointSet(len(bodies), np.array(pts, dtype=float), bs.get("contact_radius", 0.0))
-                )
-        bodies.append(body)
-        q_off += body.q_dim
-        v_off += body.v_dim
-
-    constraints = []
-    for sp in data.get("springs", []):
-        bi, bj = bodies[sp["i"]], bodies[sp["j"]]
-        rest = sp.get("rest")
-        if rest is None:
-            pi = np.concatenate(q_parts)[bi.q_offset : bi.q_offset + 3]
-            pj = np.concatenate(q_parts)[bj.q_offset : bj.q_offset + 3]
-            rest = float(np.linalg.norm(pi - pj))
-        constraints.append(
-            ConstraintPotential(
-                "distance-spring", bi.q_offset, bj.q_offset, bi.v_offset, bj.v_offset,
-                sp["stiffness"], rest, damping,
-            )
-        )
-
-    lattice_offsets = []
+    # layout: the listed bodies in order, then the lattice nodes
+    specs = data.get("bodies", [])
+    is_rigid = np.array([bs["type"] == "rigid" for bs in specs], dtype=bool)
+    q_ends = np.cumsum(np.where(is_rigid, 7, 3))
+    v_ends = np.cumsum(np.where(is_rigid, 6, 3))
+    body_q = np.concatenate([[0], q_ends]).astype(int)
+    body_v = np.concatenate([[0], v_ends]).astype(int)
     lat = data.get("lattice")
-    if lat is not None:
-        pts = _lattice_nodes(lat, rng)
-        base = len(bodies)
-        node_r = lat.get("node_radius", 0.45 * lat["spacing"])
-        for p in pts:
-            body = Body("particle3", lat["mass"], q_off, v_off)
-            bodies.append(body)
-            lattice_offsets.append(v_off)
-            q_parts.append(p)
-            v_parts.append(np.zeros(3))
-            if node_r > 0:
-                geometry.node_proxies.append(NodeProxy(len(bodies) - 1, v_off, node_r))
-            q_off += 3
-            v_off += 3
-        q_now = np.concatenate(q_parts)
-        for a, b_ in _lattice_edges(lat["nx"], lat["ny"], lat["nz"], lat.get("diagonals", True)):
-            ba, bb = bodies[base + a], bodies[base + b_]
-            rest = float(
-                np.linalg.norm(q_now[ba.q_offset : ba.q_offset + 3] - q_now[bb.q_offset : bb.q_offset + 3])
-            )
-            constraints.append(
-                ConstraintPotential(
-                    "distance-spring", ba.q_offset, bb.q_offset, ba.v_offset, bb.v_offset,
-                    lat["stiffness"], rest, damping,
-                )
-            )
+    n_lat = lat["nx"] * lat["ny"] * lat["nz"] if lat is not None else 0
+    lat_q = body_q[-1] + 3 * np.arange(n_lat)
+    lat_v = body_v[-1] + 3 * np.arange(n_lat)
+    q = np.zeros(body_q[-1] + 3 * n_lat)
+    v = np.zeros(body_v[-1] + 3 * n_lat)
+    body_q, body_v = body_q[:-1], body_v[:-1]
 
-    q = np.concatenate(q_parts) if q_parts else np.zeros(0)
-    v = np.concatenate(v_parts) if v_parts else np.zeros(0)
+    particles = [bs for bs in specs if bs["type"] == "particle"]
+    part_q, part_v = body_q[~is_rigid], body_v[~is_rigid]
+    q[triples(part_q)] = np.array([bs.get("position", [0, 0, 0]) for bs in particles], dtype=float).reshape(-1, 3)
+    v[triples(part_v)] = np.array([bs.get("velocity", [0, 0, 0]) for bs in particles], dtype=float).reshape(-1, 3)
+
+    rigid = []
+    for m in np.flatnonzero(is_rigid):
+        bs = specs[m]
+        qo, vo = int(body_q[m]), int(body_v[m])
+        quat = np.array(bs.get("orientation", [1, 0, 0, 0]), dtype=float)
+        q[qo : qo + 3] = bs.get("position", [0, 0, 0])
+        q[qo + 3 : qo + 7] = quat / np.linalg.norm(quat)
+        v[vo : vo + 3] = bs.get("velocity", [0, 0, 0])
+        v[vo + 3 : vo + 6] = bs.get("angular_velocity", [0, 0, 0])
+        inertia = np.diag(np.array(bs.get("inertia", [1.0, 1.0, 1.0]), dtype=float))
+        points = np.array(bs.get("contact_points", []), dtype=float).reshape(-1, 3)
+        rigid.append(RigidBody(bs["mass"], qo, vo, inertia, points, bs.get("contact_radius", 0.0)))
+
+    node_mass = [np.array([bs["mass"] for bs in particles], dtype=float)]
+    node_radius = [np.array([bs.get("radius", 0.0) for bs in particles], dtype=float)]
+    spring_specs = data.get("springs", [])
+    si = np.array([sp["i"] for sp in spring_specs], dtype=int)
+    sj = np.array([sp["j"] for sp in spring_specs], dtype=int)
+    ends = [(body_q[si], body_q[sj], body_v[si], body_v[sj])]
+    stiffness = [np.array([sp["stiffness"] for sp in spring_specs], dtype=float)]
+    lengths = np.linalg.norm(q[triples(body_q[si])] - q[triples(body_q[sj])], axis=1)
+    rest = [np.array([sp.get("rest", d) for sp, d in zip(spring_specs, lengths)], dtype=float)]
+    if lat is not None:
+        q[triples(lat_q)] = _lattice_nodes(lat, rng)
+        node_mass.append(np.full(n_lat, float(lat["mass"])))
+        node_radius.append(np.full(n_lat, float(lat.get("node_radius", 0.45 * lat["spacing"]))))
+        a, b = _lattice_edges(lat["nx"], lat["ny"], lat["nz"], lat.get("diagonals", True)).T
+        ends.append((lat_q[a], lat_q[b], lat_v[a], lat_v[b]))
+        stiffness.append(np.full(a.shape[0], float(lat["stiffness"])))
+        rest.append(np.linalg.norm(q[triples(lat_q[a])] - q[triples(lat_q[b])], axis=1))
+
+    bodies = Bodies(
+        np.concatenate([part_q, lat_q]),
+        np.concatenate([part_v, lat_v]),
+        np.concatenate(node_mass),
+        np.concatenate(node_radius),
+        rigid,
+    )
+    damp_spec = data.get("damping", {"variant": "constant", "value": 0.0})
+    springs = Springs(
+        *(np.concatenate(end) for end in zip(*ends)),
+        np.concatenate(stiffness),
+        np.concatenate(rest),
+        DampingPolicy(damp_spec["variant"], damp_spec.get("value", 0.0)),
+    )
     state = SystemState(q, v, 0, dt)
 
     contact = data.get("contact", {})
@@ -432,8 +425,8 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     mu2 = contact.get("mu2")
     k_v = cfg.kv if cfg.kv is not None else contact.get("kv")
     if k_v is None:
-        masses = [b.mass for b in bodies] or [1.0]
-        k_v = 1e5 * float(np.median(masses)) / dt
+        masses = np.concatenate([bodies.node_mass, [r.mass for r in rigid]])
+        k_v = 1e5 * float(np.median(masses if masses.size else [1.0])) / dt
     stab = StabilizationParams(
         beta_err=contact.get("beta_err", 0.2),
         e_rest=contact.get("e_rest", 0.0),
@@ -446,42 +439,36 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
         start = f.get("start", 0.0)
         end = f.get("end", s.duration)
         vec = np.array(f["force"], dtype=float)
-        offsets = []
-        if "body" in f:
-            offsets.append(bodies[f["body"]].v_offset)
-        for bi in f.get("bodies", []):
-            offsets.append(bodies[bi].v_offset)
+        offsets = [body_v[f["body"]]] if "body" in f else []
+        offsets.extend(body_v[bi] for bi in f.get("bodies", []))
         sel = f.get("lattice")
         if sel is not None:
             if lat is None:
                 raise ScenarioValidationError("forces: 'lattice' target without a lattice block")
-            nx, ny, nz = lat["nx"], lat["ny"], lat["nz"]
-            per_layer = nx * ny
-            if sel == "all":
-                offsets.extend(lattice_offsets)
-            elif sel == "top":
-                offsets.extend(lattice_offsets[-per_layer:])
-            else:
-                offsets.extend(lattice_offsets[:per_layer])
+            per_layer = lat["nx"] * lat["ny"]
+            offsets.extend({"all": lat_v, "top": lat_v[-per_layer:], "bottom": lat_v[:per_layer]}[sel])
         if not offsets:
             raise ScenarioValidationError("forces entry targets no body")
         if not f.get("per_node", True):
             vec = vec / len(offsets)
-        force_entries.append((start, end, vec, offsets))
+        # per-target rows: np.add.at (NumPy 2.4.6) writes garbage when it
+        # has to broadcast a (3,) value over (k, 3) indices
+        force_entries.append((start, end, triples(offsets), np.tile(vec, (len(offsets), 1))))
 
     gravity = np.array(data.get("gravity", DEFAULT_GRAVITY), dtype=float)
-    return Scene(bodies, state, geometry, constraints, force_entries, stab, mu, mu2, k_v, gravity, lattice_offsets)
+    return Scene(bodies, state, geometry, springs, force_entries, stab, mu, mu2, k_v, gravity)
 
 
 def external_force(scene: Scene, t: float, n: int) -> np.ndarray:
     """Gravity plus the piecewise-constant schedule, at simulation time t."""
+    bodies = scene.bodies
     f = np.zeros(n)
-    for body in scene.bodies:
+    f[triples(bodies.node_v)] += bodies.node_mass[:, None] * scene.gravity
+    for body in bodies.rigid:
         f[body.v_offset : body.v_offset + 3] += body.mass * scene.gravity
-    for start, end, vec, offsets in scene.force_entries:
+    for start, end, idx, force in scene.force_entries:
         if start <= t < end:
-            for off in offsets:
-                f[off : off + 3] += vec
+            np.add.at(f, idx, force)
     return f
 
 
@@ -697,17 +684,6 @@ def parse_csv(path: str):
     return rows
 
 
-def thread_budget() -> int:
-    """Parallel width cap from COND_THREADS, defaulting to the hardware count."""
-    raw = os.environ.get("COND_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ScenarioValidationError(f"COND_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
-
-
 def scenario_with_size(s: Scenario, n_dof: int) -> Scenario:
     """Rescale the scenario's lattice footprint to roughly n_dof velocity DOF,
     keeping layer count and spacing."""
@@ -742,31 +718,20 @@ def bench_scaling(s: Scenario, sizes, cfg: RunConfig | None = None, steps_cap: i
     """Run the scenario at several lattice sizes and fit log(time) vs log(n)."""
     cfg = cfg or RunConfig()
     points = []
-
-    def one(size):
+    for size in sizes:
         sc = scenario_with_size(s, size)
         if steps_cap is not None:
-            data = sc.raw
-            data["duration"] = data["step_size"] * steps_cap
-        res = run(sc, cfg)
+            sc.raw["duration"] = sc.raw["step_size"] * steps_cap
+        rows = run(sc, cfg).rows
         lat = sc.raw["lattice"]
-        n = 3 * lat["nx"] * lat["ny"] * lat["nz"]
-        rows = res.rows
-        return BenchPoint(
-            n,
-            float(np.mean([r.solve_ms for r in rows])) / 1e3,
-            float(np.mean([r.dyn_ms for r in rows])) / 1e3,
-            float(np.mean([r.iters for r in rows])),
+        points.append(
+            BenchPoint(
+                3 * lat["nx"] * lat["ny"] * lat["nz"],
+                float(np.mean([r.solve_ms for r in rows])) / 1e3,
+                float(np.mean([r.dyn_ms for r in rows])) / 1e3,
+                float(np.mean([r.iters for r in rows])),
+            )
         )
-
-    width = min(thread_budget(), len(list(sizes)))
-    if width > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            points = list(pool.map(one, sizes))
-    else:
-        points = [one(size) for size in sizes]
 
     result = BenchResult(points)
     if len(points) >= 2:

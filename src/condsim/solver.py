@@ -64,7 +64,6 @@ class SolverConfig:
     omega: float = 0.0  # uniform contact regularization (invertible mode)
     fixed_alpha: float | None = None
     consistency_factor: float = 10.0  # force residual must reach this times tol
-    w_recycle_period: int = 1  # steps between W recomputation (frobenius)
 
 
 @dataclass
@@ -281,18 +280,15 @@ def contact_solve_oneshot(
     mu: np.ndarray,
     operator: str = "strict",
     mu2=None,
-    omega_included: bool = True,
-    omega: float = 0.0,
 ) -> np.ndarray:
     """Independent per-contact solves of the diagonal surrogate problem.
 
     ``phi`` holds the per-contact normal stabilization terms; it only touches
     the normal component.
     """
-    g = gamma.gamma if omega_included else gamma.gamma + omega
     phi_vec = np.zeros_like(eta)
     phi_vec[:, 0] = phi
-    lam_star = -(eta + phi_vec) / g[:, None]
+    lam_star = -(eta + phi_vec) / gamma.gamma[:, None]
     return _project_batch(lam_star, mu, mu2, operator)
 
 
@@ -361,14 +357,10 @@ def solve_vfpi(
     aug: AugmentedDynamics,
     cfg: SolverConfig,
     warm: np.ndarray,
-    w_cached: StepMatrix | None = None,
-    project_override=None,
 ):
     """Run the velocity fixed-point iteration on an augmented system.
 
-    Returns (v_hat, lam, report). ``project_override`` replaces the impulse
-    projection (used by test oracles); ``w_cached`` recycles a previously
-    computed Frobenius step matrix.
+    Returns (v_hat, lam, report).
     """
     a, b = aug.a, aug.b
     n = aug.n
@@ -383,8 +375,6 @@ def solve_vfpi(
     if cfg.step_strategy == "fixed-alpha":
         alpha = cfg.fixed_alpha if cfg.fixed_alpha is not None else 1.0 / np.abs(a.diagonal()).max()
         w = StepMatrix(np.full(n, alpha))
-    elif w_cached is not None:
-        w = w_cached
     else:
         w = step_matrix_frobenius(a, aug, pair_tie)
     gamma = surrogate_gamma(w, aug, cfg.omega) if n_c else None
@@ -420,11 +410,7 @@ def solve_vfpi(
         v_star = v - w.w * r
         if n_c:
             eta = jmap.jc(v_star)
-            if project_override is None:
-                lam = contact_solve_oneshot(gamma, eta, phi, mu, cfg.operator, mu2)
-            else:
-                lam_star = -(eta + phi[:, None] * _phi_mask()) / gamma.gamma[:, None]
-                lam = project_override(lam_star, mu, mu2)
+            lam = contact_solve_oneshot(gamma, eta, phi, mu, cfg.operator, mu2)
             f_c = jmap.jc_t(lam)
             v_new = v_star + w.w * f_c
         else:
@@ -476,15 +462,11 @@ def solve_vfpi(
     return v, lam, report
 
 
-def _phi_mask():
-    return np.array([1.0, 0.0, 0.0])
-
-
 def inverse_contact(aug: AugmentedDynamics, v_hat: np.ndarray, omega: float, operator: str = "proximal") -> np.ndarray:
     """Recover contact impulses from a converged velocity via the regularized
     (invertible) contact model: per contact, a one-shot solve with the
     regularization scalar in place of the surrogate Delassus entry."""
     mu, mu2, phi = _contact_params(aug)
     eta = apply_jc(aug, v_hat)
-    lam_star = -(eta + phi[:, None] * _phi_mask()) / omega
+    lam_star = -(eta + phi[:, None] * np.array([1.0, 0.0, 0.0])) / omega
     return _project_batch(lam_star, mu, mu2, operator)

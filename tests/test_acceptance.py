@@ -279,7 +279,6 @@ def test_08_chebyshev_ablation():
 
 def test_09_scalability(monkeypatch):
     """Near-linear solver-time scaling, and steeper growth for the baselines."""
-    monkeypatch.setenv("COND_THREADS", "1")
     t0 = time.perf_counter()
     s = load_scenario(scenario_path("lattice_drag"))
     cond_cfg = RunConfig(residual_tol=THETA_TH, chebyshev=True, kv=1e5, max_iters=4000)

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from condsim.contacts import (
     Geometry,
-    NodeProxy,
     Plane,
-    RigidPointSet,
     StabilizationParams,
+    StaticSphere,
     apply_jc,
     apply_jc_t,
     augment_dynamics,
@@ -20,7 +19,7 @@ from condsim.contacts import (
     nodalize,
     stabilization_term,
 )
-from condsim.dynamics import Body, SystemState
+from condsim.dynamics import Bodies, RigidBody, SystemState
 from condsim.errors import InvalidStateError
 from condsim.sparse import SparseSymmetric
 from condsim.testing import build_augmented, random_contact_set, random_spd
@@ -31,11 +30,21 @@ vec3 = st.tuples(
 
 
 def particle_scene(positions, radius=0.5, dt=0.01):
-    bodies = [Body("particle3", 1.0, 3 * i, 3 * i) for i in range(len(positions))]
+    off = 3 * np.arange(len(positions))
+    bodies = Bodies(off, off, np.ones(len(positions)), np.full(len(positions), radius))
     q = np.concatenate([np.asarray(p, dtype=float) for p in positions])
     state = SystemState(q, np.zeros(q.shape[0]), dt=dt)
-    geom = Geometry(node_proxies=[NodeProxy(i, 3 * i, radius) for i in range(len(positions))])
-    return state, bodies, geom
+    return state, bodies, Geometry()
+
+
+def cube_scene(points, inertia=1.0):
+    """A 0.5 kg rigid body at height 0.1 carrying ``points`` over a floor."""
+    none = np.zeros(0, dtype=int)
+    body = RigidBody(0.5, 0, 0, inertia * np.eye(3), np.array(points, dtype=float))
+    bodies = Bodies(none, none, np.zeros(0), np.zeros(0), [body])
+    q = np.concatenate([[0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]])
+    state = SystemState(q, np.zeros(6), dt=0.01)
+    return state, bodies, Geometry(planes=[Plane(np.zeros(3), np.array([0.0, 0.0, 1.0]))])
 
 
 class TestContactFrame:
@@ -79,6 +88,31 @@ class TestDetectContacts:
         geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
         assert detect_contacts(state, bodies, geom) == []
 
+    def test_proxy_on_static_sphere(self):
+        state, bodies, geom = particle_scene([[0.0, 0.0, 1.4]], radius=0.5)
+        geom.spheres.append(StaticSphere(np.zeros(3), 1.0))
+        raw = detect_contacts(state, bodies, geom)
+        assert len(raw) == 1
+        assert np.isclose(raw[0].depth, 0.1)
+        assert np.allclose(raw[0].point, [0.0, 0.0, 0.9])
+        assert np.allclose(raw[0].normal, [0.0, 0.0, 1.0])
+        assert raw[0].first == ("node", 0) and raw[0].second == ("static",)
+
+    def test_order_is_proxy_by_proxy_planes_first(self):
+        # two proxies, each touching the floor and a sphere; a proxy without
+        # a radius is skipped
+        state, bodies, geom = particle_scene([[0.0, 0.0, 0.4], [5.0, 0.0, 0.0], [3.0, 0.0, 0.4]])
+        bodies.node_radius[1] = 0.0
+        geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+        geom.spheres.append(StaticSphere(np.array([1.5, 0.0, 0.4]), 1.2))
+        raw = detect_contacts(state, bodies, geom)
+        assert [(rc.first, tuple(np.round(rc.normal, 12))) for rc in raw] == [
+            (("node", 0), (0.0, 0.0, 1.0)),
+            (("node", 0), (-1.0, 0.0, 0.0)),
+            (("node", 6), (0.0, 0.0, 1.0)),
+            (("node", 6), (1.0, 0.0, 0.0)),
+        ]
+
     def test_dynamic_pair(self):
         state, bodies, geom = particle_scene([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]], radius=0.5)
         raw = detect_contacts(state, bodies, geom)
@@ -114,16 +148,10 @@ class TestNodalize:
         assert nodal.contacts[0].slot_i == ("orig", 0)
 
     def test_rigid_vertex_spawns_virtual_node(self):
-        body = Body("rigid6", 0.5, 0, 0, np.diag([1.0, 1.0, 1.0]))
-        q = np.concatenate([[0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]])
-        state = SystemState(q, np.zeros(6), dt=0.01)
-        geom = Geometry(
-            planes=[Plane(np.zeros(3), np.array([0.0, 0.0, 1.0]))],
-            rigid_points=[RigidPointSet(0, np.array([[0.1, 0.1, -0.1]]))],
-        )
-        raw = detect_contacts(state, [body], geom)
+        state, bodies, geom = cube_scene([[0.1, 0.1, -0.1]])
+        raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 1
-        nodal = nodalize(raw, state, [body], k_v=1e5)
+        nodal = nodalize(raw, state, bodies, k_v=1e5)
         assert nodal.n_virtual == 1
         assert nodal.contacts[0].slot_i == ("virt", 0)
         # Jv row is [I3, -[r]x] with r the world lever arm of the vertex
@@ -191,17 +219,9 @@ class TestAugmentDynamics:
         assert np.allclose(aug.b, b)
 
     def test_augmented_system_stays_spd(self, rng):
-        body = Body("rigid6", 0.5, 0, 0, np.diag([1.0, 1.0, 1.0]))
-        q = np.concatenate([[0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]])
-        state = SystemState(q, np.zeros(6), dt=0.01)
-        geom = Geometry(
-            planes=[Plane(np.zeros(3), np.array([0.0, 0.0, 1.0]))],
-            rigid_points=[
-                RigidPointSet(0, np.array([[0.1, 0.1, -0.1], [-0.1, 0.1, -0.1], [0.1, -0.1, -0.1]]))
-            ],
-        )
-        raw = detect_contacts(state, [body], geom)
-        nodal = nodalize(raw, state, [body], k_v=1e5)
+        state, bodies, geom = cube_scene([[0.1, 0.1, -0.1], [-0.1, 0.1, -0.1], [0.1, -0.1, -0.1]])
+        raw = detect_contacts(state, bodies, geom)
+        nodal = nodalize(raw, state, bodies, k_v=1e5)
         a_o = SparseSymmetric.from_dense(100.0 * np.eye(6) + rng.uniform(0, 1) * np.eye(6))
         aug = augment_dynamics(a_o, np.zeros(6), nodal)
         assert aug.b[6:].max() == 0.0 and aug.b[6:].min() == 0.0
@@ -211,15 +231,9 @@ class TestAugmentDynamics:
         # solving the augmented system and eliminating the virtual block must
         # reproduce A_o v_o = b_o + Jv^T f_tie with the tie force equal to the
         # impulse routed through the virtual node (no spurious force injection)
-        body = Body("rigid6", 0.5, 0, 0, np.diag([0.01, 0.01, 0.01]))
-        q = np.concatenate([[0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]])
-        state = SystemState(q, np.zeros(6), dt=0.01)
-        geom = Geometry(
-            planes=[Plane(np.zeros(3), np.array([0.0, 0.0, 1.0]))],
-            rigid_points=[RigidPointSet(0, np.array([[0.1, 0.1, -0.1], [-0.1, -0.1, -0.1]]))],
-        )
-        raw = detect_contacts(state, [body], geom)
-        nodal = nodalize(raw, state, [body], k_v=1e4)
+        state, bodies, geom = cube_scene([[0.1, 0.1, -0.1], [-0.1, -0.1, -0.1]], inertia=0.01)
+        raw = detect_contacts(state, bodies, geom)
+        nodal = nodalize(raw, state, bodies, k_v=1e4)
         a_dense = 50.0 * np.eye(6)
         b_o = rng.standard_normal(6)
         aug = augment_dynamics(SparseSymmetric.from_dense(a_dense), b_o, nodal)

@@ -2,191 +2,219 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from condsim.dynamics import (
-    Body,
-    ConstraintPotential,
+    Bodies,
     DampingPolicy,
+    RigidBody,
+    Springs,
     SystemState,
     assemble_step,
-    constraint_eval,
-    damping_matrix,
     integrate,
     kinetic_energy,
+    spring_damping,
+    spring_eval,
     world_inertia,
 )
 from condsim.errors import DegenerateConstraintError, InvalidStateError
+from condsim.harness import Scenario, _lattice_edges, build_scene, external_force, validate_scenario
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
-def spring(qi, qj, stiffness, rest, damping=None):
-    return ConstraintPotential(
-        "distance-spring", qi, qj, qi, qj, stiffness, rest, damping or DampingPolicy()
+def particles(masses, radius=0.0):
+    """3-DOF point masses laid out back to back from offset 0."""
+    off = 3 * np.arange(len(masses))
+    return Bodies(off, off, np.asarray(masses, dtype=float), np.full(len(masses), radius))
+
+
+def rigid_only(body):
+    none = np.zeros(0, dtype=int)
+    return Bodies(none, none, np.zeros(0), np.zeros(0), [body])
+
+
+def springs(pairs, stiffness, rest, damping=None):
+    """Springs between back-to-back 3-DOF nodes given as (i, j) node pairs."""
+    ends = 3 * np.asarray(pairs, dtype=int).reshape(-1, 2)
+    m = ends.shape[0]
+    return Springs(
+        ends[:, 0], ends[:, 1], ends[:, 0], ends[:, 1],
+        np.broadcast_to(np.asarray(stiffness, dtype=float), (m,)).copy(),
+        np.broadcast_to(np.asarray(rest, dtype=float), (m,)).copy(),
+        damping or DampingPolicy(),
     )
 
 
-def fd_jacobian(c, q, h=1e-6):
-    """Central-difference Jacobian of the constraint error."""
-    e0, _ = constraint_eval(c, q)
-    jac = np.zeros((e0.shape[0], 6))
-    cols = list(range(c.qi, c.qi + 3)) + list(range(c.qj, c.qj + 3))
-    for k, col in enumerate(cols):
-        qp, qm = q.copy(), q.copy()
-        qp[col] += h
-        qm[col] -= h
-        ep, _ = constraint_eval(c, qp)
-        em, _ = constraint_eval(c, qm)
-        jac[:, k] = (ep - em) / (2 * h)
+NO_SPRINGS = springs(np.zeros((0, 2)), 0.0, 0.0)
+
+
+def row(s, m):
+    """Spring m alone."""
+    sl = slice(m, m + 1)
+    return Springs(s.qi[sl], s.qj[sl], s.vi[sl], s.vj[sl], s.k[sl], s.rest[sl], s.damping)
+
+
+def local_coords(s, m):
+    """The 6 coordinates (node i, node j) of spring m."""
+    return np.concatenate([np.arange(s.qi[m], s.qi[m] + 3), np.arange(s.qj[m], s.qj[m] + 3)])
+
+
+def fd_jacobian(s, q, h=1e-6):
+    """Central-difference Jacobian (m, 6) of every spring error, spring by spring."""
+    jac = np.zeros((s.k.shape[0], 6))
+    for m in range(s.k.shape[0]):
+        one = row(s, m)
+        for k, col in enumerate(local_coords(s, m)):
+            qp, qm = q.copy(), q.copy()
+            qp[col] += h
+            qm[col] -= h
+            jac[m, k] = (spring_eval(one, qp)[0][0] - spring_eval(one, qm)[0][0]) / (2 * h)
     return jac
+
+
+def random_network(rng, n_p, n_s, min_dist):
+    """Random positions and random spring pairs no shorter than ``min_dist``."""
+    q = rng.uniform(-1.0, 1.0, 3 * n_p)
+    pairs = []
+    while len(pairs) < n_s:
+        i, j = rng.choice(n_p, 2, replace=False)
+        if np.linalg.norm(q[3 * i : 3 * i + 3] - q[3 * j : 3 * j + 3]) >= min_dist:
+            pairs.append((i, j))
+    return q, np.array(pairs)
 
 
 class TestConstraintEval:
     def test_stretched_spring_example(self):
-        c = spring(0, 3, 100.0, 1.0)
+        s = springs([(0, 1)], 100.0, 1.0)
         q = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-        e, j = constraint_eval(c, q)
+        e, j = spring_eval(s, q)
         assert np.allclose(e, [1.0])
         assert np.allclose(j, [[-1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
 
     def test_rest_length_zero_error(self):
-        c = spring(0, 3, 100.0, 2.0)
+        s = springs([(0, 1)], 100.0, 2.0)
         q = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-        e, _ = constraint_eval(c, q)
+        e, _ = spring_eval(s, q)
         assert np.allclose(e, [0.0])
 
     def test_jacobian_matches_finite_differences(self, rng):
-        c = spring(0, 3, 50.0, 0.7)
-        for _ in range(100):
-            q = rng.uniform(-1.0, 1.0, 6)
-            if np.linalg.norm(q[:3] - q[3:]) < 1e-2:
-                continue
-            _, j = constraint_eval(c, q)
-            assert np.allclose(j, fd_jacobian(c, q), atol=1e-6)
-
-    def test_tie_jacobian(self):
-        c = ConstraintPotential("tie", 0, 3, 0, 3, 10.0)
-        q = np.array([0.5, 0.0, 0.0, 0.0, 0.2, 0.0])
-        e, j = constraint_eval(c, q)
-        assert np.allclose(e, [0.5, -0.2, 0.0])
-        assert np.allclose(j, np.hstack([np.eye(3), -np.eye(3)]))
-        assert np.allclose(j, fd_jacobian(c, q), atol=1e-6)
+        # 100 springs on a shared-node network, checked in one batched call
+        q, pairs = random_network(rng, 30, 100, 1e-2)
+        s = springs(pairs, 50.0, 0.7)
+        _, j = spring_eval(s, q)
+        assert np.allclose(j, fd_jacobian(s, q), atol=1e-6)
 
     def test_coincident_endpoints(self):
-        c = spring(0, 3, 100.0, 1.0)
+        s = springs([(0, 1)], 100.0, 1.0)
         with pytest.raises(DegenerateConstraintError):
-            constraint_eval(c, np.zeros(6))
+            spring_eval(s, np.zeros(6))
 
 
 class TestDampingMatrix:
     def test_constant_policy(self):
-        c = spring(0, 3, 10.0, 1.0, DampingPolicy("constant", 5.0))
+        s = springs([(0, 1)], 10.0, 1.0, DampingPolicy("constant", 5.0))
         q = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-        assert np.allclose(damping_matrix(c.damping, c, q), np.full(6, 5.0))
+        assert np.allclose(spring_damping(s, q), np.full((1, 6), 5.0))
 
     def test_geometric_at_rest_is_floor(self):
         pol = DampingPolicy("geometric-projection")
-        c = spring(0, 3, 10.0, 2.0, pol)
+        s = springs([(0, 1)], 10.0, 2.0, pol)
         q = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-        assert np.allclose(damping_matrix(pol, c, q), np.full(6, pol.eps_floor))
+        assert np.allclose(spring_damping(s, q), np.full((1, 6), pol.eps_floor))
 
     def test_geometric_vs_finite_difference_oracle(self, rng):
         # geometric stiffness G = d(Je^T K e)/dq - Je^T K Je; diagonal entries
         # of the surrogate are abs column sums of G plus the floor
         pol = DampingPolicy("geometric-projection")
-        c = spring(0, 3, 40.0, 0.5, pol)
+        q, pairs = random_network(rng, 8, 10, 0.1)
+        s = springs(pairs, 40.0, 0.5, pol)
         h = 1e-6
-        for _ in range(10):
-            q = rng.uniform(-1.0, 1.0, 6)
-            if np.linalg.norm(q[:3] - q[3:]) < 0.1:
-                continue
+        got = spring_damping(s, q)
+        for m in range(len(pairs)):
+            one = row(s, m)
 
             def force(qv):
-                e, j = constraint_eval(c, qv)
-                return c.stiffness * j.T @ e
+                e, j = spring_eval(one, qv)
+                return one.k[0] * j[0] * e[0]
 
             grad = np.zeros((6, 6))
-            cols = list(range(6))
-            for k in cols:
+            for k, col in enumerate(local_coords(s, m)):
                 qp, qm = q.copy(), q.copy()
-                qp[k] += h
-                qm[k] -= h
+                qp[col] += h
+                qm[col] -= h
                 grad[:, k] = (force(qp) - force(qm)) / (2 * h)
-            _, j = constraint_eval(c, q)
-            geom = grad - c.stiffness * j.T @ j
+            _, j = spring_eval(one, q)
+            geom = grad - one.k[0] * np.outer(j[0], j[0])
             ref = np.abs(geom).sum(axis=0) + pol.eps_floor
-            assert np.allclose(damping_matrix(pol, c, q), ref, atol=1e-5)
+            assert np.allclose(got[m], ref, atol=1e-5)
 
 
 class TestAssembleStep:
     def test_free_particle(self):
-        body = Body("particle3", 1.0)
+        bodies = particles([1.0])
         state = SystemState(np.zeros(3), np.zeros(3), dt=0.01)
-        asm = assemble_step(state, [body], [], f_ext=1.0 * GRAVITY)
+        asm = assemble_step(state, bodies, NO_SPRINGS, f_ext=1.0 * GRAVITY)
         assert np.allclose(asm.a.to_dense(), 200.0 * np.eye(3))
         assert np.allclose(asm.b, [0.0, 0.0, -9.81])
         v_hat = np.linalg.solve(asm.a.to_dense(), asm.b)
         assert np.allclose(v_hat, [0.0, 0.0, -0.04905])
-        nxt = integrate(state, v_hat, [body])
+        nxt = integrate(state, v_hat, bodies)
         assert np.isclose(nxt.v[2], -0.0981)
 
     def test_spring_at_rest_has_stiffness_but_no_force(self):
-        bodies = [Body("particle3", 1.0, 0, 0), Body("particle3", 1.0, 3, 3)]
-        c = spring(0, 3, 100.0, 1.0)
+        bodies = particles([1.0, 1.0])
+        s = springs([(0, 1)], 100.0, 1.0)
         q = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         state = SystemState(q, np.zeros(6), dt=0.01)
-        asm = assemble_step(state, bodies, [c])
-        _, j = constraint_eval(c, q)
-        expected = 200.0 * np.eye(6) + 0.5 * 0.01 * 100.0 * (j.T @ j)
+        asm = assemble_step(state, bodies, s)
+        _, j = spring_eval(s, q)
+        expected = 200.0 * np.eye(6) + 0.5 * 0.01 * 100.0 * np.outer(j[0], j[0])
         assert np.allclose(asm.a.to_dense(), expected)
         assert np.allclose(asm.b, np.zeros(6))
 
     def test_random_network_vs_fd_assembly_oracle(self, rng):
         n_p = 20
-        bodies = [Body("particle3", rng.uniform(0.5, 2.0), 3 * i, 3 * i) for i in range(n_p)]
-        q = rng.uniform(-1.0, 1.0, 3 * n_p)
+        masses = rng.uniform(0.5, 2.0, n_p)
+        bodies = particles(masses)
+        q, pairs = random_network(rng, n_p, 30, 0.0)
         v = rng.standard_normal(3 * n_p)
-        cons = []
-        for _ in range(30):
-            i, j = rng.choice(n_p, 2, replace=False)
-            cons.append(spring(3 * i, 3 * j, rng.uniform(10.0, 100.0), rng.uniform(0.2, 1.0)))
+        s = springs(pairs, rng.uniform(10.0, 100.0, 30), rng.uniform(0.2, 1.0, 30))
         state = SystemState(q, v, dt=0.01)
-        asm = assemble_step(state, bodies, cons)
+        asm = assemble_step(state, bodies, s)
 
-        # dense oracle: (2/t) M + (t/2) sum_k K J^T J with J from finite differences
-        n = 3 * n_p
-        dense = np.zeros((n, n))
-        for b in bodies:
-            dense[b.v_offset : b.v_offset + 3, b.v_offset : b.v_offset + 3] += (
-                2.0 / 0.01
-            ) * b.mass * np.eye(3)
-        for c in cons:
-            jac = fd_jacobian(c, q)
-            idx = np.concatenate([np.arange(c.vi, c.vi + 3), np.arange(c.vj, c.vj + 3)])
-            dense[np.ix_(idx, idx)] += 0.5 * 0.01 * c.stiffness * (jac.T @ jac)
+        # dense oracle: (2/t) M + (t/2) sum_k K J^T J with J from finite
+        # differences; b = (2/t) M v - sum_k K J^T e
+        dense = np.diag((2.0 / 0.01) * np.repeat(masses, 3))
+        b = (2.0 / 0.01) * np.repeat(masses, 3) * v
+        jacs = fd_jacobian(s, q)
+        for m, (i, j) in enumerate(pairs):
+            idx = local_coords(s, m)
+            dense[np.ix_(idx, idx)] += 0.5 * 0.01 * s.k[m] * np.outer(jacs[m], jacs[m])
+            e = np.linalg.norm(q[3 * i : 3 * i + 3] - q[3 * j : 3 * j + 3]) - s.rest[m]
+            b[idx] -= s.k[m] * jacs[m] * e
         scale = np.abs(dense).max()
         assert np.allclose(asm.a.to_dense(), dense, atol=1e-5 * scale)
+        assert np.allclose(asm.b, b, atol=1e-5 * np.abs(b).max())
 
     def test_assembled_matrix_is_spd(self, rng):
         n_p = 8
-        bodies = [Body("particle3", 1.0, 3 * i, 3 * i) for i in range(n_p)]
+        bodies = particles(np.ones(n_p))
         for _ in range(5):
             q = rng.uniform(-1.0, 1.0, 3 * n_p)
-            cons = []
-            for _ in range(12):
-                i, j = rng.choice(n_p, 2, replace=False)
-                cons.append(spring(3 * i, 3 * j, rng.uniform(10.0, 500.0), rng.uniform(0.2, 1.0)))
+            pairs = [rng.choice(n_p, 2, replace=False) for _ in range(12)]
+            s = springs(pairs, rng.uniform(10.0, 500.0, 12), rng.uniform(0.2, 1.0, 12))
             state = SystemState(q, np.zeros(3 * n_p), dt=0.01)
-            asm = assemble_step(state, bodies, cons)
+            asm = assemble_step(state, bodies, s)
             assert np.linalg.eigvalsh(asm.a.to_dense()).min() > 0.0
 
     def test_gyroscopic_term(self):
         inertia = np.diag([0.1, 0.2, 0.3])
-        body = Body("rigid6", 2.0, 0, 0, inertia)
+        body = RigidBody(2.0, 0, 0, inertia)
         q = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0, 0.0]])
         omega = np.array([1.0, 2.0, 3.0])
         state = SystemState(q, np.concatenate([np.zeros(3), omega]), dt=0.01)
-        asm = assemble_step(state, [body], [])
+        asm = assemble_step(state, rigid_only(body), NO_SPRINGS)
         iw = world_inertia(body, q)
         expected = (2.0 / 0.01) * iw @ omega - np.cross(omega, iw @ omega)
         assert np.allclose(asm.b[3:], expected)
@@ -194,70 +222,184 @@ class TestAssembleStep:
     def test_rejects_non_finite_state(self):
         state = SystemState(np.array([np.nan, 0.0, 0.0]), np.zeros(3), dt=0.01)
         with pytest.raises(InvalidStateError):
-            assemble_step(state, [Body("particle3", 1.0)], [])
+            assemble_step(state, particles([1.0]), NO_SPRINGS)
+
+
+MIXED = {
+    "step_size": 0.01,
+    "duration": 0.01,
+    "gravity": [0.0, 0.0, -9.81],
+    "bodies": [
+        {"type": "particle", "mass": 1.5, "position": [0.0, 0.0, 1.0],
+         "velocity": [0.1, -0.2, 0.3], "radius": 0.05},
+        {"type": "rigid", "mass": 2.0, "position": [1.0, 0.5, 0.3],
+         "velocity": [0.4, 0.0, -0.1], "angular_velocity": [0.5, -1.0, 2.0],
+         "orientation": [0.9, 0.1, -0.3, 0.2], "inertia": [0.1, 0.2, 0.3],
+         "contact_points": [[0.1, 0.1, -0.1], [-0.1, 0.1, -0.1]]},
+        {"type": "particle", "mass": 0.5, "position": [0.7, 0.2, 1.1], "velocity": [0.0, 0.3, 0.0]},
+        {"type": "particle", "mass": 0.8, "position": [0.1, 0.9, 1.4], "velocity": [-0.2, 0.0, 0.1]},
+    ],
+    "springs": [
+        {"i": 0, "j": 2, "stiffness": 120.0, "rest": 0.5},
+        {"i": 2, "j": 3, "stiffness": 80.0},
+    ],
+    "damping": {"variant": "constant", "value": 0.3},
+    "forces": [
+        {"force": [1.0, 2.0, 0.0], "body": 1},
+        {"force": [0.6, 0.0, -0.4], "bodies": [0, 2, 3], "per_node": False},
+        {"force": [9.0, 9.0, 9.0], "bodies": [0], "start": 0.5},
+    ],
+}
+
+
+class TestMixedScene:
+    """Particles, springs and a rigid cube built through build_scene, against
+    a dense oracle assembled term by term from the scenario itself."""
+
+    # (q offset, v offset) of each listed body: particle, rigid, particle, particle
+    Q_OFF, V_OFF = (0, 3, 10, 13), (0, 3, 9, 12)
+
+    def scene(self):
+        validate_scenario(MIXED)
+        return build_scene(Scenario(MIXED))
+
+    def dense_mass(self):
+        m = np.zeros((15, 15))
+        for spec, off in zip(MIXED["bodies"], self.V_OFF):
+            m[off : off + 3, off : off + 3] = spec["mass"] * np.eye(3)
+            if spec["type"] == "rigid":
+                w, x, y, z = spec["orientation"]
+                rot = Rotation.from_quat([x, y, z, w]).as_matrix()
+                m[off + 3 : off + 6, off + 3 : off + 6] = rot @ np.diag(spec["inertia"]) @ rot.T
+        return m
+
+    def test_layout(self):
+        scene = self.scene()
+        assert scene.state.q.shape == (16,) and scene.state.v.shape == (15,)
+        assert list(scene.bodies.node_q) == [0, 10, 13]
+        assert list(scene.bodies.node_v) == [0, 9, 12]
+        assert list(scene.bodies.node_radius) == [0.05, 0.0, 0.0]
+        (cube,) = scene.bodies.rigid
+        assert (cube.q_offset, cube.v_offset) == (3, 3)
+        assert np.isclose(np.linalg.norm(scene.state.q[6:10]), 1.0)
+
+    def test_assemble_matches_dense_oracle(self):
+        scene = self.scene()
+        state, t = scene.state, MIXED["step_size"]
+        n = state.v.shape[0]
+        asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0, n))
+
+        mass = self.dense_mass()
+        a = (2.0 / t) * mass
+        b = (2.0 / t) * mass @ state.v
+        for spec, off in zip(MIXED["bodies"], self.V_OFF):
+            b[off : off + 3] += spec["mass"] * np.array(MIXED["gravity"])
+        cube = self.V_OFF[1]
+        b[cube : cube + 3] += MIXED["forces"][0]["force"]
+        for body in (0, 2, 3):
+            b[self.V_OFF[body] : self.V_OFF[body] + 3] += np.array(MIXED["forces"][1]["force"]) / 3
+        iw = mass[cube + 3 : cube + 6, cube + 3 : cube + 6]
+        omega = state.v[cube + 3 : cube + 6]
+        b[cube + 3 : cube + 6] -= np.cross(omega, iw @ omega)
+        for spec in MIXED["springs"]:
+            qi, qj = self.Q_OFF[spec["i"]], self.Q_OFF[spec["j"]]
+            pi = np.array(MIXED["bodies"][spec["i"]]["position"])
+            pj = np.array(MIXED["bodies"][spec["j"]]["position"])
+            assert np.allclose(state.q[qi : qi + 3], pi) and np.allclose(state.q[qj : qj + 3], pj)
+            d = pi - pj
+            dist = np.linalg.norm(d)
+            jac = np.concatenate([d, -d]) / dist
+            vi, vj = self.V_OFF[spec["i"]], self.V_OFF[spec["j"]]
+            idx = np.r_[vi : vi + 3, vj : vj + 3]
+            k = spec["stiffness"]
+            a[np.ix_(idx, idx)] += 0.5 * t * (k * np.outer(jac, jac) + MIXED["damping"]["value"] * np.eye(6))
+            b[idx] -= k * jac * (dist - spec.get("rest", dist))
+        assert np.allclose(asm.a.to_dense(), a, rtol=0.0, atol=1e-12 * np.abs(a).max())
+        assert np.allclose(asm.b, b, rtol=0.0, atol=1e-12 * np.abs(b).max())
+
+    def test_kinetic_energy_is_half_vMv(self):
+        scene = self.scene()
+        v = scene.state.v
+        ref = 0.5 * v @ self.dense_mass() @ v
+        assert np.isclose(kinetic_energy(scene.state, scene.bodies), ref, rtol=1e-13)
+
+
+class TestLatticeEdges:
+    @pytest.mark.parametrize("diagonals", [False, True])
+    def test_count_and_uniqueness(self, diagonals):
+        nx, ny, nz = 3, 4, 2
+        edges = _lattice_edges(nx, ny, nz, diagonals)
+        axis = (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1)
+        faces = (nx - 1) * (ny - 1) * nz + (nx - 1) * ny * (nz - 1) + nx * (ny - 1) * (nz - 1)
+        assert len(edges) == axis + (2 * faces if diagonals else 0)
+        pairs = {tuple(sorted(e)) for e in edges.tolist()}
+        assert len(pairs) == len(edges)
+        # every edge joins grid neighbours one step apart along one axis, or
+        # along two axes when face diagonals are on
+        k, j, i = np.unravel_index(np.arange(nx * ny * nz), (nz, ny, nx))
+        grid = np.stack([i, j, k], axis=1)
+        steps = np.abs(grid[edges[:, 0]] - grid[edges[:, 1]])
+        assert steps.max() == 1
+        assert set(steps.sum(axis=1)) == ({1, 2} if diagonals else {1})
 
 
 class TestIntegrate:
     def test_particle_translation(self):
-        body = Body("particle3", 1.0)
         state = SystemState(np.zeros(3), np.zeros(3), dt=0.1)
-        nxt = integrate(state, np.array([1.0, 0.0, 0.0]), [body])
+        nxt = integrate(state, np.array([1.0, 0.0, 0.0]), particles([1.0]))
         assert np.allclose(nxt.q, [0.1, 0.0, 0.0])
 
     def test_rigid_quarter_turn(self):
-        body = Body("rigid6", 1.0, 0, 0, np.eye(3))
+        body = RigidBody(1.0, 0, 0, np.eye(3))
         q = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0, 0.0]])
         state = SystemState(q, np.zeros(6), dt=0.5)
         v_hat = np.concatenate([np.zeros(3), [0.0, 0.0, np.pi]])
-        nxt = integrate(state, v_hat, [body])
+        nxt = integrate(state, v_hat, rigid_only(body))
         quat = nxt.q[3:7]
         s = np.sin(np.pi / 4)
         assert np.isclose(np.linalg.norm(quat), 1.0)
         assert np.allclose(np.abs(quat), [np.cos(np.pi / 4), 0.0, 0.0, s], atol=1e-12)
 
     def test_steady_state_velocity_identity(self):
-        body = Body("particle3", 1.0)
         v = np.array([0.3, -0.1, 0.2])
         state = SystemState(np.zeros(3), v.copy(), dt=0.01)
-        nxt = integrate(state, v, [body])
+        nxt = integrate(state, v, particles([1.0]))
         assert np.array_equal(nxt.v, v)
 
     def test_ballistic_step_exact(self):
         # with no contacts/springs a step gives v_next = v + t*g exactly
-        body = Body("particle3", 1.5)
+        bodies = particles([1.5])
         v0 = np.array([1.0, 2.0, 3.0])
         state = SystemState(np.zeros(3), v0.copy(), dt=0.01)
-        asm = assemble_step(state, [body], [], f_ext=1.5 * GRAVITY)
+        asm = assemble_step(state, bodies, NO_SPRINGS, f_ext=1.5 * GRAVITY)
         v_hat = np.linalg.solve(asm.a.to_dense(), asm.b)
-        nxt = integrate(state, v_hat, [body])
+        nxt = integrate(state, v_hat, bodies)
         assert np.allclose(nxt.v, v0 + 0.01 * GRAVITY, atol=1e-14)
 
     def test_quaternion_norm_over_many_steps(self, rng):
-        body = Body("rigid6", 1.0, 0, 0, np.eye(3))
+        bodies = rigid_only(RigidBody(1.0, 0, 0, np.eye(3)))
         q = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0, 0.0]])
         state = SystemState(q, np.zeros(6), dt=0.01)
         for _ in range(10_000):
             v_hat = np.concatenate([np.zeros(3), rng.standard_normal(3)])
-            state = integrate(state, v_hat, [body])
+            state = integrate(state, v_hat, bodies)
         assert abs(np.linalg.norm(state.q[3:7]) - 1.0) <= 1e-9
 
 
 class TestKineticEnergy:
     def test_particle(self):
-        body = Body("particle3", 2.0)
         state = SystemState(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        assert np.isclose(kinetic_energy(state, [body]), 1.0)
+        assert np.isclose(kinetic_energy(state, particles([2.0])), 1.0)
 
     def test_zero_velocity(self):
-        body = Body("particle3", 2.0)
-        assert kinetic_energy(SystemState(np.zeros(3), np.zeros(3)), [body]) == 0.0
+        assert kinetic_energy(SystemState(np.zeros(3), np.zeros(3)), particles([2.0])) == 0.0
 
     def test_rigid_vs_dense_oracle(self, rng):
         inertia = np.diag([0.1, 0.2, 0.3])
-        body = Body("rigid6", 2.0, 0, 0, inertia)
+        body = RigidBody(2.0, 0, 0, inertia)
         q = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0, 0.0]])
         omega = rng.standard_normal(3)
         vlin = rng.standard_normal(3)
         state = SystemState(q, np.concatenate([vlin, omega]))
         ref = 0.5 * 2.0 * vlin @ vlin + 0.5 * omega @ inertia @ omega
-        assert np.isclose(kinetic_energy(state, [body]), ref, atol=1e-12)
+        assert np.isclose(kinetic_energy(state, rigid_only(body)), ref, atol=1e-12)

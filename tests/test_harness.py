@@ -18,7 +18,6 @@ from condsim.harness import (
     report_csv,
     run,
     scenario_with_size,
-    thread_budget,
     validate_scenario,
 )
 
@@ -194,21 +193,6 @@ class TestCsv:
         p.write_text("step,nope\n")
         with pytest.raises(ScenarioValidationError):
             parse_csv(str(p))
-
-
-class TestThreadBudget:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("COND_THREADS", "2")
-        assert thread_budget() == 2
-
-    def test_invalid_value(self, monkeypatch):
-        monkeypatch.setenv("COND_THREADS", "two")
-        with pytest.raises(ScenarioValidationError):
-            thread_budget()
-
-    def test_default_is_positive(self, monkeypatch):
-        monkeypatch.delenv("COND_THREADS", raising=False)
-        assert thread_budget() >= 1
 
 
 class TestScenarioWithSize:
