@@ -126,7 +126,7 @@ def _check(name: str, ok: bool, failures: list) -> None:
 
 def cmd_verify(_args) -> int:
     """Quick self-contained property checks on random inputs."""
-    from .contacts import AugmentedDynamics, contact_frame
+    from .contacts import contact_frame, contact_jacobian_matrix
     from .solver import (
         project_proximal,
         project_strict,
@@ -150,19 +150,20 @@ def cmd_verify(_args) -> int:
     ok = True
     for _ in range(500):
         lam = 5.0 * rng.standard_normal(3)
-        mu = float(rng.uniform(0.05, 1.5))
+        mu, mu2 = rng.uniform(0.05, 1.5, 2)
         for proj in (project_strict(lam, mu), project_proximal(lam, mu)):
             ok &= proj[0] >= 0.0
             ok &= np.linalg.norm(proj[1:]) <= mu * proj[0] + 1e-12
         iso = project_strict_anisotropic(lam, mu, mu)
         ok &= np.linalg.norm(iso - project_strict(lam, mu)) <= 1e-10
-    _check("projections land in the friction cone; isotropic ellipse = strict", ok, failures)
+        ln, x, y = project_strict_anisotropic(lam, mu, mu2)
+        ok &= ln == max(lam[0], 0.0)
+        ok &= ln > 0.0 and (x / (mu * ln)) ** 2 + (y / (mu2 * ln)) ** 2 <= 1.0 + 1e-12 or x == y == 0.0
+    _check("projections land in the friction cone or ellipse; isotropic ellipse = strict", ok, failures)
 
     ok = True
     for trial in range(20):
         aug, w = random_contact_augmentation(rng)
-        from .contacts import contact_jacobian_matrix
-
         jc = contact_jacobian_matrix(aug).toarray()
         prod = jc @ np.diag(w.w) @ jc.T
         off = prod - np.diag(np.diag(prod))

@@ -111,24 +111,28 @@ class AugmentedDynamics:
 
 
 def contact_frame(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal right-handed frame with rows (n, t1, t2).
+    """Orthonormal right-handed frame with rows (n, t1, t2) of one normal."""
+    return contact_frames(normal)[0]
+
+
+def contact_frames(normals: np.ndarray) -> np.ndarray:
+    """(k, 3, 3) orthonormal right-handed frames with rows (n, t1, t2) for
+    (k, 3) normals.
 
     t1 is the projection of the global axis least aligned with n, which makes
     the frame deterministic under tiny normal perturbations.
     """
-    n = np.asarray(normal, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm < 1e-12:
+    n = np.asarray(normals, dtype=float).reshape(-1, 3)
+    norm = np.linalg.norm(n, axis=1)
+    if np.any(norm < 1e-12):
         raise InvalidStateError("contact normal is zero")
-    if abs(norm - 1.0) > 1e-9:
-        n = n / norm
-    axis = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[axis] = 1.0
+    n = np.where(np.abs(norm - 1.0)[:, None] > 1e-9, n / norm[:, None], n)
+    e = np.zeros_like(n)
+    e[np.arange(n.shape[0]), np.argmin(np.abs(n), axis=1)] = 1.0
     t1 = np.cross(np.cross(n, e), n)
-    t1 /= np.linalg.norm(t1)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
     t2 = np.cross(n, t1)
-    return np.vstack([n, t1, t2])
+    return np.stack([n, t1, t2], axis=1)
 
 
 def _world_rigid_points(state: SystemState, body: RigidBody) -> np.ndarray:
@@ -270,14 +274,14 @@ def nodalize(
     jv_rows = []
     n_virtual = 0
     used: set = set()
-    for rc in raw_contacts:
+    frames = contact_frames([rc.normal for rc in raw_contacts])
+    for rc, frame in zip(raw_contacts, frames):
         slot_i, n_virtual = _slot_and_jv(rc.first, state, bodies, rc.point, jv_rows, n_virtual, used)
         if rc.second[0] == "static":
             kind, slot_j = "S", None
         else:
             kind = "D"
             slot_j, n_virtual = _slot_and_jv(rc.second, state, bodies, rc.point, jv_rows, n_virtual, used)
-        frame = contact_frame(rc.normal)
         v_n_prev = _normal_velocity(state, bodies, rc, frame)
         phi = stabilization_term(rc.depth, v_n_prev, stab)
         contacts.append(

@@ -15,8 +15,9 @@ Chebyshev weighting accelerates the outer loop.
 
 Impulse projection operators: "strict" (normal clamp then tangential disk
 clamp, exact complementarity), "proximal" (Euclidean cone projection, convex
-relaxation), "strict-anisotropic" (elliptic cone via minimum-distance
-projection).
+relaxation), "strict-anisotropic" (normal clamp, then minimum-distance
+projection onto the friction ellipse by monotone Newton on its secular
+equation).
 """
 
 from __future__ import annotations
@@ -110,45 +111,38 @@ def project_proximal(lam_star: np.ndarray, mu: float) -> np.ndarray:
     return out
 
 
-def _project_point_to_ellipse(p: np.ndarray, a: float, b: float, max_steps: int = 200) -> np.ndarray:
-    """Closest point on the ellipse boundary (x/a)^2 + (y/b)^2 = 1, by
-    bisection on the Lagrange multiplier of the projection problem."""
-    x0, y0 = abs(p[0]), abs(p[1])
-    # closest point satisfies x = a^2 x0/(a^2+t), y = b^2 y0/(b^2+t)
-    def g(t):
-        return (a * x0 / (a * a + t)) ** 2 + (b * y0 / (b * b + t)) ** 2 - 1.0
-
-    lo = -min(a, b) ** 2 + 1e-300
-    hi = max(a, b) * float(np.hypot(x0, y0)) + max(a, b) ** 2
-    while g(hi) > 0:
-        hi *= 2.0
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    t = 0.5 * (lo + hi)
-    x = a * a * x0 / (a * a + t)
-    y = b * b * y0 / (b * b + t)
-    return np.array([np.copysign(x, p[0]), np.copysign(y, p[1])])
-
-
 def project_strict_anisotropic(lam_star: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
     """Normal clamp, then minimum-distance projection onto the friction ellipse."""
-    lam = np.array(lam_star, dtype=float)
-    if lam[0] <= 0.0:
-        return np.zeros(3)
-    a, b = mu1 * lam[0], mu2 * lam[0]
-    x, y = lam[1], lam[2]
-    if (x / a) ** 2 + (y / b) ** 2 <= 1.0:
-        return lam
-    if abs(x) < 1e-300 and abs(y) < 1e-300:
-        return lam
-    lam[1:] = _project_point_to_ellipse(lam[1:], a, b)
-    return lam
+    return np.array(_aniso_row(*np.asarray(lam_star, dtype=float).tolist(), float(mu1), float(mu2)))
+
+
+def _aniso_row(ln: float, t1: float, t2: float, mu1: float, mu2: float) -> tuple:
+    """``project_strict_anisotropic`` on Python floats. Outside the ellipse
+    with semi-axes a = mu1 ln, b = mu2 ln, the closest point is
+    (a^2 x0/(a^2+t), b^2 y0/(b^2+t)) at the root t > 0 of the convex, decreasing
+    F(t) = (a x0/(a^2+t))^2 + (b y0/(b^2+t))^2 - 1. Newton from t0, where F >= 0,
+    rises monotonically to it (D. Eberly, "Distance from a Point to an Ellipse,
+    an Ellipsoid, or a Hyperellipsoid", Geometric Tools, 2013)."""
+    if ln <= 0.0:
+        return 0.0, 0.0, 0.0
+    a, b = mu1 * ln, mu2 * ln
+    x0, y0 = abs(t1), abs(t2)
+    if a == 0.0 or b == 0.0:  # the ellipse is a segment on one axis, or a point
+        return ln, math.copysign(min(x0, a), t1), math.copysign(min(y0, b), t2)
+    if (x0 / a) ** 2 + (y0 / b) ** 2 <= 1.0:
+        return ln, t1, t2
+    a2, b2, ax, by = a * a, b * b, a * x0, b * y0
+    t = max(ax - a2, by - b2)
+    while True:
+        ra, rb = ax / (a2 + t), by / (b2 + t)
+        f = ra * ra + rb * rb - 1.0
+        if f <= 0.0:
+            break
+        t_next = t + f / (2.0 * (ra * ra / (a2 + t) + rb * rb / (b2 + t)))
+        if not t_next > t:
+            break
+        t = t_next
+    return ln, math.copysign(a2 * x0 / (a2 + t), t1), math.copysign(b2 * y0 / (b2 + t), t2)
 
 
 def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> np.ndarray:
@@ -183,13 +177,9 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         out[polar] = 0.0
         return out
     if operator == "strict-anisotropic":
-        mu2v = mu if mu2 is None else np.asarray(mu2, dtype=float)
-        return np.array(
-            [
-                project_strict_anisotropic(lam_star[m], mu[m], mu2v[m])
-                for m in range(lam_star.shape[0])
-            ]
-        )
+        mu2 = mu if mu2 is None else np.asarray(mu2, dtype=float)
+        rows = zip(lam_star.tolist(), mu.tolist(), mu2.tolist())
+        return np.array([_aniso_row(*row, m1, m2) for row, m1, m2 in rows]).reshape(-1, 3)
     raise ValueError(f"unknown operator {operator!r}")
 
 
@@ -236,10 +226,12 @@ def step_matrix_frobenius(a: SparseSymmetric, aug: AugmentedDynamics | None = No
     w = diag / rns
     tied = []
     if aug is not None and aug.contacts is not None and aug.contacts.contacts:
-        for group in _tie_groups(aug, pair_tie):
-            idx = np.concatenate([np.arange(c, c + 3) for c in group])
-            w[idx] = diag[idx].sum() / rns[idx].sum()
-            tied.extend(group)
+        groups = _tie_groups(aug, pair_tie)
+        tied = [c for group in groups for c in group]
+        idx = (np.array(tied)[:, None] + np.arange(3)).ravel()
+        gid = np.repeat(np.arange(len(groups)), [3 * len(group) for group in groups])
+        ratio = np.bincount(gid, diag[idx]) / np.bincount(gid, rns[idx])
+        w[idx] = ratio[gid]
     return StepMatrix(w, tied)
 
 

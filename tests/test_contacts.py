@@ -14,6 +14,7 @@ from condsim.contacts import (
     apply_jc_t,
     augment_dynamics,
     contact_frame,
+    contact_frames,
     contact_jacobian_matrix,
     detect_contacts,
     nodalize,
@@ -71,6 +72,31 @@ class TestContactFrame:
     def test_zero_normal_rejected(self):
         with pytest.raises(InvalidStateError):
             contact_frame(np.zeros(3))
+        with pytest.raises(InvalidStateError):
+            contact_frames(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+
+    def test_batch_matches_per_normal_reference(self, rng):
+        def reference(normal):  # one frame at a time, as nodalization built them
+            n = np.asarray(normal, dtype=float)
+            norm = np.linalg.norm(n)
+            if abs(norm - 1.0) > 1e-9:
+                n = n / norm
+            e = np.zeros(3)
+            e[int(np.argmin(np.abs(n)))] = 1.0
+            t1 = np.cross(np.cross(n, e), n)
+            t1 /= np.linalg.norm(t1)
+            return np.vstack([n, t1, np.cross(n, t1)])
+
+        axes = np.vstack([np.eye(3), -np.eye(3), 2.5 * np.eye(3), [[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]])
+        unit = rng.standard_normal((200, 3))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        normals = np.vstack([axes, unit, rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-3, 3, (200, 1))])
+        frames = contact_frames(normals)
+        assert frames.shape == (normals.shape[0], 3, 3)
+        for normal, frame in zip(normals, frames):
+            assert np.abs(frame - reference(normal)).max() <= 1e-15
+            assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-12
+            assert np.array_equal(contact_frame(normal), frame)
 
 
 class TestDetectContacts:

@@ -1,8 +1,10 @@
 """Unit tests for the velocity fixed-point solver building blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condsim.contacts import Contact, contact_frame, contact_jacobian_matrix
@@ -13,6 +15,7 @@ from condsim.solver import (
     StepMatrix,
     SurrogateDelassus,
     _project_batch,
+    _tie_groups,
     chebyshev_nu,
     chebyshev_update,
     contact_solve_oneshot,
@@ -27,7 +30,7 @@ from condsim.solver import (
     step_matrix_frobenius,
     surrogate_gamma,
 )
-from condsim.sparse import SparseSymmetric, factor_spd, solve_with
+from condsim.sparse import SparseSymmetric, factor_spd, row_norms_sq, solve_with
 from condsim.testing import build_augmented, random_contact_set, random_spd
 
 lam3 = st.tuples(
@@ -141,6 +144,53 @@ class TestProjectAnisotropic:
             assert out[0] == lam[0]
             assert np.linalg.norm(out[1:] - lam[1:]) <= dists.min() + 1e-4
 
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.floats(-2.0, 2.0),  # log10 of ln
+        st.floats(-2.0, 0.3),  # log10 of mu1
+        st.floats(-3.0, 3.0),  # log10 of mu2 / mu1
+        st.one_of(
+            st.floats(0.0, 2 * np.pi).map(lambda ang: (np.cos(ang), np.sin(ang))),
+            st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]),
+        ),
+        st.floats(-12.0, 6.0),  # log10 of the distance outside, over max(a, b)
+    )
+    def test_outside_point_projects_along_the_normal(self, e_ln, e_mu, e_ratio, direction, e_out):
+        # the closest point x to p lies on the ellipse, and p - x is a
+        # non-negative multiple of the outward normal (x/a^2, y/b^2)
+        ln, mu1 = 10.0**e_ln, 10.0**e_mu
+        mu2 = mu1 * 10.0**e_ratio
+        a, b = mu1 * ln, mu2 * ln
+        c, s = direction
+        on = np.array([a * c, b * s])
+        normal = np.array([c / a, s / b])
+        p = on + 10.0**e_out * max(a, b) * normal / np.linalg.norm(normal)
+        assume((p[0] / a) ** 2 + (p[1] / b) ** 2 > 1.0)
+        out = project_strict_anisotropic(np.array([ln, p[0], p[1]]), mu1, mu2)
+        assert out[0] == ln
+        x = out[1:]
+        assert abs((x[0] / a) ** 2 + (x[1] / b) ** 2 - 1.0) <= 1e-12
+        d = p - x
+        nx = np.array([x[0] / a**2, x[1] / b**2])
+        assert abs(d[0] * nx[1] - d[1] * nx[0]) <= 1e-10 * np.linalg.norm(p) * np.linalg.norm(nx)
+        assert d @ nx >= 0.0
+
+    def test_degenerate_ellipse_projects_onto_segment(self):
+        # a zero friction coefficient leaves a segment on the other axis (or a
+        # point), and projecting onto it must not divide by zero
+        lam = np.array([[2.0, 0.3, -0.5], [2.0, -3.0, 0.1], [2.0, 0.3, -5.0], [-1.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu1, mu2 in ((0.0, 0.5), (0.5, 0.0), (0.0, 0.0)):
+                out = _project_batch(lam, np.full(4, mu1), np.full(4, mu2), "strict-anisotropic")
+                ln = np.maximum(lam[:, 0], 0.0)
+                expect = np.column_stack(
+                    [ln, np.clip(lam[:, 1], -mu1 * ln, mu1 * ln), np.clip(lam[:, 2], -mu2 * ln, mu2 * ln)]
+                )
+                assert np.array_equal(out, expect)
+                for row, e in zip(lam, expect):
+                    assert np.array_equal(project_strict_anisotropic(row, mu1, mu2), e)
+
 
 class TestStepMatrixFrobenius:
     def test_identity_no_contacts(self):
@@ -185,6 +235,24 @@ class TestStepMatrixFrobenius:
                 trial = w.w.copy()
                 trial[col : col + 3] *= fac
                 assert fro(trial) >= base - 1e-12
+
+    @pytest.mark.parametrize("pair_tie", [False, True])
+    def test_matches_per_group_loop(self, rng, pair_tie):
+        # reference: one group at a time, the tied entries' diagonal sum over
+        # their row-norm sum
+        for _ in range(20):
+            n, contacts = random_contact_set(rng)
+            a = random_spd(rng, n)
+            aug = build_augmented(a, np.zeros(n), contacts)
+            diag, rns = a.diagonal(), row_norms_sq(a)
+            ref, tied = diag / rns, []
+            for group in _tie_groups(aug, pair_tie):
+                idx = np.concatenate([np.arange(c, c + 3) for c in group])
+                ref[idx] = diag[idx].sum() / rns[idx].sum()
+                tied.extend(group)
+            w = step_matrix_frobenius(a, aug, pair_tie)
+            assert np.array_equal(w.w, ref)
+            assert w.tied_nodes == tied
 
 
 class TestStepMatrixBB:
