@@ -31,12 +31,10 @@ _OPERATOR_MAP = {"strict": "strict", "proximal": "proximal", "anisotropic": "str
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", choices=["cond", "pgs", "apgd"], default="cond")
     p.add_argument("--operator", choices=["strict", "proximal", "anisotropic"], default="strict")
-    p.add_argument(
-        "--step-matrix", choices=["frobenius", "bb1", "bb2", "bb-alt"], default="frobenius"
-    )
     p.add_argument("--residual-tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--chebyshev", choices=["on", "off"], default="off")
+    p.add_argument("--chebyshev", choices=["on", "off"], default="off",
+                   help="Chebyshev weighting on tie-free systems; tied ones use Anderson acceleration")
     p.add_argument("--kv", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV output path")
@@ -63,7 +61,6 @@ def _run_cfg(args) -> RunConfig:
     return RunConfig(
         solver=args.solver,
         operator=_OPERATOR_MAP[args.operator],
-        step_strategy=args.step_matrix,
         residual_tol=args.residual_tol,
         max_iters=args.max_iter,
         chebyshev=args.chebyshev == "on",
@@ -79,7 +76,9 @@ def cmd_run(args) -> int:
         report_csv(result.rows, args.out)
     else:
         last = result.rows[-1] if result.rows else None
-        print(f"steps={len(result.rows)}")
+        unconverged = sum(not r.converged and not r.diverged for r in result.rows)
+        diverged = sum(r.diverged for r in result.rows)
+        print(f"steps={len(result.rows)} unconverged={unconverged} diverged={diverged}")
         if last is not None:
             print(
                 f"final: iters={last.iters} residual={last.residual:.3e} "

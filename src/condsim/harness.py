@@ -236,7 +236,6 @@ class MetricsRow:
 class RunConfig:
     solver: str = "cond"  # "cond" | "pgs" | "apgd"
     operator: str = "strict"
-    step_strategy: str = "frobenius"
     residual_tol: float = 1e-4
     max_iters: int = 500
     chebyshev: bool = False
@@ -473,12 +472,8 @@ def external_force(scene: Scene, t: float, n: int) -> np.ndarray:
 
 
 def _solver_cfg(cfg: RunConfig) -> SolverConfig:
-    strategy = cfg.step_strategy
-    if strategy == "bb-alt":
-        strategy = "bb-alternating"
     return SolverConfig(
         operator=cfg.operator,
-        step_strategy=strategy,
         residual_tol=cfg.residual_tol,
         max_iters=cfg.max_iters,
         chebyshev=cfg.chebyshev,

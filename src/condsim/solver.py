@@ -10,8 +10,13 @@ projected impulses:
 
 The step matrix W is diagonal with the three entries of every contacted node
 tied to a common value, which makes Jc W Jc^T block-diagonal with gamma*I
-blocks, so the per-contact solves are exact one-shot projections. Optional
-Chebyshev weighting accelerates the outer loop.
+blocks, so the per-contact solves are exact one-shot projections.
+
+The stiff tie (gain kv) between a rigid body and its virtual contact nodes
+slows this iteration, so systems with virtual nodes run it under safeguarded,
+restarted type-II Anderson acceleration (``_anderson``). Tie-free systems run
+the plain loop, optionally with Chebyshev weighting and under-relaxation;
+Anderson acceleration over the Chebyshev step did not converge.
 
 Impulse projection operators: "strict" (normal clamp then tangential disk
 clamp, exact complementarity), "proximal" (Euclidean cone projection, convex
@@ -37,7 +42,14 @@ OPERATORS = ("strict", "proximal", "strict-anisotropic")
 # numpy, whose fixed cost per call dominates on short arrays; the crossover
 # lies between 16 and 24 contacts (timings in CHANGES.md)
 SCALAR_BATCH_MAX = 16
-STEP_STRATEGIES = ("frobenius", "bb1", "bb2", "bb-alternating", "fixed-alpha")
+STEP_STRATEGIES = ("frobenius", "fixed-alpha")
+# Anderson acceleration on systems with virtual nodes: differences kept before
+# a restart, and the safeguard's scale D and decay exponent epsilon (see
+# ``_anderson``). A window of 5 that slides instead of restarting stalls on the
+# bundled anisotropic_slide's first step; timings in CHANGES.md.
+AA_WINDOW = 10
+AA_BOUND = 1e6
+AA_DECAY = 1e-6
 
 
 @dataclass
@@ -56,9 +68,11 @@ class SurrogateDelassus:
 @dataclass
 class SolverConfig:
     operator: str = "strict"
-    step_strategy: str = "frobenius"
+    step_strategy: str = "frobenius"  # or "fixed-alpha": W = alpha I
     residual_tol: float = 1e-4
-    max_iters: int = 500
+    max_iters: int = 500  # caps map evaluations, Anderson candidates included
+    # chebyshev, cheby_start and under_relax act on tie-free systems only;
+    # systems with virtual nodes always run Anderson acceleration instead
     chebyshev: bool = False
     cheby_start: int = 10  # l_s
     under_relax: float = 0.9  # u
@@ -77,6 +91,7 @@ class SolverReport:
     timings: dict = field(default_factory=dict)
     scc_residuals: np.ndarray | None = None
     consistency: float = float("nan")
+    aa_rejected: int = 0  # Anderson candidates rejected by the safeguard
 
 
 def project_strict(lam_star: np.ndarray, mu: float) -> np.ndarray:
@@ -235,18 +250,6 @@ def step_matrix_frobenius(a: SparseSymmetric, aug: AugmentedDynamics | None = No
     return StepMatrix(w, tied)
 
 
-def step_matrix_bb(s: np.ndarray, z: np.ndarray, variant: str, prev_alpha: float) -> float:
-    """Barzilai-Borwein scalar step from the last displacement pair."""
-    sz = float(s @ z)
-    if sz <= 0.0:  # possible only from rounding with SPD A
-        return prev_alpha
-    if variant == "bb1":
-        return float(s @ s) / sz
-    if variant == "bb2":
-        return sz / float(z @ z)
-    raise ValueError(f"unknown BB variant {variant!r}")
-
-
 def surrogate_gamma(w: StepMatrix, aug: AugmentedDynamics, omega: float = 0.0) -> SurrogateDelassus:
     """Per-contact scalar Delassus entries, by element extraction only."""
     wi = w.w[aug.col_i]
@@ -345,6 +348,62 @@ def _contact_params(aug: AugmentedDynamics):
     return mu, mu2, phi
 
 
+def _anderson(plain_map, a: SparseSymmetric, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
+    """Safeguarded type-II Anderson acceleration of v = G(v) (Walker & Ni,
+    SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
+
+    With f = G(x) - x and dG, dF the differences of G and f since the last
+    restart, the candidate G(x) - dG argmin ||f - dF gamma|| is kept if its
+    ||f|| <= AA_BOUND ||f_0|| (n_AA + 1)^-(1 + AA_DECAY), n_AA counting kept
+    candidates; else the history is cleared and G(x) taken. A full history
+    (AA_WINDOW differences) restarts from the newest iterate. Each evaluation
+    of G is one iteration. Returns G(x), its lam and J_c^T lam, and A G(x) - b.
+    """
+
+    def evaluate(x):
+        g, lam, f_c = plain_map(x)
+        f = g - x
+        report.residual_trace.append(math.sqrt(f.dot(f)))
+        return g, f, lam, f_c, report.residual_trace[-1]
+
+    g, f, lam, f_c, norm_f = evaluate(v)
+    bound = AA_BOUND * norm_f
+    hist = [(g, f)]  # G and f of the kept iterates since the last restart
+    n_aa = 0
+    while True:
+        if not math.isfinite(norm_f):  # a rejected candidate never gets here
+            report.iterations = len(report.residual_trace)
+            report.diverged = True
+            raise DivergenceError("non-finite iterate in V-FPI", report.residual_trace)
+        if norm_f < cfg.residual_tol:
+            r = spmv(a, g) - b
+            report.consistency = float(np.linalg.norm(r - f_c))
+            if report.consistency <= cfg.consistency_factor * cfg.residual_tol:
+                report.converged = True
+                break
+        if len(report.residual_trace) >= cfg.max_iters:
+            break
+        candidate = len(hist) > 1
+        if candidate:
+            d_g, d_f = (np.diff(np.array(h), axis=0) for h in zip(*hist))
+            y = g - np.linalg.lstsq(d_f.T, f, rcond=None)[0] @ d_g
+        else:
+            y = g
+        out = evaluate(y)
+        # a NaN residual fails the comparison too
+        if candidate and not out[-1] <= bound * (n_aa + 1) ** -(1.0 + AA_DECAY):
+            report.aa_rejected += 1
+            hist = hist[-1:]
+            continue
+        n_aa += candidate
+        g, f, lam, f_c, norm_f = out
+        hist = (hist if len(hist) <= AA_WINDOW else hist[-1:]) + [(g, f)]
+    report.iterations = len(report.residual_trace)
+    if not report.converged:  # a failed force check may have set r for an earlier g
+        r = spmv(a, g) - b
+    return g, lam, f_c, r
+
+
 def solve_vfpi(
     aug: AugmentedDynamics,
     cfg: SolverConfig,
@@ -352,7 +411,9 @@ def solve_vfpi(
 ):
     """Run the velocity fixed-point iteration on an augmented system.
 
-    Returns (v_hat, lam, report).
+    Systems with virtual nodes run the plain map under Anderson acceleration
+    (``_anderson``); tie-free systems run the loop below, with optional
+    Chebyshev weighting. Returns (v_hat, lam, report).
     """
     a, b = aug.a, aug.b
     n = aug.n
@@ -373,74 +434,70 @@ def solve_vfpi(
     t_setup = time.perf_counter() - t0
 
     v = warm.astype(float).copy()
-    v_prev = v.copy()
     lam = np.zeros((n_c, 3))
     report = SolverReport()
-    alpha_prev = float(w.w.mean())
-    rho = 0.0
-    nu = 1.0
-    norm_prev = 0.0
     t_loop0 = time.perf_counter()
-    bb = cfg.step_strategy in ("bb1", "bb2", "bb-alternating")
-    r = spmv(a, v) - b  # kept in step with v for the convergence check
-    f_c = jmap.jc_t(lam) if n_c else 0.0  # J_c^T lam, the contact force
 
-    for l in range(1, cfg.max_iters + 1):
-        if bb and l >= 2:
-            s = v - v_prev
-            z = spmv(a, s)
-            if cfg.step_strategy == "bb-alternating":
-                variant = "bb1" if l % 2 == 0 else "bb2"
-            else:
-                variant = cfg.step_strategy
-            alpha = step_matrix_bb(s, z, variant, alpha_prev)
-            alpha_prev = alpha
-            w = StepMatrix(np.full(n, alpha))
-            if n_c:
-                gamma = surrogate_gamma(w, aug, cfg.omega)
+    if aug.n > aug.n_orig:
 
-        v_star = v - w.w * r
-        if n_c:
-            eta = jmap.jc(v_star)
-            lam = contact_solve_oneshot(gamma, eta, phi, mu, cfg.operator, mu2)
+        def plain_map(x):
+            v_star = x - w.w * (spmv(a, x) - b)
+            lam = contact_solve_oneshot(gamma, jmap.jc(v_star), phi, mu, cfg.operator, mu2)
             f_c = jmap.jc_t(lam)
-            v_new = v_star + w.w * f_c
-        else:
-            v_new = v_star
+            return v_star + w.w * f_c, lam, f_c
 
-        if cfg.chebyshev:
-            v_ss = cfg.under_relax * v_new + (1.0 - cfg.under_relax) * v
-            nu = chebyshev_nu(l, cfg.cheby_start, rho, nu)
-            v_next = chebyshev_update(v_ss, v_prev, nu) if l > 1 else v_ss
-        else:
-            v_next = v_new
+        v, lam, f_c, r = _anderson(plain_map, a, b, v, cfg, report)
+    else:
+        v_prev = v.copy()
+        rho = 0.0
+        nu = 1.0
+        norm_prev = 0.0
+        r = spmv(a, v) - b  # kept in step with v for the convergence check
+        f_c = jmap.jc_t(lam) if n_c else 0.0  # J_c^T lam, the contact force
 
-        step = v_next - v
-        theta = math.sqrt(step.dot(step))  # np.linalg.norm without its dispatch
-        report.residual_trace.append(theta)
-        # a non-finite iterate always makes theta non-finite
-        if not math.isfinite(theta) and not np.all(np.isfinite(v_next)):
-            report.iterations = l
-            report.diverged = True
-            raise DivergenceError("non-finite iterate in V-FPI", report.residual_trace)
+        for l in range(1, cfg.max_iters + 1):
+            v_star = v - w.w * r
+            if n_c:
+                eta = jmap.jc(v_star)
+                lam = contact_solve_oneshot(gamma, eta, phi, mu, cfg.operator, mu2)
+                f_c = jmap.jc_t(lam)
+                v_new = v_star + w.w * f_c
+            else:
+                v_new = v_star
 
-        if cfg.chebyshev:
-            rho = estimate_rho(theta, norm_prev, rho)
-        norm_prev = theta
-        v_prev, v = v, v_next
-        r = spmv(a, v) - b
+            if cfg.chebyshev:
+                v_ss = cfg.under_relax * v_new + (1.0 - cfg.under_relax) * v
+                nu = chebyshev_nu(l, cfg.cheby_start, rho, nu)
+                v_next = chebyshev_update(v_ss, v_prev, nu) if l > 1 else v_ss
+            else:
+                v_next = v_new
 
-        if theta < cfg.residual_tol:
-            # the postcondition of convergence is dynamics consistency;
-            # verify the force residual before declaring success
-            force_res = float(np.linalg.norm(r - f_c))
-            report.consistency = force_res
-            if force_res <= cfg.consistency_factor * cfg.residual_tol:
-                report.converged = True
+            step = v_next - v
+            theta = math.sqrt(step.dot(step))  # np.linalg.norm without its dispatch
+            report.residual_trace.append(theta)
+            # a non-finite iterate always makes theta non-finite
+            if not math.isfinite(theta) and not np.all(np.isfinite(v_next)):
                 report.iterations = l
-                break
-        if l == cfg.max_iters:
-            report.iterations = l
+                report.diverged = True
+                raise DivergenceError("non-finite iterate in V-FPI", report.residual_trace)
+
+            if cfg.chebyshev:
+                rho = estimate_rho(theta, norm_prev, rho)
+            norm_prev = theta
+            v_prev, v = v, v_next
+            r = spmv(a, v) - b
+
+            if theta < cfg.residual_tol:
+                # the postcondition of convergence is dynamics consistency;
+                # verify the force residual before declaring success
+                force_res = float(np.linalg.norm(r - f_c))
+                report.consistency = force_res
+                if force_res <= cfg.consistency_factor * cfg.residual_tol:
+                    report.converged = True
+                    report.iterations = l
+                    break
+            if l == cfg.max_iters:
+                report.iterations = l
 
     report.lam = lam
     report.timings = {

@@ -232,6 +232,14 @@ class TestCli:
         )
         assert code == 2
 
+    def test_run_prints_unconverged_and_diverged_totals(self, capsys):
+        assert main(["run", "--scenario", scenario_path("box_slide")]) == 0
+        assert "steps=300 unconverged=0 diverged=0" in capsys.readouterr().out
+        assert main(["run", "--scenario", scenario_path("box_slide"), "--max-iter", "1"]) == 0
+        totals = capsys.readouterr().out.splitlines()[0].split()
+        assert totals[0] == "steps=300" and totals[2] == "diverged=0"
+        assert totals[1].startswith("unconverged=") and int(totals[1].split("=")[1]) > 0
+
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Unit tests for the velocity fixed-point solver building blocks."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,8 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from condsim.contacts import Contact, contact_frame, contact_jacobian_matrix
+from condsim import solver
+from condsim.contacts import (
+    Contact,
+    apply_jc_t,
+    augment_dynamics,
+    contact_frame,
+    contact_jacobian_matrix,
+    detect_contacts,
+    nodalize,
+)
+from condsim.dynamics import assemble_step
 from condsim.errors import DivergenceError, InvalidMatrixError
+from condsim.harness import RunConfig, build_scene, external_force, load_scenario
 from condsim.solver import (
     SCALAR_BATCH_MAX,
     SolverConfig,
@@ -26,12 +38,13 @@ from condsim.solver import (
     project_strict_anisotropic,
     scc_residual,
     solve_vfpi,
-    step_matrix_bb,
     step_matrix_frobenius,
     surrogate_gamma,
 )
-from condsim.sparse import SparseSymmetric, factor_spd, row_norms_sq, solve_with
+from condsim.sparse import SparseSymmetric, factor_spd, row_norms_sq, solve_with, spmv
 from condsim.testing import build_augmented, random_contact_set, random_spd
+
+from conftest import scenario_path
 
 lam3 = st.tuples(
     st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False)
@@ -255,33 +268,6 @@ class TestStepMatrixFrobenius:
             assert w.tied_nodes == tied
 
 
-class TestStepMatrixBB:
-    def test_equal_vectors(self):
-        s = np.array([1.0, 2.0])
-        assert step_matrix_bb(s, s, "bb1", 0.1) == 1.0
-        assert step_matrix_bb(s, s, "bb2", 0.1) == 1.0
-
-    def test_hand_example(self):
-        s, z = np.array([1.0, 0.0]), np.array([2.0, 0.0])
-        assert step_matrix_bb(s, z, "bb1", 0.1) == 0.5
-        assert step_matrix_bb(s, z, "bb2", 0.1) == 0.5
-
-    def test_rayleigh_bounds(self, rng):
-        a = random_spd(rng, 15)
-        dense = a.to_dense()
-        eigs = np.linalg.eigvalsh(dense)
-        for _ in range(50):
-            s = rng.standard_normal(15)
-            z = dense @ s
-            a1 = step_matrix_bb(s, z, "bb1", 0.1)
-            a2 = step_matrix_bb(s, z, "bb2", 0.1)
-            assert 1.0 / eigs.max() - 1e-12 <= a2 <= a1 <= 1.0 / eigs.min() + 1e-12
-
-    def test_nonpositive_curvature_falls_back(self):
-        s, z = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        assert step_matrix_bb(s, z, "bb1", 0.37) == 0.37
-
-
 class TestSurrogateGamma:
     def _aug(self, contacts, n):
         a = SparseSymmetric.identity(n)
@@ -468,6 +454,88 @@ class TestSolveVfpi:
             assert rep.converged
             res = np.linalg.norm(spmv(a, v) - b - apply_jc_t(aug, lam))
             assert res <= 10 * cfg.residual_tol
+
+
+def first_step(name: str, kv: float):
+    """Augmented system of a bundled rigid-cube scenario's first step, with
+    the cube's 4 floor contacts on virtual nodes tied to it with gain kv."""
+    s = load_scenario(scenario_path(name))
+    scene = build_scene(s, RunConfig(kv=kv))
+    state, bodies = scene.state, scene.bodies
+    n = state.v.shape[0]
+    asm = assemble_step(state, bodies, scene.constraints, external_force(scene, 0.0, n))
+    raw = detect_contacts(state, bodies, scene.geometry)
+    nodal = nodalize(raw, state, bodies, scene.k_v, scene.mu, scene.mu2, scene.stab)
+    aug = augment_dynamics(asm.a, asm.b, nodal)
+    assert aug.n > aug.n_orig and len(nodal.contacts) == 4
+    return aug
+
+
+class TestAnderson:
+    TOL = 1e-8
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        """The box_slide cube, pushed past static friction; the same system
+        with the tie gate off runs the un-accelerated loop."""
+        aug = first_step("box_slide", kv=1e3)
+        untied = dataclasses.replace(aug, n_orig=aug.n)
+        cfg = SolverConfig(residual_tol=1e-11, max_iters=200_000)
+        v, lam, rep = solve_vfpi(untied, cfg, np.zeros(aug.n))
+        assert rep.converged
+        return aug, v, lam, rep
+
+    def test_converges_to_the_plain_fixed_point(self, plain):
+        aug, v_ref, lam_ref, rep_ref = plain
+        cfg = SolverConfig(residual_tol=self.TOL, max_iters=2000)
+        v, lam, rep = solve_vfpi(aug, cfg, np.zeros(aug.n))
+        assert rep.converged and rep.aa_rejected == 0
+        assert len(rep.residual_trace) == rep.iterations < rep_ref.iterations / 10
+        force = np.linalg.norm(spmv(aug.a, v) - aug.b - apply_jc_t(aug, lam))
+        assert force <= 10 * self.TOL
+        assert np.linalg.norm(v - v_ref) <= 1e-8
+        assert np.linalg.norm(lam - lam_ref) <= 1e-8 * np.linalg.norm(lam_ref)
+
+    def test_chebyshev_does_not_apply(self, plain):
+        aug = plain[0]
+        runs = [
+            solve_vfpi(aug, SolverConfig(residual_tol=self.TOL, chebyshev=cheb), np.zeros(aug.n))
+            for cheb in (False, True)
+        ]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][2].residual_trace == runs[1][2].residual_trace
+
+    def test_safeguard_rejecting_every_candidate(self, plain, monkeypatch):
+        aug, v_ref, lam_ref, _ = plain
+        monkeypatch.setattr(solver, "AA_BOUND", 0.0)
+        cfg = SolverConfig(residual_tol=self.TOL, max_iters=200_000)
+        v, lam, rep = solve_vfpi(aug, cfg, np.zeros(aug.n))
+        assert rep.converged and rep.aa_rejected > 0
+        # each rejected candidate is followed by a plain step, which starts
+        # the next history; the first evaluation and the first plain step
+        # have no candidate before them
+        assert rep.iterations == 2 + 2 * rep.aa_rejected
+        assert np.linalg.norm(v - v_ref) <= 1e-7
+        assert np.linalg.norm(lam - lam_ref) <= 1e-7 * np.linalg.norm(lam_ref)
+
+    def test_consistency_belongs_to_the_returned_velocity(self):
+        # on the launched anisotropic_slide cube's first step ||f|| falls
+        # below tol long before the force check passes, so some of these caps
+        # stop the solve after a failed force check on an earlier iterate
+        aug = first_step("anisotropic_slide", kv=1e5)
+        for cap in range(10, 40):
+            cfg = SolverConfig(residual_tol=1e-4, max_iters=cap)
+            v, lam, rep = solve_vfpi(aug, cfg, np.zeros(aug.n))
+            force = np.linalg.norm(spmv(aug.a, v) - aug.b - apply_jc_t(aug, lam))
+            assert rep.consistency == pytest.approx(force, rel=1e-12)
+
+    def test_non_finite_iterate_raises(self, plain):
+        aug = plain[0]
+        warm = np.zeros(aug.n)
+        warm[aug.n_orig] = np.nan  # a virtual-node velocity
+        with pytest.raises(DivergenceError) as exc:
+            solve_vfpi(aug, SolverConfig(), warm)
+        assert len(exc.value.residual_trace) > 0
 
 
 class TestInverseContact:
