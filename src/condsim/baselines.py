@@ -5,9 +5,9 @@ the convex cone-complementarity program
 
     min 0.5 lam^T A_c lam + lam^T (b_c + phi_c)   s.t.  lam_m in friction cone
 
-with A_c = Jc A^-1 Jc^T assembled by factor-and-multiply. These exist for
-head-to-head comparison only; they refuse systems beyond the dense factor
-capacity.
+with A_c = Jc A^-1 Jc^T assembled from a dense Cholesky factor of A. These
+exist for head-to-head comparison at desk scale only; they refuse systems
+beyond ``DENSE_FACTOR_CAP``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 
 from .contacts import AugmentedDynamics, contact_jacobian_matrix
-from .errors import DimensionMismatchError
-from .sparse import DenseSymmetric, SpdFactor, factor_spd, solve_with
+from .errors import CapacityError, DimensionMismatchError, NotPositiveDefiniteError
 from .solver import _contact_params, _project_batch
+
+DENSE_FACTOR_CAP = 4096
 
 
 @dataclass
@@ -43,15 +46,28 @@ class BaselineReport:
 
 @dataclass
 class DelassusProblem:
-    a_c: DenseSymmetric
+    a_c: np.ndarray  # dense, symmetric
     b_c: np.ndarray
     phi: np.ndarray  # per-contact normal stabilization
     mu: np.ndarray
     mu2: np.ndarray
-    factor: SpdFactor
+    factor: tuple  # scipy.linalg.cho_factor of A
     jc: "np.ndarray"  # dense (3 n_c, n) for velocity recovery maps
     b: np.ndarray
     assembly_s: float = 0.0
+
+
+def factor_spd(a: sp.csc_matrix) -> tuple:
+    """Dense lower Cholesky factor of a symmetric positive definite matrix,
+    as ``scipy.linalg.cho_factor`` returns it."""
+    if a.shape[0] > DENSE_FACTOR_CAP:
+        raise CapacityError(
+            f"factor_spd: dim {a.shape[0]} exceeds dense capacity {DENSE_FACTOR_CAP}"
+        )
+    try:
+        return cho_factor(a.toarray(), lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
 
 
 def assemble_delassus(aug: AugmentedDynamics) -> DelassusProblem:
@@ -59,13 +75,13 @@ def assemble_delassus(aug: AugmentedDynamics) -> DelassusProblem:
     t0 = time.perf_counter()
     factor = factor_spd(aug.a)
     jc = contact_jacobian_matrix(aug).toarray()
-    ainv_jt = solve_with(factor, jc.T)
+    ainv_jt = cho_solve(factor, jc.T)
     a_c = jc @ ainv_jt
-    b_c = jc @ solve_with(factor, aug.b)
+    b_c = jc @ cho_solve(factor, aug.b)
     elapsed = time.perf_counter() - t0
     mu, mu2, phi = _contact_params(aug)
     return DelassusProblem(
-        DenseSymmetric(a_c.shape[0], 0.5 * (a_c + a_c.T)),
+        0.5 * (a_c + a_c.T),
         b_c,
         phi,
         mu,
@@ -84,16 +100,16 @@ def _phi_full(p: DelassusProblem) -> np.ndarray:
 
 
 def _grad(p: DelassusProblem, lam: np.ndarray) -> np.ndarray:
-    return p.a_c.values @ lam + p.b_c + _phi_full(p)
+    return p.a_c @ lam + p.b_c + _phi_full(p)
 
 
 def _objective(p: DelassusProblem, lam: np.ndarray) -> float:
-    return float(0.5 * lam @ p.a_c.values @ lam + lam @ (p.b_c + _phi_full(p)))
+    return float(0.5 * lam @ p.a_c @ lam + lam @ (p.b_c + _phi_full(p)))
 
 
 def _velocity_residual(p: DelassusProblem, dlam: np.ndarray) -> float:
     """Impulse change mapped to velocity space: ||A^-1 Jc^T dlam||."""
-    return float(np.linalg.norm(solve_with(p.factor, p.jc.T @ dlam)))
+    return float(np.linalg.norm(cho_solve(p.factor, p.jc.T @ dlam)))
 
 
 def solve_pgs(p: DelassusProblem, cfg: BaselineConfig | None = None):
@@ -103,7 +119,7 @@ def solve_pgs(p: DelassusProblem, cfg: BaselineConfig | None = None):
     n_c = p.mu.shape[0]
     lam = np.zeros(3 * n_c) if cfg.warm_start is None else cfg.warm_start.astype(float).copy()
     report = BaselineReport(assembly_s=p.assembly_s)
-    a = p.a_c.values
+    a = p.a_c
     rhs = p.b_c + _phi_full(p)
     t0 = time.perf_counter()
     for sweep in range(1, cfg.max_iters + 1):
@@ -153,7 +169,7 @@ def solve_apgd(p: DelassusProblem, cfg: BaselineConfig | None = None):
     n_c = p.mu.shape[0]
     lam = np.zeros(3 * n_c) if cfg.warm_start is None else cfg.warm_start.astype(float).copy()
     report = BaselineReport(assembly_s=p.assembly_s)
-    a = p.a_c.values
+    a = p.a_c
     t0 = time.perf_counter()
     lmax = _power_iteration_lmax(a)
     step = 1.0 / max(lmax, 1e-12)
@@ -188,4 +204,4 @@ def recover_velocity(p: DelassusProblem, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.shape[0] != p.jc.shape[0]:
         raise DimensionMismatchError("recover_velocity: impulse length mismatch")
-    return solve_with(p.factor, p.b + p.jc.T @ lam)
+    return cho_solve(p.factor, p.b + p.jc.T @ lam)

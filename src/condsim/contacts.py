@@ -23,7 +23,6 @@ from scipy.spatial import cKDTree
 
 from .dynamics import Bodies, RigidBody, SystemState, _quat_to_rot, triples
 from .errors import DimensionMismatchError, InvalidStateError
-from .sparse import SparseSymmetric
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
 
@@ -99,7 +98,7 @@ class StabilizationParams:
 
 @dataclass
 class AugmentedDynamics:
-    a: SparseSymmetric
+    a: sp.csc_matrix
     b: np.ndarray
     n: int  # total (original + virtual) velocity dimension
     n_orig: int
@@ -329,9 +328,9 @@ def _normal_velocity(state, bodies, rc: RawContact, frame) -> float:
     return float(frame[0] @ v_rel)
 
 
-def augment_dynamics(a_o: SparseSymmetric, b_o: np.ndarray, nodal: NodalContactSet) -> AugmentedDynamics:
+def augment_dynamics(a_o: sp.csc_matrix, b_o: np.ndarray, nodal: NodalContactSet) -> AugmentedDynamics:
     """Append virtual-node coordinates and the viscous tie blocks."""
-    n_o = a_o.dim
+    n_o = a_o.shape[0]
     if b_o.shape[0] != n_o:
         raise DimensionMismatchError("augment_dynamics: b length mismatch")
     if nodal.n_virtual == 0:
@@ -340,7 +339,7 @@ def augment_dynamics(a_o: SparseSymmetric, b_o: np.ndarray, nodal: NodalContactS
         kv = nodal.k_v
         jv = nodal.jv
         nv3 = 3 * nodal.n_virtual
-        top_left = a_o.as_scipy() + kv * (jv.T @ jv)
+        top_left = a_o + kv * (jv.T @ jv)
         a = sp.bmat(
             [
                 [top_left, -kv * jv.T],
@@ -349,7 +348,7 @@ def augment_dynamics(a_o: SparseSymmetric, b_o: np.ndarray, nodal: NodalContactS
             format="csc",
         )
         b = np.concatenate([b_o, np.zeros(nv3)])
-        aug = AugmentedDynamics(SparseSymmetric.from_scipy(a), b, n_o + nv3, n_o, nodal)
+        aug = AugmentedDynamics(a, b, n_o + nv3, n_o, nodal)
 
     n_c = len(nodal.contacts)
     col_i = np.zeros(n_c, dtype=int)

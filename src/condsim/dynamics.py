@@ -24,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateConstraintError, InvalidStateError
-from .sparse import SparseSymmetric
 
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
 
@@ -106,7 +105,7 @@ class Springs:
 
 @dataclass
 class AssembledDynamics:
-    a: SparseSymmetric
+    a: sp.csc_matrix
     b: np.ndarray
     n: int
 
@@ -210,7 +209,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsc()
-    return AssembledDynamics(SparseSymmetric.from_scipy(a), b, n)
+    return AssembledDynamics(a, b, n)
 
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -481,12 +481,11 @@ def _solver_cfg(cfg: RunConfig) -> SolverConfig:
     )
 
 
-def _warm_velocity(prev_vhat: np.ndarray | None, aug, n_orig: int) -> np.ndarray:
-    """Previous-step representative velocity, extended to this step's virtual
-    nodes through the rigid point map."""
+def _warm_velocity(prev_vhat: np.ndarray, aug, n_orig: int) -> np.ndarray:
+    """Previous-step representative velocity (the scene's velocity on the
+    first step), extended to this step's virtual nodes through the rigid
+    point map."""
     v0 = np.zeros(aug.n)
-    if prev_vhat is None:
-        return v0
     v0[:n_orig] = prev_vhat[:n_orig]
     nodal = aug.contacts
     if nodal is not None and nodal.n_virtual:
@@ -514,7 +513,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     n = state.v.shape[0]
     rows = []
     result = RunResult(rows, state, bodies)
-    prev_vhat = None
+    prev_vhat = state.v
     prev_lam: dict = {}
 
     for step in range(s.n_steps):
@@ -569,7 +568,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
             # flagged zero-impulse fallback: take the contact-free step
             from scipy.sparse.linalg import cg
 
-            v_hat_full, _ = cg(asm.a.as_scipy(), asm.b, rtol=1e-10, maxiter=10 * asm.n)
+            v_hat_full, _ = cg(asm.a, asm.b, rtol=1e-10, maxiter=10 * asm.n)
             v_hat_full = np.concatenate([v_hat_full, np.zeros(aug.n - asm.n)])
             lam = np.zeros((len(nodal.contacts), 3))
             result.any_diverged = True

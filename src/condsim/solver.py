@@ -32,10 +32,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .contacts import AugmentedDynamics, ContactMap, apply_jc
 from .errors import DivergenceError, InvalidMatrixError
-from .sparse import SparseSymmetric, row_norms_sq, spmv
+from .sparse import row_norms_sq, spmv
 
 OPERATORS = ("strict", "proximal", "strict-anisotropic")
 # up to this many contacts a loop over Python floats projects faster than
@@ -50,6 +51,10 @@ STEP_STRATEGIES = ("frobenius", "fixed-alpha")
 AA_WINDOW = 10
 AA_BOUND = 1e6
 AA_DECAY = 1e-6
+# Chebyshev weighting of the tie-free loop: iterations before the weights
+# start (l_s), and the under-relaxation u of each step
+CHEBY_START = 10
+UNDER_RELAX = 0.9
 
 
 @dataclass
@@ -71,11 +76,10 @@ class SolverConfig:
     step_strategy: str = "frobenius"  # or "fixed-alpha": W = alpha I
     residual_tol: float = 1e-4
     max_iters: int = 500  # caps map evaluations, Anderson candidates included
-    # chebyshev, cheby_start and under_relax act on tie-free systems only;
-    # systems with virtual nodes always run Anderson acceleration instead
+    # Chebyshev weighting (from iteration CHEBY_START on, each step
+    # under-relaxed by UNDER_RELAX) acts on tie-free systems only; systems
+    # with virtual nodes always run Anderson acceleration instead
     chebyshev: bool = False
-    cheby_start: int = 10  # l_s
-    under_relax: float = 0.9  # u
     omega: float = 0.0  # uniform contact regularization (invertible mode)
     fixed_alpha: float | None = None
     consistency_factor: float = 10.0  # force residual must reach this times tol
@@ -113,17 +117,8 @@ def _strict_row(ln: float, t1: float, t2: float, mu: float) -> tuple:
 
 def project_proximal(lam_star: np.ndarray, mu: float) -> np.ndarray:
     """Euclidean projection onto the second-order friction cone."""
-    lam = np.array(lam_star, dtype=float)
-    tn = float(np.linalg.norm(lam[1:]))
-    if tn <= mu * lam[0]:
-        return lam  # inside
-    if mu * tn <= -lam[0]:
-        return np.zeros(3)  # polar cone
-    ln = (lam[0] + mu * tn) / (1.0 + mu * mu)
-    out = np.empty(3)
-    out[0] = ln
-    out[1:] = (mu * ln / tn) * lam[1:]
-    return out
+    row = np.asarray(lam_star, dtype=float).reshape(1, 3)
+    return _project_batch(row, np.array([float(mu)]), None, "proximal")[0]
 
 
 def project_strict_anisotropic(lam_star: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
@@ -232,7 +227,7 @@ def _tie_groups(aug: AugmentedDynamics, pair_tie: bool):
     return list(groups.values())
 
 
-def step_matrix_frobenius(a: SparseSymmetric, aug: AugmentedDynamics | None = None, pair_tie: bool = False) -> StepMatrix:
+def step_matrix_frobenius(a: sp.csc_matrix, aug: AugmentedDynamics | None = None, pair_tie: bool = False) -> StepMatrix:
     """W minimizing ||I - W A||_F under the diagonal + tie-group structure."""
     diag = a.diagonal()
     rns = row_norms_sq(a)
@@ -348,7 +343,7 @@ def _contact_params(aug: AugmentedDynamics):
     return mu, mu2, phi
 
 
-def _anderson(plain_map, a: SparseSymmetric, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
+def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
     """Safeguarded type-II Anderson acceleration of v = G(v) (Walker & Ni,
     SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
 
@@ -466,8 +461,8 @@ def solve_vfpi(
                 v_new = v_star
 
             if cfg.chebyshev:
-                v_ss = cfg.under_relax * v_new + (1.0 - cfg.under_relax) * v
-                nu = chebyshev_nu(l, cfg.cheby_start, rho, nu)
+                v_ss = UNDER_RELAX * v_new + (1.0 - UNDER_RELAX) * v
+                nu = chebyshev_nu(l, CHEBY_START, rho, nu)
                 v_next = chebyshev_update(v_ss, v_prev, nu) if l > 1 else v_ss
             else:
                 v_next = v_new

@@ -1,137 +1,24 @@
-"""Minimal sparse/dense symmetric linear-algebra kernels.
-
-Everything here is deliberately small: a symmetric CSC container with both
-triangles stored explicitly, matrix-vector products, squared row norms, and a
-dense Cholesky factorization used only by the impulse-space baselines. scipy
-backs the storage and products; the factorization densifies up to
-``DENSE_FACTOR_CAP`` and refuses beyond that, since the baselines only run at
-desk scale.
+"""The two matrix kernels the V-FPI needs per system: A v and the squared
+row norms of A. System matrices are symmetric ``scipy.sparse.csc_matrix``
+with both triangles stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    CapacityError,
-    DimensionMismatchError,
-    InvalidMatrixError,
-    NotPositiveDefiniteError,
-)
-
-DENSE_FACTOR_CAP = 4096
-
-SYMMETRY_RTOL = 1e-12
+from .errors import DimensionMismatchError
 
 
-@dataclass
-class SparseSymmetric:
-    """Symmetric sparse matrix in CSC layout, both triangles stored."""
-
-    dim: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    _csc: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
-
-    def as_scipy(self) -> sp.csc_matrix:
-        if self._csc is None:
-            self._csc = sp.csc_matrix(
-                (self.data, self.indices, self.indptr), shape=(self.dim, self.dim)
-            )
-        return self._csc
-
-    @classmethod
-    def from_scipy(cls, m: sp.spmatrix, check: bool = False) -> "SparseSymmetric":
-        csc = sp.csc_matrix(m)
-        csc.sum_duplicates()
-        out = cls(csc.shape[0], csc.indptr, csc.indices, csc.data, csc)
-        if check:
-            out.check_symmetry()
-        return out
-
-    @classmethod
-    def from_dense(cls, m: np.ndarray, check: bool = True) -> "SparseSymmetric":
-        return cls.from_scipy(sp.csc_matrix(np.asarray(m, dtype=float)), check=check)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseSymmetric":
-        return cls.from_scipy(sp.identity(n, format="csc"))
-
-    def to_dense(self) -> np.ndarray:
-        return self.as_scipy().toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self.as_scipy().diagonal()
-
-    def check_symmetry(self) -> None:
-        csc = self.as_scipy()
-        delta = (csc - csc.T).tocoo()
-        scale = max(1.0, float(np.abs(csc.data).max()) if csc.nnz else 1.0)
-        if delta.nnz and np.abs(delta.data).max() > SYMMETRY_RTOL * scale:
-            raise InvalidMatrixError("matrix is not numerically symmetric")
-
-
-@dataclass
-class DenseSymmetric:
-    """Dense symmetric matrix (row-major), used for Delassus operators."""
-
-    dim: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(self.dim, self.dim)
-
-
-@dataclass
-class SpdFactor:
-    """Lower-triangular Cholesky factor; opaque to callers."""
-
-    dim: int
-    lower: np.ndarray
-
-
-def spmv(a: SparseSymmetric, x: np.ndarray) -> np.ndarray:
+def spmv(a: sp.csc_matrix, x: np.ndarray) -> np.ndarray:
     """Return A @ x."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (a.dim,):
-        raise DimensionMismatchError(f"spmv: x has shape {x.shape}, expected ({a.dim},)")
-    return a.as_scipy().dot(x)
+    if x.shape != (a.shape[0],):
+        raise DimensionMismatchError(f"spmv: x has shape {x.shape}, expected ({a.shape[0]},)")
+    return a.dot(x)
 
 
-def row_norms_sq(a: SparseSymmetric) -> np.ndarray:
-    """Squared 2-norm of each row."""
-    csc = a.as_scipy()
-    return np.asarray(csc.multiply(csc).sum(axis=0)).ravel()
-
-
-def factor_spd(a: SparseSymmetric) -> SpdFactor:
-    """Dense Cholesky of a symmetric positive definite matrix.
-
-    Densifies first; refuses beyond DENSE_FACTOR_CAP since only the baseline
-    solvers need A^-1 and they run at desk scale only.
-    """
-    if a.dim > DENSE_FACTOR_CAP:
-        raise CapacityError(
-            f"factor_spd: dim {a.dim} exceeds dense capacity {DENSE_FACTOR_CAP}"
-        )
-    dense = a.to_dense()
-    try:
-        lower = np.linalg.cholesky(dense)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return SpdFactor(a.dim, lower)
-
-
-def solve_with(f: SpdFactor, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the Cholesky factor of A."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != f.dim:
-        raise DimensionMismatchError(f"solve_with: b has length {b.shape[0]}, expected {f.dim}")
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(f.lower, b, lower=True)
-    return solve_triangular(f.lower.T, y, lower=False)
+def row_norms_sq(a: sp.csc_matrix) -> np.ndarray:
+    """Squared 2-norm of each row (column sums of A∘A, as A is symmetric)."""
+    return np.asarray(a.multiply(a).sum(axis=0)).ravel()

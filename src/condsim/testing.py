@@ -7,14 +7,13 @@ import scipy.sparse as sp
 
 from .contacts import AugmentedDynamics, Contact, NodalContactSet, contact_frame
 from .solver import StepMatrix, step_matrix_frobenius
-from .sparse import SparseSymmetric
 
 
-def random_spd(rng: np.random.Generator, n: int, density: float = 0.3) -> SparseSymmetric:
+def random_spd(rng: np.random.Generator, n: int, density: float = 0.3) -> sp.csc_matrix:
     """Random sparse SPD matrix: B B^T + n I over a sprandn pattern."""
     b = sp.random(n, n, density=density, random_state=np.random.RandomState(int(rng.integers(2**31))))
     m = (b @ b.T) + n * sp.identity(n)
-    return SparseSymmetric.from_scipy(m.tocsc())
+    return m.tocsc()
 
 
 def random_contact_set(rng: np.random.Generator, n_nodes: int | None = None, n_contacts: int | None = None):
@@ -47,10 +46,11 @@ def random_contact_set(rng: np.random.Generator, n_nodes: int | None = None, n_c
     return 3 * n_nodes, contacts
 
 
-def build_augmented(a: SparseSymmetric, b: np.ndarray, contacts) -> AugmentedDynamics:
+def build_augmented(a: sp.csc_matrix, b: np.ndarray, contacts) -> AugmentedDynamics:
     """Wrap an already-assembled system and particle-node contacts."""
     nodal = NodalContactSet(contacts, 0, None, 0.0)
-    aug = AugmentedDynamics(a, b.copy(), a.dim, a.dim, nodal)
+    n = a.shape[0]
+    aug = AugmentedDynamics(a, b.copy(), n, n, nodal)
     n_c = len(contacts)
     aug.col_i = np.array([c.slot_i[1] for c in contacts], dtype=int)
     aug.col_j = np.array(

@@ -149,7 +149,7 @@ def test_04_proximal_matches_convex_model():
         lam = lam.ravel()
 
         prob = assemble_delassus(aug)
-        ac = prob.a_c.values
+        ac = prob.a_c
         grad = ac @ lam + prob.b_c + np.kron(prob.phi, [1.0, 0.0, 0.0])
         alpha = 1.0 / np.linalg.eigvalsh(ac).max()
         proj = np.concatenate([
@@ -206,7 +206,7 @@ def test_06_contact_update_nonexpansive():
         a = random_spd(rng, n)
         b = rng.standard_normal(n)
         aug = build_augmented(a, b, contacts)
-        alpha = 1.0 / np.linalg.eigvalsh(a.to_dense()).max()
+        alpha = 1.0 / np.linalg.eigvalsh(a.toarray()).max()
         w = StepMatrix(np.full(n, alpha))
         gamma = surrogate_gamma(w, aug)
         mu = np.array([c.mu for c in contacts])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from condsim.baselines import (
     BaselineConfig,
@@ -14,12 +15,11 @@ from condsim.baselines import (
 from condsim.contacts import Contact, contact_frame, contact_jacobian_matrix
 from condsim.errors import CapacityError
 from condsim.solver import SolverConfig, _project_batch, solve_vfpi
-from condsim.sparse import SparseSymmetric
 from condsim.testing import build_augmented, random_contact_set, random_spd
 
 
 def single_contact_aug(a_scale=1.0, b=None, mu=0.0):
-    a = SparseSymmetric.from_dense(a_scale * np.eye(3))
+    a = sp.csc_matrix(a_scale * np.eye(3))
     frame = contact_frame(np.array([0.0, 0.0, 1.0]))
     b = np.zeros(3) if b is None else b
     return build_augmented(a, b, [Contact("S", ("orig", 0), frame, mu, 0.0)])
@@ -35,11 +35,11 @@ def pgs_style_problem(b_n):
 class TestAssembleDelassus:
     def test_identity_system(self):
         p = assemble_delassus(single_contact_aug(1.0))
-        assert np.allclose(p.a_c.values, np.eye(3), atol=1e-12)
+        assert np.allclose(p.a_c, np.eye(3), atol=1e-12)
 
     def test_scaled_system(self):
         p = assemble_delassus(single_contact_aug(2.0))
-        assert np.allclose(p.a_c.values, 0.5 * np.eye(3), atol=1e-12)
+        assert np.allclose(p.a_c, 0.5 * np.eye(3), atol=1e-12)
 
     def test_random_vs_dense_oracle(self, rng):
         n, contacts = random_contact_set(rng, n_nodes=8, n_contacts=4)
@@ -48,13 +48,13 @@ class TestAssembleDelassus:
         aug = build_augmented(a, b, contacts)
         p = assemble_delassus(aug)
         jc = contact_jacobian_matrix(aug).toarray()
-        a_inv = np.linalg.inv(a.to_dense())
-        assert np.allclose(p.a_c.values, jc @ a_inv @ jc.T, atol=1e-8)
+        a_inv = np.linalg.inv(a.toarray())
+        assert np.allclose(p.a_c, jc @ a_inv @ jc.T, atol=1e-8)
         assert np.allclose(p.b_c, jc @ a_inv @ b, atol=1e-8)
 
     def test_capacity_error(self, rng):
         n, contacts = random_contact_set(rng, n_nodes=1400, n_contacts=1)
-        a = SparseSymmetric.identity(n)
+        a = sp.identity(n, format="csc")
         aug = build_augmented(a, np.zeros(n), contacts)
         with pytest.raises(CapacityError):
             assemble_delassus(aug)
@@ -118,7 +118,7 @@ class TestApgd:
             lam, rep = solve_apgd(p, BaselineConfig(residual_tol=1e-12, max_iters=10000))
             assert rep.converged
             # plain projected gradient run far past convergence
-            ac = p.a_c.values
+            ac = p.a_c
             step = 0.9 / np.linalg.eigvalsh(ac).max()
             x = np.zeros_like(lam.ravel())
             rhs = p.b_c + np.kron(p.phi, [1.0, 0.0, 0.0])
@@ -157,7 +157,7 @@ class TestRecoverVelocity:
         b = rng.standard_normal(n)
         p = assemble_delassus(build_augmented(a, b, contacts))
         v = recover_velocity(p, np.zeros(3 * len(contacts)))
-        assert np.allclose(v, np.linalg.solve(a.to_dense(), b), atol=1e-9)
+        assert np.allclose(v, np.linalg.solve(a.toarray(), b), atol=1e-9)
 
     def test_definition_identity(self, rng):
         n, contacts = random_contact_set(rng, n_nodes=5, n_contacts=2)
@@ -165,4 +165,4 @@ class TestRecoverVelocity:
         p = assemble_delassus(build_augmented(a, rng.standard_normal(n), contacts))
         lam = rng.standard_normal(3 * len(contacts))
         v = recover_velocity(p, lam)
-        assert np.allclose(p.jc @ v, p.a_c.values @ lam + p.b_c, atol=1e-8)
+        assert np.allclose(p.jc @ v, p.a_c @ lam + p.b_c, atol=1e-8)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from condsim.contacts import (
 )
 from condsim.dynamics import Bodies, RigidBody, SystemState
 from condsim.errors import InvalidStateError
-from condsim.sparse import SparseSymmetric
 from condsim.testing import build_augmented, random_contact_set, random_spd
 
 vec3 = st.tuples(
@@ -221,12 +221,10 @@ class TestAugmentDynamics:
     def test_scalar_toy(self):
         # 1-D system, one virtual coordinate, k_v = 10: the augmented block
         # structure is [[A_o + k_v, -k_v], [-k_v, k_v]]
-        import scipy.sparse as sp
-
-        a_o = SparseSymmetric.from_dense(np.array([[1.0]]))
+        a_o = sp.csc_matrix(np.array([[1.0]]))
         jv = sp.csr_matrix(np.array([[1.0]]))
         kv = 10.0
-        top = a_o.as_scipy() + kv * (jv.T @ jv)
+        top = a_o + kv * (jv.T @ jv)
         full = sp.bmat([[top, -kv * jv.T], [-kv * jv, kv * sp.identity(1)]]).toarray()
         assert np.allclose(full, [[11.0, -10.0], [-10.0, 10.0]])
         # characteristic polynomial x^2 - 21 x + 10 -> (21 +- sqrt(401)) / 2
@@ -241,17 +239,17 @@ class TestAugmentDynamics:
         n, contacts = 9, []
         aug = build_augmented(a, b, contacts)
         assert aug.n == n
-        assert np.allclose(aug.a.to_dense(), a.to_dense())
+        assert np.allclose(aug.a.toarray(), a.toarray())
         assert np.allclose(aug.b, b)
 
     def test_augmented_system_stays_spd(self, rng):
         state, bodies, geom = cube_scene([[0.1, 0.1, -0.1], [-0.1, 0.1, -0.1], [0.1, -0.1, -0.1]])
         raw = detect_contacts(state, bodies, geom)
         nodal = nodalize(raw, state, bodies, k_v=1e5)
-        a_o = SparseSymmetric.from_dense(100.0 * np.eye(6) + rng.uniform(0, 1) * np.eye(6))
+        a_o = sp.csc_matrix(100.0 * np.eye(6) + rng.uniform(0, 1) * np.eye(6))
         aug = augment_dynamics(a_o, np.zeros(6), nodal)
         assert aug.b[6:].max() == 0.0 and aug.b[6:].min() == 0.0
-        assert np.linalg.eigvalsh(aug.a.to_dense()).min() > 0.0
+        assert np.linalg.eigvalsh(aug.a.toarray()).min() > 0.0
 
     def test_virtual_elimination_recovers_original_dynamics(self, rng):
         # solving the augmented system and eliminating the virtual block must
@@ -262,11 +260,11 @@ class TestAugmentDynamics:
         nodal = nodalize(raw, state, bodies, k_v=1e4)
         a_dense = 50.0 * np.eye(6)
         b_o = rng.standard_normal(6)
-        aug = augment_dynamics(SparseSymmetric.from_dense(a_dense), b_o, nodal)
+        aug = augment_dynamics(sp.csc_matrix(a_dense), b_o, nodal)
 
         lam = rng.standard_normal((len(nodal.contacts), 3))
         rhs = aug.b + apply_jc_t(aug, lam)
-        sol = np.linalg.solve(aug.a.to_dense(), rhs)
+        sol = np.linalg.solve(aug.a.toarray(), rhs)
         v_o, v_v = sol[:6], sol[6:]
         jv = nodal.jv.toarray()
         tie_force = nodal.k_v * (v_v - jv @ v_o)  # viscous tie on the body

@@ -155,9 +155,9 @@ class TestAssembleStep:
         bodies = particles([1.0])
         state = SystemState(np.zeros(3), np.zeros(3), dt=0.01)
         asm = assemble_step(state, bodies, NO_SPRINGS, f_ext=1.0 * GRAVITY)
-        assert np.allclose(asm.a.to_dense(), 200.0 * np.eye(3))
+        assert np.allclose(asm.a.toarray(), 200.0 * np.eye(3))
         assert np.allclose(asm.b, [0.0, 0.0, -9.81])
-        v_hat = np.linalg.solve(asm.a.to_dense(), asm.b)
+        v_hat = np.linalg.solve(asm.a.toarray(), asm.b)
         assert np.allclose(v_hat, [0.0, 0.0, -0.04905])
         nxt = integrate(state, v_hat, bodies)
         assert np.isclose(nxt.v[2], -0.0981)
@@ -170,7 +170,7 @@ class TestAssembleStep:
         asm = assemble_step(state, bodies, s)
         _, j = spring_eval(s, q)
         expected = 200.0 * np.eye(6) + 0.5 * 0.01 * 100.0 * np.outer(j[0], j[0])
-        assert np.allclose(asm.a.to_dense(), expected)
+        assert np.allclose(asm.a.toarray(), expected)
         assert np.allclose(asm.b, np.zeros(6))
 
     def test_random_network_vs_fd_assembly_oracle(self, rng):
@@ -194,7 +194,7 @@ class TestAssembleStep:
             e = np.linalg.norm(q[3 * i : 3 * i + 3] - q[3 * j : 3 * j + 3]) - s.rest[m]
             b[idx] -= s.k[m] * jacs[m] * e
         scale = np.abs(dense).max()
-        assert np.allclose(asm.a.to_dense(), dense, atol=1e-5 * scale)
+        assert np.allclose(asm.a.toarray(), dense, atol=1e-5 * scale)
         assert np.allclose(asm.b, b, atol=1e-5 * np.abs(b).max())
 
     def test_assembled_matrix_is_spd(self, rng):
@@ -206,7 +206,7 @@ class TestAssembleStep:
             s = springs(pairs, rng.uniform(10.0, 500.0, 12), rng.uniform(0.2, 1.0, 12))
             state = SystemState(q, np.zeros(3 * n_p), dt=0.01)
             asm = assemble_step(state, bodies, s)
-            assert np.linalg.eigvalsh(asm.a.to_dense()).min() > 0.0
+            assert np.linalg.eigvalsh(asm.a.toarray()).min() > 0.0
 
     def test_gyroscopic_term(self):
         inertia = np.diag([0.1, 0.2, 0.3])
@@ -314,7 +314,7 @@ class TestMixedScene:
             k = spec["stiffness"]
             a[np.ix_(idx, idx)] += 0.5 * t * (k * np.outer(jac, jac) + MIXED["damping"]["value"] * np.eye(6))
             b[idx] -= k * jac * (dist - spec.get("rest", dist))
-        assert np.allclose(asm.a.to_dense(), a, rtol=0.0, atol=1e-12 * np.abs(a).max())
+        assert np.allclose(asm.a.toarray(), a, rtol=0.0, atol=1e-12 * np.abs(a).max())
         assert np.allclose(asm.b, b, rtol=0.0, atol=1e-12 * np.abs(b).max())
 
     def test_kinetic_energy_is_half_vMv(self):
@@ -372,7 +372,7 @@ class TestIntegrate:
         v0 = np.array([1.0, 2.0, 3.0])
         state = SystemState(np.zeros(3), v0.copy(), dt=0.01)
         asm = assemble_step(state, bodies, NO_SPRINGS, f_ext=1.5 * GRAVITY)
-        v_hat = np.linalg.solve(asm.a.to_dense(), asm.b)
+        v_hat = np.linalg.solve(asm.a.toarray(), asm.b)
         nxt = integrate(state, v_hat, bodies)
         assert np.allclose(nxt.v, v0 + 0.01 * GRAVITY, atol=1e-14)
 

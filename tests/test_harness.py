@@ -1,6 +1,8 @@
 """Scenario loading, simulation runs, CSV reporting and CLI tests."""
 
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
@@ -129,6 +131,57 @@ class TestRunPhysics:
         res = run(s, RunConfig())
         later = [r.iters for r in res.rows[5:]]
         assert np.mean(later) <= res.rows[0].iters
+
+    def test_first_step_warm_starts_from_scene_velocity(self):
+        # the cube is launched at [1, 1, 0] m/s; from a zero warm start its
+        # first strict solve took 240 Anderson evaluations, from the scene's
+        # velocity it takes 7
+        s = load_scenario(scenario_path("anisotropic_slide"))
+        first = Scenario({**s.raw, "duration": s.step_size})
+        res = run(first, RunConfig(operator="strict", kv=1e5, residual_tol=1e-4))
+        assert res.rows[0].converged
+        assert res.rows[0].iters <= 20
+
+
+def load_bench_tracing():
+    """perfbench/tracing.py, which is a script directory, not a package."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchHooks:
+    def test_tracer_sees_every_layer(self):
+        """The benchmark's tracer replaces layers by name; a layer that moves
+        or is no longer looked up by that name must fail here."""
+        from condsim import harness, solver
+        from condsim.contacts import ContactMap
+
+        tracing = load_bench_tracing()
+        for owner, layers in ((harness, tracing.STEP_LAYERS),
+                              (solver, tracing.SOLVER_SETUP + tracing.SOLVER_PER_ITERATION),
+                              (ContactMap, tracing.CONTACT_MAP_PER_ITERATION)):
+            for attr, _ in layers:
+                assert callable(getattr(owner, attr, None)), attr
+        original = harness.solve_vfpi
+        s = load_scenario(scenario_path("box_slide"))
+        tracer = tracing.Tracer()
+        with tracer.attached(harness, solver, ContactMap):
+            res = run(Scenario({**s.raw, "duration": 2 * s.step_size}), RunConfig())
+        assert harness.solve_vfpi is original
+        assert len(res.rows) == 2
+        spanned = [span[0] for span in tracer.spans]
+        assert spanned.count("solver.solve_vfpi") == 2
+        for _, name in tracing.STEP_LAYERS + tracing.SOLVER_SETUP:
+            assert name in spanned, name
+        for step, row in enumerate(res.rows):
+            calls = tracer.calls[(0, step)]
+            for _, name in tracing.SOLVER_PER_ITERATION + tracing.CONTACT_MAP_PER_ITERATION:
+                assert calls[name][0] >= row.iters, (step, name)
+            # one A v per map evaluation, and at least one more for the stop test
+            assert calls["sparse.spmv"][0] > row.iters, step
 
 
 class TestAnalyticBoxSlide:

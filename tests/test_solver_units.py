@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from condsim import solver
+from condsim.baselines import factor_spd
 from condsim.contacts import (
     Contact,
     apply_jc_t,
@@ -41,7 +44,7 @@ from condsim.solver import (
     step_matrix_frobenius,
     surrogate_gamma,
 )
-from condsim.sparse import SparseSymmetric, factor_spd, row_norms_sq, solve_with, spmv
+from condsim.sparse import row_norms_sq, spmv
 from condsim.testing import build_augmented, random_contact_set, random_spd
 
 from conftest import scenario_path
@@ -207,11 +210,11 @@ class TestProjectAnisotropic:
 
 class TestStepMatrixFrobenius:
     def test_identity_no_contacts(self):
-        w = step_matrix_frobenius(SparseSymmetric.identity(4))
+        w = step_matrix_frobenius(sp.identity(4, format="csc"))
         assert np.allclose(w.w, np.ones(4))
 
     def test_contacted_node_tie(self):
-        a = SparseSymmetric.from_dense(np.diag([2.0, 2.0, 2.0]))
+        a = sp.csc_matrix(np.diag([2.0, 2.0, 2.0]))
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         aug = build_augmented(a, np.zeros(3), [Contact("S", ("orig", 0), frame, 0.5, 0.0)])
         w = step_matrix_frobenius(a, aug)
@@ -220,7 +223,7 @@ class TestStepMatrixFrobenius:
     def test_locally_minimizes_frobenius_norm(self, rng):
         a = random_spd(rng, 12)
         w = step_matrix_frobenius(a)
-        dense = a.to_dense()
+        dense = a.toarray()
 
         def fro(wv):
             return np.linalg.norm(np.eye(12) - np.diag(wv) @ dense)
@@ -237,7 +240,7 @@ class TestStepMatrixFrobenius:
         a = random_spd(rng, n)
         aug = build_augmented(a, np.zeros(n), contacts)
         w = step_matrix_frobenius(a, aug)
-        dense = a.to_dense()
+        dense = a.toarray()
 
         def fro(wv):
             return np.linalg.norm(np.eye(n) - np.diag(wv) @ dense)
@@ -270,7 +273,7 @@ class TestStepMatrixFrobenius:
 
 class TestSurrogateGamma:
     def _aug(self, contacts, n):
-        a = SparseSymmetric.identity(n)
+        a = sp.identity(n, format="csc")
         return build_augmented(a, np.zeros(n), contacts)
 
     def test_s_contact(self):
@@ -411,12 +414,12 @@ class TestSolveVfpi:
         aug = build_augmented(a, b, [])
         cfg = SolverConfig(residual_tol=1e-10, max_iters=5000, chebyshev=True)
         v, lam, rep = solve_vfpi(aug, cfg, np.zeros(20))
-        ref = solve_with(factor_spd(a), b)
+        ref = cho_solve(factor_spd(a), b)
         assert rep.converged
         assert np.linalg.norm(v - ref) <= 1e-6 * max(1.0, np.linalg.norm(ref))
 
     def test_resting_particle_equilibrium(self):
-        a = SparseSymmetric.from_dense(200.0 * np.eye(3))
+        a = sp.csc_matrix(200.0 * np.eye(3))
         b = np.array([0.0, 0.0, -9.81])
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         aug = build_augmented(a, b, [Contact("S", ("orig", 0), frame, 0.0, 0.0)])
@@ -549,7 +552,7 @@ class TestInverseContact:
         assert np.allclose(lam, 0.0)
 
     def test_separating_velocity_gives_zero(self):
-        a = SparseSymmetric.identity(3)
+        a = sp.identity(3, format="csc")
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         aug = build_augmented(a, np.zeros(3), [Contact("S", ("orig", 0), frame, 0.5, 0.0)])
         v = np.array([0.0, 0.0, 1.0])  # moving along the normal, separating
