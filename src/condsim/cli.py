@@ -99,10 +99,10 @@ def cmd_bench(args) -> int:
     if sizes != sorted(sizes):
         raise ScenarioValidationError("--sizes must be ascending")
     res = bench_scaling(scenario, sizes, _run_cfg(args))
-    lines = ["n,mean_solve_s,mean_dyn_s,mean_iters"]
+    lines = ["n,solve_s,mean_dyn_s,mean_iters"]
     for p in res.points:
         lines.append(
-            f"{p.n},{p.mean_solve_s:.17g},{p.mean_dyn_s:.17g},{p.mean_iters:.17g}"
+            f"{p.n},{p.solve_s:.17g},{p.mean_dyn_s:.17g},{p.mean_iters:.17g}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -11,6 +11,14 @@ viscous gain ``k_v``. The augmented system keeps the block structure
 
 which stays symmetric positive definite, and the contact Jacobian reduces to a
 stack of rotation blocks over nodes.
+
+``nodalize`` resolves node slots in one Python pass over the raw contacts and
+then computes lever arms, velocities, the stabilization terms phi and Jv for
+all contacts in batched numpy, returning per-contact column, frame, mu and
+phi arrays next to the ``Contact`` records. ``augment_dynamics`` writes the
+block matrix above as A_o plus k_v T^T T with T = [Jv, -I]: A_o's entries and
+the outer products of T's rows form one triplet set, summed into CSC by a
+single ``tocsc``.
 """
 
 from __future__ import annotations
@@ -82,10 +90,17 @@ class Contact:
 
 @dataclass
 class NodalContactSet:
-    contacts: list
+    contacts: list  # Contact records
     n_virtual: int
     jv: sp.csr_matrix | None  # (3 n_v, n) map original velocity -> point velocity
     k_v: float
+    # per contact: column offsets (col_j -1 for S-contacts), frames and parameters
+    col_i: np.ndarray
+    col_j: np.ndarray
+    frames: np.ndarray  # (n_c, 3, 3)
+    mu: np.ndarray
+    mu2: np.ndarray  # mu where the scene sets no mu2
+    phi: np.ndarray
 
 
 @dataclass
@@ -102,11 +117,20 @@ class AugmentedDynamics:
     b: np.ndarray
     n: int  # total (original + virtual) velocity dimension
     n_orig: int
-    contacts: "NodalContactSet" = None
-    # per contact: (column offset i, column offset j or -1)
-    col_i: np.ndarray = None
-    col_j: np.ndarray = None
-    frames: np.ndarray = None  # (n_c, 3, 3)
+    contacts: NodalContactSet
+
+    # per contact: column offsets i and j (-1 for none) and (n_c, 3, 3) frames
+    @property
+    def col_i(self) -> np.ndarray:
+        return self.contacts.col_i
+
+    @property
+    def col_j(self) -> np.ndarray:
+        return self.contacts.col_j
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self.contacts.frames
 
 
 def contact_frame(normal: np.ndarray) -> np.ndarray:
@@ -128,10 +152,18 @@ def contact_frames(normals: np.ndarray) -> np.ndarray:
     n = np.where(np.abs(norm - 1.0)[:, None] > 1e-9, n / norm[:, None], n)
     e = np.zeros_like(n)
     e[np.arange(n.shape[0]), np.argmin(np.abs(n), axis=1)] = 1.0
-    t1 = np.cross(np.cross(n, e), n)
+    t1 = _cross(_cross(n, e), n)
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(n, t1)
+    t2 = _cross(n, t1)
     return np.stack([n, t1, t2], axis=1)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (k, 3) arrays; ``np.cross``'s arithmetic at a lower
+    fixed cost per call."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
 
 
 def _world_rigid_points(state: SystemState, body: RigidBody) -> np.ndarray:
@@ -215,45 +247,16 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> l
     return out
 
 
-def stabilization_term(depth: float, v_n_prev: float, params: StabilizationParams) -> float:
-    """Penetration compensation plus restitution, in m/s.
+def stabilization_term(depth, v_n_prev, params: StabilizationParams):
+    """Penetration compensation plus restitution, in m/s, elementwise over
+    depths and previous normal velocities.
 
     The Signorini row later enforces ``v_n + phi_n >= 0``, so a negative value
     demands a separating velocity.
     """
-    phi = -(params.beta_err / params.dt) * depth
-    if abs(v_n_prev) > params.v_rest_threshold:
-        phi += params.e_rest * min(0.0, v_n_prev)
-    return phi
-
-
-def _slot_and_jv(raw_side, state, bodies, point, jv_rows, next_virtual, used):
-    """Resolve one contact side to a node slot, creating a virtual node if needed.
-
-    Diagonalization requires every node to carry at most one contact, so a
-    second contact landing on an already-contacted original node is moved onto
-    a fresh virtual node tied to it by the identity map.
-    """
-    if raw_side[0] == "node":
-        slot = ("orig", raw_side[1])
-        if slot not in used:
-            used.add(slot)
-            return slot, next_virtual
-        jv_rows.append((next_virtual, raw_side[1], np.eye(3)))
-        return ("virt", next_virtual), next_virtual + 1
-    if raw_side[0] == "rigid":
-        body = bodies.rigid[raw_side[1]]
-        lever = point - state.q[body.q_offset : body.q_offset + 3]
-        lx = np.array(
-            [
-                [0.0, -lever[2], lever[1]],
-                [lever[2], 0.0, -lever[0]],
-                [-lever[1], lever[0], 0.0],
-            ]
-        )
-        jv_rows.append((next_virtual, body.v_offset, np.hstack([np.eye(3), -lx])))
-        return ("virt", next_virtual), next_virtual + 1
-    raise ValueError(f"cannot nodalize side {raw_side!r}")
+    phi = -(params.beta_err / params.dt) * np.asarray(depth, dtype=float)
+    restitution = params.e_rest * np.minimum(0.0, v_n_prev)
+    return np.where(np.abs(v_n_prev) > params.v_rest_threshold, phi + restitution, phi)
 
 
 def nodalize(
@@ -266,107 +269,136 @@ def nodalize(
     stab: StabilizationParams | None = None,
 ) -> NodalContactSet:
     """Place every raw contact on a 3-DOF node, spawning virtual nodes on
-    rigid surface points. Virtual nodes live for this step only."""
+    rigid surface points. Virtual nodes live for this step only.
+
+    Diagonalization requires every node to carry at most one contact, so a
+    second contact landing on an already-contacted original node is moved
+    onto a fresh virtual node tied to it by the identity map. One Python pass
+    resolves these slots; lever arms, velocities, phi and Jv are then built
+    for all contacts at once.
+    """
     stab = stab or StabilizationParams(dt=state.dt)
     n = state.v.shape[0]
-    contacts = []
-    jv_rows = []
-    n_virtual = 0
+    n_c = len(raw_contacts)
+    slots, cols = [], []  # per contact side: node slot and column offset (None, -1 if static)
+    v_off, q_off = [], []  # per contact side: velocity offset (-1 if static), rigid q offset (-1)
+    virt_side = []  # per virtual node: index of the contact side it carries
     used: set = set()
+    for rc in raw_contacts:
+        for second, side in enumerate((rc.first, rc.second)):
+            tag = side[0]
+            if tag == "node":
+                v_off.append(side[1])
+                q_off.append(-1)
+            elif tag == "rigid":
+                body = bodies.rigid[side[1]]
+                v_off.append(body.v_offset)
+                q_off.append(body.q_offset)
+            elif tag == "static" and second:
+                v_off.append(-1)
+                q_off.append(-1)
+            else:
+                raise ValueError(f"cannot nodalize side {side!r}")
+            if tag == "static":
+                slots.append(None)
+                cols.append(-1)
+            elif tag == "node" and side[1] not in used:
+                used.add(side[1])
+                slots.append(("orig", side[1]))
+                cols.append(side[1])
+            else:
+                slots.append(("virt", len(virt_side)))
+                cols.append(n + 3 * len(virt_side))
+                virt_side.append(len(v_off) - 1)
+
     frames = contact_frames([rc.normal for rc in raw_contacts])
-    for rc, frame in zip(raw_contacts, frames):
-        slot_i, n_virtual = _slot_and_jv(rc.first, state, bodies, rc.point, jv_rows, n_virtual, used)
-        if rc.second[0] == "static":
-            kind, slot_j = "S", None
-        else:
-            kind = "D"
-            slot_j, n_virtual = _slot_and_jv(rc.second, state, bodies, rc.point, jv_rows, n_virtual, used)
-        v_n_prev = _normal_velocity(state, bodies, rc, frame)
-        phi = stabilization_term(rc.depth, v_n_prev, stab)
-        contacts.append(
-            Contact(
-                kind=kind,
-                slot_i=slot_i,
-                frame=frame,
-                mu=mu,
-                mu2=mu2,
-                depth=rc.depth,
-                phi_n=phi,
-                slot_j=slot_j,
-                key=(rc.first, rc.second),
-            )
-        )
+    v_off = np.array(v_off, dtype=int)
+    q_off = np.array(q_off, dtype=int)
+    rigid = np.flatnonzero(q_off >= 0)
+    # per contact side: lever arm from the body origin, and velocity v + w x r
+    points = np.repeat(np.array([rc.point for rc in raw_contacts], dtype=float).reshape(n_c, 3), 2, axis=0)
+    lever = np.zeros((2 * n_c, 3))
+    lever[rigid] = points[rigid] - state.q[triples(q_off[rigid])]
+    vel = np.where(v_off[:, None] >= 0, state.v[triples(np.maximum(v_off, 0))], 0.0)
+    vel[rigid] += _cross(state.v[triples(v_off[rigid] + 3)], lever[rigid])
+    vel = vel.reshape(n_c, 2, 3)
+    v_n = np.einsum("mi,mi->m", frames[:, 0], vel[:, 0] - vel[:, 1])
+    phi = stabilization_term([rc.depth for rc in raw_contacts], v_n, stab)
+
     jv = None
-    if n_virtual:
-        rows, cols, vals = [], [], []
-        for virt_idx, v_off, block in jv_rows:
-            for r in range(3):
-                for c in range(block.shape[1]):
-                    rows.append(3 * virt_idx + r)
-                    cols.append(v_off + c)
-                    vals.append(block[r, c])
-        jv = sp.csr_matrix((vals, (rows, cols)), shape=(3 * n_virtual, n))
-    return NodalContactSet(contacts, n_virtual, jv, k_v)
-
-
-def _side_velocity(state, bodies, side, point):
-    if side[0] == "node":
-        return state.v[side[1] : side[1] + 3]
-    if side[0] == "rigid":
-        body = bodies.rigid[side[1]]
-        lever = point - state.q[body.q_offset : body.q_offset + 3]
-        vlin = state.v[body.v_offset : body.v_offset + 3]
-        omega = state.v[body.v_offset + 3 : body.v_offset + 6]
-        return vlin + np.cross(omega, lever)
-    return np.zeros(3)
-
-
-def _normal_velocity(state, bodies, rc: RawContact, frame) -> float:
-    v_rel = _side_velocity(state, bodies, rc.first, rc.point) - _side_velocity(
-        state, bodies, rc.second, rc.point
+    if virt_side:
+        jv = _virtual_node_map(v_off[virt_side], q_off[virt_side] >= 0, lever[virt_side], n)
+    cols = np.array(cols, dtype=int).reshape(n_c, 2)
+    # positional arguments: keywords double the cost of a record
+    contacts = [
+        Contact(
+            "S" if slot_j is None else "D", slot_i, frame, mu, rc.depth, phi_n, slot_j, mu2, (rc.first, rc.second)
+        )
+        for rc, frame, phi_n, slot_i, slot_j in zip(raw_contacts, frames, phi.tolist(), slots[::2], slots[1::2])
+    ]
+    return NodalContactSet(
+        contacts,
+        len(virt_side),
+        jv,
+        k_v,
+        col_i=cols[:, 0],
+        col_j=cols[:, 1],
+        frames=frames,
+        mu=np.full(n_c, float(mu)),
+        mu2=np.full(n_c, float(mu if mu2 is None else mu2)),
+        phi=phi,
     )
-    return float(frame[0] @ v_rel)
+
+
+# one Jv row block [I, -[r]x] as (row, column) entries, row by row with
+# ascending columns: row a holds the identity column a and the two nonzero
+# columns of -[r]x, whose values are +-r[_LEVER]
+_ROW_COLS = np.array([0, 4, 5, 1, 3, 5, 2, 3, 4])
+_LEVER = np.array([0, 2, 1, 0, 2, 0, 0, 1, 0])
+_SIGN = np.array([1, 1, -1, 1, -1, 1, 1, 1, -1], dtype=float)
+_IDENTITY = np.array([True, False, False] * 3)
+
+
+def _virtual_node_map(src: np.ndarray, rigid: np.ndarray, lever: np.ndarray, n: int) -> sp.csr_matrix:
+    """Jv over the original velocities: per virtual node, the block [I, -[r]x]
+    at a rigid body's velocity offset, or I at an original node's."""
+    n_v = src.shape[0]
+    vals = np.where(_IDENTITY, 1.0, _SIGN * lever[:, _LEVER])
+    keep = rigid[:, None] | _IDENTITY
+    indptr = np.concatenate([[0], np.cumsum(keep.reshape(3 * n_v, 3).sum(axis=1))])
+    return sp.csr_matrix(
+        (vals[keep], (src[:, None] + _ROW_COLS)[keep], indptr), shape=(3 * n_v, n)
+    )
 
 
 def augment_dynamics(a_o: sp.csc_matrix, b_o: np.ndarray, nodal: NodalContactSet) -> AugmentedDynamics:
-    """Append virtual-node coordinates and the viscous tie blocks."""
+    """Append virtual-node coordinates and the viscous tie blocks.
+
+    With T = [Jv, -I] the augmented matrix is A_o (padded with zeros) plus
+    k_v T^T T. Each row of T contributes the outer product of its entries, so
+    the whole matrix is one triplet set, summed by a single ``tocsc``.
+    """
     n_o = a_o.shape[0]
     if b_o.shape[0] != n_o:
         raise DimensionMismatchError("augment_dynamics: b length mismatch")
     if nodal.n_virtual == 0:
-        aug = AugmentedDynamics(a_o, b_o.copy(), n_o, n_o, nodal)
-    else:
-        kv = nodal.k_v
-        jv = nodal.jv
-        nv3 = 3 * nodal.n_virtual
-        top_left = a_o + kv * (jv.T @ jv)
-        a = sp.bmat(
-            [
-                [top_left, -kv * jv.T],
-                [-kv * jv, kv * sp.identity(nv3, format="csr")],
-            ],
-            format="csc",
-        )
-        b = np.concatenate([b_o, np.zeros(nv3)])
-        aug = AugmentedDynamics(a, b, n_o + nv3, n_o, nodal)
-
-    n_c = len(nodal.contacts)
-    col_i = np.zeros(n_c, dtype=int)
-    col_j = np.full(n_c, -1, dtype=int)
-    frames = np.zeros((n_c, 3, 3))
-    for m, c in enumerate(nodal.contacts):
-        col_i[m] = _slot_col(c.slot_i, n_o)
-        if c.slot_j is not None:
-            col_j[m] = _slot_col(c.slot_j, n_o)
-        frames[m] = c.frame
-    aug.col_i, aug.col_j, aug.frames = col_i, col_j, frames
-    return aug
-
-
-def _slot_col(slot, n_orig):
-    if slot[0] == "orig":
-        return slot[1]
-    return n_orig + 3 * slot[1]
+        return AugmentedDynamics(a_o, b_o.copy(), n_o, n_o, nodal)
+    jv = nodal.jv
+    nv3 = jv.shape[0]
+    n = n_o + nv3
+    # rows of T padded to a common width; padding repeats a column with value 0
+    lens = np.diff(jv.indptr)
+    k = np.arange(lens.max())
+    pos = jv.indptr[:-1, None] + np.minimum(k, lens[:, None] - 1)
+    t_cols = np.column_stack([jv.indices[pos], np.arange(n_o, n)])
+    t_vals = np.column_stack([np.where(k < lens[:, None], jv.data[pos], 0.0), np.full(nv3, -1.0)])
+    w = t_cols.shape[1]
+    a_o = a_o.tocsc()
+    rows = np.concatenate([a_o.indices, np.repeat(t_cols, w, axis=1).ravel()])
+    cols = np.concatenate([np.repeat(np.arange(n_o), np.diff(a_o.indptr)), np.tile(t_cols, w).ravel()])
+    vals = np.concatenate([a_o.data, (nodal.k_v * t_vals[:, :, None] * t_vals[:, None, :]).ravel()])
+    a = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    return AugmentedDynamics(a, np.concatenate([b_o, np.zeros(nv3)]), n, n_o, nodal)
 
 
 def contact_jacobian_matrix(aug: AugmentedDynamics) -> sp.csr_matrix:

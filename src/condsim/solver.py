@@ -35,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .contacts import AugmentedDynamics, ContactMap, apply_jc
+from .dynamics import triples
 from .errors import DivergenceError, InvalidMatrixError
 from .sparse import row_norms_sq, spmv
 
@@ -62,7 +63,8 @@ class StepMatrix:
     """Diagonal surrogate step matrix with per-node tie groups."""
 
     w: np.ndarray  # (n,), all > 0
-    tied_nodes: list = field(default_factory=list)  # column offsets of tied triples
+    # ascending column offsets of the tied triples
+    tied_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
 @dataclass
@@ -194,37 +196,29 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
 
 
 def _tie_groups(aug: AugmentedDynamics, pair_tie: bool):
-    """Column-offset groups whose W entries must coincide.
+    """Column offsets of the contacted nodes, ascending, and the tie group of
+    each: W entries in one group must coincide.
 
     Every contacted node ties its own 3 entries; with ``pair_tie`` the two
     nodes of a D-contact additionally share one value (merged transitively).
     """
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    n_c = len(aug.contacts.contacts)
-    for m in range(n_c):
-        union(aug.col_i[m], aug.col_i[m])
-        if aug.col_j[m] >= 0:
-            union(aug.col_j[m], aug.col_j[m])
-            if pair_tie:
-                union(aug.col_i[m], aug.col_j[m])
-    groups = {}
-    for col in list(parent):
-        groups.setdefault(find(col), []).append(col)
-    return list(groups.values())
+    n_c = aug.col_i.shape[0]
+    has_j = aug.col_j >= 0
+    cols, node = np.unique(np.concatenate([aug.col_i, aug.col_j[has_j]]), return_inverse=True)
+    # the two nodes of each D-contact, joined only with pair_tie
+    linked = np.full(node.shape[0] - n_c, pair_tie)
+    ends_i, ends_j = node[:n_c][has_j][linked], node[n_c:][linked]
+    # each node takes the lowest group among itself and its partners, then
+    # its group's group, until every pair agrees
+    group = np.arange(cols.shape[0])
+    while True:
+        low = group.copy()
+        np.minimum.at(low, ends_i, group[ends_j])
+        np.minimum.at(low, ends_j, group[ends_i])
+        low = low[low]
+        if np.array_equal(low, group):
+            return cols, group
+        group = low
 
 
 def step_matrix_frobenius(a: sp.csc_matrix, aug: AugmentedDynamics | None = None, pair_tie: bool = False) -> StepMatrix:
@@ -234,14 +228,12 @@ def step_matrix_frobenius(a: sp.csc_matrix, aug: AugmentedDynamics | None = None
     if np.any(rns <= 0.0):
         raise InvalidMatrixError("zero row norm in step-matrix computation")
     w = diag / rns
-    tied = []
-    if aug is not None and aug.contacts is not None and aug.contacts.contacts:
-        groups = _tie_groups(aug, pair_tie)
-        tied = [c for group in groups for c in group]
-        idx = (np.array(tied)[:, None] + np.arange(3)).ravel()
-        gid = np.repeat(np.arange(len(groups)), [3 * len(group) for group in groups])
-        ratio = np.bincount(gid, diag[idx]) / np.bincount(gid, rns[idx])
-        w[idx] = ratio[gid]
+    if aug is None or not aug.col_i.shape[0]:
+        return StepMatrix(w)
+    tied, group = _tie_groups(aug, pair_tie)
+    idx = triples(tied).ravel()
+    gid = np.repeat(group, 3)
+    w[idx] = np.bincount(gid, diag[idx])[gid] / np.bincount(gid, rns[idx])[gid]
     return StepMatrix(w, tied)
 
 
@@ -336,11 +328,8 @@ def scc_residual(v_contact: np.ndarray, lam: np.ndarray, phi: np.ndarray, mu: np
 
 
 def _contact_params(aug: AugmentedDynamics):
-    cs = aug.contacts.contacts
-    mu = np.array([c.mu for c in cs])
-    mu2 = np.array([c.mu2 if c.mu2 is not None else c.mu for c in cs])
-    phi = np.array([c.phi_n for c in cs])
-    return mu, mu2, phi
+    nodal = aug.contacts
+    return nodal.mu, nodal.mu2, nodal.phi
 
 
 def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
@@ -412,7 +401,7 @@ def solve_vfpi(
     """
     a, b = aug.a, aug.b
     n = aug.n
-    n_c = len(aug.contacts.contacts) if aug.contacts is not None else 0
+    n_c = len(aug.contacts.contacts)
     mu = mu2 = phi = None
     if n_c:
         mu, mu2, phi = _contact_params(aug)

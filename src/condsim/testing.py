@@ -48,16 +48,21 @@ def random_contact_set(rng: np.random.Generator, n_nodes: int | None = None, n_c
 
 def build_augmented(a: sp.csc_matrix, b: np.ndarray, contacts) -> AugmentedDynamics:
     """Wrap an already-assembled system and particle-node contacts."""
-    nodal = NodalContactSet(contacts, 0, None, 0.0)
-    n = a.shape[0]
-    aug = AugmentedDynamics(a, b.copy(), n, n, nodal)
     n_c = len(contacts)
-    aug.col_i = np.array([c.slot_i[1] for c in contacts], dtype=int)
-    aug.col_j = np.array(
-        [c.slot_j[1] if c.slot_j is not None else -1 for c in contacts], dtype=int
+    nodal = NodalContactSet(
+        contacts,
+        0,
+        None,
+        0.0,
+        col_i=np.array([c.slot_i[1] for c in contacts], dtype=int),
+        col_j=np.array([c.slot_j[1] if c.slot_j is not None else -1 for c in contacts], dtype=int),
+        frames=np.array([c.frame for c in contacts]) if n_c else np.zeros((0, 3, 3)),
+        mu=np.array([c.mu for c in contacts], dtype=float),
+        mu2=np.array([c.mu if c.mu2 is None else c.mu2 for c in contacts], dtype=float),
+        phi=np.array([c.phi_n for c in contacts], dtype=float),
     )
-    aug.frames = np.array([c.frame for c in contacts]) if n_c else np.zeros((0, 3, 3))
-    return aug
+    n = a.shape[0]
+    return AugmentedDynamics(a, b.copy(), n, n, nodal)
 
 
 def random_contact_augmentation(rng: np.random.Generator, pair_tie: bool = False):

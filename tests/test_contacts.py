@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from condsim.contacts import (
     Geometry,
     Plane,
+    RawContact,
     StabilizationParams,
     StaticSphere,
     apply_jc,
@@ -273,6 +274,135 @@ class TestAugmentDynamics:
         # the tie transmits exactly the contact impulse on each virtual node
         lam_world = np.einsum("mba,mb->ma", aug.frames, lam)
         assert np.allclose(tie_force, lam_world.ravel(), atol=1e-6)
+
+
+def skew(r):
+    return np.array([[0.0, -r[2], r[1]], [r[2], 0.0, -r[0]], [-r[1], r[0], 0.0]])
+
+
+def mixed_scene(rng):
+    """Two particles (velocity offsets 0 and 3) and two rotated rigid bodies
+    with random velocities, and raw contacts of every kind."""
+
+    def quat():
+        q = rng.standard_normal(4)
+        return q / np.linalg.norm(q)
+
+    rigid = [
+        RigidBody(0.5, 6, 6, np.eye(3), rng.uniform(-0.1, 0.1, (4, 3)), 0.01),
+        RigidBody(0.7, 13, 12, np.eye(3), rng.uniform(-0.1, 0.1, (4, 3)), 0.01),
+    ]
+    bodies = Bodies(np.array([0, 3]), np.array([0, 3]), np.ones(2), np.full(2, 0.05), rigid)
+    q = np.concatenate([rng.standard_normal(9), quat(), rng.standard_normal(3), quat()])
+    state = SystemState(q, rng.standard_normal(18), dt=0.01)
+
+    def raw(first, second=("static",)):
+        normal = rng.standard_normal(3)
+        normal /= np.linalg.norm(normal)
+        return RawContact(rng.standard_normal(3), normal, float(rng.uniform(0.0, 0.01)), first, second)
+
+    contacts = [
+        raw(("rigid", 0, 0)),  # rigid surface points on a static primitive
+        raw(("rigid", 0, 1)),
+        raw(("node", 0)),  # stays on its node
+        raw(("node", 0)),  # second contact on node 0: identity virtual node
+        raw(("node", 3), ("rigid", 1, 2)),  # rigid-node D-contact
+        raw(("rigid", 0, 3), ("rigid", 1, 0)),  # rigid-rigid D-contact
+        raw(("node", 3), ("rigid", 0, 2)),  # node 3 again, as the first side of a D-contact
+    ]
+    return state, bodies, contacts
+
+
+def reference_nodalize(raw_contacts, state, bodies, stab):
+    """Contact by contact: column offsets of both sides (-1 static), dense Jv
+    and phi."""
+    n = state.v.shape[0]
+    used, blocks, cols, phi = set(), [], [], []
+
+    def lever(body, point):
+        return point - state.q[body.q_offset : body.q_offset + 3]
+
+    def column(side, point):
+        if side[0] == "static":
+            return -1
+        if side[0] == "node" and side[1] not in used:
+            used.add(side[1])
+            return side[1]
+        if side[0] == "node":
+            blocks.append((side[1], np.eye(3)))
+        else:
+            body = bodies.rigid[side[1]]
+            blocks.append((body.v_offset, np.hstack([np.eye(3), -skew(lever(body, point))])))
+        return n + 3 * (len(blocks) - 1)
+
+    def velocity(side, point):
+        if side[0] == "node":
+            return state.v[side[1] : side[1] + 3]
+        if side[0] == "rigid":
+            body = bodies.rigid[side[1]]
+            v = state.v[body.v_offset : body.v_offset + 6]
+            return v[:3] + np.cross(v[3:], lever(body, point))
+        return np.zeros(3)
+
+    for rc in raw_contacts:
+        cols.append((column(rc.first, rc.point), column(rc.second, rc.point)))
+        v_n = contact_frame(rc.normal)[0] @ (velocity(rc.first, rc.point) - velocity(rc.second, rc.point))
+        phi_n = -(stab.beta_err / stab.dt) * rc.depth
+        if abs(v_n) > stab.v_rest_threshold:
+            phi_n += stab.e_rest * min(0.0, v_n)
+        phi.append(phi_n)
+    jv = np.zeros((3 * len(blocks), n))
+    for k, (off, block) in enumerate(blocks):
+        jv[3 * k : 3 * k + 3, off : off + block.shape[1]] = block
+    return np.array(cols), jv, np.array(phi)
+
+
+class TestMixedSceneReference:
+    STAB = StabilizationParams(beta_err=0.2, e_rest=0.5, dt=0.01, v_rest_threshold=0.5)
+
+    def test_nodalize_matches_per_contact_reference(self, rng):
+        for _ in range(10):
+            state, bodies, raw = mixed_scene(rng)
+            nodal = nodalize(raw, state, bodies, k_v=1e4, mu=0.3, mu2=0.6, stab=self.STAB)
+            cols, jv, phi = reference_nodalize(raw, state, bodies, self.STAB)
+            assert nodal.n_virtual == 8
+            assert np.array_equal(nodal.col_i, cols[:, 0])
+            assert np.array_equal(nodal.col_j, cols[:, 1])
+            assert isinstance(nodal.jv, sp.csr_matrix)
+            assert np.array_equal(nodal.jv.toarray(), jv)
+            assert np.allclose(nodal.phi, phi, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(nodal.mu, np.full(7, 0.3))
+            assert np.array_equal(nodal.mu2, np.full(7, 0.6))
+            # the Contact records carry the same slots and phi
+            n = state.v.shape[0]
+
+            def slot_col(slot):
+                if slot is None:
+                    return -1
+                return slot[1] if slot[0] == "orig" else n + 3 * slot[1]
+
+            assert [slot_col(c.slot_i) for c in nodal.contacts] == cols[:, 0].tolist()
+            assert [slot_col(c.slot_j) for c in nodal.contacts] == cols[:, 1].tolist()
+            assert [c.kind for c in nodal.contacts] == ["S" if j < 0 else "D" for j in cols[:, 1]]
+            assert [c.phi_n for c in nodal.contacts] == nodal.phi.tolist()
+
+    def test_augment_matches_dense_blocks(self, rng):
+        for _ in range(10):
+            state, bodies, raw = mixed_scene(rng)
+            kv = 10.0 ** rng.uniform(2, 6)
+            nodal = nodalize(raw, state, bodies, k_v=kv, stab=self.STAB)
+            _, jv, _ = reference_nodalize(raw, state, bodies, self.STAB)
+            a_o = random_spd(rng, 18)
+            b_o = rng.standard_normal(18)
+            aug = augment_dynamics(a_o, b_o, nodal)
+            ref = np.block(
+                [[a_o.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]]
+            )
+            assert isinstance(aug.a, sp.csc_matrix) and aug.a.has_canonical_format
+            assert (aug.n, aug.n_orig) == (18 + 24, 18)
+            assert np.abs(aug.a.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(aug.b, np.concatenate([b_o, np.zeros(24)]))
+            assert aug.col_i is nodal.col_i and aug.col_j is nodal.col_j and aug.frames is nodal.frames
 
 
 class TestContactJacobian:

@@ -184,6 +184,41 @@ class TestBenchHooks:
             assert calls["sparse.spmv"][0] > row.iters, step
 
 
+    def test_boundary_check_accepts_a_lattice_step(self, tmp_path, monkeypatch):
+        """The benchmark checks every lattice solve through
+        ``perfbench/run.py::boundary_arrays`` and ``oracles.check_contact_step``;
+        a change to the contact records they read must fail here."""
+        from condsim import harness
+
+        bench_dir = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+        monkeypatch.syspath_prepend(bench_dir)  # run.py imports its siblings by name
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # run.py sets these on import; restored afterwards
+        spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(bench_dir, "run.py"))
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        oracles, workloads = bench.oracles, bench.W
+
+        w = workloads.WORKLOADS["lattice_19k"]
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(workloads.lattice_scenario(1, 1, side=4)))
+        solve_vfpi, solves = harness.solve_vfpi, []
+
+        def solve(aug, *args, **kwargs):
+            out = solve_vfpi(aug, *args, **kwargs)
+            solves.append((aug, out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(harness, "solve_vfpi", solve)
+        cfg = RunConfig(**w.run_config)
+        run(load_scenario(str(path)), cfg)
+        assert len(solves) == 1
+        aug, v, lam = solves[0]
+        assert len(aug.contacts.contacts) == 16
+        check = oracles.check_contact_step(**bench.boundary_arrays(aug, v, lam), tol=cfg.residual_tol)
+        assert check["ok"], check
+
+
 class TestAnalyticBoxSlide:
     BASE = {"m": 0.5, "mu": 0.2, "g": 9.81, "T": 1.0, "t_k": 0.01}
 
@@ -261,6 +296,35 @@ class TestScenarioWithSize:
         s = load_scenario(scenario_path("free_fall"))
         with pytest.raises(ScenarioValidationError):
             scenario_with_size(s, 300)
+
+
+class TestBenchScaling:
+    def test_step_medians_over_interleaved_runs(self, monkeypatch):
+        """Sizes run in turn; a size's time is the mean over steps of each
+        step's median over the runs, so one slow run does not move it."""
+        from types import SimpleNamespace
+
+        from condsim import harness
+
+        calls = []
+
+        def fake_run(sc, cfg):
+            side = sc.raw["lattice"]["nx"]
+            calls.append(side)
+            slow = 100.0 if len(calls) == 1 else 1.0  # the very first run is slow
+            return SimpleNamespace(rows=[
+                SimpleNamespace(solve_ms=slow * side * (step + 1), dyn_ms=1.0, iters=step) for step in range(3)
+            ])
+
+        monkeypatch.setattr(harness, "run", fake_run)
+        s = load_scenario(scenario_path("lattice_drag"))
+        res = harness.bench_scaling(s, [300, 1200], steps_cap=3)
+        sides = [scenario_with_size(s, n).raw["lattice"]["nx"] for n in (300, 1200)]
+        assert calls == sides * harness.BENCH_REPEATS
+        for side, point in zip(sides, res.points):
+            assert point.solve_s == pytest.approx(side * 2.0 / 1e3)  # steps 1, 2, 3 in units of side
+            assert point.mean_iters == 1.0
+        assert res.exponent == pytest.approx(np.log(sides[1] / sides[0]) / np.log(res.points[1].n / res.points[0].n))
 
 
 class TestCli:

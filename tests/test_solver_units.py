@@ -21,7 +21,7 @@ from condsim.contacts import (
     detect_contacts,
     nodalize,
 )
-from condsim.dynamics import assemble_step
+from condsim.dynamics import assemble_step, triples
 from condsim.errors import DivergenceError, InvalidMatrixError
 from condsim.harness import RunConfig, build_scene, external_force, load_scenario
 from condsim.solver import (
@@ -252,6 +252,27 @@ class TestStepMatrixFrobenius:
                 trial[col : col + 3] *= fac
                 assert fro(trial) >= base - 1e-12
 
+    @staticmethod
+    def _reference_groups(aug, pair_tie):
+        """Tie groups by a union-find over the contacts, each group ascending."""
+        root = {}
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for ci, cj in zip(aug.col_i.tolist(), aug.col_j.tolist()):
+            root.setdefault(ci, ci)
+            if cj >= 0:
+                root.setdefault(cj, cj)
+                if pair_tie:
+                    root[find(ci)] = find(cj)
+        groups = {}
+        for col in sorted(root):
+            groups.setdefault(find(col), []).append(col)
+        return list(groups.values())
+
     @pytest.mark.parametrize("pair_tie", [False, True])
     def test_matches_per_group_loop(self, rng, pair_tie):
         # reference: one group at a time, the tied entries' diagonal sum over
@@ -260,15 +281,30 @@ class TestStepMatrixFrobenius:
             n, contacts = random_contact_set(rng)
             a = random_spd(rng, n)
             aug = build_augmented(a, np.zeros(n), contacts)
+            groups = self._reference_groups(aug, pair_tie)
             diag, rns = a.diagonal(), row_norms_sq(a)
-            ref, tied = diag / rns, []
-            for group in _tie_groups(aug, pair_tie):
-                idx = np.concatenate([np.arange(c, c + 3) for c in group])
+            ref = diag / rns
+            for group in groups:
+                idx = triples(group).ravel()
                 ref[idx] = diag[idx].sum() / rns[idx].sum()
-                tied.extend(group)
+            cols, gid = _tie_groups(aug, pair_tie)
+            assert sorted(groups) == sorted(cols[gid == g].tolist() for g in set(gid.tolist()))
             w = step_matrix_frobenius(a, aug, pair_tie)
             assert np.array_equal(w.w, ref)
-            assert w.tied_nodes == tied
+            assert w.tied_nodes.tolist() == sorted(c for group in groups for c in group)
+
+    def test_pair_tie_merges_chains(self):
+        # D-contacts 0-3 and 3-6 form one group with pair_tie, three without
+        frame = contact_frame(np.array([0.0, 0.0, 1.0]))
+        contacts = [
+            Contact("D", ("orig", 0), frame, 0.5, 0.0, slot_j=("orig", 3)),
+            Contact("D", ("orig", 3), frame, 0.5, 0.0, slot_j=("orig", 6)),
+        ]
+        aug = build_augmented(sp.identity(9, format="csc"), np.zeros(9), contacts)
+        for pair_tie, n_groups in ((True, 1), (False, 3)):
+            cols, gid = _tie_groups(aug, pair_tie)
+            assert cols.tolist() == [0, 3, 6]
+            assert len(set(gid.tolist())) == n_groups
 
 
 class TestSurrogateGamma:
