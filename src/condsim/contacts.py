@@ -12,13 +12,13 @@ viscous gain ``k_v``. The augmented system keeps the block structure
 which stays symmetric positive definite, and the contact Jacobian reduces to a
 stack of rotation blocks over nodes.
 
-``nodalize`` resolves node slots in one Python pass over the raw contacts and
-then computes lever arms, velocities, the stabilization terms phi and Jv for
-all contacts in batched numpy, returning per-contact column, frame, mu and
-phi arrays next to the ``Contact`` records. ``augment_dynamics`` writes the
-block matrix above as A_o plus k_v T^T T with T = [Jv, -I]: A_o's entries and
-the outer products of T's rows form one triplet set, summed into CSC by a
-single ``tocsc``.
+Contacts stay arrays from detection to the solver: ``detect_contacts`` returns
+one ``DetectedContacts`` record with a row per contact, and ``nodalize`` turns
+it into the per-contact column, frame, mu and phi arrays of a
+``NodalContactSet`` in batched numpy, with no Python object per contact.
+``augment_dynamics`` writes the block matrix above as A_o plus k_v T^T T with
+T = [Jv, -I]: A_o's entries and the outer products of T's rows form one
+triplet set, summed into CSC by a single ``tocsc``.
 """
 
 from __future__ import annotations
@@ -57,40 +57,41 @@ class Geometry:
 
 
 @dataclass
-class RawContact:
-    """Detector output before nodalization.
+class DetectedContacts:
+    """Detector output, one row per contact in detection order.
 
-    ``first``/``second`` identify the provenance of each side:
-    ("node", v_offset), ("rigid", index into ``Bodies.rigid``, point index)
-    or ("static",).
-    The normal points from the second side toward the first.
+    Side 0 is a dynamic proxy; side 1 is another proxy or a static primitive,
+    and the normal points from side 1 toward side 0. ``key`` names the
+    contact's provenance (its proxies and primitive) by one int64 that stays
+    the same from step to step, for warm-start matching.
     """
 
-    point: np.ndarray
-    normal: np.ndarray
-    depth: float
-    first: tuple
-    second: tuple = ("static",)
+    point: np.ndarray  # (k, 3)
+    normal: np.ndarray  # (k, 3)
+    depth: np.ndarray  # (k,), >= 0
+    v_off: np.ndarray  # (k, 2) per side: velocity offset, -1 if static
+    q_off: np.ndarray  # (k, 2) per side: rigid body's coordinate offset, -1 if not rigid
+    key: np.ndarray  # (k,) int64
+
+    def __len__(self) -> int:
+        return self.depth.shape[0]
 
 
 @dataclass
 class Contact:
-    """One nodalized contact with its frame and parameters."""
+    """One nodalized contact as a record; the step loop reads the arrays of
+    ``NodalContactSet`` instead."""
 
-    kind: str  # "S" | "D"
-    slot_i: tuple  # ("orig", v_offset) or ("virt", index)
+    col_i: int  # column offset of the contact's node
     frame: np.ndarray  # rows (n, t1, t2)
     mu: float
-    depth: float
-    phi_n: float = 0.0
-    slot_j: tuple | None = None
+    phi_n: float
+    col_j: int = -1  # column offset of the second node, -1 for a static primitive
     mu2: float | None = None
-    key: tuple | None = None  # provenance, for warm-start matching
 
 
 @dataclass
 class NodalContactSet:
-    contacts: list  # Contact records
     n_virtual: int
     jv: sp.csr_matrix | None  # (3 n_v, n) map original velocity -> point velocity
     k_v: float
@@ -101,6 +102,20 @@ class NodalContactSet:
     mu: np.ndarray
     mu2: np.ndarray  # mu where the scene sets no mu2
     phi: np.ndarray
+
+    def __len__(self) -> int:
+        return self.col_i.shape[0]
+
+    @property
+    def contacts(self) -> list:
+        """The contacts as ``Contact`` records, built from the arrays."""
+        return [
+            Contact(i, frame, mu, phi_n, j, mu2)
+            for i, frame, mu, phi_n, j, mu2 in zip(
+                self.col_i.tolist(), self.frames, self.mu.tolist(), self.phi.tolist(),
+                self.col_j.tolist(), self.mu2.tolist(),
+            )
+        ]
 
 
 @dataclass
@@ -172,30 +187,42 @@ def _world_rigid_points(state: SystemState, body: RigidBody) -> np.ndarray:
     return pos + body.contact_points @ rot.T
 
 
-def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> list:
-    """One raw contact per (proxy, primitive) or (proxy, proxy) pair within margin.
+def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> DetectedContacts:
+    """One contact per (proxy, primitive) or (proxy, proxy) pair within margin.
 
     The proxies are the node spheres, then the rigid surface points; contacts
-    with the static primitives come out proxy by proxy, planes before spheres.
+    with the static primitives come out proxy by proxy, planes before spheres,
+    then the proxy pairs sorted by (first, second) proxy. With s primitives
+    and p proxies, proxy e on primitive k has key e (s + p) + k, and the pair
+    (e, f) has key e (s + p) + s + f.
     """
     margin = geometry.margin
 
-    # every dynamic proxy sphere: centers, radii and provenance
+    # every dynamic proxy sphere: centers, radii, velocity and rigid
+    # coordinate offsets, and body (-1 for a node)
     proxied = bodies.node_radius > 0
-    proxy_v = bodies.node_v[proxied]
-    centers = [state.q[triples(bodies.node_q[proxied])]]
-    radii = [bodies.node_radius[proxied]]
-    rigid_prov = []
-    for r, body in enumerate(bodies.rigid):
-        centers.append(_world_rigid_points(state, body))
-        radii.append(np.full(body.contact_points.shape[0], float(body.contact_radius)))
-        rigid_prov.extend(("rigid", r, k) for k in range(body.contact_points.shape[0]))
-    centers = np.concatenate(centers)
-    radii = np.concatenate(radii)
-    n_nodes = proxy_v.shape[0]
+    n_nodes = int(proxied.sum())
+    n_points = [body.contact_points.shape[0] for body in bodies.rigid]
+    centers = np.concatenate(
+        [state.q[triples(bodies.node_q[proxied])]] + [_world_rigid_points(state, body) for body in bodies.rigid]
+    )
+    radii = np.concatenate(
+        [bodies.node_radius[proxied]]
+        + [np.full(k, float(body.contact_radius)) for k, body in zip(n_points, bodies.rigid)]
+    )
+    rigid_v = np.array([body.v_offset for body in bodies.rigid], dtype=int)
+    rigid_q = np.array([body.q_offset for body in bodies.rigid], dtype=int)
+    proxy_body = np.concatenate([np.full(n_nodes, -1), np.repeat(np.arange(len(n_points)), n_points)])
+    # one trailing -1 entry: side index -1 (a static primitive) reads it
+    proxy_v = np.concatenate([bodies.node_v[proxied], np.repeat(rigid_v, n_points), [-1]])
+    proxy_q = np.concatenate([np.full(n_nodes, -1), np.repeat(rigid_q, n_points), [-1]])
+    n_prims = len(geometry.planes) + len(geometry.spheres)
+    stride = n_prims + centers.shape[0]
 
-    def provenance(e: int) -> tuple:
-        return ("node", int(proxy_v[e])) if e < n_nodes else rigid_prov[e - n_nodes]
+    # per block of contacts: first proxy, second proxy (-1 for a primitive),
+    # key, signed distance, normal and point
+    empty = np.zeros(0, dtype=np.int64)
+    blocks = [(empty, empty, empty, np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))]
 
     # signed distances (proxy, primitive) to every plane and static sphere
     sd_cols, normal_cols = [], []
@@ -208,43 +235,39 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> l
         apart = dist > 1e-12
         sd_cols.append(np.where(apart, dist - sphere.radius - radii, np.inf))
         normal_cols.append(d / np.where(apart, dist, 1.0)[:, None])
-    out = []
     if sd_cols:
         sd = np.stack(sd_cols, axis=1)
-        hit_e, hit_p = np.nonzero(sd < margin)  # row-major: proxy by proxy
-        normals = np.stack(normal_cols, axis=1)[hit_e, hit_p]
-        points = centers[hit_e] - radii[hit_e, None] * normals
-        depths = np.maximum(0.0, -sd[hit_e, hit_p]).tolist()
-        out = [
-            RawContact(point=points[m], normal=normals[m], depth=depths[m], first=provenance(e))
-            for m, e in enumerate(hit_e.tolist())
-        ]
+        e, k = np.nonzero(sd < margin)  # row-major: proxy by proxy
+        normal = np.stack(normal_cols, axis=1)[e, k]
+        point = centers[e] - radii[e, None] * normal
+        blocks.append((e, np.full(e.shape[0], -1), e * stride + k, sd[e, k], normal, point))
 
-    # dynamic-dynamic pairs via a KD-tree over proxy centers
+    # dynamic-dynamic pairs of different bodies via a KD-tree over proxy centers
+    pairs = empty.reshape(0, 2)
     if centers.shape[0] > 1:
-        tree = cKDTree(centers)
-        reach = 2.0 * radii.max() + margin
-        for i, j in tree.query_pairs(r=reach):
-            provi, provj = provenance(i), provenance(j)
-            if provi[0] == "rigid" and provj[0] == "rigid" and provi[1] == provj[1]:
-                continue  # same body
-            pi, ri = centers[i], radii[i]
-            pj, rj = centers[j], radii[j]
-            d = pi - pj
-            dist = float(np.linalg.norm(d))
-            sd = dist - ri - rj
-            if sd < margin and dist > 1e-12:
-                normal = d / dist
-                out.append(
-                    RawContact(
-                        point=pj + (rj + 0.5 * sd) * normal,
-                        normal=normal,
-                        depth=max(0.0, -sd),
-                        first=provi,
-                        second=provj,
-                    )
-                )
-    return out
+        pairs = cKDTree(centers).query_pairs(r=2.0 * radii.max() + margin, output_type="ndarray")
+    if pairs.shape[0]:
+        e, f = pairs[np.argsort(pairs[:, 0] * stride + pairs[:, 1])].T
+        d = centers[e] - centers[f]
+        # the stacked 1x3 @ 3x1 products round as np.linalg.norm does on one vector
+        dist = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+        sd = dist - radii[e] - radii[f]
+        hit = (sd < margin) & (dist > 1e-12) & ((proxy_body[e] < 0) | (proxy_body[e] != proxy_body[f]))
+        e, f, sd = e[hit], f[hit], sd[hit]
+        normal = d[hit] / dist[hit, None]
+        point = centers[f] + (radii[f] + 0.5 * sd)[:, None] * normal
+        blocks.append((e, f, e * stride + n_prims + f, sd, normal, point))
+
+    first, second, key, sd, normal, point = (np.concatenate(col) for col in zip(*blocks))
+    sides = np.stack([first, second], axis=1)
+    return DetectedContacts(
+        point=point,
+        normal=normal,
+        depth=np.maximum(0.0, -sd) + 0.0,  # + 0.0 turns -0.0 at exact touch into 0.0
+        v_off=proxy_v[sides],
+        q_off=proxy_q[sides],
+        key=key,
+    )
 
 
 def stabilization_term(depth, v_n_prev, params: StabilizationParams):
@@ -260,7 +283,7 @@ def stabilization_term(depth, v_n_prev, params: StabilizationParams):
 
 
 def nodalize(
-    raw_contacts,
+    detected: DetectedContacts,
     state: SystemState,
     bodies: Bodies,
     k_v: float,
@@ -268,77 +291,47 @@ def nodalize(
     mu2: float | None = None,
     stab: StabilizationParams | None = None,
 ) -> NodalContactSet:
-    """Place every raw contact on a 3-DOF node, spawning virtual nodes on
-    rigid surface points. Virtual nodes live for this step only.
+    """Place every detected contact on a 3-DOF node, spawning virtual nodes
+    on rigid surface points. Virtual nodes live for this step only.
 
-    Diagonalization requires every node to carry at most one contact, so a
-    second contact landing on an already-contacted original node is moved
-    onto a fresh virtual node tied to it by the identity map. One Python pass
-    resolves these slots; lever arms, velocities, phi and Jv are then built
-    for all contacts at once.
+    Diagonalization requires every node to carry at most one contact. Over
+    the contact sides in contact order, the first side on an original node
+    keeps that node; every later side on it, and every rigid side, gets a
+    fresh virtual node, numbered in the same order and tied to its source by
+    Jv. ``bodies`` is not read: the detector's offsets carry what is needed.
     """
     stab = stab or StabilizationParams(dt=state.dt)
     n = state.v.shape[0]
-    n_c = len(raw_contacts)
-    slots, cols = [], []  # per contact side: node slot and column offset (None, -1 if static)
-    v_off, q_off = [], []  # per contact side: velocity offset (-1 if static), rigid q offset (-1)
-    virt_side = []  # per virtual node: index of the contact side it carries
-    used: set = set()
-    for rc in raw_contacts:
-        for second, side in enumerate((rc.first, rc.second)):
-            tag = side[0]
-            if tag == "node":
-                v_off.append(side[1])
-                q_off.append(-1)
-            elif tag == "rigid":
-                body = bodies.rigid[side[1]]
-                v_off.append(body.v_offset)
-                q_off.append(body.q_offset)
-            elif tag == "static" and second:
-                v_off.append(-1)
-                q_off.append(-1)
-            else:
-                raise ValueError(f"cannot nodalize side {side!r}")
-            if tag == "static":
-                slots.append(None)
-                cols.append(-1)
-            elif tag == "node" and side[1] not in used:
-                used.add(side[1])
-                slots.append(("orig", side[1]))
-                cols.append(side[1])
-            else:
-                slots.append(("virt", len(virt_side)))
-                cols.append(n + 3 * len(virt_side))
-                virt_side.append(len(v_off) - 1)
+    n_c = len(detected)
+    v_off = detected.v_off.ravel()  # per contact side, side 0 then side 1
+    q_off = detected.q_off.ravel()
+    on_node = np.flatnonzero((v_off >= 0) & (q_off < 0))
+    keeps = on_node[np.unique(v_off[on_node], return_index=True)[1]]  # first side on each node
+    virt = v_off >= 0
+    virt[keeps] = False
+    virt_side = np.flatnonzero(virt)
+    cols = np.full(2 * n_c, -1)
+    cols[keeps] = v_off[keeps]
+    cols[virt_side] = n + 3 * np.arange(virt_side.shape[0])
 
-    frames = contact_frames([rc.normal for rc in raw_contacts])
-    v_off = np.array(v_off, dtype=int)
-    q_off = np.array(q_off, dtype=int)
+    frames = contact_frames(detected.normal)
     rigid = np.flatnonzero(q_off >= 0)
     # per contact side: lever arm from the body origin, and velocity v + w x r
-    points = np.repeat(np.array([rc.point for rc in raw_contacts], dtype=float).reshape(n_c, 3), 2, axis=0)
+    points = np.repeat(detected.point, 2, axis=0)
     lever = np.zeros((2 * n_c, 3))
     lever[rigid] = points[rigid] - state.q[triples(q_off[rigid])]
     vel = np.where(v_off[:, None] >= 0, state.v[triples(np.maximum(v_off, 0))], 0.0)
     vel[rigid] += _cross(state.v[triples(v_off[rigid] + 3)], lever[rigid])
     vel = vel.reshape(n_c, 2, 3)
     v_n = np.einsum("mi,mi->m", frames[:, 0], vel[:, 0] - vel[:, 1])
-    phi = stabilization_term([rc.depth for rc in raw_contacts], v_n, stab)
+    phi = stabilization_term(detected.depth, v_n, stab)
 
     jv = None
-    if virt_side:
+    if virt_side.shape[0]:
         jv = _virtual_node_map(v_off[virt_side], q_off[virt_side] >= 0, lever[virt_side], n)
-    cols = np.array(cols, dtype=int).reshape(n_c, 2)
-    # positional arguments: keywords double the cost of a record
-    contacts = [
-        Contact(
-            "S" if slot_j is None else "D", slot_i, frame, mu, rc.depth, phi_n, slot_j, mu2, (rc.first, rc.second)
-        )
-        for rc, frame, phi_n, slot_i, slot_j in zip(raw_contacts, frames, phi.tolist(), slots[::2], slots[1::2])
-    ]
+    cols = cols.reshape(n_c, 2)
     return NodalContactSet(
-        contacts,
-        len(virt_side),
+        virt_side.shape[0],
         jv,
         k_v,
         col_i=cols[:, 0],
@@ -402,21 +395,23 @@ def augment_dynamics(a_o: sp.csc_matrix, b_o: np.ndarray, nodal: NodalContactSet
 
 
 def contact_jacobian_matrix(aug: AugmentedDynamics) -> sp.csr_matrix:
-    """Explicit sparse J_c, mostly for oracles and the baselines."""
-    n_c = len(aug.contacts.contacts)
-    rows, cols, vals = [], [], []
-    for m in range(n_c):
-        r = aug.frames[m]
-        for a in range(3):
-            for b in range(3):
-                rows.append(3 * m + a)
-                cols.append(aug.col_i[m] + b)
-                vals.append(r[a, b])
-                if aug.col_j[m] >= 0:
-                    rows.append(3 * m + a)
-                    cols.append(aug.col_j[m] + b)
-                    vals.append(-r[a, b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(3 * n_c, aug.n))
+    """Explicit sparse J_c, mostly for oracles and the baselines: row block m
+    holds frame m at column offset col_i[m], and its negative at col_j[m]."""
+    n_c = aug.col_i.shape[0]
+    has_j = aug.col_j >= 0
+    vals = aug.frames.reshape(n_c, 9)  # entry (a, b) of a frame: row 3 m + a, column offset + b
+    rows = np.repeat(np.arange(3 * n_c).reshape(n_c, 3), 3, axis=1)
+    b = np.tile(np.arange(3), 3)
+    return sp.csr_matrix(
+        (
+            np.concatenate([vals, -vals[has_j]]).ravel(),
+            (
+                np.concatenate([rows, rows[has_j]]).ravel(),
+                np.concatenate([aug.col_i[:, None] + b, aug.col_j[has_j, None] + b]).ravel(),
+            ),
+        ),
+        shape=(3 * n_c, aug.n),
+    )
 
 
 class ContactMap:

@@ -490,21 +490,19 @@ def _warm_velocity(prev_vhat: np.ndarray, aug, n_orig: int) -> np.ndarray:
     point map."""
     v0 = np.zeros(aug.n)
     v0[:n_orig] = prev_vhat[:n_orig]
-    nodal = aug.contacts
-    if nodal is not None and nodal.n_virtual:
-        v0[n_orig:] = nodal.jv @ v0[:n_orig]
+    if aug.contacts.n_virtual:
+        v0[n_orig:] = aug.contacts.jv @ v0[:n_orig]
     return v0
 
 
-def _warm_impulses(contacts, prev_lam: dict) -> np.ndarray | None:
-    if not prev_lam:
+def _warm_impulses(key: np.ndarray, prev_key: np.ndarray, prev_lam: np.ndarray) -> np.ndarray | None:
+    """Each contact's impulse from the previous step, matched by provenance
+    key, zero for a new contact; None when the previous step had none."""
+    if not prev_key.shape[0]:
         return None
-    lam = np.zeros(3 * len(contacts))
-    for m, c in enumerate(contacts):
-        got = prev_lam.get(c.key)
-        if got is not None:
-            lam[3 * m : 3 * m + 3] = got
-    return lam
+    order = np.argsort(prev_key)
+    pos = order[np.minimum(np.searchsorted(prev_key, key, sorter=order), order.shape[0] - 1)]
+    return np.where((prev_key[pos] == key)[:, None], prev_lam[pos], 0.0).ravel()
 
 
 def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
@@ -517,16 +515,16 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     rows = []
     result = RunResult(rows, state, bodies)
     prev_vhat = state.v
-    prev_lam: dict = {}
+    prev_key, prev_lam = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
 
     for step in range(s.n_steps):
         t_sim = step * s.step_size
         t0 = time.perf_counter()
         f_ext = external_force(scene, t_sim, n)
         asm = assemble_step(state, bodies, scene.constraints, f_ext)
-        raw = detect_contacts(state, bodies, scene.geometry)
-        max_pen = max((rc.depth for rc in raw), default=0.0)
-        nodal = nodalize(raw, state, bodies, scene.k_v, scene.mu, scene.mu2, scene.stab)
+        detected = detect_contacts(state, bodies, scene.geometry)
+        max_pen = detected.depth.max(initial=0.0)
+        nodal = nodalize(detected, state, bodies, scene.k_v, scene.mu, scene.mu2, scene.stab)
         aug = augment_dynamics(asm.a, asm.b, nodal)
         dyn_s = time.perf_counter() - t0
 
@@ -536,7 +534,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
         residual = 0.0
         converged = False
         consistency = float("nan")
-        if cfg.solver == "cond" or not nodal.contacts:
+        if cfg.solver == "cond" or not len(nodal):
             try:
                 v_hat_full, lam, rep = solve_vfpi(
                     aug, _solver_cfg(cfg), _warm_velocity(prev_vhat, aug, asm.n)
@@ -554,7 +552,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
                 bcfg = bl.BaselineConfig(
                     residual_tol=cfg.residual_tol,
                     max_iters=cfg.max_iters,
-                    warm_start=_warm_impulses(nodal.contacts, prev_lam),
+                    warm_start=_warm_impulses(detected.key, prev_key, prev_lam),
                 )
                 solve = bl.solve_pgs if cfg.solver == "pgs" else bl.solve_apgd
                 lam, brep = solve(prob, bcfg)
@@ -573,14 +571,14 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
 
             v_hat_full, _ = cg(asm.a, asm.b, rtol=1e-10, maxiter=10 * asm.n)
             v_hat_full = np.concatenate([v_hat_full, np.zeros(aug.n - asm.n)])
-            lam = np.zeros((len(nodal.contacts), 3))
+            lam = np.zeros((len(nodal), 3))
             result.any_diverged = True
         solve_s = time.perf_counter() - t1
 
         v_hat = v_hat_full[: asm.n]
         state = integrate(state, v_hat, bodies)
         prev_vhat = v_hat
-        prev_lam = {c.key: lam[m] for m, c in enumerate(nodal.contacts)}
+        prev_key, prev_lam = detected.key, lam
         rows.append(
             MetricsRow(
                 step=step,
@@ -589,7 +587,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
                 iters=iters,
                 residual=float(residual),
                 max_pen_m=float(max_pen),
-                contacts=len(nodal.contacts),
+                contacts=len(nodal),
                 ke_J=kinetic_energy(state, bodies),
                 diverged=diverged,
                 converged=converged,

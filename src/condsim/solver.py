@@ -28,7 +28,6 @@ equation).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +93,6 @@ class SolverReport:
     lam: np.ndarray | None = None
     converged: bool = False
     diverged: bool = False
-    timings: dict = field(default_factory=dict)
-    scc_residuals: np.ndarray | None = None
     consistency: float = float("nan")
     aa_rejected: int = 0  # Anderson candidates rejected by the safeguard
 
@@ -401,13 +398,12 @@ def solve_vfpi(
     """
     a, b = aug.a, aug.b
     n = aug.n
-    n_c = len(aug.contacts.contacts)
+    n_c = len(aug.contacts)
     mu = mu2 = phi = None
     if n_c:
         mu, mu2, phi = _contact_params(aug)
         jmap = ContactMap(aug)
 
-    t0 = time.perf_counter()
     pair_tie = cfg.operator == "proximal"
     if cfg.step_strategy == "fixed-alpha":
         alpha = cfg.fixed_alpha if cfg.fixed_alpha is not None else 1.0 / np.abs(a.diagonal()).max()
@@ -415,12 +411,10 @@ def solve_vfpi(
     else:
         w = step_matrix_frobenius(a, aug, pair_tie)
     gamma = surrogate_gamma(w, aug, cfg.omega) if n_c else None
-    t_setup = time.perf_counter() - t0
 
     v = warm.astype(float).copy()
     lam = np.zeros((n_c, 3))
     report = SolverReport()
-    t_loop0 = time.perf_counter()
 
     if aug.n > aug.n_orig:
 
@@ -484,13 +478,6 @@ def solve_vfpi(
                 report.iterations = l
 
     report.lam = lam
-    report.timings = {
-        "setup_s": t_setup,
-        "loop_s": time.perf_counter() - t_loop0,
-    }
-    if n_c:
-        eta_final = jmap.jc(v)
-        report.scc_residuals = scc_residual(eta_final, lam, phi, mu)
     report.consistency = float(np.linalg.norm(r - f_c))
     return v, lam, report
 

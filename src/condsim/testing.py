@@ -34,14 +34,9 @@ def random_contact_set(rng: np.random.Generator, n_nodes: int | None = None, n_c
         frame = contact_frame(rng.standard_normal(3) + np.array([0.0, 0.0, 1e-3]))
         if rng.random() < 0.5 and len(free) >= 1:
             j = int(free.pop())
-            contacts.append(
-                Contact("D", ("orig", 3 * i), frame, float(rng.uniform(0.1, 1.0)), 0.0,
-                        slot_j=("orig", 3 * j))
-            )
+            contacts.append(Contact(3 * i, frame, float(rng.uniform(0.1, 1.0)), 0.0, col_j=3 * j))
         else:
-            contacts.append(
-                Contact("S", ("orig", 3 * i), frame, float(rng.uniform(0.1, 1.0)), 0.0)
-            )
+            contacts.append(Contact(3 * i, frame, float(rng.uniform(0.1, 1.0)), 0.0))
         n_contacts -= 1
     return 3 * n_nodes, contacts
 
@@ -50,12 +45,11 @@ def build_augmented(a: sp.csc_matrix, b: np.ndarray, contacts) -> AugmentedDynam
     """Wrap an already-assembled system and particle-node contacts."""
     n_c = len(contacts)
     nodal = NodalContactSet(
-        contacts,
         0,
         None,
         0.0,
-        col_i=np.array([c.slot_i[1] for c in contacts], dtype=int),
-        col_j=np.array([c.slot_j[1] if c.slot_j is not None else -1 for c in contacts], dtype=int),
+        col_i=np.array([c.col_i for c in contacts], dtype=int),
+        col_j=np.array([c.col_j for c in contacts], dtype=int),
         frames=np.array([c.frame for c in contacts]) if n_c else np.zeros((0, 3, 3)),
         mu=np.array([c.mu for c in contacts], dtype=float),
         mu2=np.array([c.mu if c.mu2 is None else c.mu2 for c in contacts], dtype=float),

@@ -22,7 +22,7 @@ def single_contact_aug(a_scale=1.0, b=None, mu=0.0):
     a = sp.csc_matrix(a_scale * np.eye(3))
     frame = contact_frame(np.array([0.0, 0.0, 1.0]))
     b = np.zeros(3) if b is None else b
-    return build_augmented(a, b, [Contact("S", ("orig", 0), frame, mu, 0.0)])
+    return build_augmented(a, b, [Contact(0, frame, mu, 0.0)])
 
 
 def pgs_style_problem(b_n):

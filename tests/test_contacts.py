@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condsim.contacts import (
+    DetectedContacts,
     Geometry,
     Plane,
-    RawContact,
     StabilizationParams,
     StaticSphere,
     apply_jc,
@@ -106,24 +106,27 @@ class TestDetectContacts:
         geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 1
-        assert np.isclose(raw[0].depth, 0.1)
-        assert np.allclose(raw[0].point, [0.0, 0.0, -0.1])
-        assert np.allclose(raw[0].normal, [0.0, 0.0, 1.0])
+        assert np.isclose(raw.depth[0], 0.1)
+        assert np.allclose(raw.point[0], [0.0, 0.0, -0.1])
+        assert np.allclose(raw.normal[0], [0.0, 0.0, 1.0])
 
     def test_separated_particle_no_contact(self):
         state, bodies, geom = particle_scene([[0.0, 0.0, 1.0]], radius=0.0)
         geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
-        assert detect_contacts(state, bodies, geom) == []
+        raw = detect_contacts(state, bodies, geom)
+        assert len(raw) == 0
+        assert raw.point.shape == (0, 3) and raw.v_off.shape == (0, 2) and raw.key.dtype == np.int64
 
     def test_proxy_on_static_sphere(self):
         state, bodies, geom = particle_scene([[0.0, 0.0, 1.4]], radius=0.5)
         geom.spheres.append(StaticSphere(np.zeros(3), 1.0))
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 1
-        assert np.isclose(raw[0].depth, 0.1)
-        assert np.allclose(raw[0].point, [0.0, 0.0, 0.9])
-        assert np.allclose(raw[0].normal, [0.0, 0.0, 1.0])
-        assert raw[0].first == ("node", 0) and raw[0].second == ("static",)
+        assert np.isclose(raw.depth[0], 0.1)
+        assert np.allclose(raw.point[0], [0.0, 0.0, 0.9])
+        assert np.allclose(raw.normal[0], [0.0, 0.0, 1.0])
+        # node at velocity offset 0 on a static primitive
+        assert raw.v_off.tolist() == [[0, -1]] and raw.q_off.tolist() == [[-1, -1]]
 
     def test_order_is_proxy_by_proxy_planes_first(self):
         # two proxies, each touching the floor and a sphere; a proxy without
@@ -133,21 +136,41 @@ class TestDetectContacts:
         geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
         geom.spheres.append(StaticSphere(np.array([1.5, 0.0, 0.4]), 1.2))
         raw = detect_contacts(state, bodies, geom)
-        assert [(rc.first, tuple(np.round(rc.normal, 12))) for rc in raw] == [
-            (("node", 0), (0.0, 0.0, 1.0)),
-            (("node", 0), (-1.0, 0.0, 0.0)),
-            (("node", 6), (0.0, 0.0, 1.0)),
-            (("node", 6), (1.0, 0.0, 0.0)),
+        assert [(v, tuple(np.round(normal, 12))) for v, normal in zip(raw.v_off[:, 0], raw.normal)] == [
+            (0, (0.0, 0.0, 1.0)),
+            (0, (-1.0, 0.0, 0.0)),
+            (6, (0.0, 0.0, 1.0)),
+            (6, (1.0, 0.0, 0.0)),
         ]
+        # 2 primitives and 2 proxies: key = proxy * 4 + primitive
+        assert raw.key.tolist() == [0, 1, 4, 5]
 
     def test_dynamic_pair(self):
         state, bodies, geom = particle_scene([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]], radius=0.5)
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 1
-        rc = raw[0]
-        assert rc.second[0] == "node"
-        assert np.isclose(rc.depth, 0.1)
-        assert np.allclose(np.abs(rc.normal), [1.0, 0.0, 0.0])
+        assert raw.v_off.tolist() == [[0, 3]] and raw.q_off.tolist() == [[-1, -1]]
+        assert np.isclose(raw.depth[0], 0.1)
+        assert np.allclose(raw.normal[0], [-1.0, 0.0, 0.0])  # from the second proxy toward the first
+        assert np.allclose(raw.point[0], [0.45, 0.0, 0.0])
+
+    def test_pairs_sorted_by_proxy_after_primitives(self):
+        # a row of touching particles on the floor, listed out of x order:
+        # the floor contacts proxy by proxy, then the pairs (0, 2), (0, 3),
+        # (1, 3) in (first, second) order
+        state, bodies, geom = particle_scene([[0.9 * k, 0.0, 0.45] for k in (2, 0, 3, 1)], radius=0.5)
+        geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+        raw = detect_contacts(state, bodies, geom)
+        assert raw.v_off.tolist() == [[0, -1], [3, -1], [6, -1], [9, -1], [0, 6], [0, 9], [3, 9]]
+        # 1 primitive and 4 proxies: proxy e on the floor has key 5 e, pair (e, f) 5 e + 1 + f
+        assert raw.key.tolist() == [0, 5, 10, 15, 3, 4, 9]
+
+    def test_points_of_one_body_never_pair(self):
+        # cube points 0.01 apart with radius 0.05 overlap, but belong to one body
+        state, bodies, geom = cube_scene([[0.0, 0.0, -0.1], [0.01, 0.0, -0.1]])
+        bodies.rigid[0].contact_radius = 0.05
+        raw = detect_contacts(state, bodies, geom)
+        assert raw.v_off.tolist() == [[0, -1], [0, -1]] and raw.q_off.tolist() == [[0, -1], [0, -1]]
 
 
 class TestStabilization:
@@ -171,8 +194,7 @@ class TestNodalize:
         raw = detect_contacts(state, bodies, geom)
         nodal = nodalize(raw, state, bodies, k_v=1e5)
         assert nodal.n_virtual == 0
-        assert nodal.contacts[0].kind == "S"
-        assert nodal.contacts[0].slot_i == ("orig", 0)
+        assert nodal.col_i.tolist() == [0] and nodal.col_j.tolist() == [-1]
 
     def test_rigid_vertex_spawns_virtual_node(self):
         state, bodies, geom = cube_scene([[0.1, 0.1, -0.1]])
@@ -180,7 +202,7 @@ class TestNodalize:
         assert len(raw) == 1
         nodal = nodalize(raw, state, bodies, k_v=1e5)
         assert nodal.n_virtual == 1
-        assert nodal.contacts[0].slot_i == ("virt", 0)
+        assert nodal.col_i.tolist() == [6]  # the first virtual node, after the body's 6 DOF
         # Jv row is [I3, -[r]x] with r the world lever arm of the vertex
         jv = nodal.jv.toarray()
         lever = np.array([0.1, 0.1, -0.1])
@@ -199,9 +221,7 @@ class TestNodalize:
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 2
         nodal = nodalize(raw, state, bodies, k_v=1e5)
-        slots = [c.slot_i for c in nodal.contacts]
-        assert ("orig", 0) in slots
-        assert ("virt", 0) in slots
+        assert nodal.col_i.tolist() == [0, 3]  # the node, then a virtual node at column 3
         assert nodal.n_virtual == 1
         assert np.allclose(nodal.jv.toarray(), np.eye(3))
 
@@ -212,9 +232,9 @@ class TestNodalize:
         _, contacts = random_contact_set(g)
         used = []
         for c in contacts:
-            used.append(c.slot_i)
-            if c.slot_j is not None:
-                used.append(c.slot_j)
+            used.append(c.col_i)
+            if c.col_j >= 0:
+                used.append(c.col_j)
         assert len(used) == len(set(used))
 
 
@@ -282,7 +302,7 @@ def skew(r):
 
 def mixed_scene(rng):
     """Two particles (velocity offsets 0 and 3) and two rotated rigid bodies
-    with random velocities, and raw contacts of every kind."""
+    with random velocities, and detected contacts of every kind."""
 
     def quat():
         q = rng.standard_normal(4)
@@ -296,58 +316,66 @@ def mixed_scene(rng):
     q = np.concatenate([rng.standard_normal(9), quat(), rng.standard_normal(3), quat()])
     state = SystemState(q, rng.standard_normal(18), dt=0.01)
 
-    def raw(first, second=("static",)):
-        normal = rng.standard_normal(3)
-        normal /= np.linalg.norm(normal)
-        return RawContact(rng.standard_normal(3), normal, float(rng.uniform(0.0, 0.01)), first, second)
+    # per side: (velocity offset, rigid coordinate offset)
+    node0, node3, body0, body1, static = (0, -1), (3, -1), (6, 6), (12, 13), (-1, -1)
+    sides = np.array(
+        [
+            (body0, static),  # rigid surface points on a static primitive
+            (body0, static),
+            (node0, static),  # stays on its node
+            (node0, static),  # second contact on node 0: identity virtual node
+            (node3, body1),  # rigid-node D-contact
+            (body0, body1),  # rigid-rigid D-contact
+            (node3, body0),  # node 3 again, as the first side of a D-contact
+        ]
+    )
+    k = sides.shape[0]
+    normal = rng.standard_normal((k, 3))
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    detected = DetectedContacts(
+        point=rng.standard_normal((k, 3)),
+        normal=normal,
+        depth=rng.uniform(0.0, 0.01, k),
+        v_off=sides[:, :, 0],
+        q_off=sides[:, :, 1],
+        key=np.arange(k, dtype=np.int64),
+    )
+    return state, bodies, detected
 
-    contacts = [
-        raw(("rigid", 0, 0)),  # rigid surface points on a static primitive
-        raw(("rigid", 0, 1)),
-        raw(("node", 0)),  # stays on its node
-        raw(("node", 0)),  # second contact on node 0: identity virtual node
-        raw(("node", 3), ("rigid", 1, 2)),  # rigid-node D-contact
-        raw(("rigid", 0, 3), ("rigid", 1, 0)),  # rigid-rigid D-contact
-        raw(("node", 3), ("rigid", 0, 2)),  # node 3 again, as the first side of a D-contact
-    ]
-    return state, bodies, contacts
 
-
-def reference_nodalize(raw_contacts, state, bodies, stab):
+def reference_nodalize(detected, state, bodies, stab):
     """Contact by contact: column offsets of both sides (-1 static), dense Jv
     and phi."""
     n = state.v.shape[0]
     used, blocks, cols, phi = set(), [], [], []
 
-    def lever(body, point):
-        return point - state.q[body.q_offset : body.q_offset + 3]
-
-    def column(side, point):
-        if side[0] == "static":
+    def column(v_off, q_off, point):
+        if v_off < 0:
             return -1
-        if side[0] == "node" and side[1] not in used:
-            used.add(side[1])
-            return side[1]
-        if side[0] == "node":
-            blocks.append((side[1], np.eye(3)))
+        if q_off < 0 and v_off not in used:
+            used.add(v_off)
+            return v_off
+        if q_off < 0:
+            blocks.append((v_off, np.eye(3)))
         else:
-            body = bodies.rigid[side[1]]
-            blocks.append((body.v_offset, np.hstack([np.eye(3), -skew(lever(body, point))])))
+            blocks.append((v_off, np.hstack([np.eye(3), -skew(point - state.q[q_off : q_off + 3])])))
         return n + 3 * (len(blocks) - 1)
 
-    def velocity(side, point):
-        if side[0] == "node":
-            return state.v[side[1] : side[1] + 3]
-        if side[0] == "rigid":
-            body = bodies.rigid[side[1]]
-            v = state.v[body.v_offset : body.v_offset + 6]
-            return v[:3] + np.cross(v[3:], lever(body, point))
-        return np.zeros(3)
+    def velocity(v_off, q_off, point):
+        if v_off < 0:
+            return np.zeros(3)
+        v = state.v[v_off : v_off + 6]
+        if q_off < 0:
+            return v[:3]
+        return v[:3] + np.cross(v[3:], point - state.q[q_off : q_off + 3])
 
-    for rc in raw_contacts:
-        cols.append((column(rc.first, rc.point), column(rc.second, rc.point)))
-        v_n = contact_frame(rc.normal)[0] @ (velocity(rc.first, rc.point) - velocity(rc.second, rc.point))
-        phi_n = -(stab.beta_err / stab.dt) * rc.depth
+    for point, normal, depth, v_off, q_off in zip(
+        detected.point, detected.normal, detected.depth, detected.v_off.tolist(), detected.q_off.tolist()
+    ):
+        cols.append([column(v, q, point) for v, q in zip(v_off, q_off)])
+        vel = [velocity(v, q, point) for v, q in zip(v_off, q_off)]
+        v_n = contact_frame(normal)[0] @ (vel[0] - vel[1])
+        phi_n = -(stab.beta_err / stab.dt) * depth
         if abs(v_n) > stab.v_rest_threshold:
             phi_n += stab.e_rest * min(0.0, v_n)
         phi.append(phi_n)
@@ -373,18 +401,12 @@ class TestMixedSceneReference:
             assert np.allclose(nodal.phi, phi, rtol=1e-12, atol=1e-15)
             assert np.array_equal(nodal.mu, np.full(7, 0.3))
             assert np.array_equal(nodal.mu2, np.full(7, 0.6))
-            # the Contact records carry the same slots and phi
-            n = state.v.shape[0]
-
-            def slot_col(slot):
-                if slot is None:
-                    return -1
-                return slot[1] if slot[0] == "orig" else n + 3 * slot[1]
-
-            assert [slot_col(c.slot_i) for c in nodal.contacts] == cols[:, 0].tolist()
-            assert [slot_col(c.slot_j) for c in nodal.contacts] == cols[:, 1].tolist()
-            assert [c.kind for c in nodal.contacts] == ["S" if j < 0 else "D" for j in cols[:, 1]]
-            assert [c.phi_n for c in nodal.contacts] == nodal.phi.tolist()
+            # the Contact records rebuilt from the arrays carry the same values
+            records = nodal.contacts
+            assert [(c.col_i, c.col_j, c.mu, c.mu2, c.phi_n) for c in records] == list(
+                zip(cols[:, 0].tolist(), cols[:, 1].tolist(), [0.3] * 7, [0.6] * 7, nodal.phi.tolist())
+            )
+            assert np.array_equal([c.frame for c in records], nodal.frames)
 
     def test_augment_matches_dense_blocks(self, rng):
         for _ in range(10):

@@ -142,6 +142,57 @@ class TestRunPhysics:
         assert res.rows[0].converged
         assert res.rows[0].iters <= 20
 
+    def test_baseline_warm_start_keeps_each_contact_impulse(self, monkeypatch):
+        # a particle wedged between a floor and a ceiling has two contacts on
+        # the same node, one per plane; each must warm-start from its own
+        # previous impulse, not from the other plane's
+        from condsim import harness
+
+        scenario = Scenario({
+            "step_size": 0.01,
+            "duration": 0.03,
+            "bodies": [{"type": "particle", "mass": 1.0, "position": [0.0, 0.0, 0.4], "radius": 0.5}],
+            "geometry": {"planes": [
+                {"point": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, 1.0]},
+                {"point": [0.0, 0.0, 0.8], "normal": [0.0, 0.0, -1.0]},
+            ]},
+        })
+        solve_pgs, warm, lams = harness.bl.solve_pgs, [], []
+
+        def recording(prob, bcfg):
+            warm.append(bcfg.warm_start)
+            lam, rep = solve_pgs(prob, bcfg)
+            lams.append(lam.copy())
+            return lam, rep
+
+        monkeypatch.setattr(harness.bl, "solve_pgs", recording)
+        run(scenario, RunConfig(solver="pgs"))
+        assert len(lams) == 3 and warm[0] is None
+        assert lams[0].shape == (2, 3) and not np.array_equal(lams[0][0], lams[0][1])
+        for step in (1, 2):
+            assert np.array_equal(warm[step].reshape(2, 3), lams[step - 1])
+
+    def test_warm_impulses_match_by_key(self):
+        from condsim.harness import _warm_impulses
+
+        prev_lam = np.arange(6.0).reshape(2, 3) + 1.0
+        assert _warm_impulses(np.array([5]), np.zeros(0, dtype=np.int64), np.zeros((0, 3))) is None
+        # key 9 and 5 persist in another order, key 1 is new
+        warm = _warm_impulses(np.array([5, 1, 9]), np.array([9, 5]), prev_lam)
+        assert warm.tolist() == [4.0, 5.0, 6.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+
+    def test_exact_touch_reports_positive_zero_penetration(self, tmp_path):
+        # a particle of radius 0.5 at z = 0.5 touches the floor at depth 0
+        scenario = Scenario({**MINIMAL, "duration": 0.01, "bodies": [
+            {"type": "particle", "mass": 1.0, "position": [0.0, 0.0, 0.5], "radius": 0.5}
+        ]})
+        res = run(scenario, RunConfig())
+        assert res.rows[0].contacts == 1
+        path = tmp_path / "touch.csv"
+        report_csv(res.rows, str(path))
+        row = path.read_text().splitlines()[1].split(",")
+        assert row[CSV_HEADER.split(",").index("max_pen_m")] == "0"
+
 
 def load_bench_tracing():
     """perfbench/tracing.py, which is a script directory, not a package."""

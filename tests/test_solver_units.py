@@ -216,7 +216,7 @@ class TestStepMatrixFrobenius:
     def test_contacted_node_tie(self):
         a = sp.csc_matrix(np.diag([2.0, 2.0, 2.0]))
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = build_augmented(a, np.zeros(3), [Contact("S", ("orig", 0), frame, 0.5, 0.0)])
+        aug = build_augmented(a, np.zeros(3), [Contact(0, frame, 0.5, 0.0)])
         w = step_matrix_frobenius(a, aug)
         assert np.allclose(w.w, 0.5)  # (2+2+2) / (4+4+4)
 
@@ -297,8 +297,8 @@ class TestStepMatrixFrobenius:
         # D-contacts 0-3 and 3-6 form one group with pair_tie, three without
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         contacts = [
-            Contact("D", ("orig", 0), frame, 0.5, 0.0, slot_j=("orig", 3)),
-            Contact("D", ("orig", 3), frame, 0.5, 0.0, slot_j=("orig", 6)),
+            Contact(0, frame, 0.5, 0.0, col_j=3),
+            Contact(3, frame, 0.5, 0.0, col_j=6),
         ]
         aug = build_augmented(sp.identity(9, format="csc"), np.zeros(9), contacts)
         for pair_tie, n_groups in ((True, 1), (False, 3)):
@@ -314,14 +314,14 @@ class TestSurrogateGamma:
 
     def test_s_contact(self):
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = self._aug([Contact("S", ("orig", 0), frame, 0.5, 0.0)], 3)
+        aug = self._aug([Contact(0, frame, 0.5, 0.0)], 3)
         w = StepMatrix(np.full(3, 2.0), [0])
         assert np.allclose(surrogate_gamma(w, aug).gamma, [2.0])
 
     def test_d_contact(self):
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         aug = self._aug(
-            [Contact("D", ("orig", 0), frame, 0.5, 0.0, slot_j=("orig", 3))], 6
+            [Contact(0, frame, 0.5, 0.0, col_j=3)], 6
         )
         w = StepMatrix(np.concatenate([np.full(3, 2.0), np.full(3, 3.0)]), [0, 3])
         assert np.allclose(surrogate_gamma(w, aug).gamma, [5.0])
@@ -340,7 +340,7 @@ class TestSurrogateGamma:
 
     def test_tie_violation_rejected(self):
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = self._aug([Contact("S", ("orig", 0), frame, 0.5, 0.0)], 3)
+        aug = self._aug([Contact(0, frame, 0.5, 0.0)], 3)
         w = StepMatrix(np.array([1.0, 2.0, 3.0]), [0])
         with pytest.raises(InvalidMatrixError):
             surrogate_gamma(w, aug)
@@ -458,7 +458,7 @@ class TestSolveVfpi:
         a = sp.csc_matrix(200.0 * np.eye(3))
         b = np.array([0.0, 0.0, -9.81])
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = build_augmented(a, b, [Contact("S", ("orig", 0), frame, 0.0, 0.0)])
+        aug = build_augmented(a, b, [Contact(0, frame, 0.0, 0.0)])
         cfg = SolverConfig(residual_tol=1e-12, max_iters=200)
         v, lam, rep = solve_vfpi(aug, cfg, np.zeros(3))
         assert rep.converged
@@ -582,15 +582,14 @@ class TestInverseContact:
         n, contacts = random_contact_set(rng, n_nodes=4, n_contacts=2)
         a = random_spd(rng, n)
         aug = build_augmented(a, np.zeros(n), contacts)
-        for c in aug.contacts.contacts:
-            c.phi_n = 0.0
+        assert not aug.contacts.phi.any()
         lam = inverse_contact(aug, np.zeros(n), omega=1e-3)
         assert np.allclose(lam, 0.0)
 
     def test_separating_velocity_gives_zero(self):
         a = sp.identity(3, format="csc")
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = build_augmented(a, np.zeros(3), [Contact("S", ("orig", 0), frame, 0.5, 0.0)])
+        aug = build_augmented(a, np.zeros(3), [Contact(0, frame, 0.5, 0.0)])
         v = np.array([0.0, 0.0, 1.0])  # moving along the normal, separating
         lam = inverse_contact(aug, v, omega=1e-3)
         assert np.allclose(lam, 0.0)
