@@ -285,7 +285,6 @@ def stabilization_term(depth, v_n_prev, params: StabilizationParams):
 def nodalize(
     detected: DetectedContacts,
     state: SystemState,
-    bodies: Bodies,
     k_v: float,
     mu: float = 0.5,
     mu2: float | None = None,
@@ -298,7 +297,7 @@ def nodalize(
     the contact sides in contact order, the first side on an original node
     keeps that node; every later side on it, and every rigid side, gets a
     fresh virtual node, numbered in the same order and tied to its source by
-    Jv. ``bodies`` is not read: the detector's offsets carry what is needed.
+    Jv.
     """
     stab = stab or StabilizationParams(dt=state.dt)
     n = state.v.shape[0]

@@ -14,6 +14,14 @@ its potential Hessian is dropped.
 Scene data is kept as arrays: 3-DOF nodes (particles and lattice nodes) and
 springs are rows of index and parameter arrays, so the step layers walk them in
 batched passes. Only the few rigid bodies are records.
+
+Every velocity offset is a multiple of 3, so A is a matrix of 3x3 node
+blocks: a mass block per node, a rigid body's 6x6 mass block as 2x2 blocks,
+and per spring K = (t/2) k u u^T plus its diagonal damping on both of its
+node-diagonal blocks and -K on its two off-diagonal blocks. The sparsity
+pattern depends only on the offsets, so it is built once per scene
+(``BlockPattern``) and cached on the ``Springs``; each step sums the 9
+entries of every block into the pattern's CSC data with one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateConstraintError, InvalidStateError
+from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidStateError
 
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
 
@@ -101,6 +109,7 @@ class Springs:
     k: np.ndarray
     rest: np.ndarray
     damping: DampingPolicy = field(default_factory=DampingPolicy)
+    pattern: BlockPattern | None = field(default=None, repr=False, compare=False)  # set by assemble_step
 
 
 @dataclass
@@ -166,8 +175,88 @@ def _rigid_mass(body: RigidBody, q: np.ndarray) -> np.ndarray:
     return block
 
 
+def _rigid_v(bodies: Bodies) -> np.ndarray:
+    return np.array([body.v_offset for body in bodies.rigid], dtype=int)
+
+
+@dataclass
+class BlockPattern:
+    """The CSC pattern of A as 3x3 node blocks, for one layout of offsets.
+
+    A is the sum of terms that are each one 3x3 block: one mass block per
+    node, the four 3x3 quarters (a, b) of every rigid body's 6x6 mass block
+    in order 2 a + b, then the (i, i) blocks of all springs, their (j, j),
+    (i, j) and (j, i) blocks. ``target[T (3 r + s) + t]`` is the position in
+    the CSC ``data`` of entry (r, s) of term t of the T terms, so that one
+    ``np.bincount`` sums a (3, 3, T) array of terms into ``data``;
+    ``force_index`` does the same for the (6, m) spring forces in b.
+    """
+
+    n: int
+    node_v: np.ndarray
+    rigid_v: np.ndarray
+    vi: np.ndarray
+    vj: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    target: np.ndarray
+    force_index: np.ndarray
+
+    @classmethod
+    def build(cls, n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
+        offsets = [np.array(o, dtype=int) for o in (bodies.node_v, _rigid_v(bodies), springs.vi, springs.vj)]
+        if n % 3 or any(np.any(o % 3) for o in offsets):
+            raise DimensionMismatchError("block assembly needs n and velocity offsets that are multiples of 3")
+        nb = n // 3
+        bn, br, bi, bj = (o // 3 for o in offsets)
+        # (block row, block column) of every term, in the order documented above
+        rows = np.concatenate([bn, (br[:, None] + [0, 0, 1, 1]).ravel(), bi, bj, bi, bj])
+        cols = np.concatenate([bn, (br[:, None] + [0, 1, 0, 1]).ravel(), bi, bj, bj, bi])
+        blocks, term_block = np.unique(cols * nb + rows, return_inverse=True)  # column-major order
+        bcol, brow = np.divmod(blocks, nb)
+        per_col = np.bincount(bcol, minlength=nb)
+        first = np.concatenate([[0], np.cumsum(per_col)])  # block CSC indptr
+        # Scalar column 3 c + s lists the blocks of block column c in order,
+        # three rows each; so block k, the j-th of its block column, sits at
+        # slot[s, k] = 3 first[c] + s per_col[c] + j counted in blocks, and
+        # its entry (r, s) at data position 3 slot[s, k] + r.
+        rs = np.arange(3)[:, None]  # r or s, down axis 0
+        slot = np.arange(blocks.shape[0]) + 2 * first[bcol] + rs * per_col[bcol]
+        block_at = np.empty(slot.size, dtype=int)
+        block_at[slot.ravel()] = np.tile(np.arange(blocks.shape[0]), 3)
+        indices = np.take((3 * brow[:, None] + rs.T).astype(np.int32), block_at, axis=0).ravel()
+        indptr = np.append(9 * first[:-1, None] + 3 * per_col[:, None] * rs.T, 3 * slot.size).astype(np.int32)
+        # every step's matrix shares these two arrays
+        indices.flags.writeable = indptr.flags.writeable = False
+        return cls(
+            n, *offsets, indices, indptr,
+            target=(3 * np.take(slot, term_block, axis=1) + rs[:, :, None]).ravel(),
+            force_index=np.concatenate([offsets[2] + rs, offsets[3] + rs]).ravel(),
+        )
+
+    def fits(self, n: int, bodies: Bodies, springs: Springs) -> bool:
+        """Whether this pattern was built for these sizes and offsets."""
+        return (
+            self.n == n
+            and np.array_equal(self.node_v, bodies.node_v)
+            and np.array_equal(self.rigid_v, _rigid_v(bodies))
+            and np.array_equal(self.vi, springs.vi)
+            and np.array_equal(self.vj, springs.vj)
+        )
+
+
+def block_pattern(n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
+    """The pattern cached on ``springs``, rebuilt when it does not fit."""
+    if springs.pattern is None or not springs.pattern.fits(n, bodies, springs):
+        springs.pattern = BlockPattern.build(n, bodies, springs)
+    return springs.pattern
+
+
 def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: np.ndarray | None = None) -> AssembledDynamics:
-    """Assemble A and b for one implicit step."""
+    """Assemble A and b for one implicit step.
+
+    A is summed as 3x3 blocks into the fixed CSC pattern of ``block_pattern``.
+    """
     if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.v))):
         raise InvalidStateError("state contains non-finite values")
     n = state.v.shape[0]
@@ -175,41 +264,42 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     b = np.zeros(n)
     if f_ext is not None:
         b += f_ext
+    e, jac = spring_eval(springs, state.q)
+    pattern = block_pattern(n, bodies, springs)
+    n_nodes, n_rigid, m = bodies.node_v.shape[0], len(bodies.rigid), springs.k.shape[0]
+    terms = np.empty((3, 3, n_nodes + 4 * n_rigid + 4 * m))  # entry (r, s) of every term
+    diag = np.arange(3)
 
-    # node masses: a diagonal
+    # node masses: diagonal blocks
     node_idx = triples(bodies.node_v)
     coef = (2.0 / t) * bodies.node_mass
     b[node_idx] += coef[:, None] * state.v[node_idx]
-    rows, cols, vals = [node_idx.ravel()], [node_idx.ravel()], [np.repeat(coef, 3)]
+    terms[:, :, :n_nodes] = 0.0
+    terms[diag, diag, :n_nodes] = coef
 
-    for body in bodies.rigid:
+    quarters = terms[:, :, n_nodes : n_nodes + 4 * n_rigid].reshape(3, 3, n_rigid, 4)
+    for k, body in enumerate(bodies.rigid):
         idx = np.arange(body.v_offset, body.v_offset + 6)
         block = (2.0 / t) * _rigid_mass(body, state.q)
-        rows.append(np.repeat(idx, 6))
-        cols.append(np.tile(idx, 6))
-        vals.append(block.ravel())
+        quarters[:, :, k] = block.reshape(2, 3, 2, 3).transpose(1, 3, 0, 2).reshape(3, 3, 4)
         b[idx] += block @ state.v[idx]
         # gyroscopic term of C v
         omega = state.v[idx[3:]]
         b[idx[3:]] -= np.cross(omega, world_inertia(body, state.q) @ omega)
 
-    e, jac = spring_eval(springs, state.q)
-    blocks = springs.k[:, None, None] * (jac[:, :, None] * jac[:, None, :])
-    diag = np.arange(6)
-    blocks[:, diag, diag] += spring_damping(springs, state.q)
-    blocks *= 0.5 * t
-    idx = np.hstack([triples(springs.vi), triples(springs.vj)])  # (m, 6)
-    rows.append(np.repeat(idx, 6, axis=1).ravel())
-    cols.append(np.tile(idx, 6).ravel())
-    vals.append(blocks.ravel())
-    force = (springs.k[:, None] * jac) * e[:, None]
-    np.subtract.at(b, idx, force)
+    # stiffness K = k u u^T plus the damping on (i, i) and (j, j), -K on (i, j) and (j, i)
+    u = np.ascontiguousarray(jac[:, :3].T)
+    stiff = springs.k * (u[:, None] * u[None, :])
+    blocks = terms[:, :, n_nodes + 4 * n_rigid :].reshape(3, 3, 4, m)
+    blocks[:, :, :2] = stiff[:, :, None]
+    blocks[diag, diag, :2] += spring_damping(springs, state.q).T.reshape(2, 3, m).transpose(1, 0, 2)
+    blocks[:, :, :2] *= 0.5 * t
+    blocks[:, :, 2:] = ((-0.5 * t) * stiff)[:, :, None]
+    force = (springs.k * u) * e
+    b -= np.bincount(pattern.force_index, np.concatenate([force, -force]).ravel(), minlength=n)
 
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
-    return AssembledDynamics(a, b, n)
+    data = np.bincount(pattern.target, terms.ravel(), minlength=pattern.indices.shape[0])
+    return AssembledDynamics(sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n)), b, n)
 
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

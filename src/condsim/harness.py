@@ -524,7 +524,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
         asm = assemble_step(state, bodies, scene.constraints, f_ext)
         detected = detect_contacts(state, bodies, scene.geometry)
         max_pen = detected.depth.max(initial=0.0)
-        nodal = nodalize(detected, state, bodies, scene.k_v, scene.mu, scene.mu2, scene.stab)
+        nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
         aug = augment_dynamics(asm.a, asm.b, nodal)
         dyn_s = time.perf_counter() - t0
 

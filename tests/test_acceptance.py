@@ -358,7 +358,7 @@ def test_11_invertible_contact():
         f_ext = external_force(scene, step * s.step_size, n)
         asm = assemble_step(state, bodies, scene.constraints, f_ext)
         raw = detect_contacts(state, bodies, scene.geometry)
-        nodal = nodalize(raw, state, bodies, scene.k_v, scene.mu, scene.mu2, scene.stab)
+        nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
         aug = augment_dynamics(asm.a, asm.b, nodal)
         v_hat, lam, rep = solve_vfpi(aug, cfg, np.zeros(aug.n))
         if nodal.contacts:
@@ -399,7 +399,7 @@ def test_13_small_step_contraction():
     n = state.v.shape[0]
     asm = assemble_step(state, bodies, scene.constraints, external_force(scene, 0.0, n))
     raw = detect_contacts(state, bodies, scene.geometry)
-    nodal = nodalize(raw, state, bodies, scene.k_v, scene.mu, scene.mu2, scene.stab)
+    nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
     assert len(nodal.contacts) >= 1
     aug = augment_dynamics(asm.a, asm.b, nodal)
     cfg = SolverConfig(operator="strict", residual_tol=0.0, max_iters=200)

@@ -192,7 +192,7 @@ class TestNodalize:
         state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5)
         geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
         raw = detect_contacts(state, bodies, geom)
-        nodal = nodalize(raw, state, bodies, k_v=1e5)
+        nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.n_virtual == 0
         assert nodal.col_i.tolist() == [0] and nodal.col_j.tolist() == [-1]
 
@@ -200,7 +200,7 @@ class TestNodalize:
         state, bodies, geom = cube_scene([[0.1, 0.1, -0.1]])
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 1
-        nodal = nodalize(raw, state, bodies, k_v=1e5)
+        nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.n_virtual == 1
         assert nodal.col_i.tolist() == [6]  # the first virtual node, after the body's 6 DOF
         # Jv row is [I3, -[r]x] with r the world lever arm of the vertex
@@ -220,7 +220,7 @@ class TestNodalize:
         geom.planes.append(Plane(np.array([0.0, 0.0, 0.8]), np.array([0.0, 0.0, -1.0])))
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 2
-        nodal = nodalize(raw, state, bodies, k_v=1e5)
+        nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.col_i.tolist() == [0, 3]  # the node, then a virtual node at column 3
         assert nodal.n_virtual == 1
         assert np.allclose(nodal.jv.toarray(), np.eye(3))
@@ -266,7 +266,7 @@ class TestAugmentDynamics:
     def test_augmented_system_stays_spd(self, rng):
         state, bodies, geom = cube_scene([[0.1, 0.1, -0.1], [-0.1, 0.1, -0.1], [0.1, -0.1, -0.1]])
         raw = detect_contacts(state, bodies, geom)
-        nodal = nodalize(raw, state, bodies, k_v=1e5)
+        nodal = nodalize(raw, state, k_v=1e5)
         a_o = sp.csc_matrix(100.0 * np.eye(6) + rng.uniform(0, 1) * np.eye(6))
         aug = augment_dynamics(a_o, np.zeros(6), nodal)
         assert aug.b[6:].max() == 0.0 and aug.b[6:].min() == 0.0
@@ -278,7 +278,7 @@ class TestAugmentDynamics:
         # impulse routed through the virtual node (no spurious force injection)
         state, bodies, geom = cube_scene([[0.1, 0.1, -0.1], [-0.1, -0.1, -0.1]], inertia=0.01)
         raw = detect_contacts(state, bodies, geom)
-        nodal = nodalize(raw, state, bodies, k_v=1e4)
+        nodal = nodalize(raw, state, k_v=1e4)
         a_dense = 50.0 * np.eye(6)
         b_o = rng.standard_normal(6)
         aug = augment_dynamics(sp.csc_matrix(a_dense), b_o, nodal)
@@ -391,7 +391,7 @@ class TestMixedSceneReference:
     def test_nodalize_matches_per_contact_reference(self, rng):
         for _ in range(10):
             state, bodies, raw = mixed_scene(rng)
-            nodal = nodalize(raw, state, bodies, k_v=1e4, mu=0.3, mu2=0.6, stab=self.STAB)
+            nodal = nodalize(raw, state, k_v=1e4, mu=0.3, mu2=0.6, stab=self.STAB)
             cols, jv, phi = reference_nodalize(raw, state, bodies, self.STAB)
             assert nodal.n_virtual == 8
             assert np.array_equal(nodal.col_i, cols[:, 0])
@@ -412,7 +412,7 @@ class TestMixedSceneReference:
         for _ in range(10):
             state, bodies, raw = mixed_scene(rng)
             kv = 10.0 ** rng.uniform(2, 6)
-            nodal = nodalize(raw, state, bodies, k_v=kv, stab=self.STAB)
+            nodal = nodalize(raw, state, k_v=kv, stab=self.STAB)
             _, jv, _ = reference_nodalize(raw, state, bodies, self.STAB)
             a_o = random_spd(rng, 18)
             b_o = rng.standard_normal(18)

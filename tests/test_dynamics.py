@@ -225,6 +225,113 @@ class TestAssembleStep:
             assemble_step(state, particles([1.0]), NO_SPRINGS)
 
 
+def dense_reference(state, bodies, s, f_ext=None):
+    """A and b built densely term by term: node and rigid mass blocks, and
+    per spring (t/2)(k J^T J + diag(damping)) from ``spring_eval`` and
+    ``spring_damping`` of that spring alone."""
+    t, q, v = state.dt, state.q, state.v
+    n = v.shape[0]
+    mass = np.zeros((n, n))
+    for off, m in zip(bodies.node_v, bodies.node_mass):
+        mass[off : off + 3, off : off + 3] = m * np.eye(3)
+    b = np.zeros(n) if f_ext is None else f_ext.copy()
+    for body in bodies.rigid:
+        w, x, y, z = q[body.q_offset + 3 : body.q_offset + 7]
+        rot = Rotation.from_quat([x, y, z, w]).as_matrix()
+        iw = rot @ body.inertia @ rot.T
+        off = body.v_offset
+        mass[off : off + 3, off : off + 3] = body.mass * np.eye(3)
+        mass[off + 3 : off + 6, off + 3 : off + 6] = iw
+        omega = v[off + 3 : off + 6]
+        b[off + 3 : off + 6] -= np.cross(omega, iw @ omega)
+    a = (2.0 / t) * mass
+    b += (2.0 / t) * mass @ v
+    for m in range(s.k.shape[0]):
+        one = row(s, m)
+        e, jac = spring_eval(one, q)
+        idx = np.r_[s.vi[m] : s.vi[m] + 3, s.vj[m] : s.vj[m] + 3]
+        a[np.ix_(idx, idx)] += 0.5 * t * (s.k[m] * np.outer(jac[0], jac[0]) + np.diag(spring_damping(one, q)[0]))
+        b[idx] -= s.k[m] * jac[0] * e[0]
+    return a, b
+
+
+def touched_blocks(bodies, s):
+    """Distinct (row, column) 3x3 blocks that some mass or spring term writes."""
+    blocks = {(o // 3, o // 3) for o in bodies.node_v.tolist()}
+    for body in bodies.rigid:
+        c = body.v_offset // 3
+        blocks |= {(c + a, c + b) for a in (0, 1) for b in (0, 1)}
+    for i, j in zip(s.vi.tolist(), s.vj.tolist()):
+        blocks |= {(i // 3, i // 3), (j // 3, j // 3), (i // 3, j // 3), (j // 3, i // 3)}
+    return blocks
+
+
+class TestBlockAssembly:
+    """A summed as 3x3 blocks into a pattern cached on the Springs, against
+    the dense term-by-term reference."""
+
+    @staticmethod
+    def check(asm, state, bodies, s, f_ext=None):
+        a_ref, b_ref = dense_reference(state, bodies, s, f_ext)
+        a = asm.a
+        assert np.allclose(a.toarray(), a_ref, rtol=0.0, atol=1e-12 * np.abs(a_ref).max())
+        assert np.allclose(asm.b, b_ref, rtol=0.0, atol=1e-12 * np.abs(b_ref).max())
+        assert a.nnz == 9 * len(touched_blocks(bodies, s))
+        for c in range(a.shape[1]):
+            rows = a.indices[a.indptr[c] : a.indptr[c + 1]]
+            assert np.all(np.diff(rows) > 0)  # sorted, no duplicates
+
+    def test_mixed_scene_vs_dense_reference(self, rng):
+        # particles at velocity offsets 0, 3, 12, 15 and 18 around a rigid
+        # body at 6; node 4 has no spring, so its block holds only its mass
+        node_v = np.array([0, 3, 12, 15, 18])
+        bodies = Bodies(
+            node_v + (node_v > 6), node_v, rng.uniform(0.5, 2.0, 5), np.zeros(5),
+            [RigidBody(1.5, 6, 6, np.diag([0.1, 0.2, 0.3]))],
+        )
+        q = rng.uniform(-1.0, 1.0, 22)
+        q[9:13] /= np.linalg.norm(q[9:13])
+        state = SystemState(q, rng.standard_normal(21), dt=0.01)
+        # (0, 1) twice and (1, 2) reversed as (2, 1) sum into shared blocks
+        pairs = [(0, 1), (1, 2), (2, 3), (0, 1), (2, 1)]
+        ends = np.array([[bodies.node_v[i], bodies.node_v[j]] for i, j in pairs])
+        qends = np.array([[bodies.node_q[i], bodies.node_q[j]] for i, j in pairs])
+        s = Springs(
+            qends[:, 0], qends[:, 1], ends[:, 0], ends[:, 1],
+            rng.uniform(10.0, 100.0, 5), rng.uniform(0.2, 1.0, 5), DampingPolicy("geometric-projection"),
+        )
+        f_ext = rng.standard_normal(21)
+        self.check(assemble_step(state, bodies, s, f_ext), state, bodies, s, f_ext)
+        assert len(touched_blocks(bodies, s)) == 5 + 4 + 6
+
+    def test_cached_pattern_follows_layout(self, rng):
+        # one Springs, first between the nodes at velocity offsets 0 and 3;
+        # a change of n, of the node or rigid offsets, or of the spring ends
+        # rebuilds the pattern, and a second step on one layout keeps it
+        s = springs([(0, 1)], 50.0, 0.5, DampingPolicy("constant", 0.7))
+        two_nodes = np.array([0, 3])
+        layouts = [
+            particles([1.0, 2.0]),
+            Bodies(two_nodes, two_nodes, np.ones(2), np.zeros(2), [RigidBody(2.0, 6, 6, np.diag([0.1, 0.2, 0.3]))]),
+            particles([1.0, 2.0, 3.0, 4.0]),
+            particles([1.0, 2.0, 3.0, 4.0]),
+        ]
+        patterns = []
+        for k, bodies in enumerate(layouts):
+            if k == 3:
+                s.qj, s.vj = np.array([9]), np.array([9])
+            n = 3 * len(bodies.node_v) + 6 * len(bodies.rigid)
+            q = rng.uniform(-1.0, 1.0, n + len(bodies.rigid))
+            for body in bodies.rigid:
+                q[body.q_offset + 3 : body.q_offset + 7] = [1.0, 0.0, 0.0, 0.0]
+            state = SystemState(q, rng.standard_normal(n), dt=0.01)
+            self.check(assemble_step(state, bodies, s), state, bodies, s)
+            patterns.append(s.pattern)
+            asm = assemble_step(state, bodies, s)
+            assert s.pattern is patterns[-1] and np.shares_memory(asm.a.indices, s.pattern.indices)
+        assert len({id(p) for p in patterns}) == len(layouts)
+
+
 MIXED = {
     "step_size": 0.01,
     "duration": 0.01,
