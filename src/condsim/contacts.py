@@ -243,8 +243,10 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
         blocks.append((e, np.full(e.shape[0], -1), e * stride + k, sd[e, k], normal, point))
 
     # dynamic-dynamic pairs of different bodies via a KD-tree over proxy centers
+    # proxies of one rigid body never pair, so without node proxies a
+    # single body needs no tree
     pairs = empty.reshape(0, 2)
-    if centers.shape[0] > 1:
+    if centers.shape[0] > 1 and (n_nodes or len(bodies.rigid) > 1):
         pairs = cKDTree(centers).query_pairs(r=2.0 * radii.max() + margin, output_type="ndarray")
     if pairs.shape[0]:
         e, f = pairs[np.argsort(pairs[:, 0] * stride + pairs[:, 1])].T
@@ -421,6 +423,8 @@ class ContactMap:
         self.n = aug.n
         self.frames = aug.frames
         self.idx_i = aug.col_i[:, None] + np.arange(3)
+        # nodalized contacts own their node, so a plain write scatters J_c^T
+        self.unique_i = np.unique(aug.col_i).shape[0] == aug.col_i.shape[0]
         self.has_j = aug.col_j >= 0
         self.any_j = bool(self.has_j.any())
         self.idx_j = aug.col_j[self.has_j][:, None] + np.arange(3)
@@ -436,7 +440,10 @@ class ContactMap:
         """J_c^T lam over the augmented coordinates."""
         out = np.zeros(self.n if n is None else n)
         world = np.einsum("mba,mb->ma", self.frames, lam)
-        np.add.at(out, self.idx_i, world)
+        if self.unique_i:
+            out[self.idx_i] = world
+        else:
+            np.add.at(out, self.idx_i, world)
         if self.any_j:
             np.subtract.at(out, self.idx_j, world[self.has_j])
         return out

@@ -14,9 +14,12 @@ blocks, so the per-contact solves are exact one-shot projections.
 
 The stiff tie (gain kv) between a rigid body and its virtual contact nodes
 slows this iteration, so systems with virtual nodes run it under safeguarded,
-restarted type-II Anderson acceleration (``_anderson``). Tie-free systems run
-the plain loop, optionally with Chebyshev weighting and under-relaxation;
-Anderson acceleration over the Chebyshev step did not converge.
+restarted type-II Anderson acceleration (``_anderson``). Its history lives in
+preallocated difference buffers with an incrementally updated Gram matrix,
+and each candidate comes from a Tikhonov-regularized solve of at most
+AA_WINDOW unknowns. Tie-free systems run the plain loop, optionally with
+Chebyshev weighting and under-relaxation; Anderson acceleration over the
+Chebyshev step did not converge.
 
 Impulse projection operators: "strict" (normal clamp then tangential disk
 clamp, exact complementarity), "proximal" (Euclidean cone projection, convex
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .contacts import AugmentedDynamics, ContactMap, apply_jc
 from .dynamics import triples
@@ -51,6 +55,9 @@ STEP_STRATEGIES = ("frobenius", "fixed-alpha")
 AA_WINDOW = 10
 AA_BOUND = 1e6
 AA_DECAY = 1e-6
+# Tikhonov weight of the Anderson least-squares solve, as a multiple of the
+# mean diagonal trace(M)/k of its Gram matrix M
+AA_REG = 1e-12
 # Chebyshev weighting of the tie-free loop: iterations before the weights
 # start (l_s), and the under-relaxation u of each step
 CHEBY_START = 10
@@ -265,9 +272,9 @@ def contact_solve_oneshot(
     ``phi`` holds the per-contact normal stabilization terms; it only touches
     the normal component.
     """
-    phi_vec = np.zeros_like(eta)
-    phi_vec[:, 0] = phi
-    lam_star = -(eta + phi_vec) / gamma.gamma[:, None]
+    lam_star = -eta
+    lam_star[:, 0] -= phi
+    lam_star /= gamma.gamma[:, None]
     return _project_batch(lam_star, mu, mu2, operator)
 
 
@@ -333,12 +340,17 @@ def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: So
     """Safeguarded type-II Anderson acceleration of v = G(v) (Walker & Ni,
     SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
 
-    With f = G(x) - x and dG, dF the differences of G and f since the last
-    restart, the candidate G(x) - dG argmin ||f - dF gamma|| is kept if its
-    ||f|| <= AA_BOUND ||f_0|| (n_AA + 1)^-(1 + AA_DECAY), n_AA counting kept
-    candidates; else the history is cleared and G(x) taken. A full history
-    (AA_WINDOW differences) restarts from the newest iterate. Each evaluation
-    of G is one iteration. Returns G(x), its lam and J_c^T lam, and A G(x) - b.
+    With f = G(x) - x, the rows of dG and dF hold the differences of G and f
+    between successive kept iterates since the last restart, and M = dF dF^T
+    gains one row and column per kept iterate. The candidate is
+    G(x) - gamma dG with (M + lambda I) gamma = dF f, lambda = AA_REG
+    trace(M)/k over k differences; a zero M or a failed solve gives G(x). The
+    candidate is kept if its ||f|| <= AA_BOUND ||f_0|| (n_AA + 1)^-(1 + AA_DECAY),
+    n_AA counting kept candidates; else the history is cleared and G(x) taken.
+    A full history (AA_WINDOW differences) restarts from the newest iterate:
+    the buffers wrap, and the next difference overwrites row 0. Each
+    evaluation of G is one iteration. Returns G(x), its lam and J_c^T lam,
+    and A G(x) - b.
     """
 
     def evaluate(x):
@@ -349,7 +361,10 @@ def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: So
 
     g, f, lam, f_c, norm_f = evaluate(v)
     bound = AA_BOUND * norm_f
-    hist = [(g, f)]  # G and f of the kept iterates since the last restart
+    d_g = np.empty((AA_WINDOW, v.shape[0]))
+    d_f = np.empty_like(d_g)
+    gram = np.empty((AA_WINDOW, AA_WINDOW))
+    k = 0  # differences held, rows 0..k-1
     n_aa = 0
     while True:
         if not math.isfinite(norm_f):  # a rejected candidate never gets here
@@ -364,25 +379,38 @@ def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: So
                 break
         if len(report.residual_trace) >= cfg.max_iters:
             break
-        candidate = len(hist) > 1
-        if candidate:
-            d_g, d_f = (np.diff(np.array(h), axis=0) for h in zip(*hist))
-            y = g - np.linalg.lstsq(d_f.T, f, rcond=None)[0] @ d_g
-        else:
-            y = g
+        y = _aa_candidate(g, f, d_g[:k], d_f[:k], gram[:k, :k]) if k else g
         out = evaluate(y)
         # a NaN residual fails the comparison too
-        if candidate and not out[-1] <= bound * (n_aa + 1) ** -(1.0 + AA_DECAY):
+        if k and not out[-1] <= bound * (n_aa + 1) ** -(1.0 + AA_DECAY):
             report.aa_rejected += 1
-            hist = hist[-1:]
+            k = 0
             continue
-        n_aa += candidate
+        n_aa += k > 0
+        k %= AA_WINDOW
+        np.subtract(out[0], g, out=d_g[k])
+        np.subtract(out[1], f, out=d_f[k])
+        gram[k, : k + 1] = gram[: k + 1, k] = d_f[: k + 1] @ d_f[k]
+        k += 1
         g, f, lam, f_c, norm_f = out
-        hist = (hist if len(hist) <= AA_WINDOW else hist[-1:]) + [(g, f)]
     report.iterations = len(report.residual_trace)
     if not report.converged:  # a failed force check may have set r for an earlier g
         r = spmv(a, g) - b
     return g, lam, f_c, r
+
+
+def _aa_candidate(g: np.ndarray, f: np.ndarray, d_g: np.ndarray, d_f: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """G(x) - gamma dG with gamma from the Tikhonov-regularized normal
+    equations (M + lambda I) gamma = dF f; G(x) itself when M is zero or not
+    finite, or its Cholesky factorization fails."""
+    k = gram.shape[0]
+    reg = AA_REG * gram.trace() / k
+    if not 0.0 < reg < math.inf:
+        return g
+    m = gram.copy()
+    m.flat[:: k + 1] += reg
+    _, gamma, info = lapack.dposv(m, d_f @ f)  # Cholesky solve; info > 0: not positive definite
+    return g - gamma @ d_g if info == 0 else g
 
 
 def solve_vfpi(

@@ -1,11 +1,14 @@
 """Contact detection, nodalization and augmentation tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condsim import contacts
 from condsim.contacts import (
     DetectedContacts,
     Geometry,
@@ -24,7 +27,10 @@ from condsim.contacts import (
 )
 from condsim.dynamics import Bodies, RigidBody, SystemState
 from condsim.errors import InvalidStateError
+from condsim.harness import RunConfig, build_scene, load_scenario
 from condsim.testing import build_augmented, random_contact_set, random_spd
+
+from conftest import scenario_path
 
 vec3 = st.tuples(
     st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
@@ -171,6 +177,44 @@ class TestDetectContacts:
         bodies.rigid[0].contact_radius = 0.05
         raw = detect_contacts(state, bodies, geom)
         assert raw.v_off.tolist() == [[0, -1], [0, -1]] and raw.q_off.tolist() == [[0, -1], [0, -1]]
+
+
+def bundled_scene(name: str):
+    scene = build_scene(load_scenario(scenario_path(name)), RunConfig())
+    return scene.state, scene.bodies, scene.geometry
+
+
+class TestPairSearchGate:
+    @pytest.fixture
+    def tree_builds(self, monkeypatch):
+        """Counts the KD-trees that ``detect_contacts`` builds."""
+        built = []
+        tree = contacts.cKDTree
+
+        def counting_tree(*args, **kwargs):
+            built.append(1)
+            return tree(*args, **kwargs)
+
+        monkeypatch.setattr(contacts, "cKDTree", counting_tree)
+        return built
+
+    def test_single_rigid_body_skips_the_tree(self, tree_builds):
+        state, bodies, geom = bundled_scene("box_slide")
+        raw = detect_contacts(state, bodies, geom)
+        assert not tree_builds and len(raw) == 4
+        # a second rigid body without contact points adds no proxy but turns
+        # the pair search on; it must find nothing that changes the result
+        empty = dataclasses.replace(bodies.rigid[0], contact_points=np.zeros((0, 3)))
+        searched = detect_contacts(state, dataclasses.replace(bodies, rigid=bodies.rigid + [empty]), geom)
+        assert len(tree_builds) == 1
+        for name in ("point", "normal", "depth", "v_off", "q_off", "key"):
+            assert np.array_equal(getattr(raw, name), getattr(searched, name)), name
+
+    def test_node_proxies_still_pair(self, tree_builds):
+        raw = detect_contacts(*bundled_scene("particle_stack"))
+        assert len(tree_builds) == 1
+        # five stacked particles: one floor contact and four neighbour pairs
+        assert len(raw) == 5 and int((raw.v_off[:, 1] >= 0).sum()) == 4
 
 
 class TestStabilization:

@@ -577,6 +577,75 @@ class TestAnderson:
         assert len(exc.value.residual_trace) > 0
 
 
+def record_anderson(g_of_x, x0, max_iters, nan_calls=()):
+    """Run ``solver._anderson`` on the map x -> g_of_x(x) for ``max_iters``
+    evaluations: with A = I, b = 0 and a zero contact force the force check
+    fails wherever G(x) is nonzero. Returns every (x, G(x)) the solver
+    evaluated, in order, the report and the returned G; the calls listed in
+    ``nan_calls`` return NaN, which the safeguard must reject."""
+    n = x0.shape[0]
+    calls = []
+
+    def plain_map(x):
+        g = np.full(n, np.nan) if len(calls) in nan_calls else g_of_x(x)
+        calls.append((x.copy(), g))
+        return g, None, np.zeros(n)
+
+    report = solver.SolverReport()
+    cfg = SolverConfig(residual_tol=1e-8, max_iters=max_iters)
+    g = solver._anderson(plain_map, sp.identity(n, format="csc"), np.zeros(n), x0, cfg, report)[0]
+    return calls, report, g
+
+
+class TestAndersonHistory:
+    def test_candidates_match_lstsq_through_wraps_and_a_rejection(self):
+        # a mildly nonlinear contraction in 40 unknowns: the differences stay
+        # well conditioned, so the regularized Gram solve must agree with a
+        # least-squares solve of the same differences
+        rng = np.random.default_rng(5)
+        n, window = 40, solver.AA_WINDOW
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        c = rng.standard_normal(n)
+
+        def g_of_x(x):
+            return 0.9 * q @ x + c + 0.1 * np.sin(x)
+
+        reject = 2 * window + 5  # a candidate on 4 differences, after two restarts
+        calls, report, _ = record_anderson(g_of_x, np.zeros(n), 4 * window, nan_calls=(reject,))
+        assert report.aa_rejected == 1 and report.iterations == len(calls) == 4 * window
+        # the reference keeps the history as lists of kept (G, f)
+        hist = [(calls[0][1], calls[0][1] - calls[0][0])]
+        candidates = 0
+        for i, (x, g) in enumerate(calls[1:], start=1):
+            g_last, f_last = hist[-1]
+            if len(hist) > 1:
+                d_g, d_f = (np.diff(np.array(h), axis=0) for h in zip(*hist))
+                y = g_last - np.linalg.lstsq(d_f.T, f_last, rcond=None)[0] @ d_g
+                assert np.linalg.norm(x - y) <= 1e-8 * np.linalg.norm(y - g_last), i
+                candidates += 1
+            else:
+                assert np.array_equal(x, g_last), i
+            if i == reject:
+                hist = hist[-1:]
+                continue
+            hist = (hist if len(hist) <= window else hist[-1:]) + [(g, g - x)]
+        # every call after the first was a candidate but the first plain step
+        # and the one after the rejection
+        assert candidates == len(calls) - 3
+
+    @pytest.mark.parametrize("x0", [np.ones(6), np.zeros(6)])
+    def test_repeated_iterate_takes_the_plain_step(self, x0):
+        # a constant map: from x0 = c every difference is zero and M = 0; from
+        # x0 = 0 the iterate repeats after one step and M gets a zero row. The
+        # force check (||A g - b|| = ||c||) keeps the solve going.
+        c = np.ones(6)
+        calls, report, g = record_anderson(lambda x: c.copy(), x0, 12)
+        assert report.iterations == len(calls) == 12 and not report.converged
+        assert report.aa_rejected == 0
+        assert all(np.array_equal(x, c) for x, _ in calls[1:])
+        assert np.array_equal(g, c)
+
+
 class TestInverseContact:
     def test_zero_contact_velocity(self, rng):
         n, contacts = random_contact_set(rng, n_nodes=4, n_contacts=2)

@@ -103,3 +103,10 @@ class TestRowNorms:
         ref = (a.toarray() ** 2).sum(axis=1)
         assert np.allclose(row_norms_sq(a), ref, atol=1e-12 * max(1.0, ref.max()))
 
+    def test_non_symmetric_rows_not_columns(self):
+        # row sums differ from column sums; an empty last row still gets a 0
+        a = dense([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(row_norms_sq(a), [5.0, 9.0, 0.0])
+        b = sp.random(30, 30, density=0.2, format="csc", random_state=np.random.RandomState(7))
+        ref = (b.toarray() ** 2).sum(axis=1)
+        assert np.allclose(row_norms_sq(b), ref, rtol=1e-14, atol=0.0)
