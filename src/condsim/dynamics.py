@@ -22,6 +22,9 @@ node-diagonal blocks and -K on its two off-diagonal blocks. The sparsity
 pattern depends only on the offsets, so it is built once per scene
 (``BlockPattern``) and cached on the ``Springs``; each step sums the 9
 entries of every block into the pattern's CSC data with one ``np.bincount``.
+Entries (r, s) and (s, r) of the mirrored blocks sum the same floats in the
+same order, so A is bitwise symmetric; only a rigid body's world inertia
+R I R^T is symmetric just to rounding.
 """
 
 from __future__ import annotations
@@ -119,9 +122,16 @@ class AssembledDynamics:
     n: int
 
 
-def _spring_geometry(springs: Springs, q: np.ndarray):
-    """Length (m,) and unit direction p_i - p_j (m, 3) of every spring."""
-    d = q[triples(springs.qi)] - q[triples(springs.qj)]
+def spring_coords(springs: Springs) -> np.ndarray:
+    """(2, m, 3) coordinate indices of the two ends of every spring."""
+    return np.stack([triples(springs.qi), triples(springs.qj)])
+
+
+def _spring_geometry(q: np.ndarray, coords: np.ndarray):
+    """Length (m,) and unit direction p_i - p_j (m, 3) of every spring, from
+    the coordinate indices of ``spring_coords``."""
+    ends = q[coords]
+    d = ends[0] - ends[1]
     dist = np.linalg.norm(d, axis=1)
     if np.any(dist < 1e-12):
         raise DegenerateConstraintError("distance spring endpoints coincide")
@@ -131,7 +141,7 @@ def _spring_geometry(springs: Springs, q: np.ndarray):
 def spring_eval(springs: Springs, q: np.ndarray):
     """Return (e, J): errors (m,) and Jacobian rows (m, 6) over the stacked
     coordinates (node i, node j) of every spring."""
-    dist, dhat = _spring_geometry(springs, q)
+    dist, dhat = _spring_geometry(q, spring_coords(springs))
     return dist - springs.rest, np.hstack([dhat, -dhat])
 
 
@@ -143,7 +153,7 @@ def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
     if policy.variant == "geometric-projection":
         # abs column sums of the geometric stiffness k e [[h, -h], [-h, h]],
         # h = (I - dhat dhat^T) / |d| the Hessian of the distance, plus the floor
-        dist, dhat = _spring_geometry(springs, q)
+        dist, dhat = _spring_geometry(q, spring_coords(springs))
         h = (np.eye(3) - dhat[:, :, None] * dhat[:, None, :]) / dist[:, None, None]
         ke = np.abs(springs.k * (dist - springs.rest))
         cols = 2.0 * ke[:, None] * np.abs(h).sum(axis=1)
@@ -190,6 +200,8 @@ class BlockPattern:
     the CSC ``data`` of entry (r, s) of term t of the T terms, so that one
     ``np.bincount`` sums a (3, 3, T) array of terms into ``data``;
     ``force_index`` does the same for the (6, m) spring forces in b.
+    ``coords`` holds the springs' ``spring_coords``, which never change with
+    the layout either.
     """
 
     n: int
@@ -201,6 +213,7 @@ class BlockPattern:
     indptr: np.ndarray
     target: np.ndarray
     force_index: np.ndarray
+    coords: np.ndarray
 
     @classmethod
     def build(cls, n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
@@ -212,7 +225,26 @@ class BlockPattern:
         # (block row, block column) of every term, in the order documented above
         rows = np.concatenate([bn, (br[:, None] + [0, 0, 1, 1]).ravel(), bi, bj, bi, bj])
         cols = np.concatenate([bn, (br[:, None] + [0, 1, 0, 1]).ravel(), bi, bj, bj, bi])
-        blocks, term_block = np.unique(cols * nb + rows, return_inverse=True)  # column-major order
+        # The distinct blocks in column-major order, and the block of every
+        # term. About half the terms are diagonal and repeat a node's key, so
+        # those are deduplicated by a count over the nb block rows and only
+        # the off-diagonal keys are sorted; the two sorted, disjoint key lists
+        # are then merged.
+        keys = cols * nb + rows
+        on_diag = rows == cols
+        present = np.bincount(rows[on_diag], minlength=nb) > 0
+        diag_keys = np.flatnonzero(present) * (nb + 1)
+        off_keys, off_block = np.unique(keys[~on_diag], return_inverse=True)
+        diag_at = np.arange(diag_keys.shape[0]) + np.searchsorted(off_keys, diag_keys)
+        off_at = np.ones(diag_keys.shape[0] + off_keys.shape[0], dtype=bool)
+        off_at[diag_at] = False
+        off_at = np.flatnonzero(off_at)
+        blocks = np.empty(off_at.shape[0] + diag_at.shape[0], dtype=keys.dtype)
+        blocks[diag_at] = diag_keys
+        blocks[off_at] = off_keys
+        term_block = np.empty(keys.shape[0], dtype=int)
+        term_block[on_diag] = diag_at[np.cumsum(present)[rows[on_diag]] - 1]
+        term_block[~on_diag] = off_at[off_block]
         bcol, brow = np.divmod(blocks, nb)
         per_col = np.bincount(bcol, minlength=nb)
         first = np.concatenate([[0], np.cumsum(per_col)])  # block CSC indptr
@@ -232,6 +264,7 @@ class BlockPattern:
             n, *offsets, indices, indptr,
             target=(3 * np.take(slot, term_block, axis=1) + rs[:, :, None]).ravel(),
             force_index=np.concatenate([offsets[2] + rs, offsets[3] + rs]).ravel(),
+            coords=spring_coords(springs),
         )
 
     def fits(self, n: int, bodies: Bodies, springs: Springs) -> bool:
@@ -242,6 +275,8 @@ class BlockPattern:
             and np.array_equal(self.rigid_v, _rigid_v(bodies))
             and np.array_equal(self.vi, springs.vi)
             and np.array_equal(self.vj, springs.vj)
+            and np.array_equal(self.coords[0, :, 0], springs.qi)
+            and np.array_equal(self.coords[1, :, 0], springs.qj)
         )
 
 
@@ -264,8 +299,8 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     b = np.zeros(n)
     if f_ext is not None:
         b += f_ext
-    e, jac = spring_eval(springs, state.q)
     pattern = block_pattern(n, bodies, springs)
+    dist, dhat = _spring_geometry(state.q, pattern.coords)
     n_nodes, n_rigid, m = bodies.node_v.shape[0], len(bodies.rigid), springs.k.shape[0]
     terms = np.empty((3, 3, n_nodes + 4 * n_rigid + 4 * m))  # entry (r, s) of every term
     diag = np.arange(3)
@@ -288,14 +323,18 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
         b[idx[3:]] -= np.cross(omega, world_inertia(body, state.q) @ omega)
 
     # stiffness K = k u u^T plus the damping on (i, i) and (j, j), -K on (i, j) and (j, i)
-    u = np.ascontiguousarray(jac[:, :3].T)
+    u = np.ascontiguousarray(dhat.T)
     stiff = springs.k * (u[:, None] * u[None, :])
     blocks = terms[:, :, n_nodes + 4 * n_rigid :].reshape(3, 3, 4, m)
     blocks[:, :, :2] = stiff[:, :, None]
-    blocks[diag, diag, :2] += spring_damping(springs, state.q).T.reshape(2, 3, m).transpose(1, 0, 2)
+    if springs.damping.variant == "constant":
+        for r in range(3):
+            blocks[r, r, :2] += float(springs.damping.value)
+    else:
+        blocks[diag, diag, :2] += spring_damping(springs, state.q).T.reshape(2, 3, m).transpose(1, 0, 2)
     blocks[:, :, :2] *= 0.5 * t
     blocks[:, :, 2:] = ((-0.5 * t) * stiff)[:, :, None]
-    force = (springs.k * u) * e
+    force = (springs.k * u) * (dist - springs.rest)
     b -= np.bincount(pattern.force_index, np.concatenate([force, -force]).ravel(), minlength=n)
 
     data = np.bincount(pattern.target, terms.ravel(), minlength=pattern.indices.shape[0])

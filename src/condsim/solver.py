@@ -168,16 +168,17 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
             rows = zip(lam_star.tolist(), mu.tolist())
             return np.array([_strict_row(*row, m) for row, m in rows]).reshape(-1, 3)
         out = lam_star.copy()
+        ln, t1, t2 = out.T
         # + 0.0 turns -0.0 into +0.0, whichever zero np.maximum keeps on a tie
-        out[:, 0] = np.maximum(out[:, 0], 0.0) + 0.0
-        limit = mu * out[:, 0]
-        tn = np.linalg.norm(out[:, 1:], axis=1)
-        over = tn > limit
-        scale = np.ones_like(tn)
-        nz = over & (tn > 0)
-        scale[nz] = limit[nz] / tn[nz]
-        scale[over & (tn == 0)] = 0.0
-        out[:, 1:] *= scale[:, None]
+        np.maximum(ln, 0.0, out=ln)
+        ln += 0.0
+        limit = mu * ln
+        tn = np.sqrt(t1 * t1 + t2 * t2)  # the bits of np.linalg.norm over 2 entries
+        over = np.flatnonzero(tn > limit)
+        # only rows over the limit scale, a zero tangent (negative limit) to 0
+        tn = tn[over]
+        scale = np.divide(limit[over], tn, out=np.zeros_like(tn), where=tn > 0)
+        out[over, 1:] *= scale[:, None]
         return out
     if operator == "proximal":
         out = lam_star.copy()
@@ -336,7 +337,7 @@ def _contact_params(aug: AugmentedDynamics):
     return nodal.mu, nodal.mu2, nodal.phi
 
 
-def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
+def _anderson(plain_map, a: sp.csr_matrix, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
     """Safeguarded type-II Anderson acceleration of v = G(v) (Walker & Ni,
     SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
 
@@ -350,7 +351,7 @@ def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: So
     A full history (AA_WINDOW differences) restarts from the newest iterate:
     the buffers wrap, and the next difference overwrites row 0. Each
     evaluation of G is one iteration. Returns G(x), its lam and J_c^T lam,
-    and A G(x) - b.
+    and A G(x) - b, with A applied as ``a`` (``solve_vfpi``'s CSR view).
     """
 
     def evaluate(x):
@@ -423,8 +424,17 @@ def solve_vfpi(
     Systems with virtual nodes run the plain map under Anderson acceleration
     (``_anderson``); tie-free systems run the loop below, with optional
     Chebyshev weighting. Returns (v_hat, lam, report).
+
+    The products with A run on ``a.T``: the CSC arrays of A read as CSR, with
+    no copy, which scipy multiplies by gathering rows instead of scattering
+    columns. That is A^T x. Node-block assembly (``assemble_step``) gives a
+    bitwise symmetric A, so there it is A x bit for bit. The ``tocsc`` sum of
+    ``augment_dynamics`` and a rigid body's world inertia are symmetric only
+    to rounding, so on systems with rigid bodies A^T x may differ from A x
+    in the last bits.
     """
     a, b = aug.a, aug.b
+    a_t = a.T
     n = aug.n
     n_c = len(aug.contacts)
     mu = mu2 = phi = None
@@ -447,18 +457,18 @@ def solve_vfpi(
     if aug.n > aug.n_orig:
 
         def plain_map(x):
-            v_star = x - w.w * (spmv(a, x) - b)
+            v_star = x - w.w * (spmv(a_t, x) - b)
             lam = contact_solve_oneshot(gamma, jmap.jc(v_star), phi, mu, cfg.operator, mu2)
             f_c = jmap.jc_t(lam)
             return v_star + w.w * f_c, lam, f_c
 
-        v, lam, f_c, r = _anderson(plain_map, a, b, v, cfg, report)
+        v, lam, f_c, r = _anderson(plain_map, a_t, b, v, cfg, report)
     else:
         v_prev = v.copy()
         rho = 0.0
         nu = 1.0
         norm_prev = 0.0
-        r = spmv(a, v) - b  # kept in step with v for the convergence check
+        r = spmv(a_t, v) - b  # kept in step with v for the convergence check
         f_c = jmap.jc_t(lam) if n_c else 0.0  # J_c^T lam, the contact force
 
         for l in range(1, cfg.max_iters + 1):
@@ -491,7 +501,7 @@ def solve_vfpi(
                 rho = estimate_rho(theta, norm_prev, rho)
             norm_prev = theta
             v_prev, v = v, v_next
-            r = spmv(a, v) - b
+            r = spmv(a_t, v) - b
 
             if theta < cfg.residual_tol:
                 # the postcondition of convergence is dynamics consistency;

@@ -1,6 +1,14 @@
 """The two matrix kernels the V-FPI needs per system: A v and the squared
 row norms of A. System matrices are ``scipy.sparse.csc_matrix`` with no
 duplicate entries.
+
+They are symmetric, but not all of them bit for bit. The node-block assembly
+of ``dynamics.assemble_step`` stores (i, j) and (j, i) as the same float. A
+rigid body's world inertia R I R^T and the ``tocsc`` sum of
+``contacts.augment_dynamics`` are symmetric only to rounding, so their two
+triangles may differ in the last bit. ``solver.solve_vfpi`` hands ``spmv`` the
+CSR view ``a.T`` of a CSC matrix, which is A x bit for bit only in the first
+case; otherwise it is A^T x.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from .errors import DimensionMismatchError
 
 
 def spmv(a: sp.csc_matrix, x: np.ndarray) -> np.ndarray:
-    """Return A @ x for a 1-D array x."""
+    """Return A @ x for a 1-D array x and a sparse matrix A of any format."""
     if x.shape != (a.shape[0],):
         raise DimensionMismatchError(f"spmv: x has shape {x.shape}, expected ({a.shape[0]},)")
     return a @ x

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from condsim.baselines import factor_spd
+from condsim.contacts import augment_dynamics, detect_contacts, nodalize
+from condsim.dynamics import assemble_step
 from condsim.errors import DimensionMismatchError, NotPositiveDefiniteError
+from condsim.harness import RunConfig, build_scene, external_force, load_scenario
 from condsim.sparse import row_norms_sq, spmv
 from condsim.testing import random_spd
+
+from conftest import scenario_path
 
 
 def dense(vals) -> sp.csc_matrix:
@@ -46,6 +51,31 @@ class TestSpmv:
         lhs = spmv(a, x) @ y
         rhs = spmv(a, y) @ x
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+class TestTransposeView:
+    """``solve_vfpi`` multiplies by ``a.T``, the CSC arrays of A read as CSR."""
+
+    def test_lattice_products_are_bitwise_equal(self, rng):
+        scene = build_scene(load_scenario(scenario_path("lattice_drag")), RunConfig())
+        a = assemble_step(scene.state, scene.bodies, scene.constraints).a
+        assert (a != a.T).nnz == 0
+        x = rng.standard_normal(a.shape[0])
+        assert np.array_equal(spmv(a.T, x), spmv(a, x))
+
+    def test_rigid_products_agree_to_rounding(self, rng):
+        scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
+        state = scene.state
+        # the cube turned about the vertical, still on its 4 contacts: its
+        # world inertia and the virtual-node ties are symmetric only to rounding
+        state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
+        asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0, state.v.shape[0]))
+        nodal = nodalize(detect_contacts(state, scene.bodies, scene.geometry), state, scene.k_v, scene.mu, scene.mu2, scene.stab)
+        a = augment_dynamics(asm.a, asm.b, nodal).a
+        assert (a != a.T).nnz > 0
+        x = rng.standard_normal(a.shape[0])
+        ax = spmv(a, x)
+        assert np.linalg.norm(spmv(a.T, x) - ax) <= 1e-12 * np.linalg.norm(ax)
 
 
 class TestFactorSolve:
