@@ -122,14 +122,14 @@ class AssembledDynamics:
     n: int
 
 
-def spring_coords(springs: Springs) -> np.ndarray:
+def _spring_coords(springs: Springs) -> np.ndarray:
     """(2, m, 3) coordinate indices of the two ends of every spring."""
     return np.stack([triples(springs.qi), triples(springs.qj)])
 
 
 def _spring_geometry(q: np.ndarray, coords: np.ndarray):
     """Length (m,) and unit direction p_i - p_j (m, 3) of every spring, from
-    the coordinate indices of ``spring_coords``."""
+    the coordinate indices of ``_spring_coords``."""
     ends = q[coords]
     d = ends[0] - ends[1]
     dist = np.linalg.norm(d, axis=1)
@@ -141,7 +141,7 @@ def _spring_geometry(q: np.ndarray, coords: np.ndarray):
 def spring_eval(springs: Springs, q: np.ndarray):
     """Return (e, J): errors (m,) and Jacobian rows (m, 6) over the stacked
     coordinates (node i, node j) of every spring."""
-    dist, dhat = _spring_geometry(q, spring_coords(springs))
+    dist, dhat = _spring_geometry(q, _spring_coords(springs))
     return dist - springs.rest, np.hstack([dhat, -dhat])
 
 
@@ -153,7 +153,7 @@ def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
     if policy.variant == "geometric-projection":
         # abs column sums of the geometric stiffness k e [[h, -h], [-h, h]],
         # h = (I - dhat dhat^T) / |d| the Hessian of the distance, plus the floor
-        dist, dhat = _spring_geometry(q, spring_coords(springs))
+        dist, dhat = _spring_geometry(q, _spring_coords(springs))
         h = (np.eye(3) - dhat[:, :, None] * dhat[:, None, :]) / dist[:, None, None]
         ke = np.abs(springs.k * (dist - springs.rest))
         cols = 2.0 * ke[:, None] * np.abs(h).sum(axis=1)
@@ -200,7 +200,7 @@ class BlockPattern:
     the CSC ``data`` of entry (r, s) of term t of the T terms, so that one
     ``np.bincount`` sums a (3, 3, T) array of terms into ``data``;
     ``force_index`` does the same for the (6, m) spring forces in b.
-    ``coords`` holds the springs' ``spring_coords``, which never change with
+    ``coords`` holds the springs' ``_spring_coords``, which never change with
     the layout either.
     """
 
@@ -236,15 +236,14 @@ class BlockPattern:
         diag_keys = np.flatnonzero(present) * (nb + 1)
         off_keys, off_block = np.unique(keys[~on_diag], return_inverse=True)
         diag_at = np.arange(diag_keys.shape[0]) + np.searchsorted(off_keys, diag_keys)
-        off_at = np.ones(diag_keys.shape[0] + off_keys.shape[0], dtype=bool)
-        off_at[diag_at] = False
-        off_at = np.flatnonzero(off_at)
-        blocks = np.empty(off_at.shape[0] + diag_at.shape[0], dtype=keys.dtype)
+        is_off = np.ones(diag_keys.shape[0] + off_keys.shape[0], dtype=bool)
+        is_off[diag_at] = False
+        blocks = np.empty(is_off.shape[0], dtype=keys.dtype)
         blocks[diag_at] = diag_keys
-        blocks[off_at] = off_keys
+        blocks[is_off] = off_keys
         term_block = np.empty(keys.shape[0], dtype=int)
         term_block[on_diag] = diag_at[np.cumsum(present)[rows[on_diag]] - 1]
-        term_block[~on_diag] = off_at[off_block]
+        term_block[~on_diag] = np.flatnonzero(is_off)[off_block]
         bcol, brow = np.divmod(blocks, nb)
         per_col = np.bincount(bcol, minlength=nb)
         first = np.concatenate([[0], np.cumsum(per_col)])  # block CSC indptr
@@ -264,7 +263,7 @@ class BlockPattern:
             n, *offsets, indices, indptr,
             target=(3 * np.take(slot, term_block, axis=1) + rs[:, :, None]).ravel(),
             force_index=np.concatenate([offsets[2] + rs, offsets[3] + rs]).ravel(),
-            coords=spring_coords(springs),
+            coords=_spring_coords(springs),
         )
 
     def fits(self, n: int, bodies: Bodies, springs: Springs) -> bool:

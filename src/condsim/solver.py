@@ -175,7 +175,8 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         limit = mu * ln
         tn = np.sqrt(t1 * t1 + t2 * t2)  # the bits of np.linalg.norm over 2 entries
         over = np.flatnonzero(tn > limit)
-        # only rows over the limit scale, a zero tangent (negative limit) to 0
+        # rows over the limit scale down to it; a zero tangent over a negative
+        # limit goes to 0
         tn = tn[over]
         scale = np.divide(limit[over], tn, out=np.zeros_like(tn), where=tn > 0)
         out[over, 1:] *= scale[:, None]

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .errors import DimensionMismatchError
 
 
-def spmv(a: sp.csc_matrix, x: np.ndarray) -> np.ndarray:
+def spmv(a: sp.spmatrix, x: np.ndarray) -> np.ndarray:
     """Return A @ x for a 1-D array x and a sparse matrix A of any format."""
     if x.shape != (a.shape[0],):
         raise DimensionMismatchError(f"spmv: x has shape {x.shape}, expected ({a.shape[0]},)")

@@ -70,7 +70,8 @@ class TestTransposeView:
         # world inertia and the virtual-node ties are symmetric only to rounding
         state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
         asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0, state.v.shape[0]))
-        nodal = nodalize(detect_contacts(state, scene.bodies, scene.geometry), state, scene.k_v, scene.mu, scene.mu2, scene.stab)
+        detected = detect_contacts(state, scene.bodies, scene.geometry)
+        nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
         a = augment_dynamics(asm.a, asm.b, nodal).a
         assert (a != a.T).nnz > 0
         x = rng.standard_normal(a.shape[0])
