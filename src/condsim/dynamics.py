@@ -189,6 +189,30 @@ def _rigid_v(bodies: Bodies) -> np.ndarray:
     return np.array([body.v_offset for body in bodies.rigid], dtype=int)
 
 
+def _unique_blocks(rows: np.ndarray, cols: np.ndarray, nb: int):
+    """``np.unique(cols * nb + rows, return_inverse=True)`` for block keys.
+
+    About half the terms sit on the diagonal and repeat a node's block, so
+    those are deduplicated by a count over the nb block rows, and only the
+    off-diagonal keys are sorted; the two sorted, disjoint key lists are then
+    merged.
+    """
+    on_diag = rows == cols
+    present = np.bincount(rows[on_diag], minlength=nb) > 0
+    diag_keys = np.flatnonzero(present) * (nb + 1)
+    off_keys, off_block = np.unique((cols * nb + rows)[~on_diag], return_inverse=True)
+    diag_at = np.arange(diag_keys.shape[0]) + np.searchsorted(off_keys, diag_keys)
+    is_off = np.ones(diag_keys.shape[0] + off_keys.shape[0], dtype=bool)
+    is_off[diag_at] = False
+    blocks = np.empty(is_off.shape[0], dtype=off_keys.dtype)
+    blocks[diag_at] = diag_keys
+    blocks[is_off] = off_keys
+    term_block = np.empty(rows.shape[0], dtype=int)
+    term_block[on_diag] = diag_at[np.cumsum(present)[rows[on_diag]] - 1]
+    term_block[~on_diag] = np.flatnonzero(is_off)[off_block]
+    return blocks, term_block
+
+
 @dataclass
 class BlockPattern:
     """The CSC pattern of A as 3x3 node blocks, for one layout of offsets.
@@ -225,25 +249,7 @@ class BlockPattern:
         # (block row, block column) of every term, in the order documented above
         rows = np.concatenate([bn, (br[:, None] + [0, 0, 1, 1]).ravel(), bi, bj, bi, bj])
         cols = np.concatenate([bn, (br[:, None] + [0, 1, 0, 1]).ravel(), bi, bj, bj, bi])
-        # The distinct blocks in column-major order, and the block of every
-        # term. About half the terms are diagonal and repeat a node's key, so
-        # those are deduplicated by a count over the nb block rows and only
-        # the off-diagonal keys are sorted; the two sorted, disjoint key lists
-        # are then merged.
-        keys = cols * nb + rows
-        on_diag = rows == cols
-        present = np.bincount(rows[on_diag], minlength=nb) > 0
-        diag_keys = np.flatnonzero(present) * (nb + 1)
-        off_keys, off_block = np.unique(keys[~on_diag], return_inverse=True)
-        diag_at = np.arange(diag_keys.shape[0]) + np.searchsorted(off_keys, diag_keys)
-        is_off = np.ones(diag_keys.shape[0] + off_keys.shape[0], dtype=bool)
-        is_off[diag_at] = False
-        blocks = np.empty(is_off.shape[0], dtype=keys.dtype)
-        blocks[diag_at] = diag_keys
-        blocks[is_off] = off_keys
-        term_block = np.empty(keys.shape[0], dtype=int)
-        term_block[on_diag] = diag_at[np.cumsum(present)[rows[on_diag]] - 1]
-        term_block[~on_diag] = np.flatnonzero(is_off)[off_block]
+        blocks, term_block = _unique_blocks(rows, cols, nb)  # column-major order
         bcol, brow = np.divmod(blocks, nb)
         per_col = np.bincount(bcol, minlength=nb)
         first = np.concatenate([[0], np.cumsum(per_col)])  # block CSC indptr
