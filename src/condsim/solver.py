@@ -338,7 +338,7 @@ def _contact_params(aug: AugmentedDynamics):
     return nodal.mu, nodal.mu2, nodal.phi
 
 
-def _anderson(plain_map, a: sp.csr_matrix, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
+def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
     """Safeguarded type-II Anderson acceleration of v = G(v) (Walker & Ni,
     SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
 
@@ -352,7 +352,7 @@ def _anderson(plain_map, a: sp.csr_matrix, b: np.ndarray, v: np.ndarray, cfg: So
     A full history (AA_WINDOW differences) restarts from the newest iterate:
     the buffers wrap, and the next difference overwrites row 0. Each
     evaluation of G is one iteration. Returns G(x), its lam and J_c^T lam,
-    and A G(x) - b, with A applied as ``a`` (``solve_vfpi``'s CSR view).
+    and A G(x) - b.
     """
 
     def evaluate(x):
@@ -426,16 +426,17 @@ def solve_vfpi(
     (``_anderson``); tie-free systems run the loop below, with optional
     Chebyshev weighting. Returns (v_hat, lam, report).
 
-    The products with A run on ``a.T``: the CSC arrays of A read as CSR, with
-    no copy, which scipy multiplies by gathering rows instead of scattering
-    columns. That is A^T x. Node-block assembly (``assemble_step``) gives a
-    bitwise symmetric A, so there it is A x bit for bit. The ``tocsc`` sum of
-    ``augment_dynamics`` and a rigid body's world inertia are symmetric only
-    to rounding, so on systems with rigid bodies A^T x may differ from A x
-    in the last bits.
+    The tie-free loop multiplies by ``a.T``: the CSC arrays of A read as
+    CSR, with no copy, which scipy multiplies by gathering rows instead of
+    scattering columns. That is A^T x, and A x bit for bit on the bitwise
+    symmetric A of node-block assembly (``assemble_step``); a rigid body's
+    world inertia is symmetric only to rounding, so there the two may differ
+    in the last bits. The Anderson path keeps A x: its systems are the small
+    virtual-node ties of rigid bodies, whose ``augment_dynamics`` sum is also
+    symmetric only to rounding, and on them building the view each solve
+    cost more than it saved.
     """
     a, b = aug.a, aug.b
-    a_t = a.T
     n = aug.n
     n_c = len(aug.contacts)
     mu = mu2 = phi = None
@@ -458,13 +459,14 @@ def solve_vfpi(
     if aug.n > aug.n_orig:
 
         def plain_map(x):
-            v_star = x - w.w * (spmv(a_t, x) - b)
+            v_star = x - w.w * (spmv(a, x) - b)
             lam = contact_solve_oneshot(gamma, jmap.jc(v_star), phi, mu, cfg.operator, mu2)
             f_c = jmap.jc_t(lam)
             return v_star + w.w * f_c, lam, f_c
 
-        v, lam, f_c, r = _anderson(plain_map, a_t, b, v, cfg, report)
+        v, lam, f_c, r = _anderson(plain_map, a, b, v, cfg, report)
     else:
+        a_t = a.T
         v_prev = v.copy()
         rho = 0.0
         nu = 1.0

@@ -6,9 +6,9 @@ They are symmetric, but not all of them bit for bit. The node-block assembly
 of ``dynamics.assemble_step`` stores (i, j) and (j, i) as the same float. A
 rigid body's world inertia R I R^T and the ``tocsc`` sum of
 ``contacts.augment_dynamics`` are symmetric only to rounding, so their two
-triangles may differ in the last bit. ``solver.solve_vfpi`` hands ``spmv`` the
-CSR view ``a.T`` of a CSC matrix, which is A x bit for bit only in the first
-case; otherwise it is A^T x.
+triangles may differ in the last bit. The tie-free loop of
+``solver.solve_vfpi`` hands ``spmv`` the CSR view ``a.T`` of a CSC matrix,
+which is A x bit for bit only in the first case; otherwise it is A^T x.
 """
 
 from __future__ import annotations
