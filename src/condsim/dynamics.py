@@ -124,7 +124,7 @@ class AssembledDynamics:
 
 def _spring_coords(springs: Springs) -> np.ndarray:
     """(2, m, 3) coordinate indices of the two ends of every spring."""
-    return np.stack([triples(springs.qi), triples(springs.qj)])
+    return triples(np.concatenate([springs.qi, springs.qj])).reshape(2, -1, 3)
 
 
 def _spring_geometry(q: np.ndarray, coords: np.ndarray):
