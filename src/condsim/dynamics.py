@@ -224,8 +224,8 @@ class BlockPattern:
     the CSC ``data`` of entry (r, s) of term t of the T terms, so that one
     ``np.bincount`` sums a (3, 3, T) array of terms into ``data``;
     ``force_index`` does the same for the (6, m) spring forces in b.
-    ``coords`` holds the springs' ``_spring_coords``, which never change with
-    the layout either.
+    ``coords`` caches the springs' coordinate indices (``_spring_coords``),
+    which change only with the spring ends.
     """
 
     n: int

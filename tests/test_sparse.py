@@ -54,7 +54,9 @@ class TestSpmv:
 
 
 class TestTransposeView:
-    """``solve_vfpi`` multiplies by ``a.T``, the CSC arrays of A read as CSR."""
+    """The tie-free loop of ``solve_vfpi`` multiplies by ``a.T``, the CSC
+    arrays of A read as CSR: exact where A is bitwise symmetric, within
+    rounding where it is not."""
 
     def test_lattice_products_are_bitwise_equal(self, rng):
         scene = build_scene(load_scenario(scenario_path("lattice_drag")), RunConfig())
