@@ -307,7 +307,8 @@ class TestBlockAssembly:
     def test_cached_pattern_follows_layout(self, rng):
         # one Springs, first between the nodes at velocity offsets 0 and 3;
         # a change of n, of the node or rigid offsets, or of the spring ends
-        # rebuilds the pattern, and a second step on one layout keeps it
+        # (velocity or coordinate offsets) rebuilds the pattern, and a second
+        # step on one layout keeps it
         s = springs([(0, 1)], 50.0, 0.5, DampingPolicy("constant", 0.7))
         two_nodes = np.array([0, 3])
         layouts = [
@@ -315,11 +316,14 @@ class TestBlockAssembly:
             Bodies(two_nodes, two_nodes, np.ones(2), np.zeros(2), [RigidBody(2.0, 6, 6, np.diag([0.1, 0.2, 0.3]))]),
             particles([1.0, 2.0, 3.0, 4.0]),
             particles([1.0, 2.0, 3.0, 4.0]),
+            particles([1.0, 2.0, 3.0, 4.0]),
         ]
         patterns = []
         for k, bodies in enumerate(layouts):
             if k == 3:
                 s.qj, s.vj = np.array([9]), np.array([9])
+            if k == 4:
+                s.qj = np.array([6])
             n = 3 * len(bodies.node_v) + 6 * len(bodies.rigid)
             q = rng.uniform(-1.0, 1.0, n + len(bodies.rigid))
             for body in bodies.rigid:
