@@ -1,6 +1,7 @@
 """Command-line interface: run a scenario, benchmark scaling, or self-verify.
 
-Exit codes: 0 success, 2 scenario validation error, 3 divergence in any step,
+Exit codes: 0 success, 2 scenario validation error, 3 divergence in any step
+(also when the contact-free fallback of a diverged step does not converge),
 4 I/O error.
 """
 
@@ -11,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import ScenarioValidationError
+from .errors import DivergenceError, ScenarioValidationError
 from .harness import (
     RunConfig,
     bench_scaling,
@@ -188,6 +189,9 @@ def main(argv=None) -> int:
     except ScenarioValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

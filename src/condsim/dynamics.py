@@ -20,11 +20,12 @@ blocks: a mass block per node, a rigid body's 6x6 mass block as 2x2 blocks,
 and per spring K = (t/2) k u u^T plus its diagonal damping on both of its
 node-diagonal blocks and -K on its two off-diagonal blocks. The sparsity
 pattern depends only on the offsets, so it is built once per scene
-(``BlockPattern``) and cached on the ``Springs``; each step sums the 9
-entries of every block into the pattern's CSC data with one ``np.bincount``.
-Entries (r, s) and (s, r) of the mirrored blocks sum the same floats in the
-same order, so A is bitwise symmetric; only a rigid body's world inertia
-R I R^T is symmetric just to rounding.
+(``BlockPattern``) and cached on the ``Springs``. Each step computes the 6
+components k u_r u_s, r <= s, of every spring, sums them per component with
+``np.bincount`` over the node-diagonal blocks and over the unordered node
+pairs, and fills the CSC data with one gather. Mirrored entries of spring and
+node blocks read the same sum, so A is bitwise symmetric; only a rigid
+body's world inertia R I R^T is symmetric just to rounding.
 """
 
 from __future__ import annotations
@@ -128,21 +129,21 @@ def _spring_coords(springs: Springs) -> np.ndarray:
 
 
 def _spring_geometry(q: np.ndarray, coords: np.ndarray):
-    """Length (m,) and unit direction p_i - p_j (m, 3) of every spring, from
+    """Length (m,) and unit direction p_i - p_j (3, m) of every spring, from
     the coordinate indices of ``_spring_coords``."""
     ends = q[coords]
     d = ends[0] - ends[1]
     dist = np.linalg.norm(d, axis=1)
     if np.any(dist < 1e-12):
         raise DegenerateConstraintError("distance spring endpoints coincide")
-    return dist, d / dist[:, None]
+    return dist, np.divide(d.T, dist, out=np.empty(d.shape[::-1]))
 
 
 def spring_eval(springs: Springs, q: np.ndarray):
     """Return (e, J): errors (m,) and Jacobian rows (m, 6) over the stacked
     coordinates (node i, node j) of every spring."""
-    dist, dhat = _spring_geometry(q, _spring_coords(springs))
-    return dist - springs.rest, np.hstack([dhat, -dhat])
+    dist, u = _spring_geometry(q, _spring_coords(springs))
+    return dist - springs.rest, np.hstack([u.T, -u.T])
 
 
 def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
@@ -153,8 +154,8 @@ def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
     if policy.variant == "geometric-projection":
         # abs column sums of the geometric stiffness k e [[h, -h], [-h, h]],
         # h = (I - dhat dhat^T) / |d| the Hessian of the distance, plus the floor
-        dist, dhat = _spring_geometry(q, _spring_coords(springs))
-        h = (np.eye(3) - dhat[:, :, None] * dhat[:, None, :]) / dist[:, None, None]
+        dist, u = _spring_geometry(q, _spring_coords(springs))
+        h = (np.eye(3) - u.T[:, :, None] * u.T[:, None, :]) / dist[:, None, None]
         ke = np.abs(springs.k * (dist - springs.rest))
         cols = 2.0 * ke[:, None] * np.abs(h).sum(axis=1)
         return np.tile(cols, 2) + policy.eps_floor
@@ -189,41 +190,39 @@ def _rigid_v(bodies: Bodies) -> np.ndarray:
     return np.array([body.v_offset for body in bodies.rigid], dtype=int)
 
 
-def _unique_blocks(rows: np.ndarray, cols: np.ndarray, nb: int):
-    """``np.unique(cols * nb + rows, return_inverse=True)`` for block keys.
-
-    About half the terms sit on the diagonal and repeat a node's block, so
-    those are deduplicated by a count over the nb block rows, and only the
-    off-diagonal keys are sorted; the two sorted, disjoint key lists are then
-    merged.
-    """
-    on_diag = rows == cols
-    present = np.bincount(rows[on_diag], minlength=nb) > 0
-    diag_keys = np.flatnonzero(present) * (nb + 1)
-    off_keys, off_block = np.unique((cols * nb + rows)[~on_diag], return_inverse=True)
-    diag_at = np.arange(diag_keys.shape[0]) + np.searchsorted(off_keys, diag_keys)
-    is_off = np.ones(diag_keys.shape[0] + off_keys.shape[0], dtype=bool)
-    is_off[diag_at] = False
-    blocks = np.empty(is_off.shape[0], dtype=off_keys.dtype)
-    blocks[diag_at] = diag_keys
-    blocks[is_off] = off_keys
-    term_block = np.empty(rows.shape[0], dtype=int)
-    term_block[on_diag] = diag_at[np.cumsum(present)[rows[on_diag]] - 1]
-    term_block[~on_diag] = np.flatnonzero(is_off)[off_block]
-    return blocks, term_block
+# Component c of a symmetric 3x3 block is its entry (R[c], S[c]), r <= s.
+R, S = np.triu_indices(3)
+_DIAG = np.flatnonzero(R == S)
+_LOWER = np.flatnonzero(R != S)
+_COMP = np.empty((3, 3), dtype=int)
+_COMP[R, S] = _COMP[S, R] = np.arange(6)
+_QUARTERS = (R[:, None] + [0, 3], S[:, None] + [0, 3])  # a 6x6 block's two diagonal quarters
 
 
 @dataclass
 class BlockPattern:
     """The CSC pattern of A as 3x3 node blocks, for one layout of offsets.
 
-    A is the sum of terms that are each one 3x3 block: one mass block per
-    node, the four 3x3 quarters (a, b) of every rigid body's 6x6 mass block
-    in order 2 a + b, then the (i, i) blocks of all springs, their (j, j),
-    (i, j) and (j, i) blocks. ``target[T (3 r + s) + t]`` is the position in
-    the CSC ``data`` of entry (r, s) of term t of the T terms, so that one
-    ``np.bincount`` sums a (3, 3, T) array of terms into ``data``;
-    ``force_index`` does the same for the (6, m) spring forces in b.
+    Each step computes the 6 components, the entries (r, s) with r <= s, of
+    every term, sums them into one vector ``vals`` and fills the CSC ``data``
+    with one ``np.take(vals, gather)``; ``gather`` has one index per stored
+    entry. ``vals`` holds, in this order:
+
+    - per component, one ``np.bincount`` over the node-diagonal terms into
+      the n/3 block rows, by the block ids ``diag_block``: one mass block per
+      node, the two diagonal quarters of every rigid body's 6x6 mass block,
+      then the (i, i) blocks of all springs and their (j, j) blocks;
+    - per component, one ``np.bincount`` over the springs' -K terms into the
+      unordered node pairs, by the pair ids ``pair`` (``n_pairs`` pairs);
+      blocks (i, j) and (j, i) both read their pair's sums, and a rigid
+      body's zero off-diagonal quarters are a pair that no spring joins;
+    - the three entries below the diagonal of every rigid body's world
+      inertia, which is symmetric only to rounding.
+
+    Every other entry (r, s) reads component (min(r, s), max(r, s)), so blocks
+    of springs and nodes are bitwise symmetric. A spring must therefore join
+    two distinct blocks, neither of them a rigid body's angular velocity. The
+    spring ends in ``diag_block`` also sum the spring forces into b.
     ``coords`` caches the springs' coordinate indices (``_spring_coords``),
     which change only with the spring ends.
     """
@@ -235,8 +234,10 @@ class BlockPattern:
     vj: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    target: np.ndarray
-    force_index: np.ndarray
+    gather: np.ndarray
+    diag_block: np.ndarray
+    pair: np.ndarray
+    n_pairs: int
     coords: np.ndarray
 
     @classmethod
@@ -246,29 +247,64 @@ class BlockPattern:
             raise DimensionMismatchError("block assembly needs n and velocity offsets that are multiples of 3")
         nb = n // 3
         bn, br, bi, bj = (o // 3 for o in offsets)
-        # (block row, block column) of every term, in the order documented above
-        rows = np.concatenate([bn, (br[:, None] + [0, 0, 1, 1]).ravel(), bi, bj, bi, bj])
-        cols = np.concatenate([bn, (br[:, None] + [0, 1, 0, 1]).ravel(), bi, bj, bj, bi])
-        blocks, term_block = _unique_blocks(rows, cols, nb)  # column-major order
-        bcol, brow = np.divmod(blocks, nb)
-        per_col = np.bincount(bcol, minlength=nb)
-        first = np.concatenate([[0], np.cumsum(per_col)])  # block CSC indptr
-        # Scalar column 3 c + s lists the blocks of block column c in order,
-        # three rows each; so block k, the j-th of its block column, sits at
-        # slot[s, k] = 3 first[c] + s per_col[c] + j counted in blocks, and
-        # its entry (r, s) at data position 3 slot[s, k] + r.
-        rs = np.arange(3)[:, None]  # r or s, down axis 0
-        slot = np.arange(blocks.shape[0]) + 2 * first[bcol] + rs * per_col[bcol]
-        block_at = np.empty(slot.size, dtype=int)
-        block_at[slot.ravel()] = np.tile(np.arange(blocks.shape[0]), 3)
-        indices = np.take((3 * brow[:, None] + rs.T).astype(np.int32), block_at, axis=0).ravel()
-        indptr = np.append(9 * first[:-1, None] + 3 * per_col[:, None] * rs.T, 3 * slot.size).astype(np.int32)
+        if np.any(bi == bj) or np.any(np.isin(np.concatenate([bi, bj]), br + 1)):
+            raise DimensionMismatchError("a spring must join two distinct blocks of translational velocity")
+        diag_block = np.concatenate([bn, (br[:, None] + [0, 1]).ravel(), bi, bj])
+        present = np.bincount(diag_block, minlength=nb) > 0
+        pair_keys, pair = np.unique(
+            np.concatenate([br * (nb + 1) + 1, np.minimum(bi, bj) * nb + np.maximum(bi, bj)]), return_inverse=True
+        )
+        lo, hi = np.divmod(pair_keys, nb)
+        del pair_keys
+        n_pairs = lo.shape[0]
+        # Block column c lists, rows ascending, the blocks (lo, c) of its
+        # pairs above the diagonal, its diagonal block, then the blocks (hi, c)
+        # below; the pairs are sorted by (lo, hi), so the lower ones already
+        # are in order and the upper ones need a stable sort by hi.
+        n_up, n_low = np.bincount(hi, minlength=nb), np.bincount(lo, minlength=nb)
+        per_col = n_up + present + n_low
+        first = np.concatenate([[0], np.cumsum(per_col)])
+        up = np.argsort(hi, kind="stable")  # the pairs by (hi, lo)
+        d = np.flatnonzero(present)
+        # every block, each column's in ascending rows: its column, row, rank
+        # in the column, and where component c of it sits in vals, at
+        # base + c * stride
+        col = np.concatenate([d, hi[up], lo])
+        row = np.concatenate([d, lo[up], hi])
+        rank = np.concatenate([
+            n_up[d],
+            np.arange(n_pairs) - (np.cumsum(n_up) - n_up)[hi[up]],
+            np.arange(n_pairs) - (np.cumsum(n_low) - n_low)[lo] + n_up[lo] + present[lo],
+        ])
+        base = np.concatenate([d, 6 * nb + up, 6 * nb + np.arange(n_pairs)])
+        stride = np.repeat([nb, n_pairs], [d.shape[0], 2 * n_pairs])
+        del lo, hi, up, d
+        # Scalar column 3 c + s holds the blocks of block column c in order,
+        # three rows each: block k, the j-th of its column, starts at slot
+        # 3 first[c] + s per_col[c] + j counted in blocks, and its entry
+        # (r, s) sits at data position 3 slot + r.
+        n_blocks = col.shape[0]
+        start = 3 * first[col] + rank
+        gather = np.empty(9 * n_blocks, dtype=int)
+        indices = np.empty(9 * n_blocks, dtype=np.int32)
+        for s in range(3):
+            at = 3 * (start + s * per_col[col])
+            for r in range(3):
+                gather[at + r] = base + stride * _COMP[r, s]
+                indices[at + r] = 3 * row + r
+        del start, at, base, stride, col, row, rank
+        # the entries (r, s), r > s, of every world inertia read their own values
+        b_inertia = br + 1
+        r_low, s_low = S[_LOWER], R[_LOWER]
+        gather[3 * (3 * first[b_inertia, None] + n_up[b_inertia, None] + s_low * per_col[b_inertia, None]) + r_low] = (
+            6 * (nb + n_pairs) + 3 * np.arange(br.shape[0])[:, None] + np.arange(3)
+        )
+        rs = np.arange(3)[:, None]
+        indptr = np.append(9 * first[:-1, None] + 3 * per_col[:, None] * rs.T, 9 * n_blocks).astype(np.int32)
         # every step's matrix shares these two arrays
         indices.flags.writeable = indptr.flags.writeable = False
         return cls(
-            n, *offsets, indices, indptr,
-            target=(3 * np.take(slot, term_block, axis=1) + rs[:, :, None]).ravel(),
-            force_index=np.concatenate([offsets[2] + rs, offsets[3] + rs]).ravel(),
+            n, *offsets, indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs,
             coords=_spring_coords(springs),
         )
 
@@ -295,7 +331,8 @@ def block_pattern(n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
 def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: np.ndarray | None = None) -> AssembledDynamics:
     """Assemble A and b for one implicit step.
 
-    A is summed as 3x3 blocks into the fixed CSC pattern of ``block_pattern``.
+    A's CSC data is gathered from per-block component sums, as laid out by
+    the pattern of ``block_pattern``.
     """
     if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.v))):
         raise InvalidStateError("state contains non-finite values")
@@ -305,44 +342,61 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     if f_ext is not None:
         b += f_ext
     pattern = block_pattern(n, bodies, springs)
-    dist, dhat = _spring_geometry(state.q, pattern.coords)
     n_nodes, n_rigid, m = bodies.node_v.shape[0], len(bodies.rigid), springs.k.shape[0]
-    terms = np.empty((3, 3, n_nodes + 4 * n_rigid + 4 * m))  # entry (r, s) of every term
-    diag = np.arange(3)
+    diag = np.empty((6, n_nodes + 2 * n_rigid + 2 * m))  # component c of every node-diagonal term
 
-    # node masses: diagonal blocks
+    # node masses
     node_idx = triples(bodies.node_v)
     coef = (2.0 / t) * bodies.node_mass
     b[node_idx] += coef[:, None] * state.v[node_idx]
-    terms[:, :, :n_nodes] = 0.0
-    terms[diag, diag, :n_nodes] = coef
+    diag[:, :n_nodes] = 0.0
+    diag[_DIAG, :n_nodes] = coef
 
-    quarters = terms[:, :, n_nodes : n_nodes + 4 * n_rigid].reshape(3, 3, n_rigid, 4)
+    own = np.empty((n_rigid, 3))  # every world inertia's entries below its diagonal
     for k, body in enumerate(bodies.rigid):
         idx = np.arange(body.v_offset, body.v_offset + 6)
         block = (2.0 / t) * _rigid_mass(body, state.q)
-        quarters[:, :, k] = block.reshape(2, 3, 2, 3).transpose(1, 3, 0, 2).reshape(3, 3, 4)
+        diag[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block[_QUARTERS]
+        own[k] = block[3 + S[_LOWER], 3 + R[_LOWER]]
         b[idx] += block @ state.v[idx]
         # gyroscopic term of C v
         omega = state.v[idx[3:]]
         b[idx[3:]] -= np.cross(omega, world_inertia(body, state.q) @ omega)
 
-    # stiffness K = k u u^T plus the damping on (i, i) and (j, j), -K on (i, j) and (j, i)
-    u = np.ascontiguousarray(dhat.T)
-    stiff = springs.k * (u[:, None] * u[None, :])
-    blocks = terms[:, :, n_nodes + 4 * n_rigid :].reshape(3, 3, 4, m)
-    blocks[:, :, :2] = stiff[:, :, None]
-    if springs.damping.variant == "constant":
+    if m:
+        # springs: -(t/2) K on the blocks (i, j) and (j, i) of their node
+        # pair, (t/2) (K + damping) on (i, i) and (j, j), with K = k u u^T
+        dist, u = _spring_geometry(state.q, pattern.coords)
+        ii, jj = diag[:, n_nodes + 2 * n_rigid :].reshape(6, 2, m).transpose(1, 0, 2)
+        for c in range(6):
+            np.multiply(u[R[c]], u[S[c]], out=ii[c])
+        ii *= springs.k
+        pair_sums = [np.bincount(pattern.pair, (-0.5 * t) * w, minlength=pattern.n_pairs) for w in ii]
+        jj[:] = ii
+        if springs.damping.variant == "constant":
+            damp = [float(springs.damping.value)] * 6
+        else:
+            damp = spring_damping(springs, state.q).T  # x, y, z of end i, then of end j
+        for r, c in enumerate(_DIAG):
+            ii[c] += damp[r]
+            jj[c] += damp[3 + r]
+        ii *= 0.5 * t
+        jj *= 0.5 * t
+        # forces in b, per coordinate summed over the ends like the diagonal blocks
+        ends = pattern.diag_block[n_nodes + 2 * n_rigid :]
+        stretch = dist - springs.rest
         for r in range(3):
-            blocks[r, r, :2] += float(springs.damping.value)
+            force = (springs.k * u[r]) * stretch
+            b[r::3] -= np.bincount(ends, np.concatenate([force, -force]), minlength=n // 3)
     else:
-        blocks[diag, diag, :2] += spring_damping(springs, state.q).T.reshape(2, 3, m).transpose(1, 0, 2)
-    blocks[:, :, :2] *= 0.5 * t
-    blocks[:, :, 2:] = ((-0.5 * t) * stiff)[:, :, None]
-    force = (springs.k * u) * (dist - springs.rest)
-    b -= np.bincount(pattern.force_index, np.concatenate([force, -force]).ravel(), minlength=n)
+        pair_sums = [np.zeros(6 * pattern.n_pairs)]  # rigid bodies' zero quarters
 
-    data = np.bincount(pattern.target, terms.ravel(), minlength=pattern.indices.shape[0])
+    vals = np.concatenate(
+        [np.bincount(pattern.diag_block, w, minlength=n // 3) for w in diag]
+        + pair_sums
+        + [0.0 + own.ravel()]  # a sum from 0.0 like every other entry: -0.0 reads 0.0
+    )
+    data = np.take(vals, pattern.gather)
     return AssembledDynamics(sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n)), b, n)
 
 

@@ -569,7 +569,9 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
             # flagged zero-impulse fallback: take the contact-free step
             from scipy.sparse.linalg import cg
 
-            v_hat_full, _ = cg(asm.a, asm.b, rtol=1e-10, maxiter=10 * asm.n)
+            v_hat_full, info = cg(asm.a, asm.b, rtol=1e-10, maxiter=10 * asm.n)
+            if info != 0:
+                raise DivergenceError("contact-free fallback did not converge")
             v_hat_full = np.concatenate([v_hat_full, np.zeros(aug.n - asm.n)])
             lam = np.zeros((len(nodal), 3))
             result.any_diverged = True

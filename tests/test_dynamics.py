@@ -17,8 +17,10 @@ from condsim.dynamics import (
     spring_eval,
     world_inertia,
 )
-from condsim.errors import DegenerateConstraintError, InvalidStateError
-from condsim.harness import Scenario, _lattice_edges, build_scene, external_force, validate_scenario
+from condsim.errors import DegenerateConstraintError, DimensionMismatchError, InvalidStateError
+from condsim.harness import Scenario, _lattice_edges, build_scene, external_force, load_scenario, validate_scenario
+
+from conftest import scenario_path
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -334,6 +336,43 @@ class TestBlockAssembly:
             asm = assemble_step(state, bodies, s)
             assert s.pattern is patterns[-1] and np.shares_memory(asm.a.indices, s.pattern.indices)
         assert len({id(p) for p in patterns}) == len(layouts)
+
+
+    def test_mirrored_blocks_are_bitwise_equal(self, rng):
+        # three springs on one node pair in mixed orientation: (i, j) and
+        # (j, i) must still read the same sums, so A == A^T exactly
+        for _ in range(200):
+            s = springs(
+                [(0, 1), (1, 0), (0, 1), (1, 2)], rng.uniform(10.0, 100.0, 4), rng.uniform(0.2, 1.0, 4),
+                DampingPolicy("constant", 0.3),
+            )
+            state = SystemState(rng.uniform(-1.0, 1.0, 9), rng.standard_normal(9), dt=0.01)
+            a = assemble_step(state, particles(rng.uniform(0.5, 2.0, 3)), s).a.toarray()
+            assert np.array_equal(a, a.T)
+
+    def test_lattice_is_bitwise_symmetric(self):
+        scene = build_scene(load_scenario(scenario_path("lattice_drag")))
+        a = assemble_step(scene.state, scene.bodies, scene.constraints).a
+        assert (a != a.T).nnz == 0
+
+    def test_pattern_holds_nothing_longer_than_nnz(self):
+        # the step gathers A's data from per-block sums: no cached map is as
+        # long as the 9 entries of every spring's four blocks
+        scene = build_scene(load_scenario(scenario_path("lattice_drag")))
+        s = scene.constraints
+        assemble_step(scene.state, scene.bodies, s)
+        nnz = s.pattern.indices.shape[0]
+        arrays = {k: v for k, v in vars(s.pattern).items() if isinstance(v, np.ndarray)}
+        assert {k for k, v in arrays.items() if v.size > nnz} == set()
+
+    @pytest.mark.parametrize("vi, vj", [(3, 3), (0, 9)])
+    def test_spring_must_join_two_translational_blocks(self, vi, vj):
+        # one node's block to itself, or a node to a rigid body's rotation
+        bodies = Bodies(np.array([0, 3]), np.array([0, 3]), np.ones(2), np.zeros(2), [RigidBody(1.0, 6, 6, np.eye(3))])
+        s = Springs(np.array([0]), np.array([3]), np.array([vi]), np.array([vj]), np.ones(1), np.ones(1))
+        q = np.concatenate([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(DimensionMismatchError):
+            assemble_step(SystemState(q, np.zeros(12)), bodies, s)
 
 
 MIXED = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from condsim.cli import main
-from condsim.errors import ScenarioValidationError, UnsupportedRegimeError
+from condsim.errors import DivergenceError, ScenarioValidationError, UnsupportedRegimeError
 from condsim.harness import (
     CSV_HEADER,
     MetricsRow,
@@ -407,6 +407,22 @@ class TestCli:
         totals = capsys.readouterr().out.splitlines()[0].split()
         assert totals[0] == "steps=300" and totals[2] == "diverged=0"
         assert totals[1].startswith("unconverged=") and int(totals[1].split("=")[1]) > 0
+
+    def test_failed_fallback_exits_diverged(self, monkeypatch, capsys):
+        # every solve diverges, and the contact-free CG fallback reports info=1
+        import scipy.sparse.linalg
+
+        from condsim import harness
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("forced")
+
+        monkeypatch.setattr(harness, "solve_vfpi", diverge)
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", lambda a, b, **kwargs: (np.zeros_like(b), 1))
+        with pytest.raises(DivergenceError, match="contact-free fallback did not converge"):
+            run(load_scenario(scenario_path("free_fall")))
+        assert main(["run", "--scenario", scenario_path("free_fall")]) == 3
+        assert capsys.readouterr().err == "error: contact-free fallback did not converge\n"
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
