@@ -190,13 +190,13 @@ def _rigid_v(bodies: Bodies) -> np.ndarray:
     return np.array([body.v_offset for body in bodies.rigid], dtype=int)
 
 
-# Component c of a symmetric 3x3 block is its entry (R[c], S[c]), r <= s.
-R, S = np.triu_indices(3)
-_DIAG = np.flatnonzero(R == S)
-_LOWER = np.flatnonzero(R != S)
+# Component c of a symmetric 3x3 block is its entry (_R[c], _S[c]), r <= s.
+_R, _S = np.triu_indices(3)
+_DIAG = np.flatnonzero(_R == _S)
+_LOWER = np.flatnonzero(_R != _S)
 _COMP = np.empty((3, 3), dtype=int)
-_COMP[R, S] = _COMP[S, R] = np.arange(6)
-_QUARTERS = (R[:, None] + [0, 3], S[:, None] + [0, 3])  # a 6x6 block's two diagonal quarters
+_COMP[_R, _S] = _COMP[_S, _R] = np.arange(6)
+_QUARTERS = (_R[:, None] + [0, 3], _S[:, None] + [0, 3])  # a 6x6 block's two diagonal quarters
 
 
 @dataclass
@@ -295,7 +295,7 @@ class BlockPattern:
         del start, at, base, stride, col, row, rank
         # the entries (r, s), r > s, of every world inertia read their own values
         b_inertia = br + 1
-        r_low, s_low = S[_LOWER], R[_LOWER]
+        r_low, s_low = _S[_LOWER], _R[_LOWER]
         gather[3 * (3 * first[b_inertia, None] + n_up[b_inertia, None] + s_low * per_col[b_inertia, None]) + r_low] = (
             6 * (nb + n_pairs) + 3 * np.arange(br.shape[0])[:, None] + np.arange(3)
         )
@@ -357,7 +357,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
         idx = np.arange(body.v_offset, body.v_offset + 6)
         block = (2.0 / t) * _rigid_mass(body, state.q)
         diag[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block[_QUARTERS]
-        own[k] = block[3 + S[_LOWER], 3 + R[_LOWER]]
+        own[k] = block[3 + _S[_LOWER], 3 + _R[_LOWER]]
         b[idx] += block @ state.v[idx]
         # gyroscopic term of C v
         omega = state.v[idx[3:]]
@@ -369,7 +369,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
         dist, u = _spring_geometry(state.q, pattern.coords)
         ii, jj = diag[:, n_nodes + 2 * n_rigid :].reshape(6, 2, m).transpose(1, 0, 2)
         for c in range(6):
-            np.multiply(u[R[c]], u[S[c]], out=ii[c])
+            np.multiply(u[_R[c]], u[_S[c]], out=ii[c])
         ii *= springs.k
         pair_sums = [np.bincount(pattern.pair, (-0.5 * t) * w, minlength=pattern.n_pairs) for w in ii]
         jj[:] = ii
