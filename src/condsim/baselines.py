@@ -21,16 +21,16 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .contacts import AugmentedDynamics, contact_jacobian_matrix
 from .errors import CapacityError, DimensionMismatchError, NotPositiveDefiniteError
-from .solver import _contact_params, _project_batch
+from .solver import _project_batch
 
 DENSE_FACTOR_CAP = 4096
+PGS_INNER_ITERS = 8  # projected-gradient steps per contact and sweep
 
 
 @dataclass
 class BaselineConfig:
     residual_tol: float = 1e-4  # velocity-space, consistent with the V-FPI residual
     max_iters: int = 2000
-    pgs_inner_iters: int = 8
     warm_start: np.ndarray | None = None
 
 
@@ -39,8 +39,6 @@ class BaselineReport:
     iterations: int = 0
     residual_trace: list = field(default_factory=list)
     converged: bool = False
-    assembly_s: float = 0.0
-    solve_s: float = 0.0
     objective_trace: list = field(default_factory=list)
 
 
@@ -79,13 +77,13 @@ def assemble_delassus(aug: AugmentedDynamics) -> DelassusProblem:
     a_c = jc @ ainv_jt
     b_c = jc @ cho_solve(factor, aug.b)
     elapsed = time.perf_counter() - t0
-    mu, mu2, phi = _contact_params(aug)
+    nodal = aug.contacts
     return DelassusProblem(
         0.5 * (a_c + a_c.T),
         b_c,
-        phi,
-        mu,
-        mu2,
+        nodal.phi,
+        nodal.mu,
+        nodal.mu2,
         factor,
         jc,
         aug.b.copy(),
@@ -118,10 +116,9 @@ def solve_pgs(p: DelassusProblem, cfg: BaselineConfig | None = None):
     cfg = cfg or BaselineConfig()
     n_c = p.mu.shape[0]
     lam = np.zeros(3 * n_c) if cfg.warm_start is None else cfg.warm_start.astype(float).copy()
-    report = BaselineReport(assembly_s=p.assembly_s)
+    report = BaselineReport()
     a = p.a_c
     rhs = p.b_c + _phi_full(p)
-    t0 = time.perf_counter()
     for sweep in range(1, cfg.max_iters + 1):
         lam_old = lam.copy()
         for m in range(n_c):
@@ -133,7 +130,7 @@ def solve_pgs(p: DelassusProblem, cfg: BaselineConfig | None = None):
             step = 1.0 / (trace + 1e-12 * trace)
             r_m = rhs[sl] + a[sl] @ lam - amm @ lam[sl]
             lm = lam[sl].copy()
-            for _ in range(cfg.pgs_inner_iters):
+            for _ in range(PGS_INNER_ITERS):
                 g = amm @ lm + r_m
                 lm = _project_batch(
                     (lm - step * g).reshape(1, 3), p.mu[m : m + 1], p.mu2[m : m + 1], "proximal"
@@ -145,7 +142,6 @@ def solve_pgs(p: DelassusProblem, cfg: BaselineConfig | None = None):
         if res < cfg.residual_tol:
             report.converged = True
             break
-    report.solve_s = time.perf_counter() - t0
     return lam.reshape(n_c, 3), report
 
 
@@ -168,9 +164,8 @@ def solve_apgd(p: DelassusProblem, cfg: BaselineConfig | None = None):
     cfg = cfg or BaselineConfig()
     n_c = p.mu.shape[0]
     lam = np.zeros(3 * n_c) if cfg.warm_start is None else cfg.warm_start.astype(float).copy()
-    report = BaselineReport(assembly_s=p.assembly_s)
+    report = BaselineReport()
     a = p.a_c
-    t0 = time.perf_counter()
     lmax = _power_iteration_lmax(a)
     step = 1.0 / max(lmax, 1e-12)
     y = lam.copy()
@@ -195,7 +190,6 @@ def solve_apgd(p: DelassusProblem, cfg: BaselineConfig | None = None):
         if res < cfg.residual_tol:
             report.converged = True
             break
-    report.solve_s = time.perf_counter() - t0
     return lam.reshape(n_c, 3), report
 
 

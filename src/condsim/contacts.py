@@ -436,9 +436,9 @@ class ContactMap:
             rel[self.has_j] -= v[self.idx_j]
         return np.einsum("mab,mb->ma", self.frames, rel)
 
-    def jc_t(self, lam: np.ndarray, n: int | None = None) -> np.ndarray:
+    def jc_t(self, lam: np.ndarray) -> np.ndarray:
         """J_c^T lam over the augmented coordinates."""
-        out = np.zeros(self.n if n is None else n)
+        out = np.zeros(self.n)
         world = np.einsum("mba,mb->ma", self.frames, lam)
         if self.unique_i:
             out[self.idx_i] = world
@@ -447,13 +447,3 @@ class ContactMap:
         if self.any_j:
             np.subtract.at(out, self.idx_j, world[self.has_j])
         return out
-
-
-def apply_jc(aug: AugmentedDynamics, v: np.ndarray) -> np.ndarray:
-    """J_c v as (n_c, 3) contact-frame velocities."""
-    return ContactMap(aug).jc(v)
-
-
-def apply_jc_t(aug: AugmentedDynamics, lam: np.ndarray, n: int | None = None) -> np.ndarray:
-    """J_c^T lam over the augmented coordinates."""
-    return ContactMap(aug).jc_t(lam, n)

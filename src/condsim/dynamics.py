@@ -90,11 +90,10 @@ class SystemState:
 @dataclass
 class DampingPolicy:
     """Constant diagonal damping, or the diagonal surrogate of the geometric
-    stiffness (absolute column sums), both floored at ``eps_floor``."""
+    stiffness (absolute column sums) floored at ``EPS_DAMPING_FLOOR``."""
 
     variant: str = "constant"  # "constant" | "geometric-projection"
     value: float = 0.0
-    eps_floor: float = EPS_DAMPING_FLOOR
 
 
 @dataclass
@@ -158,7 +157,7 @@ def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
         h = (np.eye(3) - u.T[:, :, None] * u.T[:, None, :]) / dist[:, None, None]
         ke = np.abs(springs.k * (dist - springs.rest))
         cols = 2.0 * ke[:, None] * np.abs(h).sum(axis=1)
-        return np.tile(cols, 2) + policy.eps_floor
+        return np.tile(cols, 2) + EPS_DAMPING_FLOOR
     raise ValueError(f"unknown damping variant {policy.variant!r}")
 
 

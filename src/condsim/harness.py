@@ -244,7 +244,6 @@ class RunConfig:
     chebyshev: bool = False
     kv: float | None = None
     seed: int | None = None
-    omega: float = 0.0
     record_positions: bool = False
 
 
@@ -252,10 +251,8 @@ class RunConfig:
 class RunResult:
     rows: list
     state: SystemState
-    bodies: Bodies
     positions: list = field(default_factory=list)  # optional per-step q snapshots
     any_diverged: bool = False
-    assembly_s: float = 0.0  # baseline Delassus assembly total
 
 
 def validate_scenario(data: dict) -> None:
@@ -480,7 +477,6 @@ def _solver_cfg(cfg: RunConfig) -> SolverConfig:
         residual_tol=cfg.residual_tol,
         max_iters=cfg.max_iters,
         chebyshev=cfg.chebyshev,
-        omega=cfg.omega,
     )
 
 
@@ -513,7 +509,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     bodies = scene.bodies
     n = state.v.shape[0]
     rows = []
-    result = RunResult(rows, state, bodies)
+    result = RunResult(rows, state)
     prev_vhat = state.v
     prev_key, prev_lam = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
 
@@ -548,7 +544,6 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
         else:
             try:
                 prob = bl.assemble_delassus(aug)
-                result.assembly_s += prob.assembly_s
                 bcfg = bl.BaselineConfig(
                     residual_tol=cfg.residual_tol,
                     max_iters=cfg.max_iters,

@@ -21,6 +21,10 @@ AA_WINDOW unknowns. Tie-free systems run the plain loop, optionally with
 Chebyshev weighting and under-relaxation; Anderson acceleration over the
 Chebyshev step did not converge.
 
+An iterate whose step norm falls below the tolerance tol converges only if it
+also passes the force check ||A v - b - Jc^T lambda|| <= 10 tol, with the
+factor 10 as CONSISTENCY_FACTOR.
+
 Impulse projection operators: "strict" (normal clamp then tangential disk
 clamp, exact complementarity), "proximal" (Euclidean cone projection, convex
 relaxation), "strict-anisotropic" (normal clamp, then minimum-distance
@@ -37,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .contacts import AugmentedDynamics, ContactMap, apply_jc
+from .contacts import AugmentedDynamics, ContactMap
 from .dynamics import triples
 from .errors import DivergenceError, InvalidMatrixError
 from .sparse import row_norms_sq, spmv
@@ -47,7 +51,7 @@ OPERATORS = ("strict", "proximal", "strict-anisotropic")
 # numpy, whose fixed cost per call dominates on short arrays; the crossover
 # lies between 16 and 24 contacts (timings in CHANGES.md)
 SCALAR_BATCH_MAX = 16
-STEP_STRATEGIES = ("frobenius", "fixed-alpha")
+CONSISTENCY_FACTOR = 10.0  # of the force check in the module docstring
 # Anderson acceleration on systems with virtual nodes: differences kept before
 # a restart, and the safeguard's scale D and decay exponent epsilon (see
 # ``_anderson``). A window of 5 that slides instead of restarting stalls on the
@@ -74,14 +78,12 @@ class StepMatrix:
 
 
 @dataclass
-class SurrogateDelassus:
-    gamma: np.ndarray  # (n_c,), all > 0
-
-
-@dataclass
 class SolverConfig:
+    """V-FPI settings. W is always the tie-grouped Frobenius step matrix
+    (``step_matrix_frobenius``), and ``residual_tol`` is the tol of the
+    convergence test in the module docstring."""
+
     operator: str = "strict"
-    step_strategy: str = "frobenius"  # or "fixed-alpha": W = alpha I
     residual_tol: float = 1e-4
     max_iters: int = 500  # caps map evaluations, Anderson candidates included
     # Chebyshev weighting (from iteration CHEBY_START on, each step
@@ -89,17 +91,13 @@ class SolverConfig:
     # with virtual nodes always run Anderson acceleration instead
     chebyshev: bool = False
     omega: float = 0.0  # uniform contact regularization (invertible mode)
-    fixed_alpha: float | None = None
-    consistency_factor: float = 10.0  # force residual must reach this times tol
 
 
 @dataclass
 class SolverReport:
     iterations: int = 0
     residual_trace: list = field(default_factory=list)
-    lam: np.ndarray | None = None
     converged: bool = False
-    diverged: bool = False
     consistency: float = float("nan")
     aa_rejected: int = 0  # Anderson candidates rejected by the safeguard
 
@@ -243,8 +241,8 @@ def step_matrix_frobenius(a: sp.csc_matrix, aug: AugmentedDynamics | None = None
     return StepMatrix(w, tied)
 
 
-def surrogate_gamma(w: StepMatrix, aug: AugmentedDynamics, omega: float = 0.0) -> SurrogateDelassus:
-    """Per-contact scalar Delassus entries, by element extraction only."""
+def surrogate_gamma(w: StepMatrix, aug: AugmentedDynamics, omega: float = 0.0) -> np.ndarray:
+    """Per-contact scalar Delassus entries (n_c,), all > 0, by element extraction only."""
     wi = w.w[aug.col_i]
     _check_tie(w.w, aug.col_i)
     gamma = wi.copy()
@@ -252,7 +250,7 @@ def surrogate_gamma(w: StepMatrix, aug: AugmentedDynamics, omega: float = 0.0) -
     if has_j.any():
         _check_tie(w.w, aug.col_j[has_j])
         gamma[has_j] += w.w[aug.col_j[has_j]]
-    return SurrogateDelassus(gamma + omega)
+    return gamma + omega
 
 
 def _check_tie(w: np.ndarray, cols: np.ndarray) -> None:
@@ -262,7 +260,7 @@ def _check_tie(w: np.ndarray, cols: np.ndarray) -> None:
 
 
 def contact_solve_oneshot(
-    gamma: SurrogateDelassus,
+    gamma: np.ndarray,
     eta: np.ndarray,
     phi: np.ndarray,
     mu: np.ndarray,
@@ -276,7 +274,7 @@ def contact_solve_oneshot(
     """
     lam_star = -eta
     lam_star[:, 0] -= phi
-    lam_star /= gamma.gamma[:, None]
+    lam_star /= gamma[:, None]
     return _project_batch(lam_star, mu, mu2, operator)
 
 
@@ -333,11 +331,6 @@ def scc_residual(v_contact: np.ndarray, lam: np.ndarray, phi: np.ndarray, mu: np
     return res
 
 
-def _contact_params(aug: AugmentedDynamics):
-    nodal = aug.contacts
-    return nodal.mu, nodal.mu2, nodal.phi
-
-
 def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
     """Safeguarded type-II Anderson acceleration of v = G(v) (Walker & Ni,
     SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
@@ -371,12 +364,11 @@ def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: So
     while True:
         if not math.isfinite(norm_f):  # a rejected candidate never gets here
             report.iterations = len(report.residual_trace)
-            report.diverged = True
             raise DivergenceError("non-finite iterate in V-FPI", report.residual_trace)
         if norm_f < cfg.residual_tol:
             r = spmv(a, g) - b
             report.consistency = float(np.linalg.norm(r - f_c))
-            if report.consistency <= cfg.consistency_factor * cfg.residual_tol:
+            if report.consistency <= CONSISTENCY_FACTOR * cfg.residual_tol:
                 report.converged = True
                 break
         if len(report.residual_trace) >= cfg.max_iters:
@@ -437,19 +429,13 @@ def solve_vfpi(
     cost more than it saved.
     """
     a, b = aug.a, aug.b
-    n = aug.n
-    n_c = len(aug.contacts)
-    mu = mu2 = phi = None
+    nodal = aug.contacts
+    mu, mu2, phi = nodal.mu, nodal.mu2, nodal.phi
+    n_c = len(nodal)
     if n_c:
-        mu, mu2, phi = _contact_params(aug)
         jmap = ContactMap(aug)
 
-    pair_tie = cfg.operator == "proximal"
-    if cfg.step_strategy == "fixed-alpha":
-        alpha = cfg.fixed_alpha if cfg.fixed_alpha is not None else 1.0 / np.abs(a.diagonal()).max()
-        w = StepMatrix(np.full(n, alpha))
-    else:
-        w = step_matrix_frobenius(a, aug, pair_tie)
+    w = step_matrix_frobenius(a, aug, cfg.operator == "proximal")
     gamma = surrogate_gamma(w, aug, cfg.omega) if n_c else None
 
     v = warm.astype(float).copy()
@@ -497,7 +483,6 @@ def solve_vfpi(
             # a non-finite iterate always makes theta non-finite
             if not math.isfinite(theta) and not np.all(np.isfinite(v_next)):
                 report.iterations = l
-                report.diverged = True
                 raise DivergenceError("non-finite iterate in V-FPI", report.residual_trace)
 
             if cfg.chebyshev:
@@ -511,14 +496,13 @@ def solve_vfpi(
                 # verify the force residual before declaring success
                 force_res = float(np.linalg.norm(r - f_c))
                 report.consistency = force_res
-                if force_res <= cfg.consistency_factor * cfg.residual_tol:
+                if force_res <= CONSISTENCY_FACTOR * cfg.residual_tol:
                     report.converged = True
                     report.iterations = l
                     break
             if l == cfg.max_iters:
                 report.iterations = l
 
-    report.lam = lam
     report.consistency = float(np.linalg.norm(r - f_c))
     return v, lam, report
 
@@ -527,7 +511,7 @@ def inverse_contact(aug: AugmentedDynamics, v_hat: np.ndarray, omega: float, ope
     """Recover contact impulses from a converged velocity via the regularized
     (invertible) contact model: per contact, a one-shot solve with the
     regularization scalar in place of the surrogate Delassus entry."""
-    mu, mu2, phi = _contact_params(aug)
-    eta = apply_jc(aug, v_hat)
-    lam_star = -(eta + phi[:, None] * np.array([1.0, 0.0, 0.0])) / omega
-    return _project_batch(lam_star, mu, mu2, operator)
+    nodal = aug.contacts
+    eta = ContactMap(aug).jc(v_hat)
+    lam_star = -(eta + nodal.phi[:, None] * np.array([1.0, 0.0, 0.0])) / omega
+    return _project_batch(lam_star, nodal.mu, nodal.mu2, operator)

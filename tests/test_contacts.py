@@ -14,9 +14,8 @@ from condsim.contacts import (
     Geometry,
     Plane,
     StabilizationParams,
+    ContactMap,
     StaticSphere,
-    apply_jc,
-    apply_jc_t,
     augment_dynamics,
     contact_frame,
     contact_frames,
@@ -328,7 +327,7 @@ class TestAugmentDynamics:
         aug = augment_dynamics(sp.csc_matrix(a_dense), b_o, nodal)
 
         lam = rng.standard_normal((len(nodal.contacts), 3))
-        rhs = aug.b + apply_jc_t(aug, lam)
+        rhs = aug.b + ContactMap(aug).jc_t(lam)
         sol = np.linalg.solve(aug.a.toarray(), rhs)
         v_o, v_v = sol[:6], sol[6:]
         jv = nodal.jv.toarray()
@@ -479,9 +478,9 @@ class TestContactJacobian:
             aug = build_augmented(a, np.zeros(n), contacts)
             jc = contact_jacobian_matrix(aug)
             v = rng.standard_normal(n)
-            assert np.allclose(apply_jc(aug, v).ravel(), jc @ v, atol=1e-12)
+            assert np.allclose(ContactMap(aug).jc(v).ravel(), jc @ v, atol=1e-12)
             lam = rng.standard_normal((len(contacts), 3))
-            assert np.allclose(apply_jc_t(aug, lam), jc.T @ lam.ravel(), atol=1e-12)
+            assert np.allclose(ContactMap(aug).jc_t(lam), jc.T @ lam.ravel(), atol=1e-12)
 
     def test_repeated_nodes_match_explicit_matrix(self, rng):
         # nodalization never repeats a node, but J_c^T must still sum
@@ -491,6 +490,6 @@ class TestContactJacobian:
         aug = build_augmented(random_spd(rng, n), np.zeros(n), contacts)
         jc = contact_jacobian_matrix(aug)
         v = rng.standard_normal(n)
-        assert np.allclose(apply_jc(aug, v).ravel(), jc @ v, atol=1e-12)
+        assert np.allclose(ContactMap(aug).jc(v).ravel(), jc @ v, atol=1e-12)
         lam = rng.standard_normal((len(contacts), 3))
-        assert np.allclose(apply_jc_t(aug, lam), jc.T @ lam.ravel(), atol=1e-12)
+        assert np.allclose(ContactMap(aug).jc_t(lam), jc.T @ lam.ravel(), atol=1e-12)

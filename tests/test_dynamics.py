@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from condsim.dynamics import (
+    EPS_DAMPING_FLOOR,
     Bodies,
     DampingPolicy,
     RigidBody,
@@ -123,7 +124,7 @@ class TestDampingMatrix:
         pol = DampingPolicy("geometric-projection")
         s = springs([(0, 1)], 10.0, 2.0, pol)
         q = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-        assert np.allclose(spring_damping(s, q), np.full((1, 6), pol.eps_floor))
+        assert np.allclose(spring_damping(s, q), np.full((1, 6), EPS_DAMPING_FLOOR))
 
     def test_geometric_vs_finite_difference_oracle(self, rng):
         # geometric stiffness G = d(Je^T K e)/dq - Je^T K Je; diagonal entries
@@ -148,7 +149,7 @@ class TestDampingMatrix:
                 grad[:, k] = (force(qp) - force(qm)) / (2 * h)
             _, j = spring_eval(one, q)
             geom = grad - one.k[0] * np.outer(j[0], j[0])
-            ref = np.abs(geom).sum(axis=0) + pol.eps_floor
+            ref = np.abs(geom).sum(axis=0) + EPS_DAMPING_FLOOR
             assert np.allclose(got[m], ref, atol=1e-5)
 
 
