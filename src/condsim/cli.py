@@ -1,8 +1,8 @@
 """Command-line interface: run a scenario, benchmark scaling, or self-verify.
 
-Exit codes: 0 success, 2 scenario validation error, 3 divergence in any step
-(also when the contact-free fallback of a diverged step does not converge),
-4 I/O error.
+Exit codes: 0 success, 2 scenario validation error (also a baseline solver on
+a system beyond its dense capacity), 3 divergence in any step (also when the
+contact-free fallback of a diverged step does not converge), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import DivergenceError, ScenarioValidationError
+from .errors import CapacityError, DivergenceError, ScenarioValidationError
 from .harness import (
     RunConfig,
     bench_scaling,
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_verify(args)
-    except ScenarioValidationError as exc:
+    except (ScenarioValidationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DivergenceError as exc:

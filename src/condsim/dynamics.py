@@ -38,6 +38,7 @@ import scipy.sparse as sp
 from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidStateError
 
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
+MIN_SPRING_LENGTH = 1e-12  # m, a shorter spring has no direction
 
 
 def triples(offsets) -> np.ndarray:
@@ -133,7 +134,7 @@ def _spring_geometry(q: np.ndarray, coords: np.ndarray):
     ends = q[coords]
     d = ends[0] - ends[1]
     dist = np.linalg.norm(d, axis=1)
-    if np.any(dist < 1e-12):
+    if np.any(dist < MIN_SPRING_LENGTH):
         raise DegenerateConstraintError("distance spring endpoints coincide")
     return dist, np.divide(d.T, dist, out=np.empty(d.shape[::-1]))
 
@@ -244,6 +245,10 @@ class BlockPattern:
         offsets = [np.array(o, dtype=int) for o in (bodies.node_v, _rigid_v(bodies), springs.vi, springs.vj)]
         if n % 3 or any(np.any(o % 3) for o in offsets):
             raise DimensionMismatchError("block assembly needs n and velocity offsets that are multiples of 3")
+        for o, width, what in zip(offsets, (3, 6, 3, 3), ("node", "rigid body", "spring end i", "spring end j")):
+            outside = o[(o < 0) | (o + width > n)]
+            if outside.size:
+                raise DimensionMismatchError(f"{what} velocity offset {outside[0]} lies outside the {n}-DOF state")
         nb = n // 3
         bn, br, bi, bj = (o // 3 for o in offsets)
         if np.any(bi == bj) or np.any(np.isin(np.concatenate([bi, bj]), br + 1)):

@@ -28,6 +28,7 @@ from .contacts import (
     nodalize,
 )
 from .dynamics import (
+    MIN_SPRING_LENGTH,
     Bodies,
     DampingPolicy,
     RigidBody,
@@ -266,6 +267,31 @@ def validate_scenario(data: dict) -> None:
             "duration/step_size must be an integer step count, "
             f"got {steps!r} for duration={data['duration']} step_size={data['step_size']}"
         )
+    _check_targets(data)
+
+
+def _check_targets(data: dict) -> None:
+    """Reject springs and forces that name a missing body, and springs that
+    join a body to itself or two bodies that start at one point."""
+    bodies = data.get("bodies", [])
+
+    def position(ref: int, loc: str) -> np.ndarray:
+        if ref >= len(bodies):
+            raise ScenarioValidationError(f"{loc} names body {ref}, but the scenario has {len(bodies)} bodies")
+        return np.array(bodies[ref].get("position", [0.0, 0.0, 0.0]), dtype=float)
+
+    for m, spring in enumerate(data.get("springs", [])):
+        i, j = spring["i"], spring["j"]
+        p_i, p_j = position(i, f"springs/{m}/i"), position(j, f"springs/{m}/j")
+        if i == j:
+            raise ScenarioValidationError(f"springs/{m} joins body {i} to itself")
+        if np.linalg.norm(p_i - p_j) < MIN_SPRING_LENGTH:
+            raise ScenarioValidationError(f"springs/{m} joins bodies {i} and {j}, which start at the same point")
+    for m, force in enumerate(data.get("forces", [])):
+        if "body" in force:
+            position(force["body"], f"forces/{m}/body")
+        for k, ref in enumerate(force.get("bodies", [])):
+            position(ref, f"forces/{m}/bodies/{k}")
 
 
 def load_scenario(path: str) -> Scenario:

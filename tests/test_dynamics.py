@@ -375,6 +375,13 @@ class TestBlockAssembly:
         with pytest.raises(DimensionMismatchError):
             assemble_step(SystemState(q, np.zeros(12)), bodies, s)
 
+    def test_velocity_offset_outside_the_state_is_named(self):
+        # spring end j at offset 6 of a two-particle, 6-DOF scene
+        s = Springs(np.array([0]), np.array([3]), np.array([0]), np.array([6]), np.ones(1), np.ones(1))
+        q = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatchError, match="offset 6 lies outside the 6-DOF state"):
+            assemble_step(SystemState(q, np.zeros(6)), particles([1.0, 1.0]), s)
+
 
 MIXED = {
     "step_size": 0.01,

@@ -391,6 +391,35 @@ class TestCli:
         bad.write_text(json.dumps({"duration": 1.0}))
         assert main(["run", "--scenario", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ({"springs": [{"i": 0, "j": 5, "stiffness": 10.0}]}, "springs/0/j names body 5"),
+            ({"forces": [{"force": [1.0, 0.0, 0.0], "body": 5}]}, "forces/0/body names body 5"),
+            ({"springs": [{"i": 1, "j": 1, "stiffness": 10.0}]}, "springs/0 joins body 1 to itself"),
+            ({"springs": [{"i": 0, "j": 2, "stiffness": 10.0}]}, "springs/0 joins bodies 0 and 2"),
+        ],
+        ids=["spring-missing-body", "force-missing-body", "spring-to-itself", "spring-coincident-ends"],
+    )
+    def test_malformed_target_exit_2(self, tmp_path, capsys, entries, named):
+        # bodies 0 and 2 start at the origin, body 1 a metre away
+        bodies = [
+            {"type": "particle", "mass": 1.0},
+            {"type": "particle", "mass": 1.0, "position": [1.0, 0.0, 0.0]},
+            {"type": "particle", "mass": 1.0},
+        ]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"step_size": 0.01, "duration": 0.02, "bodies": bodies, **entries}))
+        assert main(["run", "--scenario", str(bad)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_baseline_over_dense_capacity_exit_2(self, monkeypatch, capsys):
+        from condsim import baselines
+
+        monkeypatch.setattr(baselines, "DENSE_FACTOR_CAP", 2)
+        assert main(["run", "--scenario", scenario_path("resting_particle"), "--solver", "pgs"]) == 2
+        assert capsys.readouterr().err == "error: factor_spd: dim 3 exceeds dense capacity 2\n"
+
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == 4
 
