@@ -271,8 +271,9 @@ def validate_scenario(data: dict) -> None:
 
 
 def _check_targets(data: dict) -> None:
-    """Reject springs and forces that name a missing body, and springs that
-    join a body to itself or two bodies that start at one point."""
+    """Reject springs and forces that name a missing body, springs that join
+    a body to itself or two bodies that start at one point, forces with no
+    target, and lattice targets in a scenario without a lattice."""
     bodies = data.get("bodies", [])
 
     def position(ref: int, loc: str) -> np.ndarray:
@@ -292,6 +293,10 @@ def _check_targets(data: dict) -> None:
             position(force["body"], f"forces/{m}/body")
         for k, ref in enumerate(force.get("bodies", [])):
             position(ref, f"forces/{m}/bodies/{k}")
+        if "lattice" in force and "lattice" not in data:
+            raise ScenarioValidationError(f"forces/{m}/lattice targets the lattice, but the scenario has none")
+        if not ("body" in force or force.get("bodies") or "lattice" in force):
+            raise ScenarioValidationError(f"forces/{m} targets no body")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -364,6 +369,7 @@ def _lattice_edges(nx: int, ny: int, nz: int, diagonals: bool) -> np.ndarray:
 def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     cfg = cfg or RunConfig()
     data = s.raw
+    _check_targets(data)  # a Scenario built from a dict skips validate_scenario
     seed = cfg.seed if cfg.seed is not None else s.seed
     rng = np.random.default_rng(seed)
     dt = s.step_size
@@ -468,12 +474,8 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
         offsets.extend(body_v[bi] for bi in f.get("bodies", []))
         sel = f.get("lattice")
         if sel is not None:
-            if lat is None:
-                raise ScenarioValidationError("forces: 'lattice' target without a lattice block")
             per_layer = lat["nx"] * lat["ny"]
             offsets.extend({"all": lat_v, "top": lat_v[-per_layer:], "bottom": lat_v[:per_layer]}[sel])
-        if not offsets:
-            raise ScenarioValidationError("forces entry targets no body")
         if not f.get("per_node", True):
             vec = vec / len(offsets)
         # per-target rows: np.add.at (NumPy 2.4.6) writes garbage when it

@@ -13,13 +13,11 @@ tied to a common value, which makes Jc W Jc^T block-diagonal with gamma*I
 blocks, so the per-contact solves are exact one-shot projections.
 
 The stiff tie (gain kv) between a rigid body and its virtual contact nodes
-slows this iteration, so systems with virtual nodes run it under safeguarded,
-restarted type-II Anderson acceleration (``_anderson``). Its history lives in
-preallocated difference buffers with an incrementally updated Gram matrix,
-and each candidate comes from a Tikhonov-regularized solve of at most
-AA_WINDOW unknowns. Tie-free systems run the plain loop, optionally with
-Chebyshev weighting and under-relaxation; Anderson acceleration over the
-Chebyshev step did not converge.
+slows this iteration. Every system runs one loop, safeguarded, restarted
+type-II Anderson acceleration (``_anderson``): systems with virtual nodes
+keep up to AA_WINDOW differences, tie-free systems none, which is the plain
+iteration, optionally with Chebyshev weighting and under-relaxation (Anderson
+over the Chebyshev step did not converge).
 
 An iterate whose step norm falls below the tolerance tol converges only if it
 also passes the force check ||A v - b - Jc^T lambda|| <= 10 tol, with the
@@ -62,7 +60,7 @@ AA_DECAY = 1e-6
 # Tikhonov weight of the Anderson least-squares solve, as a multiple of the
 # mean diagonal trace(M)/k of its Gram matrix M
 AA_REG = 1e-12
-# Chebyshev weighting of the tie-free loop: iterations before the weights
+# Chebyshev weighting on tie-free systems: iterations before the weights
 # start (l_s), and the under-relaxation u of each step
 CHEBY_START = 10
 UNDER_RELAX = 0.9
@@ -88,7 +86,7 @@ class SolverConfig:
     max_iters: int = 500  # caps map evaluations, Anderson candidates included
     # Chebyshev weighting (from iteration CHEBY_START on, each step
     # under-relaxed by UNDER_RELAX) acts on tie-free systems only; systems
-    # with virtual nodes always run Anderson acceleration instead
+    # with virtual nodes run an Anderson window instead
     chebyshev: bool = False
     omega: float = 0.0  # uniform contact regularization (invertible mode)
 
@@ -331,66 +329,70 @@ def scc_residual(v_contact: np.ndarray, lam: np.ndarray, phi: np.ndarray, mu: np
     return res
 
 
-def _anderson(plain_map, a: sp.csc_matrix, b: np.ndarray, v: np.ndarray, cfg: SolverConfig, report: SolverReport):
-    """Safeguarded type-II Anderson acceleration of v = G(v) (Walker & Ni,
-    SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
+def _anderson(step_map, a, b: np.ndarray, v: np.ndarray, window: int, cfg: SolverConfig, report: SolverReport):
+    """The V-FPI loop: safeguarded type-II Anderson acceleration of v = G(v)
+    (Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM
+    J. Optim. 2020) over at most ``window`` differences. Window 0 is the
+    plain iteration x <- G(x).
 
-    With f = G(x) - x, the rows of dG and dF hold the differences of G and f
-    between successive kept iterates since the last restart, and M = dF dF^T
-    gains one row and column per kept iterate. The candidate is
-    G(x) - gamma dG with (M + lambda I) gamma = dF f, lambda = AA_REG
-    trace(M)/k over k differences; a zero M or a failed solve gives G(x). The
-    candidate is kept if its ||f|| <= AA_BOUND ||f_0|| (n_AA + 1)^-(1 + AA_DECAY),
-    n_AA counting kept candidates; else the history is cleared and G(x) taken.
-    A full history (AA_WINDOW differences) restarts from the newest iterate:
-    the buffers wrap, and the next difference overwrites row 0. Each
-    evaluation of G is one iteration. Returns G(x), its lam and J_c^T lam,
-    and A G(x) - b.
+    ``step_map(x, r)`` returns G(x), its lam and J_c^T lam from r = A x - b,
+    with A x from ``spmv(a, x)``. With f = G(x) - x, the rows of dG and dF
+    hold the differences of G and f between successive kept iterates since
+    the last restart, and M = dF dF^T gains one row and column per kept
+    iterate. The candidate is G(x) - gamma dG with (M + lambda I) gamma = dF f,
+    lambda = AA_REG trace(M)/k over k differences; a zero M or a failed solve
+    gives G(x). The candidate is kept if its ||f|| <= AA_BOUND ||f_0||
+    (n_AA + 1)^-(1 + AA_DECAY), n_AA counting kept candidates; else the
+    history is cleared and G(x) taken. A full history restarts from the
+    newest iterate: the buffers wrap, and the next difference overwrites
+    row 0. Each evaluation of G is one iteration.
+
+    Each kept G(x) whose ||f|| falls below tol gets the force check of the
+    module docstring, once; its A G(x) - b feeds the next evaluation when no
+    candidate is formed, which is then at G(x) itself. Sets the report's
+    iteration count and force residual; returns G(x) and its lam.
     """
-
-    def evaluate(x):
-        g, lam, f_c = plain_map(x)
-        f = g - x
-        report.residual_trace.append(math.sqrt(f.dot(f)))
-        return g, f, lam, f_c, report.residual_trace[-1]
-
-    g, f, lam, f_c, norm_f = evaluate(v)
-    bound = AA_BOUND * norm_f
-    d_g = np.empty((AA_WINDOW, v.shape[0]))
+    trace = report.residual_trace
+    d_g = np.empty((window, v.shape[0]))
     d_f = np.empty_like(d_g)
-    gram = np.empty((AA_WINDOW, AA_WINDOW))
-    k = 0  # differences held, rows 0..k-1
-    n_aa = 0
+    gram = np.empty((window, window))
+    k = n_aa = 0  # differences held (rows 0..k-1), kept candidates
+    g = r_g = None  # the newest kept G(x), and A g - b once its force check ran
+    x, r = v, None  # the next evaluation point, and A x - b where known
     while True:
-        if not math.isfinite(norm_f):  # a rejected candidate never gets here
-            report.iterations = len(report.residual_trace)
-            raise DivergenceError("non-finite iterate in V-FPI", report.residual_trace)
-        if norm_f < cfg.residual_tol:
-            r = spmv(a, g) - b
-            report.consistency = float(np.linalg.norm(r - f_c))
-            if report.consistency <= CONSISTENCY_FACTOR * cfg.residual_tol:
-                report.converged = True
-                break
-        if len(report.residual_trace) >= cfg.max_iters:
-            break
-        y = _aa_candidate(g, f, d_g[:k], d_f[:k], gram[:k, :k]) if k else g
-        out = evaluate(y)
+        g_x, lam_x, f_c_x = step_map(x, spmv(a, x) - b if r is None else r)
+        f_x = g_x - x
+        norm_f = math.sqrt(f_x.dot(f_x))
+        trace.append(norm_f)
         # a NaN residual fails the comparison too
-        if k and not out[-1] <= bound * (n_aa + 1) ** -(1.0 + AA_DECAY):
+        if k and not norm_f <= AA_BOUND * trace[0] * (n_aa + 1) ** -(1.0 + AA_DECAY):
             report.aa_rejected += 1
             k = 0
-            continue
-        n_aa += k > 0
-        k %= AA_WINDOW
-        np.subtract(out[0], g, out=d_g[k])
-        np.subtract(out[1], f, out=d_f[k])
-        gram[k, : k + 1] = gram[: k + 1, k] = d_f[: k + 1] @ d_f[k]
-        k += 1
-        g, f, lam, f_c, norm_f = out
-    report.iterations = len(report.residual_trace)
-    if not report.converged:  # a failed force check may have set r for an earlier g
-        r = spmv(a, g) - b
-    return g, lam, f_c, r
+        else:
+            if window and g is not None:
+                n_aa += k > 0
+                k %= window
+                np.subtract(g_x, g, out=d_g[k])
+                np.subtract(f_x, f, out=d_f[k])
+                gram[k, : k + 1] = gram[: k + 1, k] = d_f[: k + 1] @ d_f[k]
+                k += 1
+            g, f, lam, f_c, r_g = g_x, f_x, lam_x, f_c_x, None
+            if not math.isfinite(norm_f):
+                report.iterations = len(trace)
+                raise DivergenceError("non-finite iterate in V-FPI", trace)
+            if norm_f < cfg.residual_tol:
+                r_g = spmv(a, g) - b
+                report.consistency = float(np.linalg.norm(r_g - f_c))
+                if report.consistency <= CONSISTENCY_FACTOR * cfg.residual_tol:
+                    report.converged = True
+                    break
+        if len(trace) >= cfg.max_iters:
+            break
+        x, r = (_aa_candidate(g, f, d_g[:k], d_f[:k], gram[:k, :k]), None) if k else (g, r_g)
+    report.iterations = len(trace)
+    if r_g is None:
+        report.consistency = float(np.linalg.norm(spmv(a, g) - b - f_c))
+    return g, lam
 
 
 def _aa_candidate(g: np.ndarray, f: np.ndarray, d_g: np.ndarray, d_f: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -407,26 +409,20 @@ def _aa_candidate(g: np.ndarray, f: np.ndarray, d_g: np.ndarray, d_f: np.ndarray
     return g - gamma @ d_g if info == 0 else g
 
 
-def solve_vfpi(
-    aug: AugmentedDynamics,
-    cfg: SolverConfig,
-    warm: np.ndarray,
-):
+def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     """Run the velocity fixed-point iteration on an augmented system.
 
-    Systems with virtual nodes run the plain map under Anderson acceleration
-    (``_anderson``); tie-free systems run the loop below, with optional
-    Chebyshev weighting. Returns (v_hat, lam, report).
+    Every system runs the one loop of ``_anderson``: with an AA_WINDOW
+    history if it has virtual nodes, else with an empty window and, with
+    ``cfg.chebyshev``, the Chebyshev weighting and under-relaxation on each
+    plain step. Returns (v_hat, lam, report).
 
-    The tie-free loop multiplies by ``a.T``: the CSC arrays of A read as
-    CSR, with no copy, which scipy multiplies by gathering rows instead of
-    scattering columns. That is A^T x, and A x bit for bit on the bitwise
-    symmetric A of node-block assembly (``assemble_step``); a rigid body's
-    world inertia is symmetric only to rounding, so there the two may differ
-    in the last bits. The Anderson path keeps A x: its systems are the small
-    virtual-node ties of rigid bodies, whose ``augment_dynamics`` sum is also
-    symmetric only to rounding, and on them building the view each solve
-    cost more than it saved.
+    Tie-free systems multiply by ``a.T``, A's CSC arrays read as CSR with no
+    copy, which scipy multiplies by gathering rows instead of scattering
+    columns. That is A^T x, which equals A x bit for bit only where A is
+    bitwise symmetric (``sparse`` module docstring). Systems with virtual
+    nodes multiply by A: on their small rigid-body ties, building the view
+    each solve cost more than it saved.
     """
     a, b = aug.a, aug.b
     nodal = aug.contacts
@@ -437,73 +433,35 @@ def solve_vfpi(
 
     w = step_matrix_frobenius(a, aug, cfg.operator == "proximal")
     gamma = surrogate_gamma(w, aug, cfg.omega) if n_c else None
-
-    v = warm.astype(float).copy()
-    lam = np.zeros((n_c, 3))
     report = SolverReport()
+    trace = report.residual_trace
 
+    def plain_map(x, r):
+        v_star = x - w.w * r
+        if not n_c:
+            return v_star, np.zeros((0, 3)), 0.0
+        lam = contact_solve_oneshot(gamma, jmap.jc(v_star), phi, mu, cfg.operator, mu2)
+        f_c = jmap.jc_t(lam)
+        return v_star + w.w * f_c, lam, f_c
+
+    x_prev, rho, nu = None, 0.0, 1.0
+
+    def chebyshev_map(x, r):
+        nonlocal x_prev, rho, nu
+        l = len(trace) + 1  # the iteration this evaluation makes
+        if l > 2:
+            rho = estimate_rho(trace[-1], trace[-2], rho)
+        g, lam, f_c = plain_map(x, r)
+        v_ss = UNDER_RELAX * g + (1.0 - UNDER_RELAX) * x
+        nu = chebyshev_nu(l, CHEBY_START, rho, nu)
+        x_prev, g = x, chebyshev_update(v_ss, x_prev, nu) if l > 1 else v_ss
+        return g, lam, f_c
+
+    v = warm.astype(float)
     if aug.n > aug.n_orig:
-
-        def plain_map(x):
-            v_star = x - w.w * (spmv(a, x) - b)
-            lam = contact_solve_oneshot(gamma, jmap.jc(v_star), phi, mu, cfg.operator, mu2)
-            f_c = jmap.jc_t(lam)
-            return v_star + w.w * f_c, lam, f_c
-
-        v, lam, f_c, r = _anderson(plain_map, a, b, v, cfg, report)
+        v, lam = _anderson(plain_map, a, b, v, AA_WINDOW, cfg, report)
     else:
-        a_t = a.T
-        v_prev = v.copy()
-        rho = 0.0
-        nu = 1.0
-        norm_prev = 0.0
-        r = spmv(a_t, v) - b  # kept in step with v for the convergence check
-        f_c = jmap.jc_t(lam) if n_c else 0.0  # J_c^T lam, the contact force
-
-        for l in range(1, cfg.max_iters + 1):
-            v_star = v - w.w * r
-            if n_c:
-                eta = jmap.jc(v_star)
-                lam = contact_solve_oneshot(gamma, eta, phi, mu, cfg.operator, mu2)
-                f_c = jmap.jc_t(lam)
-                v_new = v_star + w.w * f_c
-            else:
-                v_new = v_star
-
-            if cfg.chebyshev:
-                v_ss = UNDER_RELAX * v_new + (1.0 - UNDER_RELAX) * v
-                nu = chebyshev_nu(l, CHEBY_START, rho, nu)
-                v_next = chebyshev_update(v_ss, v_prev, nu) if l > 1 else v_ss
-            else:
-                v_next = v_new
-
-            step = v_next - v
-            theta = math.sqrt(step.dot(step))  # np.linalg.norm without its dispatch
-            report.residual_trace.append(theta)
-            # a non-finite iterate always makes theta non-finite
-            if not math.isfinite(theta) and not np.all(np.isfinite(v_next)):
-                report.iterations = l
-                raise DivergenceError("non-finite iterate in V-FPI", report.residual_trace)
-
-            if cfg.chebyshev:
-                rho = estimate_rho(theta, norm_prev, rho)
-            norm_prev = theta
-            v_prev, v = v, v_next
-            r = spmv(a_t, v) - b
-
-            if theta < cfg.residual_tol:
-                # the postcondition of convergence is dynamics consistency;
-                # verify the force residual before declaring success
-                force_res = float(np.linalg.norm(r - f_c))
-                report.consistency = force_res
-                if force_res <= CONSISTENCY_FACTOR * cfg.residual_tol:
-                    report.converged = True
-                    report.iterations = l
-                    break
-            if l == cfg.max_iters:
-                report.iterations = l
-
-    report.consistency = float(np.linalg.norm(r - f_c))
+        v, lam = _anderson(chebyshev_map if cfg.chebyshev else plain_map, a.T, b, v, 0, cfg, report)
     return v, lam, report
 
 

@@ -81,8 +81,11 @@ class TestValidation:
     def test_lattice_force_without_lattice(self):
         bad = dict(MINIMAL)
         bad["forces"] = [{"force": [1.0, 0.0, 0.0], "lattice": "top"}]
-        validate_scenario(bad)  # schema-valid, fails at build time
-        with pytest.raises(ScenarioValidationError, match="lattice"):
+        named = "forces/0/lattice targets the lattice, but the scenario has none"
+        with pytest.raises(ScenarioValidationError, match=named):
+            validate_scenario(bad)
+        # a Scenario built without validate_scenario still fails by name
+        with pytest.raises(ScenarioValidationError, match=named):
             run(Scenario(bad), RunConfig())
 
 
@@ -398,8 +401,19 @@ class TestCli:
             ({"forces": [{"force": [1.0, 0.0, 0.0], "body": 5}]}, "forces/0/body names body 5"),
             ({"springs": [{"i": 1, "j": 1, "stiffness": 10.0}]}, "springs/0 joins body 1 to itself"),
             ({"springs": [{"i": 0, "j": 2, "stiffness": 10.0}]}, "springs/0 joins bodies 0 and 2"),
+            ({"forces": [{"force": [1.0, 0.0, 0.0]}]}, "forces/0 targets no body"),
+            ({"forces": [{"force": [1.0, 0.0, 0.0], "bodies": []}]}, "forces/0 targets no body"),
+            ({"forces": [{"force": [1.0, 0.0, 0.0], "lattice": "all"}]}, "forces/0/lattice targets the lattice"),
         ],
-        ids=["spring-missing-body", "force-missing-body", "spring-to-itself", "spring-coincident-ends"],
+        ids=[
+            "spring-missing-body",
+            "force-missing-body",
+            "spring-to-itself",
+            "spring-coincident-ends",
+            "force-without-target",
+            "force-empty-bodies",
+            "lattice-force-without-lattice",
+        ],
     )
     def test_malformed_target_exit_2(self, tmp_path, capsys, entries, named):
         # bodies 0 and 2 start at the origin, body 1 a metre away
@@ -452,6 +466,42 @@ class TestCli:
             run(load_scenario(scenario_path("free_fall")))
         assert main(["run", "--scenario", scenario_path("free_fall")]) == 3
         assert capsys.readouterr().err == "error: contact-free fallback did not converge\n"
+
+    def test_diverged_step_takes_the_flagged_fallback(self, monkeypatch, capsys):
+        # the fifth solve diverges; the contact-free CG step stands in for it
+        from condsim import harness
+
+        solve, calls = harness.solve_vfpi, []
+
+        def diverge_fifth(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise DivergenceError("forced")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_vfpi", diverge_fifth)
+        res = run(load_scenario(scenario_path("free_fall")))
+        assert [r.step for r in res.rows if r.diverged] == [4]
+        assert res.any_diverged and not res.rows[4].converged
+        assert abs(res.state.v[2] + 9.81) <= 1e-9
+        calls.clear()
+        assert main(["run", "--scenario", scenario_path("free_fall")]) == 3
+        captured = capsys.readouterr()
+        assert "diverged=1" in captured.out
+        assert captured.err == "warning: divergence fallback used on at least one step\n"
+
+    def test_bench_writes_one_row_per_size_and_a_fit(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--scenario", scenario_path("lattice_drag"), "--sizes", "300,600", "--out", str(out)]
+        assert main(args) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,solve_s,mean_dyn_s,mean_iters"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [324, 576]
+        assert capsys.readouterr().out.startswith("fit: exponent=")
+
+    def test_bench_sizes_must_be_integers(self, capsys):
+        assert main(["bench", "--scenario", scenario_path("lattice_drag"), "--sizes", "300,abc"]) == 2
+        assert "--sizes must be comma-separated integers, got '300,abc'" in capsys.readouterr().err
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0

@@ -577,23 +577,23 @@ class TestAnderson:
         assert len(exc.value.residual_trace) > 0
 
 
-def record_anderson(g_of_x, x0, max_iters, nan_calls=()):
-    """Run ``solver._anderson`` on the map x -> g_of_x(x) for ``max_iters``
-    evaluations: with A = I, b = 0 and a zero contact force the force check
-    fails wherever G(x) is nonzero. Returns every (x, G(x)) the solver
-    evaluated, in order, the report and the returned G; the calls listed in
-    ``nan_calls`` return NaN, which the safeguard must reject."""
+def record_anderson(g_of_x, x0, max_iters, nan_calls=(), window=solver.AA_WINDOW):
+    """Run ``solver._anderson`` with ``window`` on the map x -> g_of_x(x) for
+    ``max_iters`` evaluations: with A = I, b = 0 and a zero contact force the
+    force check fails wherever G(x) is nonzero. Returns every (x, G(x)) the
+    solver evaluated, in order, the report and the returned G; the calls
+    listed in ``nan_calls`` return NaN, which the safeguard must reject."""
     n = x0.shape[0]
     calls = []
 
-    def plain_map(x):
+    def step_map(x, r):
         g = np.full(n, np.nan) if len(calls) in nan_calls else g_of_x(x)
         calls.append((x.copy(), g))
         return g, None, np.zeros(n)
 
     report = solver.SolverReport()
     cfg = SolverConfig(residual_tol=1e-8, max_iters=max_iters)
-    g = solver._anderson(plain_map, sp.identity(n, format="csc"), np.zeros(n), x0, cfg, report)[0]
+    g = solver._anderson(step_map, sp.identity(n, format="csc"), np.zeros(n), x0, window, cfg, report)[0]
     return calls, report, g
 
 
@@ -644,6 +644,68 @@ class TestAndersonHistory:
         assert report.aa_rejected == 0
         assert all(np.array_equal(x, c) for x, _ in calls[1:])
         assert np.array_equal(g, c)
+
+    def test_empty_window_is_the_plain_iteration(self):
+        rng = np.random.default_rng(11)
+        n = 12
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        c = rng.standard_normal(n)
+        x0 = rng.standard_normal(n)
+        calls, report, g = record_anderson(lambda x: 0.9 * q @ x + c, x0, 30, window=0)
+        assert report.iterations == len(calls) == 30 and report.aa_rejected == 0
+        assert np.array_equal(calls[0][0], x0)
+        assert all(np.array_equal(x, calls[i][1]) for i, (x, _) in enumerate(calls[1:]))
+        assert np.array_equal(g, calls[-1][1])
+
+    def test_empty_window_raises_on_a_non_finite_step(self):
+        # with no history there is no candidate to reject: NaN is divergence
+        with pytest.raises(DivergenceError) as exc:
+            record_anderson(lambda x: 0.5 * x, np.ones(4), 20, nan_calls=(3,), window=0)
+        assert len(exc.value.residual_trace) == 4
+
+
+class TestSpmvAccounting:
+    """Products with A counted through ``solver.spmv``, the name perfbench's
+    tracer replaces."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        points = []
+
+        def spmv_at(a, x):
+            points.append(x.tobytes())
+            return spmv(a, x)
+
+        monkeypatch.setattr(solver, "spmv", spmv_at)
+        return points
+
+    @pytest.mark.parametrize("chebyshev", [False, True])
+    @pytest.mark.parametrize("max_iters", [3, 3000])
+    def test_tie_free_solve_applies_a_once_per_iterate(self, monkeypatch, rng, chebyshev, max_iters):
+        # converged solves end on a passed force check, capped ones on the
+        # cap (the plain step need not contract on a random system)
+        points = self.counted(monkeypatch)
+        converged = []
+        for _ in range(5):
+            n, contacts = random_contact_set(rng)
+            aug = build_augmented(random_spd(rng, n), rng.standard_normal(n), contacts)
+            cfg = SolverConfig(residual_tol=1e-8, max_iters=max_iters, chebyshev=chebyshev)
+            points.clear()
+            _, _, rep = solve_vfpi(aug, cfg, np.zeros(n))
+            converged.append(rep.converged)
+            assert len(points) == rep.iterations + 1
+        assert any(converged) == (max_iters > 3)
+
+    def test_tied_solve_never_applies_a_twice_at_one_point(self, monkeypatch):
+        # the launched anisotropic_slide cube's force check fails at many
+        # iterates whose ||f|| is already below tol; caps stop some solves
+        # right after such a failure
+        aug = first_step("anisotropic_slide", kv=1e5)
+        points = self.counted(monkeypatch)
+        for cap in (12, 25, 40, 500):
+            points.clear()
+            _, _, rep = solve_vfpi(aug, SolverConfig(residual_tol=1e-4, max_iters=cap), np.zeros(aug.n))
+            assert len(set(points)) == len(points) >= rep.iterations + 1
 
 
 class TestInverseContact:
