@@ -165,7 +165,7 @@ def cmd_verify(_args) -> int:
     for trial in range(20):
         aug, w = random_contact_augmentation(rng)
         jc = contact_jacobian_matrix(aug).toarray()
-        prod = jc @ np.diag(w.w) @ jc.T
+        prod = jc @ np.diag(w) @ jc.T
         off = prod - np.diag(np.diag(prod))
         ok &= np.abs(off).max() <= 1e-12
     _check("tied step matrix diagonalizes Jc W Jc^T", ok, failures)

@@ -10,7 +10,9 @@ viscous gain ``k_v``. The augmented system keeps the block structure
     [ -k_v Jv              k_v I    ]
 
 which stays symmetric positive definite, and the contact Jacobian reduces to a
-stack of rotation blocks over nodes.
+stack of rotation blocks over nodes. Each contact side owns its node: a
+``NodalContactSet`` whose column carries two sides is rejected when it is
+built, so J_c W J_c^T stays block-diagonal for any W tied per node.
 
 Contacts stay arrays from detection to the solver: ``detect_contacts`` returns
 one ``DetectedContacts`` record with a row per contact, and ``nodalize`` turns
@@ -30,7 +32,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .dynamics import Bodies, RigidBody, SystemState, _quat_to_rot, triples
-from .errors import DimensionMismatchError, InvalidStateError
+from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
 
@@ -92,6 +94,14 @@ class Contact:
 
 @dataclass
 class NodalContactSet:
+    """Nodalized contacts: each contact side owns one 3-DOF node.
+
+    ``nodes`` holds the column offsets of the contacted nodes, ascending. A
+    column that carries two contact sides raises ``InvalidMatrixError``:
+    there J_c W J_c^T has off-diagonal blocks, and the one-shot contact
+    solves would no longer be exact.
+    """
+
     n_virtual: int
     jv: sp.csr_matrix | None  # (3 n_v, n) map original velocity -> point velocity
     k_v: float
@@ -102,6 +112,13 @@ class NodalContactSet:
     mu: np.ndarray
     mu2: np.ndarray  # mu where the scene sets no mu2
     phi: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.nodes = np.sort(np.concatenate([self.col_i, self.col_j[self.col_j >= 0]]))
+        shared = self.nodes[1:][self.nodes[1:] == self.nodes[:-1]]
+        if shared.size:
+            raise InvalidMatrixError(f"column {shared[0]} carries more than one contact side")
 
     def __len__(self) -> int:
         return self.col_i.shape[0]
@@ -423,8 +440,6 @@ class ContactMap:
         self.n = aug.n
         self.frames = aug.frames
         self.idx_i = aug.col_i[:, None] + np.arange(3)
-        # nodalized contacts own their node, so a plain write scatters J_c^T
-        self.unique_i = np.unique(aug.col_i).shape[0] == aug.col_i.shape[0]
         self.has_j = aug.col_j >= 0
         self.any_j = bool(self.has_j.any())
         self.idx_j = aug.col_j[self.has_j][:, None] + np.arange(3)
@@ -437,13 +452,11 @@ class ContactMap:
         return np.einsum("mab,mb->ma", self.frames, rel)
 
     def jc_t(self, lam: np.ndarray) -> np.ndarray:
-        """J_c^T lam over the augmented coordinates."""
+        """J_c^T lam over the augmented coordinates. Every contact side owns
+        its node (``NodalContactSet``), so plain writes scatter it."""
         out = np.zeros(self.n)
         world = np.einsum("mba,mb->ma", self.frames, lam)
-        if self.unique_i:
-            out[self.idx_i] = world
-        else:
-            np.add.at(out, self.idx_i, world)
+        out[self.idx_i] = world
         if self.any_j:
-            np.subtract.at(out, self.idx_j, world[self.has_j])
+            out[self.idx_j] = 0.0 - world[self.has_j]  # the bits of 0 - x: a zero reads +0.0
         return out

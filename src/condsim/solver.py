@@ -9,8 +9,9 @@ projected impulses:
     v <- v* + W Jc^T lambda
 
 The step matrix W is diagonal with the three entries of every contacted node
-tied to a common value, which makes Jc W Jc^T block-diagonal with gamma*I
-blocks, so the per-contact solves are exact one-shot projections.
+tied to a common value. Each contact side owns its node (``NodalContactSet``
+rejects a shared one), so Jc W Jc^T is block-diagonal with gamma*I blocks and
+the per-contact solves are exact one-shot projections.
 
 The stiff tie (gain kv) between a rigid body and its virtual contact nodes
 slows this iteration. Every system runs one loop, safeguarded, restarted
@@ -44,7 +45,6 @@ from .dynamics import triples
 from .errors import DivergenceError, InvalidMatrixError
 from .sparse import row_norms_sq, spmv
 
-OPERATORS = ("strict", "proximal", "strict-anisotropic")
 # up to this many contacts a loop over Python floats projects faster than
 # numpy, whose fixed cost per call dominates on short arrays; the crossover
 # lies between 16 and 24 contacts (timings in CHANGES.md)
@@ -64,15 +64,6 @@ AA_REG = 1e-12
 # start (l_s), and the under-relaxation u of each step
 CHEBY_START = 10
 UNDER_RELAX = 0.9
-
-
-@dataclass
-class StepMatrix:
-    """Diagonal surrogate step matrix with per-node tie groups."""
-
-    w: np.ndarray  # (n,), all > 0
-    # ascending column offsets of the tied triples
-    tied_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
 @dataclass
@@ -202,56 +193,50 @@ def _tie_groups(aug: AugmentedDynamics, pair_tie: bool):
     each: W entries in one group must coincide.
 
     Every contacted node ties its own 3 entries; with ``pair_tie`` the two
-    nodes of a D-contact additionally share one value (merged transitively).
+    nodes of a D-contact additionally share one value. A node carries one
+    contact side, so these pairs are disjoint and need no closure.
     """
-    n_c = aug.col_i.shape[0]
-    has_j = aug.col_j >= 0
-    cols, node = np.unique(np.concatenate([aug.col_i, aug.col_j[has_j]]), return_inverse=True)
-    # the two nodes of each D-contact, joined only with pair_tie
-    linked = np.full(node.shape[0] - n_c, pair_tie)
-    ends_i, ends_j = node[:n_c][has_j][linked], node[n_c:][linked]
-    # each node takes the lowest group among itself and its partners, then
-    # its group's group, until every pair agrees
+    cols = aug.contacts.nodes
     group = np.arange(cols.shape[0])
-    while True:
-        low = group.copy()
-        np.minimum.at(low, ends_i, group[ends_j])
-        np.minimum.at(low, ends_j, group[ends_i])
-        low = low[low]
-        if np.array_equal(low, group):
-            return cols, group
-        group = low
+    if pair_tie:
+        has_j = aug.col_j >= 0
+        group[np.searchsorted(cols, aug.col_j[has_j])] = np.searchsorted(cols, aug.col_i[has_j])
+    return cols, group
 
 
-def step_matrix_frobenius(a: sp.csc_matrix, aug: AugmentedDynamics | None = None, pair_tie: bool = False) -> StepMatrix:
-    """W minimizing ||I - W A||_F under the diagonal + tie-group structure."""
+def step_matrix_frobenius(a: sp.csc_matrix, aug: AugmentedDynamics | None = None, pair_tie: bool = False) -> np.ndarray:
+    """The (n,) diagonal of W minimizing ||I - W A||_F under the diagonal +
+    tie-group structure."""
     diag = a.diagonal()
     rns = row_norms_sq(a)
     if np.any(rns <= 0.0):
         raise InvalidMatrixError("zero row norm in step-matrix computation")
     w = diag / rns
     if aug is None or not aug.col_i.shape[0]:
-        return StepMatrix(w)
+        return w
     tied, group = _tie_groups(aug, pair_tie)
     idx = triples(tied).ravel()
     gid = np.repeat(group, 3)
     w[idx] = np.bincount(gid, diag[idx])[gid] / np.bincount(gid, rns[idx])[gid]
-    return StepMatrix(w, tied)
+    return w
 
 
-def surrogate_gamma(w: StepMatrix, aug: AugmentedDynamics, omega: float = 0.0) -> np.ndarray:
-    """Per-contact scalar Delassus entries (n_c,), all > 0, by element extraction only."""
-    wi = w.w[aug.col_i]
-    _check_tie(w.w, aug.col_i)
+def surrogate_gamma(w: np.ndarray, aug: AugmentedDynamics, omega: float = 0.0) -> np.ndarray:
+    """Per-contact scalar Delassus entries (n_c,), all > 0, by element
+    extraction only from the (n,) diagonal ``w`` of W."""
+    wi = w[aug.col_i]
+    _check_tie(w, aug.col_i)
     gamma = wi.copy()
     has_j = aug.col_j >= 0
     if has_j.any():
-        _check_tie(w.w, aug.col_j[has_j])
-        gamma[has_j] += w.w[aug.col_j[has_j]]
+        _check_tie(w, aug.col_j[has_j])
+        gamma[has_j] += w[aug.col_j[has_j]]
     return gamma + omega
 
 
 def _check_tie(w: np.ndarray, cols: np.ndarray) -> None:
+    """Guard for a W from outside ``step_matrix_frobenius``: the three
+    entries of every contacted node must coincide."""
     trip = w[cols[:, None] + np.arange(3)]
     if not (np.all(trip[:, 0] == trip[:, 1]) and np.all(trip[:, 0] == trip[:, 2])):
         raise InvalidMatrixError("step matrix violates the per-node tie groups")
@@ -437,12 +422,12 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     trace = report.residual_trace
 
     def plain_map(x, r):
-        v_star = x - w.w * r
+        v_star = x - w * r
         if not n_c:
             return v_star, np.zeros((0, 3)), 0.0
         lam = contact_solve_oneshot(gamma, jmap.jc(v_star), phi, mu, cfg.operator, mu2)
         f_c = jmap.jc_t(lam)
-        return v_star + w.w * f_c, lam, f_c
+        return v_star + w * f_c, lam, f_c
 
     x_prev, rho, nu = None, 0.0, 1.0
 

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .contacts import AugmentedDynamics, Contact, NodalContactSet, contact_frame
-from .solver import StepMatrix, step_matrix_frobenius
+from .solver import step_matrix_frobenius
 
 
 def random_spd(rng: np.random.Generator, n: int, density: float = 0.3) -> sp.csc_matrix:
@@ -42,7 +42,8 @@ def random_contact_set(rng: np.random.Generator, n_nodes: int | None = None, n_c
 
 
 def build_augmented(a: sp.csc_matrix, b: np.ndarray, contacts) -> AugmentedDynamics:
-    """Wrap an already-assembled system and particle-node contacts."""
+    """Wrap an already-assembled system and particle-node contacts; a node
+    that carries two contact sides raises ``InvalidMatrixError``."""
     n_c = len(contacts)
     nodal = NodalContactSet(
         0,
@@ -60,7 +61,8 @@ def build_augmented(a: sp.csc_matrix, b: np.ndarray, contacts) -> AugmentedDynam
 
 
 def random_contact_augmentation(rng: np.random.Generator, pair_tie: bool = False):
-    """Random SPD system plus contacts plus its tied Frobenius step matrix."""
+    """Random SPD system plus contacts plus the (n,) diagonal of its tied
+    Frobenius step matrix."""
     n, contacts = random_contact_set(rng)
     a = random_spd(rng, n)
     b = rng.standard_normal(n)

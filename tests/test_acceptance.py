@@ -29,7 +29,6 @@ from condsim.harness import (
 )
 from condsim.solver import (
     SolverConfig,
-    StepMatrix,
     contact_solve_oneshot,
     inverse_contact,
     project_proximal,
@@ -79,7 +78,7 @@ def test_01_diagonalization_equivalence():
         w = step_matrix_frobenius(a, aug)
         gamma = surrogate_gamma(w, aug)
         jc = contact_jacobian_matrix(aug).toarray()
-        dense = jc @ (w.w[:, None] * jc.T)
+        dense = jc @ (w[:, None] * jc.T)
         m = len(aug.contacts.contacts)
         for i in range(m):
             bi = dense[3 * i : 3 * i + 3]
@@ -206,7 +205,7 @@ def test_06_contact_update_nonexpansive():
         b = rng.standard_normal(n)
         aug = build_augmented(a, b, contacts)
         alpha = 1.0 / np.linalg.eigvalsh(a.toarray()).max()
-        w = StepMatrix(np.full(n, alpha))
+        w = np.full(n, alpha)
         gamma = surrogate_gamma(w, aug)
         mu = np.array([c.mu for c in contacts])
         phi = np.zeros(len(contacts))

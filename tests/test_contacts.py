@@ -25,7 +25,7 @@ from condsim.contacts import (
     stabilization_term,
 )
 from condsim.dynamics import Bodies, RigidBody, SystemState
-from condsim.errors import InvalidStateError
+from condsim.errors import InvalidMatrixError, InvalidStateError
 from condsim.harness import RunConfig, build_scene, load_scenario
 from condsim.testing import build_augmented, random_contact_set, random_spd
 
@@ -482,14 +482,9 @@ class TestContactJacobian:
             lam = rng.standard_normal((len(contacts), 3))
             assert np.allclose(ContactMap(aug).jc_t(lam), jc.T @ lam.ravel(), atol=1e-12)
 
-    def test_repeated_nodes_match_explicit_matrix(self, rng):
-        # nodalization never repeats a node, but J_c^T must still sum
-        # repeated columns rather than keep only one of them
+    def test_repeated_node_rejected(self, rng):
+        # a node carrying two contact sides would couple their one-shot
+        # solves, so the contact set refuses it
         n, contacts = random_contact_set(rng, n_nodes=6, n_contacts=4)
-        contacts = contacts + contacts
-        aug = build_augmented(random_spd(rng, n), np.zeros(n), contacts)
-        jc = contact_jacobian_matrix(aug)
-        v = rng.standard_normal(n)
-        assert np.allclose(ContactMap(aug).jc(v).ravel(), jc @ v, atol=1e-12)
-        lam = rng.standard_normal((len(contacts), 3))
-        assert np.allclose(ContactMap(aug).jc_t(lam), jc.T @ lam.ravel(), atol=1e-12)
+        with pytest.raises(InvalidMatrixError, match="carries more than one contact side"):
+            build_augmented(random_spd(rng, n), np.zeros(n), contacts + contacts[:1])

@@ -27,7 +27,6 @@ from condsim.harness import RunConfig, build_scene, external_force, load_scenari
 from condsim.solver import (
     SCALAR_BATCH_MAX,
     SolverConfig,
-    StepMatrix,
     _project_batch,
     _tie_groups,
     chebyshev_nu,
@@ -210,14 +209,14 @@ class TestProjectAnisotropic:
 class TestStepMatrixFrobenius:
     def test_identity_no_contacts(self):
         w = step_matrix_frobenius(sp.identity(4, format="csc"))
-        assert np.allclose(w.w, np.ones(4))
+        assert np.allclose(w, np.ones(4))
 
     def test_contacted_node_tie(self):
         a = sp.csc_matrix(np.diag([2.0, 2.0, 2.0]))
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         aug = build_augmented(a, np.zeros(3), [Contact(0, frame, 0.5, 0.0)])
         w = step_matrix_frobenius(a, aug)
-        assert np.allclose(w.w, 0.5)  # (2+2+2) / (4+4+4)
+        assert np.allclose(w, 0.5)  # (2+2+2) / (4+4+4)
 
     def test_locally_minimizes_frobenius_norm(self, rng):
         a = random_spd(rng, 12)
@@ -227,10 +226,10 @@ class TestStepMatrixFrobenius:
         def fro(wv):
             return np.linalg.norm(np.eye(12) - np.diag(wv) @ dense)
 
-        base = fro(w.w)
+        base = fro(w)
         for i in range(12):
             for fac in (0.9, 1.1):
-                trial = w.w.copy()
+                trial = w.copy()
                 trial[i] *= fac
                 assert fro(trial) >= base - 1e-12
 
@@ -244,10 +243,10 @@ class TestStepMatrixFrobenius:
         def fro(wv):
             return np.linalg.norm(np.eye(n) - np.diag(wv) @ dense)
 
-        base = fro(w.w)
-        for col in w.tied_nodes:
+        base = fro(w)
+        for col in aug.contacts.nodes:
             for fac in (0.9, 1.1):
-                trial = w.w.copy()
+                trial = w.copy()
                 trial[col : col + 3] *= fac
                 assert fro(trial) >= base - 1e-12
 
@@ -289,21 +288,25 @@ class TestStepMatrixFrobenius:
             cols, gid = _tie_groups(aug, pair_tie)
             assert sorted(groups) == sorted(cols[gid == g].tolist() for g in set(gid.tolist()))
             w = step_matrix_frobenius(a, aug, pair_tie)
-            assert np.array_equal(w.w, ref)
-            assert w.tied_nodes.tolist() == sorted(c for group in groups for c in group)
+            assert np.array_equal(w, ref)
+            assert aug.contacts.nodes.tolist() == sorted(c for group in groups for c in group)
 
-    def test_pair_tie_merges_chains(self):
-        # D-contacts 0-3 and 3-6 form one group with pair_tie, three without
+    def test_pair_tie_joins_disjoint_d_contacts(self):
+        # D-contacts 9-0 and 3-6 form two groups with pair_tie, four without
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         contacts = [
-            Contact(0, frame, 0.5, 0.0, col_j=3),
+            Contact(9, frame, 0.5, 0.0, col_j=0),
             Contact(3, frame, 0.5, 0.0, col_j=6),
         ]
-        aug = build_augmented(sp.identity(9, format="csc"), np.zeros(9), contacts)
-        for pair_tie, n_groups in ((True, 1), (False, 3)):
+        aug = build_augmented(sp.identity(12, format="csc"), np.zeros(12), contacts)
+        for pair_tie, groups in ((True, [[0, 9], [3, 6]]), (False, [[0], [3], [6], [9]])):
             cols, gid = _tie_groups(aug, pair_tie)
-            assert cols.tolist() == [0, 3, 6]
-            assert len(set(gid.tolist())) == n_groups
+            assert cols.tolist() == [0, 3, 6, 9]
+            assert sorted(cols[gid == g].tolist() for g in set(gid.tolist())) == groups
+        # a chain 0-3, 3-6 would put two contact sides on node 3
+        chain = [Contact(0, frame, 0.5, 0.0, col_j=3), Contact(3, frame, 0.5, 0.0, col_j=6)]
+        with pytest.raises(InvalidMatrixError, match="column 3 carries more than one contact side"):
+            build_augmented(sp.identity(9, format="csc"), np.zeros(9), chain)
 
 
 class TestSurrogateGamma:
@@ -314,7 +317,7 @@ class TestSurrogateGamma:
     def test_s_contact(self):
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         aug = self._aug([Contact(0, frame, 0.5, 0.0)], 3)
-        w = StepMatrix(np.full(3, 2.0), [0])
+        w = np.full(3, 2.0)
         assert np.allclose(surrogate_gamma(w, aug), [2.0])
 
     def test_d_contact(self):
@@ -322,7 +325,7 @@ class TestSurrogateGamma:
         aug = self._aug(
             [Contact(0, frame, 0.5, 0.0, col_j=3)], 6
         )
-        w = StepMatrix(np.concatenate([np.full(3, 2.0), np.full(3, 3.0)]), [0, 3])
+        w = np.concatenate([np.full(3, 2.0), np.full(3, 3.0)])
         assert np.allclose(surrogate_gamma(w, aug), [5.0])
 
     def test_matches_brute_force_triple_product(self, rng):
@@ -333,14 +336,14 @@ class TestSurrogateGamma:
             w = step_matrix_frobenius(a, aug)
             gamma = surrogate_gamma(w, aug)
             jc = contact_jacobian_matrix(aug).toarray()
-            prod = jc @ np.diag(w.w) @ jc.T
+            prod = jc @ np.diag(w) @ jc.T
             ref = np.kron(np.diag(gamma), np.eye(3))
             assert np.abs(prod - ref).max() <= 1e-12
 
     def test_tie_violation_rejected(self):
         frame = contact_frame(np.array([0.0, 0.0, 1.0]))
         aug = self._aug([Contact(0, frame, 0.5, 0.0)], 3)
-        w = StepMatrix(np.array([1.0, 2.0, 3.0]), [0])
+        w = np.array([1.0, 2.0, 3.0])
         with pytest.raises(InvalidMatrixError):
             surrogate_gamma(w, aug)
 
@@ -474,7 +477,7 @@ class TestSolveVfpi:
         a = random_spd(rng, 6)
         aug = build_augmented(a, rng.standard_normal(6), [])
         # W = 1e3 I steps far past 2 / lambda_max(A), so the iterates blow up
-        monkeypatch.setattr(solver, "step_matrix_frobenius", lambda *args: StepMatrix(np.full(6, 1e3)))
+        monkeypatch.setattr(solver, "step_matrix_frobenius", lambda *args: np.full(6, 1e3))
         cfg = SolverConfig(max_iters=5000)
         with pytest.raises(DivergenceError) as exc, np.errstate(over="ignore", invalid="ignore"):
             solve_vfpi(aug, cfg, np.zeros(6))
