@@ -1,7 +1,7 @@
 """Command-line interface: run a scenario, benchmark scaling, or self-verify.
 
-Exit codes: 0 success, 2 scenario validation error (also a baseline solver on
-a system beyond its dense capacity), 3 divergence in any step (also when the
+Exit codes: 0 success, 2 scenario or option validation error (also a
+baseline solver on a system beyond its dense capacity), 3 divergence in any step (also when the
 contact-free fallback of a diverged step does not converge), 4 I/O error.
 """
 
@@ -59,6 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_cfg(args) -> RunConfig:
+    if args.max_iter < 1:
+        raise ScenarioValidationError(f"--max-iter must be at least 1, got {args.max_iter}")
     return RunConfig(
         solver=args.solver,
         operator=_OPERATOR_MAP[args.operator],

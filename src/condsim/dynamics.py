@@ -23,9 +23,9 @@ pattern depends only on the offsets, so it is built once per scene
 (``BlockPattern``) and cached on the ``Springs``. Each step computes the 6
 components k u_r u_s, r <= s, of every spring, sums them per component with
 ``np.bincount`` over the node-diagonal blocks and over the unordered node
-pairs, and fills the CSC data with one gather. Mirrored entries of spring and
-node blocks read the same sum, so A is bitwise symmetric; only a rigid
-body's world inertia R I R^T is symmetric just to rounding.
+pairs, and fills the CSC data with one gather. Mirrored entries read the
+same sum, and a rigid body's world inertia R I R^T is symmetrized once, so A
+is bitwise symmetric.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class SystemState:
 
     q: np.ndarray
     v: np.ndarray
-    step_index: int = 0
     dt: float = 0.01
 
 
@@ -139,13 +138,6 @@ def _spring_geometry(q: np.ndarray, coords: np.ndarray):
     return dist, np.divide(d.T, dist, out=np.empty(d.shape[::-1]))
 
 
-def spring_eval(springs: Springs, q: np.ndarray):
-    """Return (e, J): errors (m,) and Jacobian rows (m, 6) over the stacked
-    coordinates (node i, node j) of every spring."""
-    dist, u = _spring_geometry(q, _spring_coords(springs))
-    return dist - springs.rest, np.hstack([u.T, -u.T])
-
-
 def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
     """Diagonal damping (m, 6) of every spring over its 6 coordinates."""
     policy = springs.damping
@@ -174,8 +166,10 @@ def _quat_to_rot(quat: np.ndarray) -> np.ndarray:
 
 
 def world_inertia(body: RigidBody, q: np.ndarray) -> np.ndarray:
+    """R I R^T, symmetrized so that its two triangles hold the same floats."""
     rot = _quat_to_rot(q[body.q_offset + 3 : body.q_offset + 7])
-    return rot @ body.inertia @ rot.T
+    m = rot @ body.inertia @ rot.T
+    return 0.5 * (m + m.T)
 
 
 def _rigid_mass(body: RigidBody, q: np.ndarray) -> np.ndarray:
@@ -193,7 +187,6 @@ def _rigid_v(bodies: Bodies) -> np.ndarray:
 # Component c of a symmetric 3x3 block is its entry (_R[c], _S[c]), r <= s.
 _R, _S = np.triu_indices(3)
 _DIAG = np.flatnonzero(_R == _S)
-_LOWER = np.flatnonzero(_R != _S)
 _COMP = np.empty((3, 3), dtype=int)
 _COMP[_R, _S] = _COMP[_S, _R] = np.arange(6)
 _QUARTERS = (_R[:, None] + [0, 3], _S[:, None] + [0, 3])  # a 6x6 block's two diagonal quarters
@@ -215,13 +208,12 @@ class BlockPattern:
     - per component, one ``np.bincount`` over the springs' -K terms into the
       unordered node pairs, by the pair ids ``pair`` (``n_pairs`` pairs);
       blocks (i, j) and (j, i) both read their pair's sums, and a rigid
-      body's zero off-diagonal quarters are a pair that no spring joins;
-    - the three entries below the diagonal of every rigid body's world
-      inertia, which is symmetric only to rounding.
+      body's zero off-diagonal quarters are a pair that no spring joins.
 
-    Every other entry (r, s) reads component (min(r, s), max(r, s)), so blocks
-    of springs and nodes are bitwise symmetric. A spring must therefore join
-    two distinct blocks, neither of them a rigid body's angular velocity. The
+    Entry (r, s) of every block reads component (min(r, s), max(r, s)); with
+    ``world_inertia`` symmetrized, A is bitwise symmetric. A spring must
+    therefore join two distinct blocks, neither of them a rigid body's
+    angular velocity. The
     spring ends in ``diag_block`` also sum the spring forces into b.
     ``coords`` caches the springs' coordinate indices (``_spring_coords``),
     which change only with the spring ends.
@@ -297,12 +289,6 @@ class BlockPattern:
                 gather[at + r] = base + stride * _COMP[r, s]
                 indices[at + r] = 3 * row + r
         del start, at, base, stride, col, row, rank
-        # the entries (r, s), r > s, of every world inertia read their own values
-        b_inertia = br + 1
-        r_low, s_low = _S[_LOWER], _R[_LOWER]
-        gather[3 * (3 * first[b_inertia, None] + n_up[b_inertia, None] + s_low * per_col[b_inertia, None]) + r_low] = (
-            6 * (nb + n_pairs) + 3 * np.arange(br.shape[0])[:, None] + np.arange(3)
-        )
         rs = np.arange(3)[:, None]
         indptr = np.append(9 * first[:-1, None] + 3 * per_col[:, None] * rs.T, 9 * n_blocks).astype(np.int32)
         # every step's matrix shares these two arrays
@@ -356,12 +342,10 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     diag[:, :n_nodes] = 0.0
     diag[_DIAG, :n_nodes] = coef
 
-    own = np.empty((n_rigid, 3))  # every world inertia's entries below its diagonal
     for k, body in enumerate(bodies.rigid):
         idx = np.arange(body.v_offset, body.v_offset + 6)
         block = (2.0 / t) * _rigid_mass(body, state.q)
         diag[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block[_QUARTERS]
-        own[k] = block[3 + _S[_LOWER], 3 + _R[_LOWER]]
         b[idx] += block @ state.v[idx]
         # gyroscopic term of C v
         omega = state.v[idx[3:]]
@@ -395,11 +379,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     else:
         pair_sums = [np.zeros(6 * pattern.n_pairs)]  # rigid bodies' zero quarters
 
-    vals = np.concatenate(
-        [np.bincount(pattern.diag_block, w, minlength=n // 3) for w in diag]
-        + pair_sums
-        + [0.0 + own.ravel()]  # a sum from 0.0 like every other entry: -0.0 reads 0.0
-    )
+    vals = np.concatenate([np.bincount(pattern.diag_block, w, minlength=n // 3) for w in diag] + pair_sums)
     data = np.take(vals, pattern.gather)
     return AssembledDynamics(sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n)), b, n)
 
@@ -436,7 +416,7 @@ def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies, dt: float |
         quat = _quat_mul(dq, q[body.q_offset + 3 : body.q_offset + 7])
         q[body.q_offset + 3 : body.q_offset + 7] = quat / np.linalg.norm(quat)
     v_next = 2.0 * v_hat - state.v
-    return replace(state, q=q, v=v_next, step_index=state.step_index + 1)
+    return replace(state, q=q, v=v_next)
 
 
 def kinetic_energy(state: SystemState, bodies: Bodies) -> float:

@@ -404,8 +404,8 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
 
     Tie-free systems multiply by ``a.T``, A's CSC arrays read as CSR with no
     copy, which scipy multiplies by gathering rows instead of scattering
-    columns. That is A^T x, which equals A x bit for bit only where A is
-    bitwise symmetric (``sparse`` module docstring). Systems with virtual
+    columns. That is A^T x, which equals A x bit for bit on these bitwise
+    symmetric systems (``sparse`` module docstring). Systems with virtual
     nodes multiply by A: on their small rigid-body ties, building the view
     each solve cost more than it saved.
     """

@@ -3,12 +3,12 @@ row norms of A. System matrices are ``scipy.sparse.csc_matrix`` with no
 duplicate entries.
 
 They are symmetric, but not all of them bit for bit. The node-block assembly
-of ``dynamics.assemble_step`` stores (i, j) and (j, i) as the same float. A
-rigid body's world inertia R I R^T and the ``tocsc`` sum of
-``contacts.augment_dynamics`` are symmetric only to rounding, so their two
-triangles may differ in the last bit. On tie-free systems
+of ``dynamics.assemble_step`` stores (i, j) and (j, i) as the same float on
+every system. The ``tocsc`` sum of ``contacts.augment_dynamics`` is symmetric
+only to rounding, so its two triangles may differ in the last bit. On
+tie-free systems, which are the assembled matrix itself,
 ``solver.solve_vfpi`` hands ``spmv`` the CSR view ``a.T`` of a CSC matrix,
-which is A x bit for bit only in the first case; otherwise it is A^T x.
+which is A x bit for bit there.
 """
 
 from __future__ import annotations

@@ -437,6 +437,15 @@ class TestCli:
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == 4
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_one_exit_2(self, capsys, command, max_iter):
+        args = [command, "--scenario", scenario_path("lattice_drag"), "--max-iter", max_iter]
+        if command == "bench":
+            args += ["--sizes", "300"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: --max-iter must be at least 1, got {max_iter}\n"
+
     def test_bench_sizes_must_ascend(self):
         code = main(
             ["bench", "--scenario", scenario_path("lattice_drag"), "--sizes", "600,300"]

@@ -68,8 +68,8 @@ class TestTransposeView:
     def test_rigid_products_agree_to_rounding(self, rng):
         scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
         state = scene.state
-        # the cube turned about the vertical, still on its 4 contacts: its
-        # world inertia and the virtual-node ties are symmetric only to rounding
+        # the cube turned about the vertical, still on its 4 contacts: the
+        # tocsc sum of its virtual-node ties is symmetric only to rounding
         state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
         asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0, state.v.shape[0]))
         detected = detect_contacts(state, scene.bodies, scene.geometry)
