@@ -1,8 +1,9 @@
 """Command-line interface: run a scenario, benchmark scaling, or self-verify.
 
 Exit codes: 0 success, 2 scenario or option validation error (also a
-baseline solver on a system beyond its dense capacity), 3 divergence in any step (also when the
-contact-free fallback of a diverged step does not converge), 4 I/O error.
+baseline solver on a system beyond its dense capacity), 3 divergence in any
+step (also when the contact-free fallback of a diverged step does not
+converge), 4 I/O error.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ viscous gain ``k_v``. The augmented system keeps the block structure
     [ -k_v Jv              k_v I    ]
 
 which stays symmetric positive definite, and the contact Jacobian reduces to a
-stack of rotation blocks over nodes. Each contact side owns its node: a
-``NodalContactSet`` whose column carries two sides is rejected when it is
-built, so J_c W J_c^T stays block-diagonal for any W tied per node.
+stack of rotation blocks over nodes. Each contact side owns its node, which
+``NodalContactSet`` checks when it is built.
 
 Contacts stay arrays from detection to the solver: ``detect_contacts`` returns
 one ``DetectedContacts`` record with a row per contact, and ``nodalize`` turns
@@ -94,13 +93,10 @@ class Contact:
 
 @dataclass
 class NodalContactSet:
-    """Nodalized contacts: each contact side owns one 3-DOF node.
-
-    ``nodes`` holds the column offsets of the contacted nodes, ascending. A
-    column that carries two contact sides raises ``InvalidMatrixError``:
-    there J_c W J_c^T has off-diagonal blocks, and the one-shot contact
-    solves would no longer be exact.
-    """
+    """Nodalized contacts. ``nodes`` holds the column offsets of the
+    contacted nodes, ascending. A column that carries two contact sides
+    raises ``InvalidMatrixError``: J_c W J_c^T would have off-diagonal
+    blocks there, and the one-shot contact solves would not be exact."""
 
     n_virtual: int
     jv: sp.csr_matrix | None  # (3 n_v, n) map original velocity -> point velocity

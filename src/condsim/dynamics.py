@@ -213,8 +213,8 @@ class BlockPattern:
     Entry (r, s) of every block reads component (min(r, s), max(r, s)); with
     ``world_inertia`` symmetrized, A is bitwise symmetric. A spring must
     therefore join two distinct blocks, neither of them a rigid body's
-    angular velocity. The
-    spring ends in ``diag_block`` also sum the spring forces into b.
+    angular velocity. The spring ends in ``diag_block`` also sum the spring
+    forces into b.
     ``coords`` caches the springs' coordinate indices (``_spring_coords``),
     which change only with the spring ends.
     """

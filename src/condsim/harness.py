@@ -582,7 +582,8 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
             iters = brep.iterations
             residual = brep.residual_trace[-1] if brep.residual_trace else 0.0
             converged = brep.converged
-            diverged = not np.all(np.isfinite(v_hat_full))
+            if not np.all(np.isfinite(v_hat_full)):
+                diverged = True
         if diverged:
             # flagged zero-impulse fallback: take the contact-free step
             from scipy.sparse.linalg import cg

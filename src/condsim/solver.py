@@ -224,9 +224,8 @@ def step_matrix_frobenius(a: sp.csc_matrix, aug: AugmentedDynamics | None = None
 def surrogate_gamma(w: np.ndarray, aug: AugmentedDynamics, omega: float = 0.0) -> np.ndarray:
     """Per-contact scalar Delassus entries (n_c,), all > 0, by element
     extraction only from the (n,) diagonal ``w`` of W."""
-    wi = w[aug.col_i]
     _check_tie(w, aug.col_i)
-    gamma = wi.copy()
+    gamma = w[aug.col_i]
     has_j = aug.col_j >= 0
     if has_j.any():
         _check_tie(w, aug.col_j[has_j])
