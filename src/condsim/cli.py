@@ -1,9 +1,9 @@
 """Command-line interface: run a scenario, benchmark scaling, or self-verify.
 
 Exit codes: 0 success, 2 scenario or option validation error (also a
-baseline solver on a system beyond its dense capacity), 3 divergence in any
-step (also when the contact-free fallback of a diverged step does not
-converge), 4 I/O error.
+baseline solver on a system beyond its dense capacity or under the
+strict-anisotropic operator), 3 divergence in any step (also when the
+contact-free fallback of a diverged step does not converge), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
 
-_OPERATOR_MAP = {"strict": "strict", "proximal": "proximal", "anisotropic": "strict-anisotropic"}
-
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", choices=["cond", "pgs", "apgd"], default="cond")
-    p.add_argument("--operator", choices=["strict", "proximal", "anisotropic"], default="strict")
+    p.add_argument("--operator", choices=["strict", "proximal", "strict-anisotropic"], default="strict")
     p.add_argument("--residual-tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--chebyshev", choices=["on", "off"], default="off",
@@ -64,7 +62,7 @@ def _run_cfg(args) -> RunConfig:
         raise ScenarioValidationError(f"--max-iter must be at least 1, got {args.max_iter}")
     return RunConfig(
         solver=args.solver,
-        operator=_OPERATOR_MAP[args.operator],
+        operator=args.operator,
         residual_tol=args.residual_tol,
         max_iters=args.max_iter,
         chebyshev=args.chebyshev == "on",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -44,7 +45,7 @@ from .errors import (
     ScenarioValidationError,
     UnsupportedRegimeError,
 )
-from .solver import SolverConfig, solve_vfpi
+from .solver import SolverConfig, SolverReport, solve_vfpi
 
 DEFAULT_GRAVITY = (0.0, 0.0, -9.81)
 # runs of every size in ``bench_scaling``: at 3 the R^2 of test_09's fit
@@ -252,7 +253,10 @@ class RunResult:
     rows: list
     state: SystemState
     positions: list = field(default_factory=list)  # optional per-step q snapshots
-    any_diverged: bool = False
+
+    @property
+    def any_diverged(self) -> bool:
+        return any(r.diverged for r in self.rows)
 
 
 def validate_scenario(data: dict) -> None:
@@ -498,15 +502,6 @@ def external_force(scene: Scene, t: float, n: int) -> np.ndarray:
     return f
 
 
-def _solver_cfg(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        operator=cfg.operator,
-        residual_tol=cfg.residual_tol,
-        max_iters=cfg.max_iters,
-        chebyshev=cfg.chebyshev,
-    )
-
-
 def _warm_velocity(prev_vhat: np.ndarray, aug, n_orig: int) -> np.ndarray:
     """Previous-step representative velocity (the scene's velocity on the
     first step), extended to this step's virtual nodes through the rigid
@@ -529,8 +524,21 @@ def _warm_impulses(key: np.ndarray, prev_key: np.ndarray, prev_lam: np.ndarray) 
 
 
 def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
-    """Simulate a scenario and collect per-step metrics."""
+    """Simulate a scenario and collect per-step metrics.
+
+    The baselines solve the isotropic proximal model only, so they reject
+    the strict-anisotropic operator before the first step.
+    """
     cfg = cfg or RunConfig()
+    if cfg.solver != "cond" and cfg.operator == "strict-anisotropic":
+        raise ScenarioValidationError(f"solver {cfg.solver!r} does not support operator 'strict-anisotropic'")
+    solver_cfg = SolverConfig(
+        operator=cfg.operator,
+        residual_tol=cfg.residual_tol,
+        max_iters=cfg.max_iters,
+        chebyshev=cfg.chebyshev,
+    )
+    baseline = None if cfg.solver == "cond" else bl.solve_pgs if cfg.solver == "pgs" else bl.solve_apgd
     scene = build_scene(s, cfg)
     state = scene.state
     bodies = scene.bodies
@@ -552,38 +560,24 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
         dyn_s = time.perf_counter() - t0
 
         t1 = time.perf_counter()
-        diverged = False
-        iters = 0
-        residual = 0.0
-        converged = False
-        consistency = float("nan")
-        if cfg.solver == "cond" or not len(nodal):
+        if baseline is None or not len(nodal):
             try:
                 v_hat_full, lam, rep = solve_vfpi(
-                    aug, _solver_cfg(cfg), _warm_velocity(prev_vhat, aug, asm.n)
+                    aug, solver_cfg, _warm_velocity(prev_vhat, aug, asm.n)
                 )
-                iters = rep.iterations
-                residual = rep.residual_trace[-1] if rep.residual_trace else 0.0
-                converged = rep.converged
-                consistency = rep.consistency
             except DivergenceError:
-                diverged = True
+                v_hat_full, rep = None, SolverReport()
         else:
             prob = bl.assemble_delassus(aug)
+            t1 = time.perf_counter()  # keep assembly out of solver time
             bcfg = bl.BaselineConfig(
                 residual_tol=cfg.residual_tol,
                 max_iters=cfg.max_iters,
                 warm_start=_warm_impulses(detected.key, prev_key, prev_lam),
             )
-            solve = bl.solve_pgs if cfg.solver == "pgs" else bl.solve_apgd
-            lam, brep = solve(prob, bcfg)
+            lam, rep = baseline(prob, bcfg)
             v_hat_full = bl.recover_velocity(prob, lam.ravel())
-            t1 += prob.assembly_s  # keep assembly out of solver time
-            iters = brep.iterations
-            residual = brep.residual_trace[-1] if brep.residual_trace else 0.0
-            converged = brep.converged
-            if not np.all(np.isfinite(v_hat_full)):
-                diverged = True
+        diverged = v_hat_full is None or not np.all(np.isfinite(v_hat_full))
         if diverged:
             # flagged zero-impulse fallback: take the contact-free step
             from scipy.sparse.linalg import cg
@@ -593,7 +587,6 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
                 raise DivergenceError("contact-free fallback did not converge")
             v_hat_full = np.concatenate([v_hat_full, np.zeros(aug.n - asm.n)])
             lam = np.zeros((len(nodal), 3))
-            result.any_diverged = True
         solve_s = time.perf_counter() - t1
 
         v_hat = v_hat_full[: asm.n]
@@ -605,14 +598,14 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
                 step=step,
                 dyn_ms=1e3 * dyn_s,
                 solve_ms=1e3 * solve_s,
-                iters=iters,
-                residual=float(residual),
+                iters=rep.iterations,
+                residual=float(rep.residual_trace[-1]) if rep.residual_trace else 0.0,
                 max_pen_m=float(max_pen),
                 contacts=len(nodal),
                 ke_J=kinetic_energy(state, bodies),
                 diverged=diverged,
-                converged=converged,
-                consistency=consistency,
+                converged=rep.converged,
+                consistency=rep.consistency,
             )
         )
         if cfg.record_positions:
@@ -659,25 +652,24 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-CSV_HEADER = "step,dyn_ms,solve_ms,iters,residual,max_pen_m,contacts,ke_J"
+# the CSV contract: the MetricsRow fields written, in this order
+CSV_COLUMNS = ("step", "dyn_ms", "solve_ms", "iters", "residual", "max_pen_m", "contacts", "ke_J")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def report_csv(rows, path: str) -> None:
     """Write metrics rows with deterministic 17-significant-digit formatting."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (r.step, r.dyn_ms, r.solve_ms, r.iters, r.residual, r.max_pen_m, r.contacts, r.ke_J)
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def parse_csv(path: str):
-    """Round-trip reader for report_csv output."""
+    """Round-trip reader for report_csv output; each column is parsed by its
+    MetricsRow field type."""
+    types = typing.get_type_hints(MetricsRow)
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -685,18 +677,7 @@ def parse_csv(path: str):
             raise ScenarioValidationError(f"unexpected CSV header {header!r}")
         for line in fh:
             parts = line.strip().split(",")
-            rows.append(
-                MetricsRow(
-                    step=int(parts[0]),
-                    dyn_ms=float(parts[1]),
-                    solve_ms=float(parts[2]),
-                    iters=int(parts[3]),
-                    residual=float(parts[4]),
-                    max_pen_m=float(parts[5]),
-                    contacts=int(parts[6]),
-                    ke_J=float(parts[7]),
-                )
-            )
+            rows.append(MetricsRow(**{c: types[c](x) for c, x in zip(CSV_COLUMNS, parts)}))
     return rows
 
 

@@ -59,10 +59,6 @@ class TestAssembleDelassus:
         with pytest.raises(CapacityError):
             assemble_delassus(aug)
 
-    def test_assembly_time_recorded(self):
-        p = assemble_delassus(single_contact_aug())
-        assert p.assembly_s >= 0.0
-
 
 class TestPgs:
     def test_single_contact_closes(self):
@@ -124,7 +120,7 @@ class TestApgd:
             rhs = p.b_c + np.kron(p.phi, [1.0, 0.0, 0.0])
             for _ in range(20000):
                 g = ac @ x + rhs
-                x = _project_batch((x - step * g).reshape(-1, 3), p.mu, p.mu2, "proximal").ravel()
+                x = _project_batch((x - step * g).reshape(-1, 3), p.mu, None, "proximal").ravel()
             assert abs(_objective(p, lam.ravel()) - _objective(p, x)) <= 1e-8 * max(
                 1.0, abs(_objective(p, x))
             )

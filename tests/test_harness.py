@@ -1,5 +1,6 @@
 """Scenario loading, simulation runs, CSV reporting and CLI tests."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 from condsim.cli import main
 from condsim.errors import DivergenceError, ScenarioValidationError, UnsupportedRegimeError
 from condsim.harness import (
+    CSV_COLUMNS,
     CSV_HEADER,
     MetricsRow,
     RunConfig,
@@ -115,16 +117,12 @@ class TestRunPhysics:
     def test_bit_reproducibility(self, tmp_path):
         # wall-clock columns vary; everything numerical must match bit for bit
         s = load_scenario(scenario_path("resting_particle"))
+        wall_clock = {c: 0.0 for c in CSV_COLUMNS if c.endswith("_ms")}
         paths = []
         for k in range(2):
             res = run(s, RunConfig())
-            rows = [
-                MetricsRow(r.step, 0.0, 0.0, r.iters, r.residual, r.max_pen_m,
-                           r.contacts, r.ke_J)
-                for r in res.rows
-            ]
             p = tmp_path / f"run{k}.csv"
-            report_csv(rows, str(p))
+            report_csv([dataclasses.replace(r, **wall_clock) for r in res.rows], str(p))
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -492,12 +490,74 @@ class TestCli:
         res = run(load_scenario(scenario_path("free_fall")))
         assert [r.step for r in res.rows if r.diverged] == [4]
         assert res.any_diverged and not res.rows[4].converged
+        # a diverged V-FPI solve reports no iterations, residual or force check
+        assert (res.rows[4].iters, res.rows[4].residual) == (0, 0.0) and np.isnan(res.rows[4].consistency)
         assert abs(res.state.v[2] + 9.81) <= 1e-9
         calls.clear()
         assert main(["run", "--scenario", scenario_path("free_fall")]) == 3
         captured = capsys.readouterr()
         assert "diverged=1" in captured.out
         assert captured.err == "warning: divergence fallback used on at least one step\n"
+
+    def test_baseline_non_finite_velocity_takes_the_flagged_fallback(self, monkeypatch, capsys):
+        # the third PGS step recovers a NaN velocity; its row keeps the
+        # baseline's iteration count, and the contact-free CG step stands in
+        import scipy.sparse.linalg
+
+        from condsim import harness
+
+        solve_pgs, recover, cg = harness.bl.solve_pgs, harness.bl.recover_velocity, scipy.sparse.linalg.cg
+        iters, fallbacks = [], []
+
+        def counting_pgs(prob, bcfg):
+            lam, rep = solve_pgs(prob, bcfg)
+            iters.append(rep.iterations)
+            return lam, rep
+
+        def nan_on_third(prob, lam):
+            v = recover(prob, lam)
+            return np.full_like(v, np.nan) if len(iters) == 3 else v
+
+        def counting_cg(*args, **kwargs):
+            fallbacks.append(None)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(harness.bl, "solve_pgs", counting_pgs)
+        monkeypatch.setattr(harness.bl, "recover_velocity", nan_on_third)
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
+        res = run(load_scenario(scenario_path("resting_particle")), RunConfig(solver="pgs"))
+        assert [r.step for r in res.rows if r.diverged] == [2]
+        assert res.rows[2].iters == iters[2] > 0
+        assert len(fallbacks) == 1 and res.any_diverged
+        iters.clear()
+        assert main(["run", "--scenario", scenario_path("resting_particle"), "--solver", "pgs"]) == 3
+        assert "diverged=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("solver", ["pgs", "apgd"])
+    def test_baseline_rejects_anisotropic_operator(self, capsys, solver):
+        # the baselines project onto the isotropic cone only, whatever the operator
+        s = load_scenario(scenario_path("anisotropic_slide"))
+        named = f"solver '{solver}' does not support operator 'strict-anisotropic'"
+        with pytest.raises(ScenarioValidationError, match=named):
+            run(s, RunConfig(solver=solver, operator="strict-anisotropic"))
+        args = ["run", "--scenario", s.path, "--solver", solver, "--operator", "strict-anisotropic"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_operator_takes_the_library_name(self, tmp_path):
+        path = scenario_path("anisotropic_slide")
+        out, ref = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["run", "--scenario", path, "--operator", "strict-anisotropic", "--out", str(out)]) == 0
+        report_csv(run(load_scenario(path), RunConfig(operator="strict-anisotropic")).rows, str(ref))
+        keep = [k for k, c in enumerate(CSV_COLUMNS) if not c.endswith("_ms")]
+
+        def numbers(p):
+            return [[line.split(",")[k] for k in keep] for line in p.read_text().splitlines()]
+
+        assert numbers(out) == numbers(ref)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", path, "--operator", "anisotropic"])
+        assert exc.value.code == 2
 
     def test_bench_writes_one_row_per_size_and_a_fit(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
