@@ -530,7 +530,8 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     the strict-anisotropic operator before the first step.
     """
     cfg = cfg or RunConfig()
-    if cfg.solver != "cond" and cfg.operator == "strict-anisotropic":
+    baseline = None if cfg.solver == "cond" else bl.solve_pgs if cfg.solver == "pgs" else bl.solve_apgd
+    if baseline is not None and cfg.operator == "strict-anisotropic":
         raise ScenarioValidationError(f"solver {cfg.solver!r} does not support operator 'strict-anisotropic'")
     solver_cfg = SolverConfig(
         operator=cfg.operator,
@@ -538,7 +539,6 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
         max_iters=cfg.max_iters,
         chebyshev=cfg.chebyshev,
     )
-    baseline = None if cfg.solver == "cond" else bl.solve_pgs if cfg.solver == "pgs" else bl.solve_apgd
     scene = build_scene(s, cfg)
     state = scene.state
     bodies = scene.bodies
