@@ -20,12 +20,14 @@ blocks: a mass block per node, a rigid body's 6x6 mass block as 2x2 blocks,
 and per spring K = (t/2) k u u^T plus its diagonal damping on both of its
 node-diagonal blocks and -K on its two off-diagonal blocks. The sparsity
 pattern depends only on the offsets, so it is built once per scene
-(``BlockPattern``) and cached on the ``Springs``. Each step computes the 6
-components k u_r u_s, r <= s, of every spring, sums them per component with
-``np.bincount`` over the node-diagonal blocks and over the unordered node
-pairs, and fills the CSC data with one gather. Mirrored entries read the
-same sum, and a rigid body's world inertia R I R^T is symmetrized once, so A
-is bitwise symmetric.
+(``BlockPattern``) and cached on the ``Springs``: a block-level CSR matrix
+orders the touched blocks, and scipy's BSR-to-CSR expansion writes the
+entries; A's pattern and blocks are symmetric, so that CSR is A's CSC. Each
+step computes the 6 components k u_r u_s, r <= s, of every spring, sums them
+per component with ``np.bincount`` over the node-diagonal blocks and over the
+unordered node pairs, and fills the CSC data with one gather. Mirrored
+entries read the same sum, and a rigid body's world inertia R I R^T is
+symmetrized once, so A is bitwise symmetric.
 """
 
 from __future__ import annotations
@@ -217,6 +219,13 @@ class BlockPattern:
     forces into b.
     ``coords`` caches the springs' coordinate indices (``_spring_coords``),
     which change only with the spring ends.
+
+    ``build`` gives every block its (3, 3) array of ``vals`` indices, lets a
+    ``csr_matrix`` of block numbers sort the blocks, and expands them with
+    ``bsr_matrix.tocsr``, whose ``indices``, ``indptr`` and ``data`` are
+    ``indices``, ``indptr`` and ``gather``. That CSR is the CSC of A only
+    because the pattern is symmetric and each block's mirror reads its
+    transposed gather.
     """
 
     n: int
@@ -246,51 +255,30 @@ class BlockPattern:
         if np.any(bi == bj) or np.any(np.isin(np.concatenate([bi, bj]), br + 1)):
             raise DimensionMismatchError("a spring must join two distinct blocks of translational velocity")
         diag_block = np.concatenate([bn, (br[:, None] + [0, 1]).ravel(), bi, bj])
-        present = np.bincount(diag_block, minlength=nb) > 0
         pair_keys, pair = np.unique(
             np.concatenate([br * (nb + 1) + 1, np.minimum(bi, bj) * nb + np.maximum(bi, bj)]), return_inverse=True
         )
         lo, hi = np.divmod(pair_keys, nb)
         del pair_keys
         n_pairs = lo.shape[0]
-        # Block column c lists, rows ascending, the blocks (lo, c) of its
-        # pairs above the diagonal, its diagonal block, then the blocks (hi, c)
-        # below; the pairs are sorted by (lo, hi), so the lower ones already
-        # are in order and the upper ones need a stable sort by hi.
-        n_up, n_low = np.bincount(hi, minlength=nb), np.bincount(lo, minlength=nb)
-        per_col = n_up + present + n_low
-        first = np.concatenate([[0], np.cumsum(per_col)])
-        up = np.argsort(hi, kind="stable")  # the pairs by (hi, lo)
-        d = np.flatnonzero(present)
-        # every block, each column's in ascending rows: its column, row, rank
-        # in the column, and where component c of it sits in vals, at
-        # base + c * stride
-        col = np.concatenate([d, hi[up], lo])
-        row = np.concatenate([d, lo[up], hi])
-        rank = np.concatenate([
-            n_up[d],
-            np.arange(n_pairs) - (np.cumsum(n_up) - n_up)[hi[up]],
-            np.arange(n_pairs) - (np.cumsum(n_low) - n_low)[lo] + n_up[lo] + present[lo],
-        ])
-        base = np.concatenate([d, 6 * nb + up, 6 * nb + np.arange(n_pairs)])
-        stride = np.repeat([nb, n_pairs], [d.shape[0], 2 * n_pairs])
-        del lo, hi, up, d
-        # Scalar column 3 c + s holds the blocks of block column c in order,
-        # three rows each: block k, the j-th of its column, starts at slot
-        # 3 first[c] + s per_col[c] + j counted in blocks, and its entry
-        # (r, s) sits at data position 3 slot + r.
-        n_blocks = col.shape[0]
-        start = 3 * first[col] + rank
-        gather = np.empty(9 * n_blocks, dtype=int)
-        indices = np.empty(9 * n_blocks, dtype=np.int32)
-        for s in range(3):
-            at = 3 * (start + s * per_col[col])
-            for r in range(3):
-                gather[at + r] = base + stride * _COMP[r, s]
-                indices[at + r] = 3 * row + r
-        del start, at, base, stride, col, row, rank
-        rs = np.arange(3)[:, None]
-        indptr = np.append(9 * first[:-1, None] + 3 * per_col[:, None] * rs.T, 9 * n_blocks).astype(np.int32)
+        # block k: the diagonal blocks d, each pair (lo, hi), then its mirror
+        # (hi, lo); component c of block k sits in vals at base + c * stride
+        d = np.flatnonzero(np.bincount(diag_block, minlength=nb))
+        k = np.arange(d.shape[0] + 2 * n_pairs)
+        blocks = sp.csr_matrix((k, (np.concatenate([d, lo, hi]), np.concatenate([d, hi, lo]))), shape=(nb, nb))
+        base = np.concatenate([d, 6 * nb + np.tile(np.arange(n_pairs), 2)])[blocks.data]
+        stride = np.repeat([nb, n_pairs], [d.shape[0], 2 * n_pairs])[blocks.data]
+        del lo, hi, d, k
+        comp = stride[:, None, None] * _COMP
+        comp += base[:, None, None]
+        del base, stride
+        # The CSR arrays of the expanded matrix B are the CSC arrays of B^T,
+        # and B^T = B: the pattern is symmetric, a pair and its mirror share
+        # base and stride, and _COMP is symmetric. A block whose mirror is not
+        # its transpose must give the mirror the transposed gather.
+        expanded = sp.bsr_matrix((comp, blocks.indices, blocks.indptr), shape=(n, n)).tocsr()
+        indices, indptr, gather = expanded.indices, expanded.indptr, expanded.data
+        del blocks, comp, expanded
         # every step's matrix shares these two arrays
         indices.flags.writeable = indptr.flags.writeable = False
         return cls(
