@@ -15,12 +15,14 @@ import numpy as np
 
 from .errors import CapacityError, DivergenceError, ScenarioValidationError
 from .harness import (
+    SOLVERS,
     RunConfig,
     bench_scaling,
     load_scenario,
     report_csv,
     run,
 )
+from .solver import OPERATORS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -29,8 +31,8 @@ EXIT_IO = 4
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=["cond", "pgs", "apgd"], default="cond")
-    p.add_argument("--operator", choices=["strict", "proximal", "strict-anisotropic"], default="strict")
+    p.add_argument("--solver", choices=SOLVERS, default="cond")
+    p.add_argument("--operator", choices=OPERATORS, default="strict")
     p.add_argument("--residual-tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--chebyshev", choices=["on", "off"], default="off",

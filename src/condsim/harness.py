@@ -45,7 +45,7 @@ from .errors import (
     ScenarioValidationError,
     UnsupportedRegimeError,
 )
-from .solver import SolverConfig, SolverReport, solve_vfpi
+from .solver import OPERATORS, SolverConfig, SolverReport, solve_vfpi
 
 DEFAULT_GRAVITY = (0.0, 0.0, -9.81)
 # runs of every size in ``bench_scaling``: at 3 the R^2 of test_09's fit
@@ -236,10 +236,13 @@ class MetricsRow:
     consistency: float = float("nan")
 
 
+SOLVERS = ("cond", "pgs", "apgd")
+
+
 @dataclass
 class RunConfig:
-    solver: str = "cond"  # "cond" | "pgs" | "apgd"
-    operator: str = "strict"
+    solver: str = "cond"  # one of SOLVERS
+    operator: str = "strict"  # one of solver.OPERATORS
     residual_tol: float = 1e-4
     max_iters: int = 500
     chebyshev: bool = False
@@ -303,9 +306,16 @@ def _check_targets(data: dict) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
+    """Read and validate a scenario file. ``json`` accepts the literals NaN,
+    Infinity and -Infinity, and the schema's bounds let NaN through, so they
+    are rejected while parsing."""
+
+    def reject(literal: str):
+        raise ScenarioValidationError(f"{path}: {literal} is not a JSON number")
+
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     validate_scenario(data)
@@ -526,10 +536,20 @@ def _warm_impulses(key: np.ndarray, prev_key: np.ndarray, prev_lam: np.ndarray) 
 def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     """Simulate a scenario and collect per-step metrics.
 
-    The baselines solve the isotropic proximal model only, so they reject
-    the strict-anisotropic operator before the first step.
+    Settings it cannot run are rejected before the first step: an unknown
+    solver or operator, a ``kv`` or ``residual_tol`` that is not a finite
+    positive number, and the strict-anisotropic operator under a baseline,
+    which solves the isotropic proximal model only.
     """
     cfg = cfg or RunConfig()
+    if cfg.solver not in SOLVERS:
+        raise ScenarioValidationError(f"unknown solver {cfg.solver!r}, expected one of {SOLVERS}")
+    if cfg.operator not in OPERATORS:
+        raise ScenarioValidationError(f"unknown operator {cfg.operator!r}, expected one of {OPERATORS}")
+    if not (math.isfinite(cfg.residual_tol) and cfg.residual_tol > 0):
+        raise ScenarioValidationError(f"residual_tol must be finite and > 0, got {cfg.residual_tol!r}")
+    if cfg.kv is not None and not (math.isfinite(cfg.kv) and cfg.kv > 0):
+        raise ScenarioValidationError(f"kv must be finite and > 0, got {cfg.kv!r}")
     baseline = None if cfg.solver == "cond" else bl.solve_pgs if cfg.solver == "pgs" else bl.solve_apgd
     if baseline is not None and cfg.operator == "strict-anisotropic":
         raise ScenarioValidationError(f"solver {cfg.solver!r} does not support operator 'strict-anisotropic'")

@@ -64,6 +64,7 @@ AA_REG = 1e-12
 # start (l_s), and the under-relaxation u of each step
 CHEBY_START = 10
 UNDER_RELAX = 0.9
+OPERATORS = ("strict", "proximal", "strict-anisotropic")
 
 
 @dataclass
@@ -72,7 +73,7 @@ class SolverConfig:
     (``step_matrix_frobenius``), and ``residual_tol`` is the tol of the
     convergence test in the module docstring."""
 
-    operator: str = "strict"
+    operator: str = "strict"  # one of OPERATORS
     residual_tol: float = 1e-4
     max_iters: int = 500  # caps map evaluations, Anderson candidates included
     # Chebyshev weighting (from iteration CHEBY_START on, each step

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.spatial.transform import Rotation
 
 from condsim.dynamics import (
@@ -24,6 +25,8 @@ from condsim.harness import Scenario, _lattice_edges, build_scene, external_forc
 from conftest import scenario_path
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+# component c of a symmetric 3x3 block is its c-th upper-triangle entry, row-major
+COMPONENT = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def particles(masses, radius=0.0):
@@ -279,6 +282,37 @@ def touched_blocks(bodies, s):
     return blocks
 
 
+def random_layout(rng):
+    """Particles and rigid bodies in random order, and springs between random
+    translational blocks (particles and rigid bodies' linear blocks), with
+    some node pairs repeated and some reversed; a random state on it."""
+    kinds = rng.permutation(["node"] * rng.integers(1, 7) + ["rigid"] * rng.integers(0, 4))
+    q_off = np.cumsum([0] + [3 if k == "node" else 7 for k in kinds])
+    v_off = np.cumsum([0] + [3 if k == "node" else 6 for k in kinds])
+    node = np.array([k == "node" for k in kinds])
+    rigid = [
+        RigidBody(rng.uniform(0.5, 2.0), int(q), int(v), np.diag(rng.uniform(0.1, 0.3, 3)))
+        for q, v in zip(q_off[:-1][~node], v_off[:-1][~node])
+    ]
+    n_nodes = int(node.sum())
+    bodies = Bodies(q_off[:-1][node], v_off[:-1][node], rng.uniform(0.5, 2.0, n_nodes), np.zeros(n_nodes), rigid)
+    ends = np.arange(len(kinds))
+    pairs = [rng.choice(ends, 2, replace=False) for _ in range(rng.integers(0, 10) if len(kinds) > 1 else 0)]
+    pairs += [pairs[k][::-1] for k in rng.integers(0, len(pairs), 2)] if pairs else []  # reversed
+    pairs += [pairs[k] for k in rng.integers(0, len(pairs), 2)] if pairs else []  # repeated
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    m = pairs.shape[0]
+    variant = ["constant", "geometric-projection"][rng.integers(2)]
+    s = Springs(
+        q_off[pairs[:, 0]], q_off[pairs[:, 1]], v_off[pairs[:, 0]], v_off[pairs[:, 1]],
+        rng.uniform(10.0, 100.0, m), rng.uniform(0.2, 1.0, m), DampingPolicy(variant, rng.uniform(0.0, 1.0)),
+    )
+    q = rng.uniform(-1.0, 1.0, q_off[-1])
+    for body in rigid:
+        q[body.q_offset + 3 : body.q_offset + 7] /= np.linalg.norm(q[body.q_offset + 3 : body.q_offset + 7])
+    return SystemState(q, rng.standard_normal(v_off[-1]), dt=0.01), bodies, s
+
+
 class TestBlockAssembly:
     """A summed as 3x3 blocks into a pattern cached on the Springs, against
     the dense term-by-term reference."""
@@ -290,9 +324,35 @@ class TestBlockAssembly:
         assert np.allclose(a.toarray(), a_ref, rtol=0.0, atol=1e-12 * np.abs(a_ref).max())
         assert np.allclose(asm.b, b_ref, rtol=0.0, atol=1e-12 * np.abs(b_ref).max())
         assert a.nnz == 9 * len(touched_blocks(bodies, s))
-        for c in range(a.shape[1]):
-            rows = a.indices[a.indptr[c] : a.indptr[c + 1]]
-            assert np.all(np.diff(rows) > 0)  # sorted, no duplicates
+        # the pattern is the canonical CSC (sorted, no duplicates) of the
+        # touched blocks
+        n, p = a.shape[0], s.pattern
+        mask = np.zeros((n // 3, n // 3))
+        mask[tuple(np.array(sorted(touched_blocks(bodies, s))).T)] = 1.0
+        canonical = scipy.sparse.csc_matrix(np.kron(mask, np.ones((3, 3))))
+        assert np.array_equal(p.indices, canonical.indices) and np.array_equal(p.indptr, canonical.indptr)
+        # with distinct ids in vals, entry (r, s) of every block reads its
+        # block's component (min(r, s), max(r, s)): a diagonal block its own
+        # sums, a node pair's two blocks one pair's sums, each spring its pair's
+        nb, n_pairs = n // 3, p.n_pairs
+        ids = np.arange(6 * (nb + n_pairs))[p.gather]
+        rows, cols = p.indices, np.repeat(np.arange(n), np.diff(p.indptr))
+        comp = COMPONENT[rows % 3, cols % 3]
+        bi, bj = rows // 3, cols // 3
+        diag = bi == bj
+        assert np.array_equal(ids[diag], comp[diag] * nb + bi[diag])
+        c, pair = np.divmod(ids[~diag] - 6 * nb, max(n_pairs, 1))
+        assert np.array_equal(c, comp[~diag])
+        keys = (np.minimum(bi, bj) * nb + np.maximum(bi, bj))[~diag]
+        key_pair = set(zip(keys.tolist(), pair.tolist()))
+        assert len(key_pair) == len(dict(key_pair)) == len(set(pair.tolist())) == n_pairs
+        ends = np.minimum(s.vi, s.vj) // 3 * nb + np.maximum(s.vi, s.vj) // 3
+        assert [dict(key_pair)[e] for e in ends.tolist()] == p.pair.tolist()
+
+    def test_random_layouts_vs_dense_reference(self, rng):
+        for _ in range(40):
+            state, bodies, s = random_layout(rng)
+            self.check(assemble_step(state, bodies, s), state, bodies, s)
 
     def test_mixed_scene_vs_dense_reference(self, rng):
         # particles at velocity offsets 0, 3, 12, 15 and 18 around a rigid

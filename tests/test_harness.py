@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ class TestValidation:
         assert pts.shape == (4, 3)  # four bottom-face vertices of the 0.2 m cube
         assert np.allclose(np.abs(pts), 0.1)
 
+    @pytest.mark.parametrize(
+        "where, literal",
+        [(("contact", "mu"), "NaN"), (("step_size",), "Infinity"), (("forces", 0, "force", 2), "-Infinity")],
+    )
+    def test_non_standard_number_literal_exit_2(self, tmp_path, capsys, where, literal):
+        # json reads these literals and NaN passes every schema bound: box_slide
+        # with "mu": NaN used to run 300 "converged" steps, "step_size":
+        # Infinity none, and both exited 0
+        data = load_scenario(scenario_path("box_slide")).raw
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = "@"
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(data).replace('"@"', literal))
+        with pytest.raises(ScenarioValidationError, match=f"{literal} is not a JSON number"):
+            load_scenario(str(path))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {literal} is not a JSON number\n"
+
     def test_lattice_force_without_lattice(self):
         bad = dict(MINIMAL)
         bad["forces"] = [{"force": [1.0, 0.0, 0.0], "lattice": "top"}]
@@ -89,6 +110,56 @@ class TestValidation:
         # a Scenario built without validate_scenario still fails by name
         with pytest.raises(ScenarioValidationError, match=named):
             run(Scenario(bad), RunConfig())
+
+
+def no_steps(*args, **kwargs):
+    raise AssertionError("a scene was built for settings that cannot run")
+
+
+class TestRunConfigChecks:
+    """run rejects settings it cannot run before it builds the scene."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("solver", "pgz"),
+            ("operator", "bogus"),
+            ("kv", -1.0),
+            ("kv", 0.0),
+            ("kv", float("nan")),
+            ("kv", float("inf")),
+            ("residual_tol", -1.0),
+            ("residual_tol", 0.0),
+            ("residual_tol", float("nan")),
+            ("residual_tol", float("inf")),
+        ],
+    )
+    def test_rejected_before_the_first_step(self, monkeypatch, field, value):
+        # free_fall has no contacts: an unknown operator used to pass it, and
+        # "pgz" used to run APGD
+        from condsim import harness
+
+        monkeypatch.setattr(harness, "build_scene", no_steps)
+        with pytest.raises(ScenarioValidationError, match=f"{field}.*{re.escape(repr(value))}"):
+            run(load_scenario(scenario_path("free_fall")), RunConfig(**{field: value}))
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--kv", "-1"), ("--kv", "0"), ("--kv", "nan"), ("--residual-tol", "-1"), ("--residual-tol", "nan")]
+    )
+    def test_cli_exit_2(self, monkeypatch, capsys, command, flag, value):
+        # box_slide with --kv -1 used to exit 0 after 300 "converged" steps
+        # 44 m deep, --kv 0 and nan with an uncaught traceback (exit 1), and
+        # --residual-tol -1 and nan with every step unconverged
+        from condsim import harness
+
+        monkeypatch.setattr(harness, "build_scene", no_steps)
+        args = [command, "--scenario", scenario_path("lattice_drag"), flag, value]
+        if command == "bench":
+            args += ["--sizes", "300"]
+        assert main(args) == 2
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be finite and > 0, got {float(value)!r}\n"
 
 
 class TestRunPhysics:
