@@ -16,10 +16,19 @@ stack of rotation blocks over nodes. Each contact side owns its node, which
 Contacts stay arrays from detection to the solver: ``detect_contacts`` returns
 one ``DetectedContacts`` record with a row per contact, and ``nodalize`` turns
 it into the per-contact column, frame, mu and phi arrays of a
-``NodalContactSet`` in batched numpy, with no Python object per contact.
+``NodalContactSet`` in batched numpy, with no Python object per contact. Jv
+stays arrays too: per virtual node, its source's velocity offset, whether the
+source is a rigid body, and the lever arm r from the body's origin.
+
 ``augment_dynamics`` writes the block matrix above as A_o plus k_v T^T T with
-T = [Jv, -I]: A_o's entries and the outer products of T's rows form one
-triplet set, summed into CSC by a single ``tocsc``.
+T = [Jv, -I]. A ``TieLayout`` holds the augmented CSC pattern and, for each
+value of A_o and each product of two entries of a T row, the entry it adds
+into. It is built once per set of virtual-node sources and cached on A_o's
+``BlockPattern``, so a step fills the augmented matrix with one
+``np.bincount``. Each product is k_v (t_p t_q), and every entry sums A_o's
+value first and then the products row by row, so entries (p, q) and (q, p)
+receive the same floats in the same order: the augmented A is bitwise
+symmetric wherever A_o is.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .dynamics import Bodies, RigidBody, SystemState, _quat_to_rot, triples
+from .dynamics import AssembledDynamics, Bodies, RigidBody, SystemState, _quat_to_rot, triples
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
@@ -96,10 +105,14 @@ class NodalContactSet:
     """Nodalized contacts. ``nodes`` holds the column offsets of the
     contacted nodes, ascending. A column that carries two contact sides
     raises ``InvalidMatrixError``: J_c W J_c^T would have off-diagonal
-    blocks there, and the one-shot contact solves would not be exact."""
+    blocks there, and the one-shot contact solves would not be exact.
 
-    n_virtual: int
-    jv: sp.csr_matrix | None  # (3 n_v, n) map original velocity -> point velocity
+    Virtual node k has the columns n_orig + 3k to n_orig + 3k + 2. Its row
+    block of Jv is [I, -[r]x] at a rigid body's velocity offset ``src[k]``
+    (``rigid[k]``, lever arm ``lever[k]``), or I at an original node's
+    (``lever[k]`` zero)."""
+
+    n_orig: int  # original velocity dimension
     k_v: float
     # per contact: column offsets (col_j -1 for S-contacts), frames and parameters
     col_i: np.ndarray
@@ -108,6 +121,10 @@ class NodalContactSet:
     mu: np.ndarray
     mu2: np.ndarray  # mu where the scene sets no mu2
     phi: np.ndarray
+    # per virtual node: source velocity offset, rigid flag and (n_v, 3) lever arm
+    src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    rigid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    lever: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -118,6 +135,29 @@ class NodalContactSet:
 
     def __len__(self) -> int:
         return self.col_i.shape[0]
+
+    @property
+    def n_virtual(self) -> int:
+        return self.src.shape[0]
+
+    @property
+    def jv(self) -> sp.csr_matrix:
+        """Jv as a (3 n_v, n_orig) CSR matrix, built from the arrays for
+        tests and oracles; the step loop never builds it."""
+        keep = _tie_live(self.rigid)[:, :, :3]
+        cols = self.src[:, None, None] + _T_COL
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
+        return sp.csr_matrix(
+            (_tie_rows(self.lever)[:, :, :3][keep], cols[keep], indptr), shape=(3 * self.n_virtual, self.n_orig)
+        )
+
+    def virtual_velocity(self, v: np.ndarray) -> np.ndarray:
+        """Jv v for original velocities v: every virtual node's source
+        velocity, plus w x r on a rigid body, as the sums of its Jv rows. A
+        node source's lever entries are zero, so the columns they read may
+        be clipped at the end of v."""
+        cols = self.src[:, None, None] + _T_COL
+        return np.einsum("kab,kab->ka", _tie_rows(self.lever)[:, :, :3], np.take(v, cols, mode="clip")).ravel()
 
     @property
     def contacts(self) -> list:
@@ -257,10 +297,12 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
 
     # dynamic-dynamic pairs of different bodies via a KD-tree over proxy centers
     # proxies of one rigid body never pair, so without node proxies a
-    # single body needs no tree
+    # single body needs no tree; the pairs are sorted below, so the cheaper
+    # unbalanced, uncompacted tree finds the same result
     pairs = empty.reshape(0, 2)
     if centers.shape[0] > 1 and (n_nodes or len(bodies.rigid) > 1):
-        pairs = cKDTree(centers).query_pairs(r=2.0 * radii.max() + margin, output_type="ndarray")
+        tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
+        pairs = tree.query_pairs(r=2.0 * radii.max() + margin, output_type="ndarray")
     if pairs.shape[0]:
         e, f = pairs[np.argsort(pairs[:, 0] * stride + pairs[:, 1])].T
         d = centers[e] - centers[f]
@@ -340,13 +382,9 @@ def nodalize(
     v_n = np.einsum("mi,mi->m", frames[:, 0], vel[:, 0] - vel[:, 1])
     phi = stabilization_term(detected.depth, v_n, stab)
 
-    jv = None
-    if virt_side.shape[0]:
-        jv = _virtual_node_map(v_off[virt_side], q_off[virt_side] >= 0, lever[virt_side], n)
     cols = cols.reshape(n_c, 2)
     return NodalContactSet(
-        virt_side.shape[0],
-        jv,
+        n,
         k_v,
         col_i=cols[:, 0],
         col_j=cols[:, 1],
@@ -354,58 +392,121 @@ def nodalize(
         mu=np.full(n_c, float(mu)),
         mu2=np.full(n_c, float(mu if mu2 is None else mu2)),
         phi=phi,
+        src=v_off[virt_side],
+        rigid=q_off[virt_side] >= 0,
+        lever=lever[virt_side],
     )
 
 
-# one Jv row block [I, -[r]x] as (row, column) entries, row by row with
-# ascending columns: row a holds the identity column a and the two nonzero
-# columns of -[r]x, whose values are +-r[_LEVER]
-_ROW_COLS = np.array([0, 4, 5, 1, 3, 5, 2, 3, 4])
-_LEVER = np.array([0, 2, 1, 0, 2, 0, 0, 1, 0])
-_SIGN = np.array([1, 1, -1, 1, -1, 1, 1, 1, -1], dtype=float)
-_IDENTITY = np.array([True, False, False] * 3)
+# Row a of a virtual node's tie T = [Jv, -I] as 4 entries: the source's
+# column src + a (value 1), the two columns src + _T_COL[a, 1:] of -[r]x,
+# whose values are _T_SIGN * r[_T_LEVER], and the virtual node's own column
+# (value -1). A node source has only the first and the last.
+_T_COL = np.array([[0, 4, 5], [1, 3, 5], [2, 3, 4]])
+_T_LEVER = np.array([[0, 2, 1, 0], [0, 2, 0, 0], [0, 1, 0, 0]])
+_T_SIGN = np.array([[0, 1, -1, 0], [0, -1, 1, 0], [0, 1, -1, 0]], dtype=float)
+_T_UNIT = np.array([1.0, 0.0, 0.0, -1.0])
 
 
-def _virtual_node_map(src: np.ndarray, rigid: np.ndarray, lever: np.ndarray, n: int) -> sp.csr_matrix:
-    """Jv over the original velocities: per virtual node, the block [I, -[r]x]
-    at a rigid body's velocity offset, or I at an original node's."""
-    n_v = src.shape[0]
-    vals = np.where(_IDENTITY, 1.0, _SIGN * lever[:, _LEVER])
-    keep = rigid[:, None] | _IDENTITY
-    indptr = np.concatenate([[0], np.cumsum(keep.reshape(3 * n_v, 3).sum(axis=1))])
-    return sp.csr_matrix(
-        (vals[keep], (src[:, None] + _ROW_COLS)[keep], indptr), shape=(3 * n_v, n)
-    )
+def _tie_rows(lever: np.ndarray) -> np.ndarray:
+    """(n_v, 3, 4) entries of every virtual node's T rows."""
+    return _T_UNIT + _T_SIGN * lever[:, _T_LEVER]
 
 
-def augment_dynamics(a_o: sp.csc_matrix, b_o: np.ndarray, nodal: NodalContactSet) -> AugmentedDynamics:
+def _tie_live(rigid: np.ndarray) -> np.ndarray:
+    """(n_v, 3, 4) mask of the T row entries that exist."""
+    live = np.ones((rigid.shape[0], 3, 4), dtype=bool)
+    live[~rigid, :, 1:3] = False
+    return live
+
+
+@dataclass
+class TieLayout:
+    """The CSC pattern of the augmented A for one A_o pattern and one set of
+    virtual-node sources.
+
+    The values of a step are A_o's CSC data followed by the 16 products
+    t_p t_q of the 4 entries of every T row (``_tie_rows``), row by row;
+    ``pos`` names the augmented entry each of them adds into. Products with
+    a node source's two missing entries go to the extra entry nnz, which is
+    cut off. ``src`` and ``rigid`` are the sources it was built for.
+    """
+
+    src: np.ndarray
+    rigid: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    pos: np.ndarray
+
+    @classmethod
+    def build(cls, indices: np.ndarray, indptr: np.ndarray, src: np.ndarray, rigid: np.ndarray) -> TieLayout:
+        """Merge the tie entries into A_o's CSC ``indices``/``indptr``, whose
+        (column, row) keys are sorted: only the tie keys are sorted, and
+        those that A_o lacks are inserted. Virtual rows sort after every
+        original row, so a source column only gains a tail, and the virtual
+        columns come last."""
+        n_o, n_v = indptr.shape[0] - 1, src.shape[0]
+        n = n_o + 3 * n_v
+        cols = np.empty((n_v, 3, 4), dtype=np.int64)
+        cols[:, :, :3] = src[:, None, None] + _T_COL
+        cols[:, :, 3] = n_o + np.arange(3 * n_v).reshape(n_v, 3)
+        live = _tie_live(rigid)
+        live = (live[..., :, None] & live[..., None, :]).ravel()
+        keys = (cols[..., None, :] * n + cols[..., :, None]).ravel()  # product (p, q): row p, column q
+        a_keys = np.repeat(np.arange(n_o, dtype=np.int64) * n, np.diff(indptr)) + indices
+        tie, tie_of = np.unique(keys[live], return_inverse=True)
+        at = np.searchsorted(a_keys, tie)
+        new = np.searchsorted(a_keys, tie, side="right") == at
+        # a tie key sits after A_o's entries below it and the new keys before it
+        tie_at = at + np.cumsum(new) - new
+        nnz = a_keys.shape[0] + int(new.sum())
+        pos = np.full(keys.shape[0], nnz)
+        pos[live] = tie_at[tie_of]
+        kept = np.ones(nnz, dtype=bool)  # the augmented entries that A_o holds
+        kept[tie_at[new]] = False
+        new_col, new_row = np.divmod(tie[new], n)
+        indptr = np.concatenate([indptr, np.full(3 * n_v, indptr[-1])]) + np.searchsorted(new_col, np.arange(n + 1))
+        indices = np.insert(indices, at[new], new_row)
+        indptr = indptr.astype(indices.dtype)  # scipy would convert an int64 indptr on every step
+        indices.flags.writeable = indptr.flags.writeable = False
+        return cls(src.copy(), rigid.copy(), indices, indptr, np.concatenate([np.flatnonzero(kept), pos]))
+
+    def fits(self, nodal: NodalContactSet) -> bool:
+        """Whether this layout was built for these sources and rigid flags
+        (compared as bytes: ``np.array_equal`` costs ten times more here)."""
+        return self.src.tobytes() == nodal.src.tobytes() and self.rigid.tobytes() == nodal.rigid.tobytes()
+
+
+def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> AugmentedDynamics:
     """Append virtual-node coordinates and the viscous tie blocks.
 
     With T = [Jv, -I] the augmented matrix is A_o (padded with zeros) plus
-    k_v T^T T. Each row of T contributes the outer product of its entries, so
-    the whole matrix is one triplet set, summed by a single ``tocsc``.
+    k_v T^T T: each row of T adds the outer product of its entries. The
+    ``TieLayout`` cached on A_o's ``BlockPattern`` places them, keyed on the
+    virtual nodes' sources and rigid flags; a matrix without a pattern
+    derives it on each call. A step without virtual nodes returns A_o.
     """
-    n_o = a_o.shape[0]
-    if b_o.shape[0] != n_o:
+    n_o = asm.n
+    if asm.b.shape[0] != n_o:
         raise DimensionMismatchError("augment_dynamics: b length mismatch")
     if nodal.n_virtual == 0:
-        return AugmentedDynamics(a_o, b_o.copy(), n_o, n_o, nodal)
-    jv = nodal.jv
-    nv3 = jv.shape[0]
-    n = n_o + nv3
-    # rows of T padded to a common width; padding repeats a column with value 0
-    lens = np.diff(jv.indptr)
-    k = np.arange(lens.max())
-    pos = jv.indptr[:-1, None] + np.minimum(k, lens[:, None] - 1)
-    t_cols = np.column_stack([jv.indices[pos], np.arange(n_o, n)])
-    t_vals = np.column_stack([np.where(k < lens[:, None], jv.data[pos], 0.0), np.full(nv3, -1.0)])
-    w = t_cols.shape[1]
-    a_o = a_o.tocsc()
-    rows = np.concatenate([a_o.indices, np.repeat(t_cols, w, axis=1).ravel()])
-    cols = np.concatenate([np.repeat(np.arange(n_o), np.diff(a_o.indptr)), np.tile(t_cols, w).ravel()])
-    vals = np.concatenate([a_o.data, (nodal.k_v * t_vals[:, :, None] * t_vals[:, None, :]).ravel()])
-    a = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    return AugmentedDynamics(a, np.concatenate([b_o, np.zeros(nv3)]), n, n_o, nodal)
+        return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal)
+    pattern = asm.pattern
+    if pattern is None:
+        a_o = asm.a.tocsc(copy=True)
+        a_o.sum_duplicates()
+        data, layout = a_o.data, TieLayout.build(a_o.indices, a_o.indptr, nodal.src, nodal.rigid)
+    else:
+        data, layout = asm.data, pattern.ties
+        if layout is None or not layout.fits(nodal):
+            layout = pattern.ties = TieLayout.build(pattern.indices, pattern.indptr, nodal.src, nodal.rigid)
+    t = _tie_rows(nodal.lever)
+    vals = np.concatenate([data, (nodal.k_v * (t[..., :, None] * t[..., None, :])).ravel()])
+    n, nnz = layout.indptr.shape[0] - 1, layout.indices.shape[0]
+    a = sp.csc_matrix(
+        (np.bincount(layout.pos, vals, minlength=nnz + 1)[:nnz], layout.indices, layout.indptr), shape=(n, n)
+    )
+    return AugmentedDynamics(a, np.concatenate([asm.b, np.zeros(n - n_o)]), n, n_o, nodal)
 
 
 def contact_jacobian_matrix(aug: AugmentedDynamics) -> sp.csr_matrix:

@@ -119,9 +119,24 @@ class Springs:
 
 @dataclass
 class AssembledDynamics:
-    a: sp.csc_matrix
+    """A and b of one step. ``assemble_step`` keeps A as its CSC ``data``
+    over ``pattern`` and wraps them in a ``csc_matrix`` when ``a`` is first
+    read; a step with virtual nodes never reads it, since
+    ``contacts.augment_dynamics`` fills the augmented matrix from the arrays.
+    A system assembled elsewhere passes its ``matrix`` and no pattern."""
+
     b: np.ndarray
     n: int
+    data: np.ndarray | None = None
+    pattern: BlockPattern | None = None
+    matrix: sp.csc_matrix | None = field(default=None, repr=False)
+
+    @property
+    def a(self) -> sp.csc_matrix:
+        if self.matrix is None:
+            arrays = (self.data, self.pattern.indices, self.pattern.indptr)
+            self.matrix = sp.csc_matrix(arrays, shape=(self.n, self.n))
+        return self.matrix
 
 
 def _spring_coords(springs: Springs) -> np.ndarray:
@@ -240,6 +255,8 @@ class BlockPattern:
     pair: np.ndarray
     n_pairs: int
     coords: np.ndarray
+    # the contacts.TieLayout of the last virtual-node sources augmented on it
+    ties: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(cls, n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
@@ -369,7 +386,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
 
     vals = np.concatenate([np.bincount(pattern.diag_block, w, minlength=n // 3) for w in diag] + pair_sums)
     data = np.take(vals, pattern.gather)
-    return AssembledDynamics(sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n)), b, n)
+    return AssembledDynamics(b, n, data, pattern)
 
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -198,10 +198,14 @@ _SCENARIO_VALIDATOR = _scenario_validator()
 
 @dataclass
 class Scenario:
-    """Validated scenario description, still close to the JSON shape."""
+    """Validated scenario description, still close to the JSON shape.
+    Making one runs ``validate_scenario`` on ``raw``, once."""
 
     raw: dict
     path: str | None = None
+
+    def __post_init__(self):
+        validate_scenario(self.raw)
 
     @property
     def step_size(self) -> float:
@@ -267,6 +271,7 @@ def validate_scenario(data: dict) -> None:
     if exc is not None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ScenarioValidationError(f"scenario invalid at {loc}: {exc.message}") from exc
+    _check_finite(data, "")
     steps = data["duration"] / data["step_size"]
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         raise ScenarioValidationError(
@@ -274,6 +279,16 @@ def validate_scenario(data: dict) -> None:
             f"got {steps!r} for duration={data['duration']} step_size={data['step_size']}"
         )
     _check_targets(data)
+
+
+def _check_finite(node, loc: str) -> None:
+    """Reject NaN and infinite numbers, which pass every bound of the
+    schema, naming where they sit."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ScenarioValidationError(f"scenario invalid at {loc or '<root>'}: {node!r} is not a finite number")
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        _check_finite(value, f"{loc}/{key}" if loc else str(key))
 
 
 def _check_targets(data: dict) -> None:
@@ -318,7 +333,6 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    validate_scenario(data)
     return Scenario(data, path)
 
 
@@ -382,7 +396,6 @@ def _lattice_edges(nx: int, ny: int, nz: int, diagonals: bool) -> np.ndarray:
 def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     cfg = cfg or RunConfig()
     data = s.raw
-    _check_targets(data)  # a Scenario built from a dict skips validate_scenario
     seed = cfg.seed if cfg.seed is not None else s.seed
     rng = np.random.default_rng(seed)
     dt = s.step_size
@@ -514,12 +527,12 @@ def external_force(scene: Scene, t: float, n: int) -> np.ndarray:
 
 def _warm_velocity(prev_vhat: np.ndarray, aug, n_orig: int) -> np.ndarray:
     """Previous-step representative velocity (the scene's velocity on the
-    first step), extended to this step's virtual nodes through the rigid
-    point map."""
+    first step), extended to this step's virtual nodes as their sources'
+    velocities, v + w x r on a rigid body."""
     v0 = np.zeros(aug.n)
     v0[:n_orig] = prev_vhat[:n_orig]
     if aug.contacts.n_virtual:
-        v0[n_orig:] = aug.contacts.jv @ v0[:n_orig]
+        v0[n_orig:] = aug.contacts.virtual_velocity(v0[:n_orig])
     return v0
 
 
@@ -576,7 +589,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
         detected = detect_contacts(state, bodies, scene.geometry)
         max_pen = detected.depth.max(initial=0.0)
         nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
-        aug = augment_dynamics(asm.a, asm.b, nodal)
+        aug = augment_dynamics(asm, nodal)
         dyn_s = time.perf_counter() - t0
 
         t1 = time.perf_counter()

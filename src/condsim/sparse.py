@@ -2,13 +2,12 @@
 row norms of A. System matrices are ``scipy.sparse.csc_matrix`` with no
 duplicate entries.
 
-They are symmetric, but not all of them bit for bit. The node-block assembly
-of ``dynamics.assemble_step`` stores (i, j) and (j, i) as the same float on
-every system. The ``tocsc`` sum of ``contacts.augment_dynamics`` is symmetric
-only to rounding, so its two triangles may differ in the last bit. On
-tie-free systems, which are the assembled matrix itself,
+They are bitwise symmetric: the node-block assembly of
+``dynamics.assemble_step`` stores (i, j) and (j, i) as the same float, and
+``contacts.augment_dynamics`` adds the same tie products to both in the same
+order. On tie-free systems, which are the assembled matrix itself,
 ``solver.solve_vfpi`` hands ``spmv`` the CSR view ``a.T`` of a CSC matrix,
-which is A x bit for bit there.
+which is A x bit for bit.
 """
 
 from __future__ import annotations

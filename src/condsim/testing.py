@@ -45,9 +45,9 @@ def build_augmented(a: sp.csc_matrix, b: np.ndarray, contacts) -> AugmentedDynam
     """Wrap an already-assembled system and particle-node contacts; a node
     that carries two contact sides raises ``InvalidMatrixError``."""
     n_c = len(contacts)
+    n = a.shape[0]
     nodal = NodalContactSet(
-        0,
-        None,
+        n,
         0.0,
         col_i=np.array([c.col_i for c in contacts], dtype=int),
         col_j=np.array([c.col_j for c in contacts], dtype=int),
@@ -56,7 +56,6 @@ def build_augmented(a: sp.csc_matrix, b: np.ndarray, contacts) -> AugmentedDynam
         mu2=np.array([c.mu if c.mu2 is None else c.mu2 for c in contacts], dtype=float),
         phi=np.array([c.phi_n for c in contacts], dtype=float),
     )
-    n = a.shape[0]
     return AugmentedDynamics(a, b.copy(), n, n, nodal)
 
 

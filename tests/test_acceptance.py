@@ -350,23 +350,24 @@ def test_11_invertible_contact():
     n = state.v.shape[0]
     cfg = SolverConfig(operator="proximal", residual_tol=1e-12,
                        chebyshev=True, max_iters=20000, omega=1e-3)
-    worst = np.inf
+    worst, contact_steps = 0.0, 0
     for step in range(5):
         f_ext = external_force(scene, step * s.step_size, n)
         asm = assemble_step(state, bodies, scene.constraints, f_ext)
         raw = detect_contacts(state, bodies, scene.geometry)
         nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
-        aug = augment_dynamics(asm.a, asm.b, nodal)
+        aug = augment_dynamics(asm, nodal)
         v_hat, lam, rep = solve_vfpi(aug, cfg, np.zeros(aug.n))
         if nodal.contacts:
             lam_inv = inverse_contact(aug, v_hat, 1e-3, "proximal")
             nf, ni = np.linalg.norm(lam), np.linalg.norm(lam_inv)
-            worst = abs(nf - ni) / max(nf, 1e-30)
+            worst = max(worst, abs(nf - ni) / max(nf, 1e-30))
+            contact_steps += 1
         state = integrate(state, v_hat[: asm.n], bodies)
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-6 and dt < 30.0
+    ok = contact_steps > 0 and worst <= 1e-6 and dt < 30.0
     report("invertible-contact", ok,
-           f"impulse-norm round-trip error {worst:.2e}, {dt:.1f}s")
+           f"impulse-norm round-trip error {worst:.2e} over {contact_steps} contact steps, {dt:.1f}s")
 
 
 def test_12_penetration_bound(bundled_runs):
@@ -398,7 +399,7 @@ def test_13_small_step_contraction():
     raw = detect_contacts(state, bodies, scene.geometry)
     nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
     assert len(nodal.contacts) >= 1
-    aug = augment_dynamics(asm.a, asm.b, nodal)
+    aug = augment_dynamics(asm, nodal)
     cfg = SolverConfig(operator="strict", residual_tol=0.0, max_iters=200)
     rng = np.random.default_rng(13)
     worst = -np.inf

@@ -24,7 +24,7 @@ from condsim.contacts import (
     nodalize,
     stabilization_term,
 )
-from condsim.dynamics import Bodies, RigidBody, SystemState
+from condsim.dynamics import AssembledDynamics, Bodies, RigidBody, SystemState, assemble_step
 from condsim.errors import InvalidMatrixError, InvalidStateError
 from condsim.harness import RunConfig, build_scene, load_scenario
 from condsim.testing import build_augmented, random_contact_set, random_spd
@@ -177,6 +177,34 @@ class TestDetectContacts:
         raw = detect_contacts(state, bodies, geom)
         assert raw.v_off.tolist() == [[0, -1], [0, -1]] and raw.q_off.tolist() == [[0, -1], [0, -1]]
 
+    def test_dense_clouds_match_all_pairs(self, rng):
+        # random clouds of overlapping proxies with random radii (some
+        # without a proxy) and one floor: the tree's pairs against every
+        # pair checked directly, in key order
+        for _ in range(10):
+            k = int(rng.integers(2, 200))
+            state, bodies, geom = particle_scene(rng.uniform(0.0, 1.0, (k, 3)))
+            bodies.node_radius[:] = rng.uniform(0.0, 0.12, k) * (rng.random(k) < 0.9)
+            geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+            raw = detect_contacts(state, bodies, geom)
+            proxied = np.flatnonzero(bodies.node_radius > 0)
+            centers, radii = state.q.reshape(-1, 3)[proxied], bodies.node_radius[proxied]
+            stride = 1 + proxied.shape[0]
+            ref = []
+            for e in range(proxied.shape[0]):
+                for f in range(e + 1, proxied.shape[0]):
+                    d = centers[e] - centers[f]
+                    dist = np.linalg.norm(d)
+                    if dist - radii[e] - radii[f] < geom.margin and dist > 1e-12:
+                        depth = radii[e] + radii[f] - dist
+                        ref.append((e * stride + 1 + f, 3 * proxied[e], 3 * proxied[f], depth, d / dist))
+            pair = raw.v_off[:, 1] >= 0
+            assert raw.key[pair].tolist() == [r[0] for r in ref]
+            assert raw.v_off[pair].tolist() == [[r[1], r[2]] for r in ref]
+            if ref:
+                assert np.allclose(raw.depth[pair], np.maximum(0.0, [r[3] for r in ref]), rtol=0.0, atol=1e-15)
+                assert np.allclose(raw.normal[pair], [r[4] for r in ref], rtol=0.0, atol=1e-15)
+
 
 def bundled_scene(name: str):
     scene = build_scene(load_scenario(scenario_path(name)), RunConfig())
@@ -311,7 +339,7 @@ class TestAugmentDynamics:
         raw = detect_contacts(state, bodies, geom)
         nodal = nodalize(raw, state, k_v=1e5)
         a_o = sp.csc_matrix(100.0 * np.eye(6) + rng.uniform(0, 1) * np.eye(6))
-        aug = augment_dynamics(a_o, np.zeros(6), nodal)
+        aug = augment_dynamics(AssembledDynamics(np.zeros(6), 6, matrix=a_o), nodal)
         assert aug.b[6:].max() == 0.0 and aug.b[6:].min() == 0.0
         assert np.linalg.eigvalsh(aug.a.toarray()).min() > 0.0
 
@@ -324,7 +352,7 @@ class TestAugmentDynamics:
         nodal = nodalize(raw, state, k_v=1e4)
         a_dense = 50.0 * np.eye(6)
         b_o = rng.standard_normal(6)
-        aug = augment_dynamics(sp.csc_matrix(a_dense), b_o, nodal)
+        aug = augment_dynamics(AssembledDynamics(b_o, 6, matrix=sp.csc_matrix(a_dense)), nodal)
 
         lam = rng.standard_normal((len(nodal.contacts), 3))
         rhs = aug.b + ContactMap(aug).jc_t(lam)
@@ -337,6 +365,62 @@ class TestAugmentDynamics:
         # the tie transmits exactly the contact impulse on each virtual node
         lam_world = np.einsum("mba,mb->ma", aug.frames, lam)
         assert np.allclose(tie_force, lam_world.ravel(), atol=1e-6)
+
+
+class TestTieLayout:
+    @pytest.fixture
+    def layout_builds(self, monkeypatch):
+        """Counts the ``TieLayout`` builds of ``augment_dynamics``."""
+        built = []
+        build = contacts.TieLayout.build
+
+        def counting_build(*args, **kwargs):
+            built.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(contacts.TieLayout, "build", counting_build)
+        return built
+
+    @pytest.mark.parametrize("name, builds", [("box_slide", 1), ("anisotropic_slide", None), ("particle_stack", None)])
+    def test_every_step_is_bitwise_symmetric(self, monkeypatch, layout_builds, name, builds):
+        # 50 steps through harness.run; box_slide's cube keeps its 4
+        # contacts, so its layout is built once and reused
+        from condsim import harness
+
+        solve, seen = harness.solve_vfpi, []
+
+        def checking(aug, *args, **kwargs):
+            seen.append((aug.n > aug.n_orig, (aug.a != aug.a.T).nnz))
+            return solve(aug, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_vfpi", checking)
+        s = load_scenario(scenario_path(name))
+        harness.run(harness.Scenario({**s.raw, "duration": 50 * s.step_size}), RunConfig())
+        assert len(seen) == 50 and all(tied for tied, _ in seen)
+        assert [asym for _, asym in seen] == [0] * 50
+        if builds is not None:
+            assert len(layout_builds) == builds
+
+    def test_changed_sources_rebuild_the_layout(self, layout_builds):
+        scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
+        state = scene.state
+        state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
+        raw = detect_contacts(state, scene.bodies, scene.geometry)
+        fewer = DetectedContacts(**{f.name: getattr(raw, f.name)[1:] for f in dataclasses.fields(raw)})
+        pattern, layouts = None, []
+        for detected, builds in ((raw, 1), (raw, 1), (fewer, 2), (raw, 3)):
+            asm = assemble_step(state, scene.bodies, scene.constraints)
+            nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
+            aug = augment_dynamics(asm, nodal)
+            assert len(layout_builds) == builds
+            assert pattern in (None, asm.pattern)
+            pattern = asm.pattern
+            layouts.append(pattern.ties)
+            jv, kv = nodal.jv.toarray(), nodal.k_v
+            ref = np.block([[asm.a.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]])
+            assert np.abs(aug.a.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert (aug.a != aug.a.T).nnz == 0
+        assert layouts[0] is layouts[1] and len({id(x) for x in layouts}) == 3
 
 
 def skew(r):
@@ -459,7 +543,7 @@ class TestMixedSceneReference:
             _, jv, _ = reference_nodalize(raw, state, bodies, self.STAB)
             a_o = random_spd(rng, 18)
             b_o = rng.standard_normal(18)
-            aug = augment_dynamics(a_o, b_o, nodal)
+            aug = augment_dynamics(AssembledDynamics(b_o, 18, matrix=a_o), nodal)
             ref = np.block(
                 [[a_o.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]]
             )

@@ -554,6 +554,48 @@ class TestMixedScene:
         assert np.allclose(asm.a.toarray(), a, rtol=0.0, atol=1e-12 * np.abs(a).max())
         assert np.allclose(asm.b, b, rtol=0.0, atol=1e-12 * np.abs(b).max())
 
+    def test_virtual_node_change_keeps_the_spring_pattern(self, monkeypatch):
+        # contacts on the cube's points, then also on particle 0 twice (an
+        # identity-tied virtual node) and between particle 0 and the cube: a
+        # new tie layout each time, built into the cached spring pattern
+        from condsim import contacts, dynamics
+
+        builds, build = [], dynamics.BlockPattern.build
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.BlockPattern, "build", counting_build)
+        scene = self.scene()
+        state = scene.state
+        n = state.v.shape[0]
+        cube, particle, static = (3, 3), (0, -1), (-1, -1)
+        first = [(cube, static), (cube, static)]
+        second = [(cube, static), (particle, static), (particle, cube), (cube, static)]
+        layouts = []
+        for sides in (first, second):
+            sides = np.array(sides)
+            k = sides.shape[0]
+            detected = contacts.DetectedContacts(
+                point=state.q[3:6] + np.linspace(-0.1, 0.1, 3 * k).reshape(k, 3),
+                normal=np.tile([0.0, 0.0, 1.0], (k, 1)),
+                depth=np.zeros(k),
+                v_off=sides[:, :, 0],
+                q_off=sides[:, :, 1],
+                key=np.arange(k, dtype=np.int64),
+            )
+            asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0, n))
+            nodal = contacts.nodalize(detected, state, 1e4)
+            aug = contacts.augment_dynamics(asm, nodal)
+            layouts.append(asm.pattern.ties)
+            jv, kv = nodal.jv.toarray(), nodal.k_v
+            ref = np.block([[asm.a.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]])
+            assert np.abs(aug.a.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert (aug.a != aug.a.T).nnz == 0
+        assert len(builds) == 1 and layouts[0] is not layouts[1]
+        assert scene.constraints.pattern.ties is layouts[1]
+
     def test_kinetic_energy_is_half_vMv(self):
         scene = self.scene()
         v = scene.state.v

@@ -101,6 +101,48 @@ class TestValidation:
         assert main(["run", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {literal} is not a JSON number\n"
 
+    @pytest.mark.parametrize(
+        "where, value, loc",
+        [
+            (("contact", "mu"), float("nan"), "contact/mu"),
+            (("step_size",), float("inf"), "step_size"),
+            (("forces", 0, "force", 2), -float("inf"), "forces/0/force/2"),
+        ],
+        ids=["nan-mu", "inf-step_size", "-inf-force"],
+    )
+    def test_non_finite_number_in_a_dict_is_named(self, where, value, loc):
+        # NaN passes every schema bound: box_slide's dict with mu NaN used to
+        # run 300 "converged" steps to 3.6e-11 J, and step_size inf none
+        data = load_scenario(scenario_path("box_slide")).raw
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        named = f"scenario invalid at {loc}: {value!r} is not a finite number"
+        with pytest.raises(ScenarioValidationError, match=re.escape(named)):
+            validate_scenario(data)
+        with pytest.raises(ScenarioValidationError, match=re.escape(named)):
+            run(Scenario(data), RunConfig())
+
+    def test_a_run_checks_its_scenario_once(self, monkeypatch):
+        # the checks are most of box_slide's set-up time, so loading and
+        # running a scenario makes them once, when the Scenario is made
+        from condsim import harness
+
+        calls, check = [], harness._check_targets
+
+        def counting(data):
+            calls.append(1)
+            return check(data)
+
+        monkeypatch.setattr(harness, "_check_targets", counting)
+        s = load_scenario(scenario_path("box_slide"))
+        assert len(calls) == 1
+        one_step = Scenario({**s.raw, "duration": s.step_size})
+        assert len(calls) == 2
+        run(one_step, RunConfig())
+        assert len(calls) == 2
+
     def test_lattice_force_without_lattice(self):
         bad = dict(MINIMAL)
         bad["forces"] = [{"force": [1.0, 0.0, 0.0], "lattice": "top"}]

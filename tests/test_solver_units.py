@@ -508,7 +508,7 @@ def first_step(name: str, kv: float):
     asm = assemble_step(state, bodies, scene.constraints, external_force(scene, 0.0, n))
     raw = detect_contacts(state, bodies, scene.geometry)
     nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
-    aug = augment_dynamics(asm.a, asm.b, nodal)
+    aug = augment_dynamics(asm, nodal)
     assert aug.n > aug.n_orig and len(nodal.contacts) == 4
     return aug
 

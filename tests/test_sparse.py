@@ -55,8 +55,8 @@ class TestSpmv:
 
 class TestTransposeView:
     """The tie-free loop of ``solve_vfpi`` multiplies by ``a.T``, the CSC
-    arrays of A read as CSR: exact where A is bitwise symmetric, within
-    rounding where it is not."""
+    arrays of A read as CSR: exact wherever A is bitwise symmetric, which
+    the assembled and the augmented matrices both are."""
 
     def test_lattice_products_are_bitwise_equal(self, rng):
         scene = build_scene(load_scenario(scenario_path("lattice_drag")), RunConfig())
@@ -66,19 +66,24 @@ class TestTransposeView:
         assert np.array_equal(spmv(a.T, x), spmv(a, x))
 
     def test_rigid_products_agree_to_rounding(self, rng):
-        scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
-        state = scene.state
-        # the cube turned about the vertical, still on its 4 contacts: the
-        # tocsc sum of its virtual-node ties is symmetric only to rounding
-        state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
-        asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0, state.v.shape[0]))
-        detected = detect_contacts(state, scene.bodies, scene.geometry)
-        nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
-        a = augment_dynamics(asm.a, asm.b, nodal).a
-        assert (a != a.T).nnz > 0
-        x = rng.standard_normal(a.shape[0])
-        ax = spmv(a, x)
-        assert np.linalg.norm(spmv(a.T, x) - ax) <= 1e-12 * np.linalg.norm(ax)
+        # box_slide's cube turned about the vertical, still on its 4
+        # contacts, ties rigid-body virtual nodes; particle_stack's stacked
+        # particles tie node-sourced ones. Every tie product k_v (t_p t_q)
+        # lands on (p, q) and (q, p) in one order, so A is bitwise symmetric.
+        for name in ("box_slide", "particle_stack"):
+            scene = build_scene(load_scenario(scenario_path(name)), RunConfig())
+            state = scene.state
+            if name == "box_slide":
+                state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
+            f_ext = external_force(scene, 0.0, state.v.shape[0])
+            asm = assemble_step(state, scene.bodies, scene.constraints, f_ext)
+            detected = detect_contacts(state, scene.bodies, scene.geometry)
+            nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
+            assert nodal.n_virtual > 0, name
+            a = augment_dynamics(asm, nodal).a
+            assert (a != a.T).nnz == 0, name
+            x = rng.standard_normal(a.shape[0])
+            assert np.array_equal(spmv(a.T, x), spmv(a, x)), name
 
 
 class TestFactorSolve:
