@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_cfg(args) -> RunConfig:
-    if args.max_iter < 1:
-        raise ScenarioValidationError(f"--max-iter must be at least 1, got {args.max_iter}")
     return RunConfig(
         solver=args.solver,
         operator=args.operator,
@@ -129,7 +127,7 @@ def _check(name: str, ok: bool, failures: list) -> None:
 
 def cmd_verify(_args) -> int:
     """Quick self-contained property checks on random inputs."""
-    from .contacts import contact_frame, contact_jacobian_matrix
+    from .contacts import contact_frames, contact_jacobian_matrix
     from .solver import (
         project_proximal,
         project_strict,
@@ -140,14 +138,11 @@ def cmd_verify(_args) -> int:
     rng = np.random.default_rng(7)
     failures: list = []
 
-    ok = True
-    for _ in range(200):
-        n = rng.standard_normal(3)
-        if np.linalg.norm(n) < 1e-6:
-            continue
-        r = contact_frame(n)
-        ok &= np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-        ok &= np.allclose(r[0], n / np.linalg.norm(n), atol=1e-12)
+    n = rng.standard_normal((200, 3))
+    n = n[np.linalg.norm(n, axis=1) >= 1e-6]
+    r = contact_frames(n)
+    ok = np.allclose(r @ r.transpose(0, 2, 1), np.eye(3), atol=1e-12)
+    ok &= np.allclose(r[:, 0], n / np.linalg.norm(n, axis=1)[:, None], atol=1e-12)
     _check("contact frames orthonormal with first row = normal", ok, failures)
 
     ok = True

@@ -16,7 +16,8 @@ stack of rotation blocks over nodes. Each contact side owns its node, which
 Contacts stay arrays from detection to the solver: ``detect_contacts`` returns
 one ``DetectedContacts`` record with a row per contact, and ``nodalize`` turns
 it into the per-contact column, frame, mu and phi arrays of a
-``NodalContactSet`` in batched numpy, with no Python object per contact. Jv
+``NodalContactSet`` in batched numpy. No Python object is made per contact:
+``NodalContactSet.contacts`` views the arrays as one numpy record array. Jv
 stays arrays too: per virtual node, its source's velocity offset, whether the
 source is a rigid body, and the lever arm r from the body's origin.
 
@@ -87,17 +88,10 @@ class DetectedContacts:
         return self.depth.shape[0]
 
 
-@dataclass
-class Contact:
-    """One nodalized contact as a record; the step loop reads the arrays of
-    ``NodalContactSet`` instead."""
-
-    col_i: int  # column offset of the contact's node
-    frame: np.ndarray  # rows (n, t1, t2)
-    mu: float
-    phi_n: float
-    col_j: int = -1  # column offset of the second node, -1 for a static primitive
-    mu2: float | None = None
+# the fields of ``NodalContactSet.contacts``
+_RECORD = np.dtype(
+    [("col_i", int), ("frame", float, (3, 3)), ("mu", float), ("phi_n", float), ("col_j", int), ("mu2", float)]
+)
 
 
 @dataclass
@@ -160,15 +154,13 @@ class NodalContactSet:
         return np.einsum("kab,kab->ka", _tie_rows(self.lever)[:, :, :3], np.take(v, cols, mode="clip")).ravel()
 
     @property
-    def contacts(self) -> list:
-        """The contacts as ``Contact`` records, built from the arrays."""
-        return [
-            Contact(i, frame, mu, phi_n, j, mu2)
-            for i, frame, mu, phi_n, j, mu2 in zip(
-                self.col_i.tolist(), self.frames, self.mu.tolist(), self.phi.tolist(),
-                self.col_j.tolist(), self.mu2.tolist(),
-            )
-        ]
+    def contacts(self) -> np.recarray:
+        """The set's arrays as one record array, with no object per contact.
+        Only the benchmark's boundary check reads it; it goes once that check
+        reads the arrays (ROADMAP item 9)."""
+        return np.rec.fromarrays(
+            [self.col_i, self.frames, self.mu, self.phi, self.col_j, self.mu2], dtype=_RECORD
+        )
 
 
 @dataclass
@@ -199,11 +191,6 @@ class AugmentedDynamics:
     @property
     def frames(self) -> np.ndarray:
         return self.contacts.frames
-
-
-def contact_frame(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal right-handed frame with rows (n, t1, t2) of one normal."""
-    return contact_frames(normal)[0]
 
 
 def contact_frames(normals: np.ndarray) -> np.ndarray:

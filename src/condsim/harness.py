@@ -321,16 +321,11 @@ def _check_targets(data: dict) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and validate a scenario file. ``json`` accepts the literals NaN,
-    Infinity and -Infinity, and the schema's bounds let NaN through, so they
-    are rejected while parsing."""
-
-    def reject(literal: str):
-        raise ScenarioValidationError(f"{path}: {literal} is not a JSON number")
-
+    """Read and validate a scenario file. ``json`` reads the literals NaN,
+    Infinity and -Infinity as floats, which ``validate_scenario`` rejects."""
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_constant=reject)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     return Scenario(data, path)
@@ -551,8 +546,9 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
 
     Settings it cannot run are rejected before the first step: an unknown
     solver or operator, a ``kv`` or ``residual_tol`` that is not a finite
-    positive number, and the strict-anisotropic operator under a baseline,
-    which solves the isotropic proximal model only.
+    positive number, ``max_iters`` below 1, a negative seed, and the
+    strict-anisotropic operator under a baseline, which solves the isotropic
+    proximal model only.
     """
     cfg = cfg or RunConfig()
     if cfg.solver not in SOLVERS:
@@ -563,6 +559,10 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
         raise ScenarioValidationError(f"residual_tol must be finite and > 0, got {cfg.residual_tol!r}")
     if cfg.kv is not None and not (math.isfinite(cfg.kv) and cfg.kv > 0):
         raise ScenarioValidationError(f"kv must be finite and > 0, got {cfg.kv!r}")
+    if cfg.max_iters < 1:
+        raise ScenarioValidationError(f"max_iters must be at least 1, got {cfg.max_iters}")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ScenarioValidationError(f"seed must be at least 0, got {cfg.seed}")
     baseline = None if cfg.solver == "cond" else bl.solve_pgs if cfg.solver == "pgs" else bl.solve_apgd
     if baseline is not None and cfg.operator == "strict-anisotropic":
         raise ScenarioValidationError(f"solver {cfg.solver!r} does not support operator 'strict-anisotropic'")

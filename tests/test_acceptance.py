@@ -72,14 +72,15 @@ def test_01_diagonalization_equivalence():
     worst_off, worst_diag = 0.0, 0.0
     for _ in range(100):
         n_c = int(rng.integers(1, 65))
-        n, contacts = random_contact_set(rng, n_nodes=2 * n_c + 2, n_contacts=n_c)
+        nodal = random_contact_set(rng, n_nodes=2 * n_c + 2, n_contacts=n_c)
+        n = nodal.n_orig
         a = random_spd(rng, n, density=0.1)
-        aug = build_augmented(a, rng.standard_normal(n), contacts)
+        aug = build_augmented(a, rng.standard_normal(n), nodal)
         w = step_matrix_frobenius(a, aug)
         gamma = surrogate_gamma(w, aug)
         jc = contact_jacobian_matrix(aug).toarray()
         dense = jc @ (w[:, None] * jc.T)
-        m = len(aug.contacts.contacts)
+        m = len(nodal)
         for i in range(m):
             bi = dense[3 * i : 3 * i + 3]
             diag = bi[:, 3 * i : 3 * i + 3]
@@ -136,10 +137,11 @@ def test_04_proximal_matches_convex_model():
     worst_kkt, worst_rel = 0.0, 0.0
     for _ in range(20):
         n_c = int(rng.integers(1, 9))
-        n, contacts = random_contact_set(rng, n_nodes=n_c + 4, n_contacts=n_c)
-        n_c = len(contacts)
+        nodal = random_contact_set(rng, n_nodes=n_c + 4, n_contacts=n_c)
+        n = nodal.n_orig
+        n_c = len(nodal)
         a = random_spd(rng, n)
-        aug = build_augmented(a, rng.standard_normal(n), contacts)
+        aug = build_augmented(a, rng.standard_normal(n), nodal)
         cfg = SolverConfig(operator="proximal", residual_tol=1e-10,
                            max_iters=5000, chebyshev=True)
         _, lam, rep = solve_vfpi(aug, cfg, np.zeros(n))
@@ -200,15 +202,16 @@ def test_06_contact_update_nonexpansive():
     t0 = time.perf_counter()
     worst = -np.inf
     for _ in range(10):
-        n, contacts = random_contact_set(rng, n_nodes=8, n_contacts=4)
+        nodal = random_contact_set(rng, n_nodes=8, n_contacts=4)
+        n = nodal.n_orig
         a = random_spd(rng, n)
         b = rng.standard_normal(n)
-        aug = build_augmented(a, b, contacts)
+        aug = build_augmented(a, b, nodal)
         alpha = 1.0 / np.linalg.eigvalsh(a.toarray()).max()
         w = np.full(n, alpha)
         gamma = surrogate_gamma(w, aug)
-        mu = np.array([c.mu for c in contacts])
-        phi = np.zeros(len(contacts))
+        mu = nodal.mu
+        phi = np.zeros(len(nodal))
 
         def update(v):
             from condsim.contacts import ContactMap
@@ -358,7 +361,7 @@ def test_11_invertible_contact():
         nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
         aug = augment_dynamics(asm, nodal)
         v_hat, lam, rep = solve_vfpi(aug, cfg, np.zeros(aug.n))
-        if nodal.contacts:
+        if len(nodal):
             lam_inv = inverse_contact(aug, v_hat, 1e-3, "proximal")
             nf, ni = np.linalg.norm(lam), np.linalg.norm(lam_inv)
             worst = max(worst, abs(nf - ni) / max(nf, 1e-30))
@@ -398,7 +401,7 @@ def test_13_small_step_contraction():
     asm = assemble_step(state, bodies, scene.constraints, external_force(scene, 0.0, n))
     raw = detect_contacts(state, bodies, scene.geometry)
     nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
-    assert len(nodal.contacts) >= 1
+    assert len(nodal) >= 1
     aug = augment_dynamics(asm, nodal)
     cfg = SolverConfig(operator="strict", residual_tol=0.0, max_iters=200)
     rng = np.random.default_rng(13)

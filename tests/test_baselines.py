@@ -12,22 +12,22 @@ from condsim.baselines import (
     solve_apgd,
     solve_pgs,
 )
-from condsim.contacts import Contact, contact_frame, contact_jacobian_matrix
+from condsim.contacts import contact_frames, contact_jacobian_matrix
 from condsim.errors import CapacityError
 from condsim.solver import SolverConfig, _project_batch, solve_vfpi
-from condsim.testing import build_augmented, random_contact_set, random_spd
+from condsim.testing import build_augmented, contact_set, random_contact_set, random_spd
 
 
 def single_contact_aug(a_scale=1.0, b=None, mu=0.0):
     a = sp.csc_matrix(a_scale * np.eye(3))
-    frame = contact_frame(np.array([0.0, 0.0, 1.0]))
+    frame = contact_frames(np.array([0.0, 0.0, 1.0]))
     b = np.zeros(3) if b is None else b
-    return build_augmented(a, b, [Contact(0, frame, mu, 0.0)])
+    return build_augmented(a, b, contact_set(3, [0], frame, mu))
 
 
 def pgs_style_problem(b_n):
     """One frictionless contact with A_c = 2 I3 and chosen normal b_c."""
-    frame = contact_frame(np.array([0.0, 0.0, 1.0]))
+    frame = contact_frames(np.array([0.0, 0.0, 1.0]))[0]
     b = frame.T @ np.array([0.5 * b_n, 0.0, 0.0])
     return assemble_delassus(single_contact_aug(0.5, b, mu=0.0))
 
@@ -42,10 +42,11 @@ class TestAssembleDelassus:
         assert np.allclose(p.a_c, 0.5 * np.eye(3), atol=1e-12)
 
     def test_random_vs_dense_oracle(self, rng):
-        n, contacts = random_contact_set(rng, n_nodes=8, n_contacts=4)
+        nodal = random_contact_set(rng, n_nodes=8, n_contacts=4)
+        n = nodal.n_orig
         a = random_spd(rng, n)
         b = rng.standard_normal(n)
-        aug = build_augmented(a, b, contacts)
+        aug = build_augmented(a, b, nodal)
         p = assemble_delassus(aug)
         jc = contact_jacobian_matrix(aug).toarray()
         a_inv = np.linalg.inv(a.toarray())
@@ -53,9 +54,10 @@ class TestAssembleDelassus:
         assert np.allclose(p.b_c, jc @ a_inv @ b, atol=1e-8)
 
     def test_capacity_error(self, rng):
-        n, contacts = random_contact_set(rng, n_nodes=1400, n_contacts=1)
+        nodal = random_contact_set(rng, n_nodes=1400, n_contacts=1)
+        n = nodal.n_orig
         a = sp.identity(n, format="csc")
-        aug = build_augmented(a, np.zeros(n), contacts)
+        aug = build_augmented(a, np.zeros(n), nodal)
         with pytest.raises(CapacityError):
             assemble_delassus(aug)
 
@@ -78,10 +80,11 @@ class TestPgs:
 
     def test_matches_cond_proximal(self, rng):
         for _ in range(5):
-            n, contacts = random_contact_set(rng, n_nodes=8, n_contacts=4)
+            nodal = random_contact_set(rng, n_nodes=8, n_contacts=4)
+            n = nodal.n_orig
             a = random_spd(rng, n)
             b = rng.standard_normal(n)
-            aug = build_augmented(a, b, contacts)
+            aug = build_augmented(a, b, nodal)
             lam_pgs, rep = solve_pgs(assemble_delassus(aug), BaselineConfig(residual_tol=1e-10, max_iters=5000))
             assert rep.converged
             cfg = SolverConfig(operator="proximal", residual_tol=1e-10, max_iters=5000, chebyshev=True)
@@ -107,9 +110,10 @@ class TestApgd:
 
     def test_objective_matches_long_pg_oracle(self, rng):
         for _ in range(5):
-            n, contacts = random_contact_set(rng, n_nodes=6, n_contacts=3)
+            nodal = random_contact_set(rng, n_nodes=6, n_contacts=3)
+            n = nodal.n_orig
             a = random_spd(rng, n)
-            aug = build_augmented(a, rng.standard_normal(n), contacts)
+            aug = build_augmented(a, rng.standard_normal(n), nodal)
             p = assemble_delassus(aug)
             lam, rep = solve_apgd(p, BaselineConfig(residual_tol=1e-12, max_iters=10000))
             assert rep.converged
@@ -126,18 +130,20 @@ class TestApgd:
             )
 
     def test_objective_non_increasing_at_restarts(self, rng):
-        n, contacts = random_contact_set(rng, n_nodes=8, n_contacts=4)
+        nodal = random_contact_set(rng, n_nodes=8, n_contacts=4)
+        n = nodal.n_orig
         a = random_spd(rng, n)
-        aug = build_augmented(a, rng.standard_normal(n), contacts)
+        aug = build_augmented(a, rng.standard_normal(n), nodal)
         _, rep = solve_apgd(assemble_delassus(aug), BaselineConfig(residual_tol=1e-12, max_iters=5000))
         trace = np.array(rep.objective_trace)
         assert np.all(np.diff(trace) <= 1e-10)
 
     def test_agrees_with_pgs(self, rng):
         for _ in range(5):
-            n, contacts = random_contact_set(rng, n_nodes=8, n_contacts=4)
+            nodal = random_contact_set(rng, n_nodes=8, n_contacts=4)
+            n = nodal.n_orig
             a = random_spd(rng, n)
-            aug = build_augmented(a, rng.standard_normal(n), contacts)
+            aug = build_augmented(a, rng.standard_normal(n), nodal)
             p = assemble_delassus(aug)
             lam_a, rep_a = solve_apgd(p, BaselineConfig(residual_tol=1e-10, max_iters=10000))
             lam_p, rep_p = solve_pgs(p, BaselineConfig(residual_tol=1e-10, max_iters=5000))
@@ -148,17 +154,19 @@ class TestApgd:
 
 class TestRecoverVelocity:
     def test_zero_impulse(self, rng):
-        n, contacts = random_contact_set(rng, n_nodes=5, n_contacts=2)
+        nodal = random_contact_set(rng, n_nodes=5, n_contacts=2)
+        n = nodal.n_orig
         a = random_spd(rng, n)
         b = rng.standard_normal(n)
-        p = assemble_delassus(build_augmented(a, b, contacts))
-        v = recover_velocity(p, np.zeros(3 * len(contacts)))
+        p = assemble_delassus(build_augmented(a, b, nodal))
+        v = recover_velocity(p, np.zeros(3 * len(nodal)))
         assert np.allclose(v, np.linalg.solve(a.toarray(), b), atol=1e-9)
 
     def test_definition_identity(self, rng):
-        n, contacts = random_contact_set(rng, n_nodes=5, n_contacts=2)
+        nodal = random_contact_set(rng, n_nodes=5, n_contacts=2)
+        n = nodal.n_orig
         a = random_spd(rng, n)
-        p = assemble_delassus(build_augmented(a, rng.standard_normal(n), contacts))
-        lam = rng.standard_normal(3 * len(contacts))
+        p = assemble_delassus(build_augmented(a, rng.standard_normal(n), nodal))
+        lam = rng.standard_normal(3 * len(nodal))
         v = recover_velocity(p, lam)
         assert np.allclose(p.jc @ v, p.a_c @ lam + p.b_c, atol=1e-8)

@@ -17,7 +17,6 @@ from condsim.contacts import (
     ContactMap,
     StaticSphere,
     augment_dynamics,
-    contact_frame,
     contact_frames,
     contact_jacobian_matrix,
     detect_contacts,
@@ -27,7 +26,7 @@ from condsim.contacts import (
 from condsim.dynamics import AssembledDynamics, Bodies, RigidBody, SystemState, assemble_step
 from condsim.errors import InvalidMatrixError, InvalidStateError
 from condsim.harness import RunConfig, build_scene, load_scenario
-from condsim.testing import build_augmented, random_contact_set, random_spd
+from condsim.testing import build_augmented, contact_set, random_contact_set, random_spd
 
 from conftest import scenario_path
 
@@ -56,7 +55,7 @@ def cube_scene(points, inertia=1.0):
 
 class TestContactFrame:
     def test_z_normal_example(self):
-        r = contact_frame(np.array([0.0, 0.0, 1.0]))
+        r = contact_frames(np.array([0.0, 0.0, 1.0]))[0]
         assert np.allclose(r, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
     @settings(max_examples=200, deadline=None)
@@ -65,19 +64,19 @@ class TestContactFrame:
         n = np.array(n)
         if np.linalg.norm(n) < 1e-3:
             return
-        r = contact_frame(n)
+        r = contact_frames(n)[0]
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.isclose(np.linalg.det(r), 1.0, atol=1e-12)
         assert np.allclose(r[0], n / np.linalg.norm(n), atol=1e-12)
 
     def test_deterministic_under_tiny_perturbation(self):
-        a = contact_frame(np.array([1.0, 0.0, 0.0]))
-        b = contact_frame(np.array([1.0 + 1e-12, 0.0, 0.0]) / np.linalg.norm([1.0 + 1e-12, 0.0, 0.0]))
+        a = contact_frames(np.array([1.0, 0.0, 0.0]))
+        b = contact_frames(np.array([1.0 + 1e-12, 0.0, 0.0]) / np.linalg.norm([1.0 + 1e-12, 0.0, 0.0]))
         assert np.array_equal(a, b)
 
     def test_zero_normal_rejected(self):
         with pytest.raises(InvalidStateError):
-            contact_frame(np.zeros(3))
+            contact_frames(np.zeros(3))
         with pytest.raises(InvalidStateError):
             contact_frames(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
 
@@ -102,7 +101,7 @@ class TestContactFrame:
         for normal, frame in zip(normals, frames):
             assert np.abs(frame - reference(normal)).max() <= 1e-15
             assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-12
-            assert np.array_equal(contact_frame(normal), frame)
+            assert np.array_equal(contact_frames(normal)[0], frame)
 
 
 class TestDetectContacts:
@@ -300,12 +299,8 @@ class TestNodalize:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_at_most_one_contact_per_node(self, seed):
         g = np.random.default_rng(seed)
-        _, contacts = random_contact_set(g)
-        used = []
-        for c in contacts:
-            used.append(c.col_i)
-            if c.col_j >= 0:
-                used.append(c.col_j)
+        nodal = random_contact_set(g)
+        used = np.concatenate([nodal.col_i, nodal.col_j[nodal.col_j >= 0]]).tolist()
         assert len(used) == len(set(used))
 
 
@@ -328,9 +323,8 @@ class TestAugmentDynamics:
     def test_no_virtual_nodes_identity(self, rng):
         a = random_spd(rng, 9)
         b = rng.standard_normal(9)
-        n, contacts = 9, []
-        aug = build_augmented(a, b, contacts)
-        assert aug.n == n
+        aug = build_augmented(a, b, contact_set(9))
+        assert aug.n == 9
         assert np.allclose(aug.a.toarray(), a.toarray())
         assert np.allclose(aug.b, b)
 
@@ -354,7 +348,7 @@ class TestAugmentDynamics:
         b_o = rng.standard_normal(6)
         aug = augment_dynamics(AssembledDynamics(b_o, 6, matrix=sp.csc_matrix(a_dense)), nodal)
 
-        lam = rng.standard_normal((len(nodal.contacts), 3))
+        lam = rng.standard_normal((len(nodal), 3))
         rhs = aug.b + ContactMap(aug).jc_t(lam)
         sol = np.linalg.solve(aug.a.toarray(), rhs)
         v_o, v_v = sol[:6], sol[6:]
@@ -501,7 +495,7 @@ def reference_nodalize(detected, state, bodies, stab):
     ):
         cols.append([column(v, q, point) for v, q in zip(v_off, q_off)])
         vel = [velocity(v, q, point) for v, q in zip(v_off, q_off)]
-        v_n = contact_frame(normal)[0] @ (vel[0] - vel[1])
+        v_n = contact_frames(normal)[0, 0] @ (vel[0] - vel[1])
         phi_n = -(stab.beta_err / stab.dt) * depth
         if abs(v_n) > stab.v_rest_threshold:
             phi_n += stab.e_rest * min(0.0, v_n)
@@ -528,12 +522,11 @@ class TestMixedSceneReference:
             assert np.allclose(nodal.phi, phi, rtol=1e-12, atol=1e-15)
             assert np.array_equal(nodal.mu, np.full(7, 0.3))
             assert np.array_equal(nodal.mu2, np.full(7, 0.6))
-            # the Contact records rebuilt from the arrays carry the same values
+            # the record view carries the same values
             records = nodal.contacts
-            assert [(c.col_i, c.col_j, c.mu, c.mu2, c.phi_n) for c in records] == list(
-                zip(cols[:, 0].tolist(), cols[:, 1].tolist(), [0.3] * 7, [0.6] * 7, nodal.phi.tolist())
-            )
-            assert np.array_equal([c.frame for c in records], nodal.frames)
+            for field, values in (("col_i", cols[:, 0]), ("col_j", cols[:, 1]), ("mu", nodal.mu),
+                                  ("mu2", nodal.mu2), ("phi_n", nodal.phi), ("frame", nodal.frames)):
+                assert np.array_equal(records[field], values), field
 
     def test_augment_matches_dense_blocks(self, rng):
         for _ in range(10):
@@ -557,18 +550,20 @@ class TestMixedSceneReference:
 class TestContactJacobian:
     def test_block_apply_matches_explicit_matrix(self, rng):
         for _ in range(10):
-            n, contacts = random_contact_set(rng)
+            nodal = random_contact_set(rng)
+            n = nodal.n_orig
             a = random_spd(rng, n)
-            aug = build_augmented(a, np.zeros(n), contacts)
+            aug = build_augmented(a, np.zeros(n), nodal)
             jc = contact_jacobian_matrix(aug)
             v = rng.standard_normal(n)
             assert np.allclose(ContactMap(aug).jc(v).ravel(), jc @ v, atol=1e-12)
-            lam = rng.standard_normal((len(contacts), 3))
+            lam = rng.standard_normal((len(nodal), 3))
             assert np.allclose(ContactMap(aug).jc_t(lam), jc.T @ lam.ravel(), atol=1e-12)
 
     def test_repeated_node_rejected(self, rng):
         # a node carrying two contact sides would couple their one-shot
         # solves, so the contact set refuses it
-        n, contacts = random_contact_set(rng, n_nodes=6, n_contacts=4)
+        nodal = random_contact_set(rng, n_nodes=6, n_contacts=4)
+        twice = [0, 1, 2, 3, 0]
         with pytest.raises(InvalidMatrixError, match="carries more than one contact side"):
-            build_augmented(random_spd(rng, n), np.zeros(n), contacts + contacts[:1])
+            contact_set(nodal.n_orig, nodal.col_i[twice], nodal.frames[twice], nodal.mu[twice], nodal.col_j[twice])

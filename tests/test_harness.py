@@ -96,10 +96,12 @@ class TestValidation:
         node[where[-1]] = "@"
         path = tmp_path / "box.json"
         path.write_text(json.dumps(data).replace('"@"', literal))
-        with pytest.raises(ScenarioValidationError, match=f"{literal} is not a JSON number"):
+        value = float(literal.lower().replace("infinity", "inf"))
+        named = f"scenario invalid at {'/'.join(map(str, where))}: {value!r} is not a finite number"
+        with pytest.raises(ScenarioValidationError, match=re.escape(named)):
             load_scenario(str(path))
         assert main(["run", "--scenario", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {literal} is not a JSON number\n"
+        assert capsys.readouterr().err == f"error: {named}\n"
 
     @pytest.mark.parametrize(
         "where, value, loc",
@@ -174,11 +176,15 @@ class TestRunConfigChecks:
             ("residual_tol", 0.0),
             ("residual_tol", float("nan")),
             ("residual_tol", float("inf")),
+            ("max_iters", 0),
+            ("max_iters", -5),
+            ("seed", -1),
         ],
     )
     def test_rejected_before_the_first_step(self, monkeypatch, field, value):
-        # free_fall has no contacts: an unknown operator used to pass it, and
-        # "pgz" used to run APGD
+        # free_fall has no contacts: an unknown operator used to pass it,
+        # "pgz" used to run APGD, and max_iters 0 or -5 one V-FPI iteration
+        # per step
         from condsim import harness
 
         monkeypatch.setattr(harness, "build_scene", no_steps)
@@ -380,7 +386,11 @@ class TestBenchHooks:
         assert len(solves) == 1
         aug, v, lam = solves[0]
         assert len(aug.contacts.contacts) == 16
-        check = oracles.check_contact_step(**bench.boundary_arrays(aug, v, lam), tol=cfg.residual_tol)
+        arrays = bench.boundary_arrays(aug, v, lam)
+        # the phi and mu it reads through the record view are the set's own, bit for bit
+        for key in ("phi", "mu"):
+            assert arrays[key].tobytes() == getattr(aug.contacts, key).tobytes(), key
+        check = oracles.check_contact_step(**arrays, tol=cfg.residual_tol)
         assert check["ok"], check
 
 
@@ -555,7 +565,17 @@ class TestCli:
         if command == "bench":
             args += ["--sizes", "300"]
         assert main(args) == 2
-        assert capsys.readouterr().err == f"error: --max-iter must be at least 1, got {max_iter}\n"
+        assert capsys.readouterr().err == f"error: max_iters must be at least 1, got {max_iter}\n"
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_negative_seed_exit_2(self, capsys, command):
+        # --seed -1 used to end in numpy's "expected non-negative integer"
+        # traceback, exit 1
+        args = [command, "--scenario", scenario_path("lattice_drag"), "--seed", "-1"]
+        if command == "bench":
+            args += ["--sizes", "300"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
 
     def test_bench_sizes_must_ascend(self):
         code = main(

@@ -13,10 +13,9 @@ from scipy.linalg import cho_solve
 from condsim import solver
 from condsim.baselines import factor_spd
 from condsim.contacts import (
-    Contact,
     ContactMap,
     augment_dynamics,
-    contact_frame,
+    contact_frames,
     contact_jacobian_matrix,
     detect_contacts,
     nodalize,
@@ -43,9 +42,11 @@ from condsim.solver import (
     surrogate_gamma,
 )
 from condsim.sparse import row_norms_sq, spmv
-from condsim.testing import build_augmented, random_contact_set, random_spd
+from condsim.testing import build_augmented, contact_set, random_contact_set, random_spd
 
 from conftest import scenario_path
+
+UP = contact_frames(np.array([0.0, 0.0, 1.0]))[0]  # the frame of a contact with normal +z
 
 lam3 = st.tuples(
     st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False)
@@ -213,8 +214,7 @@ class TestStepMatrixFrobenius:
 
     def test_contacted_node_tie(self):
         a = sp.csc_matrix(np.diag([2.0, 2.0, 2.0]))
-        frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = build_augmented(a, np.zeros(3), [Contact(0, frame, 0.5, 0.0)])
+        aug = build_augmented(a, np.zeros(3), contact_set(3, [0], UP, 0.5))
         w = step_matrix_frobenius(a, aug)
         assert np.allclose(w, 0.5)  # (2+2+2) / (4+4+4)
 
@@ -234,9 +234,10 @@ class TestStepMatrixFrobenius:
                 assert fro(trial) >= base - 1e-12
 
     def test_tied_group_scan(self, rng):
-        n, contacts = random_contact_set(rng, n_nodes=6, n_contacts=3)
+        nodal = random_contact_set(rng, n_nodes=6, n_contacts=3)
+        n = nodal.n_orig
         a = random_spd(rng, n)
-        aug = build_augmented(a, np.zeros(n), contacts)
+        aug = build_augmented(a, np.zeros(n), nodal)
         w = step_matrix_frobenius(a, aug)
         dense = a.toarray()
 
@@ -276,9 +277,10 @@ class TestStepMatrixFrobenius:
         # reference: one group at a time, the tied entries' diagonal sum over
         # their row-norm sum
         for _ in range(20):
-            n, contacts = random_contact_set(rng)
+            nodal = random_contact_set(rng)
+            n = nodal.n_orig
             a = random_spd(rng, n)
-            aug = build_augmented(a, np.zeros(n), contacts)
+            aug = build_augmented(a, np.zeros(n), nodal)
             groups = self._reference_groups(aug, pair_tie)
             diag, rns = a.diagonal(), row_norms_sq(a)
             ref = diag / rns
@@ -293,46 +295,37 @@ class TestStepMatrixFrobenius:
 
     def test_pair_tie_joins_disjoint_d_contacts(self):
         # D-contacts 9-0 and 3-6 form two groups with pair_tie, four without
-        frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        contacts = [
-            Contact(9, frame, 0.5, 0.0, col_j=0),
-            Contact(3, frame, 0.5, 0.0, col_j=6),
-        ]
-        aug = build_augmented(sp.identity(12, format="csc"), np.zeros(12), contacts)
+        nodal = contact_set(12, [9, 3], [UP, UP], 0.5, col_j=[0, 6])
+        aug = build_augmented(sp.identity(12, format="csc"), np.zeros(12), nodal)
         for pair_tie, groups in ((True, [[0, 9], [3, 6]]), (False, [[0], [3], [6], [9]])):
             cols, gid = _tie_groups(aug, pair_tie)
             assert cols.tolist() == [0, 3, 6, 9]
             assert sorted(cols[gid == g].tolist() for g in set(gid.tolist())) == groups
         # a chain 0-3, 3-6 would put two contact sides on node 3
-        chain = [Contact(0, frame, 0.5, 0.0, col_j=3), Contact(3, frame, 0.5, 0.0, col_j=6)]
         with pytest.raises(InvalidMatrixError, match="column 3 carries more than one contact side"):
-            build_augmented(sp.identity(9, format="csc"), np.zeros(9), chain)
+            contact_set(9, [0, 3], [UP, UP], 0.5, col_j=[3, 6])
 
 
 class TestSurrogateGamma:
-    def _aug(self, contacts, n):
-        a = sp.identity(n, format="csc")
-        return build_augmented(a, np.zeros(n), contacts)
+    def _aug(self, n, col_j=-1):
+        return build_augmented(sp.identity(n, format="csc"), np.zeros(n), contact_set(n, [0], UP, 0.5, col_j))
 
     def test_s_contact(self):
-        frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = self._aug([Contact(0, frame, 0.5, 0.0)], 3)
+        aug = self._aug(3)
         w = np.full(3, 2.0)
         assert np.allclose(surrogate_gamma(w, aug), [2.0])
 
     def test_d_contact(self):
-        frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = self._aug(
-            [Contact(0, frame, 0.5, 0.0, col_j=3)], 6
-        )
+        aug = self._aug(6, col_j=3)
         w = np.concatenate([np.full(3, 2.0), np.full(3, 3.0)])
         assert np.allclose(surrogate_gamma(w, aug), [5.0])
 
     def test_matches_brute_force_triple_product(self, rng):
         for _ in range(20):
-            n, contacts = random_contact_set(rng)
+            nodal = random_contact_set(rng)
+            n = nodal.n_orig
             a = random_spd(rng, n)
-            aug = build_augmented(a, np.zeros(n), contacts)
+            aug = build_augmented(a, np.zeros(n), nodal)
             w = step_matrix_frobenius(a, aug)
             gamma = surrogate_gamma(w, aug)
             jc = contact_jacobian_matrix(aug).toarray()
@@ -341,8 +334,7 @@ class TestSurrogateGamma:
             assert np.abs(prod - ref).max() <= 1e-12
 
     def test_tie_violation_rejected(self):
-        frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = self._aug([Contact(0, frame, 0.5, 0.0)], 3)
+        aug = self._aug(3)
         w = np.array([1.0, 2.0, 3.0])
         with pytest.raises(InvalidMatrixError):
             surrogate_gamma(w, aug)
@@ -449,7 +441,7 @@ class TestSolveVfpi:
     def test_contact_free_matches_direct_solve(self, rng):
         a = random_spd(rng, 20)
         b = rng.standard_normal(20)
-        aug = build_augmented(a, b, [])
+        aug = build_augmented(a, b, contact_set(20))
         cfg = SolverConfig(residual_tol=1e-10, max_iters=5000, chebyshev=True)
         v, lam, rep = solve_vfpi(aug, cfg, np.zeros(20))
         ref = cho_solve(factor_spd(a), b)
@@ -459,8 +451,7 @@ class TestSolveVfpi:
     def test_resting_particle_equilibrium(self):
         a = sp.csc_matrix(200.0 * np.eye(3))
         b = np.array([0.0, 0.0, -9.81])
-        frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = build_augmented(a, b, [Contact(0, frame, 0.0, 0.0)])
+        aug = build_augmented(a, b, contact_set(3, [0], UP, 0.0))
         cfg = SolverConfig(residual_tol=1e-12, max_iters=200)
         v, lam, rep = solve_vfpi(aug, cfg, np.zeros(3))
         assert rep.converged
@@ -469,13 +460,13 @@ class TestSolveVfpi:
 
     def test_residual_trace_length_matches_iterations(self, rng):
         a = random_spd(rng, 9)
-        aug = build_augmented(a, rng.standard_normal(9), [])
+        aug = build_augmented(a, rng.standard_normal(9), contact_set(9))
         _, _, rep = solve_vfpi(aug, SolverConfig(residual_tol=1e-8, max_iters=500), np.zeros(9))
         assert len(rep.residual_trace) == rep.iterations
 
     def test_divergence_raises_with_trace(self, rng, monkeypatch):
         a = random_spd(rng, 6)
-        aug = build_augmented(a, rng.standard_normal(6), [])
+        aug = build_augmented(a, rng.standard_normal(6), contact_set(6))
         # W = 1e3 I steps far past 2 / lambda_max(A), so the iterates blow up
         monkeypatch.setattr(solver, "step_matrix_frobenius", lambda *args: np.full(6, 1e3))
         cfg = SolverConfig(max_iters=5000)
@@ -487,10 +478,11 @@ class TestSolveVfpi:
         from condsim.sparse import spmv
 
         for _ in range(10):
-            n, contacts = random_contact_set(rng)
+            nodal = random_contact_set(rng)
+            n = nodal.n_orig
             a = random_spd(rng, n)
             b = rng.standard_normal(n)
-            aug = build_augmented(a, b, contacts)
+            aug = build_augmented(a, b, nodal)
             cfg = SolverConfig(operator="proximal", residual_tol=1e-8, max_iters=3000, chebyshev=True)
             v, lam, rep = solve_vfpi(aug, cfg, np.zeros(n))
             assert rep.converged
@@ -509,7 +501,7 @@ def first_step(name: str, kv: float):
     raw = detect_contacts(state, bodies, scene.geometry)
     nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
     aug = augment_dynamics(asm, nodal)
-    assert aug.n > aug.n_orig and len(nodal.contacts) == 4
+    assert aug.n > aug.n_orig and len(nodal) == 4
     return aug
 
 
@@ -690,8 +682,9 @@ class TestSpmvAccounting:
         points = self.counted(monkeypatch)
         converged = []
         for _ in range(5):
-            n, contacts = random_contact_set(rng)
-            aug = build_augmented(random_spd(rng, n), rng.standard_normal(n), contacts)
+            nodal = random_contact_set(rng)
+            n = nodal.n_orig
+            aug = build_augmented(random_spd(rng, n), rng.standard_normal(n), nodal)
             cfg = SolverConfig(residual_tol=1e-8, max_iters=max_iters, chebyshev=chebyshev)
             points.clear()
             _, _, rep = solve_vfpi(aug, cfg, np.zeros(n))
@@ -713,17 +706,17 @@ class TestSpmvAccounting:
 
 class TestInverseContact:
     def test_zero_contact_velocity(self, rng):
-        n, contacts = random_contact_set(rng, n_nodes=4, n_contacts=2)
+        nodal = random_contact_set(rng, n_nodes=4, n_contacts=2)
+        n = nodal.n_orig
         a = random_spd(rng, n)
-        aug = build_augmented(a, np.zeros(n), contacts)
+        aug = build_augmented(a, np.zeros(n), nodal)
         assert not aug.contacts.phi.any()
         lam = inverse_contact(aug, np.zeros(n), omega=1e-3)
         assert np.allclose(lam, 0.0)
 
     def test_separating_velocity_gives_zero(self):
         a = sp.identity(3, format="csc")
-        frame = contact_frame(np.array([0.0, 0.0, 1.0]))
-        aug = build_augmented(a, np.zeros(3), [Contact(0, frame, 0.5, 0.0)])
+        aug = build_augmented(a, np.zeros(3), contact_set(3, [0], UP, 0.5))
         v = np.array([0.0, 0.0, 1.0])  # moving along the normal, separating
         lam = inverse_contact(aug, v, omega=1e-3)
         assert np.allclose(lam, 0.0)
