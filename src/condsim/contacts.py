@@ -16,7 +16,10 @@ stack of rotation blocks over nodes. Each contact side owns its node, which
 Contacts stay arrays from detection to the solver: ``detect_contacts`` returns
 one ``DetectedContacts`` record with a row per contact, and ``nodalize`` turns
 it into the per-contact column, frame, mu and phi arrays of a
-``NodalContactSet`` in batched numpy. No Python object is made per contact:
+``NodalContactSet`` in batched numpy. Frames come from detection: a ``Plane``
+builds its frame once, when it is made, and its contacts take that frame;
+only contacts on static spheres and between proxies call ``contact_frames``
+on the step. ``nodalize`` reads the frames and derives none. No Python object is made per contact:
 ``NodalContactSet.contacts`` views the arrays as one numpy record array. Jv
 stays arrays too: per virtual node, its source's velocity offset, whether the
 source is a rigid body, and the lever arm r from the body's origin.
@@ -44,12 +47,25 @@ from .dynamics import AssembledDynamics, Bodies, RigidBody, SystemState, _quat_t
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
+_UNSET = np.zeros((3, 3))  # stands in for a static sphere's frame until its contacts get theirs
 
 
-@dataclass
+@dataclass(frozen=True)
 class Plane:
+    """A static half-space. Its contact frame, rows (n, t1, t2) from
+    ``contact_frames``, is computed once when the plane is made, and
+    ``normal`` is the frame's unit row n; both are read-only. A zero normal
+    raises ``InvalidStateError``."""
+
     point: np.ndarray
     normal: np.ndarray
+    frame: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        frame = contact_frames(self.normal)[0]
+        frame.flags.writeable = False
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "normal", frame[0])
 
 
 @dataclass
@@ -71,14 +87,15 @@ class Geometry:
 class DetectedContacts:
     """Detector output, one row per contact in detection order.
 
-    Side 0 is a dynamic proxy; side 1 is another proxy or a static primitive,
-    and the normal points from side 1 toward side 0. ``key`` names the
-    contact's provenance (its proxies and primitive) by one int64 that stays
-    the same from step to step, for warm-start matching.
+    Side 0 is a dynamic proxy; side 1 is another proxy or a static primitive.
+    ``frame`` holds each contact's frame, rows (n, t1, t2) as built by
+    ``contact_frames``, with the normal n pointing from side 1 toward side 0.
+    ``key`` names the contact's provenance (its proxies and primitive) by one
+    int64 that stays the same from step to step, for warm-start matching.
     """
 
     point: np.ndarray  # (k, 3)
-    normal: np.ndarray  # (k, 3)
+    frame: np.ndarray  # (k, 3, 3)
     depth: np.ndarray  # (k,), >= 0
     v_off: np.ndarray  # (k, 2) per side: velocity offset, -1 if static
     q_off: np.ndarray  # (k, 2) per side: rigid body's coordinate offset, -1 if not rigid
@@ -201,24 +218,30 @@ def contact_frames(normals: np.ndarray) -> np.ndarray:
     the frame deterministic under tiny normal perturbations.
     """
     n = np.asarray(normals, dtype=float).reshape(-1, 3)
-    norm = np.linalg.norm(n, axis=1)
-    if np.any(norm < 1e-12):
-        raise InvalidStateError("contact normal is zero")
+    norm = _row_norms(n)
+    if not ((norm >= 1e-12) & (norm < np.inf)).all():
+        raise InvalidStateError("contact normal is zero or not finite")
     n = np.where(np.abs(norm - 1.0)[:, None] > 1e-9, n / norm[:, None], n)
-    e = np.zeros_like(n)
-    e[np.arange(n.shape[0]), np.argmin(np.abs(n), axis=1)] = 1.0
+    e = np.zeros(n.shape)
+    e[np.arange(n.shape[0]), np.abs(n).argmin(axis=1)] = 1.0
     t1 = _cross(_cross(n, e), n)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t1 /= _row_norms(t1)[:, None]
     t2 = _cross(n, t1)
-    return np.stack([n, t1, t2], axis=1)
+    return np.concatenate([n, t1, t2], axis=1).reshape(-1, 3, 3)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)``'s arithmetic at a lower fixed cost per call."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b of (k, 3) arrays; ``np.cross``'s arithmetic at a lower
-    fixed cost per call."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+    """Row-wise a x b of (k, 3) arrays; ``np.cross``'s arithmetic (component
+    c is a[c+1] b[c+2] - a[c+2] b[c+1]) at a lower fixed cost per call."""
+    return a.take(_NEXT, axis=1) * b.take(_PREV, axis=1) - a.take(_PREV, axis=1) * b.take(_NEXT, axis=1)
 
 
 def _world_rigid_points(state: SystemState, body: RigidBody) -> np.ndarray:
@@ -234,82 +257,86 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
     with the static primitives come out proxy by proxy, planes before spheres,
     then the proxy pairs sorted by (first, second) proxy. With s primitives
     and p proxies, proxy e on primitive k has key e (s + p) + k, and the pair
-    (e, f) has key e (s + p) + s + f.
+    (e, f) has key e (s + p) + s + f. A plane contact takes its plane's
+    frame; the others get theirs from ``contact_frames``.
     """
     margin = geometry.margin
+    planes, spheres = geometry.planes, geometry.spheres
 
-    # every dynamic proxy sphere: centers, radii, velocity and rigid
-    # coordinate offsets, and body (-1 for a node)
-    proxied = bodies.node_radius > 0
-    n_nodes = int(proxied.sum())
+    # every dynamic proxy sphere: center, radius, and its row of (velocity
+    # offset, rigid coordinate offset, body), the last two -1 for a node
+    proxied = (bodies.node_radius > 0).nonzero()[0]
+    n_nodes = proxied.shape[0]
     n_points = [body.contact_points.shape[0] for body in bodies.rigid]
     centers = np.concatenate(
         [state.q[triples(bodies.node_q[proxied])]] + [_world_rigid_points(state, body) for body in bodies.rigid]
     )
     radii = np.concatenate(
-        [bodies.node_radius[proxied]]
-        + [np.full(k, float(body.contact_radius)) for k, body in zip(n_points, bodies.rigid)]
+        [bodies.node_radius[proxied], np.repeat([float(body.contact_radius) for body in bodies.rigid], n_points)]
     )
-    rigid_v = np.array([body.v_offset for body in bodies.rigid], dtype=int)
-    rigid_q = np.array([body.q_offset for body in bodies.rigid], dtype=int)
-    proxy_body = np.concatenate([np.full(n_nodes, -1), np.repeat(np.arange(len(n_points)), n_points)])
-    # one trailing -1 entry: side index -1 (a static primitive) reads it
-    proxy_v = np.concatenate([bodies.node_v[proxied], np.repeat(rigid_v, n_points), [-1]])
-    proxy_q = np.concatenate([np.full(n_nodes, -1), np.repeat(rigid_q, n_points), [-1]])
-    n_prims = len(geometry.planes) + len(geometry.spheres)
-    stride = n_prims + centers.shape[0]
+    proxy = np.full((n_nodes + sum(n_points) + 1, 3), -1)  # the last row, all -1, is a static side
+    proxy[:n_nodes, 0] = bodies.node_v[proxied]
+    rows = [(body.v_offset, body.q_offset, k) for k, body in enumerate(bodies.rigid)]
+    proxy[n_nodes:-1] = np.array(rows, dtype=int).reshape(-1, 3).repeat(n_points, axis=0)
+    n_planes, n_prims, n_proxies = len(planes), len(planes) + len(spheres), centers.shape[0]
+    stride = n_prims + n_proxies
 
-    # per block of contacts: first proxy, second proxy (-1 for a primitive),
-    # key, signed distance, normal and point
-    empty = np.zeros(0, dtype=np.int64)
-    blocks = [(empty, empty, empty, np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))]
-
-    # signed distances (proxy, primitive) to every plane and static sphere
-    sd_cols, normal_cols = [], []
-    for plane in geometry.planes:
-        sd_cols.append((centers - plane.point) @ plane.normal - radii)
-        normal_cols.append(np.broadcast_to(plane.normal, centers.shape))
-    for sphere in geometry.spheres:
+    # signed distances of every (primitive, proxy), and the normals of the
+    # sphere ones; the contacts come out row-major over (proxy, primitive)
+    sd_cols = [(centers - plane.point) @ plane.normal - radii for plane in planes]
+    normal_cols = []
+    for sphere in spheres:
         d = centers - sphere.center
         dist = np.linalg.norm(d, axis=1)
         apart = dist > 1e-12
         sd_cols.append(np.where(apart, dist - sphere.radius - radii, np.inf))
         normal_cols.append(d / np.where(apart, dist, 1.0)[:, None])
-    if sd_cols:
-        sd = np.stack(sd_cols, axis=1)
-        e, k = np.nonzero(sd < margin)  # row-major: proxy by proxy
-        normal = np.stack(normal_cols, axis=1)[e, k]
-        point = centers[e] - radii[e, None] * normal
-        blocks.append((e, np.full(e.shape[0], -1), e * stride + k, sd[e, k], normal, point))
+    signed = np.array(sd_cols).reshape(n_prims, n_proxies)
+    first, k = np.nonzero(signed.T < margin)
+    frame = np.array([plane.frame for plane in planes] + [_UNSET] * len(spheres)).reshape(n_prims, 3, 3)[k]
+    on_sphere = (k >= n_planes).nonzero()[0]
+    if on_sphere.size:
+        normal = np.array(normal_cols)[k[on_sphere] - n_planes, first[on_sphere]]
+        frame[on_sphere] = contact_frames(normal)
+    # row 0 of a frame is its normal, bit for bit
+    point = centers[first] - radii[first, None] * frame[:, 0]
+    second = np.full(first.shape[0], -1)
+    key = first * stride + k
+    sd = signed[k, first]
 
     # dynamic-dynamic pairs of different bodies via a KD-tree over proxy centers
     # proxies of one rigid body never pair, so without node proxies a
     # single body needs no tree; the pairs are sorted below, so the cheaper
     # unbalanced, uncompacted tree finds the same result
-    pairs = empty.reshape(0, 2)
-    if centers.shape[0] > 1 and (n_nodes or len(bodies.rigid) > 1):
+    if n_proxies > 1 and (n_nodes or len(bodies.rigid) > 1):
         tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
         pairs = tree.query_pairs(r=2.0 * radii.max() + margin, output_type="ndarray")
-    if pairs.shape[0]:
         e, f = pairs[np.argsort(pairs[:, 0] * stride + pairs[:, 1])].T
         d = centers[e] - centers[f]
         # the stacked 1x3 @ 3x1 products round as np.linalg.norm does on one vector
         dist = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-        sd = dist - radii[e] - radii[f]
-        hit = (sd < margin) & (dist > 1e-12) & ((proxy_body[e] < 0) | (proxy_body[e] != proxy_body[f]))
-        e, f, sd = e[hit], f[hit], sd[hit]
-        normal = d[hit] / dist[hit, None]
-        point = centers[f] + (radii[f] + 0.5 * sd)[:, None] * normal
-        blocks.append((e, f, e * stride + n_prims + f, sd, normal, point))
+        pair_sd = dist - radii[e] - radii[f]
+        body = proxy[:, 2]
+        hit = (pair_sd < margin) & (dist > 1e-12) & ((body[e] < 0) | (body[e] != body[f]))
+        if hit.any():
+            e, f, pair_sd = e[hit], f[hit], pair_sd[hit]
+            normal = d[hit] / dist[hit, None]
+            pair_point = centers[f] + (radii[f] + 0.5 * pair_sd)[:, None] * normal
+            first, second, key, sd, frame, point = (
+                np.concatenate(col)
+                for col in zip(
+                    (first, second, key, sd, frame, point),
+                    (e, f, e * stride + n_prims + f, pair_sd, contact_frames(normal), pair_point),
+                )
+            )
 
-    first, second, key, sd, normal, point = (np.concatenate(col) for col in zip(*blocks))
-    sides = np.stack([first, second], axis=1)
+    sides = proxy[np.array([first, second]).T]
     return DetectedContacts(
         point=point,
-        normal=normal,
+        frame=frame,
         depth=np.maximum(0.0, -sd) + 0.0,  # + 0.0 turns -0.0 at exact touch into 0.0
-        v_off=proxy_v[sides],
-        q_off=proxy_q[sides],
+        v_off=sides[..., 0],
+        q_off=sides[..., 1],
         key=key,
     )
 
@@ -348,23 +375,22 @@ def nodalize(
     n_c = len(detected)
     v_off = detected.v_off.ravel()  # per contact side, side 0 then side 1
     q_off = detected.q_off.ravel()
-    on_node = np.flatnonzero((v_off >= 0) & (q_off < 0))
+    on_node = ((v_off >= 0) & (q_off < 0)).nonzero()[0]
     keeps = on_node[np.unique(v_off[on_node], return_index=True)[1]]  # first side on each node
     virt = v_off >= 0
     virt[keeps] = False
-    virt_side = np.flatnonzero(virt)
+    virt_side = virt.nonzero()[0]
     cols = np.full(2 * n_c, -1)
     cols[keeps] = v_off[keeps]
     cols[virt_side] = n + 3 * np.arange(virt_side.shape[0])
 
-    frames = contact_frames(detected.normal)
-    rigid = np.flatnonzero(q_off >= 0)
+    frames = detected.frame
+    rigid = (q_off >= 0).nonzero()[0]
     # per contact side: lever arm from the body origin, and velocity v + w x r
-    points = np.repeat(detected.point, 2, axis=0)
     lever = np.zeros((2 * n_c, 3))
-    lever[rigid] = points[rigid] - state.q[triples(q_off[rigid])]
-    vel = np.where(v_off[:, None] >= 0, state.v[triples(np.maximum(v_off, 0))], 0.0)
-    vel[rigid] += _cross(state.v[triples(v_off[rigid] + 3)], lever[rigid])
+    lever[rigid] = detected.point.take(rigid // 2, axis=0) - state.q.take(triples(q_off.take(rigid)))
+    vel = np.where(v_off[:, None] >= 0, state.v.take(triples(np.maximum(v_off, 0))), 0.0)
+    vel[rigid] += _cross(state.v.take(triples(v_off.take(rigid) + 3)), lever.take(rigid, axis=0))
     vel = vel.reshape(n_c, 2, 3)
     v_n = np.einsum("mi,mi->m", frames[:, 0], vel[:, 0] - vel[:, 1])
     phi = stabilization_term(detected.depth, v_n, stab)

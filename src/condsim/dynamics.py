@@ -27,11 +27,19 @@ step computes the 6 components k u_r u_s, r <= s, of every spring, sums them
 per component with ``np.bincount`` over the node-diagonal blocks and over the
 unordered node pairs, and fills the CSC data with one gather. Mirrored
 entries read the same sum, and a rigid body's world inertia R I R^T is
-symmetrized once, so A is bitwise symmetric.
+symmetrized once, so A is bitwise symmetric. ``BlockPattern.fits`` checks the
+layout in O(1): the pattern keeps the offset arrays themselves, read-only.
+
+The few rigid bodies are walked one by one, on Python floats where numpy's
+fixed cost per call on 3- and 4-vectors would dominate: the gyroscopic term
+w x (I_w w) and the quaternion update repeat the array formulas' operation
+order, and leave dot products, cos and sin to numpy, so their bits are the
+array formulas' bits. Each body's world inertia is built once per call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,9 +51,12 @@ EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible dam
 MIN_SPRING_LENGTH = 1e-12  # m, a shorter spring has no direction
 
 
+_XYZ = np.arange(3)
+
+
 def triples(offsets) -> np.ndarray:
     """(k, 3) indices of the three consecutive entries starting at each offset."""
-    return np.asarray(offsets, dtype=int).reshape(-1, 1) + np.arange(3)
+    return np.asarray(offsets, dtype=int).reshape(-1, 1) + _XYZ
 
 
 @dataclass
@@ -71,6 +82,8 @@ class Bodies:
     Row m of the node arrays is one 3-DOF point mass (a particle or a lattice
     node) whose coordinates and velocity start at ``node_q[m]``/``node_v[m]``.
     A node with ``node_radius[m] > 0`` carries a sphere contact proxy.
+    ``assemble_step`` puts a read-only copy in place of ``node_v`` (see
+    ``BlockPattern``): a new layout takes a new array.
     """
 
     node_q: np.ndarray  # (n,) int
@@ -104,7 +117,9 @@ class Springs:
 
     Row m joins the 3-DOF nodes at coordinate offsets ``qi[m]``/``qj[m]``
     (velocity offsets ``vi[m]``/``vj[m]``) with stiffness ``k[m]`` in N/m.
-    All springs share the scene's damping policy.
+    All springs share the scene's damping policy. ``assemble_step`` puts
+    read-only copies in place of the four offset arrays (see
+    ``BlockPattern``): new spring ends take new arrays.
     """
 
     qi: np.ndarray
@@ -172,7 +187,7 @@ def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
 
 
 def _quat_to_rot(quat: np.ndarray) -> np.ndarray:
-    w, x, y, z = quat
+    w, x, y, z = quat.tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -189,12 +204,24 @@ def world_inertia(body: RigidBody, q: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _rigid_mass(body: RigidBody, q: np.ndarray) -> np.ndarray:
+def _rigid_mass(body: RigidBody, inertia: np.ndarray) -> np.ndarray:
     """6x6 mass block diag(m I, world inertia)."""
     block = np.zeros((6, 6))
-    block[:3, :3] = body.mass * np.eye(3)
-    block[3:, 3:] = world_inertia(body, q)
+    block[_XYZ, _XYZ] = body.mass
+    block[3:, 3:] = inertia
     return block
+
+
+def _cross(a: list, b: list) -> list:
+    """a x b of two 3-vectors of floats, in ``np.cross``'s operation order."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _read_only(offsets) -> np.ndarray:
+    """A read-only int copy of ``offsets``, which nothing else can write."""
+    out = np.array(offsets, dtype=int)
+    out.flags.writeable = False
+    return out
 
 
 def _rigid_v(bodies: Bodies) -> np.ndarray:
@@ -206,7 +233,7 @@ _R, _S = np.triu_indices(3)
 _DIAG = np.flatnonzero(_R == _S)
 _COMP = np.empty((3, 3), dtype=int)
 _COMP[_R, _S] = _COMP[_S, _R] = np.arange(6)
-_QUARTERS = (_R[:, None] + [0, 3], _S[:, None] + [0, 3])  # a 6x6 block's two diagonal quarters
+_QUARTERS = 6 * (_R[:, None] + [0, 3]) + _S[:, None] + [0, 3]  # a 6x6 block's two diagonal quarters, flat
 
 
 @dataclass
@@ -235,6 +262,12 @@ class BlockPattern:
     ``coords`` caches the springs' coordinate indices (``_spring_coords``),
     which change only with the spring ends.
 
+    ``build`` puts read-only copies in place of ``bodies.node_v`` and the
+    springs' four offset arrays, and the pattern keeps those very arrays:
+    ``fits`` compares them by identity, in O(1) whatever their size, since
+    an edit in place raises and a new layout takes new arrays. Only the few
+    rigid bodies' offsets are compared by value.
+
     ``build`` gives every block its (3, 3) array of ``vals`` indices, lets a
     ``csr_matrix`` of block numbers sort the blocks, and expands them with
     ``bsr_matrix.tocsr``, whose ``indices``, ``indptr`` and ``data`` are
@@ -245,9 +278,11 @@ class BlockPattern:
 
     n: int
     node_v: np.ndarray
-    rigid_v: np.ndarray
+    rigid_v: tuple
     vi: np.ndarray
     vj: np.ndarray
+    qi: np.ndarray
+    qj: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     gather: np.ndarray
@@ -260,7 +295,10 @@ class BlockPattern:
 
     @classmethod
     def build(cls, n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
-        offsets = [np.array(o, dtype=int) for o in (bodies.node_v, _rigid_v(bodies), springs.vi, springs.vj)]
+        bodies.node_v, springs.vi, springs.vj, springs.qi, springs.qj = (
+            _read_only(a) for a in (bodies.node_v, springs.vi, springs.vj, springs.qi, springs.qj)
+        )
+        offsets = [bodies.node_v, _rigid_v(bodies), springs.vi, springs.vj]
         if n % 3 or any(np.any(o % 3) for o in offsets):
             raise DimensionMismatchError("block assembly needs n and velocity offsets that are multiples of 3")
         for o, width, what in zip(offsets, (3, 6, 3, 3), ("node", "rigid body", "spring end i", "spring end j")):
@@ -299,20 +337,21 @@ class BlockPattern:
         # every step's matrix shares these two arrays
         indices.flags.writeable = indptr.flags.writeable = False
         return cls(
-            n, *offsets, indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs,
-            coords=_spring_coords(springs),
+            n, bodies.node_v, tuple(offsets[1].tolist()), springs.vi, springs.vj, springs.qi, springs.qj,
+            indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs, coords=_spring_coords(springs),
         )
 
     def fits(self, n: int, bodies: Bodies, springs: Springs) -> bool:
-        """Whether this pattern was built for these sizes and offsets."""
+        """Whether this pattern was built for this size and these offsets:
+        the same offset arrays and the same rigid-body offsets."""
         return (
             self.n == n
-            and np.array_equal(self.node_v, bodies.node_v)
-            and np.array_equal(self.rigid_v, _rigid_v(bodies))
-            and np.array_equal(self.vi, springs.vi)
-            and np.array_equal(self.vj, springs.vj)
-            and np.array_equal(self.coords[0, :, 0], springs.qi)
-            and np.array_equal(self.coords[1, :, 0], springs.qj)
+            and self.node_v is bodies.node_v
+            and self.vi is springs.vi
+            and self.vj is springs.vj
+            and self.qi is springs.qi
+            and self.qj is springs.qj
+            and self.rigid_v == tuple(body.v_offset for body in bodies.rigid)
         )
 
 
@@ -329,7 +368,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     A's CSC data is gathered from per-block component sums, as laid out by
     the pattern of ``block_pattern``.
     """
-    if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.v))):
+    if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
         raise InvalidStateError("state contains non-finite values")
     n = state.v.shape[0]
     t = state.dt
@@ -348,13 +387,14 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     diag[_DIAG, :n_nodes] = coef
 
     for k, body in enumerate(bodies.rigid):
-        idx = np.arange(body.v_offset, body.v_offset + 6)
-        block = (2.0 / t) * _rigid_mass(body, state.q)
-        diag[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block[_QUARTERS]
-        b[idx] += block @ state.v[idx]
+        vo = body.v_offset
+        inertia = world_inertia(body, state.q)
+        block = (2.0 / t) * _rigid_mass(body, inertia)
+        diag[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block.take(_QUARTERS)
+        b[vo : vo + 6] += block @ state.v[vo : vo + 6]
         # gyroscopic term of C v
-        omega = state.v[idx[3:]]
-        b[idx[3:]] -= np.cross(omega, world_inertia(body, state.q) @ omega)
+        omega = state.v[vo + 3 : vo + 6]
+        b[vo + 3 : vo + 6] -= _cross(omega.tolist(), (inertia @ omega).tolist())
 
     if m:
         # springs: -(t/2) K on the blocks (i, j) and (j, i) of their node
@@ -389,20 +429,23 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     return AssembledDynamics(b, n, data, pattern)
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, av = a[0], a[1:]
-    bw, bv = b[0], b[1:]
-    return np.concatenate(
-        [[aw * bw - av @ bv], aw * bv + bw * av + np.cross(av, bv)]
-    )
+def _turn(quat: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
+    """The unit quaternion exp(rotvec) quat, (w, x, y, z).
 
-
-def _quat_exp(rotvec: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(rotvec))
+    The product is on floats in the operation order of the array formulas
+    (``np.cross`` for its vector part); the dot products and cos/sin stay
+    numpy's, whose rounding (BLAS's fused multiply-adds) plain floats would
+    not repeat."""
+    angle = math.sqrt(rotvec.dot(rotvec))  # np.linalg.norm's arithmetic
     if angle < 1e-12:
-        return np.concatenate([[1.0], 0.5 * rotvec])
-    axis = rotvec / angle
-    return np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
+        aw, av = 1.0, 0.5 * rotvec
+    else:
+        aw, av = np.cos(angle / 2), np.sin(angle / 2) * (rotvec / angle)
+    bw, *bv = quat.tolist()
+    a = av.tolist()
+    vec = [aw * y + bw * x + c for x, y, c in zip(a, bv, _cross(a, bv))]
+    out = np.array([aw * bw - av.dot(quat[1:]), *vec])
+    return out / math.sqrt(out.dot(out))
 
 
 def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies, dt: float | None = None) -> SystemState:
@@ -415,11 +458,9 @@ def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies, dt: float |
     q = state.q.copy()
     q[triples(bodies.node_q)] += t * v_hat[triples(bodies.node_v)]
     for body in bodies.rigid:
-        q[body.q_offset : body.q_offset + 3] += t * v_hat[body.v_offset : body.v_offset + 3]
-        omega = v_hat[body.v_offset + 3 : body.v_offset + 6]
-        dq = _quat_exp(t * omega)
-        quat = _quat_mul(dq, q[body.q_offset + 3 : body.q_offset + 7])
-        q[body.q_offset + 3 : body.q_offset + 7] = quat / np.linalg.norm(quat)
+        qo, vo = body.q_offset, body.v_offset
+        q[qo : qo + 3] += t * v_hat[vo : vo + 3]
+        q[qo + 3 : qo + 7] = _turn(q[qo + 3 : qo + 7], t * v_hat[vo + 3 : vo + 6])
     v_next = 2.0 * v_hat - state.v
     return replace(state, q=q, v=v_next)
 
@@ -430,5 +471,5 @@ def kinetic_energy(state: SystemState, bodies: Bodies) -> float:
     total = 0.5 * float(bodies.node_mass @ np.einsum("ij,ij->i", v, v))
     for body in bodies.rigid:
         seg = state.v[body.v_offset : body.v_offset + 6]
-        total += 0.5 * float(seg @ _rigid_mass(body, state.q) @ seg)
+        total += 0.5 * float(seg @ _rigid_mass(body, world_inertia(body, state.q)) @ seg)
     return total

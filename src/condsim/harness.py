@@ -272,6 +272,7 @@ def validate_scenario(data: dict) -> None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ScenarioValidationError(f"scenario invalid at {loc}: {exc.message}") from exc
     _check_finite(data, "")
+    _check_directions(data)
     steps = data["duration"] / data["step_size"]
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         raise ScenarioValidationError(
@@ -289,6 +290,20 @@ def _check_finite(node, loc: str) -> None:
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, value in items:
         _check_finite(value, f"{loc}/{key}" if loc else str(key))
+
+
+def _check_directions(data: dict) -> None:
+    """Reject plane normals and rigid-body orientations too short to have a
+    direction: a plane builds its contact frame from its normal, and a body
+    normalizes its quaternion."""
+    planes = data.get("geometry", {}).get("planes", [])
+    vectors = [(p["normal"], f"geometry/planes/{k}/normal") for k, p in enumerate(planes)]
+    for k, body in enumerate(data.get("bodies", [])):
+        if "orientation" in body:
+            vectors.append((body["orientation"], f"bodies/{k}/orientation"))
+    for vec, loc in vectors:
+        if math.hypot(*vec) < 1e-12:
+            raise ScenarioValidationError(f"scenario invalid at {loc}: {vec!r} has no direction")
 
 
 def _check_targets(data: dict) -> None:
@@ -347,14 +362,14 @@ class Scene:
     gravity: np.ndarray
 
 
-def _lattice_nodes(spec: dict, rng: np.random.Generator) -> np.ndarray:
-    """Node positions, x fastest, then y, then z."""
+def _lattice_nodes(spec: dict, seed: int) -> np.ndarray:
+    """Node positions, x fastest, then y, then z; the seed draws the jitter."""
     k, j, i = np.indices((spec["nz"], spec["ny"], spec["nx"])).reshape(3, -1)
     origin = np.array(spec.get("origin", [0.0, 0.0, 0.0]), dtype=float)
     pts = origin + spec["spacing"] * np.stack([i, j, k], axis=1).astype(float)
     jitter = spec.get("position_jitter", 0.0)
     if jitter > 0:
-        pts[:, :2] += rng.uniform(-jitter, jitter, size=(pts.shape[0], 2))
+        pts[:, :2] += np.random.default_rng(seed).uniform(-jitter, jitter, size=(pts.shape[0], 2))
     return pts
 
 
@@ -392,14 +407,12 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     cfg = cfg or RunConfig()
     data = s.raw
     seed = cfg.seed if cfg.seed is not None else s.seed
-    rng = np.random.default_rng(seed)
     dt = s.step_size
 
     geometry = Geometry()
     geo = data.get("geometry", {})
     for p in geo.get("planes", []):
-        n = np.array(p["normal"], dtype=float)
-        geometry.planes.append(Plane(np.array(p["point"], dtype=float), n / np.linalg.norm(n)))
+        geometry.planes.append(Plane(np.array(p["point"], dtype=float), np.array(p["normal"], dtype=float)))
     for sp in geo.get("spheres", []):
         geometry.spheres.append(StaticSphere(np.array(sp["center"], dtype=float), sp["radius"]))
     if "margin" in geo:
@@ -448,7 +461,7 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     lengths = np.linalg.norm(q[triples(body_q[si])] - q[triples(body_q[sj])], axis=1)
     rest = [np.array([sp.get("rest", d) for sp, d in zip(spring_specs, lengths)], dtype=float)]
     if lat is not None:
-        q[triples(lat_q)] = _lattice_nodes(lat, rng)
+        q[triples(lat_q)] = _lattice_nodes(lat, seed)
         node_mass.append(np.full(n_lat, float(lat["mass"])))
         node_radius.append(np.full(n_lat, float(lat.get("node_radius", 0.45 * lat["spacing"]))))
         a, b = _lattice_edges(lat["nx"], lat["ny"], lat["nz"], lat.get("diagonals", True)).T

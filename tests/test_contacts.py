@@ -104,6 +104,65 @@ class TestContactFrame:
             assert np.array_equal(contact_frames(normal)[0], frame)
 
 
+class TestPlaneFrame:
+    def test_plane_holds_its_frame(self):
+        for normal in ([0.0, 0.0, 1.0], [0.0, 0.6, -0.8], [3.0, -1.0, 2.0]):
+            plane = Plane(np.zeros(3), np.array(normal))
+            assert np.array_equal(plane.frame, contact_frames(np.array(normal))[0])
+            assert np.array_equal(plane.normal, plane.frame[0])
+            assert np.isclose(np.linalg.norm(plane.normal), 1.0, rtol=0.0, atol=1e-15)
+            with pytest.raises(ValueError, match="read-only"):
+                plane.frame[0, 0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                plane.normal = np.array([1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("normal", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]], ids=["zero", "nan"])
+    def test_normal_without_direction_rejected(self, normal):
+        with pytest.raises(InvalidStateError):
+            Plane(np.zeros(3), np.array(normal))
+
+    @pytest.mark.parametrize("name", ["box_slide", "anisotropic_slide", "particle_stack", "lattice_drag"])
+    def test_every_step_frame_is_contact_frames_of_its_normal(self, monkeypatch, name):
+        # 50 steps through harness.run, each scene on one floor: a floor
+        # contact's normal is the floor's, a pair's runs between the two
+        # particle centres, and nodalize's frames are contact_frames of those
+        # normals bit for bit; a plane-only step makes no contact_frames call
+        from condsim import harness
+
+        s = load_scenario(scenario_path(name))
+        s = harness.Scenario({**s.raw, "duration": 50 * s.step_size})
+        scene = build_scene(s, RunConfig())
+        (floor,) = scene.geometry.planes
+        proxied = np.flatnonzero(scene.bodies.node_radius > 0)
+        stride = 1 + proxied.shape[0] + sum(body.contact_points.shape[0] for body in scene.bodies.rigid)
+        frames_of, nodalize_of, calls, steps = contacts.contact_frames, contacts.nodalize, [], []
+
+        def counting_frames(*args, **kwargs):
+            calls.append(1)
+            return frames_of(*args, **kwargs)
+
+        def checking(detected, state, *args, **kwargs):
+            nodal = nodalize_of(detected, state, *args, **kwargs)
+            normals = np.tile(floor.normal, (len(nodal), 1))
+            pair = detected.v_off[:, 1] >= 0
+            e, f = np.divmod(detected.key[pair], stride)
+            for m, a, b in zip(np.flatnonzero(pair), proxied[e], proxied[f - 1]):
+                d = state.q[scene.bodies.node_q[a] + np.arange(3)] - state.q[scene.bodies.node_q[b] + np.arange(3)]
+                normals[m] = d / np.linalg.norm(d)
+            assert np.array_equal(nodal.frames, frames_of(normals))
+            steps.append((len(calls), int(pair.sum())))
+            calls.clear()
+            return nodal
+
+        monkeypatch.setattr(contacts, "contact_frames", counting_frames)
+        monkeypatch.setattr(harness, "build_scene", lambda *args: scene)
+        monkeypatch.setattr(harness, "nodalize", checking)
+        harness.run(s, RunConfig())
+        assert len(steps) == 50
+        assert [n_calls for n_calls, _ in steps] == [int(n_pairs > 0) for _, n_pairs in steps]
+        assert any(n_pairs for _, n_pairs in steps) == (name == "particle_stack")
+
+
 class TestDetectContacts:
     def test_sphere_proxy_on_plane(self):
         state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5)
@@ -112,7 +171,7 @@ class TestDetectContacts:
         assert len(raw) == 1
         assert np.isclose(raw.depth[0], 0.1)
         assert np.allclose(raw.point[0], [0.0, 0.0, -0.1])
-        assert np.allclose(raw.normal[0], [0.0, 0.0, 1.0])
+        assert np.allclose(raw.frame[0, 0], [0.0, 0.0, 1.0])
 
     def test_separated_particle_no_contact(self):
         state, bodies, geom = particle_scene([[0.0, 0.0, 1.0]], radius=0.0)
@@ -128,7 +187,7 @@ class TestDetectContacts:
         assert len(raw) == 1
         assert np.isclose(raw.depth[0], 0.1)
         assert np.allclose(raw.point[0], [0.0, 0.0, 0.9])
-        assert np.allclose(raw.normal[0], [0.0, 0.0, 1.0])
+        assert np.allclose(raw.frame[0, 0], [0.0, 0.0, 1.0])
         # node at velocity offset 0 on a static primitive
         assert raw.v_off.tolist() == [[0, -1]] and raw.q_off.tolist() == [[-1, -1]]
 
@@ -140,7 +199,7 @@ class TestDetectContacts:
         geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
         geom.spheres.append(StaticSphere(np.array([1.5, 0.0, 0.4]), 1.2))
         raw = detect_contacts(state, bodies, geom)
-        assert [(v, tuple(np.round(normal, 12))) for v, normal in zip(raw.v_off[:, 0], raw.normal)] == [
+        assert [(v, tuple(np.round(normal, 12))) for v, normal in zip(raw.v_off[:, 0], raw.frame[:, 0])] == [
             (0, (0.0, 0.0, 1.0)),
             (0, (-1.0, 0.0, 0.0)),
             (6, (0.0, 0.0, 1.0)),
@@ -155,7 +214,7 @@ class TestDetectContacts:
         assert len(raw) == 1
         assert raw.v_off.tolist() == [[0, 3]] and raw.q_off.tolist() == [[-1, -1]]
         assert np.isclose(raw.depth[0], 0.1)
-        assert np.allclose(raw.normal[0], [-1.0, 0.0, 0.0])  # from the second proxy toward the first
+        assert np.allclose(raw.frame[0, 0], [-1.0, 0.0, 0.0])  # from the second proxy toward the first
         assert np.allclose(raw.point[0], [0.45, 0.0, 0.0])
 
     def test_pairs_sorted_by_proxy_after_primitives(self):
@@ -202,7 +261,7 @@ class TestDetectContacts:
             assert raw.v_off[pair].tolist() == [[r[1], r[2]] for r in ref]
             if ref:
                 assert np.allclose(raw.depth[pair], np.maximum(0.0, [r[3] for r in ref]), rtol=0.0, atol=1e-15)
-                assert np.allclose(raw.normal[pair], [r[4] for r in ref], rtol=0.0, atol=1e-15)
+                assert np.allclose(raw.frame[pair, 0], [r[4] for r in ref], rtol=0.0, atol=1e-15)
 
 
 def bundled_scene(name: str):
@@ -233,7 +292,7 @@ class TestPairSearchGate:
         empty = dataclasses.replace(bodies.rigid[0], contact_points=np.zeros((0, 3)))
         searched = detect_contacts(state, dataclasses.replace(bodies, rigid=bodies.rigid + [empty]), geom)
         assert len(tree_builds) == 1
-        for name in ("point", "normal", "depth", "v_off", "q_off", "key"):
+        for name in ("point", "frame", "depth", "v_off", "q_off", "key"):
             assert np.array_equal(getattr(raw, name), getattr(searched, name)), name
 
     def test_node_proxies_still_pair(self, tree_builds):
@@ -455,7 +514,7 @@ def mixed_scene(rng):
     normal /= np.linalg.norm(normal, axis=1)[:, None]
     detected = DetectedContacts(
         point=rng.standard_normal((k, 3)),
-        normal=normal,
+        frame=contact_frames(normal),
         depth=rng.uniform(0.0, 0.01, k),
         v_off=sides[:, :, 0],
         q_off=sides[:, :, 1],
@@ -490,12 +549,12 @@ def reference_nodalize(detected, state, bodies, stab):
             return v[:3]
         return v[:3] + np.cross(v[3:], point - state.q[q_off : q_off + 3])
 
-    for point, normal, depth, v_off, q_off in zip(
-        detected.point, detected.normal, detected.depth, detected.v_off.tolist(), detected.q_off.tolist()
+    for point, frame, depth, v_off, q_off in zip(
+        detected.point, detected.frame, detected.depth, detected.v_off.tolist(), detected.q_off.tolist()
     ):
         cols.append([column(v, q, point) for v, q in zip(v_off, q_off)])
         vel = [velocity(v, q, point) for v, q in zip(v_off, q_off)]
-        v_n = contact_frames(normal)[0, 0] @ (vel[0] - vel[1])
+        v_n = frame[0] @ (vel[0] - vel[1])
         phi_n = -(stab.beta_err / stab.dt) * depth
         if abs(v_n) > stab.v_rest_threshold:
             phi_n += stab.e_rest * min(0.0, v_n)

@@ -1,5 +1,7 @@
 """Dynamics assembly and integration tests with finite-difference oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -408,6 +410,55 @@ class TestBlockAssembly:
             assert s.pattern is patterns[-1] and np.shares_memory(asm.a.indices, s.pattern.indices)
         assert len({id(p) for p in patterns}) == len(layouts)
 
+    def test_pattern_follows_edits_of_the_offsets(self, rng):
+        # after a step the springs and bodies hold read-only copies of their
+        # offsets, which the pattern keeps: an edit in place raises, an edit
+        # of the array passed in no longer reaches the springs, and a new
+        # array rebuilds the pattern, even with the same offsets
+        bodies = particles([1.0, 2.0, 3.0])
+        vi = np.array([0, 3])
+        s = Springs(np.array([0, 3]), np.array([3, 6]), vi, np.array([3, 6]), np.full(2, 50.0), np.full(2, 0.5))
+        state = SystemState(rng.uniform(-1.0, 1.0, 9), rng.standard_normal(9), dt=0.01)
+        self.check(assemble_step(state, bodies, s), state, bodies, s)
+        pattern = s.pattern
+        for offsets in (s.qi, s.qj, s.vi, s.vj, bodies.node_v):
+            with pytest.raises(ValueError, match="read-only"):
+                offsets[0] = 3
+        vi[0] = 6
+        assert s.vi.tolist() == [0, 3]
+        self.check(assemble_step(state, bodies, s), state, bodies, s)
+        assert s.pattern is pattern
+        patterns = [pattern]
+        for edit in (
+            lambda: setattr(s, "vi", s.vi.copy()),
+            lambda: setattr(bodies, "node_v", bodies.node_v.copy()),
+            lambda: setattr(s, "qj", np.array([6, 6])) or setattr(s, "vj", np.array([6, 6])),
+        ):
+            edit()
+            self.check(assemble_step(state, bodies, s), state, bodies, s)
+            assert all(s.pattern is not p for p in patterns)
+            patterns.append(s.pattern)
+
+    def test_steady_step_compares_no_offsets(self, monkeypatch):
+        # a step on a known layout reads no offset array: equal copies do not
+        # fit, and the lattice's second step makes no full-array comparison
+        scene = build_scene(load_scenario(scenario_path("lattice_drag")))
+        state, bodies, s = scene.state, scene.bodies, scene.constraints
+        first = assemble_step(state, bodies, s)
+        pattern = s.pattern
+        n = state.v.shape[0]
+        assert not pattern.fits(n, dataclasses.replace(bodies, node_v=bodies.node_v.copy()), s)
+        assert not pattern.fits(n, bodies, dataclasses.replace(s, vj=s.vj.copy()))
+
+        def compared(*args, **kwargs):
+            raise AssertionError("a steady step compared arrays")
+
+        monkeypatch.setattr(np, "array_equal", compared)
+        monkeypatch.setattr(np, "array_equiv", compared)
+        second = assemble_step(state, bodies, s)
+        assert s.pattern is pattern and np.array_equal.__name__ == "compared"
+        assert (second.data == first.data).all()
+
 
     def test_mirrored_blocks_are_bitwise_equal(self, rng):
         # three springs on one node pair in mixed orientation: (i, j) and
@@ -579,7 +630,7 @@ class TestMixedScene:
             k = sides.shape[0]
             detected = contacts.DetectedContacts(
                 point=state.q[3:6] + np.linspace(-0.1, 0.1, 3 * k).reshape(k, 3),
-                normal=np.tile([0.0, 0.0, 1.0], (k, 1)),
+                frame=contacts.contact_frames(np.tile([0.0, 0.0, 1.0], (k, 1))),
                 depth=np.zeros(k),
                 v_off=sides[:, :, 0],
                 q_off=sides[:, :, 1],
@@ -663,6 +714,54 @@ class TestIntegrate:
             v_hat = np.concatenate([np.zeros(3), rng.standard_normal(3)])
             state = integrate(state, v_hat, bodies)
         assert abs(np.linalg.norm(state.q[3:7]) - 1.0) <= 1e-9
+
+
+class TestRigidKinematics:
+    """The rigid-body terms on floats against the array formulas they
+    replace, bit for bit, on random states."""
+
+    @staticmethod
+    def random_body(rng):
+        half = rng.standard_normal((3, 3))
+        inertia = half @ half.T + 0.01 * np.eye(3)
+        quat = rng.standard_normal(4)
+        q = np.concatenate([rng.standard_normal(3), quat / np.linalg.norm(quat)])
+        return RigidBody(rng.uniform(0.1, 10.0), 0, 0, inertia), q
+
+    def test_gyroscopic_term_matches_the_array_formula(self, rng):
+        for _ in range(500):
+            body, q = self.random_body(rng)
+            v = rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3, 6)
+            state = SystemState(q, v, dt=0.01)
+            block = np.zeros((6, 6))
+            block[:3, :3] = body.mass * np.eye(3)
+            block[3:, 3:] = world_inertia(body, q)
+            block = (2.0 / 0.01) * block
+            ref = np.zeros(6)
+            ref[np.arange(6)] += block @ v
+            ref[3:] -= np.cross(v[3:], world_inertia(body, q) @ v[3:])
+            asm = assemble_step(state, rigid_only(body), NO_SPRINGS)
+            assert np.array_equal(asm.b, ref)
+
+    def test_quaternion_update_matches_the_array_formula(self, rng):
+        def reference(quat, rotvec):
+            angle = float(np.linalg.norm(rotvec))
+            if angle < 1e-12:
+                dq = np.concatenate([[1.0], 0.5 * rotvec])
+            else:
+                dq = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * (rotvec / angle)])
+            aw, av, bw, bv = dq[0], dq[1:], quat[0], quat[1:]
+            out = np.concatenate([[aw * bw - av @ bv], aw * bv + bw * av + np.cross(av, bv)])
+            return out / np.linalg.norm(out)
+
+        for k in range(1000):
+            body, q = self.random_body(rng)
+            # angular speeds across the small-angle branch at 1e-12 rad per step
+            v_hat = rng.standard_normal(6) * 10.0 ** rng.uniform(-12 if k % 2 else -3, 3)
+            state = SystemState(q, rng.standard_normal(6), dt=0.01)
+            nxt = integrate(state, v_hat, rigid_only(body))
+            assert np.array_equal(nxt.q[:3], q[:3] + 0.01 * v_hat[:3])
+            assert np.array_equal(nxt.q[3:], reference(q[3:], 0.01 * v_hat[3:]))
 
 
 class TestKineticEnergy:

@@ -126,6 +126,32 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError, match=re.escape(named)):
             run(Scenario(data), RunConfig())
 
+    @pytest.mark.parametrize(
+        "where, value, loc",
+        [
+            (("geometry", "planes", 0, "normal"), [0, 0, 0], "geometry/planes/0/normal"),
+            (("bodies", 0, "orientation"), [0.0, 0.0, 0.0, 0.0], "bodies/0/orientation"),
+            (("geometry", "planes", 0, "normal"), [0.0, 1e-13, 0.0], "geometry/planes/0/normal"),
+        ],
+        ids=["zero-normal", "zero-orientation", "tiny-normal"],
+    )
+    def test_vector_without_direction_is_named(self, tmp_path, capsys, where, value, loc):
+        # box_slide with a zero floor normal used to run 300 steps on a NaN
+        # plane, the cube falling through to z = -44 m with exit 0; a zero
+        # orientation ended in an InvalidStateError traceback
+        data = load_scenario(scenario_path("box_slide")).raw
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        named = f"scenario invalid at {loc}: {value!r} has no direction"
+        with pytest.raises(ScenarioValidationError, match=re.escape(named)):
+            validate_scenario(data)
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
     def test_a_run_checks_its_scenario_once(self, monkeypatch):
         # the checks are most of box_slide's set-up time, so loading and
         # running a scenario makes them once, when the Scenario is made
