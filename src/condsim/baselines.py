@@ -27,7 +27,7 @@ DENSE_FACTOR_CAP = 4096
 PGS_INNER_ITERS = 8  # projected-gradient steps per contact and sweep
 
 
-@dataclass
+@dataclass(eq=False)
 class BaselineConfig:
     residual_tol: float = 1e-4  # velocity-space, consistent with the V-FPI residual
     max_iters: int = 2000
@@ -43,7 +43,7 @@ class BaselineReport:
     consistency: float = float("nan")  # the force residual, which the baselines do not check
 
 
-@dataclass
+@dataclass(eq=False)
 class DelassusProblem:
     a_c: np.ndarray  # dense, symmetric
     b_c: np.ndarray

@@ -21,8 +21,10 @@ builds its frame once, when it is made, and its contacts take that frame;
 only contacts on static spheres and between proxies call ``contact_frames``
 on the step. ``nodalize`` reads the frames and derives none. No Python object is made per contact:
 ``NodalContactSet.contacts`` views the arrays as one numpy record array. Jv
-stays arrays too: per virtual node, its source's velocity offset, whether the
-source is a rigid body, and the lever arm r from the body's origin.
+stays arrays too, never a matrix: per virtual node, its source's velocity
+offset, whether the source is a rigid body, and the lever arm r from the
+body's origin, applied by ``NodalContactSet.virtual_velocity`` and the tie
+fill of ``augment_dynamics``.
 
 ``augment_dynamics`` writes the block matrix above as A_o plus k_v T^T T with
 T = [Jv, -I]. A ``TieLayout`` holds the augmented CSC pattern and, for each
@@ -50,7 +52,7 @@ DEFAULT_MARGIN = 1e-4  # m, contact activation distance
 _UNSET = np.zeros((3, 3))  # stands in for a static sphere's frame until its contacts get theirs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plane:
     """A static half-space. Its contact frame, rows (n, t1, t2) from
     ``contact_frames``, is computed once when the plane is made, and
@@ -68,13 +70,13 @@ class Plane:
         object.__setattr__(self, "normal", frame[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class StaticSphere:
     center: np.ndarray
     radius: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Geometry:
     """Static primitives; the dynamic proxies live on ``Bodies``."""
 
@@ -83,7 +85,7 @@ class Geometry:
     margin: float = DEFAULT_MARGIN
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectedContacts:
     """Detector output, one row per contact in detection order.
 
@@ -111,7 +113,7 @@ _RECORD = np.dtype(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class NodalContactSet:
     """Nodalized contacts. ``nodes`` holds the column offsets of the
     contacted nodes, ascending. A column that carries two contact sides
@@ -151,17 +153,6 @@ class NodalContactSet:
     def n_virtual(self) -> int:
         return self.src.shape[0]
 
-    @property
-    def jv(self) -> sp.csr_matrix:
-        """Jv as a (3 n_v, n_orig) CSR matrix, built from the arrays for
-        tests and oracles; the step loop never builds it."""
-        keep = _tie_live(self.rigid)[:, :, :3]
-        cols = self.src[:, None, None] + _T_COL
-        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
-        return sp.csr_matrix(
-            (_tie_rows(self.lever)[:, :, :3][keep], cols[keep], indptr), shape=(3 * self.n_virtual, self.n_orig)
-        )
-
     def virtual_velocity(self, v: np.ndarray) -> np.ndarray:
         """Jv v for original velocities v: every virtual node's source
         velocity, plus w x r on a rigid body, as the sums of its Jv rows. A
@@ -184,11 +175,10 @@ class NodalContactSet:
 class StabilizationParams:
     beta_err: float = 0.2
     e_rest: float = 0.0
-    dt: float = 0.01
     v_rest_threshold: float = 0.01
 
 
-@dataclass
+@dataclass(eq=False)
 class AugmentedDynamics:
     a: sp.csc_matrix
     b: np.ndarray
@@ -341,14 +331,14 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
     )
 
 
-def stabilization_term(depth, v_n_prev, params: StabilizationParams):
+def stabilization_term(depth, v_n_prev, params: StabilizationParams, dt: float):
     """Penetration compensation plus restitution, in m/s, elementwise over
-    depths and previous normal velocities.
+    depths and previous normal velocities, for a step of dt.
 
     The Signorini row later enforces ``v_n + phi_n >= 0``, so a negative value
     demands a separating velocity.
     """
-    phi = -(params.beta_err / params.dt) * np.asarray(depth, dtype=float)
+    phi = -(params.beta_err / dt) * np.asarray(depth, dtype=float)
     restitution = params.e_rest * np.minimum(0.0, v_n_prev)
     return np.where(np.abs(v_n_prev) > params.v_rest_threshold, phi + restitution, phi)
 
@@ -370,7 +360,7 @@ def nodalize(
     fresh virtual node, numbered in the same order and tied to its source by
     Jv.
     """
-    stab = stab or StabilizationParams(dt=state.dt)
+    stab = stab or StabilizationParams()
     n = state.v.shape[0]
     n_c = len(detected)
     v_off = detected.v_off.ravel()  # per contact side, side 0 then side 1
@@ -393,7 +383,7 @@ def nodalize(
     vel[rigid] += _cross(state.v.take(triples(v_off.take(rigid) + 3)), lever.take(rigid, axis=0))
     vel = vel.reshape(n_c, 2, 3)
     v_n = np.einsum("mi,mi->m", frames[:, 0], vel[:, 0] - vel[:, 1])
-    phi = stabilization_term(detected.depth, v_n, stab)
+    phi = stabilization_term(detected.depth, v_n, stab, state.dt)
 
     cols = cols.reshape(n_c, 2)
     return NodalContactSet(
@@ -426,14 +416,7 @@ def _tie_rows(lever: np.ndarray) -> np.ndarray:
     return _T_UNIT + _T_SIGN * lever[:, _T_LEVER]
 
 
-def _tie_live(rigid: np.ndarray) -> np.ndarray:
-    """(n_v, 3, 4) mask of the T row entries that exist."""
-    live = np.ones((rigid.shape[0], 3, 4), dtype=bool)
-    live[~rigid, :, 1:3] = False
-    return live
-
-
-@dataclass
+@dataclass(eq=False)
 class TieLayout:
     """The CSC pattern of the augmented A for one A_o pattern and one set of
     virtual-node sources.
@@ -463,7 +446,8 @@ class TieLayout:
         cols = np.empty((n_v, 3, 4), dtype=np.int64)
         cols[:, :, :3] = src[:, None, None] + _T_COL
         cols[:, :, 3] = n_o + np.arange(3 * n_v).reshape(n_v, 3)
-        live = _tie_live(rigid)
+        live = np.ones((n_v, 3, 4), dtype=bool)  # the T row entries that exist
+        live[~rigid, :, 1:3] = False
         live = (live[..., :, None] & live[..., None, :]).ravel()
         keys = (cols[..., None, :] * n + cols[..., :, None]).ravel()  # product (p, q): row p, column q
         a_keys = np.repeat(np.arange(n_o, dtype=np.int64) * n, np.diff(indptr)) + indices
@@ -496,25 +480,19 @@ def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> Augmente
     With T = [Jv, -I] the augmented matrix is A_o (padded with zeros) plus
     k_v T^T T: each row of T adds the outer product of its entries. The
     ``TieLayout`` cached on A_o's ``BlockPattern`` places them, keyed on the
-    virtual nodes' sources and rigid flags; a matrix without a pattern
-    derives it on each call. A step without virtual nodes returns A_o.
+    virtual nodes' sources and rigid flags. A step without virtual nodes
+    returns A_o.
     """
     n_o = asm.n
     if asm.b.shape[0] != n_o:
         raise DimensionMismatchError("augment_dynamics: b length mismatch")
     if nodal.n_virtual == 0:
         return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal)
-    pattern = asm.pattern
-    if pattern is None:
-        a_o = asm.a.tocsc(copy=True)
-        a_o.sum_duplicates()
-        data, layout = a_o.data, TieLayout.build(a_o.indices, a_o.indptr, nodal.src, nodal.rigid)
-    else:
-        data, layout = asm.data, pattern.ties
-        if layout is None or not layout.fits(nodal):
-            layout = pattern.ties = TieLayout.build(pattern.indices, pattern.indptr, nodal.src, nodal.rigid)
+    pattern, layout = asm.pattern, asm.pattern.ties
+    if layout is None or not layout.fits(nodal):
+        layout = pattern.ties = TieLayout.build(pattern.indices, pattern.indptr, nodal.src, nodal.rigid)
     t = _tie_rows(nodal.lever)
-    vals = np.concatenate([data, (nodal.k_v * (t[..., :, None] * t[..., None, :])).ravel()])
+    vals = np.concatenate([asm.data, (nodal.k_v * (t[..., :, None] * t[..., None, :])).ravel()])
     n, nnz = layout.indptr.shape[0] - 1, layout.indices.shape[0]
     a = sp.csc_matrix(
         (np.bincount(layout.pos, vals, minlength=nnz + 1)[:nnz], layout.indices, layout.indptr), shape=(n, n)

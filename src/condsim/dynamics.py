@@ -18,7 +18,8 @@ batched passes. Only the few rigid bodies are records.
 Every velocity offset is a multiple of 3, so A is a matrix of 3x3 node
 blocks: a mass block per node, a rigid body's 6x6 mass block as 2x2 blocks,
 and per spring K = (t/2) k u u^T plus its diagonal damping on both of its
-node-diagonal blocks and -K on its two off-diagonal blocks. The sparsity
+node-diagonal blocks and -K on its two off-diagonal blocks; geometric
+damping (``spring_damping``) reuses the step's spring geometry. The sparsity
 pattern depends only on the offsets, so it is built once per scene
 (``BlockPattern``) and cached on the ``Springs``: a block-level CSR matrix
 orders the touched blocks, and scipy's BSR-to-CSR expansion writes the
@@ -59,7 +60,7 @@ def triples(offsets) -> np.ndarray:
     return np.asarray(offsets, dtype=int).reshape(-1, 1) + _XYZ
 
 
-@dataclass
+@dataclass(eq=False)
 class RigidBody:
     """A 6-DOF rigid body.
 
@@ -75,7 +76,7 @@ class RigidBody:
     contact_radius: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Bodies:
     """Every body of a scene.
 
@@ -93,7 +94,7 @@ class Bodies:
     rigid: list = field(default_factory=list)  # RigidBody records
 
 
-@dataclass
+@dataclass(eq=False)
 class SystemState:
     """Generalized coordinates and velocities for one scene."""
 
@@ -111,7 +112,7 @@ class DampingPolicy:
     value: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Springs:
     """Distance springs with potential 0.5 k e^2, e = |p_i - p_j| - rest.
 
@@ -129,22 +130,21 @@ class Springs:
     k: np.ndarray
     rest: np.ndarray
     damping: DampingPolicy = field(default_factory=DampingPolicy)
-    pattern: BlockPattern | None = field(default=None, repr=False, compare=False)  # set by assemble_step
+    pattern: BlockPattern | None = field(default=None, repr=False)  # set by assemble_step
 
 
-@dataclass
+@dataclass(eq=False)
 class AssembledDynamics:
-    """A and b of one step. ``assemble_step`` keeps A as its CSC ``data``
-    over ``pattern`` and wraps them in a ``csc_matrix`` when ``a`` is first
-    read; a step with virtual nodes never reads it, since
-    ``contacts.augment_dynamics`` fills the augmented matrix from the arrays.
-    A system assembled elsewhere passes its ``matrix`` and no pattern."""
+    """A and b of one step, as ``assemble_step`` builds them: A is its CSC
+    ``data`` over ``pattern``, wrapped in a ``csc_matrix`` (``matrix``) when
+    ``a`` is first read; a step with virtual nodes never reads it, since
+    ``contacts.augment_dynamics`` fills the augmented matrix from the arrays."""
 
     b: np.ndarray
     n: int
-    data: np.ndarray | None = None
-    pattern: BlockPattern | None = None
-    matrix: sp.csc_matrix | None = field(default=None, repr=False)
+    data: np.ndarray
+    pattern: BlockPattern
+    matrix: sp.csc_matrix | None = field(default=None, init=False, repr=False)
 
     @property
     def a(self) -> sp.csc_matrix:
@@ -170,20 +170,17 @@ def _spring_geometry(q: np.ndarray, coords: np.ndarray):
     return dist, np.divide(d.T, dist, out=np.empty(d.shape[::-1]))
 
 
-def spring_damping(springs: Springs, q: np.ndarray) -> np.ndarray:
-    """Diagonal damping (m, 6) of every spring over its 6 coordinates."""
-    policy = springs.damping
-    if policy.variant == "constant":
-        return np.full((springs.k.shape[0], 6), float(policy.value))
-    if policy.variant == "geometric-projection":
-        # abs column sums of the geometric stiffness k e [[h, -h], [-h, h]],
-        # h = (I - dhat dhat^T) / |d| the Hessian of the distance, plus the floor
-        dist, u = _spring_geometry(q, _spring_coords(springs))
-        h = (np.eye(3) - u.T[:, :, None] * u.T[:, None, :]) / dist[:, None, None]
-        ke = np.abs(springs.k * (dist - springs.rest))
-        cols = 2.0 * ke[:, None] * np.abs(h).sum(axis=1)
-        return np.tile(cols, 2) + EPS_DAMPING_FLOOR
-    raise ValueError(f"unknown damping variant {policy.variant!r}")
+def spring_damping(springs: Springs, dist: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Diagonal damping (m, 6) of every spring over its 6 coordinates under
+    the geometric-projection policy, from ``_spring_geometry``'s dist and u."""
+    if springs.damping.variant != "geometric-projection":
+        raise ValueError(f"unknown damping variant {springs.damping.variant!r}")
+    # abs column sums of the geometric stiffness k e [[h, -h], [-h, h]],
+    # h = (I - dhat dhat^T) / |d| the Hessian of the distance, plus the floor
+    h = (np.eye(3) - u.T[:, :, None] * u.T[:, None, :]) / dist[:, None, None]
+    ke = np.abs(springs.k * (dist - springs.rest))
+    cols = 2.0 * ke[:, None] * np.abs(h).sum(axis=1)
+    return np.tile(cols, 2) + EPS_DAMPING_FLOOR
 
 
 def _quat_to_rot(quat: np.ndarray) -> np.ndarray:
@@ -236,7 +233,7 @@ _COMP[_R, _S] = _COMP[_S, _R] = np.arange(6)
 _QUARTERS = 6 * (_R[:, None] + [0, 3]) + _S[:, None] + [0, 3]  # a 6x6 block's two diagonal quarters, flat
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockPattern:
     """The CSC pattern of A as 3x3 node blocks, for one layout of offsets.
 
@@ -291,7 +288,7 @@ class BlockPattern:
     n_pairs: int
     coords: np.ndarray
     # the contacts.TieLayout of the last virtual-node sources augmented on it
-    ties: object = field(default=None, repr=False, compare=False)
+    ties: object = field(default=None, repr=False)
 
     @classmethod
     def build(cls, n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
@@ -409,7 +406,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
         if springs.damping.variant == "constant":
             damp = [float(springs.damping.value)] * 6
         else:
-            damp = spring_damping(springs, state.q).T  # x, y, z of end i, then of end j
+            damp = spring_damping(springs, dist, u).T  # x, y, z of end i, then of end j
         for r, c in enumerate(_DIAG):
             ii[c] += damp[r]
             jj[c] += damp[3 + r]
@@ -448,13 +445,14 @@ def _turn(quat: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
     return out / math.sqrt(out.dot(out))
 
 
-def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies, dt: float | None = None) -> SystemState:
-    """Advance the configuration by the representative velocity.
+def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies) -> SystemState:
+    """Advance the configuration by the representative velocity over the
+    state's step ``dt``.
 
     Nodes translate; rigid orientations update by the exponential map of
     the angular velocity. The stored next-step velocity is ``2 v_hat - v``.
     """
-    t = state.dt if dt is None else dt
+    t = state.dt
     q = state.q.copy()
     q[triples(bodies.node_q)] += t * v_hat[triples(bodies.node_v)]
     for body in bodies.rigid:

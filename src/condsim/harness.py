@@ -79,7 +79,7 @@ SCENARIO_SCHEMA = {
                     "orientation": _VEC4,
                     "angular_velocity": _VEC3,
                     "radius": {"type": "number", "minimum": 0},
-                    "inertia": _VEC3,
+                    "inertia": {**_VEC3, "items": {"type": "number", "exclusiveMinimum": 0}},
                     "contact_points": {"type": "array", "items": _VEC3},
                     "contact_radius": {"type": "number", "minimum": 0},
                 },
@@ -255,7 +255,7 @@ class RunConfig:
     record_positions: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     rows: list
     state: SystemState
@@ -274,9 +274,9 @@ def validate_scenario(data: dict) -> None:
     _check_finite(data, "")
     _check_directions(data)
     steps = data["duration"] / data["step_size"]
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise ScenarioValidationError(
-            "duration/step_size must be an integer step count, "
+            "duration/step_size must be an integer step count of at least 1, "
             f"got {steps!r} for duration={data['duration']} step_size={data['step_size']}"
         )
     _check_targets(data)
@@ -346,7 +346,7 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(data, path)
 
 
-@dataclass
+@dataclass(eq=False)
 class Scene:
     """Instantiated scenario: bodies, springs, geometry and force schedule."""
 
@@ -495,7 +495,6 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     stab = StabilizationParams(
         beta_err=contact.get("beta_err", 0.2),
         e_rest=contact.get("e_rest", 0.0),
-        dt=dt,
         v_rest_threshold=contact.get("restitution_threshold", 0.01),
     )
 
@@ -764,25 +763,36 @@ def bench_scaling(s: Scenario, sizes, cfg: RunConfig | None = None, steps_cap: i
     reaches every size alike. A size's time is the median over its runs of
     each step's solve time, averaged over the steps: a slow run moves a
     median less than a mean, and every size averages the same steps.
+
+    No size, a size below 1, or lattices not growing in DOF from size to
+    size raise ``ScenarioValidationError``.
     """
     cfg = cfg or RunConfig()
+    if not len(sizes) or min(sizes) < 1:
+        raise ScenarioValidationError(f"bench needs one or more sizes, each at least 1, got {list(sizes)}")
     scenarios = []
     for size in sizes:
         sc = scenario_with_size(s, size)
         if steps_cap is not None:
             sc.raw["duration"] = sc.raw["step_size"] * steps_cap
         scenarios.append(sc)
+    dofs = [3 * math.prod(sc.raw["lattice"][axis] for axis in ("nx", "ny", "nz")) for sc in scenarios]
+    bad = next((k for k in range(1, len(dofs)) if dofs[k] <= dofs[k - 1]), None)
+    if bad is not None:
+        raise ScenarioValidationError(
+            f"bench sizes {sizes[bad - 1]} and {sizes[bad]} give lattices of {dofs[bad - 1]} and {dofs[bad]} DOF; "
+            "each size must give a larger lattice"
+        )
     rows = [[] for _ in sizes]
     for _ in range(BENCH_REPEATS):
         for k, sc in enumerate(scenarios):
             rows[k].extend(run(sc, cfg).rows)
     points = []
-    for sc, size_rows in zip(scenarios, rows):
-        lat = sc.raw["lattice"]
+    for n_dof, size_rows in zip(dofs, rows):
         solve_ms = np.reshape([r.solve_ms for r in size_rows], (BENCH_REPEATS, -1))  # run x step
         points.append(
             BenchPoint(
-                3 * lat["nx"] * lat["ny"] * lat["nz"],
+                n_dof,
                 float(np.median(solve_ms, axis=0).mean()) / 1e3,
                 float(np.mean([r.dyn_ms for r in size_rows])) / 1e3,
                 float(np.mean([r.iters for r in size_rows])),

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .contacts import AugmentedDynamics, ContactMap
@@ -205,15 +204,15 @@ def _tie_groups(aug: AugmentedDynamics, pair_tie: bool):
     return cols, group
 
 
-def step_matrix_frobenius(a: sp.csc_matrix, aug: AugmentedDynamics | None = None, pair_tie: bool = False) -> np.ndarray:
-    """The (n,) diagonal of W minimizing ||I - W A||_F under the diagonal +
-    tie-group structure."""
-    diag = a.diagonal()
-    rns = row_norms_sq(a)
+def step_matrix_frobenius(aug: AugmentedDynamics, pair_tie: bool = False) -> np.ndarray:
+    """The (n,) diagonal of W minimizing ||I - W A||_F for the system's A
+    under the diagonal + tie-group structure."""
+    diag = aug.a.diagonal()
+    rns = row_norms_sq(aug.a)
     if np.any(rns <= 0.0):
         raise InvalidMatrixError("zero row norm in step-matrix computation")
     w = diag / rns
-    if aug is None or not aug.col_i.shape[0]:
+    if not aug.col_i.shape[0]:
         return w
     tied, group = _tie_groups(aug, pair_tie)
     idx = triples(tied).ravel()
@@ -416,7 +415,7 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     if n_c:
         jmap = ContactMap(aug)
 
-    w = step_matrix_frobenius(a, aug, cfg.operator == "proximal")
+    w = step_matrix_frobenius(aug, cfg.operator == "proximal")
     gamma = surrogate_gamma(w, aug, cfg.omega) if n_c else None
     report = SolverReport()
     trace = report.residual_trace

@@ -65,7 +65,7 @@ def build_augmented(a: sp.csc_matrix, b: np.ndarray, nodal: NodalContactSet) -> 
     return AugmentedDynamics(a, b.copy(), n, n, nodal)
 
 
-def random_contact_augmentation(rng: np.random.Generator, pair_tie: bool = False):
+def random_contact_augmentation(rng: np.random.Generator):
     """Random SPD system plus contacts plus the (n,) diagonal of its tied
     Frobenius step matrix."""
     nodal = random_contact_set(rng)
@@ -73,5 +73,5 @@ def random_contact_augmentation(rng: np.random.Generator, pair_tie: bool = False
     a = random_spd(rng, n)
     b = rng.standard_normal(n)
     aug = build_augmented(a, b, nodal)
-    w = step_matrix_frobenius(a, aug, pair_tie)
+    w = step_matrix_frobenius(aug)
     return aug, w

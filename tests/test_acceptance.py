@@ -76,7 +76,7 @@ def test_01_diagonalization_equivalence():
         n = nodal.n_orig
         a = random_spd(rng, n, density=0.1)
         aug = build_augmented(a, rng.standard_normal(n), nodal)
-        w = step_matrix_frobenius(a, aug)
+        w = step_matrix_frobenius(aug)
         gamma = surrogate_gamma(w, aug)
         jc = contact_jacobian_matrix(aug).toarray()
         dense = jc @ (w[:, None] * jc.T)

@@ -23,12 +23,12 @@ from condsim.contacts import (
     nodalize,
     stabilization_term,
 )
-from condsim.dynamics import AssembledDynamics, Bodies, RigidBody, SystemState, assemble_step
+from condsim.dynamics import Bodies, DampingPolicy, RigidBody, Springs, SystemState, assemble_step
 from condsim.errors import InvalidMatrixError, InvalidStateError
-from condsim.harness import RunConfig, build_scene, load_scenario
+from condsim.harness import RunConfig, _warm_velocity, build_scene, load_scenario
 from condsim.testing import build_augmented, contact_set, random_contact_set, random_spd
 
-from conftest import scenario_path
+from conftest import reference_nodalize, scenario_path, skew
 
 vec3 = st.tuples(
     st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
@@ -41,6 +41,11 @@ def particle_scene(positions, radius=0.5, dt=0.01):
     q = np.concatenate([np.asarray(p, dtype=float) for p in positions])
     state = SystemState(q, np.zeros(q.shape[0]), dt=dt)
     return state, bodies, Geometry()
+
+
+def no_springs():
+    none = np.zeros(0, dtype=int)
+    return Springs(none, none, none, none, np.zeros(0), np.zeros(0))
 
 
 def cube_scene(points, inertia=1.0):
@@ -304,16 +309,16 @@ class TestPairSearchGate:
 
 class TestStabilization:
     def test_penetration_compensation(self):
-        p = StabilizationParams(beta_err=0.2, e_rest=0.0, dt=0.01)
-        assert np.isclose(stabilization_term(0.01, 0.0, p), -0.2)
+        p = StabilizationParams(beta_err=0.2, e_rest=0.0)
+        assert np.isclose(stabilization_term(0.01, 0.0, p, 0.01), -0.2)
 
     def test_restitution_branch(self):
-        p = StabilizationParams(beta_err=0.2, e_rest=0.5, dt=0.01, v_rest_threshold=0.01)
-        assert np.isclose(stabilization_term(0.0, -1.0, p), -0.5)
+        p = StabilizationParams(beta_err=0.2, e_rest=0.5, v_rest_threshold=0.01)
+        assert np.isclose(stabilization_term(0.0, -1.0, p, 0.01), -0.5)
 
     def test_resting_below_threshold(self):
-        p = StabilizationParams(beta_err=0.2, e_rest=0.5, dt=0.01, v_rest_threshold=0.01)
-        assert stabilization_term(0.0, -0.001, p) == 0.0
+        p = StabilizationParams(beta_err=0.2, e_rest=0.5, v_rest_threshold=0.01)
+        assert stabilization_term(0.0, -0.001, p, 0.01) == 0.0
 
 
 class TestNodalize:
@@ -332,13 +337,13 @@ class TestNodalize:
         nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.n_virtual == 1
         assert nodal.col_i.tolist() == [6]  # the first virtual node, after the body's 6 DOF
-        # Jv row is [I3, -[r]x] with r the world lever arm of the vertex
-        jv = nodal.jv.toarray()
+        # tied to the body at velocity offset 0 by the world lever arm r of
+        # the vertex, so its Jv row block is [I3, -[r]x]
         lever = np.array([0.1, 0.1, -0.1])
-        lx = np.array(
-            [[0, -lever[2], lever[1]], [lever[2], 0, -lever[0]], [-lever[1], lever[0], 0]]
-        )
-        assert np.allclose(jv, np.hstack([np.eye(3), -lx]))
+        assert nodal.src.tolist() == [0] and nodal.rigid.tolist() == [True]
+        assert np.allclose(nodal.lever, [lever])
+        jv = np.array([nodal.virtual_velocity(e) for e in np.eye(6)]).T
+        assert np.allclose(jv, np.hstack([np.eye(3), -skew(lever)]))
 
     def test_second_contact_on_same_node_moves_to_virtual(self):
         # particle wedged between two planes: diagonalization needs one
@@ -352,7 +357,10 @@ class TestNodalize:
         nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.col_i.tolist() == [0, 3]  # the node, then a virtual node at column 3
         assert nodal.n_virtual == 1
-        assert np.allclose(nodal.jv.toarray(), np.eye(3))
+        assert nodal.src.tolist() == [0] and nodal.rigid.tolist() == [False]
+        assert np.array_equal(nodal.lever, np.zeros((1, 3)))
+        jv = np.array([nodal.virtual_velocity(e) for e in np.eye(3)]).T
+        assert np.array_equal(jv, np.eye(3))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -388,11 +396,14 @@ class TestAugmentDynamics:
         assert np.allclose(aug.b, b)
 
     def test_augmented_system_stays_spd(self, rng):
-        state, bodies, geom = cube_scene([[0.1, 0.1, -0.1], [-0.1, 0.1, -0.1], [0.1, -0.1, -0.1]])
+        state, bodies, geom = cube_scene(
+            [[0.1, 0.1, -0.1], [-0.1, 0.1, -0.1], [0.1, -0.1, -0.1]], inertia=rng.uniform(0.01, 1.0)
+        )
         raw = detect_contacts(state, bodies, geom)
         nodal = nodalize(raw, state, k_v=1e5)
-        a_o = sp.csc_matrix(100.0 * np.eye(6) + rng.uniform(0, 1) * np.eye(6))
-        aug = augment_dynamics(AssembledDynamics(np.zeros(6), 6, matrix=a_o), nodal)
+        asm = assemble_step(state, bodies, no_springs())
+        aug = augment_dynamics(asm, nodal)
+        assert asm.pattern.ties.fits(nodal)
         assert aug.b[6:].max() == 0.0 and aug.b[6:].min() == 0.0
         assert np.linalg.eigvalsh(aug.a.toarray()).min() > 0.0
 
@@ -403,15 +414,16 @@ class TestAugmentDynamics:
         state, bodies, geom = cube_scene([[0.1, 0.1, -0.1], [-0.1, -0.1, -0.1]], inertia=0.01)
         raw = detect_contacts(state, bodies, geom)
         nodal = nodalize(raw, state, k_v=1e4)
-        a_dense = 50.0 * np.eye(6)
-        b_o = rng.standard_normal(6)
-        aug = augment_dynamics(AssembledDynamics(b_o, 6, matrix=sp.csc_matrix(a_dense)), nodal)
+        asm = assemble_step(state, bodies, no_springs(), rng.standard_normal(6))
+        a_dense, b_o = asm.a.toarray(), asm.b.copy()
+        aug = augment_dynamics(asm, nodal)
+        assert asm.pattern.ties.fits(nodal)
 
         lam = rng.standard_normal((len(nodal), 3))
         rhs = aug.b + ContactMap(aug).jc_t(lam)
         sol = np.linalg.solve(aug.a.toarray(), rhs)
         v_o, v_v = sol[:6], sol[6:]
-        jv = nodal.jv.toarray()
+        _, jv, _, _ = reference_nodalize(raw, state)
         tie_force = nodal.k_v * (v_v - jv @ v_o)  # viscous tie on the body
         residual = a_dense @ v_o - (b_o + jv.T @ tie_force)
         assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(b_o))
@@ -469,15 +481,12 @@ class TestTieLayout:
             assert pattern in (None, asm.pattern)
             pattern = asm.pattern
             layouts.append(pattern.ties)
-            jv, kv = nodal.jv.toarray(), nodal.k_v
+            _, jv, _, _ = reference_nodalize(detected, state)
+            kv = nodal.k_v
             ref = np.block([[asm.a.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]])
             assert np.abs(aug.a.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
             assert (aug.a != aug.a.T).nnz == 0
         assert layouts[0] is layouts[1] and len({id(x) for x in layouts}) == 3
-
-
-def skew(r):
-    return np.array([[0.0, -r[2], r[1]], [r[2], 0.0, -r[0]], [-r[1], r[0], 0.0]])
 
 
 def mixed_scene(rng):
@@ -523,61 +532,31 @@ def mixed_scene(rng):
     return state, bodies, detected
 
 
-def reference_nodalize(detected, state, bodies, stab):
-    """Contact by contact: column offsets of both sides (-1 static), dense Jv
-    and phi."""
-    n = state.v.shape[0]
-    used, blocks, cols, phi = set(), [], [], []
-
-    def column(v_off, q_off, point):
-        if v_off < 0:
-            return -1
-        if q_off < 0 and v_off not in used:
-            used.add(v_off)
-            return v_off
-        if q_off < 0:
-            blocks.append((v_off, np.eye(3)))
-        else:
-            blocks.append((v_off, np.hstack([np.eye(3), -skew(point - state.q[q_off : q_off + 3])])))
-        return n + 3 * (len(blocks) - 1)
-
-    def velocity(v_off, q_off, point):
-        if v_off < 0:
-            return np.zeros(3)
-        v = state.v[v_off : v_off + 6]
-        if q_off < 0:
-            return v[:3]
-        return v[:3] + np.cross(v[3:], point - state.q[q_off : q_off + 3])
-
-    for point, frame, depth, v_off, q_off in zip(
-        detected.point, detected.frame, detected.depth, detected.v_off.tolist(), detected.q_off.tolist()
-    ):
-        cols.append([column(v, q, point) for v, q in zip(v_off, q_off)])
-        vel = [velocity(v, q, point) for v, q in zip(v_off, q_off)]
-        v_n = frame[0] @ (vel[0] - vel[1])
-        phi_n = -(stab.beta_err / stab.dt) * depth
-        if abs(v_n) > stab.v_rest_threshold:
-            phi_n += stab.e_rest * min(0.0, v_n)
-        phi.append(phi_n)
-    jv = np.zeros((3 * len(blocks), n))
-    for k, (off, block) in enumerate(blocks):
-        jv[3 * k : 3 * k + 3, off : off + block.shape[1]] = block
-    return np.array(cols), jv, np.array(phi)
+def mixed_springs(rng):
+    """Springs of ``mixed_scene`` between the particles and the bodies'
+    translational blocks, so that A_o has off-diagonal blocks."""
+    # (coordinate offset, velocity offset) of particle 0, particle 1, body 0, body 1
+    p0, p1, b0, b1 = (0, 0), (3, 3), (6, 6), (13, 12)
+    ends = np.array([(p0, b0), (p1, b1), (p0, p1), (b0, b1)])
+    return Springs(
+        ends[:, 0, 0], ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1],
+        rng.uniform(10.0, 100.0, 4), rng.uniform(0.2, 1.0, 4), DampingPolicy("geometric-projection"),
+    )
 
 
 class TestMixedSceneReference:
-    STAB = StabilizationParams(beta_err=0.2, e_rest=0.5, dt=0.01, v_rest_threshold=0.5)
+    STAB = StabilizationParams(beta_err=0.2, e_rest=0.5, v_rest_threshold=0.5)
 
     def test_nodalize_matches_per_contact_reference(self, rng):
         for _ in range(10):
             state, bodies, raw = mixed_scene(rng)
             nodal = nodalize(raw, state, k_v=1e4, mu=0.3, mu2=0.6, stab=self.STAB)
-            cols, jv, phi = reference_nodalize(raw, state, bodies, self.STAB)
+            cols, _, phi, (src, rigid, lever) = reference_nodalize(raw, state, self.STAB)
             assert nodal.n_virtual == 8
             assert np.array_equal(nodal.col_i, cols[:, 0])
             assert np.array_equal(nodal.col_j, cols[:, 1])
-            assert isinstance(nodal.jv, sp.csr_matrix)
-            assert np.array_equal(nodal.jv.toarray(), jv)
+            assert np.array_equal(nodal.src, src) and np.array_equal(nodal.rigid, rigid)
+            assert np.array_equal(nodal.lever, lever)
             assert np.allclose(nodal.phi, phi, rtol=1e-12, atol=1e-15)
             assert np.array_equal(nodal.mu, np.full(7, 0.3))
             assert np.array_equal(nodal.mu2, np.full(7, 0.6))
@@ -587,17 +566,32 @@ class TestMixedSceneReference:
                                   ("mu2", nodal.mu2), ("phi_n", nodal.phi), ("frame", nodal.frames)):
                 assert np.array_equal(records[field], values), field
 
+    def test_virtual_velocity_is_dense_jv_times_v(self, rng):
+        # the warm start extends v to the virtual nodes by Jv v
+        for _ in range(10):
+            state, bodies, raw = mixed_scene(rng)
+            nodal = nodalize(raw, state, k_v=1e4, stab=self.STAB)
+            _, jv, _, _ = reference_nodalize(raw, state, self.STAB)
+            aug = augment_dynamics(assemble_step(state, bodies, mixed_springs(rng)), nodal)
+            for v in (state.v, rng.standard_normal(18)):
+                ref = jv @ v
+                assert np.abs(nodal.virtual_velocity(v) - ref).max() <= 1e-12 * np.abs(ref).max()
+                warm = _warm_velocity(v, aug, 18)
+                assert np.array_equal(warm[:18], v) and np.array_equal(warm[18:], nodal.virtual_velocity(v))
+
     def test_augment_matches_dense_blocks(self, rng):
         for _ in range(10):
             state, bodies, raw = mixed_scene(rng)
             kv = 10.0 ** rng.uniform(2, 6)
             nodal = nodalize(raw, state, k_v=kv, stab=self.STAB)
-            _, jv, _ = reference_nodalize(raw, state, bodies, self.STAB)
-            a_o = random_spd(rng, 18)
-            b_o = rng.standard_normal(18)
-            aug = augment_dynamics(AssembledDynamics(b_o, 18, matrix=a_o), nodal)
+            _, jv, _, _ = reference_nodalize(raw, state, self.STAB)
+            asm = assemble_step(state, bodies, mixed_springs(rng), rng.standard_normal(18))
+            a_o, b_o = asm.a.toarray(), asm.b.copy()
+            assert np.abs(a_o[0:3, 6:9]).min() > 0.0 and np.abs(a_o[6:9, 12:15]).min() > 0.0
+            aug = augment_dynamics(asm, nodal)
+            assert asm.pattern.ties.fits(nodal)
             ref = np.block(
-                [[a_o.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]]
+                [[a_o + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]]
             )
             assert isinstance(aug.a, sp.csc_matrix) and aug.a.has_canonical_format
             assert (aug.n, aug.n_orig) == (18 + 24, 18)

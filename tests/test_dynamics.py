@@ -24,7 +24,7 @@ from condsim.dynamics import (
 from condsim.errors import DegenerateConstraintError, DimensionMismatchError, InvalidStateError
 from condsim.harness import Scenario, _lattice_edges, build_scene, external_force, load_scenario, validate_scenario
 
-from conftest import scenario_path
+from conftest import reference_nodalize, scenario_path
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 # component c of a symmetric 3x3 block is its c-th upper-triangle entry, row-major
@@ -64,6 +64,27 @@ def spring_eval(s, q):
     dist = np.linalg.norm(d, axis=1)
     u = d / dist[:, None]
     return dist - s.rest, np.hstack([u, -u])
+
+
+def damping(s, q):
+    """``spring_damping`` of every spring, given its length and unit
+    direction (3, m) as ``assemble_step`` passes them."""
+    d = q[triples(s.qi)] - q[triples(s.qj)]
+    dist = np.linalg.norm(d, axis=1)
+    return spring_damping(s, dist, (d / dist[:, None]).T)
+
+
+def reference_damping(s, m, q):
+    """Diagonal damping (6,) of spring m, densely: the constant policy's
+    value, or the abs column sums of the geometric stiffness
+    k e [[h, -h], [-h, h]], h = (I - u u^T) / |d|, plus the floor."""
+    if s.damping.variant == "constant":
+        return np.full(6, float(s.damping.value))
+    d = q[s.qi[m] : s.qi[m] + 3] - q[s.qj[m] : s.qj[m] + 3]
+    dist = np.linalg.norm(d)
+    h = (np.eye(3) - np.outer(d, d) / dist**2) / dist
+    geom = s.k[m] * (dist - s.rest[m]) * np.kron([[1.0, -1.0], [-1.0, 1.0]], h)
+    return np.abs(geom).sum(axis=0) + EPS_DAMPING_FLOOR
 
 
 def row(s, m):
@@ -131,15 +152,26 @@ class TestConstraintEval:
 
 class TestDampingMatrix:
     def test_constant_policy(self):
+        # assemble_step adds the constant value itself, (t/2) 5 on the diagonal
         s = springs([(0, 1)], 10.0, 1.0, DampingPolicy("constant", 5.0))
         q = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-        assert np.allclose(spring_damping(s, q), np.full((1, 6), 5.0))
+        a = assemble_step(SystemState(q, np.zeros(6), dt=0.01), particles([1.0, 1.0]), s).a.toarray()
+        _, j = spring_eval(s, q)
+        assert np.allclose(a, 200.0 * np.eye(6) + 0.005 * (10.0 * np.outer(j[0], j[0]) + 5.0 * np.eye(6)))
+        with pytest.raises(ValueError, match="unknown damping variant 'constant'"):
+            damping(s, q)
+
+    def test_unknown_variant_rejected(self):
+        s = springs([(0, 1)], 10.0, 1.0, DampingPolicy("viscous", 5.0))
+        q = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unknown damping variant 'viscous'"):
+            assemble_step(SystemState(q, np.zeros(6), dt=0.01), particles([1.0, 1.0]), s)
 
     def test_geometric_at_rest_is_floor(self):
         pol = DampingPolicy("geometric-projection")
         s = springs([(0, 1)], 10.0, 2.0, pol)
         q = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-        assert np.allclose(spring_damping(s, q), np.full((1, 6), EPS_DAMPING_FLOOR))
+        assert np.allclose(damping(s, q), np.full((1, 6), EPS_DAMPING_FLOOR))
 
     def test_geometric_vs_finite_difference_oracle(self, rng):
         # geometric stiffness G = d(Je^T K e)/dq - Je^T K Je; diagonal entries
@@ -148,7 +180,7 @@ class TestDampingMatrix:
         q, pairs = random_network(rng, 8, 10, 0.1)
         s = springs(pairs, 40.0, 0.5, pol)
         h = 1e-6
-        got = spring_damping(s, q)
+        got = damping(s, q)
         for m in range(len(pairs)):
             one = row(s, m)
 
@@ -246,7 +278,7 @@ class TestAssembleStep:
 def dense_reference(state, bodies, s, f_ext=None):
     """A and b built densely term by term: node and rigid mass blocks, and
     per spring (t/2)(k J^T J + diag(damping)) from ``spring_eval`` and
-    ``spring_damping`` of that spring alone."""
+    ``reference_damping`` of that spring alone."""
     t, q, v = state.dt, state.q, state.v
     n = v.shape[0]
     mass = np.zeros((n, n))
@@ -268,7 +300,7 @@ def dense_reference(state, bodies, s, f_ext=None):
         one = row(s, m)
         e, jac = spring_eval(one, q)
         idx = np.r_[s.vi[m] : s.vi[m] + 3, s.vj[m] : s.vj[m] + 3]
-        a[np.ix_(idx, idx)] += 0.5 * t * (s.k[m] * np.outer(jac[0], jac[0]) + np.diag(spring_damping(one, q)[0]))
+        a[np.ix_(idx, idx)] += 0.5 * t * (s.k[m] * np.outer(jac[0], jac[0]) + np.diag(reference_damping(s, m, q)))
         b[idx] -= s.k[m] * jac[0] * e[0]
     return a, b
 
@@ -640,7 +672,8 @@ class TestMixedScene:
             nodal = contacts.nodalize(detected, state, 1e4)
             aug = contacts.augment_dynamics(asm, nodal)
             layouts.append(asm.pattern.ties)
-            jv, kv = nodal.jv.toarray(), nodal.k_v
+            _, jv, _, _ = reference_nodalize(detected, state)
+            kv = nodal.k_v
             ref = np.block([[asm.a.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]])
             assert np.abs(aug.a.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
             assert (aug.a != aug.a.T).nnz == 0

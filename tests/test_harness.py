@@ -62,6 +62,45 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError, match="integer step count"):
             validate_scenario(bad)
 
+    def test_zero_step_count_rejected(self, tmp_path, capsys):
+        # 1e-10 / 1.0 lies within the integer tolerance of 0 steps: it used to
+        # run no step, print steps=0 and exit 0, or write a header-only CSV
+        bad = {**MINIMAL, "duration": 1e-10, "step_size": 1.0}
+        named = (
+            "duration/step_size must be an integer step count of at least 1, "
+            "got 1e-10 for duration=1e-10 step_size=1.0"
+        )
+        with pytest.raises(ScenarioValidationError, match=re.escape(named)):
+            validate_scenario(bad)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(bad))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "free, inertia",
+        [(True, [0.0, 0.0, 0.0]), (False, [-0.002, 0.002, 0.002]), (False, [0.002, 0.002, 0.0])],
+        ids=["free-body-zero", "box_slide-negative", "box_slide-one-zero"],
+    )
+    def test_non_positive_inertia_exit_2(self, tmp_path, capsys, free, inertia):
+        # a free body with zero inertia used to end in an InvalidMatrixError
+        # traceback (exit 1); box_slide with a negative moment ran 300 steps
+        # and exited 0
+        if free:
+            data = {"step_size": 0.01, "duration": 0.02, "bodies": [{"type": "rigid", "mass": 1.0}]}
+        else:
+            data = load_scenario(scenario_path("box_slide")).raw
+        data["bodies"][0]["inertia"] = inertia
+        named = r"scenario invalid at bodies/0/inertia/(\d): \S+ is less than or equal to the minimum of 0"
+        with pytest.raises(ScenarioValidationError, match=named) as exc:
+            validate_scenario(data)
+        assert inertia[int(re.search(named, str(exc.value)).group(1))] <= 0
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert re.fullmatch(f"error: {named}\n", capsys.readouterr().err)
+
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"step_size": 0.01,\n  "duration": }')
@@ -420,6 +459,53 @@ class TestBenchHooks:
         assert check["ok"], check
 
 
+def box_slide_records():
+    """Every array-holding record of one box_slide step, built from a fresh
+    scene: two calls give equal values in distinct objects."""
+    from condsim import baselines
+    from condsim.contacts import augment_dynamics, detect_contacts, nodalize
+    from condsim.dynamics import assemble_step
+    from condsim.harness import build_scene
+
+    s = load_scenario(scenario_path("box_slide"))
+    scene = build_scene(s)
+    state, bodies = scene.state, scene.bodies
+    asm = assemble_step(state, bodies, scene.constraints)
+    detected = detect_contacts(state, bodies, scene.geometry)
+    nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
+    aug = augment_dynamics(asm, nodal)
+    return {
+        "Plane": scene.geometry.planes[0], "Geometry": scene.geometry, "DetectedContacts": detected,
+        "NodalContactSet": nodal, "AugmentedDynamics": aug, "TieLayout": asm.pattern.ties,
+        "RigidBody": bodies.rigid[0], "Bodies": bodies, "SystemState": state, "Springs": scene.constraints,
+        "AssembledDynamics": asm, "BlockPattern": asm.pattern, "DelassusProblem": baselines.assemble_delassus(aug),
+        "Scene": scene, "RunResult": run(Scenario({**s.raw, "duration": s.step_size})),
+    }
+
+
+class TestIdentityComparison:
+    def test_array_records_compare_by_identity(self):
+        # the generated __eq__ compared the array fields and raised "The
+        # truth value of an array ... is ambiguous", e.g. for
+        # ``pattern in [other_pattern]``
+        first, second = box_slide_records(), box_slide_records()
+        for name, x in first.items():
+            y = second[name]
+            assert type(x).__name__ == name
+            assert x == x and not x == y and x != y, name
+            assert x in [y, x] and x not in [y], name
+
+    def test_value_records_compare_by_value(self):
+        from condsim.contacts import StabilizationParams
+        from condsim.solver import SolverConfig
+
+        assert SolverConfig(operator="proximal") == SolverConfig(operator="proximal") != SolverConfig()
+        assert RunConfig(kv=1e4) == RunConfig(kv=1e4) != RunConfig()
+        assert StabilizationParams(e_rest=0.5) == StabilizationParams(e_rest=0.5) != StabilizationParams()
+        row = MetricsRow(0, 1.0, 2.0, 3, 4.0, 5.0, 6, 7.0)
+        assert row == dataclasses.replace(row) != dataclasses.replace(row, iters=4)
+
+
 class TestAnalyticBoxSlide:
     BASE = {"m": 0.5, "mu": 0.2, "g": 9.81, "T": 1.0, "t_k": 0.01}
 
@@ -500,6 +586,28 @@ class TestScenarioWithSize:
 
 
 class TestBenchScaling:
+    def test_growing_sizes_pass(self, monkeypatch):
+        # test_09's sizes, and a single size, which fits nothing
+        from types import SimpleNamespace
+
+        from condsim import harness
+
+        row = SimpleNamespace(solve_ms=1.0, dyn_ms=1.0, iters=1)
+        monkeypatch.setattr(harness, "run", lambda sc, cfg: SimpleNamespace(rows=[row]))
+        s = load_scenario(scenario_path("lattice_drag"))
+        res = harness.bench_scaling(s, [300, 600, 1200, 2400, 4800], steps_cap=1)
+        assert [p.n for p in res.points] == [324, 576, 1296, 2304, 4761]
+        one = harness.bench_scaling(s, [300], steps_cap=1)
+        assert [p.n for p in one.points] == [324] and one.exponent is None
+
+    def test_sizes_that_cannot_fit_rejected(self):
+        from condsim import harness
+
+        s = load_scenario(scenario_path("lattice_drag"))
+        for sizes, named in (([], "got []"), ([300, -1], "each at least 1, got [300, -1]"),
+                             ([1200, 600], "1200 and 600 give lattices of 1296 and 576 DOF")):
+            with pytest.raises(ScenarioValidationError, match=re.escape(named)):
+                harness.bench_scaling(s, sizes)
     def test_step_medians_over_interleaved_runs(self, monkeypatch):
         """Sizes run in turn; a size's time is the mean over steps of each
         step's median over the runs, so one slow run does not move it."""
@@ -608,6 +716,27 @@ class TestCli:
             ["bench", "--scenario", scenario_path("lattice_drag"), "--sizes", "600,300"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "sizes, named",
+        [
+            ("300,301", "bench sizes 300 and 301 give lattices of 324 and 324 DOF; each size must give a larger"),
+            ("-30,0,3", "bench needs one or more sizes, each at least 1, got [-30, 0, 3]"),
+            ("0", "bench needs one or more sizes, each at least 1, got [0]"),
+            ("", "bench needs one or more sizes, each at least 1, got []"),
+        ],
+        ids=["one-lattice", "below-one", "zero", "empty"],
+    )
+    def test_bench_sizes_that_cannot_fit_exit_2(self, monkeypatch, capsys, sizes, named):
+        # each of these used to run and exit 0: 300,301 fitted two 324-DOF
+        # lattices (exponent -0.63, R^2 0), -30,0,3 three 9-DOF ones, and ""
+        # printed only the header
+        from condsim import harness
+
+        monkeypatch.setattr(harness, "run", lambda *args: pytest.fail("a bench size ran"))
+        assert main(["bench", "--scenario", scenario_path("lattice_drag"), f"--sizes={sizes}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and named in err
 
     def test_run_prints_unconverged_and_diverged_totals(self, capsys):
         assert main(["run", "--scenario", scenario_path("box_slide")]) == 0

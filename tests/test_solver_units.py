@@ -209,18 +209,18 @@ class TestProjectAnisotropic:
 
 class TestStepMatrixFrobenius:
     def test_identity_no_contacts(self):
-        w = step_matrix_frobenius(sp.identity(4, format="csc"))
+        w = step_matrix_frobenius(build_augmented(sp.identity(4, format="csc"), np.zeros(4), contact_set(4)))
         assert np.allclose(w, np.ones(4))
 
     def test_contacted_node_tie(self):
         a = sp.csc_matrix(np.diag([2.0, 2.0, 2.0]))
         aug = build_augmented(a, np.zeros(3), contact_set(3, [0], UP, 0.5))
-        w = step_matrix_frobenius(a, aug)
+        w = step_matrix_frobenius(aug)
         assert np.allclose(w, 0.5)  # (2+2+2) / (4+4+4)
 
     def test_locally_minimizes_frobenius_norm(self, rng):
         a = random_spd(rng, 12)
-        w = step_matrix_frobenius(a)
+        w = step_matrix_frobenius(build_augmented(a, np.zeros(12), contact_set(12)))
         dense = a.toarray()
 
         def fro(wv):
@@ -238,7 +238,7 @@ class TestStepMatrixFrobenius:
         n = nodal.n_orig
         a = random_spd(rng, n)
         aug = build_augmented(a, np.zeros(n), nodal)
-        w = step_matrix_frobenius(a, aug)
+        w = step_matrix_frobenius(aug)
         dense = a.toarray()
 
         def fro(wv):
@@ -289,7 +289,7 @@ class TestStepMatrixFrobenius:
                 ref[idx] = diag[idx].sum() / rns[idx].sum()
             cols, gid = _tie_groups(aug, pair_tie)
             assert sorted(groups) == sorted(cols[gid == g].tolist() for g in set(gid.tolist()))
-            w = step_matrix_frobenius(a, aug, pair_tie)
+            w = step_matrix_frobenius(aug, pair_tie)
             assert np.array_equal(w, ref)
             assert aug.contacts.nodes.tolist() == sorted(c for group in groups for c in group)
 
@@ -326,7 +326,7 @@ class TestSurrogateGamma:
             n = nodal.n_orig
             a = random_spd(rng, n)
             aug = build_augmented(a, np.zeros(n), nodal)
-            w = step_matrix_frobenius(a, aug)
+            w = step_matrix_frobenius(aug)
             gamma = surrogate_gamma(w, aug)
             jc = contact_jacobian_matrix(aug).toarray()
             prod = jc @ np.diag(w) @ jc.T
