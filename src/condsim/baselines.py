@@ -21,7 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .contacts import AugmentedDynamics, contact_jacobian_matrix
 from .errors import CapacityError, DimensionMismatchError, NotPositiveDefiniteError
-from .solver import _project_batch
+from .solver import _project_batch, project
 
 DENSE_FACTOR_CAP = 4096
 PGS_INNER_ITERS = 8  # projected-gradient steps per contact and sweep
@@ -127,9 +127,7 @@ def solve_pgs(p: DelassusProblem, cfg: BaselineConfig | None = None):
             lm = lam[sl].copy()
             for _ in range(PGS_INNER_ITERS):
                 g = amm @ lm + r_m
-                lm = _project_batch(
-                    (lm - step * g).reshape(1, 3), p.mu[m : m + 1], None, "proximal"
-                ).ravel()
+                lm = project(lm - step * g, p.mu[m], "proximal")
             lam[sl] = lm
         res = _velocity_residual(p, lam - lam_old)
         report.residual_trace.append(res)

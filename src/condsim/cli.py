@@ -126,11 +126,7 @@ def _check(name: str, ok: bool, failures: list) -> None:
 def cmd_verify(_args) -> int:
     """Quick self-contained property checks on random inputs."""
     from .contacts import contact_frames, contact_jacobian_matrix
-    from .solver import (
-        project_proximal,
-        project_strict,
-        project_strict_anisotropic,
-    )
+    from .solver import project
     from .testing import random_contact_augmentation
 
     rng = np.random.default_rng(7)
@@ -147,12 +143,13 @@ def cmd_verify(_args) -> int:
     for _ in range(500):
         lam = 5.0 * rng.standard_normal(3)
         mu, mu2 = rng.uniform(0.05, 1.5, 2)
-        for proj in (project_strict(lam, mu), project_proximal(lam, mu)):
+        strict = project(lam, mu)
+        for proj in (strict, project(lam, mu, "proximal")):
             ok &= proj[0] >= 0.0
             ok &= np.linalg.norm(proj[1:]) <= mu * proj[0] + 1e-12
-        iso = project_strict_anisotropic(lam, mu, mu)
-        ok &= np.linalg.norm(iso - project_strict(lam, mu)) <= 1e-10
-        ln, x, y = project_strict_anisotropic(lam, mu, mu2)
+        iso = project(lam, mu, "strict-anisotropic", mu)
+        ok &= np.linalg.norm(iso - strict) <= 1e-10
+        ln, x, y = project(lam, mu, "strict-anisotropic", mu2)
         ok &= ln == max(lam[0], 0.0)
         ok &= ln > 0.0 and (x / (mu * ln)) ** 2 + (y / (mu2 * ln)) ** 2 <= 1.0 + 1e-12 or x == y == 0.0
     _check("projections land in the friction cone or ellipse; isotropic ellipse = strict", ok, failures)

@@ -136,22 +136,19 @@ class Springs:
 @dataclass(eq=False)
 class AssembledDynamics:
     """A and b of one step, as ``assemble_step`` builds them: A is its CSC
-    ``data`` over ``pattern``, wrapped in a ``csc_matrix`` (``matrix``) when
-    ``a`` is first read; a step with virtual nodes never reads it, since
-    ``contacts.augment_dynamics`` fills the augmented matrix from the arrays."""
+    ``data`` over ``pattern``, and each read of ``a`` wraps them in a new
+    ``csc_matrix``. A tie-free step reads it once, in
+    ``contacts.augment_dynamics``; a step with virtual nodes never does,
+    since the augmented matrix is filled from the arrays."""
 
     b: np.ndarray
     n: int
     data: np.ndarray
     pattern: BlockPattern
-    matrix: sp.csc_matrix | None = field(default=None, init=False, repr=False)
 
     @property
     def a(self) -> sp.csc_matrix:
-        if self.matrix is None:
-            arrays = (self.data, self.pattern.indices, self.pattern.indptr)
-            self.matrix = sp.csc_matrix(arrays, shape=(self.n, self.n))
-        return self.matrix
+        return sp.csc_matrix((self.data, self.pattern.indices, self.pattern.indptr), shape=(self.n, self.n))
 
 
 def _spring_coords(springs: Springs) -> np.ndarray:

@@ -26,7 +26,7 @@ class DegenerateConstraintError(CondsimError):
 
 
 class InvalidMatrixError(CondsimError):
-    """Matrix violates a structural requirement (zero row, broken tie group)."""
+    """Matrix violates a structural requirement (zero row, broken node tie)."""
 
 
 class DivergenceError(CondsimError):

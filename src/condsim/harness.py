@@ -774,7 +774,7 @@ def bench_scaling(s: Scenario, sizes, cfg: RunConfig | None = None, steps_cap: i
     for size in sizes:
         sc = scenario_with_size(s, size)
         if steps_cap is not None:
-            sc.raw["duration"] = sc.raw["step_size"] * steps_cap
+            sc = Scenario({**sc.raw, "duration": sc.raw["step_size"] * steps_cap}, sc.path)
         scenarios.append(sc)
     dofs = [3 * math.prod(sc.raw["lattice"][axis] for axis in ("nx", "ny", "nz")) for sc in scenarios]
     bad = next((k for k in range(1, len(dofs)) if dofs[k] <= dofs[k - 1]), None)

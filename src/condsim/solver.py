@@ -9,9 +9,13 @@ projected impulses:
     v <- v* + W Jc^T lambda
 
 The step matrix W is diagonal with the three entries of every contacted node
-tied to a common value. Each contact side owns its node (``NodalContactSet``
-rejects a shared one), so Jc W Jc^T is block-diagonal with gamma*I blocks and
-the per-contact solves are exact one-shot projections.
+tied to a common value w_i, the same W under every operator. A contact's rows
+of Jc are its frame R times the +I block of node i (and the -I block of node
+j for a D-contact), so its diagonal block of Jc W Jc^T is R (w_i + w_j) I R^T
+= (w_i + w_j) I: tying each node alone already makes it scalar, and nothing
+needs the two nodes of a D-contact to share a value. Each contact side owns
+its node (``NodalContactSet`` rejects a shared one), so the off-diagonal
+blocks vanish and the per-contact solves are exact one-shot projections.
 
 The stiff tie (gain kv) between a rigid body and its virtual contact nodes
 slows this iteration. Every system runs one loop, safeguarded, restarted
@@ -28,7 +32,8 @@ Impulse projection operators: "strict" (normal clamp then tangential disk
 clamp, exact complementarity), "proximal" (Euclidean cone projection, convex
 relaxation), "strict-anisotropic" (normal clamp, then minimum-distance
 projection onto the friction ellipse by monotone Newton on its secular
-equation).
+equation). The operator picks the projection and nothing else; ``project``
+applies it to one contact's impulse.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ OPERATORS = ("strict", "proximal", "strict-anisotropic")
 
 @dataclass
 class SolverConfig:
-    """V-FPI settings. W is always the tie-grouped Frobenius step matrix
+    """V-FPI settings. W is always the node-tied Frobenius step matrix
     (``step_matrix_frobenius``), and ``residual_tol`` is the tol of the
     convergence test in the module docstring."""
 
@@ -91,13 +96,18 @@ class SolverReport:
     aa_rejected: int = 0  # Anderson candidates rejected by the safeguard
 
 
-def project_strict(lam_star: np.ndarray, mu: float) -> np.ndarray:
-    """Normal clamp, then radial clamp of the tangential part."""
-    return np.array(_strict_row(*np.asarray(lam_star, dtype=float).tolist(), float(mu)))
+def project(lam_star: np.ndarray, mu: float, operator: str = "strict", mu2: float | None = None) -> np.ndarray:
+    """One contact's (3,) trial impulse projected by ``operator``, through the
+    batch path; ``mu2`` is the second friction coefficient of
+    "strict-anisotropic" (``mu`` when None)."""
+    row = np.asarray(lam_star, dtype=float).reshape(1, 3)
+    mu2 = None if mu2 is None else np.array([float(mu2)])
+    return _project_batch(row, np.array([float(mu)]), mu2, operator)[0]
 
 
 def _strict_row(ln: float, t1: float, t2: float, mu: float) -> tuple:
-    """``project_strict`` on Python floats, with the batch path's arithmetic."""
+    """Normal clamp, then radial clamp of the tangential part, on Python
+    floats with the vectorized "strict" path's arithmetic."""
     ln = max(0.0, ln) if ln == ln else ln  # -0.0 -> +0.0 as in the batch path, NaN stays
     limit = mu * ln
     tn = math.sqrt(t1 * t1 + t2 * t2)
@@ -108,21 +118,11 @@ def _strict_row(ln: float, t1: float, t2: float, mu: float) -> tuple:
     return ln, t1, t2
 
 
-def project_proximal(lam_star: np.ndarray, mu: float) -> np.ndarray:
-    """Euclidean projection onto the second-order friction cone."""
-    row = np.asarray(lam_star, dtype=float).reshape(1, 3)
-    return _project_batch(row, np.array([float(mu)]), None, "proximal")[0]
-
-
-def project_strict_anisotropic(lam_star: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
-    """Normal clamp, then minimum-distance projection onto the friction ellipse."""
-    return np.array(_aniso_row(*np.asarray(lam_star, dtype=float).tolist(), float(mu1), float(mu2)))
-
-
 def _aniso_row(ln: float, t1: float, t2: float, mu1: float, mu2: float) -> tuple:
-    """``project_strict_anisotropic`` on Python floats. Outside the ellipse
-    with semi-axes a = mu1 ln, b = mu2 ln, the closest point is
-    (a^2 x0/(a^2+t), b^2 y0/(b^2+t)) at the root t > 0 of the convex, decreasing
+    """Normal clamp, then minimum-distance projection onto the friction
+    ellipse, on Python floats. Outside the ellipse with semi-axes a = mu1 ln,
+    b = mu2 ln, the closest point is (a^2 x0/(a^2+t), b^2 y0/(b^2+t)) at the
+    root t > 0 of the convex, decreasing
     F(t) = (a x0/(a^2+t))^2 + (b y0/(b^2+t))^2 - 1. Newton from t0, where F >= 0,
     rises monotonically to it (D. Eberly, "Distance from a Point to an Ellipse,
     an Ellipsoid, or a Hyperellipsoid", Geometric Tools, 2013)."""
@@ -188,57 +188,39 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
     raise ValueError(f"unknown operator {operator!r}")
 
 
-def _tie_groups(aug: AugmentedDynamics, pair_tie: bool):
-    """Column offsets of the contacted nodes, ascending, and the tie group of
-    each: W entries in one group must coincide.
-
-    Every contacted node ties its own 3 entries; with ``pair_tie`` the two
-    nodes of a D-contact additionally share one value. A node carries one
-    contact side, so these pairs are disjoint and need no closure.
-    """
-    cols = aug.contacts.nodes
-    group = np.arange(cols.shape[0])
-    if pair_tie:
-        has_j = aug.col_j >= 0
-        group[np.searchsorted(cols, aug.col_j[has_j])] = np.searchsorted(cols, aug.col_i[has_j])
-    return cols, group
-
-
-def step_matrix_frobenius(aug: AugmentedDynamics, pair_tie: bool = False) -> np.ndarray:
-    """The (n,) diagonal of W minimizing ||I - W A||_F for the system's A
-    under the diagonal + tie-group structure."""
+def step_matrix_frobenius(aug: AugmentedDynamics) -> np.ndarray:
+    """The (n,) diagonal of W minimizing ||I - W A||_F for the system's A,
+    with the three entries of every contacted node tied to one value: their
+    diagonal sum over their row-norm sum. Tying each node alone makes every
+    contact's block of Jc W Jc^T scalar, (w_i + w_j) I for a D-contact, so W
+    is the same under every operator (module docstring)."""
     diag = aug.a.diagonal()
     rns = row_norms_sq(aug.a)
     if np.any(rns <= 0.0):
         raise InvalidMatrixError("zero row norm in step-matrix computation")
     w = diag / rns
-    if not aug.col_i.shape[0]:
-        return w
-    tied, group = _tie_groups(aug, pair_tie)
-    idx = triples(tied).ravel()
-    gid = np.repeat(group, 3)
-    w[idx] = np.bincount(gid, diag[idx])[gid] / np.bincount(gid, rns[idx])[gid]
+    idx = triples(aug.contacts.nodes)
+    w[idx] = (diag[idx].sum(axis=1) / rns[idx].sum(axis=1))[:, None]
     return w
 
 
 def surrogate_gamma(w: np.ndarray, aug: AugmentedDynamics, omega: float = 0.0) -> np.ndarray:
     """Per-contact scalar Delassus entries (n_c,), all > 0, by element
     extraction only from the (n,) diagonal ``w`` of W."""
-    _check_tie(w, aug.col_i)
+    _check_tie(w, aug.contacts.nodes)
     gamma = w[aug.col_i]
     has_j = aug.col_j >= 0
     if has_j.any():
-        _check_tie(w, aug.col_j[has_j])
         gamma[has_j] += w[aug.col_j[has_j]]
     return gamma + omega
 
 
 def _check_tie(w: np.ndarray, cols: np.ndarray) -> None:
     """Guard for a W from outside ``step_matrix_frobenius``: the three
-    entries of every contacted node must coincide."""
-    trip = w[cols[:, None] + np.arange(3)]
+    entries of every contacted node (``cols``) must coincide."""
+    trip = w[triples(cols)]
     if not (np.all(trip[:, 0] == trip[:, 1]) and np.all(trip[:, 0] == trip[:, 2])):
-        raise InvalidMatrixError("step matrix violates the per-node tie groups")
+        raise InvalidMatrixError("step matrix violates the per-node ties")
 
 
 def contact_solve_oneshot(
@@ -415,7 +397,7 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     if n_c:
         jmap = ContactMap(aug)
 
-    w = step_matrix_frobenius(aug, cfg.operator == "proximal")
+    w = step_matrix_frobenius(aug)
     gamma = surrogate_gamma(w, aug, cfg.omega) if n_c else None
     report = SolverReport()
     trace = report.residual_trace
@@ -451,9 +433,8 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
 
 def inverse_contact(aug: AugmentedDynamics, v_hat: np.ndarray, omega: float, operator: str = "proximal") -> np.ndarray:
     """Recover contact impulses from a converged velocity via the regularized
-    (invertible) contact model: per contact, a one-shot solve with the
-    regularization scalar in place of the surrogate Delassus entry."""
+    (invertible) contact model: the one-shot solve with the regularization
+    scalar omega in place of every surrogate Delassus entry."""
     nodal = aug.contacts
-    eta = ContactMap(aug).jc(v_hat)
-    lam_star = -(eta + nodal.phi[:, None] * np.array([1.0, 0.0, 0.0])) / omega
-    return _project_batch(lam_star, nodal.mu, nodal.mu2, operator)
+    gamma = np.full(len(nodal), float(omega))
+    return contact_solve_oneshot(gamma, ContactMap(aug).jc(v_hat), nodal.phi, nodal.mu, operator, nodal.mu2)

@@ -31,9 +31,7 @@ from condsim.solver import (
     SolverConfig,
     contact_solve_oneshot,
     inverse_contact,
-    project_proximal,
-    project_strict,
-    project_strict_anisotropic,
+    project,
     scc_residual,
     solve_vfpi,
     step_matrix_frobenius,
@@ -153,7 +151,7 @@ def test_04_proximal_matches_convex_model():
         grad = ac @ lam + prob.b_c + np.kron(prob.phi, [1.0, 0.0, 0.0])
         alpha = 1.0 / np.linalg.eigvalsh(ac).max()
         proj = np.concatenate([
-            project_proximal((lam - alpha * grad)[3 * i : 3 * i + 3], prob.mu[i])
+            project((lam - alpha * grad)[3 * i : 3 * i + 3], prob.mu[i], "proximal")
             for i in range(n_c)
         ])
         worst_kkt = max(worst_kkt, float(np.abs(proj - lam).max()))
@@ -333,7 +331,7 @@ def test_10_anisotropic_friction():
     rng = np.random.default_rng(10)
     worst_iso = max(
         float(np.abs(
-            project_strict_anisotropic(x, 0.4, 0.4) - project_strict(x, 0.4)
+            project(x, 0.4, "strict-anisotropic", 0.4) - project(x, 0.4)
         ).max())
         for x in rng.standard_normal((200, 3)) * 3.0
     )

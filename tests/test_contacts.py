@@ -618,5 +618,11 @@ class TestContactJacobian:
         # solves, so the contact set refuses it
         nodal = random_contact_set(rng, n_nodes=6, n_contacts=4)
         twice = [0, 1, 2, 3, 0]
-        with pytest.raises(InvalidMatrixError, match="carries more than one contact side"):
-            contact_set(nodal.n_orig, nodal.col_i[twice], nodal.frames[twice], nodal.mu[twice], nodal.col_j[twice])
+        # one contact's node listed twice, and a chain of D-contacts 0-3, 3-6
+        # that puts two sides on node 3
+        for args, named in (
+            ((nodal.n_orig, nodal.col_i[twice], nodal.frames[twice], nodal.mu[twice], nodal.col_j[twice]), r"column \d+"),
+            ((9, [0, 3], nodal.frames[:2], 0.5, [3, 6]), "column 3"),
+        ):
+            with pytest.raises(InvalidMatrixError, match=f"{named} carries more than one contact side"):
+                contact_set(*args)

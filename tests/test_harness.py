@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -298,6 +300,29 @@ class TestRunPhysics:
         for r in res.rows[49:]:
             assert r.ke_J <= 0.5 * 0.1 * 1e-12
 
+    def test_proximal_slide_separates_at_mu_times_slip(self, monkeypatch):
+        """The proximal operator is the convex relaxation: its Euclidean cone
+        projection makes a sliding contact open at v_n = mu ||v_t||, so the
+        sliding cube of box_slide lifts off the floor by design."""
+        from condsim import harness
+
+        solve_vfpi, velocities = harness.solve_vfpi, []
+
+        def solve(*args, **kwargs):
+            out = solve_vfpi(*args, **kwargs)
+            velocities.append(out[0][:3].copy())  # the cube's linear velocity
+            return out
+
+        monkeypatch.setattr(harness, "solve_vfpi", solve)
+        s = load_scenario(scenario_path("box_slide"))
+        cfg = RunConfig(operator="proximal", residual_tol=1e-6, chebyshev=True, kv=1e5)
+        res = run(Scenario({**s.raw, "duration": 3 * s.step_size}), cfg)
+        mu = s.raw["contact"]["mu"]
+        for step in (1, 2):
+            assert res.rows[step].contacts == 4 and res.rows[step].converged
+            vx, vy, vz = velocities[step]
+            assert vz == pytest.approx(mu * np.hypot(vx, vy), rel=1e-2), step
+
     def test_bit_reproducibility(self, tmp_path):
         # wall-clock columns vary; everything numerical must match bit for bit
         s = load_scenario(scenario_path("resting_particle"))
@@ -419,6 +444,26 @@ class TestBenchHooks:
             # one A v per map evaluation, and at least one more for the stop test
             assert calls["sparse.spmv"][0] > row.iters, step
 
+
+    @pytest.mark.parametrize("trace", [0, 1])
+    @pytest.mark.parametrize("workload", ["lattice_19k", "box_slide", "anisotropic_slide"])
+    def test_entry_point_runs(self, workload, trace):
+        """One round of each workload through ``perfbench/run.py``, traced
+        and not: a change that breaks what the benchmark reads of the
+        program fails here. The run writes only to the ignored
+        ``perfbench/out/``."""
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        out = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0",
+             "--trace", str(trace)],
+            cwd=root, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        last = json.loads(out.stdout.splitlines()[-1])
+        assert last["correct"] is True and last["failed"] == 0, last
+        with open(os.path.join(root, "BENCHMARK.json")) as f:
+            declared = json.load(f)["per_layer" if trace else "end_to_end"]
+        assert set(last["metrics"]) == {m["name"] for m in declared}
 
     def test_boundary_check_accepts_a_lattice_step(self, tmp_path, monkeypatch):
         """The benchmark checks every lattice solve through
@@ -604,10 +649,11 @@ class TestBenchScaling:
         from condsim import harness
 
         s = load_scenario(scenario_path("lattice_drag"))
-        for sizes, named in (([], "got []"), ([300, -1], "each at least 1, got [300, -1]"),
-                             ([1200, 600], "1200 and 600 give lattices of 1296 and 576 DOF")):
+        for sizes, cap, named in (([], None, "got []"), ([300, -1], None, "each at least 1, got [300, -1]"),
+                                  ([1200, 600], None, "1200 and 600 give lattices of 1296 and 576 DOF"),
+                                  ([300, 600], 0, "scenario invalid at duration")):
             with pytest.raises(ScenarioValidationError, match=re.escape(named)):
-                harness.bench_scaling(s, sizes)
+                harness.bench_scaling(s, sizes, steps_cap=cap)
     def test_step_medians_over_interleaved_runs(self, monkeypatch):
         """Sizes run in turn; a size's time is the mean over steps of each
         step's median over the runs, so one slow run does not move it."""

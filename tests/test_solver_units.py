@@ -20,22 +20,19 @@ from condsim.contacts import (
     detect_contacts,
     nodalize,
 )
-from condsim.dynamics import assemble_step, triples
+from condsim.dynamics import assemble_step
 from condsim.errors import DivergenceError, InvalidMatrixError
 from condsim.harness import RunConfig, build_scene, external_force, load_scenario
 from condsim.solver import (
     SCALAR_BATCH_MAX,
     SolverConfig,
     _project_batch,
-    _tie_groups,
     chebyshev_nu,
     chebyshev_update,
     contact_solve_oneshot,
     estimate_rho,
     inverse_contact,
-    project_proximal,
-    project_strict,
-    project_strict_anisotropic,
+    project,
     scc_residual,
     solve_vfpi,
     step_matrix_frobenius,
@@ -66,21 +63,21 @@ def random_cone_point(g, mu):
 
 class TestProjectStrict:
     def test_radial_clamp(self):
-        assert np.allclose(project_strict(np.array([1.0, 0.5, 0.0]), 0.2), [1.0, 0.2, 0.0])
+        assert np.allclose(project(np.array([1.0, 0.5, 0.0]), 0.2), [1.0, 0.2, 0.0])
 
     def test_open_contact(self):
-        assert np.allclose(project_strict(np.array([-1.0, 0.3, 0.4]), 0.2), np.zeros(3))
+        assert np.allclose(project(np.array([-1.0, 0.3, 0.4]), 0.2), np.zeros(3))
 
     def test_interior_unchanged(self):
         lam = np.array([1.0, 0.1, 0.0])
-        assert np.array_equal(project_strict(lam, 0.2), lam)
+        assert np.array_equal(project(lam, 0.2), lam)
 
     @settings(max_examples=200, deadline=None)
     @given(lam3, st.floats(0.05, 1.5))
     def test_in_cone_and_idempotent(self, lam, mu):
-        out = project_strict(np.array(lam), mu)
+        out = project(np.array(lam), mu)
         assert in_cone(out, mu)
-        assert np.allclose(project_strict(out, mu), out, atol=1e-12)
+        assert np.allclose(project(out, mu), out, atol=1e-12)
 
 
     def test_batch_paths_agree(self, rng):
@@ -99,22 +96,22 @@ class TestProjectStrict:
         assert np.array_equal(whole, parts, equal_nan=True)
         assert np.array_equal(np.signbit(whole), np.signbit(parts))
         for m in range(60):
-            assert np.array_equal(project_strict(lam[m], mu[m]), whole[m], equal_nan=True)
+            assert np.array_equal(project(lam[m], mu[m]), whole[m], equal_nan=True)
 
 
 class TestProjectProximal:
     def test_boundary_case(self):
-        assert np.allclose(project_proximal(np.array([0.0, 1.0, 0.0]), 1.0), [0.5, 0.5, 0.0])
+        assert np.allclose(project(np.array([0.0, 1.0, 0.0]), 1.0, "proximal"), [0.5, 0.5, 0.0])
 
     def test_polar_cone(self):
-        assert np.allclose(project_proximal(np.array([-1.0, 0.0, 0.0]), 0.5), np.zeros(3))
+        assert np.allclose(project(np.array([-1.0, 0.0, 0.0]), 0.5, "proximal"), np.zeros(3))
 
     def test_matches_nearest_point_by_sampling(self, rng):
         # Euclidean projection: no sampled cone point may be closer
         for _ in range(100):
             lam_star = 5.0 * rng.standard_normal(3)
             mu = rng.uniform(0.1, 1.5)
-            out = project_proximal(lam_star, mu)
+            out = project(lam_star, mu, "proximal")
             assert in_cone(out, mu)
             d_out = np.linalg.norm(out - lam_star)
             for _ in range(50):
@@ -124,8 +121,8 @@ class TestProjectProximal:
     @settings(max_examples=200, deadline=None)
     @given(lam3, lam3, st.floats(0.05, 1.5))
     def test_non_expansive(self, a, b, mu):
-        pa = project_proximal(np.array(a), mu)
-        pb = project_proximal(np.array(b), mu)
+        pa = project(np.array(a), mu, "proximal")
+        pb = project(np.array(b), mu, "proximal")
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(np.array(a) - np.array(b)) + 1e-12
 
 
@@ -135,11 +132,11 @@ class TestProjectAnisotropic:
             lam = 5.0 * rng.standard_normal(3)
             mu = rng.uniform(0.1, 1.5)
             assert np.allclose(
-                project_strict_anisotropic(lam, mu, mu), project_strict(lam, mu), atol=1e-10
+                project(lam, mu, "strict-anisotropic", mu), project(lam, mu), atol=1e-10
             )
 
     def test_nonpositive_normal_gives_zero(self):
-        assert np.allclose(project_strict_anisotropic(np.array([-0.3, 1.0, 2.0]), 0.2, 0.5), 0.0)
+        assert np.allclose(project(np.array([-0.3, 1.0, 2.0]), 0.2, "strict-anisotropic", 0.5), 0.0)
 
     def test_matches_dense_ellipse_sampling_oracle(self, rng):
         angles = np.linspace(0.0, 2 * np.pi, 4001)
@@ -149,7 +146,7 @@ class TestProjectAnisotropic:
             )
             lam[0] = abs(lam[0]) + 0.1
             mu1, mu2 = rng.uniform(0.1, 1.0, 2)
-            out = project_strict_anisotropic(lam.copy(), mu1, mu2)
+            out = project(lam.copy(), mu1, "strict-anisotropic", mu2)
             a, b = mu1 * lam[0], mu2 * lam[0]
             if (lam[1] / a) ** 2 + (lam[2] / b) ** 2 <= 1.0:
                 assert np.allclose(out, lam)
@@ -181,7 +178,7 @@ class TestProjectAnisotropic:
         normal = np.array([c / a, s / b])
         p = on + 10.0**e_out * max(a, b) * normal / np.linalg.norm(normal)
         assume((p[0] / a) ** 2 + (p[1] / b) ** 2 > 1.0)
-        out = project_strict_anisotropic(np.array([ln, p[0], p[1]]), mu1, mu2)
+        out = project(np.array([ln, p[0], p[1]]), mu1, "strict-anisotropic", mu2)
         assert out[0] == ln
         x = out[1:]
         assert abs((x[0] / a) ** 2 + (x[1] / b) ** 2 - 1.0) <= 1e-12
@@ -204,7 +201,7 @@ class TestProjectAnisotropic:
                 )
                 assert np.array_equal(out, expect)
                 for row, e in zip(lam, expect):
-                    assert np.array_equal(project_strict_anisotropic(row, mu1, mu2), e)
+                    assert np.array_equal(project(row, mu1, "strict-anisotropic", mu2), e)
 
 
 class TestStepMatrixFrobenius:
@@ -251,59 +248,42 @@ class TestStepMatrixFrobenius:
                 trial[col : col + 3] *= fac
                 assert fro(trial) >= base - 1e-12
 
-    @staticmethod
-    def _reference_groups(aug, pair_tie):
-        """Tie groups by a union-find over the contacts, each group ascending."""
-        root = {}
-
-        def find(x):
-            while root[x] != x:
-                x = root[x]
-            return x
-
-        for ci, cj in zip(aug.col_i.tolist(), aug.col_j.tolist()):
-            root.setdefault(ci, ci)
-            if cj >= 0:
-                root.setdefault(cj, cj)
-                if pair_tie:
-                    root[find(ci)] = find(cj)
-        groups = {}
-        for col in sorted(root):
-            groups.setdefault(find(col), []).append(col)
-        return list(groups.values())
-
-    @pytest.mark.parametrize("pair_tie", [False, True])
-    def test_matches_per_group_loop(self, rng, pair_tie):
-        # reference: one group at a time, the tied entries' diagonal sum over
-        # their row-norm sum
+    def test_matches_per_group_loop(self, rng):
+        # reference: one contacted node at a time, the sum of its three
+        # diagonal entries over the sum of their row norms, left to right
         for _ in range(20):
             nodal = random_contact_set(rng)
             n = nodal.n_orig
             a = random_spd(rng, n)
             aug = build_augmented(a, np.zeros(n), nodal)
-            groups = self._reference_groups(aug, pair_tie)
+            nodes = sorted({*nodal.col_i.tolist(), *nodal.col_j[nodal.col_j >= 0].tolist()})
             diag, rns = a.diagonal(), row_norms_sq(a)
             ref = diag / rns
-            for group in groups:
-                idx = triples(group).ravel()
-                ref[idx] = diag[idx].sum() / rns[idx].sum()
-            cols, gid = _tie_groups(aug, pair_tie)
-            assert sorted(groups) == sorted(cols[gid == g].tolist() for g in set(gid.tolist()))
-            w = step_matrix_frobenius(aug, pair_tie)
-            assert np.array_equal(w, ref)
-            assert aug.contacts.nodes.tolist() == sorted(c for group in groups for c in group)
+            for col in nodes:
+                idx = slice(col, col + 3)
+                ref[idx] = sum(diag[idx].tolist()) / sum(rns[idx].tolist())
+            assert np.array_equal(step_matrix_frobenius(aug), ref)
+            assert aug.contacts.nodes.tolist() == nodes
 
-    def test_pair_tie_joins_disjoint_d_contacts(self):
-        # D-contacts 9-0 and 3-6 form two groups with pair_tie, four without
-        nodal = contact_set(12, [9, 3], [UP, UP], 0.5, col_j=[0, 6])
-        aug = build_augmented(sp.identity(12, format="csc"), np.zeros(12), nodal)
-        for pair_tie, groups in ((True, [[0, 9], [3, 6]]), (False, [[0], [3], [6], [9]])):
-            cols, gid = _tie_groups(aug, pair_tie)
-            assert cols.tolist() == [0, 3, 6, 9]
-            assert sorted(cols[gid == g].tolist() for g in set(gid.tolist())) == groups
-        # a chain 0-3, 3-6 would put two contact sides on node 3
-        with pytest.raises(InvalidMatrixError, match="column 3 carries more than one contact side"):
-            contact_set(9, [0, 3], [UP, UP], 0.5, col_j=[3, 6])
+    def test_one_w_under_every_operator(self, rng, monkeypatch):
+        # the operator picks the projection only: solve_vfpi hands
+        # surrogate_gamma the same W under each, D-contacts included
+        nodal = random_contact_set(rng, n_nodes=12, n_contacts=6)
+        assert np.any(nodal.col_j >= 0)
+        n = nodal.n_orig
+        aug = build_augmented(random_spd(rng, n), rng.standard_normal(n), nodal)
+        seen = []
+
+        def spy(w, aug, omega=0.0):
+            seen.append(w.copy())
+            return surrogate_gamma(w, aug, omega)
+
+        monkeypatch.setattr(solver, "surrogate_gamma", spy)
+        for operator in solver.OPERATORS:
+            solve_vfpi(aug, SolverConfig(operator=operator, max_iters=3), np.zeros(n))
+        assert len(seen) == len(solver.OPERATORS)
+        for w in seen[1:]:
+            assert np.array_equal(w, seen[0])
 
 
 class TestSurrogateGamma:
@@ -334,10 +314,10 @@ class TestSurrogateGamma:
             assert np.abs(prod - ref).max() <= 1e-12
 
     def test_tie_violation_rejected(self):
-        aug = self._aug(3)
-        w = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(InvalidMatrixError):
-            surrogate_gamma(w, aug)
+        # an S-contact node, then a D-contact's second node, out of tie
+        for aug, w in ((self._aug(3), [1.0, 2.0, 3.0]), (self._aug(6, col_j=3), [2.0, 2.0, 2.0, 3.0, 3.0, 4.0])):
+            with pytest.raises(InvalidMatrixError, match="violates the per-node ties"):
+                surrogate_gamma(np.array(w), aug)
 
 
 class TestOneShot:
