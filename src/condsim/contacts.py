@@ -30,8 +30,11 @@ fill of ``augment_dynamics``.
 T = [Jv, -I]. A ``TieLayout`` holds the augmented CSC pattern and, for each
 value of A_o and each product of two entries of a T row, the entry it adds
 into. It is built once per set of virtual-node sources and cached on A_o's
-``BlockPattern``, so a step fills the augmented matrix with one
-``np.bincount``. Each product is k_v (t_p t_q), and every entry sums A_o's
+``BlockPattern``, so a step fills the augmented matrix's values with one
+``np.bincount`` and makes the matrix from the layout's ``csc_template``
+(``sparse``). The layout also extends the pattern's diagonal positions to
+the augmented matrix, and ``AugmentedDynamics`` carries them for the step
+matrix of the solver. Each product is k_v (t_p t_q), and every entry sums A_o's
 value first and then the products row by row, so entries (p, q) and (q, p)
 receive the same floats in the same order: the augmented A is bitwise
 symmetric wherever A_o is.
@@ -47,6 +50,7 @@ from scipy.spatial import cKDTree
 
 from .dynamics import AssembledDynamics, Bodies, RigidBody, SystemState, _quat_to_rot, triples
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
+from .sparse import csc_template, diagonal_positions, with_data
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
 _UNSET = np.zeros((3, 3))  # stands in for a static sphere's frame until its contacts get theirs
@@ -180,11 +184,21 @@ class StabilizationParams:
 
 @dataclass(eq=False)
 class AugmentedDynamics:
+    """One step's contact-augmented system. ``diag_pos`` holds the
+    positions of A's diagonal entries in ``a.data``: ``augment_dynamics``
+    passes those of the pattern or the tie layout, and any other caller gets
+    them found in A's own pattern."""
+
     a: sp.csc_matrix
     b: np.ndarray
     n: int  # total (original + virtual) velocity dimension
     n_orig: int
     contacts: NodalContactSet
+    diag_pos: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.diag_pos is None:
+            self.diag_pos = diagonal_positions(self.a.indices, self.a.indptr)
 
     # per contact: column offsets i and j (-1 for none) and (n_c, 3, 3) frames
     @property
@@ -426,6 +440,8 @@ class TieLayout:
     ``pos`` names the augmented entry each of them adds into. Products with
     a node source's two missing entries go to the extra entry nnz, which is
     cut off. ``src`` and ``rigid`` are the sources it was built for.
+    ``template`` is the augmented pattern's ``sparse.csc_template``, and
+    ``diag_pos`` the positions of its diagonal entries.
     """
 
     src: np.ndarray
@@ -433,14 +449,18 @@ class TieLayout:
     indices: np.ndarray
     indptr: np.ndarray
     pos: np.ndarray
+    template: sp.csc_matrix
+    diag_pos: np.ndarray
 
     @classmethod
-    def build(cls, indices: np.ndarray, indptr: np.ndarray, src: np.ndarray, rigid: np.ndarray) -> TieLayout:
-        """Merge the tie entries into A_o's CSC ``indices``/``indptr``, whose
-        (column, row) keys are sorted: only the tie keys are sorted, and
-        those that A_o lacks are inserted. Virtual rows sort after every
-        original row, so a source column only gains a tail, and the virtual
-        columns come last."""
+    def build(cls, pattern, src: np.ndarray, rigid: np.ndarray) -> TieLayout:
+        """Merge the tie entries into the CSC ``indices``/``indptr`` of A_o's
+        ``BlockPattern``, whose (column, row) keys are sorted: only the tie
+        keys are sorted, and those that A_o lacks are inserted. Virtual rows
+        sort after every original row, so a source column only gains a
+        tail, and the virtual columns come last. A_o's diagonal entries move
+        with A_o's entries, and each virtual column's is a tie entry."""
+        indices, indptr = pattern.indices, pattern.indptr
         n_o, n_v = indptr.shape[0] - 1, src.shape[0]
         n = n_o + 3 * n_v
         cols = np.empty((n_v, 3, 4), dtype=np.int64)
@@ -461,12 +481,18 @@ class TieLayout:
         pos[live] = tie_at[tie_of]
         kept = np.ones(nnz, dtype=bool)  # the augmented entries that A_o holds
         kept[tie_at[new]] = False
+        kept = np.flatnonzero(kept)
         new_col, new_row = np.divmod(tie[new], n)
         indptr = np.concatenate([indptr, np.full(3 * n_v, indptr[-1])]) + np.searchsorted(new_col, np.arange(n + 1))
         indices = np.insert(indices, at[new], new_row)
         indptr = indptr.astype(indices.dtype)  # scipy would convert an int64 indptr on every step
         indices.flags.writeable = indptr.flags.writeable = False
-        return cls(src.copy(), rigid.copy(), indices, indptr, np.concatenate([np.flatnonzero(kept), pos]))
+        virtual = np.arange(n_o, n, dtype=np.int64)
+        diag_pos = np.concatenate([kept[pattern.diag_pos], tie_at[np.searchsorted(tie, virtual * n + virtual)]])
+        return cls(
+            src.copy(), rigid.copy(), indices, indptr, np.concatenate([kept, pos]),
+            csc_template(indices, indptr, n), diag_pos,
+        )
 
     def fits(self, nodal: NodalContactSet) -> bool:
         """Whether this layout was built for these sources and rigid flags
@@ -480,24 +506,23 @@ def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> Augmente
     With T = [Jv, -I] the augmented matrix is A_o (padded with zeros) plus
     k_v T^T T: each row of T adds the outer product of its entries. The
     ``TieLayout`` cached on A_o's ``BlockPattern`` places them, keyed on the
-    virtual nodes' sources and rigid flags. A step without virtual nodes
-    returns A_o.
+    virtual nodes' sources and rigid flags; the step's matrix is made from
+    the layout's template, and carries the layout's diagonal positions. A
+    step without virtual nodes returns A_o with the pattern's.
     """
     n_o = asm.n
     if asm.b.shape[0] != n_o:
         raise DimensionMismatchError("augment_dynamics: b length mismatch")
-    if nodal.n_virtual == 0:
-        return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal)
     pattern, layout = asm.pattern, asm.pattern.ties
+    if nodal.n_virtual == 0:
+        return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal, pattern.diag_pos)
     if layout is None or not layout.fits(nodal):
-        layout = pattern.ties = TieLayout.build(pattern.indices, pattern.indptr, nodal.src, nodal.rigid)
+        layout = pattern.ties = TieLayout.build(pattern, nodal.src, nodal.rigid)
     t = _tie_rows(nodal.lever)
     vals = np.concatenate([asm.data, (nodal.k_v * (t[..., :, None] * t[..., None, :])).ravel()])
     n, nnz = layout.indptr.shape[0] - 1, layout.indices.shape[0]
-    a = sp.csc_matrix(
-        (np.bincount(layout.pos, vals, minlength=nnz + 1)[:nnz], layout.indices, layout.indptr), shape=(n, n)
-    )
-    return AugmentedDynamics(a, np.concatenate([asm.b, np.zeros(n - n_o)]), n, n_o, nodal)
+    a = with_data(layout.template, np.bincount(layout.pos, vals, minlength=nnz + 1)[:nnz])
+    return AugmentedDynamics(a, np.concatenate([asm.b, np.zeros(n - n_o)]), n, n_o, nodal, layout.diag_pos)
 
 
 def contact_jacobian_matrix(aug: AugmentedDynamics) -> sp.csr_matrix:

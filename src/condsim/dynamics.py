@@ -47,6 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidStateError
+from .sparse import csc_template, diagonal_positions, with_data
 
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
 MIN_SPRING_LENGTH = 1e-12  # m, a shorter spring has no direction
@@ -136,10 +137,11 @@ class Springs:
 @dataclass(eq=False)
 class AssembledDynamics:
     """A and b of one step, as ``assemble_step`` builds them: A is its CSC
-    ``data`` over ``pattern``, and each read of ``a`` wraps them in a new
-    ``csc_matrix``. A tie-free step reads it once, in
-    ``contacts.augment_dynamics``; a step with virtual nodes never does,
-    since the augmented matrix is filled from the arrays."""
+    ``data`` over ``pattern``, and each read of ``a`` makes a new
+    ``csc_matrix`` of them from the pattern's template. A tie-free step
+    reads it once, in ``contacts.augment_dynamics``; a step with virtual
+    nodes never does, since the augmented matrix is filled from the
+    arrays."""
 
     b: np.ndarray
     n: int
@@ -148,7 +150,7 @@ class AssembledDynamics:
 
     @property
     def a(self) -> sp.csc_matrix:
-        return sp.csc_matrix((self.data, self.pattern.indices, self.pattern.indptr), shape=(self.n, self.n))
+        return with_data(self.pattern.template, self.data)
 
 
 def _spring_coords(springs: Springs) -> np.ndarray:
@@ -268,6 +270,12 @@ class BlockPattern:
     ``indices``, ``indptr`` and ``gather``. That CSR is the CSC of A only
     because the pattern is symmetric and each block's mirror reads its
     transposed gather.
+
+    ``template`` is the ``sparse.csc_template`` over ``indices`` and
+    ``indptr`` from which every step's matrix is made, and ``diag_pos`` the
+    positions of A's diagonal entries in ``data`` (``sparse``). A DOF that no
+    node, rigid body or spring covers has an empty row and no diagonal
+    entry, and ``build`` rejects it.
     """
 
     n: int
@@ -284,6 +292,8 @@ class BlockPattern:
     pair: np.ndarray
     n_pairs: int
     coords: np.ndarray
+    template: sp.csc_matrix
+    diag_pos: np.ndarray
     # the contacts.TieLayout of the last virtual-node sources augmented on it
     ties: object = field(default=None, repr=False)
 
@@ -333,6 +343,7 @@ class BlockPattern:
         return cls(
             n, bodies.node_v, tuple(offsets[1].tolist()), springs.vi, springs.vj, springs.qi, springs.qj,
             indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs, coords=_spring_coords(springs),
+            template=csc_template(indices, indptr, n), diag_pos=diagonal_positions(indices, indptr),
         )
 
     def fits(self, n: int, bodies: Bodies, springs: Springs) -> bool:

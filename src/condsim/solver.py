@@ -39,6 +39,7 @@ applies it to one contact's impulse.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ from scipy.linalg import lapack
 from .contacts import AugmentedDynamics, ContactMap
 from .dynamics import triples
 from .errors import DivergenceError, InvalidMatrixError
-from .sparse import row_norms_sq, spmv
+from .sparse import column_norms_sq, row_norms_sq, spmv
 
 # up to this many contacts a loop over Python floats projects faster than
 # numpy, whose fixed cost per call dominates on short arrays; the crossover
@@ -69,6 +70,16 @@ AA_REG = 1e-12
 CHEBY_START = 10
 UNDER_RELAX = 0.9
 OPERATORS = ("strict", "proximal", "strict-anisotropic")
+# A row whose tangential squares leave [_TINY, inf) is projected scaled by a
+# power of two near its largest magnitude (``_exponent``). The ellipse's
+# Newton iteration runs where its semi-axes lie in [_AXIS_MIN, _AXIS_MAX] and
+# the point's ellipse norm squared is below _FAR; beyond that, the point lies
+# at least 2^50 semi-axes away and the far-field limit of the closest point
+# is exact to rounding (``_aniso_far``).
+_TINY = sys.float_info.min  # the smallest normal float
+_SQRT_TINY = math.sqrt(_TINY)
+_AXIS_MIN, _AXIS_MAX = 2.0**-480, 2.0**480
+_FAR = 2.0**100
 
 
 @dataclass
@@ -105,12 +116,34 @@ def project(lam_star: np.ndarray, mu: float, operator: str = "strict", mu2: floa
     return _project_batch(row, np.array([float(mu)]), mu2, operator)[0]
 
 
+def _exponent(*row: float) -> int | None:
+    """The ``math.frexp`` exponent e of the row's largest magnitude, which
+    2^-e scales into [0.5, 1): 0 for a row already there or all zero, and
+    None for a row with a non-finite entry, which no scaling helps."""
+    if all(map(math.isfinite, row)):
+        return math.frexp(max(map(abs, row)))[1]
+    return None
+
+
+def _ldexp_row(row, e: int) -> tuple:
+    """The row times 2^e, exact wherever no entry leaves the normal range."""
+    return tuple(math.ldexp(x, e) for x in row)
+
+
 def _strict_row(ln: float, t1: float, t2: float, mu: float) -> tuple:
     """Normal clamp, then radial clamp of the tangential part, on Python
-    floats with the vectorized "strict" path's arithmetic."""
+    floats with the vectorized "strict" path's arithmetic. A row whose
+    tangential squares overflow or underflow is projected scaled by a power
+    of two (the projection is positively homogeneous), so its tangent is
+    neither lost nor kept outside the cone."""
     ln = max(0.0, ln) if ln == ln else ln  # -0.0 -> +0.0 as in the batch path, NaN stays
+    sq = t1 * t1 + t2 * t2
+    if not _TINY <= sq < math.inf and (t1 or t2):
+        e = _exponent(ln, t1, t2)
+        if e:
+            return _ldexp_row(_strict_row(*_ldexp_row((ln, t1, t2), -e), mu), e)
     limit = mu * ln
-    tn = math.sqrt(t1 * t1 + t2 * t2)
+    tn = math.sqrt(sq)
     if tn > limit:
         scale = 0.0 if tn == 0.0 else limit / tn
         t1 *= scale
@@ -125,31 +158,78 @@ def _aniso_row(ln: float, t1: float, t2: float, mu1: float, mu2: float) -> tuple
     root t > 0 of the convex, decreasing
     F(t) = (a x0/(a^2+t))^2 + (b y0/(b^2+t))^2 - 1. Newton from t0, where F >= 0,
     rises monotonically to it (D. Eberly, "Distance from a Point to an Ellipse,
-    an Ellipsoid, or a Hyperellipsoid", Geometric Tools, 2013)."""
+    an Ellipsoid, or a Hyperellipsoid", Geometric Tools, 2013).
+
+    Newton's squares stay in the float range while the semi-axes lie in
+    [_AXIS_MIN, _AXIS_MAX] and the point within 2^50 semi-axes. A finite row
+    outside that is scaled by a power of two (the projection is positively
+    homogeneous), and a point still that far away takes ``_aniso_far``."""
     if ln <= 0.0:
         return 0.0, 0.0, 0.0
     a, b = mu1 * ln, mu2 * ln
     x0, y0 = abs(t1), abs(t2)
     if a == 0.0 or b == 0.0:  # the ellipse is a segment on one axis, or a point
         return ln, math.copysign(min(x0, a), t1), math.copysign(min(y0, b), t2)
-    if (x0 / a) ** 2 + (y0 / b) ** 2 <= 1.0:
+    try:
+        q = (x0 / a) ** 2 + (y0 / b) ** 2
+    except OverflowError:
+        q = math.inf
+    if q <= 1.0:
         return ln, t1, t2
+    if not (q < _FAR and _AXIS_MIN <= a <= _AXIS_MAX and _AXIS_MIN <= b <= _AXIS_MAX):
+        e = _exponent(ln, t1, t2)  # None keeps NaN and infinite rows on the iteration
+        if e:
+            return _ldexp_row(_aniso_row(*_ldexp_row((ln, t1, t2), -e), mu1, mu2), e)
+        if e == 0:
+            return _aniso_far(ln, t1, t2, a, b)
     a2, b2, ax, by = a * a, b * b, a * x0, b * y0
     t = max(ax - a2, by - b2)
-    while True:
-        ra, rb = ax / (a2 + t), by / (b2 + t)
-        f = ra * ra + rb * rb - 1.0
-        if f <= 0.0:
-            break
-        t_next = t + f / (2.0 * (ra * ra / (a2 + t) + rb * rb / (b2 + t)))
-        if not t_next > t:
-            break
-        t = t_next
+    try:
+        while True:
+            ra, rb = ax / (a2 + t), by / (b2 + t)
+            f = ra * ra + rb * rb - 1.0
+            if f <= 0.0:
+                break
+            t_next = t + f / (2.0 * (ra * ra / (a2 + t) + rb * rb / (b2 + t)))
+            if not t_next > t:
+                break
+            t = t_next
+    except ZeroDivisionError:  # 0/0 where max() passed over a NaN tangent
+        return ln, math.nan, math.nan
     return ln, math.copysign(a2 * x0 / (a2 + t), t1), math.copysign(b2 * y0 / (b2 + t), t2)
 
 
+def _aniso_far(ln: float, t1: float, t2: float, a: float, b: float) -> tuple:
+    """The closest point on the ellipse with semi-axes a, b to a point far
+    outside it: as t grows, F(t) = 0 gives t -> hypot(a x0, b y0), and the
+    point (a^2 x0 / t, b^2 y0 / t) lies on the ellipse. The error is of
+    the order of the ellipse's size over the point's distance."""
+    u, v = a * abs(t1), b * abs(t2)
+    h = math.hypot(u, v)
+    if h == 0.0:  # both products underflow: the ellipse is a point beside the distance
+        return ln, math.copysign(0.0, t1), math.copysign(0.0, t2)
+    return ln, math.copysign(a * (u / h), t1), math.copysign(b * (v / h), t2)
+
+
+def _rescale_rows(out: np.ndarray, rows: np.ndarray, x: np.ndarray, mu: np.ndarray, mu2, operator: str) -> None:
+    """Project again the rows ``rows`` (trial impulses ``x``) whose
+    tangential squares left the float range, scaled by a power of two near
+    their largest magnitude: every projection is positively homogeneous, so
+    P(x) = 2^e P(2^-e x). Rows with a non-finite entry, a zero tangent or a
+    largest magnitude already in [0.5, 1) keep the values in ``out``."""
+    e = np.frexp(np.abs(x).max(axis=1))[1]  # 0 for a non-finite or zero row
+    keep = (e != 0) & x[:, 1:].any(axis=1)
+    if keep.any():
+        rows, e = rows[keep], e[keep, None]
+        mu2 = None if mu2 is None else mu2[rows]
+        out[rows] = np.ldexp(_project_batch(np.ldexp(x[keep], -e), mu[rows], mu2, operator), e)
+
+
 def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> np.ndarray:
-    """Vectorized projection of (n_c, 3) trial impulses."""
+    """Vectorized projection of (n_c, 3) trial impulses. On arrays, rows
+    whose tangential squares leave the float range are flagged in one pass
+    and projected again by ``_rescale_rows``; on floats, the row functions
+    rescale themselves."""
     if operator == "strict":
         if lam_star.shape[0] <= SCALAR_BATCH_MAX:
             rows = zip(lam_star.tolist(), mu.tolist())
@@ -160,13 +240,21 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         np.maximum(ln, 0.0, out=ln)
         ln += 0.0
         limit = mu * ln
-        tn = np.sqrt(t1 * t1 + t2 * t2)  # the bits of np.linalg.norm over 2 entries
+        sq = t1 * t1 + t2 * t2
+        odd = (sq < _TINY) | (sq == math.inf)
+        # flagged rows with their normal clamped, which strict projects as
+        # it projects the raw rows; the clamp sets their scale
+        odd = np.flatnonzero(odd) if odd.any() else None
+        x = None if odd is None else out[odd]
+        tn = np.sqrt(sq)  # the bits of np.linalg.norm over 2 entries
         over = np.flatnonzero(tn > limit)
         # rows over the limit scale down to it; a zero tangent over a negative
         # limit goes to 0
         tn = tn[over]
         scale = np.divide(limit[over], tn, out=np.zeros_like(tn), where=tn > 0)
         out[over, 1:] *= scale[:, None]
+        if odd is not None:
+            _rescale_rows(out, odd, x, mu, None, operator)
         return out
     if operator == "proximal":
         out = lam_star.copy()
@@ -180,6 +268,10 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         out[boundary, 0] = ln[boundary]
         out[boundary, 1:] = tang[boundary]
         out[polar] = 0.0
+        odd = (tn < _SQRT_TINY) | (tn == math.inf)
+        if odd.any():
+            odd = np.flatnonzero(odd)
+            _rescale_rows(out, odd, lam_star[odd], mu, None, operator)
         return out
     if operator == "strict-anisotropic":
         mu2 = mu if mu2 is None else np.asarray(mu2, dtype=float)
@@ -193,11 +285,18 @@ def step_matrix_frobenius(aug: AugmentedDynamics) -> np.ndarray:
     with the three entries of every contacted node tied to one value: their
     diagonal sum over their row-norm sum. Tying each node alone makes every
     contact's block of Jc W Jc^T scalar, (w_i + w_j) I for a D-contact, so W
-    is the same under every operator (module docstring)."""
-    diag = aug.a.diagonal()
-    rns = row_norms_sq(aug.a)
+    is the same under every operator (module docstring).
+
+    The diagonal is gathered at the system's cached ``diag_pos``. Tie-free
+    systems, which multiply through the CSR view ``a.T`` already, take the
+    row norms through it too (``sparse.column_norms_sq``, the same bits on
+    their bitwise symmetric A); systems with virtual nodes keep the
+    bincount of ``sparse.row_norms_sq``, cheaper on their small ties."""
+    a = aug.a
+    rns = row_norms_sq(a) if aug.n > aug.n_orig else column_norms_sq(a)
     if np.any(rns <= 0.0):
         raise InvalidMatrixError("zero row norm in step-matrix computation")
+    diag = a.data[aug.diag_pos]
     w = diag / rns
     idx = triples(aug.contacts.nodes)
     w[idx] = (diag[idx].sum(axis=1) / rns[idx].sum(axis=1))[:, None]
@@ -235,7 +334,27 @@ def contact_solve_oneshot(
 
     ``phi`` holds the per-contact normal stabilization terms; it only touches
     the normal component.
+
+    Batches that project on Python floats (up to SCALAR_BATCH_MAX contacts
+    under "strict", every batch under "strict-anisotropic") scale and
+    project in one pass over the floats: (-e0 - phi) / gamma, -e1 / gamma
+    and -e2 / gamma are the bits of the array scaling below. A zero gamma,
+    where floats raise, takes the array scaling.
     """
+    if operator == "strict-anisotropic" or operator == "strict" and gamma.shape[0] <= SCALAR_BATCH_MAX:
+        rows = zip(eta.tolist(), phi.tolist(), gamma.tolist(), mu.tolist())
+        try:
+            if operator == "strict":
+                out = [_strict_row((-e0 - p) / g, -e1 / g, -e2 / g, m) for (e0, e1, e2), p, g, m in rows]
+            else:
+                mu2 = mu if mu2 is None else np.asarray(mu2, dtype=float)
+                out = [
+                    _aniso_row((-e0 - p) / g, -e1 / g, -e2 / g, m, m2)
+                    for ((e0, e1, e2), p, g, m), m2 in zip(rows, mu2.tolist())
+                ]
+            return np.array(out).reshape(-1, 3)
+        except ZeroDivisionError:
+            pass
     lam_star = -eta
     lam_star[:, 0] -= phi
     lam_star /= gamma[:, None]

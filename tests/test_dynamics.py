@@ -21,7 +21,7 @@ from condsim.dynamics import (
     triples,
     world_inertia,
 )
-from condsim.errors import DegenerateConstraintError, DimensionMismatchError, InvalidStateError
+from condsim.errors import DegenerateConstraintError, DimensionMismatchError, InvalidMatrixError, InvalidStateError
 from condsim.harness import Scenario, _lattice_edges, build_scene, external_force, load_scenario, validate_scenario
 
 from conftest import reference_nodalize, scenario_path
@@ -543,6 +543,22 @@ class TestBlockAssembly:
         q = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         with pytest.raises(DimensionMismatchError, match="offset 6 lies outside the 6-DOF state"):
             assemble_step(SystemState(q, np.zeros(6)), particles([1.0, 1.0]), s)
+
+
+    def test_pattern_caches_the_diagonal_positions(self, rng):
+        bodies = particles([1.0, 2.0, 3.0])
+        s = springs([(0, 1), (1, 2)], 100.0, 1.0)
+        state = SystemState(rng.standard_normal(9), rng.standard_normal(9))
+        asm = assemble_step(state, bodies, s)
+        assert np.array_equal(asm.data[asm.pattern.diag_pos], asm.a.diagonal())
+
+    def test_uncovered_dof_rejected(self, rng):
+        # DOF 3-5 carry no node, rigid body or spring: an empty row of A,
+        # which no step matrix can scale
+        bodies = Bodies(np.array([0]), np.array([0]), np.ones(1), np.zeros(1))
+        state = SystemState(rng.standard_normal(6), rng.standard_normal(6))
+        with pytest.raises(InvalidMatrixError, match="column 3 stores no diagonal entry"):
+            assemble_step(state, bodies, springs(np.zeros((0, 2)), 0.0, 0.0))
 
 
 MIXED = {

@@ -204,6 +204,83 @@ class TestProjectAnisotropic:
                     assert np.array_equal(project(row, mu1, "strict-anisotropic", mu2), e)
 
 
+class TestExtremeMagnitudes:
+    """Rows whose squares overflow or underflow are projected scaled by a
+    power of two; every projection is positively homogeneous."""
+
+    def test_the_four_rows(self):
+        # entries 1e300 apart: the small ones are lost to rounding, not the
+        # large ones
+        big, tiny = np.array([1.0, 1e300, 1.0]), np.array([1e-300, 1e-300, 0.0])
+        out = project(big, 0.5)  # the radial clamp of (1e300, 1) to 0.5
+        assert out[0] == 1.0 and abs(out[1] - 0.5) <= 1e-16 and 0.0 <= out[2] <= 1e-300
+        ln = (1.0 + 0.5e300) / 1.25  # the proximal boundary point
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = project(big, 0.5, "proximal")
+        assert np.allclose(out, [ln, 0.5 * ln, 0.5 * ln * 1e-300], rtol=1e-14, atol=0.0)
+        # a point 2e300 semi-axes out: the ellipse's far-field limit, (a, ~0)
+        out = project(big, 0.5, "strict-anisotropic", 0.3)
+        assert out[0] == 1.0 and abs(out[1] - 0.5) <= 1e-16 and 0.0 <= out[2] <= 1e-300
+        out = project(tiny, 0.5, "strict-anisotropic", 0.3)
+        assert np.allclose(out, [1e-300, 0.5e-300, 0.0], rtol=1e-15, atol=0.0)
+        assert np.allclose(project(tiny, 0.5), [1e-300, 0.5e-300, 0.0], rtol=1e-15, atol=0.0)
+
+    def test_tangent_below_a_vanished_normal(self):
+        # the squares underflow to 0, yet the tangent lies outside the cone
+        for operator in ("strict", "strict-anisotropic"):
+            assert np.array_equal(project([0.0, 1e-200, -1e-200], 0.5, operator, 0.3), [0.0, 0.0, 0.0])
+        assert np.array_equal(project([1e-300, 1e-170, 0.0], 0.5)[1:], [0.5e-300, 0.0])
+
+    @staticmethod
+    def _inside(out, mu1, mu2, operator):
+        """Each row in its cone or ellipse up to rounding, checked on the
+        row scaled into [0.5, 1) by a power of two."""
+        e = np.frexp(np.abs(out).max(axis=1))[1]
+        x = np.ldexp(out, -e[:, None])
+        ln, t1, t2 = x.T
+        if operator == "strict-anisotropic":
+            excess = (t1 * mu2) ** 2 + (t2 * mu1) ** 2 - (mu1 * mu2 * ln) ** 2
+        else:
+            excess = t1 * t1 + t2 * t2 - (mu1 * ln) ** 2
+        return np.all(ln >= 0.0) and np.all(excess <= 1e-12 * np.maximum(ln * ln, 1e-300))
+
+    def test_random_rows_near_the_float_limits(self, rng):
+        # 20,000 rows of entries near 1e+-300 (and, in every row, at least
+        # one): none raises, the results are finite and in the cone or
+        # ellipse, and the array and float paths agree bit for bit
+        n = 20_000
+        mag = 10.0 ** (rng.choice([-300.0, 300.0], (n, 3)) + rng.uniform(-8.0, 8.0, (n, 3)))
+        lam = rng.choice([-1.0, 1.0], (n, 3)) * mag
+        mu1, mu2 = rng.uniform(0.05, 1.0, n), rng.uniform(0.05, 1.0, n)
+        for operator in solver.OPERATORS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                out = _project_batch(lam, mu1, mu2, operator)
+            assert np.isfinite(out).all(), operator
+            assert self._inside(out, mu1, mu1 if operator != "strict-anisotropic" else mu2, operator), operator
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            whole = _project_batch(lam, mu1, None, "strict")
+        parts = np.concatenate([
+            _project_batch(lam[k:k + SCALAR_BATCH_MAX], mu1[k:k + SCALAR_BATCH_MAX], None, "strict")
+            for k in range(0, n, SCALAR_BATCH_MAX)
+        ])
+        assert np.array_equal(whole.view(np.int64), parts.view(np.int64))
+
+    def test_homogeneous_on_normal_rows(self, rng):
+        # scaling a normal-range row by 2^k scales its projection by 2^k
+        lam = rng.standard_normal((500, 3))
+        mu1, mu2 = rng.uniform(0.05, 1.0, 500), rng.uniform(0.05, 1.0, 500)
+        for operator in solver.OPERATORS:
+            ref = _project_batch(lam, mu1, mu2, operator)
+            for k in (-900, 900):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    out = _project_batch(np.ldexp(lam, k), mu1, mu2, operator)
+                assert np.allclose(np.ldexp(out, -k), ref, rtol=1e-12, atol=1e-12), (operator, k)
+
+
 class TestStepMatrixFrobenius:
     def test_identity_no_contacts(self):
         w = step_matrix_frobenius(build_augmented(sp.identity(4, format="csc"), np.zeros(4), contact_set(4)))
@@ -368,6 +445,52 @@ class TestOneShot:
                 radius = min(tn / g, mu * ln_ref)
                 lt_ref = -radius * eta[1:] / tn
             assert np.linalg.norm(lam[1:] - lt_ref) <= 1e-8
+
+
+    @staticmethod
+    def _special_batch(g, n_c):
+        """(gamma, eta, phi, mu, mu2) with NaN, signed zeros, infinities and
+        magnitudes near 1e+-300 among normal entries."""
+        special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300])
+        eta = g.standard_normal((n_c, 3))
+        phi = -0.1 * np.abs(g.standard_normal(n_c))
+        hit = g.random((n_c, 3)) < 0.3
+        eta[hit] = g.choice(special, hit.sum())
+        hit = g.random(n_c) < 0.3
+        phi[hit] = g.choice(special, hit.sum())
+        gamma = g.uniform(0.1, 2.0, n_c)
+        hit = g.random(n_c) < 0.2
+        gamma[hit] = g.choice(np.array([1e-300, 1e300, np.inf, np.nan]), hit.sum())
+        return gamma, eta, phi, g.uniform(0.05, 1.0, n_c), g.uniform(0.05, 1.0, n_c)
+
+    @pytest.mark.parametrize("operator, sizes", [
+        ("strict", range(1, SCALAR_BATCH_MAX + 1)), ("strict-anisotropic", (1, 4, 16, 17, 40)),
+    ])
+    def test_one_pass_matches_array_scaling(self, rng, operator, sizes):
+        # the Python-float batches scale and project in one pass; the bits
+        # are those of the array scaling followed by _project_batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for n_c in sizes:
+                for _ in range(40):
+                    gamma, eta, phi, mu, mu2 = self._special_batch(rng, n_c)
+                    lam_star = -eta
+                    lam_star[:, 0] -= phi
+                    lam_star /= gamma[:, None]
+                    ref = _project_batch(lam_star, mu, mu2, operator)
+                    got = contact_solve_oneshot(gamma, eta, phi, mu, operator, mu2)
+                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_zero_gamma_takes_the_array_scaling(self):
+        # floats raise on a division by zero; numpy's IEEE division does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for operator in ("strict", "strict-anisotropic"):
+                lam = contact_solve_oneshot(
+                    np.array([0.0, 1.0]), np.array([[-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.zeros(2),
+                    np.full(2, 0.5), operator,
+                )
+                assert lam[0, 0] == np.inf and np.array_equal(lam[1], [1.0, 0.0, 0.0])
 
 
 class TestChebyshev:

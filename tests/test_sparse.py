@@ -1,5 +1,9 @@
 """Sparse/dense kernel tests against dense numpy oracles."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,12 +12,12 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from condsim.baselines import factor_spd
-from condsim.contacts import augment_dynamics, detect_contacts, nodalize
+from condsim.contacts import DetectedContacts, augment_dynamics, detect_contacts, nodalize
 from condsim.dynamics import assemble_step
-from condsim.errors import DimensionMismatchError, NotPositiveDefiniteError
+from condsim.errors import DimensionMismatchError, InvalidMatrixError, NotPositiveDefiniteError
 from condsim.harness import RunConfig, build_scene, external_force, load_scenario
-from condsim.sparse import row_norms_sq, spmv
-from condsim.testing import random_spd
+from condsim.sparse import column_norms_sq, csc_template, diagonal_positions, row_norms_sq, spmv, with_data
+from condsim.testing import build_augmented, contact_set, random_spd
 
 from conftest import scenario_path
 
@@ -148,3 +152,176 @@ class TestRowNorms:
         b = sp.random(30, 30, density=0.2, format="csc", random_state=np.random.RandomState(7))
         ref = (b.toarray() ** 2).sum(axis=1)
         assert np.allclose(row_norms_sq(b), ref, rtol=1e-14, atol=0.0)
+
+
+def solved_systems(monkeypatch, name: str, steps: int) -> list:
+    """The augmented system of every solve in the first ``steps`` steps of
+    the bundled scenario ``name`` under ``RunConfig()``."""
+    from condsim import harness
+
+    solve, seen = harness.solve_vfpi, []
+
+    def keeping(aug, *args, **kwargs):
+        seen.append(aug)
+        return solve(aug, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_vfpi", keeping)
+    s = load_scenario(scenario_path(name))
+    harness.run(harness.Scenario({**s.raw, "duration": steps * s.step_size}), RunConfig())
+    assert len(seen) == steps
+    return seen
+
+
+def rebuilt_layout_systems() -> list:
+    """box_slide's turned cube augmented on its 4 contacts, on 3 of them,
+    then on all 4 again: each change of sources rebuilds the tie layout."""
+    scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
+    state = scene.state
+    state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
+    raw = detect_contacts(state, scene.bodies, scene.geometry)
+    fewer = DetectedContacts(**{f.name: getattr(raw, f.name)[1:] for f in dataclasses.fields(raw)})
+    out, layouts = [], []
+    for detected in (raw, fewer, raw):
+        asm = assemble_step(state, scene.bodies, scene.constraints)
+        out.append(augment_dynamics(asm, nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)))
+        layouts.append(asm.pattern.ties)
+    assert len({id(x) for x in layouts}) == 3
+    return out
+
+
+STEPPED = [("lattice_drag", 5), ("box_slide", 20), ("particle_stack", 20)]
+
+
+class TestDiagonalPositions:
+    """``step_matrix_frobenius`` gathers A's diagonal at the positions that
+    the block pattern and the tie layout cache."""
+
+    @pytest.mark.parametrize("name, steps", STEPPED)
+    def test_gather_is_the_diagonal(self, monkeypatch, name, steps):
+        for aug in solved_systems(monkeypatch, name, steps):
+            assert np.array_equal(aug.a.data[aug.diag_pos], aug.a.diagonal())
+
+    def test_after_layout_rebuilds(self):
+        for aug in rebuilt_layout_systems():
+            assert aug.n > aug.n_orig
+            assert np.array_equal(aug.a.data[aug.diag_pos], aug.a.diagonal())
+
+    def test_found_from_any_pattern(self):
+        # systems built outside augment_dynamics find them in their own A
+        a = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 4.0]]))
+        assert np.array_equal(diagonal_positions(a.indices, a.indptr), [0, 3, 6])
+        aug = build_augmented(a, np.zeros(3), contact_set(3))
+        assert np.array_equal(aug.a.data[aug.diag_pos], [2.0, 3.0, 4.0])
+
+    def test_missing_diagonal_entry_rejected(self):
+        a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(InvalidMatrixError, match="column 1 stores no diagonal entry"):
+            diagonal_positions(a.indices, a.indptr)
+
+
+class TestColumnNorms:
+    """Tie-free systems take their row norms through the CSR view of A^T,
+    bit for bit the bincount wherever A is bitwise symmetric."""
+
+    @pytest.mark.parametrize("name, steps", STEPPED)
+    def test_bitwise_equal_to_bincount(self, monkeypatch, name, steps):
+        for aug in solved_systems(monkeypatch, name, steps):
+            assert np.array_equal(column_norms_sq(aug.a), row_norms_sq(aug.a))
+
+    def test_after_layout_rebuilds(self):
+        for aug in rebuilt_layout_systems():
+            assert np.array_equal(column_norms_sq(aug.a), row_norms_sq(aug.a))
+
+    def test_last_bit_asymmetry_shows(self):
+        # the symmetry precondition: one ulp more on every strictly upper
+        # entry makes row and column sums differ
+        scene = build_scene(load_scenario(scenario_path("lattice_drag")), RunConfig())
+        a = assemble_step(scene.state, scene.bodies, scene.constraints).a
+        rows = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))  # the column of each entry
+        upper = a.indices < rows
+        skewed = a.copy()
+        skewed.data[upper] = np.nextafter(skewed.data[upper], np.inf)
+        assert (skewed != skewed.T).nnz > 0
+        assert not np.array_equal(column_norms_sq(skewed), row_norms_sq(skewed))
+        assert np.allclose(column_norms_sq(skewed), row_norms_sq(skewed), rtol=1e-14, atol=0.0)
+
+
+class TestTemplate:
+    """Each step's matrix is made from its layout's template: it shares the
+    read-only index arrays and owns its values."""
+
+    def test_step_matrices_do_not_share_values(self):
+        # two steps assembled on one block pattern
+        scene = build_scene(load_scenario(scenario_path("lattice_drag")), RunConfig())
+        one, two = (assemble_step(scene.state, scene.bodies, scene.constraints) for _ in range(2))
+        assert one.pattern is two.pattern
+        first, second = one.a, two.a
+        assert first.data is not second.data
+        before = second.data.copy()
+        first.data[:] = -1.0
+        assert np.array_equal(second.data, before)
+        template = one.pattern.template
+        assert not np.any(template.data) and not template.data.flags.writeable
+        for a in (first, second, template):
+            assert np.shares_memory(a.indices, one.pattern.indices)
+            assert np.shares_memory(a.indptr, one.pattern.indptr)
+            assert not a.indices.flags.writeable and not a.indptr.flags.writeable
+            with pytest.raises(ValueError):
+                a.indices[0] = 0
+
+    def test_augmented_matrices_do_not_share_values(self):
+        # two steps augmented on one cached tie layout
+        scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
+        state = scene.state
+        nodal = nodalize(detect_contacts(state, scene.bodies, scene.geometry), state, scene.k_v, scene.mu)
+        one, two = (augment_dynamics(assemble_step(state, scene.bodies, scene.constraints), nodal) for _ in range(2))
+        layout = scene.constraints.pattern.ties
+        assert np.shares_memory(one.a.indices, layout.indices) and np.shares_memory(two.a.indices, layout.indices)
+        assert one.a.data is not two.a.data
+        before = two.a.data.copy()
+        one.a.data[:] = 0.0
+        assert np.array_equal(two.a.data, before)
+        assert not np.any(layout.template.data)
+        assert not one.a.indices.flags.writeable and not one.a.indptr.flags.writeable
+
+    def test_with_data_keeps_the_template(self):
+        template = csc_template(*_frozen(np.array([0, 1, 0, 1], dtype=np.int32), np.array([0, 2, 4], dtype=np.int32)), 2)
+        a = with_data(template, np.array([2.0, 1.0, 1.0, 2.0]))
+        b = with_data(template, np.array([4.0, 0.0, 0.0, 4.0]))
+        assert np.array_equal(a.toarray(), [[2.0, 1.0], [1.0, 2.0]])
+        assert np.array_equal(b.toarray(), [[4.0, 0.0], [0.0, 4.0]])
+        assert np.array_equal(template.toarray(), np.zeros((2, 2)))
+
+
+def _frozen(*arrays):
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+class TestPublicScipy:
+    """The library keeps to scipy's public API: a private module, kernel or
+    method may change or vanish in any scipy release."""
+
+    PRIVATE = re.compile(r"scipy\.sparse\._|_sparsetools|_matmul_vector|_with_data")
+
+    def test_no_private_scipy_in_the_package(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "condsim"
+        files = sorted(src.glob("*.py"))
+        assert files
+        hits = [
+            f"{path.name}:{k}: {line.strip()}"
+            for path in files
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if self.PRIVATE.search(line)
+        ]
+        assert hits == []
+
+    @pytest.mark.parametrize("line", [
+        "from scipy.sparse._sputils import get_index_dtype",
+        "import scipy.sparse._sparsetools as st",
+        "y = a._matmul_vector(x)",
+        "b = a._with_data(values)",
+    ])
+    def test_pattern_catches(self, line):
+        assert self.PRIVATE.search(line)
