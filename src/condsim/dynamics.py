@@ -30,6 +30,10 @@ unordered node pairs, and fills the CSC data with one gather. Mirrored
 entries read the same sum, and a rigid body's world inertia R I R^T is
 symmetrized once, so A is bitwise symmetric. ``BlockPattern.fits`` checks the
 layout in O(1): the pattern keeps the offset arrays themselves, read-only.
+The pattern also keeps one ``csc_matrix`` template over its index arrays,
+from which each read of ``AssembledDynamics.a`` makes the step's matrix, and
+the positions of A's diagonal entries in ``data``, from which the solver's
+step matrix gathers the diagonal (``sparse``).
 
 The few rigid bodies are walked one by one, on Python floats where numpy's
 fixed cost per call on 3- and 4-vectors would dominate: the gyroscopic term

@@ -33,7 +33,14 @@ clamp, exact complementarity), "proximal" (Euclidean cone projection, convex
 relaxation), "strict-anisotropic" (normal clamp, then minimum-distance
 projection onto the friction ellipse by monotone Newton on its secular
 equation). The operator picks the projection and nothing else; ``project``
-applies it to one contact's impulse.
+applies it to one contact's impulse. Each projection is positively
+homogeneous, so rows whose squares would overflow or underflow are projected
+scaled by a power of two; rows in the normal range keep their bits.
+
+Per solve, W's set-up gathers A's diagonal at the positions its pattern
+caches, and takes tie-free systems' row norms through the CSR view of A^T
+(``step_matrix_frobenius``). Per iteration, batches that project on Python
+floats scale by gamma and project in one pass (``contact_solve_oneshot``).
 """
 
 from __future__ import annotations
@@ -211,6 +218,15 @@ def _aniso_far(ln: float, t1: float, t2: float, a: float, b: float) -> tuple:
     return ln, math.copysign(a * (u / h), t1), math.copysign(b * (v / h), t2)
 
 
+def _outside(x: np.ndarray, low: float) -> np.ndarray | None:
+    """The indices of the entries of ``x`` below ``low`` or infinite, or
+    None when there are none; two reductions settle the common case."""
+    if not x.size or low <= np.minimum.reduce(x) and np.maximum.reduce(x) < math.inf:
+        return None
+    odd = np.flatnonzero((x < low) | (x == math.inf))
+    return odd if odd.size else None
+
+
 def _rescale_rows(out: np.ndarray, rows: np.ndarray, x: np.ndarray, mu: np.ndarray, mu2, operator: str) -> None:
     """Project again the rows ``rows`` (trial impulses ``x``) whose
     tangential squares left the float range, scaled by a power of two near
@@ -227,9 +243,9 @@ def _rescale_rows(out: np.ndarray, rows: np.ndarray, x: np.ndarray, mu: np.ndarr
 
 def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> np.ndarray:
     """Vectorized projection of (n_c, 3) trial impulses. On arrays, rows
-    whose tangential squares leave the float range are flagged in one pass
-    and projected again by ``_rescale_rows``; on floats, the row functions
-    rescale themselves."""
+    whose tangential squares leave the float range are found by
+    ``_outside`` and projected again by ``_rescale_rows``; on floats, the
+    row functions rescale themselves."""
     if operator == "strict":
         if lam_star.shape[0] <= SCALAR_BATCH_MAX:
             rows = zip(lam_star.tolist(), mu.tolist())
@@ -241,10 +257,9 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         ln += 0.0
         limit = mu * ln
         sq = t1 * t1 + t2 * t2
-        odd = (sq < _TINY) | (sq == math.inf)
+        odd = _outside(sq, _TINY)
         # flagged rows with their normal clamped, which strict projects as
         # it projects the raw rows; the clamp sets their scale
-        odd = np.flatnonzero(odd) if odd.any() else None
         x = None if odd is None else out[odd]
         tn = np.sqrt(sq)  # the bits of np.linalg.norm over 2 entries
         over = np.flatnonzero(tn > limit)
@@ -268,9 +283,8 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         out[boundary, 0] = ln[boundary]
         out[boundary, 1:] = tang[boundary]
         out[polar] = 0.0
-        odd = (tn < _SQRT_TINY) | (tn == math.inf)
-        if odd.any():
-            odd = np.flatnonzero(odd)
+        odd = _outside(tn, _SQRT_TINY)
+        if odd is not None:
             _rescale_rows(out, odd, lam_star[odd], mu, None, operator)
         return out
     if operator == "strict-anisotropic":
