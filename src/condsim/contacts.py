@@ -48,9 +48,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .dynamics import AssembledDynamics, Bodies, RigidBody, SystemState, _quat_to_rot, triples
+from .dynamics import AssembledDynamics, BlockPattern, Bodies, RigidBody, SystemState, _quat_to_rot, triples
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
-from .sparse import csc_template, diagonal_positions, with_data
+from .sparse import csc_template, with_data
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
 _UNSET = np.zeros((3, 3))  # stands in for a static sphere's frame until its contacts get theirs
@@ -185,20 +185,15 @@ class StabilizationParams:
 @dataclass(eq=False)
 class AugmentedDynamics:
     """One step's contact-augmented system. ``diag_pos`` holds the
-    positions of A's diagonal entries in ``a.data``: ``augment_dynamics``
-    passes those of the pattern or the tie layout, and any other caller gets
-    them found in A's own pattern."""
+    positions of A's diagonal entries in ``a.data``, as the block pattern or
+    the tie layout caches them (``sparse.diagonal_positions``)."""
 
     a: sp.csc_matrix
     b: np.ndarray
     n: int  # total (original + virtual) velocity dimension
     n_orig: int
     contacts: NodalContactSet
-    diag_pos: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.diag_pos is None:
-            self.diag_pos = diagonal_positions(self.a.indices, self.a.indptr)
+    diag_pos: np.ndarray
 
     # per contact: column offsets i and j (-1 for none) and (n_c, 3, 3) frames
     @property
@@ -453,7 +448,7 @@ class TieLayout:
     diag_pos: np.ndarray
 
     @classmethod
-    def build(cls, pattern, src: np.ndarray, rigid: np.ndarray) -> TieLayout:
+    def build(cls, pattern: BlockPattern, src: np.ndarray, rigid: np.ndarray) -> TieLayout:
         """Merge the tie entries into the CSC ``indices``/``indptr`` of A_o's
         ``BlockPattern``, whose (column, row) keys are sorted: only the tie
         keys are sorted, and those that A_o lacks are inserted. Virtual rows

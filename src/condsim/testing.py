@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from .contacts import AugmentedDynamics, NodalContactSet, contact_frames
 from .solver import step_matrix_frobenius
+from .sparse import diagonal_positions
 
 
 def random_spd(rng: np.random.Generator, n: int, density: float = 0.3) -> sp.csc_matrix:
@@ -62,7 +63,7 @@ def random_contact_set(
 def build_augmented(a: sp.csc_matrix, b: np.ndarray, nodal: NodalContactSet) -> AugmentedDynamics:
     """Wrap an already-assembled system and particle-node contacts."""
     n = a.shape[0]
-    return AugmentedDynamics(a, b.copy(), n, n, nodal)
+    return AugmentedDynamics(a, b.copy(), n, n, nodal, diagonal_positions(a.indices, a.indptr))
 
 
 def random_contact_augmentation(rng: np.random.Generator):

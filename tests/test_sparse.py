@@ -206,8 +206,7 @@ class TestDiagonalPositions:
             assert aug.n > aug.n_orig
             assert np.array_equal(aug.a.data[aug.diag_pos], aug.a.diagonal())
 
-    def test_found_from_any_pattern(self):
-        # systems built outside augment_dynamics find them in their own A
+    def test_found_in_any_pattern(self):
         a = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 4.0]]))
         assert np.array_equal(diagonal_positions(a.indices, a.indptr), [0, 3, 6])
         aug = build_augmented(a, np.zeros(3), contact_set(3))
