@@ -262,12 +262,12 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         # it projects the raw rows; the clamp sets their scale
         x = None if odd is None else out[odd]
         tn = np.sqrt(sq)  # the bits of np.linalg.norm over 2 entries
-        over = np.flatnonzero(tn > limit)
-        # rows over the limit scale down to it; a zero tangent over a negative
-        # limit goes to 0
-        tn = tn[over]
-        scale = np.divide(limit[over], tn, out=np.zeros_like(tn), where=tn > 0)
-        out[over, 1:] *= scale[:, None]
+        # rows over the limit scale down to it; the others, and a zero
+        # tangent over a negative limit, scale by 1.0, which keeps their bits
+        over = tn > limit
+        over &= tn > 0.0
+        scale = np.divide(limit, tn, out=np.ones_like(tn), where=over)
+        out[:, 1:] *= scale[:, None]
         if odd is not None:
             _rescale_rows(out, odd, x, mu, None, operator)
         return out
