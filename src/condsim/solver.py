@@ -218,34 +218,33 @@ def _aniso_far(ln: float, t1: float, t2: float, a: float, b: float) -> tuple:
     return ln, math.copysign(a * (u / h), t1), math.copysign(b * (v / h), t2)
 
 
-def _outside(x: np.ndarray, low: float) -> np.ndarray | None:
-    """The indices of the entries of ``x`` below ``low`` or infinite, or
-    None when there are none; two reductions settle the common case."""
-    if not x.size or low <= np.minimum.reduce(x) and np.maximum.reduce(x) < math.inf:
-        return None
-    odd = np.flatnonzero((x < low) | (x == math.inf))
-    return odd if odd.size else None
-
-
-def _rescale_rows(out: np.ndarray, rows: np.ndarray, x: np.ndarray, mu: np.ndarray, mu2, operator: str) -> None:
-    """Project again the rows ``rows`` (trial impulses ``x``) whose
-    tangential squares left the float range, scaled by a power of two near
-    their largest magnitude: every projection is positively homogeneous, so
-    P(x) = 2^e P(2^-e x). Rows with a non-finite entry, a zero tangent or a
-    largest magnitude already in [0.5, 1) keep the values in ``out``."""
+def _rescale_proximal(out: np.ndarray, lam_star: np.ndarray, mu: np.ndarray, tn: np.ndarray) -> None:
+    """Project again the proximal rows whose tangent norm ``tn`` squared
+    left the float range, scaled by a power of two near their largest
+    magnitude: the projection is positively homogeneous, so
+    P(x) = 2^e P(2^-e x). Two reductions settle the common case. Rows with a
+    non-finite entry, a zero tangent or a largest magnitude already in
+    [0.5, 1) keep the values in ``out``."""
+    if not tn.size or _SQRT_TINY <= np.minimum.reduce(tn) and np.maximum.reduce(tn) < math.inf:
+        return
+    rows = np.flatnonzero((tn < _SQRT_TINY) | (tn == math.inf))
+    x = lam_star[rows]
     e = np.frexp(np.abs(x).max(axis=1))[1]  # 0 for a non-finite or zero row
     keep = (e != 0) & x[:, 1:].any(axis=1)
     if keep.any():
         rows, e = rows[keep], e[keep, None]
-        mu2 = None if mu2 is None else mu2[rows]
-        out[rows] = np.ldexp(_project_batch(np.ldexp(x[keep], -e), mu[rows], mu2, operator), e)
+        out[rows] = np.ldexp(_project_batch(np.ldexp(x[keep], -e), mu[rows], None, "proximal"), e)
 
 
 def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> np.ndarray:
-    """Vectorized projection of (n_c, 3) trial impulses. On arrays, rows
-    whose tangential squares leave the float range are found by
-    ``_outside`` and projected again by ``_rescale_rows``; on floats, the
-    row functions rescale themselves."""
+    """Vectorized projection of (n_c, 3) trial impulses. The float rows
+    rescale themselves where their squares leave the float range, and so do
+    the rows of a proximal array (``_rescale_proximal``). The strict array
+    path, which the solver runs every iteration on more than
+    SCALAR_BATCH_MAX contacts, makes no such check: its two reductions cost
+    2.4 of 11 us per call at 36 contacts, a fixed cost that bent test_09's
+    log-log curve. A row there whose tangential squares overflow loses its
+    tangent, and a tangent below 1e-154 may stay outside the cone."""
     if operator == "strict":
         if lam_star.shape[0] <= SCALAR_BATCH_MAX:
             rows = zip(lam_star.tolist(), mu.tolist())
@@ -256,20 +255,15 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         np.maximum(ln, 0.0, out=ln)
         ln += 0.0
         limit = mu * ln
-        sq = t1 * t1 + t2 * t2
-        odd = _outside(sq, _TINY)
-        # flagged rows with their normal clamped, which strict projects as
-        # it projects the raw rows; the clamp sets their scale
-        x = None if odd is None else out[odd]
-        tn = np.sqrt(sq)  # the bits of np.linalg.norm over 2 entries
-        # rows over the limit scale down to it; the others, and a zero
-        # tangent over a negative limit, scale by 1.0, which keeps their bits
-        over = tn > limit
-        over &= tn > 0.0
-        scale = np.divide(limit, tn, out=np.ones_like(tn), where=over)
-        out[:, 1:] *= scale[:, None]
-        if odd is not None:
-            _rescale_rows(out, odd, x, mu, None, operator)
+        tn = np.sqrt(t1 * t1 + t2 * t2)  # the bits of np.linalg.norm over 2 entries
+        over = np.flatnonzero(tn > limit)
+        if over.size:  # often none: every contact sticks
+            # rows over the limit scale down to it; a zero tangent over a
+            # negative limit goes to 0
+            tn = tn[over]
+            scale = np.divide(limit[over], tn, out=np.zeros_like(tn), where=tn > 0)
+            t1[over] *= scale
+            t2[over] *= scale
         return out
     if operator == "proximal":
         out = lam_star.copy()
@@ -283,9 +277,7 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         out[boundary, 0] = ln[boundary]
         out[boundary, 1:] = tang[boundary]
         out[polar] = 0.0
-        odd = _outside(tn, _SQRT_TINY)
-        if odd is not None:
-            _rescale_rows(out, odd, lam_star[odd], mu, None, operator)
+        _rescale_proximal(out, lam_star, mu, tn)
         return out
     if operator == "strict-anisotropic":
         mu2 = mu if mu2 is None else np.asarray(mu2, dtype=float)

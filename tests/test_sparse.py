@@ -284,18 +284,12 @@ class TestTemplate:
         assert not one.a.indices.flags.writeable and not one.a.indptr.flags.writeable
 
     def test_with_data_keeps_the_template(self):
-        template = csc_template(*_frozen(np.array([0, 1, 0, 1], dtype=np.int32), np.array([0, 2, 4], dtype=np.int32)), 2)
+        template = csc_template(np.array([0, 1, 0, 1], dtype=np.int32), np.array([0, 2, 4], dtype=np.int32), 2)
         a = with_data(template, np.array([2.0, 1.0, 1.0, 2.0]))
         b = with_data(template, np.array([4.0, 0.0, 0.0, 4.0]))
         assert np.array_equal(a.toarray(), [[2.0, 1.0], [1.0, 2.0]])
         assert np.array_equal(b.toarray(), [[4.0, 0.0], [0.0, 4.0]])
         assert np.array_equal(template.toarray(), np.zeros((2, 2)))
-
-
-def _frozen(*arrays):
-    for x in arrays:
-        x.flags.writeable = False
-    return arrays
 
 
 class TestPublicScipy:
