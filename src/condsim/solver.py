@@ -35,7 +35,8 @@ projection onto the friction ellipse by monotone Newton on its secular
 equation). The operator picks the projection and nothing else; ``project``
 applies it to one contact's impulse. Each projection is positively
 homogeneous, so rows whose squares would overflow or underflow are projected
-scaled by a power of two; rows in the normal range keep their bits.
+scaled by a power of two, except on the strict array path
+(``_project_batch``); rows in the normal range keep their bits.
 
 Per solve, W's set-up gathers A's diagonal at the positions its pattern
 caches, and takes tie-free systems' row norms through the CSR view of A^T
@@ -55,13 +56,17 @@ from scipy.linalg import lapack
 from .contacts import AugmentedDynamics, ContactMap
 from .dynamics import triples
 from .errors import DivergenceError, InvalidMatrixError
-from .sparse import column_norms_sq, row_norms_sq, spmv
+from .sparse import BincountMatvec, column_norms_sq, row_norms_sq, spmv
 
 # up to this many contacts a loop over Python floats projects faster than
 # numpy, whose fixed cost per call dominates on short arrays; the crossover
 # lies between 16 and 24 contacts (timings in CHANGES.md)
 SCALAR_BATCH_MAX = 16
 CONSISTENCY_FACTOR = 10.0  # of the force check in the module docstring
+# up to this many entries, a system with virtual nodes multiplies through
+# sparse.BincountMatvec, faster than scipy's dispatch below about 1k entries
+# (timings in CHANGES.md)
+BINCOUNT_NNZ_MAX = 1024
 # Anderson acceleration on systems with virtual nodes: differences kept before
 # a restart, and the safeguard's scale D and decay exponent epsilon (see
 # ``_anderson``). A window of 5 that slides instead of restarting stalls on the
@@ -513,7 +518,8 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     columns. That is A^T x, which equals A x bit for bit on these bitwise
     symmetric systems (``sparse`` module docstring). Systems with virtual
     nodes multiply by A: on their small rigid-body ties, building the view
-    each solve cost more than it saved.
+    each solve cost more than it saved. Up to BINCOUNT_NNZ_MAX entries they
+    multiply through ``sparse.BincountMatvec``, A x in the same bits.
     """
     a, b = aug.a, aug.b
     nodal = aug.contacts
@@ -550,7 +556,8 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
 
     v = warm.astype(float)
     if aug.n > aug.n_orig:
-        v, lam = _anderson(plain_map, a, b, v, AA_WINDOW, cfg, report)
+        op = BincountMatvec(a) if a.nnz <= BINCOUNT_NNZ_MAX else a
+        v, lam = _anderson(plain_map, op, b, v, AA_WINDOW, cfg, report)
     else:
         v, lam = _anderson(chebyshev_map if cfg.chebyshev else plain_map, a.T, b, v, 0, cfg, report)
     return v, lam, report

@@ -16,7 +16,15 @@ from condsim.contacts import DetectedContacts, augment_dynamics, detect_contacts
 from condsim.dynamics import assemble_step
 from condsim.errors import DimensionMismatchError, InvalidMatrixError, NotPositiveDefiniteError
 from condsim.harness import RunConfig, build_scene, external_force, load_scenario
-from condsim.sparse import column_norms_sq, csc_template, diagonal_positions, row_norms_sq, spmv, with_data
+from condsim.sparse import (
+    BincountMatvec,
+    column_norms_sq,
+    csc_template,
+    diagonal_positions,
+    row_norms_sq,
+    spmv,
+    with_data,
+)
 from condsim.testing import build_augmented, contact_set, random_spd
 
 from conftest import scenario_path
@@ -243,6 +251,28 @@ class TestColumnNorms:
         assert (skewed != skewed.T).nnz > 0
         assert not np.array_equal(column_norms_sq(skewed), row_norms_sq(skewed))
         assert np.allclose(column_norms_sq(skewed), row_norms_sq(skewed), rtol=1e-14, atol=0.0)
+
+
+class TestBincountMatvec:
+    """Small systems with virtual nodes multiply through one bincount over
+    A's entries, bit for bit scipy's CSC product."""
+
+    @pytest.mark.parametrize("name", ["box_slide", "anisotropic_slide", "particle_stack"])
+    def test_bitwise_equal_to_scipy(self, monkeypatch, rng, name):
+        for aug in solved_systems(monkeypatch, name, 10):
+            assert aug.n > aug.n_orig
+            op = BincountMatvec(aug.a)
+            for _ in range(50):
+                x = rng.standard_normal(aug.n) * 10.0 ** rng.uniform(-3.0, 3.0, aug.n)
+                assert np.array_equal(spmv(op, x).view(np.int64), spmv(aug.a, x).view(np.int64))
+
+    def test_the_solver_takes_it_on_small_ties(self, monkeypatch):
+        from condsim import solver
+
+        seen = []
+        monkeypatch.setattr(solver, "spmv", lambda a, x: seen.append(type(a)) or spmv(a, x))
+        solved_systems(monkeypatch, "box_slide", 2)
+        assert seen and set(seen) == {BincountMatvec}
 
 
 class TestTemplate:
