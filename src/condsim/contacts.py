@@ -50,7 +50,7 @@ from scipy.spatial import cKDTree
 
 from .dynamics import AssembledDynamics, BlockPattern, Bodies, RigidBody, SystemState, _quat_to_rot, triples
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
-from .sparse import csc_template, with_data
+from .sparse import BINCOUNT_NNZ_MAX, csc_template, entry_columns, with_data
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
 _UNSET = np.zeros((3, 3))  # stands in for a static sphere's frame until its contacts get theirs
@@ -186,7 +186,9 @@ class StabilizationParams:
 class AugmentedDynamics:
     """One step's contact-augmented system. ``diag_pos`` holds the
     positions of A's diagonal entries in ``a.data``, as the block pattern or
-    the tie layout caches them (``sparse.diagonal_positions``)."""
+    the tie layout caches them (``sparse.diagonal_positions``), and
+    ``entry_cols`` the column of every entry where the tie layout caches it
+    (``TieLayout``)."""
 
     a: sp.csc_matrix
     b: np.ndarray
@@ -194,6 +196,7 @@ class AugmentedDynamics:
     n_orig: int
     contacts: NodalContactSet
     diag_pos: np.ndarray
+    entry_cols: np.ndarray | None = None
 
     # per contact: column offsets i and j (-1 for none) and (n_c, 3, 3) frames
     @property
@@ -436,7 +439,10 @@ class TieLayout:
     a node source's two missing entries go to the extra entry nnz, which is
     cut off. ``src`` and ``rigid`` are the sources it was built for.
     ``template`` is the augmented pattern's ``sparse.csc_template``, and
-    ``diag_pos`` the positions of its diagonal entries.
+    ``diag_pos`` the positions of its diagonal entries. ``entry_cols`` is
+    the pattern's ``sparse.entry_columns`` where the solver multiplies
+    through ``sparse.BincountMatvec`` (at most ``BINCOUNT_NNZ_MAX``
+    entries), else None.
     """
 
     src: np.ndarray
@@ -446,6 +452,7 @@ class TieLayout:
     pos: np.ndarray
     template: sp.csc_matrix
     diag_pos: np.ndarray
+    entry_cols: np.ndarray | None
 
     @classmethod
     def build(cls, pattern: BlockPattern, src: np.ndarray, rigid: np.ndarray) -> TieLayout:
@@ -486,7 +493,7 @@ class TieLayout:
         diag_pos = np.concatenate([kept[pattern.diag_pos], tie_at[np.searchsorted(tie, virtual * n + virtual)]])
         return cls(
             src.copy(), rigid.copy(), indices, indptr, np.concatenate([kept, pos]),
-            csc_template(indices, indptr, n), diag_pos,
+            csc_template(indices, indptr, n), diag_pos, entry_columns(indptr) if nnz <= BINCOUNT_NNZ_MAX else None,
         )
 
     def fits(self, nodal: NodalContactSet) -> bool:
@@ -502,8 +509,9 @@ def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> Augmente
     k_v T^T T: each row of T adds the outer product of its entries. The
     ``TieLayout`` cached on A_o's ``BlockPattern`` places them, keyed on the
     virtual nodes' sources and rigid flags; the step's matrix is made from
-    the layout's template, and carries the layout's diagonal positions. A
-    step without virtual nodes returns A_o with the pattern's.
+    the layout's template, and carries the layout's diagonal positions and
+    entry columns. A step without virtual nodes returns A_o with the
+    pattern's diagonal positions.
     """
     n_o = asm.n
     if asm.b.shape[0] != n_o:
@@ -517,7 +525,9 @@ def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> Augmente
     vals = np.concatenate([asm.data, (nodal.k_v * (t[..., :, None] * t[..., None, :])).ravel()])
     n, nnz = layout.indptr.shape[0] - 1, layout.indices.shape[0]
     a = with_data(layout.template, np.bincount(layout.pos, vals, minlength=nnz + 1)[:nnz])
-    return AugmentedDynamics(a, np.concatenate([asm.b, np.zeros(n - n_o)]), n, n_o, nodal, layout.diag_pos)
+    return AugmentedDynamics(
+        a, np.concatenate([asm.b, np.zeros(n - n_o)]), n, n_o, nodal, layout.diag_pos, layout.entry_cols
+    )
 
 
 def contact_jacobian_matrix(aug: AugmentedDynamics) -> sp.csr_matrix:

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidStateError
-from .sparse import csc_template, diagonal_positions, with_data
+from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidMatrixError, InvalidStateError
+from .sparse import csc_template, with_data
 
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
 MIN_SPRING_LENGTH = 1e-12  # m, a shorter spring has no direction
@@ -341,13 +341,14 @@ class BlockPattern:
         # its transpose must give the mirror the transposed gather.
         expanded = sp.bsr_matrix((comp, blocks.indices, blocks.indptr), shape=(n, n)).tocsr()
         indices, indptr, gather = expanded.indices, expanded.indptr, expanded.data
+        diag_pos = _block_diagonal_positions(blocks, indptr)
         del blocks, comp, expanded
         # every step's matrix shares these two arrays
         indices.flags.writeable = indptr.flags.writeable = False
         return cls(
             n, bodies.node_v, tuple(offsets[1].tolist()), springs.vi, springs.vj, springs.qi, springs.qj,
             indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs, coords=_spring_coords(springs),
-            template=csc_template(indices, indptr, n), diag_pos=diagonal_positions(indices, indptr),
+            template=csc_template(indices, indptr, n), diag_pos=diag_pos,
         )
 
     def fits(self, n: int, bodies: Bodies, springs: Springs) -> bool:
@@ -362,6 +363,22 @@ class BlockPattern:
             and self.qj is springs.qj
             and self.rigid_v == tuple(body.v_offset for body in bodies.rigid)
         )
+
+
+def _block_diagonal_positions(blocks: sp.csr_matrix, indptr: np.ndarray) -> np.ndarray:
+    """``sparse.diagonal_positions`` of the expansion of the block CSR
+    ``blocks``, whose row pointers are ``indptr``, from the blocks alone:
+    if block row r's diagonal block is its p-th, entry (3r + c, 3r + c) is
+    the (3p + c)-th of row 3r + c. A block row without its diagonal block
+    raises ``InvalidMatrixError``, as there."""
+    nb = blocks.shape[0]
+    rank = np.flatnonzero(blocks.indices == np.repeat(np.arange(nb), np.diff(blocks.indptr)))
+    if rank.shape[0] != nb:
+        present = np.zeros(nb, dtype=bool)
+        present[blocks.indices[rank]] = True
+        raise InvalidMatrixError(f"column {3 * int(np.argmin(present))} stores no diagonal entry")
+    rank -= blocks.indptr[:-1]
+    return (indptr[:-1].reshape(nb, 3) + (3 * rank[:, None] + _XYZ)).ravel()
 
 
 def block_pattern(n: int, bodies: Bodies, springs: Springs) -> BlockPattern:

@@ -40,8 +40,11 @@ scaled by a power of two, except on the strict array path
 
 Per solve, W's set-up gathers A's diagonal at the positions its pattern
 caches, and takes tie-free systems' row norms through the CSR view of A^T
-(``step_matrix_frobenius``). Per iteration, batches that project on Python
-floats scale by gamma and project in one pass (``contact_solve_oneshot``).
+(``step_matrix_frobenius``). Per iteration, batches of at most
+SCALAR_BATCH_MAX contacts under "strict" or "strict-anisotropic" take eta,
+the one-shot solve and Jc^T lambda in one pass over Python floats per
+contact, with the bits of the numpy chain that other batches take
+(``contact_pass``).
 """
 
 from __future__ import annotations
@@ -56,17 +59,13 @@ from scipy.linalg import lapack
 from .contacts import AugmentedDynamics, ContactMap
 from .dynamics import triples
 from .errors import DivergenceError, InvalidMatrixError
-from .sparse import BincountMatvec, column_norms_sq, row_norms_sq, spmv
+from .sparse import BINCOUNT_NNZ_MAX, BincountMatvec, column_norms_sq, row_norms_sq, spmv
 
 # up to this many contacts a loop over Python floats projects faster than
 # numpy, whose fixed cost per call dominates on short arrays; the crossover
 # lies between 16 and 24 contacts (timings in CHANGES.md)
 SCALAR_BATCH_MAX = 16
 CONSISTENCY_FACTOR = 10.0  # of the force check in the module docstring
-# up to this many entries, a system with virtual nodes multiplies through
-# sparse.BincountMatvec, faster than scipy's dispatch below about 1k entries
-# (timings in CHANGES.md)
-BINCOUNT_NNZ_MAX = 1024
 # Anderson acceleration on systems with virtual nodes: differences kept before
 # a restart, and the safeguard's scale D and decay exponent epsilon (see
 # ``_anderson``). A window of 5 that slides instead of restarting stalls on the
@@ -198,18 +197,20 @@ def _aniso_row(ln: float, t1: float, t2: float, mu1: float, mu2: float) -> tuple
     a2, b2, ax, by = a * a, b * b, a * x0, b * y0
     t = max(ax - a2, by - b2)
     try:
-        while True:
-            ra, rb = ax / (a2 + t), by / (b2 + t)
-            f = ra * ra + rb * rb - 1.0
+        while True:  # a2 + t, b2 + t and the squared ratios serve F and F' alike
+            da, db = a2 + t, b2 + t
+            ra, rb = ax / da, by / db
+            ra, rb = ra * ra, rb * rb
+            f = ra + rb - 1.0
             if f <= 0.0:
                 break
-            t_next = t + f / (2.0 * (ra * ra / (a2 + t) + rb * rb / (b2 + t)))
+            t_next = t + f / (2.0 * (ra / da + rb / db))
             if not t_next > t:
                 break
             t = t_next
     except ZeroDivisionError:  # 0/0 where max() passed over a NaN tangent
         return ln, math.nan, math.nan
-    return ln, math.copysign(a2 * x0 / (a2 + t), t1), math.copysign(b2 * y0 / (b2 + t), t2)
+    return ln, math.copysign(a2 * x0 / da, t1), math.copysign(b2 * y0 / db, t2)
 
 
 def _aniso_far(ln: float, t1: float, t2: float, a: float, b: float) -> tuple:
@@ -346,31 +347,87 @@ def contact_solve_oneshot(
 
     ``phi`` holds the per-contact normal stabilization terms; it only touches
     the normal component.
-
-    Batches that project on Python floats (up to SCALAR_BATCH_MAX contacts
-    under "strict", every batch under "strict-anisotropic") scale and
-    project in one pass over the floats: (-e0 - phi) / gamma, -e1 / gamma
-    and -e2 / gamma are the bits of the array scaling below. A zero gamma,
-    where floats raise, takes the array scaling.
     """
-    if operator == "strict-anisotropic" or operator == "strict" and gamma.shape[0] <= SCALAR_BATCH_MAX:
-        rows = zip(eta.tolist(), phi.tolist(), gamma.tolist(), mu.tolist())
-        try:
-            if operator == "strict":
-                out = [_strict_row((-e0 - p) / g, -e1 / g, -e2 / g, m) for (e0, e1, e2), p, g, m in rows]
-            else:
-                mu2 = mu if mu2 is None else np.asarray(mu2, dtype=float)
-                out = [
-                    _aniso_row((-e0 - p) / g, -e1 / g, -e2 / g, m, m2)
-                    for ((e0, e1, e2), p, g, m), m2 in zip(rows, mu2.tolist())
-                ]
-            return np.array(out).reshape(-1, 3)
-        except ZeroDivisionError:
-            pass
     lam_star = -eta
     lam_star[:, 0] -= phi
     lam_star /= gamma[:, None]
     return _project_batch(lam_star, mu, mu2, operator)
+
+
+def contact_pass(aug: AugmentedDynamics, gamma: np.ndarray, operator: str):
+    """The contact half of one V-FPI map: a function of v* that returns lam
+    and J_c^T lam, as ``ContactMap.jc``, ``contact_solve_oneshot`` and
+    ``ContactMap.jc_t`` give them.
+
+    Batches that project on Python floats anyway, at most SCALAR_BATCH_MAX
+    contacts under "strict" or "strict-anisotropic", take one pass over
+    floats instead (``_float_pass``): each call of the chain costs
+    microseconds of numpy overhead on a few contacts, more than its
+    arithmetic. A zero gamma, where a float division raises, takes the
+    chain."""
+    if gamma.shape[0] <= SCALAR_BATCH_MAX and operator in ("strict", "strict-anisotropic"):
+        g = gamma.tolist()
+        if 0.0 not in g:
+            return _float_pass(aug, g, operator)
+    jmap = ContactMap(aug)
+    nodal = aug.contacts
+
+    def chain(v_star):
+        lam = contact_solve_oneshot(gamma, jmap.jc(v_star), nodal.phi, nodal.mu, operator, nodal.mu2)
+        return lam, jmap.jc_t(lam)
+
+    return chain
+
+
+def _float_pass(aug: AugmentedDynamics, gamma: list, operator: str):
+    """``contact_pass`` in one loop over the contacts on Python floats, bit
+    for bit the chain's arrays, NaN signs aside. Per contact it reads v* at
+    column i (minus column j's for a D-contact), rotates into the frame F,
+    scales by gamma, projects with ``_strict_row`` or ``_aniso_row`` and
+    rotates back. The sums repeat ``einsum``'s order and its +0.0 start,
+    which turns a -0.0 sum into +0.0: J_c v's entry a is
+    0 + ((F_a0 r0 + F_a2 r2) + F_a1 r1), and J_c^T lam's is
+    0 + ((F_0a l0 + F_1a l1) + F_2a l2). The columns, frames and parameters
+    become floats once, here."""
+    nodal = aug.contacts
+    has_j, idx = [], []  # each contact's columns i, then j for a D-contact
+    for i, j in zip(nodal.col_i.tolist(), nodal.col_j.tolist()):
+        has_j.append(j >= 0)
+        idx += (i, i + 1, i + 2, j, j + 1, j + 2) if j >= 0 else (i, i + 1, i + 2)
+    idx = np.array(idx)  # v* is gathered and J_c^T lam scattered in this order
+    rows = list(zip(
+        nodal.frames.reshape(-1, 9).tolist(), has_j, nodal.phi.tolist(), gamma, nodal.mu.tolist(),
+        nodal.mu2.tolist(),
+    ))
+    aniso = operator == "strict-anisotropic"
+    n = aug.n
+
+    def float_pass(v_star):
+        v = iter(v_star[idx].tolist())
+        lam, f_c = [], []
+        for (f00, f01, f02, f10, f11, f12, f20, f21, f22), d, p, g, m, m2 in rows:
+            r0, r1, r2 = next(v), next(v), next(v)
+            if d:
+                r0 -= next(v)
+                r1 -= next(v)
+                r2 -= next(v)
+            e0 = 0.0 + ((f00 * r0 + f02 * r2) + f01 * r1)
+            e1 = 0.0 + ((f10 * r0 + f12 * r2) + f11 * r1)
+            e2 = 0.0 + ((f20 * r0 + f22 * r2) + f21 * r1)
+            if aniso:
+                l0, l1, l2 = _aniso_row((-e0 - p) / g, -e1 / g, -e2 / g, m, m2)
+            else:
+                l0, l1, l2 = _strict_row((-e0 - p) / g, -e1 / g, -e2 / g, m)
+            lam += (l0, l1, l2)
+            w0 = 0.0 + ((f00 * l0 + f10 * l1) + f20 * l2)
+            w1 = 0.0 + ((f01 * l0 + f11 * l1) + f21 * l2)
+            w2 = 0.0 + ((f02 * l0 + f12 * l1) + f22 * l2)
+            f_c += (w0, w1, w2, 0.0 - w0, 0.0 - w1, 0.0 - w2) if d else (w0, w1, w2)
+        out = np.zeros(n)
+        out[idx] = f_c
+        return np.array(lam).reshape(-1, 3), out
+
+    return float_pass
 
 
 def chebyshev_nu(l: int, l_s: int, rho: float, nu_prev: float) -> float:
@@ -512,7 +569,8 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     Every system runs the one loop of ``_anderson``: with an AA_WINDOW
     history if it has virtual nodes, else with an empty window and, with
     ``cfg.chebyshev``, the Chebyshev weighting and under-relaxation on each
-    plain step. Returns (v_hat, lam, report).
+    plain step. Returns (v_hat, lam, report). Each map evaluation's
+    contact half is ``contact_pass``, built once per solve.
 
     Tie-free systems multiply by ``a.T``, A's CSC arrays read as CSR with no
     copy, which scipy multiplies by gathering rows instead of scattering
@@ -520,17 +578,14 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     symmetric systems (``sparse`` module docstring). Systems with virtual
     nodes multiply by A: on their small rigid-body ties, building the view
     each solve cost more than it saved. Up to BINCOUNT_NNZ_MAX entries they
-    multiply through ``sparse.BincountMatvec``, A x in the same bits.
+    multiply through ``sparse.BincountMatvec`` over the entry columns that
+    the tie layout caches, A x in the same bits.
     """
     a, b = aug.a, aug.b
-    nodal = aug.contacts
-    mu, mu2, phi = nodal.mu, nodal.mu2, nodal.phi
-    n_c = len(nodal)
-    if n_c:
-        jmap = ContactMap(aug)
-
+    n_c = len(aug.contacts)
     w = step_matrix_frobenius(aug)
-    gamma = surrogate_gamma(w, aug, cfg.omega) if n_c else None
+    if n_c:
+        contacts = contact_pass(aug, surrogate_gamma(w, aug, cfg.omega), cfg.operator)
     report = SolverReport()
     trace = report.residual_trace
 
@@ -538,8 +593,7 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
         v_star = x - w * r
         if not n_c:
             return v_star, np.zeros((0, 3)), 0.0
-        lam = contact_solve_oneshot(gamma, jmap.jc(v_star), phi, mu, cfg.operator, mu2)
-        f_c = jmap.jc_t(lam)
+        lam, f_c = contacts(v_star)
         return v_star + w * f_c, lam, f_c
 
     x_prev, rho, nu = None, 0.0, 1.0
@@ -557,7 +611,7 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
 
     v = warm.astype(float)
     if aug.n > aug.n_orig:
-        op = BincountMatvec(a) if a.nnz <= BINCOUNT_NNZ_MAX else a
+        op = BincountMatvec(a, aug.entry_cols) if a.nnz <= BINCOUNT_NNZ_MAX else a
         v, lam = _anderson(plain_map, op, b, v, AA_WINDOW, cfg, report)
     else:
         v, lam = _anderson(chebyshev_map if cfg.chebyshev else plain_map, a.T, b, v, 0, cfg, report)

@@ -17,9 +17,10 @@ same order, so the bits match. Systems with virtual nodes keep the bincount:
 on their small rigid-body ties, building the view each solve costs more than
 the bincount.
 
-Systems with virtual nodes of at most ``solver.BINCOUNT_NNZ_MAX`` entries,
-the rigid bodies' small ties, multiply through ``BincountMatvec``, the same
-bits as scipy's CSC kernel without its per-call dispatch.
+Systems with virtual nodes of at most ``BINCOUNT_NNZ_MAX`` entries, the
+rigid bodies' small ties, multiply through ``BincountMatvec``, the same bits
+as scipy's CSC kernel without its per-call dispatch; the tie layout keeps
+its ``entry_columns``.
 
 A layout of entries (``dynamics.BlockPattern``, ``contacts.TieLayout``) keeps
 one ``csc_template`` over its read-only ``indices`` and ``indptr``, and every
@@ -34,6 +35,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidMatrixError
+
+# up to this many entries, a system with virtual nodes multiplies through
+# BincountMatvec, faster than scipy's dispatch below about 1k entries
+# (timings in CHANGES.md)
+BINCOUNT_NNZ_MAX = 1024
 
 
 def spmv(a, x: np.ndarray) -> np.ndarray:
@@ -51,15 +57,20 @@ class BincountMatvec:
     entries in storage order: the bits are the same. It skips scipy's
     dispatch, most of a product's cost on a small matrix (1.6-2.9 against
     4.1-6.1 us on the 18-DOF box); above about 1k entries scipy's kernel is
-    faster."""
+    faster. ``cols`` is A's ``entry_columns``, found here when None."""
 
-    def __init__(self, a: sp.csc_matrix):
+    def __init__(self, a: sp.csc_matrix, cols: np.ndarray | None = None):
         self.shape = a.shape
         self.indices, self.data = a.indices, a.data
-        self.cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+        self.cols = entry_columns(a.indptr) if cols is None else cols
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.indices, self.data * x[self.cols], minlength=self.shape[0])
+
+
+def entry_columns(indptr: np.ndarray) -> np.ndarray:
+    """The column of every stored entry of a CSC pattern, in storage order."""
+    return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
 
 
 def row_norms_sq(a: sp.csc_matrix) -> np.ndarray:
@@ -82,7 +93,7 @@ def diagonal_positions(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     ``diagonal()`` bit for bit. A column that stores no diagonal entry
     raises ``InvalidMatrixError``: a system matrix is positive definite."""
     n = indptr.shape[0] - 1
-    cols = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    cols = entry_columns(indptr)
     pos = np.flatnonzero(indices == cols)
     if pos.shape[0] != n:
         missing = np.setdiff1d(np.arange(n), cols[pos])

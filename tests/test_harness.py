@@ -27,6 +27,7 @@ from condsim.harness import (
     scenario_with_size,
     validate_scenario,
 )
+from condsim.solver import SCALAR_BATCH_MAX
 
 from conftest import ALL_SCENARIOS, scenario_path
 
@@ -416,7 +417,11 @@ def load_bench_tracing():
 class TestBenchHooks:
     def test_tracer_sees_every_layer(self):
         """The benchmark's tracer replaces layers by name; a layer that moves
-        or is no longer looked up by that name must fail here."""
+        or is no longer looked up by that name must fail here. The contact
+        layers (``jc``, ``contact_solve_oneshot``, ``jc_t``) run on batches
+        of more than ``SCALAR_BATCH_MAX`` contacts, as on the 100 of
+        ``lattice_drag``; the few contacts of ``box_slide`` take the solver's
+        one pass over floats instead."""
         from condsim import harness, solver
         from condsim.contacts import ContactMap
 
@@ -427,23 +432,28 @@ class TestBenchHooks:
             for attr, _ in layers:
                 assert callable(getattr(owner, attr, None)), attr
         original = harness.solve_vfpi
-        s = load_scenario(scenario_path("box_slide"))
-        tracer = tracing.Tracer()
-        with tracer.attached(harness, solver, ContactMap):
-            res = run(Scenario({**s.raw, "duration": 2 * s.step_size}), RunConfig())
-        assert harness.solve_vfpi is original
-        assert len(res.rows) == 2
-        spanned = [span[0] for span in tracer.spans]
-        assert spanned.count("solver.solve_vfpi") == 2
-        for _, name in tracing.STEP_LAYERS + tracing.SOLVER_SETUP:
-            assert name in spanned, name
-        for step, row in enumerate(res.rows):
-            calls = tracer.calls[(0, step)]
+        tracer, rounds = tracing.Tracer(), {}
+        for scenario in ("box_slide", "lattice_drag"):
+            s = load_scenario(scenario_path(scenario))
+            with tracer.attached(harness, solver, ContactMap):
+                res = run(Scenario({**s.raw, "duration": 2 * s.step_size}), RunConfig())
+            assert harness.solve_vfpi is original
+            assert len(res.rows) == 2
+            rounds[scenario] = tracer.round, res.rows
+            spanned = [span[0] for span in tracer.spans if span[1] == tracer.round]
+            assert spanned.count("solver.solve_vfpi") == 2
+            for _, name in tracing.STEP_LAYERS + tracing.SOLVER_SETUP:
+                assert name in spanned, (scenario, name)
+        box, rows = rounds["box_slide"]
+        for step, row in enumerate(rows):
+            # one A v per map evaluation, and at least one more for the stop test
+            assert tracer.calls[(box, step)]["sparse.spmv"][0] > row.iters, step
+        lattice, rows = rounds["lattice_drag"]
+        for step, row in enumerate(rows):
+            assert row.contacts > SCALAR_BATCH_MAX
+            calls = tracer.calls[(lattice, step)]
             for _, name in tracing.SOLVER_PER_ITERATION + tracing.CONTACT_MAP_PER_ITERATION:
                 assert calls[name][0] >= row.iters, (step, name)
-            # one A v per map evaluation, and at least one more for the stop test
-            assert calls["sparse.spmv"][0] > row.iters, step
-
 
     @pytest.mark.parametrize("trace", [0, 1])
     @pytest.mark.parametrize("workload", ["lattice_19k", "box_slide", "anisotropic_slide"])
@@ -465,19 +475,49 @@ class TestBenchHooks:
             declared = json.load(f)["per_layer" if trace else "end_to_end"]
         assert set(last["metrics"]) == {m["name"] for m in declared}
 
-    def test_boundary_check_accepts_a_lattice_step(self, tmp_path, monkeypatch):
-        """The benchmark checks every lattice solve through
-        ``perfbench/run.py::boundary_arrays`` and ``oracles.check_contact_step``;
-        a change to the contact records they read must fail here."""
-        from condsim import harness
-
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        """perfbench/run.py, imported as a module."""
         bench_dir = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
         monkeypatch.syspath_prepend(bench_dir)  # run.py imports its siblings by name
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")  # run.py sets these on import; restored afterwards
         spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(bench_dir, "run.py"))
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    # perfbench's check_round digests (sha256 of every step's positions and
+    # iteration counts) of the rigid workloads; the same at 1 and 2 BLAS
+    # threads. lattice_19k's depends on the thread count, so it is left out.
+    RIGID_DIGESTS = {
+        ("box_slide", 3): "ea55e56a9070d9faff70eac44994d6a673d709af281dcd27a49b492b5d62d9e7",
+        ("box_slide", 7): "e73255d0bd9fbd0f67852d086f147d94b416c503e6b90010cd2da8d2a9968948",
+        ("box_slide", 53): "02ca648bec0d0934e0901e43a9c76b64dda656414eef5673123f871fc9f085a8",
+        ("anisotropic_slide", 3): "e4515d21c3f393bd77394a954d280d357a29b593adf935612d1080de16305575",
+        ("anisotropic_slide", 7): "d0878fcaf8737af7375eb224d5e42ca7c12148a5bf355889f3d2feb82e3f8667",
+        ("anisotropic_slide", 53): "8264a415694b2f111e7172f7b0e1fe0d0d668db05d927c15b88a531d552ac69f",
+    }
+
+    @pytest.mark.parametrize("workload, seed", sorted(RIGID_DIGESTS))
+    def test_rigid_workload_digest(self, bench, tmp_path, workload, seed):
+        """A round of a rigid benchmark workload keeps its trajectory and
+        iteration counts bit for bit: a change that moves either must
+        record the new digests."""
+        w = bench.W.WORKLOADS[workload]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(bench.W.scenario(w, seed)))
+        res = run(load_scenario(str(path)), RunConfig(**w.run_config))
+        out = bench.check_round(w, bench.oracle_params(w, seed), res, [])
+        assert out["failed"] == 0, out
+        assert out["digest"] == self.RIGID_DIGESTS[(workload, seed)]
+
+    def test_boundary_check_accepts_a_lattice_step(self, bench, tmp_path, monkeypatch):
+        """The benchmark checks every lattice solve through
+        ``perfbench/run.py::boundary_arrays`` and ``oracles.check_contact_step``;
+        a change to the contact records they read must fail here."""
+        from condsim import harness
+
         oracles, workloads = bench.oracles, bench.W
 
         w = workloads.WORKLOADS["lattice_19k"]

@@ -396,6 +396,13 @@ class TestSurrogateGamma:
                 surrogate_gamma(np.array(w), aug)
 
 
+def _bits(x: np.ndarray) -> np.ndarray:
+    """The bits of x with every NaN made the one quiet NaN: a sum of a NaN
+    and another NaN keeps whichever operand the compiled code reads first,
+    and C compilers may swap the operands of a commutative float sum."""
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
 class TestOneShot:
     def test_resting_normal(self):
         gamma = np.array([1.0])
@@ -446,49 +453,82 @@ class TestOneShot:
             assert np.linalg.norm(lam[1:] - lt_ref) <= 1e-8
 
 
-    @staticmethod
-    def _special_batch(g, n_c):
-        """(gamma, eta, phi, mu, mu2) with NaN, signed zeros, infinities and
-        magnitudes near 1e+-300 among normal entries."""
-        special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300])
-        eta = g.standard_normal((n_c, 3))
+    SPECIAL = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300])
+
+    @classmethod
+    def _special_system(cls, g, n_c):
+        """(aug, gamma, v*) over n_c contacts, about half of them D-contacts,
+        with NaN, signed zeros, infinities and magnitudes near 1e+-300 among
+        normal entries of v*, phi and gamma. Contact 0 has the +z frame,
+        whose entries are all >= 0, over a v* of -0.0: its products and
+        sums are all -0.0, where einsum's sums start from +0.0."""
+        col_j = np.where(g.random(n_c) < 0.5, 6 * np.arange(n_c) + 3, -1)
+        frames = contact_frames(g.standard_normal((n_c, 3)))
+        frames[0] = UP
         phi = -0.1 * np.abs(g.standard_normal(n_c))
-        hit = g.random((n_c, 3)) < 0.3
-        eta[hit] = g.choice(special, hit.sum())
         hit = g.random(n_c) < 0.3
-        phi[hit] = g.choice(special, hit.sum())
+        phi[hit] = g.choice(cls.SPECIAL, hit.sum())
+        nodal = contact_set(6 * n_c, 6 * np.arange(n_c), frames, 0.0, -1, 0.0)
+        nodal = dataclasses.replace(
+            nodal, col_j=col_j, mu=g.uniform(0.05, 1.0, n_c), mu2=g.uniform(0.05, 1.0, n_c), phi=phi
+        )
+        aug = build_augmented(sp.identity(6 * n_c, format="csc"), np.zeros(6 * n_c), nodal)
+        v = g.standard_normal(6 * n_c)
+        hit = g.random(6 * n_c) < 0.3
+        v[hit] = g.choice(cls.SPECIAL, hit.sum())
+        v[:6] = [-0.0, -0.0, -0.0, 0.0, 0.0, 0.0]
         gamma = g.uniform(0.1, 2.0, n_c)
         hit = g.random(n_c) < 0.2
         gamma[hit] = g.choice(np.array([1e-300, 1e300, np.inf, np.nan]), hit.sum())
-        return gamma, eta, phi, g.uniform(0.05, 1.0, n_c), g.uniform(0.05, 1.0, n_c)
+        return aug, gamma, v
+
+    @staticmethod
+    def _chain(aug, gamma, v, operator):
+        """ContactMap.jc, the array scaling, _project_batch, ContactMap.jc_t."""
+        nodal, jmap = aug.contacts, ContactMap(aug)
+        lam_star = -jmap.jc(v)
+        lam_star[:, 0] -= nodal.phi
+        lam_star /= gamma[:, None]
+        lam = _project_batch(lam_star, nodal.mu, nodal.mu2, operator)
+        return lam, jmap.jc_t(lam)
 
     @pytest.mark.parametrize("operator, sizes", [
-        ("strict", range(1, SCALAR_BATCH_MAX + 1)), ("strict-anisotropic", (1, 4, 16, 17, 40)),
+        ("strict", (1, 2, 4, 15, SCALAR_BATCH_MAX, SCALAR_BATCH_MAX + 1)),
+        ("strict-anisotropic", (1, 4, SCALAR_BATCH_MAX, SCALAR_BATCH_MAX + 1, 40)),
+        ("proximal", (1, SCALAR_BATCH_MAX, SCALAR_BATCH_MAX + 1)),
     ])
     def test_one_pass_matches_array_scaling(self, rng, operator, sizes):
-        # the Python-float batches scale and project in one pass; the bits
-        # are those of the array scaling followed by _project_batch
+        # the contact pass (one pass over floats on small strict batches,
+        # the array chain otherwise) gives the chain's bits: lam and J_c^T lam
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for n_c in sizes:
                 for _ in range(40):
-                    gamma, eta, phi, mu, mu2 = self._special_batch(rng, n_c)
-                    lam_star = -eta
-                    lam_star[:, 0] -= phi
-                    lam_star /= gamma[:, None]
-                    ref = _project_batch(lam_star, mu, mu2, operator)
-                    got = contact_solve_oneshot(gamma, eta, phi, mu, operator, mu2)
-                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+                    aug, gamma, v = self._special_system(rng, n_c)
+                    got = solver.contact_pass(aug, gamma, operator)(v)
+                    for x, y in zip(got, self._chain(aug, gamma, v, operator)):
+                        assert x.shape == y.shape
+                        assert np.array_equal(_bits(x), _bits(y)), (operator, n_c)
+
+    def test_float_pass_on_small_strict_batches_only(self, rng):
+        aug, gamma, _ = self._special_system(rng, SCALAR_BATCH_MAX)
+        for operator in solver.OPERATORS:
+            pass_ = solver.contact_pass(aug, gamma, operator)
+            assert (pass_.__name__ == "float_pass") == (operator != "proximal"), operator
+        aug, gamma, _ = self._special_system(rng, SCALAR_BATCH_MAX + 1)
+        for operator in solver.OPERATORS:
+            assert solver.contact_pass(aug, gamma, operator).__name__ == "chain", operator
 
     def test_zero_gamma_takes_the_array_scaling(self):
         # floats raise on a division by zero; numpy's IEEE division does not
+        aug = build_augmented(sp.identity(6, format="csc"), np.zeros(6), contact_set(6, [0, 3], [UP, UP], 0.5))
+        v = np.array([0.0, 0.0, -1.0, 0.0, 0.0, -1.0])  # eta_n = -1 at both contacts
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for operator in ("strict", "strict-anisotropic"):
-                lam = contact_solve_oneshot(
-                    np.array([0.0, 1.0]), np.array([[-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.zeros(2),
-                    np.full(2, 0.5), operator,
-                )
+                pass_ = solver.contact_pass(aug, np.array([0.0, 1.0]), operator)
+                assert pass_.__name__ == "chain"
+                lam, f_c = pass_(v)
                 assert lam[0, 0] == np.inf and np.array_equal(lam[1], [1.0, 0.0, 0.0])
 
 

@@ -17,17 +17,19 @@ from condsim.dynamics import assemble_step
 from condsim.errors import DimensionMismatchError, InvalidMatrixError, NotPositiveDefiniteError
 from condsim.harness import RunConfig, build_scene, external_force, load_scenario
 from condsim.sparse import (
+    BINCOUNT_NNZ_MAX,
     BincountMatvec,
     column_norms_sq,
     csc_template,
     diagonal_positions,
+    entry_columns,
     row_norms_sq,
     spmv,
     with_data,
 )
 from condsim.testing import build_augmented, contact_set, random_spd
 
-from conftest import scenario_path
+from conftest import ALL_SCENARIOS, scenario_path
 
 
 def dense(vals) -> sp.csc_matrix:
@@ -214,6 +216,13 @@ class TestDiagonalPositions:
             assert aug.n > aug.n_orig
             assert np.array_equal(aug.a.data[aug.diag_pos], aug.a.diagonal())
 
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_block_pattern_reads_the_scan_positions(self, name):
+        # BlockPattern.build takes them from its block CSR, not from a scan
+        scene = build_scene(load_scenario(scenario_path(name)), RunConfig())
+        pattern = assemble_step(scene.state, scene.bodies, scene.constraints).pattern
+        assert np.array_equal(pattern.diag_pos, diagonal_positions(pattern.indices, pattern.indptr))
+
     def test_found_in_any_pattern(self):
         a = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 4.0]]))
         assert np.array_equal(diagonal_positions(a.indices, a.indptr), [0, 3, 6])
@@ -265,6 +274,15 @@ class TestBincountMatvec:
             for _ in range(50):
                 x = rng.standard_normal(aug.n) * 10.0 ** rng.uniform(-3.0, 3.0, aug.n)
                 assert np.array_equal(spmv(op, x).view(np.int64), spmv(aug.a, x).view(np.int64))
+
+    def test_the_tie_layout_keeps_the_columns(self, monkeypatch):
+        # the solver builds its BincountMatvec over the layout's columns
+        # instead of finding them every solve; a rebuilt layout has its own
+        for aug in solved_systems(monkeypatch, "particle_stack", 3) + rebuilt_layout_systems():
+            assert aug.a.nnz <= BINCOUNT_NNZ_MAX
+            assert np.array_equal(aug.entry_cols, entry_columns(aug.a.indptr))
+            x = np.arange(aug.n, dtype=float)
+            assert np.array_equal(BincountMatvec(aug.a, aug.entry_cols) @ x, aug.a @ x)
 
     def test_the_solver_takes_it_on_small_ties(self, monkeypatch):
         from condsim import solver
