@@ -341,8 +341,9 @@ class BlockPattern:
         # its transpose must give the mirror the transposed gather.
         expanded = sp.bsr_matrix((comp, blocks.indices, blocks.indptr), shape=(n, n)).tocsr()
         indices, indptr, gather = expanded.indices, expanded.indptr, expanded.data
+        del comp, expanded
         diag_pos = _block_diagonal_positions(blocks, indptr)
-        del blocks, comp, expanded
+        del blocks
         # every step's matrix shares these two arrays
         indices.flags.writeable = indptr.flags.writeable = False
         return cls(
