@@ -61,9 +61,10 @@ from .dynamics import triples
 from .errors import DivergenceError, InvalidMatrixError
 from .sparse import BINCOUNT_NNZ_MAX, BincountMatvec, column_norms_sq, row_norms_sq, spmv
 
-# up to this many contacts a loop over Python floats projects faster than
-# numpy, whose fixed cost per call dominates on short arrays; the crossover
-# lies between 16 and 24 contacts (timings in CHANGES.md)
+# up to this many contacts a loop over Python floats projects, and runs the
+# whole contact pass, faster than numpy, whose fixed cost per call dominates
+# on short arrays; the crossover lies between 16 and 24 contacts (timings in
+# CHANGES.md)
 SCALAR_BATCH_MAX = 16
 CONSISTENCY_FACTOR = 10.0  # of the force check in the module docstring
 # Anderson acceleration on systems with virtual nodes: differences kept before
