@@ -186,9 +186,11 @@ class StabilizationParams:
 class AugmentedDynamics:
     """One step's contact-augmented system. ``diag_pos`` holds the
     positions of A's diagonal entries in ``a.data``, as the block pattern or
-    the tie layout caches them (``sparse.diagonal_positions``), and
+    the tie layout caches them (``sparse.diagonal_positions``),
     ``entry_cols`` the column of every entry where the tie layout caches it
-    (``TieLayout``)."""
+    (``TieLayout``), and ``norm_chunks`` the row chunks of
+    ``sparse.column_norms_sq`` where the block pattern caches them
+    (tie-free systems)."""
 
     a: sp.csc_matrix
     b: np.ndarray
@@ -197,6 +199,7 @@ class AugmentedDynamics:
     contacts: NodalContactSet
     diag_pos: np.ndarray
     entry_cols: np.ndarray | None = None
+    norm_chunks: tuple | None = None
 
     # per contact: column offsets i and j (-1 for none) and (n_c, 3, 3) frames
     @property
@@ -511,14 +514,14 @@ def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> Augmente
     virtual nodes' sources and rigid flags; the step's matrix is made from
     the layout's template, and carries the layout's diagonal positions and
     entry columns. A step without virtual nodes returns A_o with the
-    pattern's diagonal positions.
+    pattern's diagonal positions and row chunks.
     """
     n_o = asm.n
     if asm.b.shape[0] != n_o:
         raise DimensionMismatchError("augment_dynamics: b length mismatch")
     pattern, layout = asm.pattern, asm.pattern.ties
     if nodal.n_virtual == 0:
-        return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal, pattern.diag_pos)
+        return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal, pattern.diag_pos, norm_chunks=pattern.norm_chunks)
     if layout is None or not layout.fits(nodal):
         layout = pattern.ties = TieLayout.build(pattern, nodal.src, nodal.rigid)
     t = _tie_rows(nodal.lever)

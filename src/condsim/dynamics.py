@@ -26,10 +26,13 @@ orders the touched blocks, and scipy's BSR-to-CSR expansion writes the
 entries; A's pattern and blocks are symmetric, so that CSR is A's CSC. Each
 step computes the 6 components k u_r u_s, r <= s, of every spring, sums them
 per component with ``np.bincount`` over the node-diagonal blocks and over the
-unordered node pairs, and fills the CSC data with one gather. Mirrored
-entries read the same sum, and a rigid body's world inertia R I R^T is
-symmetrized once, so A is bitwise symmetric. ``BlockPattern.fits`` checks the
-layout in O(1): the pattern keeps the offset arrays themselves, read-only.
+unordered node pairs, and fills the CSC data with one gather. On a scene
+with springs the components go one at a time through one weight vector of
+node-diagonal terms, refilled per component, so a step never holds all six
+at once. Mirrored entries read the same sum, and a rigid body's world
+inertia R I R^T is symmetrized once, so A is bitwise symmetric.
+``BlockPattern.fits`` checks the layout in O(1): the pattern keeps the
+offset arrays themselves, read-only.
 The pattern also keeps one ``csc_matrix`` template over its index arrays,
 from which each read of ``AssembledDynamics.a`` makes the step's matrix, and
 the positions of A's diagonal entries in ``data``, from which the solver's
@@ -51,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidMatrixError, InvalidStateError
-from .sparse import csc_template, with_data
+from .sparse import csc_template, norm_chunks, with_data
 
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
 MIN_SPRING_LENGTH = 1e-12  # m, a shorter spring has no direction
@@ -165,8 +168,7 @@ def _spring_coords(springs: Springs) -> np.ndarray:
 def _spring_geometry(q: np.ndarray, coords: np.ndarray):
     """Length (m,) and unit direction p_i - p_j (3, m) of every spring, from
     the coordinate indices of ``_spring_coords``."""
-    ends = q[coords]
-    d = ends[0] - ends[1]
+    d = q[coords[0]] - q[coords[1]]
     dist = np.linalg.norm(d, axis=1)
     if np.any(dist < MIN_SPRING_LENGTH):
         raise DegenerateConstraintError("distance spring endpoints coincide")
@@ -276,8 +278,9 @@ class BlockPattern:
     transposed gather.
 
     ``template`` is the ``sparse.csc_template`` over ``indices`` and
-    ``indptr`` from which every step's matrix is made, and ``diag_pos`` the
-    positions of A's diagonal entries in ``data`` (``sparse``). A DOF that no
+    ``indptr`` from which every step's matrix is made, ``diag_pos`` the
+    positions of A's diagonal entries in ``data``, and ``norm_chunks`` the
+    row chunks of ``sparse.column_norms_sq`` (``sparse``). A DOF that no
     node, rigid body or spring covers has an empty row and no diagonal
     entry, and ``build`` rejects it.
     """
@@ -298,6 +301,7 @@ class BlockPattern:
     coords: np.ndarray
     template: sp.csc_matrix
     diag_pos: np.ndarray
+    norm_chunks: tuple
     # the contacts.TieLayout of the last virtual-node sources augmented on it
     ties: object = field(default=None, repr=False)
 
@@ -349,7 +353,7 @@ class BlockPattern:
         return cls(
             n, bodies.node_v, tuple(offsets[1].tolist()), springs.vi, springs.vj, springs.qi, springs.qj,
             indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs, coords=_spring_coords(springs),
-            template=csc_template(indices, indptr, n), diag_pos=diag_pos,
+            template=csc_template(indices, indptr, n), diag_pos=diag_pos, norm_chunks=norm_chunks(indices, indptr),
         )
 
     def fits(self, n: int, bodies: Bodies, springs: Springs) -> bool:
@@ -389,6 +393,48 @@ def block_pattern(n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
     return springs.pattern
 
 
+def _spring_sums(q: np.ndarray, springs: Springs, pattern: BlockPattern, fixed: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """``vals`` of a step with springs (``BlockPattern``), given the
+    components ``fixed`` of the node and rigid-quarter terms, with the spring
+    forces subtracted from b. Springs add -(t/2) K on the blocks (i, j) and
+    (j, i) of their node pair and (t/2) (K + damping) on (i, i) and (j, j),
+    with K = k u u^T.
+
+    Component c of every node-diagonal term fills one weight vector w, in
+    the order of ``pattern.diag_block``, one component at a time, so the
+    step never holds all six at once; w and the spring geometry die on
+    return, before ``assemble_step`` gathers A's data."""
+    nb, n_fixed, m = b.shape[0] // 3, fixed.shape[1], springs.k.shape[0]
+    dist, u = _spring_geometry(q, pattern.coords)
+    if springs.damping.variant == "constant":
+        damp = [float(springs.damping.value)] * 6
+    else:
+        damp = spring_damping(springs, dist, u).T  # x, y, z of end i, then of end j
+    vals = np.empty(6 * (nb + pattern.n_pairs))
+    diag_sums, pair_sums = vals[: 6 * nb].reshape(6, nb), vals[6 * nb :].reshape(6, pattern.n_pairs)
+    w = np.empty(n_fixed + 2 * m)
+    ii, jj = w[n_fixed : n_fixed + m], w[n_fixed + m :]
+    for c, (r, s) in enumerate(zip(_R, _S)):
+        w[:n_fixed] = fixed[c]
+        np.multiply(u[r], u[s], out=ii)
+        ii *= springs.k
+        pair_sums[c] = np.bincount(pattern.pair, (-0.5 * t) * ii, minlength=pattern.n_pairs)
+        jj[:] = ii
+        if r == s:
+            ii += damp[r]
+            jj += damp[3 + r]
+        ii *= 0.5 * t
+        jj *= 0.5 * t
+        diag_sums[c] = np.bincount(pattern.diag_block, w, minlength=nb)
+    # forces in b, per coordinate summed over the ends like the diagonal blocks
+    ends = pattern.diag_block[n_fixed:]
+    stretch = dist - springs.rest
+    for r in range(3):
+        force = (springs.k * u[r]) * stretch
+        b[r::3] -= np.bincount(ends, np.concatenate([force, -force]), minlength=nb)
+    return vals
+
+
 def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: np.ndarray | None = None) -> AssembledDynamics:
     """Assemble A and b for one implicit step.
 
@@ -404,54 +450,30 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
         b += f_ext
     pattern = block_pattern(n, bodies, springs)
     n_nodes, n_rigid, m = bodies.node_v.shape[0], len(bodies.rigid), springs.k.shape[0]
-    diag = np.empty((6, n_nodes + 2 * n_rigid + 2 * m))  # component c of every node-diagonal term
+    fixed = np.empty((6, n_nodes + 2 * n_rigid))  # component c of every node and rigid-quarter term
 
     # node masses
     node_idx = triples(bodies.node_v)
     coef = (2.0 / t) * bodies.node_mass
     b[node_idx] += coef[:, None] * state.v[node_idx]
-    diag[:, :n_nodes] = 0.0
-    diag[_DIAG, :n_nodes] = coef
+    fixed[:, :n_nodes] = 0.0
+    fixed[_DIAG, :n_nodes] = coef
 
     for k, body in enumerate(bodies.rigid):
         vo = body.v_offset
         inertia = world_inertia(body, state.q)
         block = (2.0 / t) * _rigid_mass(body, inertia)
-        diag[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block.take(_QUARTERS)
+        fixed[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block.take(_QUARTERS)
         b[vo : vo + 6] += block @ state.v[vo : vo + 6]
         # gyroscopic term of C v
         omega = state.v[vo + 3 : vo + 6]
         b[vo + 3 : vo + 6] -= _cross(omega.tolist(), (inertia @ omega).tolist())
 
     if m:
-        # springs: -(t/2) K on the blocks (i, j) and (j, i) of their node
-        # pair, (t/2) (K + damping) on (i, i) and (j, j), with K = k u u^T
-        dist, u = _spring_geometry(state.q, pattern.coords)
-        ii, jj = diag[:, n_nodes + 2 * n_rigid :].reshape(6, 2, m).transpose(1, 0, 2)
-        for c in range(6):
-            np.multiply(u[_R[c]], u[_S[c]], out=ii[c])
-        ii *= springs.k
-        pair_sums = [np.bincount(pattern.pair, (-0.5 * t) * w, minlength=pattern.n_pairs) for w in ii]
-        jj[:] = ii
-        if springs.damping.variant == "constant":
-            damp = [float(springs.damping.value)] * 6
-        else:
-            damp = spring_damping(springs, dist, u).T  # x, y, z of end i, then of end j
-        for r, c in enumerate(_DIAG):
-            ii[c] += damp[r]
-            jj[c] += damp[3 + r]
-        ii *= 0.5 * t
-        jj *= 0.5 * t
-        # forces in b, per coordinate summed over the ends like the diagonal blocks
-        ends = pattern.diag_block[n_nodes + 2 * n_rigid :]
-        stretch = dist - springs.rest
-        for r in range(3):
-            force = (springs.k * u[r]) * stretch
-            b[r::3] -= np.bincount(ends, np.concatenate([force, -force]), minlength=n // 3)
+        vals = _spring_sums(state.q, springs, pattern, fixed, b, t)
     else:
-        pair_sums = [np.zeros(6 * pattern.n_pairs)]  # rigid bodies' zero quarters
-
-    vals = np.concatenate([np.bincount(pattern.diag_block, w, minlength=n // 3) for w in diag] + pair_sums)
+        sums = [np.bincount(pattern.diag_block, w, minlength=n // 3) for w in fixed]
+        vals = np.concatenate(sums + [np.zeros(6 * pattern.n_pairs)])  # rigid bodies' zero quarters
     data = np.take(vals, pattern.gather)
     return AssembledDynamics(b, n, data, pattern)
 

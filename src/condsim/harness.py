@@ -556,6 +556,9 @@ def _warm_impulses(key: np.ndarray, prev_key: np.ndarray, prev_lam: np.ndarray) 
 def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     """Simulate a scenario and collect per-step metrics.
 
+    A run holds one step's arrays at a time: each step runs in ``_step``,
+    and only the next state and the warm starts outlive it.
+
     Settings it cannot run are rejected before the first step: an unknown
     solver or operator, a ``kv`` or ``residual_tol`` that is not a finite
     positive number, ``max_iters`` below 1, a negative seed, and the
@@ -586,78 +589,85 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     )
     scene = build_scene(s, cfg)
     state = scene.state
-    bodies = scene.bodies
-    n = state.v.shape[0]
     rows = []
     result = RunResult(rows, state)
-    prev_vhat = state.v
-    prev_key, prev_lam = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
-
+    prev = (state.v, np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
     for step in range(s.n_steps):
-        t_sim = step * s.step_size
-        t0 = time.perf_counter()
-        f_ext = external_force(scene, t_sim, n)
-        asm = assemble_step(state, bodies, scene.constraints, f_ext)
-        detected = detect_contacts(state, bodies, scene.geometry)
-        max_pen = detected.depth.max(initial=0.0)
-        nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
-        aug = augment_dynamics(asm, nodal)
-        dyn_s = time.perf_counter() - t0
-
-        t1 = time.perf_counter()
-        if baseline is None or not len(nodal):
-            try:
-                v_hat_full, lam, rep = solve_vfpi(
-                    aug, solver_cfg, _warm_velocity(prev_vhat, aug, asm.n)
-                )
-            except DivergenceError:
-                v_hat_full, rep = None, SolverReport()
-        else:
-            prob = bl.assemble_delassus(aug)
-            t1 = time.perf_counter()  # keep assembly out of solver time
-            bcfg = bl.BaselineConfig(
-                residual_tol=cfg.residual_tol,
-                max_iters=cfg.max_iters,
-                warm_start=_warm_impulses(detected.key, prev_key, prev_lam),
-            )
-            lam, rep = baseline(prob, bcfg)
-            v_hat_full = bl.recover_velocity(prob, lam.ravel())
-        diverged = v_hat_full is None or not np.all(np.isfinite(v_hat_full))
-        if diverged:
-            # flagged zero-impulse fallback: take the contact-free step
-            from scipy.sparse.linalg import cg
-
-            v_hat_full, info = cg(asm.a, asm.b, rtol=1e-10, maxiter=10 * asm.n)
-            if info != 0:
-                raise DivergenceError("contact-free fallback did not converge")
-            v_hat_full = np.concatenate([v_hat_full, np.zeros(aug.n - asm.n)])
-            lam = np.zeros((len(nodal), 3))
-        solve_s = time.perf_counter() - t1
-
-        v_hat = v_hat_full[: asm.n]
-        state = integrate(state, v_hat, bodies)
-        prev_vhat = v_hat
-        prev_key, prev_lam = detected.key, lam
-        rows.append(
-            MetricsRow(
-                step=step,
-                dyn_ms=1e3 * dyn_s,
-                solve_ms=1e3 * solve_s,
-                iters=rep.iterations,
-                residual=float(rep.residual_trace[-1]) if rep.residual_trace else 0.0,
-                max_pen_m=float(max_pen),
-                contacts=len(nodal),
-                ke_J=kinetic_energy(state, bodies),
-                diverged=diverged,
-                converged=rep.converged,
-                consistency=rep.consistency,
-            )
-        )
+        state, prev, row = _step(scene, state, prev, step, step * s.step_size, cfg, solver_cfg, baseline)
+        rows.append(row)
         if cfg.record_positions:
             result.positions.append(state.q.copy())
 
     result.state = state
     return result
+
+
+def _step(scene: Scene, state: SystemState, prev: tuple, step: int, t_sim: float, cfg: RunConfig, solver_cfg, baseline):
+    """One step of ``run`` from ``state`` at simulation time ``t_sim``.
+
+    ``prev`` is what the step before left for this one's warm starts: its
+    representative velocity (the scene's velocity on the first step), its
+    contacts' provenance keys and their impulses. Returns the next state,
+    this step's ``prev`` and its metrics row. The step's assembled and
+    augmented systems, its contacts and its solution are locals here and
+    are freed on return, before the next step assembles.
+    """
+    prev_vhat, prev_key, prev_lam = prev
+    bodies = scene.bodies
+    n = state.v.shape[0]
+    t0 = time.perf_counter()
+    f_ext = external_force(scene, t_sim, n)
+    asm = assemble_step(state, bodies, scene.constraints, f_ext)
+    detected = detect_contacts(state, bodies, scene.geometry)
+    max_pen = detected.depth.max(initial=0.0)
+    nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
+    aug = augment_dynamics(asm, nodal)
+    dyn_s = time.perf_counter() - t0
+
+    t1 = time.perf_counter()
+    if baseline is None or not len(nodal):
+        try:
+            v_hat_full, lam, rep = solve_vfpi(aug, solver_cfg, _warm_velocity(prev_vhat, aug, asm.n))
+        except DivergenceError:
+            v_hat_full, rep = None, SolverReport()
+    else:
+        prob = bl.assemble_delassus(aug)
+        t1 = time.perf_counter()  # keep assembly out of solver time
+        bcfg = bl.BaselineConfig(
+            residual_tol=cfg.residual_tol,
+            max_iters=cfg.max_iters,
+            warm_start=_warm_impulses(detected.key, prev_key, prev_lam),
+        )
+        lam, rep = baseline(prob, bcfg)
+        v_hat_full = bl.recover_velocity(prob, lam.ravel())
+    diverged = v_hat_full is None or not np.all(np.isfinite(v_hat_full))
+    if diverged:
+        # flagged zero-impulse fallback: take the contact-free step
+        from scipy.sparse.linalg import cg
+
+        v_hat_full, info = cg(asm.a, asm.b, rtol=1e-10, maxiter=10 * asm.n)
+        if info != 0:
+            raise DivergenceError("contact-free fallback did not converge")
+        v_hat_full = np.concatenate([v_hat_full, np.zeros(aug.n - asm.n)])
+        lam = np.zeros((len(nodal), 3))
+    solve_s = time.perf_counter() - t1
+
+    v_hat = v_hat_full[: asm.n]
+    state = integrate(state, v_hat, bodies)
+    row = MetricsRow(
+        step=step,
+        dyn_ms=1e3 * dyn_s,
+        solve_ms=1e3 * solve_s,
+        iters=rep.iterations,
+        residual=float(rep.residual_trace[-1]) if rep.residual_trace else 0.0,
+        max_pen_m=float(max_pen),
+        contacts=len(nodal),
+        ke_J=kinetic_energy(state, bodies),
+        diverged=diverged,
+        converged=rep.converged,
+        consistency=rep.consistency,
+    )
+    return state, (v_hat, detected.key, lam), row
 
 
 def analytic_box_slide(params: dict) -> np.ndarray:

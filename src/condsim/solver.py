@@ -303,24 +303,36 @@ def step_matrix_frobenius(aug: AugmentedDynamics) -> np.ndarray:
 
     The diagonal is gathered at the system's cached ``diag_pos``. Tie-free
     systems, which multiply through the CSR view ``a.T`` already, take the
-    row norms through it too (``sparse.column_norms_sq``, the same bits on
-    their bitwise symmetric A); systems with virtual nodes keep the
-    bincount of ``sparse.row_norms_sq``, cheaper on their small ties."""
+    row norms through it too (``sparse.column_norms_sq`` over the row
+    chunks the system carries, the same bits on their bitwise symmetric A);
+    systems with virtual nodes keep the bincount of ``sparse.row_norms_sq``,
+    cheaper on their small ties.
+
+    The returned W is read-only, which tells ``surrogate_gamma`` that its
+    ties hold."""
     a = aug.a
-    rns = row_norms_sq(a) if aug.n > aug.n_orig else column_norms_sq(a)
+    rns = row_norms_sq(a) if aug.n > aug.n_orig else column_norms_sq(a, aug.norm_chunks)
     if np.any(rns <= 0.0):
         raise InvalidMatrixError("zero row norm in step-matrix computation")
     diag = a.data[aug.diag_pos]
     w = diag / rns
     idx = triples(aug.contacts.nodes)
     w[idx] = (diag[idx].sum(axis=1) / rns[idx].sum(axis=1))[:, None]
+    w.flags.writeable = False
     return w
 
 
 def surrogate_gamma(w: np.ndarray, aug: AugmentedDynamics, omega: float = 0.0) -> np.ndarray:
     """Per-contact scalar Delassus entries (n_c,), all > 0, by element
-    extraction only from the (n,) diagonal ``w`` of W."""
-    _check_tie(w, aug.contacts.nodes)
+    extraction only from the (n,) diagonal ``w`` of W.
+
+    A writeable ``w``, a W from outside ``step_matrix_frobenius``, must tie
+    the three entries of every contacted node, or ``InvalidMatrixError`` is
+    raised. A read-only ``w`` is taken as the W that
+    ``step_matrix_frobenius`` returns read-only, tied as it was made: the
+    check would cost most of this call (8.9 of 12.8 us on the box)."""
+    if w.flags.writeable:
+        _check_tie(w, aug.contacts.nodes)
     gamma = w[aug.col_i]
     has_j = aug.col_j >= 0
     if has_j.any():

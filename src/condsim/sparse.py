@@ -13,9 +13,13 @@ norms as ``column_norms_sq``: the same view's product of the squared entries
 with a vector of ones. That sums column c's squares in ascending row order,
 from 0.0, and the bincount of ``row_norms_sq`` sums row c's squares in
 ascending column order, from 0.0; symmetry makes these the same floats in the
-same order, so the bits match. Systems with virtual nodes keep the bincount:
-on their small rigid-body ties, building the view each solve costs more than
-the bincount.
+same order, so the bits match. It squares the entries in chunks of at most
+NORM_CHUNK_ROWS rows of the view, each a matrix made from a template of
+``norm_chunks`` that the block pattern keeps, so a W setup holds a chunk's
+squares rather than a copy of A's data; each row sums in the same order from
+0.0 in its chunk, so the bits are those of the whole view's product. Systems
+with virtual nodes keep the bincount: on their small rigid-body ties,
+building the view each solve costs more than the bincount.
 
 Systems with virtual nodes of at most ``BINCOUNT_NNZ_MAX`` entries, the
 rigid bodies' small ties, multiply through ``BincountMatvec``, the same bits
@@ -27,9 +31,12 @@ one ``csc_template`` over its read-only ``indices`` and ``indptr``, and every
 step's matrix is ``with_data`` of it: a new ``csc_matrix`` that shares the
 index arrays and owns the step's values, at a fraction of the cost of the
 tuple constructor, which checks and converts the index arrays each call.
+``norm_chunks`` keeps CSR templates over slices of them the same way.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +47,11 @@ from .errors import DimensionMismatchError, InvalidMatrixError
 # BincountMatvec, faster than scipy's dispatch below about 1k entries
 # (timings in CHANGES.md)
 BINCOUNT_NNZ_MAX = 1024
+# rows of the CSR view whose entries column_norms_sq squares at a time: about
+# 0.75 MB of squares on the 19k-DOF lattice, against 7.0 MB for all of A's
+# data, and a chunk that stays in cache for its product makes W's setup
+# faster too (timings in CHANGES.md)
+NORM_CHUNK_ROWS = 2048
 
 
 def spmv(a, x: np.ndarray) -> np.ndarray:
@@ -79,12 +91,41 @@ def row_norms_sq(a: sp.csc_matrix) -> np.ndarray:
     return np.bincount(a.indices, a.data**2, minlength=a.shape[0])
 
 
-def column_norms_sq(a: sp.csc_matrix) -> np.ndarray:
+def column_norms_sq(a: sp.csc_matrix, chunks: tuple | None = None) -> np.ndarray:
     """Squared 2-norm of each column, as the CSR view of A^T with the
     squared entries times a vector of ones: on a bitwise symmetric A, the
-    bits of ``row_norms_sq`` (module docstring)."""
-    squares = sp.csr_matrix((a.data**2, a.indices, a.indptr), shape=a.shape[::-1])
-    return squares @ np.ones(a.shape[0])
+    bits of ``row_norms_sq`` (module docstring). The entries are squared in
+    the row chunks of ``norm_chunks`` (built here when ``chunks`` is None):
+    each chunk's product sums each of its rows in ascending column order from
+    0.0, as the whole view's product does, so the bits are the same and only
+    one chunk's squares are held at a time."""
+    if chunks is None:
+        chunks = norm_chunks(a.indices, a.indptr)
+    ones = np.ones(a.shape[0])
+    out = np.empty(a.shape[1])
+    for r0, lo, hi, template in chunks:
+        part = with_data(template, a.data[lo:hi] ** 2) @ ones
+        out[r0 : r0 + part.shape[0]] = part
+    return out
+
+
+def norm_chunks(indices: np.ndarray, indptr: np.ndarray) -> tuple:
+    """The row chunks of the CSR view of a square CSC pattern for
+    ``column_norms_sq``: per chunk of at most NORM_CHUNK_ROWS rows, its first
+    row, the span ``lo:hi`` of its entries in ``data`` and a ``csr_matrix``
+    template over its slice of ``indices``, whose ``data`` takes no memory.
+    Building the templates checks their index arrays once; each product
+    then makes its matrix with ``with_data``."""
+    n = indptr.shape[0] - 1
+    chunks = []
+    for r0 in range(0, n, NORM_CHUNK_ROWS):
+        r1 = min(r0 + NORM_CHUNK_ROWS, n)
+        lo, hi = int(indptr[r0]), int(indptr[r1])
+        zeros = np.broadcast_to(np.float64(0.0), (hi - lo,))
+        template = sp.csr_matrix((zeros, indices[lo:hi], indptr[r0 : r1 + 1] - lo), shape=(r1 - r0, n))
+        template.indices = indices[lo:hi]  # the constructor copies a slice of a larger array
+        chunks.append((r0, lo, hi, template))
+    return tuple(chunks)
 
 
 def diagonal_positions(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -109,9 +150,13 @@ def csc_template(indices: np.ndarray, indptr: np.ndarray, n: int) -> sp.csc_matr
     return sp.csc_matrix((zeros, indices, indptr), shape=(n, n))
 
 
-def with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
-    """A new ``csc_matrix`` with the template's pattern and the values
-    ``data``, which it keeps without a copy; the template is unchanged."""
-    a = sp.csc_matrix(template)
+def with_data(template, data: np.ndarray):
+    """A new matrix of the template's format (CSC or CSR) with its pattern
+    and the values ``data``, which it keeps without a copy; the template is
+    unchanged. A shallow copy of the template shares its index arrays as
+    they are: scipy's constructors would run their checks, and copy an index
+    array that is a slice of a larger one, as a ``norm_chunks`` template's
+    is."""
+    a = copy.copy(template)
     a.data = data
     return a

@@ -15,6 +15,7 @@ from condsim.dynamics import (
     Springs,
     SystemState,
     assemble_step,
+    block_pattern,
     integrate,
     kinetic_energy,
     spring_damping,
@@ -559,6 +560,116 @@ class TestBlockAssembly:
         state = SystemState(rng.standard_normal(6), rng.standard_normal(6))
         with pytest.raises(InvalidMatrixError, match="column 3 stores no diagonal entry"):
             assemble_step(state, bodies, springs(np.zeros((0, 2)), 0.0, 0.0))
+
+
+def six_row_assembly(state, bodies, s, f_ext=None):
+    """A's data and b as ``assemble_step`` computed them before it summed the
+    components one at a time: every node-diagonal term's six components in
+    one (6, n_nodes + 2 n_rigid + 2 m) array, one ``np.bincount`` per row,
+    and the springs' ends read through one (2, m, 3) copy of their
+    coordinates. It reads the index arrays of the pattern on ``s``."""
+    t, q, v = state.dt, state.q, state.v
+    n = v.shape[0]
+    b = np.zeros(n)
+    if f_ext is not None:
+        b += f_ext
+    p = block_pattern(n, bodies, s)
+    r_idx, s_idx = np.triu_indices(3)
+    on_diag = np.flatnonzero(r_idx == s_idx)
+    quarters = 6 * (r_idx[:, None] + [0, 3]) + s_idx[:, None] + [0, 3]
+    n_nodes, n_rigid, m = bodies.node_v.shape[0], len(bodies.rigid), s.k.shape[0]
+    diag = np.empty((6, n_nodes + 2 * n_rigid + 2 * m))
+    node_idx = triples(bodies.node_v)
+    coef = (2.0 / t) * bodies.node_mass
+    b[node_idx] += coef[:, None] * v[node_idx]
+    diag[:, :n_nodes] = 0.0
+    diag[on_diag, :n_nodes] = coef
+    for k, body in enumerate(bodies.rigid):
+        vo = body.v_offset
+        inertia = world_inertia(body, q)
+        block = np.zeros((6, 6))
+        block[range(3), range(3)] = body.mass
+        block[3:, 3:] = inertia
+        block = (2.0 / t) * block
+        diag[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block.take(quarters)
+        b[vo : vo + 6] += block @ v[vo : vo + 6]
+        omega = v[vo + 3 : vo + 6]
+        b[vo + 3 : vo + 6] -= np.cross(omega, inertia @ omega)
+    if m:
+        ends = q[p.coords]
+        d = ends[0] - ends[1]
+        dist = np.linalg.norm(d, axis=1)
+        u = d.T / dist
+        ii, jj = diag[:, n_nodes + 2 * n_rigid :].reshape(6, 2, m).transpose(1, 0, 2)
+        for c in range(6):
+            np.multiply(u[r_idx[c]], u[s_idx[c]], out=ii[c])
+        ii *= s.k
+        pair_sums = [np.bincount(p.pair, (-0.5 * t) * w, minlength=p.n_pairs) for w in ii]
+        jj[:] = ii
+        if s.damping.variant == "constant":
+            damp = [float(s.damping.value)] * 6
+        else:
+            damp = spring_damping(s, dist, u).T
+        for r, c in enumerate(on_diag):
+            ii[c] += damp[r]
+            jj[c] += damp[3 + r]
+        ii *= 0.5 * t
+        jj *= 0.5 * t
+        spring_ends = p.diag_block[n_nodes + 2 * n_rigid :]
+        stretch = dist - s.rest
+        for r in range(3):
+            force = (s.k * u[r]) * stretch
+            b[r::3] -= np.bincount(spring_ends, np.concatenate([force, -force]), minlength=n // 3)
+    else:
+        pair_sums = [np.zeros(6 * p.n_pairs)]
+    vals = np.concatenate([np.bincount(p.diag_block, w, minlength=n // 3) for w in diag] + pair_sums)
+    return np.take(vals, p.gather), b
+
+
+def assert_same_bits(x, y):
+    assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+class TestComponentSums:
+    """With springs, ``assemble_step`` sums the six components one at a time
+    through one weight vector, and takes the spring vectors without a copy
+    of their ends; A's data and b keep the bits of ``six_row_assembly``.
+    ``TestBlockAssembly`` checks only to 1e-12 against the dense reference."""
+
+    @staticmethod
+    def check(state, bodies, s, f_ext):
+        asm = assemble_step(state, bodies, s, f_ext)
+        data, b = six_row_assembly(state, bodies, s, f_ext)
+        assert_same_bits(asm.data, data)
+        assert_same_bits(asm.b, b)
+
+    def test_random_layouts_with_springs_under_both_damping_variants(self, rng):
+        layouts = 0
+        while layouts < 30:
+            state, bodies, s = random_layout(rng)
+            if not s.k.shape[0]:
+                continue
+            layouts += 1
+            f_ext = rng.standard_normal(state.v.shape[0])
+            for variant in ("constant", "geometric-projection"):
+                s.damping = DampingPolicy(variant, rng.uniform(0.0, 1.0))
+                self.check(state, bodies, s, f_ext)
+
+    def test_lattice(self):
+        scene = build_scene(load_scenario(scenario_path("lattice_drag")))
+        state, f_ext = scene.state, external_force(scene, 0.0, scene.state.v.shape[0])
+        for variant in ("constant", "geometric-projection"):
+            scene.constraints.damping = DampingPolicy(variant, 2.0)
+            self.check(state, scene.bodies, scene.constraints, f_ext)
+
+    def test_spring_free_rigid_scenes(self, rng):
+        layouts = 0
+        while layouts < 20:
+            state, bodies, _ = random_layout(rng)
+            if not bodies.rigid:
+                continue
+            layouts += 1
+            self.check(state, bodies, springs(np.zeros((0, 2)), 0.0, 0.0), rng.standard_normal(state.v.shape[0]))
 
 
 MIXED = {

@@ -1,12 +1,15 @@
 """Scenario loading, simulation runs, CSV reporting and CLI tests."""
 
 import dataclasses
+import gc
 import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -403,6 +406,54 @@ class TestRunPhysics:
         report_csv(res.rows, str(path))
         row = path.read_text().splitlines()[1].split(",")
         assert row[CSV_HEADER.split(",").index("max_pen_m")] == "0"
+
+
+def lattice_steps(steps: int) -> Scenario:
+    """The bundled ``lattice_drag`` cut to ``steps`` steps."""
+    s = load_scenario(scenario_path("lattice_drag"))
+    return Scenario({**s.raw, "duration": steps * s.step_size})
+
+
+class TestStepMemory:
+    """``run`` holds one step's arrays at a time: a step's systems die before
+    the next step assembles."""
+
+    # tracemalloc peak, in bytes, of a 2-step lattice_drag run (numpy reports
+    # its buffers to tracemalloc): about 1.93e6 while each step's system lived
+    # until the next step had assembled, about 1.45e6 since (CHANGES.md)
+    PEAK_BOUND = 1_700_000
+
+    def test_step_freed_before_next_assembly(self, monkeypatch):
+        from condsim import harness
+
+        refs, alive = [], []  # per step: weakrefs to its AssembledDynamics and data; which live at its start
+        original = harness.assemble_step
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            asm = original(*args, **kwargs)
+            refs.extend([weakref.ref(asm), weakref.ref(asm.data)])
+            return asm
+
+        monkeypatch.setattr(harness, "assemble_step", spy)
+        gc.disable()  # freed by reference counting, not by a collection that happens to run
+        try:
+            res = run(lattice_steps(3), RunConfig())
+        finally:
+            gc.enable()
+        assert len(res.rows) == 3
+        assert alive == [[], [False] * 2, [False] * 4]
+
+    def test_traced_peak_of_a_lattice_run(self):
+        scenario = lattice_steps(2)
+        run(scenario, RunConfig())  # first-use caches stay out of the traced run
+        tracemalloc.start()
+        try:
+            run(scenario, RunConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BOUND, peak
 
 
 def load_bench_tracing():

@@ -39,7 +39,7 @@ from condsim.solver import (
     surrogate_gamma,
 )
 from condsim.sparse import row_norms_sq, spmv
-from condsim.testing import build_augmented, contact_set, random_contact_set, random_spd
+from condsim.testing import build_augmented, contact_set, random_contact_augmentation, random_contact_set, random_spd
 
 from conftest import scenario_path
 
@@ -388,6 +388,18 @@ class TestSurrogateGamma:
             prod = jc @ np.diag(w) @ jc.T
             ref = np.kron(np.diag(gamma), np.eye(3))
             assert np.abs(prod - ref).max() <= 1e-12
+
+    def test_the_solver_skips_the_check_on_its_own_w(self, rng, monkeypatch):
+        # step_matrix_frobenius ties W as it makes it and returns it
+        # read-only; surrogate_gamma checks only a writeable W
+        aug, w = random_contact_augmentation(rng)
+        assert not w.flags.writeable
+        checked = []
+        monkeypatch.setattr(solver, "_check_tie", lambda *args: checked.append(args))
+        solve_vfpi(aug, SolverConfig(max_iters=3), np.zeros(aug.n))
+        assert checked == []
+        assert np.array_equal(surrogate_gamma(w, aug), surrogate_gamma(np.array(w), aug))
+        assert len(checked) == 1
 
     def test_tie_violation_rejected(self):
         # an S-contact node, then a D-contact's second node, out of tie

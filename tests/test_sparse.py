@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
+from condsim import sparse
 from condsim.baselines import factor_spd
 from condsim.contacts import DetectedContacts, augment_dynamics, detect_contacts, nodalize
 from condsim.dynamics import assemble_step
@@ -23,6 +24,7 @@ from condsim.sparse import (
     csc_template,
     diagonal_positions,
     entry_columns,
+    norm_chunks,
     row_norms_sq,
     spmv,
     with_data,
@@ -260,6 +262,37 @@ class TestColumnNorms:
         assert (skewed != skewed.T).nnz > 0
         assert not np.array_equal(column_norms_sq(skewed), row_norms_sq(skewed))
         assert np.allclose(column_norms_sq(skewed), row_norms_sq(skewed), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [1, 4, None])
+    def test_chunks_give_the_bits_of_one_product(self, monkeypatch, rows):
+        # chunks of one row; of four rows, whose boundaries fall inside the
+        # 3-row blocks; one chunk of every row
+        scene = build_scene(load_scenario(scenario_path("lattice_drag")), RunConfig())
+        a = assemble_step(scene.state, scene.bodies, scene.constraints).a
+        n = a.shape[0]
+        whole = sp.csr_matrix((a.data**2, a.indices, a.indptr), shape=a.shape[::-1]) @ np.ones(n)
+        monkeypatch.setattr(sparse, "NORM_CHUNK_ROWS", n if rows is None else rows)
+        chunks = norm_chunks(a.indices, a.indptr)
+        assert len(chunks) == (1 if rows is None else -(-n // rows))
+        for out in (column_norms_sq(a), column_norms_sq(a, chunks)):
+            assert np.array_equal(out.view(np.int64), whole.view(np.int64))
+
+    def test_the_pattern_keeps_the_chunks(self, monkeypatch):
+        # W's setup squares the entries of at most NORM_CHUNK_ROWS rows at a
+        # time, through templates that share the pattern's index arrays
+        monkeypatch.setattr(sparse, "NORM_CHUNK_ROWS", 64)
+        for aug in solved_systems(monkeypatch, "lattice_drag", 2):
+            p = aug.norm_chunks
+            assert aug.n == aug.n_orig and p is not None
+            spans = [(r0, lo, hi, t.shape[0]) for r0, lo, hi, t in p]
+            assert [lo for _, lo, _, _ in spans] == [0] + [hi for _, _, hi, _ in spans[:-1]]
+            assert spans[-1][2] == aug.a.nnz
+            assert all(rows <= sparse.NORM_CHUNK_ROWS for *_, rows in spans)
+            assert [r0 for r0, *_ in spans] == list(range(0, aug.n, sparse.NORM_CHUNK_ROWS))
+            for _, lo, hi, t in p:
+                assert np.shares_memory(t.indices, aug.a.indices)
+                assert not t.indices.flags.writeable and not np.any(t.data)
+                assert np.shares_memory(with_data(t, np.ones(hi - lo)).indices, aug.a.indices)
 
 
 class TestBincountMatvec:
