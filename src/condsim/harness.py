@@ -602,7 +602,7 @@ def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     return result
 
 
-def _step(scene: Scene, state: SystemState, prev: tuple, step: int, t_sim: float, cfg: RunConfig, solver_cfg, baseline):
+def _step(scene: Scene, state: SystemState, prev: tuple, step: int, t_sim: float, cfg: RunConfig, solver_cfg: SolverConfig, baseline):
     """One step of ``run`` from ``state`` at simulation time ``t_sim``.
 
     ``prev`` is what the step before left for this one's warm starts: its
