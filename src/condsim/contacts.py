@@ -11,7 +11,7 @@ viscous gain ``k_v``. The augmented system keeps the block structure
 
 which stays symmetric positive definite, and the contact Jacobian reduces to a
 stack of rotation blocks over nodes. Each contact side owns its node, which
-``NodalContactSet`` checks when it is built.
+``ContactColumns`` checks once per contact layout.
 
 Contacts stay arrays from detection to the solver: ``detect_contacts`` returns
 one ``DetectedContacts`` record with a row per contact, and ``nodalize`` turns
@@ -25,6 +25,34 @@ stays arrays too, never a matrix: per virtual node, its source's velocity
 offset, whether the source is a rigid body, and the lever arm r from the
 body's origin, applied by ``NodalContactSet.virtual_velocity`` and the tie
 fill of ``augment_dynamics``.
+
+A step's contact arrays split into a layout, built once and cached on scene
+objects, and values computed per step. What invalidates a layout is named
+with each:
+
+- ``ProxyTable``, on ``Bodies.proxies``: the proxied nodes' coordinate
+  triples, every proxy's radius and row of (velocity offset, rigid
+  coordinate offset, body), and the primitives' frame table. A new node
+  array (``dynamics.NodeIndex``) or radius array, a rigid body's offsets,
+  point count or radius, or the geometry's planes or sphere count rebuild
+  it. Per step, ``detect_contacts`` computes the proxy centers, distances,
+  frames of sphere and pair contacts, points, depths and keys.
+- ``ContactLayout``, on the ``ProxyTable``: keyed on the bytes of the
+  detected sides' ``v_off``/``q_off`` plus n, mu and mu2, so a change of the
+  contact set or of those parameters rebuilds it. It holds the columns,
+  the virtual sides with their sources and rigid flags, the rigid sides'
+  index triples, the mu/mu2 arrays and the ``ContactColumns``. Per step,
+  ``nodalize`` computes the lever arms, relative normal velocities and phi.
+- ``ContactColumns``, on the layout: the contacted nodes, checked once for
+  a column carrying two contact sides, their triples for W's ties, and the
+  gather indices of ``ContactMap`` and of the solver's float pass. A
+  ``NodalContactSet`` made with other columns builds its own.
+- ``TieLayout``, on A_o's ``BlockPattern`` (below). The T rows of a step's
+  lever arms are built once per ``NodalContactSet`` (``tie_rows``), for the
+  warm start and ``augment_dynamics`` alike.
+
+A miss builds a layout through the same ``build`` that a hit reuses, and
+the layouts die with the scene; every cached array is read-only.
 
 ``augment_dynamics`` writes the block matrix above as A_o plus k_v T^T T with
 T = [Jv, -I]. A ``TieLayout`` holds the augmented CSC pattern and, for each
@@ -43,12 +71,23 @@ symmetric wherever A_o is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .dynamics import AssembledDynamics, BlockPattern, Bodies, RigidBody, SystemState, _quat_to_rot, triples
+from .dynamics import (
+    AssembledDynamics,
+    BlockPattern,
+    Bodies,
+    RigidBody,
+    SystemState,
+    _quat_to_rot,
+    _read_only,
+    node_index,
+    triples,
+)
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
 from .sparse import BINCOUNT_NNZ_MAX, csc_template, entry_columns, with_data
 
@@ -106,6 +145,10 @@ class DetectedContacts:
     v_off: np.ndarray  # (k, 2) per side: velocity offset, -1 if static
     q_off: np.ndarray  # (k, 2) per side: rigid body's coordinate offset, -1 if not rigid
     key: np.ndarray  # (k,) int64
+    # the ProxyTable that detected them, whose ContactLayout ``nodalize``
+    # reuses; a class attribute, not a field, so a record made by hand or
+    # field by field has none, and ``nodalize`` builds its layout afresh
+    proxies = None
 
     def __len__(self) -> int:
         return self.depth.shape[0]
@@ -118,16 +161,74 @@ _RECORD = np.dtype(
 
 
 @dataclass(eq=False)
+class ContactColumns:
+    """The index arrays of one contact set's columns ``col_i``/``col_j``,
+    which it keeps and ``fits`` compares by identity: ``nodes``, the
+    contacted node columns, ascending, and their ``triples`` in
+    ``node_idx`` (W's node ties); the D-contacts ``has_j`` and their
+    ``j_cols``; ``ContactMap``'s gathers ``idx_i``/``idx_j``; and, built on
+    first use, since only small batches read them, the float pass's order
+    of v* entries, ``gather``, with ``has_j`` as Python bools in
+    ``j_flags``. Every array is read-only.
+
+    ``build`` rejects a column that carries two contact sides with
+    ``InvalidMatrixError``: J_c W J_c^T would have off-diagonal blocks
+    there, and the one-shot contact solves would not be exact."""
+
+    col_i: np.ndarray
+    col_j: np.ndarray
+    nodes: np.ndarray
+    node_idx: np.ndarray
+    has_j: np.ndarray
+    any_j: bool
+    j_cols: np.ndarray
+    idx_i: np.ndarray
+    idx_j: np.ndarray
+
+    @classmethod
+    def build(cls, col_i: np.ndarray, col_j: np.ndarray) -> ContactColumns:
+        has_j = col_j >= 0
+        j_cols = col_j[has_j]
+        nodes = np.sort(np.concatenate([col_i, j_cols]))
+        shared = nodes[1:][nodes[1:] == nodes[:-1]]
+        if shared.size:
+            raise InvalidMatrixError(f"column {shared[0]} carries more than one contact side")
+        node_idx, idx_i, idx_j = triples(nodes), triples(col_i), triples(j_cols)
+        for a in (nodes, node_idx, has_j, j_cols, idx_i, idx_j):
+            a.flags.writeable = False
+        return cls(col_i, col_j, nodes, node_idx, has_j, bool(j_cols.shape[0]), j_cols, idx_i, idx_j)
+
+    def fits(self, col_i: np.ndarray, col_j: np.ndarray) -> bool:
+        return self.col_i is col_i and self.col_j is col_j
+
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """Per contact its columns i, then j for a D-contact."""
+        both = np.concatenate([self.idx_i, triples(self.col_j)], axis=1)
+        live = np.ones(both.shape, dtype=bool)
+        live[:, 3:] = self.has_j[:, None]
+        gather = both[live]
+        gather.flags.writeable = False
+        return gather
+
+    @cached_property
+    def j_flags(self) -> list:
+        return self.has_j.tolist()
+
+
+@dataclass(eq=False)
 class NodalContactSet:
     """Nodalized contacts. ``nodes`` holds the column offsets of the
-    contacted nodes, ascending. A column that carries two contact sides
-    raises ``InvalidMatrixError``: J_c W J_c^T would have off-diagonal
-    blocks there, and the one-shot contact solves would not be exact.
+    contacted nodes, ascending, from ``columns``, the set's
+    ``ContactColumns``: ``nodalize`` passes those of its cached layout, and
+    a set made with other columns builds its own, which rejects a column
+    that carries two contact sides.
 
     Virtual node k has the columns n_orig + 3k to n_orig + 3k + 2. Its row
     block of Jv is [I, -[r]x] at a rigid body's velocity offset ``src[k]``
     (``rigid[k]``, lever arm ``lever[k]``), or I at an original node's
-    (``lever[k]`` zero)."""
+    (``lever[k]`` zero); ``tie_rows`` holds its T rows, built once per set
+    for the warm start and ``augment_dynamics``."""
 
     n_orig: int  # original velocity dimension
     k_v: float
@@ -142,20 +243,27 @@ class NodalContactSet:
     src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     rigid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     lever: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    nodes: np.ndarray = field(init=False, repr=False)
+    columns: ContactColumns | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.nodes = np.sort(np.concatenate([self.col_i, self.col_j[self.col_j >= 0]]))
-        shared = self.nodes[1:][self.nodes[1:] == self.nodes[:-1]]
-        if shared.size:
-            raise InvalidMatrixError(f"column {shared[0]} carries more than one contact side")
+        if self.columns is None or not self.columns.fits(self.col_i, self.col_j):
+            self.columns = ContactColumns.build(self.col_i, self.col_j)
 
     def __len__(self) -> int:
         return self.col_i.shape[0]
 
     @property
+    def nodes(self) -> np.ndarray:
+        return self.columns.nodes
+
+    @property
     def n_virtual(self) -> int:
         return self.src.shape[0]
+
+    @cached_property
+    def tie_rows(self) -> np.ndarray:
+        """(n_v, 3, 4) entries of every virtual node's T rows (``_tie_rows``)."""
+        return _tie_rows(self.lever)
 
     def virtual_velocity(self, v: np.ndarray) -> np.ndarray:
         """Jv v for original velocities v: every virtual node's source
@@ -163,7 +271,7 @@ class NodalContactSet:
         node source's lever entries are zero, so the columns they read may
         be clipped at the end of v."""
         cols = self.src[:, None, None] + _T_COL
-        return np.einsum("kab,kab->ka", _tie_rows(self.lever)[:, :, :3], np.take(v, cols, mode="clip")).ravel()
+        return np.einsum("kab,kab->ka", self.tie_rows[:, :, :3], np.take(v, cols, mode="clip")).ravel()
 
     @property
     def contacts(self) -> np.recarray:
@@ -255,34 +363,105 @@ def _world_rigid_points(state: SystemState, body: RigidBody) -> np.ndarray:
     return pos + body.contact_points @ rot.T
 
 
+@dataclass(eq=False)
+class ProxyTable:
+    """What ``detect_contacts`` reads of a scene's layout, built on its
+    first detection and cached on ``Bodies.proxies``.
+
+    The proxies are the proxied nodes (``node_radius`` > 0), then every
+    rigid surface point. ``coords`` holds the proxied nodes' coordinate
+    triples and ``radii`` every proxy's radius; ``proxy`` has one row of
+    (velocity offset, rigid coordinate offset, body) per proxy, the last
+    two -1 for a node, plus a last row of -1 for a static side; ``frames``
+    holds each primitive's frame, a plane's own, then a placeholder per
+    static sphere; ``reach`` is twice the largest radius, for the pair
+    search that ``search`` turns on. Every array is read-only.
+
+    It fits the ``dynamics.NodeIndex`` and ``node_radius`` it was built for
+    (compared by identity: ``build`` puts a read-only copy of the radii in
+    place), the rigid bodies' offsets, point counts and radii, and the
+    geometry's planes and sphere count. ``layout`` is the ``ContactLayout``
+    of the last contact sides nodalized on it."""
+
+    index: object  # dynamics.NodeIndex
+    node_radius: np.ndarray
+    rigid: tuple
+    planes: tuple
+    n_spheres: int
+    coords: np.ndarray
+    radii: np.ndarray
+    proxy: np.ndarray
+    frames: np.ndarray
+    search: bool
+    reach: float
+    layout: ContactLayout | None = field(default=None, repr=False)
+
+    @staticmethod
+    def key(bodies: Bodies, geometry: Geometry) -> tuple:
+        """The rigid bodies' and the geometry's part of the fit."""
+        rigid = tuple(
+            (body.v_offset, body.q_offset, body.contact_points.shape[0], body.contact_radius) for body in bodies.rigid
+        )
+        return rigid, tuple(geometry.planes), len(geometry.spheres)
+
+    @classmethod
+    def build(cls, bodies: Bodies, geometry: Geometry) -> ProxyTable:
+        index = node_index(bodies)
+        rigid, planes, n_spheres = cls.key(bodies, geometry)
+        bodies.node_radius = _read_only(bodies.node_radius, float)
+        proxied = (bodies.node_radius > 0).nonzero()[0]
+        n_nodes = proxied.shape[0]
+        n_points = [body.contact_points.shape[0] for body in bodies.rigid]
+        radii = np.concatenate(
+            [bodies.node_radius[proxied], np.repeat([float(body.contact_radius) for body in bodies.rigid], n_points)]
+        )
+        proxy = np.full((n_nodes + sum(n_points) + 1, 3), -1)
+        proxy[:n_nodes, 0] = bodies.node_v[proxied]
+        rows = [(body.v_offset, body.q_offset, k) for k, body in enumerate(bodies.rigid)]
+        proxy[n_nodes:-1] = np.array(rows, dtype=int).reshape(-1, 3).repeat(n_points, axis=0)
+        frames = np.array([plane.frame for plane in planes] + [_UNSET] * n_spheres).reshape(-1, 3, 3)
+        # a lattice proxies every node: it shares the index's triples
+        coords = index.q if n_nodes == index.q.shape[0] else index.q[proxied]
+        for a in (coords, radii, proxy, frames):
+            a.flags.writeable = False
+        n_proxies = radii.shape[0]
+        search = n_proxies > 1 and bool(n_nodes or len(bodies.rigid) > 1)
+        return cls(index, bodies.node_radius, rigid, planes, n_spheres, coords, radii, proxy, frames, search,
+                   2.0 * radii.max() if n_proxies else 0.0)
+
+    def fits(self, bodies: Bodies, geometry: Geometry) -> bool:
+        return (
+            self.index is bodies.index
+            and self.node_radius is bodies.node_radius
+            and (self.rigid, self.planes, self.n_spheres) == self.key(bodies, geometry)
+        )
+
+
+def proxy_table(bodies: Bodies, geometry: Geometry) -> ProxyTable:
+    """The ``ProxyTable`` cached on ``bodies``, rebuilt when it does not fit."""
+    node_index(bodies)  # a new node array gives the bodies a new index first
+    if bodies.proxies is None or not bodies.proxies.fits(bodies, geometry):
+        bodies.proxies = ProxyTable.build(bodies, geometry)
+    return bodies.proxies
+
+
 def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> DetectedContacts:
     """One contact per (proxy, primitive) or (proxy, proxy) pair within margin.
 
-    The proxies are the node spheres, then the rigid surface points; contacts
-    with the static primitives come out proxy by proxy, planes before spheres,
-    then the proxy pairs sorted by (first, second) proxy. With s primitives
-    and p proxies, proxy e on primitive k has key e (s + p) + k, and the pair
-    (e, f) has key e (s + p) + s + f. A plane contact takes its plane's
-    frame; the others get theirs from ``contact_frames``.
+    The proxies are the node spheres, then the rigid surface points
+    (``ProxyTable``); contacts with the static primitives come out proxy by
+    proxy, planes before spheres, then the proxy pairs sorted by (first,
+    second) proxy. With s primitives and p proxies, proxy e on primitive k
+    has key e (s + p) + k, and the pair (e, f) has key e (s + p) + s + f. A
+    plane contact takes its plane's frame; the others get theirs from
+    ``contact_frames``. The record carries the table, whose contact layout
+    ``nodalize`` reuses.
     """
+    table = proxy_table(bodies, geometry)
     margin = geometry.margin
     planes, spheres = geometry.planes, geometry.spheres
-
-    # every dynamic proxy sphere: center, radius, and its row of (velocity
-    # offset, rigid coordinate offset, body), the last two -1 for a node
-    proxied = (bodies.node_radius > 0).nonzero()[0]
-    n_nodes = proxied.shape[0]
-    n_points = [body.contact_points.shape[0] for body in bodies.rigid]
-    centers = np.concatenate(
-        [state.q[triples(bodies.node_q[proxied])]] + [_world_rigid_points(state, body) for body in bodies.rigid]
-    )
-    radii = np.concatenate(
-        [bodies.node_radius[proxied], np.repeat([float(body.contact_radius) for body in bodies.rigid], n_points)]
-    )
-    proxy = np.full((n_nodes + sum(n_points) + 1, 3), -1)  # the last row, all -1, is a static side
-    proxy[:n_nodes, 0] = bodies.node_v[proxied]
-    rows = [(body.v_offset, body.q_offset, k) for k, body in enumerate(bodies.rigid)]
-    proxy[n_nodes:-1] = np.array(rows, dtype=int).reshape(-1, 3).repeat(n_points, axis=0)
+    centers = np.concatenate([state.q[table.coords]] + [_world_rigid_points(state, body) for body in bodies.rigid])
+    radii, proxy = table.radii, table.proxy
     n_planes, n_prims, n_proxies = len(planes), len(planes) + len(spheres), centers.shape[0]
     stride = n_prims + n_proxies
 
@@ -298,11 +477,12 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
         normal_cols.append(d / np.where(apart, dist, 1.0)[:, None])
     signed = np.array(sd_cols).reshape(n_prims, n_proxies)
     first, k = np.nonzero(signed.T < margin)
-    frame = np.array([plane.frame for plane in planes] + [_UNSET] * len(spheres)).reshape(n_prims, 3, 3)[k]
-    on_sphere = (k >= n_planes).nonzero()[0]
-    if on_sphere.size:
-        normal = np.array(normal_cols)[k[on_sphere] - n_planes, first[on_sphere]]
-        frame[on_sphere] = contact_frames(normal)
+    frame = table.frames[k]
+    if spheres:
+        on_sphere = (k >= n_planes).nonzero()[0]
+        if on_sphere.size:
+            normal = np.array(normal_cols)[k[on_sphere] - n_planes, first[on_sphere]]
+            frame[on_sphere] = contact_frames(normal)
     # row 0 of a frame is its normal, bit for bit
     point = centers[first] - radii[first, None] * frame[:, 0]
     second = np.full(first.shape[0], -1)
@@ -313,9 +493,9 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
     # proxies of one rigid body never pair, so without node proxies a
     # single body needs no tree; the pairs are sorted below, so the cheaper
     # unbalanced, uncompacted tree finds the same result
-    if n_proxies > 1 and (n_nodes or len(bodies.rigid) > 1):
+    if table.search:
         tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
-        pairs = tree.query_pairs(r=2.0 * radii.max() + margin, output_type="ndarray")
+        pairs = tree.query_pairs(r=table.reach + margin, output_type="ndarray")
         e, f = pairs[np.argsort(pairs[:, 0] * stride + pairs[:, 1])].T
         d = centers[e] - centers[f]
         # the stacked 1x3 @ 3x1 products round as np.linalg.norm does on one vector
@@ -336,7 +516,7 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
             )
 
     sides = proxy[np.array([first, second]).T]
-    return DetectedContacts(
+    detected = DetectedContacts(
         point=point,
         frame=frame,
         depth=np.maximum(0.0, -sd) + 0.0,  # + 0.0 turns -0.0 at exact touch into 0.0
@@ -344,6 +524,8 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
         q_off=sides[..., 1],
         key=key,
     )
+    detected.proxies = table
+    return detected
 
 
 def stabilization_term(depth, v_n_prev, params: StabilizationParams, dt: float):
@@ -356,6 +538,83 @@ def stabilization_term(depth, v_n_prev, params: StabilizationParams, dt: float):
     phi = -(params.beta_err / dt) * np.asarray(depth, dtype=float)
     restitution = params.e_rest * np.minimum(0.0, v_n_prev)
     return np.where(np.abs(v_n_prev) > params.v_rest_threshold, phi + restitution, phi)
+
+
+@dataclass(eq=False)
+class ContactLayout:
+    """What ``nodalize`` derives from the contact sides alone, for one set of
+    detected sides, n, mu and mu2 (``key``: the bytes of the sides'
+    ``v_off`` and ``q_off``, then n, mu and mu2, as ``TieLayout`` keys on
+    its sources' bytes). It is built on the first step that detects these
+    sides and cached on the detection's ``ProxyTable``.
+
+    Per contact: the columns ``col_i``/``col_j``, their ``ContactColumns``,
+    and the ``mu``/``mu2`` arrays. Per contact side, side 0 then side 1 of
+    each contact: ``moving`` (a dynamic side) and ``vel_idx``, the velocity
+    triples it reads; the ``rigid_side`` sides, with their contacts
+    ``rigid_contact`` and the triples of their bodies' origins
+    (``rigid_q``) and angular velocities (``rigid_w``); and the
+    ``virtual`` sides, one per virtual node, with its source ``src`` and
+    ``rigid`` flag. Every array is read-only."""
+
+    key: tuple
+    col_i: np.ndarray
+    col_j: np.ndarray
+    columns: ContactColumns
+    mu: np.ndarray
+    mu2: np.ndarray
+    moving: np.ndarray
+    vel_idx: np.ndarray
+    rigid_side: np.ndarray
+    rigid_contact: np.ndarray
+    rigid_q: np.ndarray
+    rigid_w: np.ndarray
+    virtual: np.ndarray
+    src: np.ndarray
+    rigid: np.ndarray
+
+    @classmethod
+    def build(cls, key: tuple, v_off: np.ndarray, q_off: np.ndarray) -> ContactLayout:
+        """Over the contact sides in contact order, the first side on an
+        original node keeps that node; every later side on it, and every
+        rigid side, gets a fresh virtual node, numbered in the same order."""
+        n, mu, mu2 = key[2:]
+        n_c = v_off.shape[0]
+        v_off = v_off.ravel()  # per contact side, side 0 then side 1
+        q_off = q_off.ravel()
+        on_node = ((v_off >= 0) & (q_off < 0)).nonzero()[0]
+        keeps = on_node[np.unique(v_off[on_node], return_index=True)[1]]  # first side on each node
+        virt = v_off >= 0
+        virt[keeps] = False
+        virtual = virt.nonzero()[0]
+        cols = np.full(2 * n_c, -1)
+        cols[keeps] = v_off[keeps]
+        cols[virtual] = n + 3 * np.arange(virtual.shape[0])
+        cols = cols.reshape(n_c, 2)
+        rigid_side = (q_off >= 0).nonzero()[0]
+        arrays = (
+            cols, np.full(n_c, mu), np.full(n_c, mu2), v_off[:, None] >= 0, triples(np.maximum(v_off, 0)),
+            rigid_side, rigid_side // 2, triples(q_off.take(rigid_side)), triples(v_off.take(rigid_side) + 3),
+            virtual, v_off[virtual], q_off[virtual] >= 0,
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        col_i, col_j = cols[:, 0], cols[:, 1]
+        return cls(key, col_i, col_j, ContactColumns.build(col_i, col_j), *arrays[1:])
+
+
+def _contact_layout(detected: DetectedContacts, n: int, mu: float, mu2: float | None) -> ContactLayout:
+    """The ``ContactLayout`` cached on the detection's ``ProxyTable``,
+    rebuilt when its key differs; a detection without a table gets a new
+    one."""
+    key = (detected.v_off.tobytes(), detected.q_off.tobytes(), n, float(mu), float(mu if mu2 is None else mu2))
+    table = detected.proxies
+    layout = None if table is None else table.layout
+    if layout is None or layout.key != key:
+        layout = ContactLayout.build(key, detected.v_off, detected.q_off)
+        if table is not None:
+            table.layout = layout
+    return layout
 
 
 def nodalize(
@@ -373,46 +632,37 @@ def nodalize(
     the contact sides in contact order, the first side on an original node
     keeps that node; every later side on it, and every rigid side, gets a
     fresh virtual node, numbered in the same order and tied to its source by
-    Jv.
+    Jv. Those columns come from the sides' ``ContactLayout``; this step
+    computes the lever arms, the relative normal velocities and phi.
     """
     stab = stab or StabilizationParams()
     n = state.v.shape[0]
     n_c = len(detected)
-    v_off = detected.v_off.ravel()  # per contact side, side 0 then side 1
-    q_off = detected.q_off.ravel()
-    on_node = ((v_off >= 0) & (q_off < 0)).nonzero()[0]
-    keeps = on_node[np.unique(v_off[on_node], return_index=True)[1]]  # first side on each node
-    virt = v_off >= 0
-    virt[keeps] = False
-    virt_side = virt.nonzero()[0]
-    cols = np.full(2 * n_c, -1)
-    cols[keeps] = v_off[keeps]
-    cols[virt_side] = n + 3 * np.arange(virt_side.shape[0])
-
+    layout = _contact_layout(detected, n, mu, mu2)
     frames = detected.frame
-    rigid = (q_off >= 0).nonzero()[0]
+    rigid = layout.rigid_side
     # per contact side: lever arm from the body origin, and velocity v + w x r
     lever = np.zeros((2 * n_c, 3))
-    lever[rigid] = detected.point.take(rigid // 2, axis=0) - state.q.take(triples(q_off.take(rigid)))
-    vel = np.where(v_off[:, None] >= 0, state.v.take(triples(np.maximum(v_off, 0))), 0.0)
-    vel[rigid] += _cross(state.v.take(triples(v_off.take(rigid) + 3)), lever.take(rigid, axis=0))
+    lever[rigid] = detected.point.take(layout.rigid_contact, axis=0) - state.q.take(layout.rigid_q)
+    vel = np.where(layout.moving, state.v.take(layout.vel_idx), 0.0)
+    vel[rigid] += _cross(state.v.take(layout.rigid_w), lever.take(rigid, axis=0))
     vel = vel.reshape(n_c, 2, 3)
     v_n = np.einsum("mi,mi->m", frames[:, 0], vel[:, 0] - vel[:, 1])
     phi = stabilization_term(detected.depth, v_n, stab, state.dt)
 
-    cols = cols.reshape(n_c, 2)
     return NodalContactSet(
         n,
         k_v,
-        col_i=cols[:, 0],
-        col_j=cols[:, 1],
+        col_i=layout.col_i,
+        col_j=layout.col_j,
         frames=frames,
-        mu=np.full(n_c, float(mu)),
-        mu2=np.full(n_c, float(mu if mu2 is None else mu2)),
+        mu=layout.mu,
+        mu2=layout.mu2,
         phi=phi,
-        src=v_off[virt_side],
-        rigid=q_off[virt_side] >= 0,
-        lever=lever[virt_side],
+        src=layout.src,
+        rigid=layout.rigid,
+        lever=lever[layout.virtual],
+        columns=layout.columns,
     )
 
 
@@ -524,7 +774,7 @@ def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> Augmente
         return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal, pattern.diag_pos, norm_chunks=pattern.norm_chunks)
     if layout is None or not layout.fits(nodal):
         layout = pattern.ties = TieLayout.build(pattern, nodal.src, nodal.rigid)
-    t = _tie_rows(nodal.lever)
+    t = nodal.tie_rows
     vals = np.concatenate([asm.data, (nodal.k_v * (t[..., :, None] * t[..., None, :])).ravel()])
     n, nnz = layout.indptr.shape[0] - 1, layout.indices.shape[0]
     a = with_data(layout.template, np.bincount(layout.pos, vals, minlength=nnz + 1)[:nnz])
@@ -555,15 +805,14 @@ def contact_jacobian_matrix(aug: AugmentedDynamics) -> sp.csr_matrix:
 
 class ContactMap:
     """J_c and J_c^T of one augmented system, with the gather/scatter indices
-    built once so that an iterative solver can apply them cheaply."""
+    of the contact set's ``ContactColumns``, built once per layout, so that
+    an iterative solver can apply them cheaply."""
 
     def __init__(self, aug: AugmentedDynamics):
+        columns = aug.contacts.columns
         self.n = aug.n
         self.frames = aug.frames
-        self.idx_i = aug.col_i[:, None] + np.arange(3)
-        self.has_j = aug.col_j >= 0
-        self.any_j = bool(self.has_j.any())
-        self.idx_j = aug.col_j[self.has_j][:, None] + np.arange(3)
+        self.idx_i, self.has_j, self.any_j, self.idx_j = columns.idx_i, columns.has_j, columns.any_j, columns.idx_j
 
     def jc(self, v: np.ndarray) -> np.ndarray:
         """J_c v as (n_c, 3) contact-frame velocities."""

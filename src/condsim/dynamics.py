@@ -42,13 +42,23 @@ The few rigid bodies are walked one by one, on Python floats where numpy's
 fixed cost per call on 3- and 4-vectors would dominate: the gyroscopic term
 w x (I_w w) and the quaternion update repeat the array formulas' operation
 order, and leave dot products, cos and sin to numpy, so their bits are the
-array formulas' bits. Each body's world inertia is built once per call.
+array formulas' bits. Each body's world inertia is built once per state and
+kept on it (``SystemState.inertia``): ``kinetic_energy`` at the end of a
+step builds it, and ``assemble_step`` of the next step reads it.
+
+The node layout is cached like the pattern: ``node_index`` keeps the
+read-only coordinate and velocity ``triples`` of every node on the
+``Bodies`` (``NodeIndex``), built on a scene's first step, and
+``assemble_step``, ``integrate`` and ``kinetic_energy`` read them, as
+``harness.external_force`` does for its cached gravity vector. A new node
+array rebuilds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,8 +101,11 @@ class Bodies:
     Row m of the node arrays is one 3-DOF point mass (a particle or a lattice
     node) whose coordinates and velocity start at ``node_q[m]``/``node_v[m]``.
     A node with ``node_radius[m] > 0`` carries a sphere contact proxy.
-    ``assemble_step`` puts a read-only copy in place of ``node_v`` (see
-    ``BlockPattern``): a new layout takes a new array.
+    A scene's first step puts read-only copies in place of ``node_q``,
+    ``node_v`` and ``node_mass`` (``node_index``, ``BlockPattern``) and of
+    ``node_radius`` (``contacts.detect_contacts``): a new layout takes new
+    arrays. The caches ``index`` and ``proxies`` are built on first use and
+    die with the bodies.
     """
 
     node_q: np.ndarray  # (n,) int
@@ -100,15 +113,35 @@ class Bodies:
     node_mass: np.ndarray  # (n,) kg
     node_radius: np.ndarray  # (n,) m, 0 means no proxy
     rigid: list = field(default_factory=list)  # RigidBody records
+    # the NodeIndex of node_index, and the contacts.ProxyTable of the last detection
+    index: NodeIndex | None = field(default=None, init=False, repr=False)
+    proxies: object = field(default=None, init=False, repr=False)
 
 
 @dataclass(eq=False)
 class SystemState:
-    """Generalized coordinates and velocities for one scene."""
+    """Generalized coordinates and velocities for one scene.
+
+    ``inertia`` keeps each rigid body's world inertia on the state it came
+    from: ``kinetic_energy`` at the end of one step and ``assemble_step`` of
+    the next read the same one. A state made by ``integrate`` or
+    ``dataclasses.replace`` starts without it."""
 
     q: np.ndarray
     v: np.ndarray
     dt: float = 0.01
+    _inertia: dict = field(default_factory=dict, init=False, repr=False)
+
+    def inertia(self, body: RigidBody) -> np.ndarray:
+        """``world_inertia(body, self.q)``, read-only, built once per body
+        while the bits of its quaternion in ``q`` stay the same."""
+        quat = self.q[body.q_offset + 3 : body.q_offset + 7].tobytes()
+        kept = self._inertia.get(body)
+        if kept is None or kept[0] != quat:
+            inertia = world_inertia(body, self.q)
+            inertia.flags.writeable = False
+            kept = self._inertia[body] = (quat, inertia)
+        return kept[1]
 
 
 @dataclass
@@ -219,11 +252,58 @@ def _cross(a: list, b: list) -> list:
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
-def _read_only(offsets) -> np.ndarray:
-    """A read-only int copy of ``offsets``, which nothing else can write."""
-    out = np.array(offsets, dtype=int)
+def _read_only(values, dtype=int) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` that nothing else can
+    write: ``values`` itself if it already is one that owns its memory (the
+    caches that key on one array share it), else a read-only copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable and values.base is None:
+        return values
+    out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+@dataclass(eq=False)
+class NodeIndex:
+    """The coordinate and velocity ``triples`` of every node of a
+    ``Bodies``, read-only, for the arrays ``node_q``, ``node_v`` and
+    ``node_mass`` it was built for; ``node_index`` compares them by
+    identity, as ``BlockPattern.fits`` does. ``q`` and ``v`` are made on
+    first use: on a scene's first step that falls after the block pattern's
+    build, whose temporaries set a lattice run's peak memory."""
+
+    node_q: np.ndarray
+    node_v: np.ndarray
+    node_mass: np.ndarray
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """(n, 3) coordinate indices."""
+        return _frozen(triples(self.node_q))
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """(n, 3) velocity indices."""
+        return _frozen(triples(self.node_v))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def node_index(bodies: Bodies) -> NodeIndex:
+    """The ``NodeIndex`` cached on ``bodies``, built on first use, and again
+    when a node array is replaced; building it puts read-only copies in
+    place of the three node arrays it keys on."""
+    index = bodies.index
+    if index is None or not (
+        index.node_q is bodies.node_q and index.node_v is bodies.node_v and index.node_mass is bodies.node_mass
+    ):
+        bodies.node_q, bodies.node_v = _read_only(bodies.node_q), _read_only(bodies.node_v)
+        bodies.node_mass = _read_only(bodies.node_mass, float)
+        index = bodies.index = NodeIndex(bodies.node_q, bodies.node_v, bodies.node_mass)
+    return index
 
 
 def _rigid_v(bodies: Bodies) -> np.ndarray:
@@ -453,7 +533,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     fixed = np.empty((6, n_nodes + 2 * n_rigid))  # component c of every node and rigid-quarter term
 
     # node masses
-    node_idx = triples(bodies.node_v)
+    node_idx = node_index(bodies).v
     coef = (2.0 / t) * bodies.node_mass
     b[node_idx] += coef[:, None] * state.v[node_idx]
     fixed[:, :n_nodes] = 0.0
@@ -461,7 +541,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
 
     for k, body in enumerate(bodies.rigid):
         vo = body.v_offset
-        inertia = world_inertia(body, state.q)
+        inertia = state.inertia(body)
         block = (2.0 / t) * _rigid_mass(body, inertia)
         fixed[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block.take(_QUARTERS)
         b[vo : vo + 6] += block @ state.v[vo : vo + 6]
@@ -506,7 +586,8 @@ def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies) -> SystemSt
     """
     t = state.dt
     q = state.q.copy()
-    q[triples(bodies.node_q)] += t * v_hat[triples(bodies.node_v)]
+    index = node_index(bodies)
+    q[index.q] += t * v_hat[index.v]
     for body in bodies.rigid:
         qo, vo = body.q_offset, body.v_offset
         q[qo : qo + 3] += t * v_hat[vo : vo + 3]
@@ -517,9 +598,9 @@ def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies) -> SystemSt
 
 def kinetic_energy(state: SystemState, bodies: Bodies) -> float:
     """0.5 v^T M v in joules."""
-    v = state.v[triples(bodies.node_v)]
+    v = state.v[node_index(bodies).v]
     total = 0.5 * float(bodies.node_mass @ np.einsum("ij,ij->i", v, v))
     for body in bodies.rigid:
         seg = state.v[body.v_offset : body.v_offset + 6]
-        total += 0.5 * float(seg @ _rigid_mass(body, world_inertia(body, state.q)) @ seg)
+        total += 0.5 * float(seg @ _rigid_mass(body, state.inertia(body)) @ seg)
     return total

@@ -5,6 +5,13 @@ rejected). A run performs, per step: assemble dynamics, detect contacts,
 nodalize, augment, solve, integrate; per-step metrics land in CSV rows with
 deterministic formatting so identical (scenario, seed, solver) runs produce
 identical bytes.
+
+``build_scene`` builds no cache. A scene's layouts are built on its first
+step and hang off its objects, so they die with it: the node triples
+(``dynamics.NodeIndex``) and the contact layouts on its ``Bodies``, the
+block pattern on its ``Springs``, and the gravity force vector of
+``external_force`` on the ``Scene`` itself, which each step copies before
+adding the scheduled forces.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .dynamics import (
     assemble_step,
     integrate,
     kinetic_energy,
+    node_index,
     triples,
 )
 from .errors import (
@@ -348,7 +356,8 @@ def load_scenario(path: str) -> Scenario:
 
 @dataclass(eq=False)
 class Scene:
-    """Instantiated scenario: bodies, springs, geometry and force schedule."""
+    """Instantiated scenario: bodies, springs, geometry and force schedule.
+    ``weight`` caches the gravity force vector of ``external_force``."""
 
     bodies: Bodies
     state: SystemState
@@ -360,6 +369,7 @@ class Scene:
     mu2: float | None
     k_v: float
     gravity: np.ndarray
+    weight: tuple | None = field(default=None, init=False, repr=False)  # (node index, key, n-vector)
 
 
 def _lattice_nodes(spec: dict, seed: int) -> np.ndarray:
@@ -519,13 +529,28 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     return Scene(bodies, state, geometry, springs, force_entries, stab, mu, mu2, k_v, gravity)
 
 
+def _gravity_force(scene: Scene, n: int) -> np.ndarray:
+    """Gravity on every node and rigid body as one read-only n-vector, built
+    on the scene's first step and kept on it (``Scene.weight``) for this n,
+    the scene's ``dynamics.NodeIndex`` (its node offsets and masses), the
+    rigid bodies' offsets and masses, and the bits of ``scene.gravity``."""
+    bodies = scene.bodies
+    index = node_index(bodies)
+    key = (n, tuple((body.v_offset, body.mass) for body in bodies.rigid), scene.gravity.tobytes())
+    if scene.weight is None or scene.weight[0] is not index or scene.weight[1] != key:
+        f = np.zeros(n)
+        # the index's own triples are made after the first step's pattern build
+        f[triples(index.node_v)] += bodies.node_mass[:, None] * scene.gravity
+        for body in bodies.rigid:
+            f[body.v_offset : body.v_offset + 3] += body.mass * scene.gravity
+        f.flags.writeable = False
+        scene.weight = (index, key, f)
+    return scene.weight[2]
+
+
 def external_force(scene: Scene, t: float, n: int) -> np.ndarray:
     """Gravity plus the piecewise-constant schedule, at simulation time t."""
-    bodies = scene.bodies
-    f = np.zeros(n)
-    f[triples(bodies.node_v)] += bodies.node_mass[:, None] * scene.gravity
-    for body in bodies.rigid:
-        f[body.v_offset : body.v_offset + 3] += body.mass * scene.gravity
+    f = _gravity_force(scene, n).copy()
     for start, end, idx, force in scene.force_entries:
         if start <= t < end:
             np.add.at(f, idx, force)

@@ -57,7 +57,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .contacts import AugmentedDynamics, ContactMap
-from .dynamics import triples
 from .errors import DivergenceError, InvalidMatrixError
 from .sparse import BINCOUNT_NNZ_MAX, BincountMatvec, column_norms_sq, row_norms_sq, spmv
 
@@ -316,7 +315,7 @@ def step_matrix_frobenius(aug: AugmentedDynamics) -> np.ndarray:
         raise InvalidMatrixError("zero row norm in step-matrix computation")
     diag = a.data[aug.diag_pos]
     w = diag / rns
-    idx = triples(aug.contacts.nodes)
+    idx = aug.contacts.columns.node_idx
     w[idx] = (diag[idx].sum(axis=1) / rns[idx].sum(axis=1))[:, None]
     w.flags.writeable = False
     return w
@@ -331,19 +330,20 @@ def surrogate_gamma(w: np.ndarray, aug: AugmentedDynamics, omega: float = 0.0) -
     raised. A read-only ``w`` is taken as the W that
     ``step_matrix_frobenius`` returns read-only, tied as it was made: the
     check would cost most of this call (8.9 of 12.8 us on the box)."""
+    columns = aug.contacts.columns
     if w.flags.writeable:
-        _check_tie(w, aug.contacts.nodes)
-    gamma = w[aug.col_i]
-    has_j = aug.col_j >= 0
-    if has_j.any():
-        gamma[has_j] += w[aug.col_j[has_j]]
+        _check_tie(w, columns.node_idx)
+    gamma = w[columns.col_i]
+    if columns.any_j:
+        gamma[columns.has_j] += w[columns.j_cols]
     return gamma + omega
 
 
-def _check_tie(w: np.ndarray, cols: np.ndarray) -> None:
+def _check_tie(w: np.ndarray, node_idx: np.ndarray) -> None:
     """Guard for a W from outside ``step_matrix_frobenius``: the three
-    entries of every contacted node (``cols``) must coincide."""
-    trip = w[triples(cols)]
+    entries of every contacted node (its triple in ``node_idx``) must
+    coincide."""
+    trip = w[node_idx]
     if not (np.all(trip[:, 0] == trip[:, 1]) and np.all(trip[:, 0] == trip[:, 2])):
         raise InvalidMatrixError("step matrix violates the per-node ties")
 
@@ -377,7 +377,7 @@ def contact_pass(aug: AugmentedDynamics, gamma: np.ndarray, operator: str):
     floats instead (``_float_pass``): each call of the chain costs
     microseconds of numpy overhead on a few contacts, more than its
     arithmetic. A zero gamma, where a float division raises, takes the
-    chain."""
+    chain. Both read their indices from the set's ``ContactColumns``."""
     if gamma.shape[0] <= SCALAR_BATCH_MAX and operator in ("strict", "strict-anisotropic"):
         g = gamma.tolist()
         if 0.0 not in g:
@@ -400,16 +400,13 @@ def _float_pass(aug: AugmentedDynamics, gamma: list, operator: str):
     rotates back. The sums repeat ``einsum``'s order and its +0.0 start,
     which turns a -0.0 sum into +0.0: J_c v's entry a is
     0 + ((F_a0 r0 + F_a2 r2) + F_a1 r1), and J_c^T lam's is
-    0 + ((F_0a l0 + F_1a l1) + F_2a l2). The columns, frames and parameters
-    become floats once, here."""
+    0 + ((F_0a l0 + F_1a l1) + F_2a l2). v* is gathered and J_c^T lam
+    scattered in the order of ``ContactColumns.gather``; the frames and
+    parameters become floats once, here."""
     nodal = aug.contacts
-    has_j, idx = [], []  # each contact's columns i, then j for a D-contact
-    for i, j in zip(nodal.col_i.tolist(), nodal.col_j.tolist()):
-        has_j.append(j >= 0)
-        idx += (i, i + 1, i + 2, j, j + 1, j + 2) if j >= 0 else (i, i + 1, i + 2)
-    idx = np.array(idx)  # v* is gathered and J_c^T lam scattered in this order
+    idx = nodal.columns.gather
     rows = list(zip(
-        nodal.frames.reshape(-1, 9).tolist(), has_j, nodal.phi.tolist(), gamma, nodal.mu.tolist(),
+        nodal.frames.reshape(-1, 9).tolist(), nodal.columns.j_flags, nodal.phi.tolist(), gamma, nodal.mu.tolist(),
         nodal.mu2.tolist(),
     ))
     aniso = operator == "strict-anisotropic"

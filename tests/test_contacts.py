@@ -489,6 +489,150 @@ class TestTieLayout:
         assert layouts[0] is layouts[1] and len({id(x) for x in layouts}) == 3
 
 
+def dropped(name: str) -> dict:
+    """A bundled scenario with every body 3 cm higher, for 0.3 s: box_slide's
+    cube has no contact on its first steps and 4 once it lands, and
+    particle_stack's column has its 4 D-contacts, then the floor's too."""
+    raw = load_scenario(scenario_path(name)).raw
+    bodies = [{**body, "position": [*body["position"][:2], body["position"][2] + 0.03]} for body in raw["bodies"]]
+    return {**raw, "duration": 0.3, "bodies": bodies}
+
+
+def bits(a) -> np.ndarray:
+    """An array's entries as int64 bit patterns (8-byte types through
+    ``.view(np.int64)``, narrower ones widened), so that equal arrays have
+    the same bits, -0.0 and NaN included."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.int64) if a.dtype.itemsize == 8 else a.astype(np.int64)
+
+
+class TestContactLayout:
+    """The proxy table and the contact layout are built on a scene's first
+    step and reused while the contact sides stay the same; every step's
+    arrays are those that a fresh scene builds for that step."""
+
+    NODAL = ("col_i", "col_j", "frames", "mu", "mu2", "phi", "src", "rigid", "lever", "nodes", "tie_rows")
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts the ``ProxyTable`` and ``ContactLayout`` builds."""
+        built = {"ProxyTable": 0, "ContactLayout": 0}
+        for name in built:
+            cls = getattr(contacts, name)
+
+            def counting(*args, _build=cls.build, _name=name, **kwargs):
+                built[_name] += 1
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(cls, "build", counting)
+        return built
+
+    @staticmethod
+    def run_steps(monkeypatch, raw: dict) -> list:
+        """Per step of a ``harness.run``: simulation time, state, detection
+        and augmented system."""
+        from condsim import harness
+
+        steps, nodalize_, augment = [], harness.nodalize, harness.augment_dynamics
+
+        def nodalizing(detected, state, *args, **kwargs):
+            steps.append([len(steps) * raw["step_size"], state, detected])
+            return nodalize_(detected, state, *args, **kwargs)
+
+        def augmenting(asm, nodal):
+            aug = augment(asm, nodal)
+            steps[-1].append(aug)
+            return aug
+
+        monkeypatch.setattr(harness, "nodalize", nodalizing)
+        monkeypatch.setattr(harness, "augment_dynamics", augmenting)
+        harness.run(harness.Scenario(raw), RunConfig())
+        return steps
+
+    @pytest.mark.parametrize("name", ["particle_stack", "box_slide"])
+    def test_every_step_matches_a_fresh_scene(self, monkeypatch, builds, name):
+        from condsim import harness
+
+        raw = dropped(name)
+        steps = self.run_steps(monkeypatch, raw)
+        sides = [(d.v_off.tobytes(), d.q_off.tobytes()) for _, _, d, _ in steps]
+        changes = 1 + sum(a != b for a, b in zip(sides, sides[1:]))
+        # the contact set changes, and only its changes rebuild the layout
+        assert 1 < changes < len(steps)
+        assert builds == {"ProxyTable": 1, "ContactLayout": changes}
+        for t, state, _, aug in steps:
+            scene = build_scene(harness.Scenario(raw), RunConfig())
+            fresh = SystemState(state.q.copy(), state.v.copy(), state.dt)
+            n = fresh.v.shape[0]
+            asm = assemble_step(fresh, scene.bodies, scene.constraints, harness.external_force(scene, t, n))
+            nodal = nodalize(detect_contacts(fresh, scene.bodies, scene.geometry), fresh, scene.k_v, scene.mu,
+                             scene.mu2, scene.stab)
+            ref = augment_dynamics(asm, nodal)
+            for field in self.NODAL:
+                assert np.array_equal(bits(getattr(aug.contacts, field)), bits(getattr(nodal, field))), (t, field)
+            for x, y in ((aug.a.data, ref.a.data), (aug.a.indices, ref.a.indices), (aug.a.indptr, ref.a.indptr),
+                         (aug.b, ref.b), (aug.diag_pos, ref.diag_pos)):
+                assert np.array_equal(bits(x), bits(y)), t
+
+    def test_one_layout_per_contact_set(self, monkeypatch, builds):
+        raw = load_scenario(scenario_path("box_slide")).raw
+        steps = self.run_steps(monkeypatch, raw)
+        sets = {(d.v_off.tobytes(), d.q_off.tobytes()) for _, _, d, _ in steps}
+        assert len(steps) == 300
+        assert builds == {"ProxyTable": 1, "ContactLayout": len(sets)}
+        # every step of one contact set shares its layout's arrays
+        layouts = {id(aug.contacts.columns) for _, _, _, aug in steps}
+        assert len(layouts) == len(sets)
+
+    def test_changed_key_rebuilds_the_layout(self, builds):
+        state, bodies, geometry = bundled_scene("particle_stack")
+        detected = detect_contacts(state, bodies, geometry)
+        first = nodalize(detected, state, 1e5, mu=0.2)
+        assert nodalize(detected, state, 1e5, mu=0.2).col_i is first.col_i
+        for kwargs in ({"mu": 0.3}, {"mu": 0.2, "mu2": 0.4}):
+            nodal = nodalize(detected, state, 1e5, **kwargs)
+            assert nodal.mu[0] == kwargs["mu"] and nodal.mu2[0] == kwargs.get("mu2", kwargs["mu"])
+        assert builds == {"ProxyTable": 1, "ContactLayout": 3}
+        # a record made field by field carries no table: its layout is new
+        fields = {f.name: getattr(detected, f.name) for f in dataclasses.fields(detected)}
+        copied = DetectedContacts(**fields)
+        assert copied.proxies is None and nodalize(copied, state, 1e5, mu=0.2).col_i is not first.col_i
+        # as many contacts, with the floor's on particle 1: node 3 then
+        # carries its floor side first, and every later side on nodes 3,
+        # 6 and 9 takes a virtual node
+        nodalize(detected, state, 1e5, mu=0.2)
+        v_off = detected.v_off.copy()
+        v_off[0, 0] = 3
+        moved = DetectedContacts(**{**fields, "v_off": v_off})
+        moved.proxies = detected.proxies
+        nodal = nodalize(moved, state, 1e5, mu=0.2)
+        assert builds["ContactLayout"] == 6 and moved.proxies.layout.columns is nodal.columns
+        assert nodal.col_i.tolist() == [3, 0, 18, 21, 24] and nodal.col_j.tolist() == [-1, 15, 6, 9, 12]
+
+    def test_tie_rows_built_once_per_step(self, monkeypatch):
+        """``augment_dynamics`` and the warm start read the set's tie rows."""
+        from condsim import harness
+
+        calls, original = [], contacts._tie_rows
+        monkeypatch.setattr(contacts, "_tie_rows", lambda lever: calls.append(1) or original(lever))
+        s = load_scenario(scenario_path("box_slide"))
+        harness.run(harness.Scenario({**s.raw, "duration": 5 * s.step_size}), RunConfig())
+        assert len(calls) == 5
+
+    def test_changed_scene_rebuilds_the_table(self, builds):
+        state, bodies, geometry = bundled_scene("particle_stack")
+        table = contacts.proxy_table(bodies, geometry)
+        assert contacts.proxy_table(bodies, geometry) is table
+        with pytest.raises(ValueError):
+            bodies.node_radius[0] = 0.0  # the table keeps the radii read-only
+        bodies.node_radius = np.where(np.arange(5) == 0, 0.0, bodies.node_radius)
+        # the floor contact and the pair (0, 1) went with particle 0's proxy
+        assert len(detect_contacts(state, bodies, geometry)) == 3
+        geometry.spheres.append(StaticSphere(np.zeros(3), 1.0))
+        detect_contacts(state, bodies, geometry)
+        assert builds["ProxyTable"] == 3 and bodies.proxies.frames.shape == (2, 3, 3)
+
+
 def mixed_scene(rng):
     """Two particles (velocity offsets 0 and 3) and two rotated rigid bodies
     with random velocities, and detected contacts of every kind."""

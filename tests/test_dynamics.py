@@ -941,3 +941,21 @@ class TestKineticEnergy:
         state = SystemState(q, np.concatenate([vlin, omega]))
         ref = 0.5 * 2.0 * vlin @ vlin + 0.5 * omega @ inertia @ omega
         assert np.isclose(kinetic_energy(state, rigid_only(body)), ref, atol=1e-12)
+
+    def test_world_inertia_built_once_per_state(self, monkeypatch):
+        """``kinetic_energy`` at the end of a step and ``assemble_step`` of the
+        next read the world inertia kept on their state; a quaternion edited
+        in place builds it again."""
+        from condsim import dynamics, harness
+
+        calls, original = [], dynamics.world_inertia
+        monkeypatch.setattr(dynamics, "world_inertia", lambda *args: calls.append(1) or original(*args))
+        s = load_scenario(scenario_path("box_slide"))
+        harness.run(Scenario({**s.raw, "duration": 10 * s.step_size}), harness.RunConfig())
+        assert len(calls) == 11  # the scene's state, then one per integrated state
+        body = rigid_only(RigidBody(2.0, 0, 0, np.diag([0.1, 0.2, 0.3])))
+        state = SystemState(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), np.arange(1.0, 7.0))
+        first = kinetic_energy(state, body)
+        assert kinetic_energy(state, body) == first and len(calls) == 12
+        state.q[3:7] = [np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0]  # a quarter turn about x swaps I_yy and I_zz
+        assert kinetic_energy(state, body) != first and len(calls) == 13

@@ -444,6 +444,36 @@ class TestStepMemory:
         assert len(res.rows) == 3
         assert alive == [[], [False] * 2, [False] * 4]
 
+    def test_scene_caches_die_with_the_scene(self, monkeypatch):
+        """The node index, proxy table and contact layout that a run's scene
+        caches are freed with it: a second run on a new scene finds them
+        dead, with gc disabled, so nothing but the scene held them."""
+        from condsim import harness
+
+        refs, reused, original = [], [], harness.nodalize
+
+        def spy(detected, *args, **kwargs):
+            nodal = original(detected, *args, **kwargs)
+            table = detected.proxies
+            cached = (table.index, table, table.layout, nodal.columns)
+            if not refs:
+                refs.extend(weakref.ref(x) for x in cached)
+            elif len(reused) < 2:  # the first run's later steps
+                reused.append([ref() for ref in refs] == list(cached))
+            return nodal
+
+        monkeypatch.setattr(harness, "nodalize", spy)
+        s = load_scenario(scenario_path("particle_stack"))
+        scenario = Scenario({**s.raw, "duration": 3 * s.step_size})
+        gc.disable()
+        try:
+            run(scenario, RunConfig())
+            run(scenario, RunConfig())
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert reused == [True, True] and alive == [False] * 4
+
     def test_traced_peak_of_a_lattice_run(self):
         scenario = lattice_steps(2)
         run(scenario, RunConfig())  # first-use caches stay out of the traced run
@@ -613,6 +643,8 @@ def box_slide_records():
     return {
         "Plane": scene.geometry.planes[0], "Geometry": scene.geometry, "DetectedContacts": detected,
         "NodalContactSet": nodal, "AugmentedDynamics": aug, "TieLayout": asm.pattern.ties,
+        "NodeIndex": bodies.index, "ProxyTable": bodies.proxies, "ContactLayout": bodies.proxies.layout,
+        "ContactColumns": nodal.columns,
         "RigidBody": bodies.rigid[0], "Bodies": bodies, "SystemState": state, "Springs": scene.constraints,
         "AssembledDynamics": asm, "BlockPattern": asm.pattern, "DelassusProblem": baselines.assemble_delassus(aug),
         "Scene": scene, "RunResult": run(Scenario({**s.raw, "duration": s.step_size})),
