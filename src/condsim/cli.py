@@ -1,4 +1,4 @@
-"""Command-line interface: run a scenario, benchmark scaling, or self-verify.
+"""Command-line interface: run a scenario or benchmark scaling.
 
 Exit codes: 0 success, 2 scenario or option validation error (also a
 baseline solver on a system beyond its dense capacity or under the
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
 
 from .errors import CapacityError, DivergenceError, ScenarioValidationError
 from .harness import (
@@ -54,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--scenario", required=True)
     p_bench.add_argument("--sizes", required=True, help="comma-separated DOF counts, ascending")
     _add_solver_args(p_bench)
-
-    sub.add_parser("verify", help="run the built-in property checks")
     return parser
 
 
@@ -117,68 +113,13 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _check(name: str, ok: bool, failures: list) -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-    if not ok:
-        failures.append(name)
-
-
-def cmd_verify(_args) -> int:
-    """Quick self-contained property checks on random inputs."""
-    from .contacts import contact_frames, contact_jacobian_matrix
-    from .solver import project
-    from .testing import random_contact_augmentation
-
-    rng = np.random.default_rng(7)
-    failures: list = []
-
-    n = rng.standard_normal((200, 3))
-    n = n[np.linalg.norm(n, axis=1) >= 1e-6]
-    r = contact_frames(n)
-    ok = np.allclose(r @ r.transpose(0, 2, 1), np.eye(3), atol=1e-12)
-    ok &= np.allclose(r[:, 0], n / np.linalg.norm(n, axis=1)[:, None], atol=1e-12)
-    _check("contact frames orthonormal with first row = normal", ok, failures)
-
-    ok = True
-    for _ in range(500):
-        lam = 5.0 * rng.standard_normal(3)
-        mu, mu2 = rng.uniform(0.05, 1.5, 2)
-        strict = project(lam, mu)
-        for proj in (strict, project(lam, mu, "proximal")):
-            ok &= proj[0] >= 0.0
-            ok &= np.linalg.norm(proj[1:]) <= mu * proj[0] + 1e-12
-        iso = project(lam, mu, "strict-anisotropic", mu)
-        ok &= np.linalg.norm(iso - strict) <= 1e-10
-        ln, x, y = project(lam, mu, "strict-anisotropic", mu2)
-        ok &= ln == max(lam[0], 0.0)
-        ok &= ln > 0.0 and (x / (mu * ln)) ** 2 + (y / (mu2 * ln)) ** 2 <= 1.0 + 1e-12 or x == y == 0.0
-    _check("projections land in the friction cone or ellipse; isotropic ellipse = strict", ok, failures)
-
-    ok = True
-    for trial in range(20):
-        aug, w = random_contact_augmentation(rng)
-        jc = contact_jacobian_matrix(aug).toarray()
-        prod = jc @ np.diag(w) @ jc.T
-        off = prod - np.diag(np.diag(prod))
-        ok &= np.abs(off).max() <= 1e-12
-    _check("tied step matrix diagonalizes Jc W Jc^T", ok, failures)
-
-    if failures:
-        print(f"{len(failures)} check(s) failed")
-        return 1
-    print("all checks passed")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        return cmd_verify(args)
+        return cmd_bench(args)
     except (ScenarioValidationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -32,11 +32,11 @@ with each:
 
 - ``ProxyTable``, on ``Bodies.proxies``: the proxied nodes' coordinate
   triples, every proxy's radius and row of (velocity offset, rigid
-  coordinate offset, body), and the primitives' frame table. A new node
-  array (``dynamics.NodeIndex``) or radius array, a rigid body's offsets,
-  point count or radius, or the geometry's planes or sphere count rebuild
-  it. Per step, ``detect_contacts`` computes the proxy centers, distances,
-  frames of sphere and pair contacts, points, depths and keys.
+  coordinate offset, body), and the primitives' frame table. The bodies
+  and the ``Geometry`` are frozen records, so nothing invalidates it; it
+  is built again only for another ``Geometry`` object. Per step,
+  ``detect_contacts`` computes the proxy centers, distances, frames of
+  sphere and pair contacts, points, depths and keys.
 - ``ContactLayout``, on the ``ProxyTable``: keyed on the bytes of the
   detected sides' ``v_off``/``q_off`` plus n, mu and mu2, so a change of the
   contact set or of those parameters rebuilds it. It holds the columns,
@@ -84,8 +84,6 @@ from .dynamics import (
     RigidBody,
     SystemState,
     _quat_to_rot,
-    _read_only,
-    node_index,
     triples,
 )
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
@@ -119,13 +117,17 @@ class StaticSphere:
     radius: float
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Geometry:
-    """Static primitives; the dynamic proxies live on ``Bodies``."""
+    """Static primitives, as tuples; the dynamic proxies live on ``Bodies``."""
 
-    planes: list = field(default_factory=list)
-    spheres: list = field(default_factory=list)
+    planes: tuple = ()
+    spheres: tuple = ()
     margin: float = DEFAULT_MARGIN
+
+    def __post_init__(self):
+        object.__setattr__(self, "planes", tuple(self.planes))
+        object.__setattr__(self, "spheres", tuple(self.spheres))
 
 
 @dataclass(eq=False)
@@ -194,7 +196,7 @@ class ContactColumns:
         if shared.size:
             raise InvalidMatrixError(f"column {shared[0]} carries more than one contact side")
         node_idx, idx_i, idx_j = triples(nodes), triples(col_i), triples(j_cols)
-        for a in (nodes, node_idx, has_j, j_cols, idx_i, idx_j):
+        for a in (nodes, has_j, j_cols):
             a.flags.writeable = False
         return cls(col_i, col_j, nodes, node_idx, has_j, bool(j_cols.shape[0]), j_cols, idx_i, idx_j)
 
@@ -377,17 +379,10 @@ class ProxyTable:
     static sphere; ``reach`` is twice the largest radius, for the pair
     search that ``search`` turns on. Every array is read-only.
 
-    It fits the ``dynamics.NodeIndex`` and ``node_radius`` it was built for
-    (compared by identity: ``build`` puts a read-only copy of the radii in
-    place), the rigid bodies' offsets, point counts and radii, and the
-    geometry's planes and sphere count. ``layout`` is the ``ContactLayout``
-    of the last contact sides nodalized on it."""
+    ``geometry`` is the ``Geometry`` it was built for. ``layout`` is the
+    ``ContactLayout`` of the last contact sides nodalized on it."""
 
-    index: object  # dynamics.NodeIndex
-    node_radius: np.ndarray
-    rigid: tuple
-    planes: tuple
-    n_spheres: int
+    geometry: Geometry
     coords: np.ndarray
     radii: np.ndarray
     proxy: np.ndarray
@@ -396,19 +391,8 @@ class ProxyTable:
     reach: float
     layout: ContactLayout | None = field(default=None, repr=False)
 
-    @staticmethod
-    def key(bodies: Bodies, geometry: Geometry) -> tuple:
-        """The rigid bodies' and the geometry's part of the fit."""
-        rigid = tuple(
-            (body.v_offset, body.q_offset, body.contact_points.shape[0], body.contact_radius) for body in bodies.rigid
-        )
-        return rigid, tuple(geometry.planes), len(geometry.spheres)
-
     @classmethod
     def build(cls, bodies: Bodies, geometry: Geometry) -> ProxyTable:
-        index = node_index(bodies)
-        rigid, planes, n_spheres = cls.key(bodies, geometry)
-        bodies.node_radius = _read_only(bodies.node_radius, float)
         proxied = (bodies.node_radius > 0).nonzero()[0]
         n_nodes = proxied.shape[0]
         n_points = [body.contact_points.shape[0] for body in bodies.rigid]
@@ -419,29 +403,21 @@ class ProxyTable:
         proxy[:n_nodes, 0] = bodies.node_v[proxied]
         rows = [(body.v_offset, body.q_offset, k) for k, body in enumerate(bodies.rigid)]
         proxy[n_nodes:-1] = np.array(rows, dtype=int).reshape(-1, 3).repeat(n_points, axis=0)
-        frames = np.array([plane.frame for plane in planes] + [_UNSET] * n_spheres).reshape(-1, 3, 3)
-        # a lattice proxies every node: it shares the index's triples
-        coords = index.q if n_nodes == index.q.shape[0] else index.q[proxied]
+        frames = np.array([p.frame for p in geometry.planes] + [_UNSET] * len(geometry.spheres)).reshape(-1, 3, 3)
+        # a lattice proxies every node: it shares the bodies' triples
+        coords = bodies.q_triples if n_nodes == bodies.node_q.shape[0] else bodies.q_triples[proxied]
         for a in (coords, radii, proxy, frames):
             a.flags.writeable = False
         n_proxies = radii.shape[0]
         search = n_proxies > 1 and bool(n_nodes or len(bodies.rigid) > 1)
-        return cls(index, bodies.node_radius, rigid, planes, n_spheres, coords, radii, proxy, frames, search,
-                   2.0 * radii.max() if n_proxies else 0.0)
-
-    def fits(self, bodies: Bodies, geometry: Geometry) -> bool:
-        return (
-            self.index is bodies.index
-            and self.node_radius is bodies.node_radius
-            and (self.rigid, self.planes, self.n_spheres) == self.key(bodies, geometry)
-        )
+        return cls(geometry, coords, radii, proxy, frames, search, 2.0 * radii.max() if n_proxies else 0.0)
 
 
 def proxy_table(bodies: Bodies, geometry: Geometry) -> ProxyTable:
-    """The ``ProxyTable`` cached on ``bodies``, rebuilt when it does not fit."""
-    node_index(bodies)  # a new node array gives the bodies a new index first
-    if bodies.proxies is None or not bodies.proxies.fits(bodies, geometry):
-        bodies.proxies = ProxyTable.build(bodies, geometry)
+    """The ``ProxyTable`` cached on ``bodies``, built on first use and again
+    for another ``Geometry`` object."""
+    if bodies.proxies is None or bodies.proxies.geometry is not geometry:
+        object.__setattr__(bodies, "proxies", ProxyTable.build(bodies, geometry))
     return bodies.proxies
 
 

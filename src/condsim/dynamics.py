@@ -31,8 +31,6 @@ with springs the components go one at a time through one weight vector of
 node-diagonal terms, refilled per component, so a step never holds all six
 at once. Mirrored entries read the same sum, and a rigid body's world
 inertia R I R^T is symmetrized once, so A is bitwise symmetric.
-``BlockPattern.fits`` checks the layout in O(1): the pattern keeps the
-offset arrays themselves, read-only.
 The pattern also keeps one ``csc_matrix`` template over its index arrays,
 from which each read of ``AssembledDynamics.a`` makes the step's matrix, and
 the positions of A's diagonal entries in ``data``, from which the solver's
@@ -46,12 +44,14 @@ array formulas' bits. Each body's world inertia is built once per state and
 kept on it (``SystemState.inertia``): ``kinetic_energy`` at the end of a
 step builds it, and ``assemble_step`` of the next step reads it.
 
-The node layout is cached like the pattern: ``node_index`` keeps the
-read-only coordinate and velocity ``triples`` of every node on the
-``Bodies`` (``NodeIndex``), built on a scene's first step, and
-``assemble_step``, ``integrate`` and ``kinetic_energy`` read them, as
-``harness.external_force`` does for its cached gravity vector. A new node
-array rebuilds it.
+A scene's layout is fixed when its records are made: ``RigidBody``,
+``Bodies`` and ``Springs`` are frozen, and their arrays are read-only from
+construction (``_read_only``). Each per-scene layout is therefore built once,
+on first use, with no key: the node ``triples`` are cached properties of the
+``Bodies``, which ``assemble_step``, ``integrate`` and ``kinetic_energy``
+read, and the pattern on the ``Springs`` checks only that it was built for
+these bodies and this n. ``dataclasses.replace`` makes a new record, which
+builds its own layouts.
 """
 
 from __future__ import annotations
@@ -74,16 +74,37 @@ _XYZ = np.arange(3)
 
 
 def triples(offsets) -> np.ndarray:
-    """(k, 3) indices of the three consecutive entries starting at each offset."""
-    return np.asarray(offsets, dtype=int).reshape(-1, 1) + _XYZ
+    """(k, 3) indices of the three consecutive entries starting at each
+    offset, read-only."""
+    out = np.asarray(offsets, dtype=int).reshape(-1, 1) + _XYZ
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(eq=False)
+def _read_only(values, dtype=int) -> np.ndarray:
+    """``values`` itself if it already is a read-only array of ``dtype`` that
+    owns its memory, else a read-only copy of it as one."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable and values.base is None:
+        return values
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _read_only_fields(record, dtype, *names) -> None:
+    """From a frozen record's ``__post_init__``: put ``_read_only`` arrays of
+    ``dtype`` in place of its fields ``names``."""
+    for name in names:
+        object.__setattr__(record, name, _read_only(getattr(record, name), dtype))
+
+
+@dataclass(frozen=True, eq=False)
 class RigidBody:
     """A 6-DOF rigid body.
 
     It uses 7 coordinates (position + unit quaternion, scalar first) but 6
     velocity DOF (linear, then angular), starting at ``q_offset``/``v_offset``.
+    Its arrays are read-only.
     """
 
     mass: float
@@ -93,29 +114,45 @@ class RigidBody:
     contact_points: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # body frame
     contact_radius: float = 0.0
 
+    def __post_init__(self):
+        _read_only_fields(self, float, "inertia", "contact_points")
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class Bodies:
     """Every body of a scene.
 
     Row m of the node arrays is one 3-DOF point mass (a particle or a lattice
     node) whose coordinates and velocity start at ``node_q[m]``/``node_v[m]``.
-    A node with ``node_radius[m] > 0`` carries a sphere contact proxy.
-    A scene's first step puts read-only copies in place of ``node_q``,
-    ``node_v`` and ``node_mass`` (``node_index``, ``BlockPattern``) and of
-    ``node_radius`` (``contacts.detect_contacts``): a new layout takes new
-    arrays. The caches ``index`` and ``proxies`` are built on first use and
-    die with the bodies.
+    A node with ``node_radius[m] > 0`` carries a sphere contact proxy. The
+    node arrays are read-only, and ``rigid`` is a tuple. The node
+    ``triples`` and the ``contacts.ProxyTable`` in ``proxies`` are built on
+    first use and die with the bodies.
     """
 
     node_q: np.ndarray  # (n,) int
     node_v: np.ndarray  # (n,) int
     node_mass: np.ndarray  # (n,) kg
     node_radius: np.ndarray  # (n,) m, 0 means no proxy
-    rigid: list = field(default_factory=list)  # RigidBody records
-    # the NodeIndex of node_index, and the contacts.ProxyTable of the last detection
-    index: NodeIndex | None = field(default=None, init=False, repr=False)
-    proxies: object = field(default=None, init=False, repr=False)
+    rigid: tuple = ()  # RigidBody records
+    proxies: object = field(default=None, init=False, repr=False)  # set by contacts.proxy_table
+
+    def __post_init__(self):
+        _read_only_fields(self, int, "node_q", "node_v")
+        _read_only_fields(self, float, "node_mass", "node_radius")
+        object.__setattr__(self, "rigid", tuple(self.rigid))
+
+    # Made on first use: on a scene's first step that falls after the block
+    # pattern's build, whose temporaries set a lattice run's peak memory.
+    @cached_property
+    def q_triples(self) -> np.ndarray:
+        """(n, 3) coordinate indices of every node."""
+        return triples(self.node_q)
+
+    @cached_property
+    def v_triples(self) -> np.ndarray:
+        """(n, 3) velocity indices of every node."""
+        return triples(self.node_v)
 
 
 @dataclass(eq=False)
@@ -153,15 +190,13 @@ class DampingPolicy:
     value: float = 0.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Springs:
     """Distance springs with potential 0.5 k e^2, e = |p_i - p_j| - rest.
 
     Row m joins the 3-DOF nodes at coordinate offsets ``qi[m]``/``qj[m]``
     (velocity offsets ``vi[m]``/``vj[m]``) with stiffness ``k[m]`` in N/m.
-    All springs share the scene's damping policy. ``assemble_step`` puts
-    read-only copies in place of the four offset arrays (see
-    ``BlockPattern``): new spring ends take new arrays.
+    All springs share the scene's damping policy. The arrays are read-only.
     """
 
     qi: np.ndarray
@@ -171,7 +206,11 @@ class Springs:
     k: np.ndarray
     rest: np.ndarray
     damping: DampingPolicy = field(default_factory=DampingPolicy)
-    pattern: BlockPattern | None = field(default=None, repr=False)  # set by assemble_step
+    pattern: BlockPattern | None = field(default=None, init=False, repr=False)  # set by block_pattern
+
+    def __post_init__(self):
+        _read_only_fields(self, int, "qi", "qj", "vi", "vj")
+        _read_only_fields(self, float, "k", "rest")
 
 
 @dataclass(eq=False)
@@ -252,64 +291,6 @@ def _cross(a: list, b: list) -> list:
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
-def _read_only(values, dtype=int) -> np.ndarray:
-    """``values`` as a read-only array of ``dtype`` that nothing else can
-    write: ``values`` itself if it already is one that owns its memory (the
-    caches that key on one array share it), else a read-only copy."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable and values.base is None:
-        return values
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(eq=False)
-class NodeIndex:
-    """The coordinate and velocity ``triples`` of every node of a
-    ``Bodies``, read-only, for the arrays ``node_q``, ``node_v`` and
-    ``node_mass`` it was built for; ``node_index`` compares them by
-    identity, as ``BlockPattern.fits`` does. ``q`` and ``v`` are made on
-    first use: on a scene's first step that falls after the block pattern's
-    build, whose temporaries set a lattice run's peak memory."""
-
-    node_q: np.ndarray
-    node_v: np.ndarray
-    node_mass: np.ndarray
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        """(n, 3) coordinate indices."""
-        return _frozen(triples(self.node_q))
-
-    @cached_property
-    def v(self) -> np.ndarray:
-        """(n, 3) velocity indices."""
-        return _frozen(triples(self.node_v))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def node_index(bodies: Bodies) -> NodeIndex:
-    """The ``NodeIndex`` cached on ``bodies``, built on first use, and again
-    when a node array is replaced; building it puts read-only copies in
-    place of the three node arrays it keys on."""
-    index = bodies.index
-    if index is None or not (
-        index.node_q is bodies.node_q and index.node_v is bodies.node_v and index.node_mass is bodies.node_mass
-    ):
-        bodies.node_q, bodies.node_v = _read_only(bodies.node_q), _read_only(bodies.node_v)
-        bodies.node_mass = _read_only(bodies.node_mass, float)
-        index = bodies.index = NodeIndex(bodies.node_q, bodies.node_v, bodies.node_mass)
-    return index
-
-
-def _rigid_v(bodies: Bodies) -> np.ndarray:
-    return np.array([body.v_offset for body in bodies.rigid], dtype=int)
-
-
 # Component c of a symmetric 3x3 block is its entry (_R[c], _S[c]), r <= s.
 _R, _S = np.triu_indices(3)
 _DIAG = np.flatnonzero(_R == _S)
@@ -342,13 +323,7 @@ class BlockPattern:
     angular velocity. The spring ends in ``diag_block`` also sum the spring
     forces into b.
     ``coords`` caches the springs' coordinate indices (``_spring_coords``),
-    which change only with the spring ends.
-
-    ``build`` puts read-only copies in place of ``bodies.node_v`` and the
-    springs' four offset arrays, and the pattern keeps those very arrays:
-    ``fits`` compares them by identity, in O(1) whatever their size, since
-    an edit in place raises and a new layout takes new arrays. Only the few
-    rigid bodies' offsets are compared by value.
+    and ``bodies`` are the bodies it was built for.
 
     ``build`` gives every block its (3, 3) array of ``vals`` indices, lets a
     ``csr_matrix`` of block numbers sort the blocks, and expands them with
@@ -366,12 +341,7 @@ class BlockPattern:
     """
 
     n: int
-    node_v: np.ndarray
-    rigid_v: tuple
-    vi: np.ndarray
-    vj: np.ndarray
-    qi: np.ndarray
-    qj: np.ndarray
+    bodies: Bodies
     indices: np.ndarray
     indptr: np.ndarray
     gather: np.ndarray
@@ -387,10 +357,7 @@ class BlockPattern:
 
     @classmethod
     def build(cls, n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
-        bodies.node_v, springs.vi, springs.vj, springs.qi, springs.qj = (
-            _read_only(a) for a in (bodies.node_v, springs.vi, springs.vj, springs.qi, springs.qj)
-        )
-        offsets = [bodies.node_v, _rigid_v(bodies), springs.vi, springs.vj]
+        offsets = [bodies.node_v, np.array([body.v_offset for body in bodies.rigid], dtype=int), springs.vi, springs.vj]
         if n % 3 or any(np.any(o % 3) for o in offsets):
             raise DimensionMismatchError("block assembly needs n and velocity offsets that are multiples of 3")
         for o, width, what in zip(offsets, (3, 6, 3, 3), ("node", "rigid body", "spring end i", "spring end j")):
@@ -431,22 +398,8 @@ class BlockPattern:
         # every step's matrix shares these two arrays
         indices.flags.writeable = indptr.flags.writeable = False
         return cls(
-            n, bodies.node_v, tuple(offsets[1].tolist()), springs.vi, springs.vj, springs.qi, springs.qj,
-            indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs, coords=_spring_coords(springs),
+            n, bodies, indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs, coords=_spring_coords(springs),
             template=csc_template(indices, indptr, n), diag_pos=diag_pos, norm_chunks=norm_chunks(indices, indptr),
-        )
-
-    def fits(self, n: int, bodies: Bodies, springs: Springs) -> bool:
-        """Whether this pattern was built for this size and these offsets:
-        the same offset arrays and the same rigid-body offsets."""
-        return (
-            self.n == n
-            and self.node_v is bodies.node_v
-            and self.vi is springs.vi
-            and self.vj is springs.vj
-            and self.qi is springs.qi
-            and self.qj is springs.qj
-            and self.rigid_v == tuple(body.v_offset for body in bodies.rigid)
         )
 
 
@@ -467,9 +420,10 @@ def _block_diagonal_positions(blocks: sp.csr_matrix, indptr: np.ndarray) -> np.n
 
 
 def block_pattern(n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
-    """The pattern cached on ``springs``, rebuilt when it does not fit."""
-    if springs.pattern is None or not springs.pattern.fits(n, bodies, springs):
-        springs.pattern = BlockPattern.build(n, bodies, springs)
+    """The pattern cached on ``springs``, built on first use and again for
+    other bodies or another n."""
+    if springs.pattern is None or springs.pattern.bodies is not bodies or springs.pattern.n != n:
+        object.__setattr__(springs, "pattern", BlockPattern.build(n, bodies, springs))
     return springs.pattern
 
 
@@ -533,7 +487,7 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     fixed = np.empty((6, n_nodes + 2 * n_rigid))  # component c of every node and rigid-quarter term
 
     # node masses
-    node_idx = node_index(bodies).v
+    node_idx = bodies.v_triples
     coef = (2.0 / t) * bodies.node_mass
     b[node_idx] += coef[:, None] * state.v[node_idx]
     fixed[:, :n_nodes] = 0.0
@@ -586,8 +540,7 @@ def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies) -> SystemSt
     """
     t = state.dt
     q = state.q.copy()
-    index = node_index(bodies)
-    q[index.q] += t * v_hat[index.v]
+    q[bodies.q_triples] += t * v_hat[bodies.v_triples]
     for body in bodies.rigid:
         qo, vo = body.q_offset, body.v_offset
         q[qo : qo + 3] += t * v_hat[vo : vo + 3]
@@ -598,7 +551,7 @@ def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies) -> SystemSt
 
 def kinetic_energy(state: SystemState, bodies: Bodies) -> float:
     """0.5 v^T M v in joules."""
-    v = state.v[node_index(bodies).v]
+    v = state.v[bodies.v_triples]
     total = 0.5 * float(bodies.node_mass @ np.einsum("ij,ij->i", v, v))
     for body in bodies.rigid:
         seg = state.v[body.v_offset : body.v_offset + 6]

@@ -6,9 +6,10 @@ nodalize, augment, solve, integrate; per-step metrics land in CSV rows with
 deterministic formatting so identical (scenario, seed, solver) runs produce
 identical bytes.
 
-``build_scene`` builds no cache. A scene's layouts are built on its first
-step and hang off its objects, so they die with it: the node triples
-(``dynamics.NodeIndex``) and the contact layouts on its ``Bodies``, the
+``build_scene`` builds no cache, but its records are frozen and their
+arrays read-only, so a scene's layout never changes once it is built. Its
+layouts are built on its first step and hang off its objects, so they die
+with it: the node triples and the contact layouts on its ``Bodies``, the
 block pattern on its ``Springs``, and the gravity force vector of
 ``external_force`` on the ``Scene`` itself, which each step copies before
 adding the scheduled forces.
@@ -21,12 +22,14 @@ import math
 import time
 import typing
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import jsonschema
 import numpy as np
 
 from . import baselines as bl
 from .contacts import (
+    DEFAULT_MARGIN,
     Geometry,
     Plane,
     StabilizationParams,
@@ -42,10 +45,10 @@ from .dynamics import (
     RigidBody,
     Springs,
     SystemState,
+    _read_only,
     assemble_step,
     integrate,
     kinetic_energy,
-    node_index,
     triples,
 )
 from .errors import (
@@ -354,22 +357,39 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(data, path)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Instantiated scenario: bodies, springs, geometry and force schedule.
-    ``weight`` caches the gravity force vector of ``external_force``."""
+    ``gravity``, ``force_entries`` (a tuple) and the entries' arrays are
+    read-only."""
 
     bodies: Bodies
     state: SystemState
     geometry: Geometry
     constraints: Springs
-    force_entries: list  # (start, end, (k, 3) velocity indices, (k, 3) forces)
+    force_entries: tuple  # (start, end, (k, 3) velocity indices, (k, 3) forces)
     stab: StabilizationParams
     mu: float
     mu2: float | None
     k_v: float
     gravity: np.ndarray
-    weight: tuple | None = field(default=None, init=False, repr=False)  # (node index, key, n-vector)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gravity", _read_only(self.gravity, float))
+        entries = tuple((s, e, _read_only(i), _read_only(f, float)) for s, e, i, f in self.force_entries)
+        object.__setattr__(self, "force_entries", entries)
+
+    @cached_property
+    def gravity_force(self) -> np.ndarray:
+        """Gravity on every node and rigid body as one read-only vector over
+        the scene's velocities, built on its first step."""
+        f = np.zeros(self.state.v.shape[0])
+        # the bodies' own triples are made after the first step's pattern build
+        f[triples(self.bodies.node_v)] += self.bodies.node_mass[:, None] * self.gravity
+        for body in self.bodies.rigid:
+            f[body.v_offset : body.v_offset + 3] += body.mass * self.gravity
+        f.flags.writeable = False
+        return f
 
 
 def _lattice_nodes(spec: dict, seed: int) -> np.ndarray:
@@ -419,14 +439,12 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     seed = cfg.seed if cfg.seed is not None else s.seed
     dt = s.step_size
 
-    geometry = Geometry()
     geo = data.get("geometry", {})
-    for p in geo.get("planes", []):
-        geometry.planes.append(Plane(np.array(p["point"], dtype=float), np.array(p["normal"], dtype=float)))
-    for sp in geo.get("spheres", []):
-        geometry.spheres.append(StaticSphere(np.array(sp["center"], dtype=float), sp["radius"]))
-    if "margin" in geo:
-        geometry.margin = geo["margin"]
+    geometry = Geometry(
+        [Plane(np.array(p["point"], dtype=float), np.array(p["normal"], dtype=float)) for p in geo.get("planes", [])],
+        [StaticSphere(np.array(sp["center"], dtype=float), sp["radius"]) for sp in geo.get("spheres", [])],
+        geo.get("margin", DEFAULT_MARGIN),
+    )
 
     # layout: the listed bodies in order, then the lattice nodes
     specs = data.get("bodies", [])
@@ -479,20 +497,19 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
         stiffness.append(np.full(a.shape[0], float(lat["stiffness"])))
         rest.append(np.linalg.norm(q[triples(lat_q[a])] - q[triples(lat_q[b])], axis=1))
 
-    bodies = Bodies(
+    node_arrays = [
         np.concatenate([part_q, lat_q]),
         np.concatenate([part_v, lat_v]),
         np.concatenate(node_mass),
         np.concatenate(node_radius),
-        rigid,
-    )
+    ]
+    spring_arrays = [np.concatenate(parts) for parts in (*zip(*ends), stiffness, rest)]
+    # fresh arrays that nothing else holds: read-only, the records keep them rather than copies
+    for a in node_arrays + spring_arrays:
+        a.flags.writeable = False
+    bodies = Bodies(*node_arrays, rigid)
     damp_spec = data.get("damping", {"variant": "constant", "value": 0.0})
-    springs = Springs(
-        *(np.concatenate(end) for end in zip(*ends)),
-        np.concatenate(stiffness),
-        np.concatenate(rest),
-        DampingPolicy(damp_spec["variant"], damp_spec.get("value", 0.0)),
-    )
+    springs = Springs(*spring_arrays, DampingPolicy(damp_spec["variant"], damp_spec.get("value", 0.0)))
     state = SystemState(q, v, dt)
 
     contact = data.get("contact", {})
@@ -529,28 +546,10 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     return Scene(bodies, state, geometry, springs, force_entries, stab, mu, mu2, k_v, gravity)
 
 
-def _gravity_force(scene: Scene, n: int) -> np.ndarray:
-    """Gravity on every node and rigid body as one read-only n-vector, built
-    on the scene's first step and kept on it (``Scene.weight``) for this n,
-    the scene's ``dynamics.NodeIndex`` (its node offsets and masses), the
-    rigid bodies' offsets and masses, and the bits of ``scene.gravity``."""
-    bodies = scene.bodies
-    index = node_index(bodies)
-    key = (n, tuple((body.v_offset, body.mass) for body in bodies.rigid), scene.gravity.tobytes())
-    if scene.weight is None or scene.weight[0] is not index or scene.weight[1] != key:
-        f = np.zeros(n)
-        # the index's own triples are made after the first step's pattern build
-        f[triples(index.node_v)] += bodies.node_mass[:, None] * scene.gravity
-        for body in bodies.rigid:
-            f[body.v_offset : body.v_offset + 3] += body.mass * scene.gravity
-        f.flags.writeable = False
-        scene.weight = (index, key, f)
-    return scene.weight[2]
-
-
 def external_force(scene: Scene, t: float, n: int) -> np.ndarray:
-    """Gravity plus the piecewise-constant schedule, at simulation time t."""
-    f = _gravity_force(scene, n).copy()
+    """Gravity plus the piecewise-constant schedule, at simulation time t,
+    over the scene's n velocities."""
+    f = scene.gravity_force.copy()
     for start, end, idx, force in scene.force_entries:
         if start <= t < end:
             np.add.at(f, idx, force)

@@ -38,9 +38,8 @@ from condsim.solver import (
     surrogate_gamma,
 )
 from condsim.sparse import spmv
-from condsim.testing import build_augmented, random_contact_set, random_spd
 
-from conftest import ALL_SCENARIOS, scenario_path
+from conftest import ALL_SCENARIOS, build_augmented, random_contact_set, random_spd, scenario_path
 
 THETA_TH = 1e-4
 

@@ -15,7 +15,7 @@ from condsim.baselines import (
 from condsim.contacts import contact_frames, contact_jacobian_matrix
 from condsim.errors import CapacityError
 from condsim.solver import SolverConfig, _project_batch, solve_vfpi
-from condsim.testing import build_augmented, contact_set, random_contact_set, random_spd
+from conftest import build_augmented, contact_set, random_contact_set, random_spd
 
 
 def single_contact_aug(a_scale=1.0, b=None, mu=0.0):

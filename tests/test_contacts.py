@@ -26,21 +26,33 @@ from condsim.contacts import (
 from condsim.dynamics import Bodies, DampingPolicy, RigidBody, Springs, SystemState, assemble_step
 from condsim.errors import InvalidMatrixError, InvalidStateError
 from condsim.harness import RunConfig, _warm_velocity, build_scene, load_scenario
-from condsim.testing import build_augmented, contact_set, random_contact_set, random_spd
 
-from conftest import reference_nodalize, scenario_path, skew
+from conftest import (
+    build_augmented,
+    contact_set,
+    random_contact_set,
+    random_spd,
+    reference_nodalize,
+    scenario_path,
+    skew,
+)
 
 vec3 = st.tuples(
     st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
 )
 
 
-def particle_scene(positions, radius=0.5, dt=0.01):
+FLOOR = Plane(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+
+
+def particle_scene(positions, radius=0.5, dt=0.01, **geometry):
+    """Particles at ``positions`` with proxy radius ``radius`` (one for all,
+    or one per particle), and a ``Geometry`` of the keyword arguments."""
     off = 3 * np.arange(len(positions))
     bodies = Bodies(off, off, np.ones(len(positions)), np.full(len(positions), radius))
     q = np.concatenate([np.asarray(p, dtype=float) for p in positions])
     state = SystemState(q, np.zeros(q.shape[0]), dt=dt)
-    return state, bodies, Geometry()
+    return state, bodies, Geometry(**geometry)
 
 
 def no_springs():
@@ -48,14 +60,15 @@ def no_springs():
     return Springs(none, none, none, none, np.zeros(0), np.zeros(0))
 
 
-def cube_scene(points, inertia=1.0):
-    """A 0.5 kg rigid body at height 0.1 carrying ``points`` over a floor."""
+def cube_scene(points, inertia=1.0, radius=0.0):
+    """A 0.5 kg rigid body at height 0.1 carrying ``points`` of contact
+    radius ``radius`` over a floor."""
     none = np.zeros(0, dtype=int)
-    body = RigidBody(0.5, 0, 0, inertia * np.eye(3), np.array(points, dtype=float))
+    body = RigidBody(0.5, 0, 0, inertia * np.eye(3), np.array(points, dtype=float), radius)
     bodies = Bodies(none, none, np.zeros(0), np.zeros(0), [body])
     q = np.concatenate([[0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]])
     state = SystemState(q, np.zeros(6), dt=0.01)
-    return state, bodies, Geometry(planes=[Plane(np.zeros(3), np.array([0.0, 0.0, 1.0]))])
+    return state, bodies, Geometry(planes=[FLOOR])
 
 
 class TestContactFrame:
@@ -170,8 +183,7 @@ class TestPlaneFrame:
 
 class TestDetectContacts:
     def test_sphere_proxy_on_plane(self):
-        state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5)
-        geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+        state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5, planes=[FLOOR])
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 1
         assert np.isclose(raw.depth[0], 0.1)
@@ -179,15 +191,13 @@ class TestDetectContacts:
         assert np.allclose(raw.frame[0, 0], [0.0, 0.0, 1.0])
 
     def test_separated_particle_no_contact(self):
-        state, bodies, geom = particle_scene([[0.0, 0.0, 1.0]], radius=0.0)
-        geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+        state, bodies, geom = particle_scene([[0.0, 0.0, 1.0]], radius=0.0, planes=[FLOOR])
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 0
         assert raw.point.shape == (0, 3) and raw.v_off.shape == (0, 2) and raw.key.dtype == np.int64
 
     def test_proxy_on_static_sphere(self):
-        state, bodies, geom = particle_scene([[0.0, 0.0, 1.4]], radius=0.5)
-        geom.spheres.append(StaticSphere(np.zeros(3), 1.0))
+        state, bodies, geom = particle_scene([[0.0, 0.0, 1.4]], radius=0.5, spheres=[StaticSphere(np.zeros(3), 1.0)])
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 1
         assert np.isclose(raw.depth[0], 0.1)
@@ -199,10 +209,10 @@ class TestDetectContacts:
     def test_order_is_proxy_by_proxy_planes_first(self):
         # two proxies, each touching the floor and a sphere; a proxy without
         # a radius is skipped
-        state, bodies, geom = particle_scene([[0.0, 0.0, 0.4], [5.0, 0.0, 0.0], [3.0, 0.0, 0.4]])
-        bodies.node_radius[1] = 0.0
-        geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
-        geom.spheres.append(StaticSphere(np.array([1.5, 0.0, 0.4]), 1.2))
+        state, bodies, geom = particle_scene(
+            [[0.0, 0.0, 0.4], [5.0, 0.0, 0.0], [3.0, 0.0, 0.4]], radius=[0.5, 0.0, 0.5],
+            planes=[FLOOR], spheres=[StaticSphere(np.array([1.5, 0.0, 0.4]), 1.2)],
+        )
         raw = detect_contacts(state, bodies, geom)
         assert [(v, tuple(np.round(normal, 12))) for v, normal in zip(raw.v_off[:, 0], raw.frame[:, 0])] == [
             (0, (0.0, 0.0, 1.0)),
@@ -226,8 +236,7 @@ class TestDetectContacts:
         # a row of touching particles on the floor, listed out of x order:
         # the floor contacts proxy by proxy, then the pairs (0, 2), (0, 3),
         # (1, 3) in (first, second) order
-        state, bodies, geom = particle_scene([[0.9 * k, 0.0, 0.45] for k in (2, 0, 3, 1)], radius=0.5)
-        geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+        state, bodies, geom = particle_scene([[0.9 * k, 0.0, 0.45] for k in (2, 0, 3, 1)], radius=0.5, planes=[FLOOR])
         raw = detect_contacts(state, bodies, geom)
         assert raw.v_off.tolist() == [[0, -1], [3, -1], [6, -1], [9, -1], [0, 6], [0, 9], [3, 9]]
         # 1 primitive and 4 proxies: proxy e on the floor has key 5 e, pair (e, f) 5 e + 1 + f
@@ -235,8 +244,7 @@ class TestDetectContacts:
 
     def test_points_of_one_body_never_pair(self):
         # cube points 0.01 apart with radius 0.05 overlap, but belong to one body
-        state, bodies, geom = cube_scene([[0.0, 0.0, -0.1], [0.01, 0.0, -0.1]])
-        bodies.rigid[0].contact_radius = 0.05
+        state, bodies, geom = cube_scene([[0.0, 0.0, -0.1], [0.01, 0.0, -0.1]], radius=0.05)
         raw = detect_contacts(state, bodies, geom)
         assert raw.v_off.tolist() == [[0, -1], [0, -1]] and raw.q_off.tolist() == [[0, -1], [0, -1]]
 
@@ -246,9 +254,9 @@ class TestDetectContacts:
         # pair checked directly, in key order
         for _ in range(10):
             k = int(rng.integers(2, 200))
-            state, bodies, geom = particle_scene(rng.uniform(0.0, 1.0, (k, 3)))
-            bodies.node_radius[:] = rng.uniform(0.0, 0.12, k) * (rng.random(k) < 0.9)
-            geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+            positions = rng.uniform(0.0, 1.0, (k, 3))
+            radius = rng.uniform(0.0, 0.12, k) * (rng.random(k) < 0.9)
+            state, bodies, geom = particle_scene(positions, radius, planes=[FLOOR])
             raw = detect_contacts(state, bodies, geom)
             proxied = np.flatnonzero(bodies.node_radius > 0)
             centers, radii = state.q.reshape(-1, 3)[proxied], bodies.node_radius[proxied]
@@ -295,7 +303,7 @@ class TestPairSearchGate:
         # a second rigid body without contact points adds no proxy but turns
         # the pair search on; it must find nothing that changes the result
         empty = dataclasses.replace(bodies.rigid[0], contact_points=np.zeros((0, 3)))
-        searched = detect_contacts(state, dataclasses.replace(bodies, rigid=bodies.rigid + [empty]), geom)
+        searched = detect_contacts(state, dataclasses.replace(bodies, rigid=bodies.rigid + (empty,)), geom)
         assert len(tree_builds) == 1
         for name in ("point", "frame", "depth", "v_off", "q_off", "key"):
             assert np.array_equal(getattr(raw, name), getattr(searched, name)), name
@@ -323,8 +331,7 @@ class TestStabilization:
 
 class TestNodalize:
     def test_particle_contact_stays_on_node(self):
-        state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5)
-        geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+        state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5, planes=[FLOOR])
         raw = detect_contacts(state, bodies, geom)
         nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.n_virtual == 0
@@ -349,9 +356,8 @@ class TestNodalize:
         # particle wedged between two planes: diagonalization needs one
         # contact per node, so the second contact gets an identity-tied
         # virtual node
-        state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5)
-        geom.planes.append(Plane(np.zeros(3), np.array([0.0, 0.0, 1.0])))
-        geom.planes.append(Plane(np.array([0.0, 0.0, 0.8]), np.array([0.0, 0.0, -1.0])))
+        ceiling = Plane(np.array([0.0, 0.0, 0.8]), np.array([0.0, 0.0, -1.0]))
+        state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5, planes=[FLOOR, ceiling])
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 2
         nodal = nodalize(raw, state, k_v=1e5)
@@ -620,17 +626,20 @@ class TestContactLayout:
         assert len(calls) == 5
 
     def test_changed_scene_rebuilds_the_table(self, builds):
+        # a scene cannot be edited; records made with dataclasses.replace
+        # build their own tables, and the old bodies keep theirs
         state, bodies, geometry = bundled_scene("particle_stack")
         table = contacts.proxy_table(bodies, geometry)
         assert contacts.proxy_table(bodies, geometry) is table
         with pytest.raises(ValueError):
-            bodies.node_radius[0] = 0.0  # the table keeps the radii read-only
-        bodies.node_radius = np.where(np.arange(5) == 0, 0.0, bodies.node_radius)
+            bodies.node_radius[0] = 0.0
+        fewer = dataclasses.replace(bodies, node_radius=np.where(np.arange(5) == 0, 0.0, bodies.node_radius))
         # the floor contact and the pair (0, 1) went with particle 0's proxy
-        assert len(detect_contacts(state, bodies, geometry)) == 3
-        geometry.spheres.append(StaticSphere(np.zeros(3), 1.0))
-        detect_contacts(state, bodies, geometry)
-        assert builds["ProxyTable"] == 3 and bodies.proxies.frames.shape == (2, 3, 3)
+        assert len(detect_contacts(state, fewer, geometry)) == 3
+        sphere = dataclasses.replace(geometry, spheres=geometry.spheres + (StaticSphere(np.zeros(3), 1.0),))
+        detect_contacts(state, fewer, sphere)
+        assert builds["ProxyTable"] == 3 and fewer.proxies.frames.shape == (2, 3, 3)
+        assert bodies.proxies is table and len(detect_contacts(state, bodies, geometry)) == 5
 
 
 def mixed_scene(rng):

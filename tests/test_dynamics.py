@@ -413,10 +413,11 @@ class TestBlockAssembly:
         assert len(touched_blocks(bodies, s)) == 5 + 4 + 6
 
     def test_cached_pattern_follows_layout(self, rng):
-        # one Springs, first between the nodes at velocity offsets 0 and 3;
-        # a change of n, of the node or rigid offsets, or of the spring ends
-        # (velocity or coordinate offsets) rebuilds the pattern, and a second
-        # step on one layout keeps it
+        # one Springs, first between the nodes at velocity offsets 0 and 3,
+        # under other bodies (other n, node or rigid offsets) builds a new
+        # pattern; springs with other ends (velocity or coordinate offsets),
+        # made with dataclasses.replace, build their own; a second step on
+        # one layout keeps it
         s = springs([(0, 1)], 50.0, 0.5, DampingPolicy("constant", 0.7))
         two_nodes = np.array([0, 3])
         layouts = [
@@ -429,9 +430,9 @@ class TestBlockAssembly:
         patterns = []
         for k, bodies in enumerate(layouts):
             if k == 3:
-                s.qj, s.vj = np.array([9]), np.array([9])
+                s = dataclasses.replace(s, qj=np.array([9]), vj=np.array([9]))
             if k == 4:
-                s.qj = np.array([6])
+                s = dataclasses.replace(s, qj=np.array([6]))
             n = 3 * len(bodies.node_v) + 6 * len(bodies.rigid)
             q = rng.uniform(-1.0, 1.0, n + len(bodies.rigid))
             for body in bodies.rigid:
@@ -444,10 +445,10 @@ class TestBlockAssembly:
         assert len({id(p) for p in patterns}) == len(layouts)
 
     def test_pattern_follows_edits_of_the_offsets(self, rng):
-        # after a step the springs and bodies hold read-only copies of their
-        # offsets, which the pattern keeps: an edit in place raises, an edit
-        # of the array passed in no longer reaches the springs, and a new
-        # array rebuilds the pattern, even with the same offsets
+        # the springs and bodies hold read-only copies of their offsets: an
+        # edit in place raises, and an edit of the array passed in never
+        # reaches them; records made with dataclasses.replace build their
+        # own pattern, even with the same offsets
         bodies = particles([1.0, 2.0, 3.0])
         vi = np.array([0, 3])
         s = Springs(np.array([0, 3]), np.array([3, 6]), vi, np.array([3, 6]), np.full(2, 50.0), np.full(2, 0.5))
@@ -463,25 +464,23 @@ class TestBlockAssembly:
         assert s.pattern is pattern
         patterns = [pattern]
         for edit in (
-            lambda: setattr(s, "vi", s.vi.copy()),
-            lambda: setattr(bodies, "node_v", bodies.node_v.copy()),
-            lambda: setattr(s, "qj", np.array([6, 6])) or setattr(s, "vj", np.array([6, 6])),
+            lambda: (dataclasses.replace(s, vi=s.vi.copy()), bodies),
+            lambda: (s, dataclasses.replace(bodies, node_v=bodies.node_v.copy())),
+            lambda: (dataclasses.replace(s, qj=np.array([6, 6]), vj=np.array([6, 6])), bodies),
         ):
-            edit()
+            s, bodies = edit()
             self.check(assemble_step(state, bodies, s), state, bodies, s)
             assert all(s.pattern is not p for p in patterns)
             patterns.append(s.pattern)
 
     def test_steady_step_compares_no_offsets(self, monkeypatch):
-        # a step on a known layout reads no offset array: equal copies do not
-        # fit, and the lattice's second step makes no full-array comparison
+        # a step on a known layout reads no offset array: the lattice's
+        # second step makes no full-array comparison, and records with
+        # equal copies of the offsets build their own pattern
         scene = build_scene(load_scenario(scenario_path("lattice_drag")))
         state, bodies, s = scene.state, scene.bodies, scene.constraints
         first = assemble_step(state, bodies, s)
         pattern = s.pattern
-        n = state.v.shape[0]
-        assert not pattern.fits(n, dataclasses.replace(bodies, node_v=bodies.node_v.copy()), s)
-        assert not pattern.fits(n, bodies, dataclasses.replace(s, vj=s.vj.copy()))
 
         def compared(*args, **kwargs):
             raise AssertionError("a steady step compared arrays")
@@ -491,7 +490,9 @@ class TestBlockAssembly:
         second = assemble_step(state, bodies, s)
         assert s.pattern is pattern and np.array_equal.__name__ == "compared"
         assert (second.data == first.data).all()
-
+        monkeypatch.undo()
+        assert assemble_step(state, bodies, dataclasses.replace(s, vj=s.vj.copy())).pattern is not pattern
+        assert assemble_step(state, dataclasses.replace(bodies, node_v=bodies.node_v.copy()), s).pattern is not pattern
 
     def test_mirrored_blocks_are_bitwise_equal(self, rng):
         # three springs on one node pair in mixed orientation: (i, j) and
@@ -652,15 +653,15 @@ class TestComponentSums:
             layouts += 1
             f_ext = rng.standard_normal(state.v.shape[0])
             for variant in ("constant", "geometric-projection"):
-                s.damping = DampingPolicy(variant, rng.uniform(0.0, 1.0))
+                s = dataclasses.replace(s, damping=DampingPolicy(variant, rng.uniform(0.0, 1.0)))
                 self.check(state, bodies, s, f_ext)
 
     def test_lattice(self):
         scene = build_scene(load_scenario(scenario_path("lattice_drag")))
         state, f_ext = scene.state, external_force(scene, 0.0, scene.state.v.shape[0])
         for variant in ("constant", "geometric-projection"):
-            scene.constraints.damping = DampingPolicy(variant, 2.0)
-            self.check(state, scene.bodies, scene.constraints, f_ext)
+            springs = dataclasses.replace(scene.constraints, damping=DampingPolicy(variant, 2.0))
+            self.check(state, scene.bodies, springs, f_ext)
 
     def test_spring_free_rigid_scenes(self, rng):
         layouts = 0

@@ -445,24 +445,27 @@ class TestStepMemory:
         assert alive == [[], [False] * 2, [False] * 4]
 
     def test_scene_caches_die_with_the_scene(self, monkeypatch):
-        """The node index, proxy table and contact layout that a run's scene
-        caches are freed with it: a second run on a new scene finds them
-        dead, with gc disabled, so nothing but the scene held them."""
+        """The node triples, gravity vector, block and tie patterns, proxy
+        table and contact layout that a run's scene caches are freed with
+        it: a second run on a new scene finds them dead, with gc disabled,
+        so nothing but the scene held them, and no back-reference of a
+        cache to the records it was built for makes a cycle."""
         from condsim import harness
 
-        refs, reused, original = [], [], harness.nodalize
+        refs, reused, original = [], [], harness._step
 
-        def spy(detected, *args, **kwargs):
-            nodal = original(detected, *args, **kwargs)
-            table = detected.proxies
-            cached = (table.index, table, table.layout, nodal.columns)
+        def spy(scene, *args, **kwargs):
+            out = original(scene, *args, **kwargs)
+            bodies, pattern, table = scene.bodies, scene.constraints.pattern, scene.bodies.proxies
+            cached = (bodies.q_triples, bodies.v_triples, scene.gravity_force, pattern, pattern.ties, table,
+                      table.layout, table.layout.columns)
             if not refs:
                 refs.extend(weakref.ref(x) for x in cached)
             elif len(reused) < 2:  # the first run's later steps
-                reused.append([ref() for ref in refs] == list(cached))
-            return nodal
+                reused.append(all(ref() is x for ref, x in zip(refs, cached)))
+            return out
 
-        monkeypatch.setattr(harness, "nodalize", spy)
+        monkeypatch.setattr(harness, "_step", spy)
         s = load_scenario(scenario_path("particle_stack"))
         scenario = Scenario({**s.raw, "duration": 3 * s.step_size})
         gc.disable()
@@ -472,7 +475,7 @@ class TestStepMemory:
             alive = [ref() is not None for ref in refs]
         finally:
             gc.enable()
-        assert reused == [True, True] and alive == [False] * 4
+        assert reused == [True, True] and alive == [False] * 8
 
     def test_traced_peak_of_a_lattice_run(self):
         scenario = lattice_steps(2)
@@ -643,7 +646,7 @@ def box_slide_records():
     return {
         "Plane": scene.geometry.planes[0], "Geometry": scene.geometry, "DetectedContacts": detected,
         "NodalContactSet": nodal, "AugmentedDynamics": aug, "TieLayout": asm.pattern.ties,
-        "NodeIndex": bodies.index, "ProxyTable": bodies.proxies, "ContactLayout": bodies.proxies.layout,
+        "ProxyTable": bodies.proxies, "ContactLayout": bodies.proxies.layout,
         "ContactColumns": nodal.columns,
         "RigidBody": bodies.rigid[0], "Bodies": bodies, "SystemState": state, "Springs": scene.constraints,
         "AssembledDynamics": asm, "BlockPattern": asm.pattern, "DelassusProblem": baselines.assemble_delassus(aug),
@@ -672,6 +675,102 @@ class TestIdentityComparison:
         assert StabilizationParams(e_rest=0.5) == StabilizationParams(e_rest=0.5) != StabilizationParams()
         row = MetricsRow(0, 1.0, 2.0, 3, 4.0, 5.0, 6, 7.0)
         assert row == dataclasses.replace(row) != dataclasses.replace(row, iters=4)
+
+
+class TestFrozenScene:
+    """``build_scene``'s records are frozen and their arrays read-only, so a
+    scene's layout cannot change once it is built; ``dataclasses.replace``
+    makes a new record, which builds its own layouts."""
+
+    RAW = {
+        "step_size": 0.01,
+        "duration": 0.01,
+        "bodies": [
+            {"type": "particle", "mass": 1.0, "position": [0.0, 0.0, 0.05], "radius": 0.1},
+            {"type": "rigid", "mass": 2.0, "position": [1.0, 0.0, 0.05],
+             "contact_points": [[0.0, 0.0, -0.1], [0.1, 0.0, -0.1]]},
+            {"type": "particle", "mass": 1.0, "position": [0.5, 0.0, 0.5]},
+        ],
+        "springs": [{"i": 0, "j": 2, "stiffness": 100.0}],
+        "geometry": {"planes": [{"point": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, 1.0]}],
+                     "spheres": [{"center": [0.0, 0.0, -5.0], "radius": 1.0}]},
+        "forces": [{"force": [1.0, 0.0, 0.0], "body": 1}],
+    }
+    # the array fields of each record
+    ARRAYS = {
+        "Scene": {"gravity"},
+        "Bodies": {"node_q", "node_v", "node_mass", "node_radius"},
+        "RigidBody": {"inertia", "contact_points"},
+        "Springs": {"qi", "qj", "vi", "vj", "k", "rest"},
+        "Geometry": set(),
+    }
+
+    def records(self):
+        from condsim.harness import build_scene
+
+        scene = build_scene(Scenario(self.RAW))
+        return {"Scene": scene, "Bodies": scene.bodies, "RigidBody": scene.bodies.rigid[0],
+                "Springs": scene.constraints, "Geometry": scene.geometry}
+
+    def test_fields_cannot_be_assigned(self):
+        records = self.records()
+        for name, record in records.items():
+            for f in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, f.name, getattr(record, f.name))
+        scene = records["Scene"]
+        for seq in (scene.bodies.rigid, scene.geometry.planes, scene.geometry.spheres, scene.force_entries):
+            assert isinstance(seq, tuple) and len(seq) == 1
+
+    def test_arrays_are_read_only_copies(self):
+        # every array of the records, and of the scene's force entries, is
+        # read-only; an array passed in is copied, so writing into it
+        # afterwards cannot reach the record
+        records = self.records()
+        for name, record in records.items():
+            arrays = {f.name for f in dataclasses.fields(record) if isinstance(getattr(record, f.name), np.ndarray)}
+            assert arrays == self.ARRAYS[name], name
+            for field in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(record, field)[...] = 0
+                passed = np.array(getattr(record, field))
+                made = dataclasses.replace(record, **{field: passed})
+                kept = getattr(made, field)
+                assert not kept.flags.writeable and not np.shares_memory(kept, passed), (name, field)
+                passed[...] = 7
+                assert np.array_equal(kept, getattr(record, field)), (name, field)
+        scene = records["Scene"]
+        (entry,) = scene.force_entries
+        passed = [np.array(a) for a in entry[2:]]
+        (made,) = dataclasses.replace(scene, force_entries=[(*entry[:2], *passed)]).force_entries
+        for a, kept in zip(entry[2:], made[2:]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+            assert not kept.flags.writeable and not any(np.shares_memory(kept, p) for p in passed)
+
+    def test_replaced_records_build_their_own_layouts(self):
+        from condsim.contacts import detect_contacts
+        from condsim.dynamics import assemble_step
+
+        scene = self.records()["Scene"]
+        state, bodies, springs, geometry = scene.state, scene.bodies, scene.constraints, scene.geometry
+        pattern = assemble_step(state, bodies, springs).pattern
+        table = detect_contacts(state, bodies, geometry).proxies
+        new_bodies, new_springs, new_geometry = (dataclasses.replace(r) for r in (bodies, springs, geometry))
+        assert new_bodies.proxies is None and new_springs.pattern is None
+        # the springs' pattern, built again under other bodies
+        own = assemble_step(state, bodies, new_springs).pattern
+        assert own is not pattern and springs.pattern is pattern
+        assert assemble_step(state, new_bodies, new_springs).pattern is not own
+        # the bodies' proxy table, built again for another geometry
+        made = detect_contacts(state, new_bodies, geometry).proxies
+        assert made is not table and bodies.proxies is table and np.array_equal(made.proxy, table.proxy)
+        other = detect_contacts(state, new_bodies, new_geometry).proxies
+        assert other is not made and other.geometry is new_geometry and new_bodies.proxies is other
+        # the scene's gravity vector
+        replaced = dataclasses.replace(scene)
+        assert replaced.gravity_force is not scene.gravity_force
+        assert np.array_equal(replaced.gravity_force, scene.gravity_force)
 
 
 class TestAnalyticBoxSlide:
@@ -1028,11 +1127,6 @@ class TestCli:
     def test_bench_sizes_must_be_integers(self, capsys):
         assert main(["bench", "--scenario", scenario_path("lattice_drag"), "--sizes", "300,abc"]) == 2
         assert "--sizes must be comma-separated integers, got '300,abc'" in capsys.readouterr().err
-
-    def test_verify_passes(self, capsys):
-        assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
 
     def test_console_script_installed(self, tmp_path):
         """The declared ``condsim`` console script works as an installed launcher.

@@ -39,9 +39,15 @@ from condsim.solver import (
     surrogate_gamma,
 )
 from condsim.sparse import row_norms_sq, spmv
-from condsim.testing import build_augmented, contact_set, random_contact_augmentation, random_contact_set, random_spd
 
-from conftest import scenario_path
+from conftest import (
+    build_augmented,
+    contact_set,
+    random_contact_augmentation,
+    random_contact_set,
+    random_spd,
+    scenario_path,
+)
 
 UP = contact_frames(np.array([0.0, 0.0, 1.0]))[0]  # the frame of a contact with normal +z
 

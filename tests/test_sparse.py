@@ -29,9 +29,8 @@ from condsim.sparse import (
     spmv,
     with_data,
 )
-from condsim.testing import build_augmented, contact_set, random_spd
 
-from conftest import ALL_SCENARIOS, scenario_path
+from conftest import ALL_SCENARIOS, build_augmented, contact_set, random_spd, scenario_path
 
 
 def dense(vals) -> sp.csc_matrix:
