@@ -35,18 +35,18 @@ with each:
   coordinate offset, body), and the primitives' frame table. The bodies
   and the ``Geometry`` are frozen records, so nothing invalidates it; it
   is built again only for another ``Geometry`` object. Per step,
-  ``detect_contacts`` computes the proxy centers, distances, frames of
-  sphere and pair contacts, points, depths and keys.
+  ``detect_contacts`` computes the proxy centers (rigid points turned by the
+  state's ``rigid_pose``), distances, frames, points, depths and keys.
 - ``ContactLayout``, on the ``ProxyTable``: keyed on the bytes of the
   detected sides' ``v_off``/``q_off`` plus n, mu and mu2, so a change of the
   contact set or of those parameters rebuilds it. It holds the columns,
   the virtual sides with their sources and rigid flags, the rigid sides'
   index triples, the mu/mu2 arrays and the ``ContactColumns``. Per step,
   ``nodalize`` computes the lever arms, relative normal velocities and phi.
-- ``ContactColumns``, on the layout: the contacted nodes, checked once for
-  a column carrying two contact sides, their triples for W's ties, and the
-  gather indices of ``ContactMap`` and of the solver's float pass. A
-  ``NodalContactSet`` made with other columns builds its own.
+- ``ContactColumns``, on the layout: the columns, the contacted nodes,
+  checked once for a column carrying two contact sides, their triples for
+  W's ties, and the gather indices of ``ContactMap`` and of the solver's
+  float pass; every ``NodalContactSet`` holds one.
 - ``TieLayout``, on A_o's ``BlockPattern`` (below). The T rows of a step's
   lever arms are built once per ``NodalContactSet`` (``tie_rows``), for the
   warm start and ``augment_dynamics`` alike.
@@ -81,9 +81,9 @@ from .dynamics import (
     AssembledDynamics,
     BlockPattern,
     Bodies,
-    RigidBody,
+    RigidBodies,
     SystemState,
-    _quat_to_rot,
+    _cross,
     triples,
 )
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
@@ -164,9 +164,8 @@ _RECORD = np.dtype(
 
 @dataclass(eq=False)
 class ContactColumns:
-    """The index arrays of one contact set's columns ``col_i``/``col_j``,
-    which it keeps and ``fits`` compares by identity: ``nodes``, the
-    contacted node columns, ascending, and their ``triples`` in
+    """One contact set's columns ``col_i``/``col_j`` and their index
+    arrays: ``nodes``, the contacted node columns, ascending, and their ``triples`` in
     ``node_idx`` (W's node ties); the D-contacts ``has_j`` and their
     ``j_cols``; ``ContactMap``'s gathers ``idx_i``/``idx_j``; and, built on
     first use, since only small batches read them, the float pass's order
@@ -200,9 +199,6 @@ class ContactColumns:
             a.flags.writeable = False
         return cls(col_i, col_j, nodes, node_idx, has_j, bool(j_cols.shape[0]), j_cols, idx_i, idx_j)
 
-    def fits(self, col_i: np.ndarray, col_j: np.ndarray) -> bool:
-        return self.col_i is col_i and self.col_j is col_j
-
     @cached_property
     def gather(self) -> np.ndarray:
         """Per contact its columns i, then j for a D-contact."""
@@ -220,11 +216,9 @@ class ContactColumns:
 
 @dataclass(eq=False)
 class NodalContactSet:
-    """Nodalized contacts. ``nodes`` holds the column offsets of the
-    contacted nodes, ascending, from ``columns``, the set's
-    ``ContactColumns``: ``nodalize`` passes those of its cached layout, and
-    a set made with other columns builds its own, which rejects a column
-    that carries two contact sides.
+    """Nodalized contacts, whose columns are those of its ``ContactColumns``:
+    ``nodalize`` passes its layout's, and a set made by hand builds its own
+    with ``ContactColumns.build``.
 
     Virtual node k has the columns n_orig + 3k to n_orig + 3k + 2. Its row
     block of Jv is [I, -[r]x] at a rigid body's velocity offset ``src[k]``
@@ -234,9 +228,8 @@ class NodalContactSet:
 
     n_orig: int  # original velocity dimension
     k_v: float
-    # per contact: column offsets (col_j -1 for S-contacts), frames and parameters
-    col_i: np.ndarray
-    col_j: np.ndarray
+    columns: ContactColumns = field(repr=False)
+    # per contact: frames and parameters; columns.col_j is -1 for an S-contact
     frames: np.ndarray  # (n_c, 3, 3)
     mu: np.ndarray
     mu2: np.ndarray  # mu where the scene sets no mu2
@@ -245,18 +238,9 @@ class NodalContactSet:
     src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     rigid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     lever: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    columns: ContactColumns | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.columns is None or not self.columns.fits(self.col_i, self.col_j):
-            self.columns = ContactColumns.build(self.col_i, self.col_j)
 
     def __len__(self) -> int:
-        return self.col_i.shape[0]
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.columns.nodes
+        return self.columns.col_i.shape[0]
 
     @property
     def n_virtual(self) -> int:
@@ -281,7 +265,7 @@ class NodalContactSet:
         Only the benchmark's boundary check reads it; it goes once that check
         reads the arrays (ROADMAP item 9)."""
         return np.rec.fromarrays(
-            [self.col_i, self.frames, self.mu, self.phi, self.col_j, self.mu2], dtype=_RECORD
+            [self.columns.col_i, self.frames, self.mu, self.phi, self.columns.col_j, self.mu2], dtype=_RECORD
         )
 
 
@@ -314,11 +298,11 @@ class AugmentedDynamics:
     # per contact: column offsets i and j (-1 for none) and (n_c, 3, 3) frames
     @property
     def col_i(self) -> np.ndarray:
-        return self.contacts.col_i
+        return self.contacts.columns.col_i
 
     @property
     def col_j(self) -> np.ndarray:
-        return self.contacts.col_j
+        return self.contacts.columns.col_j
 
     @property
     def frames(self) -> np.ndarray:
@@ -350,19 +334,15 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b of (k, 3) arrays; ``np.cross``'s arithmetic (component
-    c is a[c+1] b[c+2] - a[c+2] b[c+1]) at a lower fixed cost per call."""
-    return a.take(_NEXT, axis=1) * b.take(_PREV, axis=1) - a.take(_PREV, axis=1) * b.take(_NEXT, axis=1)
-
-
-def _world_rigid_points(state: SystemState, body: RigidBody) -> np.ndarray:
-    pos = state.q[body.q_offset : body.q_offset + 3]
-    rot = _quat_to_rot(state.q[body.q_offset + 3 : body.q_offset + 7])
-    return pos + body.contact_points @ rot.T
+def _surface_points(state: SystemState, rigid: RigidBodies) -> np.ndarray:
+    """World positions of every rigid surface point, in the record's order,
+    one stacked product per ``RigidBodies.point_groups`` group."""
+    rot = state.rigid_pose(rigid)[0]
+    pos = state.q[rigid.q_idx[:, :3]]
+    out = np.empty(rigid.points.shape)
+    for bodies, rows, points in rigid.point_groups:
+        out[rows] = points @ rot[bodies].transpose(0, 2, 1) + pos[bodies, None]
+    return out
 
 
 @dataclass(eq=False)
@@ -394,22 +374,18 @@ class ProxyTable:
     @classmethod
     def build(cls, bodies: Bodies, geometry: Geometry) -> ProxyTable:
         proxied = (bodies.node_radius > 0).nonzero()[0]
-        n_nodes = proxied.shape[0]
-        n_points = [body.contact_points.shape[0] for body in bodies.rigid]
-        radii = np.concatenate(
-            [bodies.node_radius[proxied], np.repeat([float(body.contact_radius) for body in bodies.rigid], n_points)]
-        )
-        proxy = np.full((n_nodes + sum(n_points) + 1, 3), -1)
+        n_nodes, rigid, body = proxied.shape[0], bodies.rigid, bodies.rigid.point_body
+        radii = np.concatenate([bodies.node_radius[proxied], rigid.contact_radius[body]])
+        proxy = np.full((radii.shape[0] + 1, 3), -1)
         proxy[:n_nodes, 0] = bodies.node_v[proxied]
-        rows = [(body.v_offset, body.q_offset, k) for k, body in enumerate(bodies.rigid)]
-        proxy[n_nodes:-1] = np.array(rows, dtype=int).reshape(-1, 3).repeat(n_points, axis=0)
+        proxy[n_nodes:-1] = np.stack([rigid.v_off[body], rigid.q_off[body], body], axis=1)
         frames = np.array([p.frame for p in geometry.planes] + [_UNSET] * len(geometry.spheres)).reshape(-1, 3, 3)
         # a lattice proxies every node: it shares the bodies' triples
         coords = bodies.q_triples if n_nodes == bodies.node_q.shape[0] else bodies.q_triples[proxied]
         for a in (coords, radii, proxy, frames):
             a.flags.writeable = False
         n_proxies = radii.shape[0]
-        search = n_proxies > 1 and bool(n_nodes or len(bodies.rigid) > 1)
+        search = n_proxies > 1 and bool(n_nodes or rigid.mass.shape[0] > 1)
         return cls(geometry, coords, radii, proxy, frames, search, 2.0 * radii.max() if n_proxies else 0.0)
 
 
@@ -436,7 +412,7 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
     table = proxy_table(bodies, geometry)
     margin = geometry.margin
     planes, spheres = geometry.planes, geometry.spheres
-    centers = np.concatenate([state.q[table.coords]] + [_world_rigid_points(state, body) for body in bodies.rigid])
+    centers = np.concatenate([state.q[table.coords], _surface_points(state, bodies.rigid)])
     radii, proxy = table.radii, table.proxy
     n_planes, n_prims, n_proxies = len(planes), len(planes) + len(spheres), centers.shape[0]
     stride = n_prims + n_proxies
@@ -524,8 +500,8 @@ class ContactLayout:
     its sources' bytes). It is built on the first step that detects these
     sides and cached on the detection's ``ProxyTable``.
 
-    Per contact: the columns ``col_i``/``col_j``, their ``ContactColumns``,
-    and the ``mu``/``mu2`` arrays. Per contact side, side 0 then side 1 of
+    Per contact: the columns, as a ``ContactColumns``, and the ``mu``/``mu2``
+    arrays. Per contact side, side 0 then side 1 of
     each contact: ``moving`` (a dynamic side) and ``vel_idx``, the velocity
     triples it reads; the ``rigid_side`` sides, with their contacts
     ``rigid_contact`` and the triples of their bodies' origins
@@ -534,8 +510,6 @@ class ContactLayout:
     ``rigid`` flag. Every array is read-only."""
 
     key: tuple
-    col_i: np.ndarray
-    col_j: np.ndarray
     columns: ContactColumns
     mu: np.ndarray
     mu2: np.ndarray
@@ -575,8 +549,7 @@ class ContactLayout:
         )
         for a in arrays:
             a.flags.writeable = False
-        col_i, col_j = cols[:, 0], cols[:, 1]
-        return cls(key, col_i, col_j, ContactColumns.build(col_i, col_j), *arrays[1:])
+        return cls(key, ContactColumns.build(cols[:, 0], cols[:, 1]), *arrays[1:])
 
 
 def _contact_layout(detected: DetectedContacts, n: int, mu: float, mu2: float | None) -> ContactLayout:
@@ -627,18 +600,7 @@ def nodalize(
     phi = stabilization_term(detected.depth, v_n, stab, state.dt)
 
     return NodalContactSet(
-        n,
-        k_v,
-        col_i=layout.col_i,
-        col_j=layout.col_j,
-        frames=frames,
-        mu=layout.mu,
-        mu2=layout.mu2,
-        phi=phi,
-        src=layout.src,
-        rigid=layout.rigid,
-        lever=lever[layout.virtual],
-        columns=layout.columns,
+        n, k_v, layout.columns, frames, layout.mu, layout.mu2, phi, layout.src, layout.rigid, lever[layout.virtual]
     )
 
 

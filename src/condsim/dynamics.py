@@ -11,9 +11,9 @@ All right-hand-side terms are kept at force level (Newtons); contact impulses
 later enter the same balance as forces. Gravity goes straight into f_ext and
 its potential Hessian is dropped.
 
-Scene data is kept as arrays: 3-DOF nodes (particles and lattice nodes) and
-springs are rows of index and parameter arrays, so the step layers walk them in
-batched passes. Only the few rigid bodies are records.
+Scene data is kept as arrays: 3-DOF nodes (particles and lattice nodes),
+rigid bodies and springs are rows of index and parameter arrays, so the step
+layers walk them in batched passes.
 
 Every velocity offset is a multiple of 3, so A is a matrix of 3x3 node
 blocks: a mass block per node, a rigid body's 6x6 mass block as 2x2 blocks,
@@ -36,28 +36,26 @@ from which each read of ``AssembledDynamics.a`` makes the step's matrix, and
 the positions of A's diagonal entries in ``data``, from which the solver's
 step matrix gathers the diagonal (``sparse``).
 
-The few rigid bodies are walked one by one, on Python floats where numpy's
-fixed cost per call on 3- and 4-vectors would dominate: the gyroscopic term
-w x (I_w w) and the quaternion update repeat the array formulas' operation
-order, and leave dot products, cos and sin to numpy, so their bits are the
-array formulas' bits. Each body's world inertia is built once per state and
-kept on it (``SystemState.inertia``): ``kinetic_energy`` at the end of a
-step builds it, and ``assemble_step`` of the next step reads it.
+The rigid bodies (``RigidBodies``) go through stacked ``np.matmul`` and
+elementwise products with the bits of one body's own. A state's rotations,
+world inertias and mass blocks are built once, in one pass, and kept on it
+(``SystemState.rigid_pose``). Only the quaternion update walks the bodies,
+on Python floats (``_turn``), where numpy's fixed cost per call dominates.
 
-A scene's layout is fixed when its records are made: ``RigidBody``,
-``Bodies`` and ``Springs`` are frozen, and their arrays are read-only from
-construction (``_read_only``). Each per-scene layout is therefore built once,
-on first use, with no key: the node ``triples`` are cached properties of the
-``Bodies``, which ``assemble_step``, ``integrate`` and ``kinetic_energy``
-read, and the pattern on the ``Springs`` checks only that it was built for
-these bodies and this n. ``dataclasses.replace`` makes a new record, which
-builds its own layouts.
+A scene's layout is fixed when its records are made: ``RigidBodies``,
+``Bodies``, ``Springs`` and ``SystemState`` are frozen, and their arrays are
+read-only from construction (``_read_only``). Each per-scene layout is
+therefore built once, on first use, with no key: the node ``triples`` and
+the rigid bodies' index rows are cached properties of their records, which
+``assemble_step``, ``integrate`` and ``kinetic_energy`` read, and the pattern
+on the ``Springs`` checks only that it was built for these bodies and this
+n. ``dataclasses.replace`` makes a new record, which builds its own layouts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -76,14 +74,13 @@ _XYZ = np.arange(3)
 def triples(offsets) -> np.ndarray:
     """(k, 3) indices of the three consecutive entries starting at each
     offset, read-only."""
-    out = np.asarray(offsets, dtype=int).reshape(-1, 1) + _XYZ
-    out.flags.writeable = False
-    return out
+    return _index_rows(np.asarray(offsets, dtype=int).reshape(-1), 3)
 
 
 def _read_only(values, dtype=int) -> np.ndarray:
     """``values`` itself if it already is a read-only array of ``dtype`` that
-    owns its memory, else a read-only copy of it as one."""
+    owns its memory, else a read-only copy of it as one: a caller that hands
+    over such an array must not make it writeable again."""
     if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable and values.base is None:
         return values
     out = np.array(values, dtype=dtype)
@@ -98,49 +95,79 @@ def _read_only_fields(record, dtype, *names) -> None:
         object.__setattr__(record, name, _read_only(getattr(record, name), dtype))
 
 
+def _index_rows(offsets: np.ndarray, width: int) -> np.ndarray:
+    """(k, width) indices of the ``width`` entries from each offset on, read-only."""
+    out = offsets[:, None] + np.arange(width)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
-class RigidBody:
-    """A 6-DOF rigid body.
+class RigidBodies:
+    """Every 6-DOF rigid body of a scene as read-only arrays, row k body k: 7
+    coordinates (position, unit quaternion w first) from ``q_off[k]``, 6
+    velocities (linear, angular) from ``v_off[k]``, the ``points`` of ``point_body`` k."""
 
-    It uses 7 coordinates (position + unit quaternion, scalar first) but 6
-    velocity DOF (linear, then angular), starting at ``q_offset``/``v_offset``.
-    Its arrays are read-only.
-    """
-
-    mass: float
-    q_offset: int
-    v_offset: int
-    inertia: np.ndarray  # body-frame 3x3
-    contact_points: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # body frame
-    contact_radius: float = 0.0
+    mass: np.ndarray  # (r,) kg
+    q_off: np.ndarray  # (r,) int
+    v_off: np.ndarray  # (r,) int
+    inertia: np.ndarray  # (r, 3, 3) body frame
+    points: np.ndarray  # (P, 3) body frame
+    point_body: np.ndarray  # (P,) int
+    contact_radius: np.ndarray  # (r,) m
 
     def __post_init__(self):
-        _read_only_fields(self, float, "inertia", "contact_points")
+        _read_only_fields(self, float, "mass", "inertia", "points", "contact_radius")
+        _read_only_fields(self, int, "q_off", "v_off", "point_body")
+
+    @cached_property
+    def q_idx(self) -> np.ndarray:
+        """(r, 7) coordinate indices of every body: position, then quaternion."""
+        return _index_rows(self.q_off, 7)
+
+    @cached_property
+    def v_idx(self) -> np.ndarray:
+        """(r, 6) velocity indices of every body: linear, then angular."""
+        return _index_rows(self.v_off, 6)
+
+    @cached_property
+    def point_groups(self) -> tuple:
+        """Per count of points: its bodies, their (g, count) point rows and points, read-only;
+        one stacked product per group rounds as each body's own, at its count of rows."""
+        counts = np.bincount(self.point_body, minlength=self.mass.shape[0])
+        order = np.argsort(self.point_body, kind="stable")
+        starts = np.cumsum(counts) - counts
+        groups = []
+        for count in np.unique(counts[counts > 0]).tolist():
+            bodies = np.flatnonzero(counts == count)
+            rows = order[starts[bodies, None] + np.arange(count)]
+            points = self.points[rows]
+            bodies.flags.writeable = rows.flags.writeable = points.flags.writeable = False
+            groups.append((bodies, rows, points))
+        return tuple(groups)
 
 
 @dataclass(frozen=True, eq=False)
 class Bodies:
-    """Every body of a scene.
+    """Every body of a scene: the 3-DOF nodes and the ``rigid`` bodies.
 
     Row m of the node arrays is one 3-DOF point mass (a particle or a lattice
     node) whose coordinates and velocity start at ``node_q[m]``/``node_v[m]``.
     A node with ``node_radius[m] > 0`` carries a sphere contact proxy. The
-    node arrays are read-only, and ``rigid`` is a tuple. The node
-    ``triples`` and the ``contacts.ProxyTable`` in ``proxies`` are built on
-    first use and die with the bodies.
+    arrays are read-only; the node ``triples`` and the ``contacts.ProxyTable``
+    in ``proxies`` are built on first use and die with the bodies.
     """
 
     node_q: np.ndarray  # (n,) int
     node_v: np.ndarray  # (n,) int
     node_mass: np.ndarray  # (n,) kg
     node_radius: np.ndarray  # (n,) m, 0 means no proxy
-    rigid: tuple = ()  # RigidBody records
+    rigid: RigidBodies
     proxies: object = field(default=None, init=False, repr=False)  # set by contacts.proxy_table
 
     def __post_init__(self):
         _read_only_fields(self, int, "node_q", "node_v")
         _read_only_fields(self, float, "node_mass", "node_radius")
-        object.__setattr__(self, "rigid", tuple(self.rigid))
 
     # Made on first use: on a scene's first step that falls after the block
     # pattern's build, whose temporaries set a lattice run's peak memory.
@@ -155,30 +182,58 @@ class Bodies:
         return triples(self.node_v)
 
 
-@dataclass(eq=False)
-class SystemState:
-    """Generalized coordinates and velocities for one scene.
+# Entry c of the row-major rotation matrix of a unit quaternion (w, x, y, z)
+# is 2 (p + s) or 2 (p - s) off the diagonal and 1 - 2 (p + s) on it, such as
+# 2 (x y - w z) and 1 - 2 (y y + z z), where p and s are the products of the
+# quaternion entries in column c of rows 0, 1 and of rows 2, 3 of
+# _ROT_PAIRS. It is computed as _ROT_COEF[0, c] p + _ROT_COEF[1, c] s +
+# _ROT_ONE[c]: the scaling by -2 or 2 is exact, the sum rounds once, as
+# there, and adding -0.0 keeps every float, -0.0 included.
+_ROT_PAIRS = np.array(
+    [[2, 1, 1, 1, 1, 2, 1, 2, 1], [2, 2, 3, 2, 1, 3, 3, 3, 1], [3, 0, 0, 0, 3, 0, 0, 0, 2], [3, 3, 2, 3, 3, 1, 2, 1, 2]]
+)
+_ROT_COEF = 2.0 * np.array([[-1, 1, 1, 1, -1, 1, 1, 1, -1], [-1, -1, 1, 1, -1, -1, -1, 1, -1]])
+_ROT_ONE = np.where(np.eye(3).ravel() == 1.0, 1.0, -0.0)
+# a 6x6 mass block's linear quarter m I, from the mass m
+_LINEAR = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
-    ``inertia`` keeps each rigid body's world inertia on the state it came
-    from: ``kinetic_energy`` at the end of one step and ``assemble_step`` of
-    the next read the same one. A state made by ``integrate`` or
-    ``dataclasses.replace`` starts without it."""
+
+def _pose(rigid: RigidBodies, q: np.ndarray) -> tuple:
+    """``SystemState.rigid_pose``'s arrays, built in one batched pass."""
+    pairs = q[rigid.q_idx[:, 3:]].take(_ROT_PAIRS, axis=1)
+    terms = pairs[:, 0::2] * pairs[:, 1::2]
+    terms *= _ROT_COEF
+    rot = terms[:, 0] + terms[:, 1]
+    rot += _ROT_ONE
+    rot = rot.reshape(-1, 3, 3)
+    m = rot @ rigid.inertia @ rot.transpose(0, 2, 1)
+    inertia = 0.5 * (m + m.transpose(0, 2, 1))
+    mass = rigid.mass[:, None, None] * _LINEAR
+    mass[:, 3:, 3:] = inertia
+    rot.flags.writeable = inertia.flags.writeable = mass.flags.writeable = False
+    return rot, inertia, mass
+
+
+@dataclass(frozen=True, eq=False)
+class SystemState:
+    """Generalized coordinates and velocities for one scene: frozen, with
+    read-only ``q`` and ``v`` (``_read_only``), so its ``rigid_pose`` holds."""
 
     q: np.ndarray
     v: np.ndarray
     dt: float = 0.01
-    _inertia: dict = field(default_factory=dict, init=False, repr=False)
+    _kept_pose: tuple = field(default=(None,), init=False, repr=False)  # (record, *its pose)
 
-    def inertia(self, body: RigidBody) -> np.ndarray:
-        """``world_inertia(body, self.q)``, read-only, built once per body
-        while the bits of its quaternion in ``q`` stay the same."""
-        quat = self.q[body.q_offset + 3 : body.q_offset + 7].tobytes()
-        kept = self._inertia.get(body)
-        if kept is None or kept[0] != quat:
-            inertia = world_inertia(body, self.q)
-            inertia.flags.writeable = False
-            kept = self._inertia[body] = (quat, inertia)
-        return kept[1]
+    def __post_init__(self):
+        _read_only_fields(self, float, "q", "v")
+
+    def rigid_pose(self, rigid: RigidBodies) -> tuple:
+        """``rigid``'s rotations, world inertias R I R^T (symmetrized) and
+        mass blocks diag(m I, R I R^T) at this state, (r, ...) each and
+        read-only; built on first use and again for another record."""
+        if self._kept_pose[0] is not rigid:
+            object.__setattr__(self, "_kept_pose", (rigid, *_pose(rigid, self.q)))
+        return self._kept_pose[1:]
 
 
 @dataclass
@@ -260,35 +315,15 @@ def spring_damping(springs: Springs, dist: np.ndarray, u: np.ndarray) -> np.ndar
     return np.tile(cols, 2) + EPS_DAMPING_FLOOR
 
 
-def _quat_to_rot(quat: np.ndarray) -> np.ndarray:
-    w, x, y, z = quat.tolist()
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+# columns c+1, then c+2, and c+2, then c+1, of a 3-vector, for c = 0, 1, 2
+_NEXT_PREV, _PREV_NEXT = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
-def world_inertia(body: RigidBody, q: np.ndarray) -> np.ndarray:
-    """R I R^T, symmetrized so that its two triangles hold the same floats."""
-    rot = _quat_to_rot(q[body.q_offset + 3 : body.q_offset + 7])
-    m = rot @ body.inertia @ rot.T
-    return 0.5 * (m + m.T)
-
-
-def _rigid_mass(body: RigidBody, inertia: np.ndarray) -> np.ndarray:
-    """6x6 mass block diag(m I, world inertia)."""
-    block = np.zeros((6, 6))
-    block[_XYZ, _XYZ] = body.mass
-    block[3:, 3:] = inertia
-    return block
-
-
-def _cross(a: list, b: list) -> list:
-    """a x b of two 3-vectors of floats, in ``np.cross``'s operation order."""
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (k, 3) arrays; ``np.cross``'s arithmetic (component
+    c is a[c+1] b[c+2] - a[c+2] b[c+1]) at a lower fixed cost per call."""
+    terms = a.take(_NEXT_PREV, axis=1) * b.take(_PREV_NEXT, axis=1)
+    return terms[:, :3] - terms[:, 3:]
 
 
 # Component c of a symmetric 3x3 block is its entry (_R[c], _S[c]), r <= s.
@@ -318,8 +353,8 @@ class BlockPattern:
       body's zero off-diagonal quarters are a pair that no spring joins.
 
     Entry (r, s) of every block reads component (min(r, s), max(r, s)); with
-    ``world_inertia`` symmetrized, A is bitwise symmetric. A spring must
-    therefore join two distinct blocks, neither of them a rigid body's
+    the world inertias symmetrized (``SystemState.rigid_pose``), A is
+    bitwise symmetric. A spring must therefore join two distinct blocks, neither of them a rigid body's
     angular velocity. The spring ends in ``diag_block`` also sum the spring
     forces into b.
     ``coords`` caches the springs' coordinate indices (``_spring_coords``),
@@ -357,7 +392,7 @@ class BlockPattern:
 
     @classmethod
     def build(cls, n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
-        offsets = [bodies.node_v, np.array([body.v_offset for body in bodies.rigid], dtype=int), springs.vi, springs.vj]
+        offsets = [bodies.node_v, bodies.rigid.v_off, springs.vi, springs.vj]
         if n % 3 or any(np.any(o % 3) for o in offsets):
             raise DimensionMismatchError("block assembly needs n and velocity offsets that are multiples of 3")
         for o, width, what in zip(offsets, (3, 6, 3, 3), ("node", "rigid body", "spring end i", "spring end j")):
@@ -483,7 +518,8 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     if f_ext is not None:
         b += f_ext
     pattern = block_pattern(n, bodies, springs)
-    n_nodes, n_rigid, m = bodies.node_v.shape[0], len(bodies.rigid), springs.k.shape[0]
+    rigid = bodies.rigid
+    n_nodes, n_rigid, m = bodies.node_v.shape[0], rigid.mass.shape[0], springs.k.shape[0]
     fixed = np.empty((6, n_nodes + 2 * n_rigid))  # component c of every node and rigid-quarter term
 
     # node masses
@@ -493,15 +529,16 @@ def assemble_step(state: SystemState, bodies: Bodies, springs: Springs, f_ext: n
     fixed[:, :n_nodes] = 0.0
     fixed[_DIAG, :n_nodes] = coef
 
-    for k, body in enumerate(bodies.rigid):
-        vo = body.v_offset
-        inertia = state.inertia(body)
-        block = (2.0 / t) * _rigid_mass(body, inertia)
-        fixed[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block.take(_QUARTERS)
-        b[vo : vo + 6] += block @ state.v[vo : vo + 6]
-        # gyroscopic term of C v
-        omega = state.v[vo + 3 : vo + 6]
-        b[vo + 3 : vo + 6] -= _cross(omega.tolist(), (inertia @ omega).tolist())
+    # rigid bodies: the two diagonal quarters of their mass blocks, their
+    # momenta, and the gyroscopic term w x (I_w w) of C v
+    _, inertia, mass = state.rigid_pose(rigid)
+    block = (2.0 / t) * mass
+    fixed[:, n_nodes:] = block.reshape(-1, 36)[:, _QUARTERS].transpose(1, 0, 2).reshape(6, -1)
+    seg, rows = state.v[rigid.v_idx], b[rigid.v_idx]
+    rows += (block @ seg[:, :, None])[:, :, 0]
+    omega = seg[:, 3:]
+    rows[:, 3:] -= _cross(omega, (inertia @ omega[:, :, None])[:, :, 0])
+    b[rigid.v_idx] = rows
 
     if m:
         vals = _spring_sums(state.q, springs, pattern, fixed, b, t)
@@ -526,7 +563,8 @@ def _turn(quat: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
         aw, av = np.cos(angle / 2), np.sin(angle / 2) * (rotvec / angle)
     bw, *bv = quat.tolist()
     a = av.tolist()
-    vec = [aw * y + bw * x + c for x, y, c in zip(a, bv, _cross(a, bv))]
+    cross = [a[1] * bv[2] - a[2] * bv[1], a[2] * bv[0] - a[0] * bv[2], a[0] * bv[1] - a[1] * bv[0]]
+    vec = [aw * y + bw * x + c for x, y, c in zip(a, bv, cross)]
     out = np.array([aw * bw - av.dot(quat[1:]), *vec])
     return out / math.sqrt(out.dot(out))
 
@@ -535,25 +573,28 @@ def integrate(state: SystemState, v_hat: np.ndarray, bodies: Bodies) -> SystemSt
     """Advance the configuration by the representative velocity over the
     state's step ``dt``.
 
-    Nodes translate; rigid orientations update by the exponential map of
-    the angular velocity. The stored next-step velocity is ``2 v_hat - v``.
+    Nodes and rigid bodies translate; rigid orientations update by the
+    exponential map of the angular velocity, body by body (``_turn``). The
+    stored next-step velocity is ``2 v_hat - v``.
     """
     t = state.dt
+    rigid = bodies.rigid
+    step = t * v_hat
     q = state.q.copy()
-    q[bodies.q_triples] += t * v_hat[bodies.v_triples]
-    for body in bodies.rigid:
-        qo, vo = body.q_offset, body.v_offset
-        q[qo : qo + 3] += t * v_hat[vo : vo + 3]
-        q[qo + 3 : qo + 7] = _turn(q[qo + 3 : qo + 7], t * v_hat[vo + 3 : vo + 6])
+    q[bodies.q_triples] += step[bodies.v_triples]
+    rows, moves = q[rigid.q_idx], step[rigid.v_idx]
+    rows[:, :3] += moves[:, :3]
+    for row, rotvec in zip(rows, moves[:, 3:]):
+        row[3:] = _turn(row[3:], rotvec)
+    q[rigid.q_idx] = rows
     v_next = 2.0 * v_hat - state.v
-    return replace(state, q=q, v=v_next)
+    q.flags.writeable = v_next.flags.writeable = False
+    return SystemState(q, v_next, t)
 
 
 def kinetic_energy(state: SystemState, bodies: Bodies) -> float:
-    """0.5 v^T M v in joules."""
+    """0.5 v^T M v in joules: the nodes' sum, then each rigid body's in turn."""
     v = state.v[bodies.v_triples]
-    total = 0.5 * float(bodies.node_mass @ np.einsum("ij,ij->i", v, v))
-    for body in bodies.rigid:
-        seg = state.v[body.v_offset : body.v_offset + 6]
-        total += 0.5 * float(seg @ _rigid_mass(body, state.inertia(body)) @ seg)
-    return total
+    seg = state.v[bodies.rigid.v_idx][:, None, :]
+    energies = 0.5 * (seg @ state.rigid_pose(bodies.rigid)[2] @ seg.transpose(0, 2, 1)).ravel()
+    return sum(energies.tolist(), 0.5 * float(bodies.node_mass @ np.einsum("ij,ij->i", v, v)))

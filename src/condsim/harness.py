@@ -7,12 +7,14 @@ deterministic formatting so identical (scenario, seed, solver) runs produce
 identical bytes.
 
 ``build_scene`` builds no cache, but its records are frozen and their
-arrays read-only, so a scene's layout never changes once it is built. Its
-layouts are built on its first step and hang off its objects, so they die
-with it: the node triples and the contact layouts on its ``Bodies``, the
-block pattern on its ``Springs``, and the gravity force vector of
+arrays read-only, so a scene's layout never changes once it is built; its
+rigid bodies are one ``RigidBodies`` record of arrays. Its layouts are built
+on its first step and hang off its objects, so they die with it: the node
+triples, rigid index rows and contact layouts on its ``Bodies``, the block
+pattern on its ``Springs``, and the gravity force vector of
 ``external_force`` on the ``Scene`` itself, which each step copies before
-adding the scheduled forces.
+adding the scheduled forces. Each state keeps the rotations, world
+inertias and mass blocks of the rigid bodies (``SystemState.rigid_pose``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .dynamics import (
     MIN_SPRING_LENGTH,
     Bodies,
     DampingPolicy,
-    RigidBody,
+    RigidBodies,
     Springs,
     SystemState,
     _read_only,
@@ -386,8 +388,7 @@ class Scene:
         f = np.zeros(self.state.v.shape[0])
         # the bodies' own triples are made after the first step's pattern build
         f[triples(self.bodies.node_v)] += self.bodies.node_mass[:, None] * self.gravity
-        for body in self.bodies.rigid:
-            f[body.v_offset : body.v_offset + 3] += body.mass * self.gravity
+        f[triples(self.bodies.rigid.v_off)] += self.bodies.rigid.mass[:, None] * self.gravity
         f.flags.writeable = False
         return f
 
@@ -466,18 +467,21 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     q[triples(part_q)] = np.array([bs.get("position", [0, 0, 0]) for bs in particles], dtype=float).reshape(-1, 3)
     v[triples(part_v)] = np.array([bs.get("velocity", [0, 0, 0]) for bs in particles], dtype=float).reshape(-1, 3)
 
-    rigid = []
-    for m in np.flatnonzero(is_rigid):
-        bs = specs[m]
-        qo, vo = int(body_q[m]), int(body_v[m])
-        quat = np.array(bs.get("orientation", [1, 0, 0, 0]), dtype=float)
-        q[qo : qo + 3] = bs.get("position", [0, 0, 0])
-        q[qo + 3 : qo + 7] = quat / np.linalg.norm(quat)
-        v[vo : vo + 3] = bs.get("velocity", [0, 0, 0])
-        v[vo + 3 : vo + 6] = bs.get("angular_velocity", [0, 0, 0])
-        inertia = np.diag(np.array(bs.get("inertia", [1.0, 1.0, 1.0]), dtype=float))
-        points = np.array(bs.get("contact_points", []), dtype=float).reshape(-1, 3)
-        rigid.append(RigidBody(bs["mass"], qo, vo, inertia, points, bs.get("contact_radius", 0.0)))
+    # one row per rigid body: velocity, angular velocity, position, orientation,
+    # then mass, contact radius and the inertia diagonal
+    rigid_specs = [bs for bs in specs if bs["type"] == "rigid"]
+    rows = [[*bs.get("velocity", [0, 0, 0]), *bs.get("angular_velocity", [0, 0, 0]), *bs.get("position", [0, 0, 0]),
+             *bs.get("orientation", [1, 0, 0, 0]), bs["mass"], bs.get("contact_radius", 0.0),
+             *bs.get("inertia", [1.0] * 3)] for bs in rigid_specs]
+    rows = np.array(rows, dtype=float).reshape(-1, 18)
+    points = [np.array(bs.get("contact_points", []), dtype=float).reshape(-1, 3) for bs in rigid_specs]
+    point_body = np.repeat(np.arange(len(points)), [p.shape[0] for p in points])
+    rigid = RigidBodies(rows[:, 13], body_q[is_rigid], body_v[is_rigid], rows[:, 15:, None] * np.eye(3),
+                        np.concatenate([np.zeros((0, 3))] + points), point_body, rows[:, 14])
+    quat = np.ascontiguousarray(rows[:, 9:13])
+    norm = np.sqrt((quat[:, None, :] @ quat[:, :, None]).ravel())  # each rounds as np.linalg.norm of its row
+    q[rigid.q_idx] = np.hstack([rows[:, 6:9], quat / norm[:, None]])
+    v[rigid.v_idx] = rows[:, :6]
 
     node_mass = [np.array([bs["mass"] for bs in particles], dtype=float)]
     node_radius = [np.array([bs.get("radius", 0.0) for bs in particles], dtype=float)]
@@ -505,7 +509,7 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     ]
     spring_arrays = [np.concatenate(parts) for parts in (*zip(*ends), stiffness, rest)]
     # fresh arrays that nothing else holds: read-only, the records keep them rather than copies
-    for a in node_arrays + spring_arrays:
+    for a in node_arrays + spring_arrays + [q, v]:
         a.flags.writeable = False
     bodies = Bodies(*node_arrays, rigid)
     damp_spec = data.get("damping", {"variant": "constant", "value": 0.0})
@@ -517,7 +521,7 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     mu2 = contact.get("mu2")
     k_v = cfg.kv if cfg.kv is not None else contact.get("kv")
     if k_v is None:
-        masses = np.concatenate([bodies.node_mass, [r.mass for r in rigid]])
+        masses = np.concatenate([bodies.node_mass, rigid.mass])
         k_v = 1e5 * float(np.median(masses if masses.size else [1.0])) / dt
     stab = StabilizationParams(
         beta_err=contact.get("beta_err", 0.2),
@@ -546,9 +550,9 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     return Scene(bodies, state, geometry, springs, force_entries, stab, mu, mu2, k_v, gravity)
 
 
-def external_force(scene: Scene, t: float, n: int) -> np.ndarray:
+def external_force(scene: Scene, t: float) -> np.ndarray:
     """Gravity plus the piecewise-constant schedule, at simulation time t,
-    over the scene's n velocities."""
+    over the scene's velocities."""
     f = scene.gravity_force.copy()
     for start, end, idx, force in scene.force_entries:
         if start <= t < end:
@@ -638,9 +642,8 @@ def _step(scene: Scene, state: SystemState, prev: tuple, step: int, t_sim: float
     """
     prev_vhat, prev_key, prev_lam = prev
     bodies = scene.bodies
-    n = state.v.shape[0]
     t0 = time.perf_counter()
-    f_ext = external_force(scene, t_sim, n)
+    f_ext = external_force(scene, t_sim)
     asm = assemble_step(state, bodies, scene.constraints, f_ext)
     detected = detect_contacts(state, bodies, scene.geometry)
     max_pen = detected.depth.max(initial=0.0)

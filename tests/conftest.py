@@ -2,12 +2,14 @@
 suite."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from condsim.contacts import AugmentedDynamics, NodalContactSet, contact_frames
+from condsim.contacts import AugmentedDynamics, ContactColumns, NodalContactSet, contact_frames
+from condsim.dynamics import RigidBodies
 from condsim.solver import step_matrix_frobenius
 from condsim.sparse import diagonal_positions
 
@@ -24,6 +26,11 @@ ALL_SCENARIOS = [
 ]
 
 
+# a unit quaternion that turns box_slide's cube 0.6 rad about the vertical,
+# still on its four contacts
+TURNED = np.array([np.cos(0.3), 0.0, 0.0, np.sin(0.3)])
+
+
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name + ".json")
 
@@ -31,6 +38,121 @@ def scenario_path(name: str) -> str:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def rigid_bodies(*bodies) -> RigidBodies:
+    """A ``RigidBodies`` record of the bodies given as tuples (mass, q_off,
+    v_off, inertia[, points[, contact radius]]), with no points and radius 0
+    by default."""
+    defaults = ((), 0.0)
+    rows = [(*body, *defaults[len(body) - 4 :]) for body in bodies]
+    points = [np.asarray(row[4], dtype=float).reshape(-1, 3) for row in rows]
+    return RigidBodies(
+        np.array([row[0] for row in rows], dtype=float),
+        np.array([row[1] for row in rows], dtype=int),
+        np.array([row[2] for row in rows], dtype=int),
+        np.array([row[3] for row in rows], dtype=float).reshape(-1, 3, 3),
+        np.concatenate([np.zeros((0, 3))] + points),
+        np.repeat(np.arange(len(rows)), [p.shape[0] for p in points]),
+        np.array([row[5] for row in rows], dtype=float),
+    )
+
+
+def per_body(rigid: RigidBodies) -> list:
+    """The rows of a ``RigidBodies`` record as one namespace per body, with
+    the fields the per-body references read."""
+    return [
+        SimpleNamespace(
+            mass=float(rigid.mass[k]), q_offset=int(rigid.q_off[k]), v_offset=int(rigid.v_off[k]),
+            inertia=rigid.inertia[k], contact_points=rigid.points[rigid.point_body == k],
+            contact_radius=float(rigid.contact_radius[k]),
+        )
+        for k in range(rigid.mass.shape[0])
+    ]
+
+
+# The rigid-body kinematics one body at a time, as the library computed
+# them before it held the bodies in one record: the references that the
+# record's batched forms must match bit for bit.
+
+
+def reference_rotation(quat: np.ndarray) -> np.ndarray:
+    w, x, y, z = quat.tolist()
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def reference_world_inertia(body, q: np.ndarray) -> np.ndarray:
+    """R I R^T, symmetrized so that its two triangles hold the same floats."""
+    rot = reference_rotation(q[body.q_offset + 3 : body.q_offset + 7])
+    m = rot @ body.inertia @ rot.T
+    return 0.5 * (m + m.T)
+
+
+def reference_rigid_mass(body, inertia: np.ndarray) -> np.ndarray:
+    """6x6 mass block diag(m I, world inertia)."""
+    block = np.zeros((6, 6))
+    block[range(3), range(3)] = body.mass
+    block[3:, 3:] = inertia
+    return block
+
+
+def reference_surface_points(state, rigid: RigidBodies) -> np.ndarray:
+    """Every rigid surface point in world coordinates, body by body."""
+    out = []
+    for body in per_body(rigid):
+        pos = state.q[body.q_offset : body.q_offset + 3]
+        rot = reference_rotation(state.q[body.q_offset + 3 : body.q_offset + 7])
+        out.append(pos + body.contact_points @ rot.T)
+    return np.concatenate([np.zeros((0, 3))] + out)
+
+
+def reference_turn(quat: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
+    """The unit quaternion exp(rotvec) quat, (w, x, y, z), in array formulas."""
+    angle = float(np.linalg.norm(rotvec))
+    if angle < 1e-12:
+        dq = np.concatenate([[1.0], 0.5 * rotvec])
+    else:
+        dq = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * (rotvec / angle)])
+    aw, av, bw, bv = dq[0], dq[1:], quat[0], quat[1:]
+    out = np.concatenate([[aw * bw - av @ bv], aw * bv + bw * av + np.cross(av, bv)])
+    return out / np.linalg.norm(out)
+
+
+def reference_kinetic_energy(state, bodies) -> float:
+    """0.5 v^T M v: the nodes' sum, then body by body."""
+    v = state.v[bodies.v_triples]
+    total = 0.5 * float(bodies.node_mass @ np.einsum("ij,ij->i", v, v))
+    for body in per_body(bodies.rigid):
+        seg = state.v[body.v_offset : body.v_offset + 6]
+        total += 0.5 * float(seg @ reference_rigid_mass(body, reference_world_inertia(body, state.q)) @ seg)
+    return total
+
+
+def resting_cubes(n: int, steps: int = 20) -> dict:
+    """A scenario of ``n`` cubes (0.5 kg, 0.2 m edge, four bottom contact
+    points) resting on a plane, 0.5 m apart on a square grid, for ``steps``
+    steps of 0.01 s with k_v = 1e5."""
+    side = int(np.ceil(np.sqrt(n)))
+    corners = [[sx * 0.1, sy * 0.1, -0.1] for sy in (-1, 1) for sx in (-1, 1)]
+    cubes = [
+        {"type": "rigid", "mass": 0.5, "position": [0.5 * (k % side), 0.5 * (k // side), 0.1],
+         "inertia": [0.5 * 0.2**2 / 6.0] * 3, "contact_points": corners}
+        for k in range(n)
+    ]
+    return {
+        "name": f"resting_cubes_{n}",
+        "duration": steps * 0.01,
+        "step_size": 0.01,
+        "bodies": cubes,
+        "geometry": {"planes": [{"point": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, 1.0]}]},
+        "contact": {"mu": 0.5, "kv": 1e5},
+    }
 
 
 def skew(r):
@@ -108,8 +230,7 @@ def contact_set(n: int, col_i=(), frames=(), mu=0.0, col_j=-1, phi=0.0) -> Nodal
     return NodalContactSet(
         n,
         0.0,
-        col_i=col_i,
-        col_j=np.full(col_i.shape, col_j, dtype=int),
+        ContactColumns.build(col_i, np.full(col_i.shape, col_j, dtype=int)),
         frames=np.asarray(frames, dtype=float).reshape(-1, 3, 3),
         mu=mu,
         mu2=mu,

@@ -347,12 +347,11 @@ def test_11_invertible_contact():
     s = load_scenario(scenario_path("lattice_invertible"))
     scene = build_scene(s)
     state, bodies = scene.state, scene.bodies
-    n = state.v.shape[0]
     cfg = SolverConfig(operator="proximal", residual_tol=1e-12,
                        chebyshev=True, max_iters=20000, omega=1e-3)
     worst, contact_steps = 0.0, 0
     for step in range(5):
-        f_ext = external_force(scene, step * s.step_size, n)
+        f_ext = external_force(scene, step * s.step_size)
         asm = assemble_step(state, bodies, scene.constraints, f_ext)
         raw = detect_contacts(state, bodies, scene.geometry)
         nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
@@ -394,8 +393,7 @@ def test_13_small_step_contraction():
     s.raw["duration"] = 0.01
     scene = build_scene(s)
     state, bodies = scene.state, scene.bodies
-    n = state.v.shape[0]
-    asm = assemble_step(state, bodies, scene.constraints, external_force(scene, 0.0, n))
+    asm = assemble_step(state, bodies, scene.constraints, external_force(scene, 0.0))
     raw = detect_contacts(state, bodies, scene.geometry)
     nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
     assert len(nodal) >= 1

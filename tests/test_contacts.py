@@ -23,16 +23,19 @@ from condsim.contacts import (
     nodalize,
     stabilization_term,
 )
-from condsim.dynamics import Bodies, DampingPolicy, RigidBody, Springs, SystemState, assemble_step
+from condsim.dynamics import Bodies, DampingPolicy, Springs, SystemState, assemble_step
 from condsim.errors import InvalidMatrixError, InvalidStateError
 from condsim.harness import RunConfig, _warm_velocity, build_scene, load_scenario
 
 from conftest import (
+    TURNED,
     build_augmented,
     contact_set,
     random_contact_set,
     random_spd,
     reference_nodalize,
+    resting_cubes,
+    rigid_bodies,
     scenario_path,
     skew,
 )
@@ -49,7 +52,7 @@ def particle_scene(positions, radius=0.5, dt=0.01, **geometry):
     """Particles at ``positions`` with proxy radius ``radius`` (one for all,
     or one per particle), and a ``Geometry`` of the keyword arguments."""
     off = 3 * np.arange(len(positions))
-    bodies = Bodies(off, off, np.ones(len(positions)), np.full(len(positions), radius))
+    bodies = Bodies(off, off, np.ones(len(positions)), np.full(len(positions), radius), rigid_bodies())
     q = np.concatenate([np.asarray(p, dtype=float) for p in positions])
     state = SystemState(q, np.zeros(q.shape[0]), dt=dt)
     return state, bodies, Geometry(**geometry)
@@ -64,8 +67,8 @@ def cube_scene(points, inertia=1.0, radius=0.0):
     """A 0.5 kg rigid body at height 0.1 carrying ``points`` of contact
     radius ``radius`` over a floor."""
     none = np.zeros(0, dtype=int)
-    body = RigidBody(0.5, 0, 0, inertia * np.eye(3), np.array(points, dtype=float), radius)
-    bodies = Bodies(none, none, np.zeros(0), np.zeros(0), [body])
+    rigid = rigid_bodies((0.5, 0, 0, inertia * np.eye(3), points, radius))
+    bodies = Bodies(none, none, np.zeros(0), np.zeros(0), rigid)
     q = np.concatenate([[0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]])
     state = SystemState(q, np.zeros(6), dt=0.01)
     return state, bodies, Geometry(planes=[FLOOR])
@@ -152,7 +155,7 @@ class TestPlaneFrame:
         scene = build_scene(s, RunConfig())
         (floor,) = scene.geometry.planes
         proxied = np.flatnonzero(scene.bodies.node_radius > 0)
-        stride = 1 + proxied.shape[0] + sum(body.contact_points.shape[0] for body in scene.bodies.rigid)
+        stride = 1 + proxied.shape[0] + scene.bodies.rigid.points.shape[0]
         frames_of, nodalize_of, calls, steps = contacts.contact_frames, contacts.nodalize, [], []
 
         def counting_frames(*args, **kwargs):
@@ -302,8 +305,10 @@ class TestPairSearchGate:
         assert not tree_builds and len(raw) == 4
         # a second rigid body without contact points adds no proxy but turns
         # the pair search on; it must find nothing that changes the result
-        empty = dataclasses.replace(bodies.rigid[0], contact_points=np.zeros((0, 3)))
-        searched = detect_contacts(state, dataclasses.replace(bodies, rigid=bodies.rigid + (empty,)), geom)
+        rigid = bodies.rigid
+        two = rigid_bodies((rigid.mass[0], rigid.q_off[0], rigid.v_off[0], rigid.inertia[0], rigid.points,
+                            rigid.contact_radius[0]), (1.0, 0, 0, np.eye(3)))
+        searched = detect_contacts(state, dataclasses.replace(bodies, rigid=two), geom)
         assert len(tree_builds) == 1
         for name in ("point", "frame", "depth", "v_off", "q_off", "key"):
             assert np.array_equal(getattr(raw, name), getattr(searched, name)), name
@@ -335,7 +340,7 @@ class TestNodalize:
         raw = detect_contacts(state, bodies, geom)
         nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.n_virtual == 0
-        assert nodal.col_i.tolist() == [0] and nodal.col_j.tolist() == [-1]
+        assert nodal.columns.col_i.tolist() == [0] and nodal.columns.col_j.tolist() == [-1]
 
     def test_rigid_vertex_spawns_virtual_node(self):
         state, bodies, geom = cube_scene([[0.1, 0.1, -0.1]])
@@ -343,7 +348,7 @@ class TestNodalize:
         assert len(raw) == 1
         nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.n_virtual == 1
-        assert nodal.col_i.tolist() == [6]  # the first virtual node, after the body's 6 DOF
+        assert nodal.columns.col_i.tolist() == [6]  # the first virtual node, after the body's 6 DOF
         # tied to the body at velocity offset 0 by the world lever arm r of
         # the vertex, so its Jv row block is [I3, -[r]x]
         lever = np.array([0.1, 0.1, -0.1])
@@ -361,7 +366,7 @@ class TestNodalize:
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 2
         nodal = nodalize(raw, state, k_v=1e5)
-        assert nodal.col_i.tolist() == [0, 3]  # the node, then a virtual node at column 3
+        assert nodal.columns.col_i.tolist() == [0, 3]  # the node, then a virtual node at column 3
         assert nodal.n_virtual == 1
         assert nodal.src.tolist() == [0] and nodal.rigid.tolist() == [False]
         assert np.array_equal(nodal.lever, np.zeros((1, 3)))
@@ -373,7 +378,7 @@ class TestNodalize:
     def test_at_most_one_contact_per_node(self, seed):
         g = np.random.default_rng(seed)
         nodal = random_contact_set(g)
-        used = np.concatenate([nodal.col_i, nodal.col_j[nodal.col_j >= 0]]).tolist()
+        used = np.concatenate([nodal.columns.col_i, nodal.columns.col_j[nodal.columns.col_j >= 0]]).tolist()
         assert len(used) == len(set(used))
 
 
@@ -474,8 +479,7 @@ class TestTieLayout:
 
     def test_changed_sources_rebuild_the_layout(self, layout_builds):
         scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
-        state = scene.state
-        state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
+        state = dataclasses.replace(scene.state, q=np.concatenate([scene.state.q[:3], TURNED]))
         raw = detect_contacts(state, scene.bodies, scene.geometry)
         fewer = DetectedContacts(**{f.name: getattr(raw, f.name)[1:] for f in dataclasses.fields(raw)})
         pattern, layouts = None, []
@@ -517,7 +521,8 @@ class TestContactLayout:
     step and reused while the contact sides stay the same; every step's
     arrays are those that a fresh scene builds for that step."""
 
-    NODAL = ("col_i", "col_j", "frames", "mu", "mu2", "phi", "src", "rigid", "lever", "nodes", "tie_rows")
+    NODAL = ("frames", "mu", "mu2", "phi", "src", "rigid", "lever", "tie_rows")
+    COLUMNS = ("col_i", "col_j", "nodes")
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -557,8 +562,6 @@ class TestContactLayout:
 
     @pytest.mark.parametrize("name", ["particle_stack", "box_slide"])
     def test_every_step_matches_a_fresh_scene(self, monkeypatch, builds, name):
-        from condsim import harness
-
         raw = dropped(name)
         steps = self.run_steps(monkeypatch, raw)
         sides = [(d.v_off.tobytes(), d.q_off.tobytes()) for _, _, d, _ in steps]
@@ -566,16 +569,33 @@ class TestContactLayout:
         # the contact set changes, and only its changes rebuild the layout
         assert 1 < changes < len(steps)
         assert builds == {"ProxyTable": 1, "ContactLayout": changes}
+        self.check_fresh(raw, steps)
+
+    def test_resting_cubes_match_a_fresh_scene(self, monkeypatch, builds):
+        # 16 cubes of ``resting_cubes``: the pair search runs, and every
+        # cube's four corners take virtual nodes on the record's rigid rows
+        raw = resting_cubes(16)
+        steps = self.run_steps(monkeypatch, raw)
+        assert len(steps) == 20 and builds["ProxyTable"] == 1
+        assert all(len(aug.contacts) == aug.contacts.n_virtual == 64 for _, _, _, aug in steps)
+        self.check_fresh(raw, steps)
+
+    def check_fresh(self, raw: dict, steps: list) -> None:
+        """Every step's contact set, augmented A and b have the bits of those
+        that a fresh scene of ``raw`` builds from the step's state."""
+        from condsim import harness
+
         for t, state, _, aug in steps:
             scene = build_scene(harness.Scenario(raw), RunConfig())
             fresh = SystemState(state.q.copy(), state.v.copy(), state.dt)
-            n = fresh.v.shape[0]
-            asm = assemble_step(fresh, scene.bodies, scene.constraints, harness.external_force(scene, t, n))
+            asm = assemble_step(fresh, scene.bodies, scene.constraints, harness.external_force(scene, t))
             nodal = nodalize(detect_contacts(fresh, scene.bodies, scene.geometry), fresh, scene.k_v, scene.mu,
                              scene.mu2, scene.stab)
             ref = augment_dynamics(asm, nodal)
             for field in self.NODAL:
                 assert np.array_equal(bits(getattr(aug.contacts, field)), bits(getattr(nodal, field))), (t, field)
+            for field in self.COLUMNS:
+                assert np.array_equal(getattr(aug.contacts.columns, field), getattr(nodal.columns, field)), (t, field)
             for x, y in ((aug.a.data, ref.a.data), (aug.a.indices, ref.a.indices), (aug.a.indptr, ref.a.indptr),
                          (aug.b, ref.b), (aug.diag_pos, ref.diag_pos)):
                 assert np.array_equal(bits(x), bits(y)), t
@@ -594,7 +614,7 @@ class TestContactLayout:
         state, bodies, geometry = bundled_scene("particle_stack")
         detected = detect_contacts(state, bodies, geometry)
         first = nodalize(detected, state, 1e5, mu=0.2)
-        assert nodalize(detected, state, 1e5, mu=0.2).col_i is first.col_i
+        assert nodalize(detected, state, 1e5, mu=0.2).columns.col_i is first.columns.col_i
         for kwargs in ({"mu": 0.3}, {"mu": 0.2, "mu2": 0.4}):
             nodal = nodalize(detected, state, 1e5, **kwargs)
             assert nodal.mu[0] == kwargs["mu"] and nodal.mu2[0] == kwargs.get("mu2", kwargs["mu"])
@@ -602,7 +622,7 @@ class TestContactLayout:
         # a record made field by field carries no table: its layout is new
         fields = {f.name: getattr(detected, f.name) for f in dataclasses.fields(detected)}
         copied = DetectedContacts(**fields)
-        assert copied.proxies is None and nodalize(copied, state, 1e5, mu=0.2).col_i is not first.col_i
+        assert copied.proxies is None and nodalize(copied, state, 1e5, mu=0.2).columns.col_i is not first.columns.col_i
         # as many contacts, with the floor's on particle 1: node 3 then
         # carries its floor side first, and every later side on nodes 3,
         # 6 and 9 takes a virtual node
@@ -613,7 +633,7 @@ class TestContactLayout:
         moved.proxies = detected.proxies
         nodal = nodalize(moved, state, 1e5, mu=0.2)
         assert builds["ContactLayout"] == 6 and moved.proxies.layout.columns is nodal.columns
-        assert nodal.col_i.tolist() == [3, 0, 18, 21, 24] and nodal.col_j.tolist() == [-1, 15, 6, 9, 12]
+        assert nodal.columns.col_i.tolist() == [3, 0, 18, 21, 24] and nodal.columns.col_j.tolist() == [-1, 15, 6, 9, 12]
 
     def test_tie_rows_built_once_per_step(self, monkeypatch):
         """``augment_dynamics`` and the warm start read the set's tie rows."""
@@ -651,10 +671,10 @@ def mixed_scene(rng):
         return q / np.linalg.norm(q)
 
     rigid = [
-        RigidBody(0.5, 6, 6, np.eye(3), rng.uniform(-0.1, 0.1, (4, 3)), 0.01),
-        RigidBody(0.7, 13, 12, np.eye(3), rng.uniform(-0.1, 0.1, (4, 3)), 0.01),
+        (0.5, 6, 6, np.eye(3), rng.uniform(-0.1, 0.1, (4, 3)), 0.01),
+        (0.7, 13, 12, np.eye(3), rng.uniform(-0.1, 0.1, (4, 3)), 0.01),
     ]
-    bodies = Bodies(np.array([0, 3]), np.array([0, 3]), np.ones(2), np.full(2, 0.05), rigid)
+    bodies = Bodies(np.array([0, 3]), np.array([0, 3]), np.ones(2), np.full(2, 0.05), rigid_bodies(*rigid))
     q = np.concatenate([rng.standard_normal(9), quat(), rng.standard_normal(3), quat()])
     state = SystemState(q, rng.standard_normal(18), dt=0.01)
 
@@ -706,8 +726,8 @@ class TestMixedSceneReference:
             nodal = nodalize(raw, state, k_v=1e4, mu=0.3, mu2=0.6, stab=self.STAB)
             cols, _, phi, (src, rigid, lever) = reference_nodalize(raw, state, self.STAB)
             assert nodal.n_virtual == 8
-            assert np.array_equal(nodal.col_i, cols[:, 0])
-            assert np.array_equal(nodal.col_j, cols[:, 1])
+            assert np.array_equal(nodal.columns.col_i, cols[:, 0])
+            assert np.array_equal(nodal.columns.col_j, cols[:, 1])
             assert np.array_equal(nodal.src, src) and np.array_equal(nodal.rigid, rigid)
             assert np.array_equal(nodal.lever, lever)
             assert np.allclose(nodal.phi, phi, rtol=1e-12, atol=1e-15)
@@ -750,7 +770,7 @@ class TestMixedSceneReference:
             assert (aug.n, aug.n_orig) == (18 + 24, 18)
             assert np.abs(aug.a.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
             assert np.array_equal(aug.b, np.concatenate([b_o, np.zeros(24)]))
-            assert aug.col_i is nodal.col_i and aug.col_j is nodal.col_j and aug.frames is nodal.frames
+            assert aug.col_i is nodal.columns.col_i and aug.col_j is nodal.columns.col_j and aug.frames is nodal.frames
 
 
 class TestContactJacobian:
@@ -774,7 +794,7 @@ class TestContactJacobian:
         # one contact's node listed twice, and a chain of D-contacts 0-3, 3-6
         # that puts two sides on node 3
         for args, named in (
-            ((nodal.n_orig, nodal.col_i[twice], nodal.frames[twice], nodal.mu[twice], nodal.col_j[twice]), r"column \d+"),
+            ((nodal.n_orig, nodal.columns.col_i[twice], nodal.frames[twice], nodal.mu[twice], nodal.columns.col_j[twice]), r"column \d+"),
             ((9, [0, 3], nodal.frames[:2], 0.5, [3, 6]), "column 3"),
         ):
             with pytest.raises(InvalidMatrixError, match=f"{named} carries more than one contact side"):

@@ -11,7 +11,6 @@ from condsim.dynamics import (
     EPS_DAMPING_FLOOR,
     Bodies,
     DampingPolicy,
-    RigidBody,
     Springs,
     SystemState,
     assemble_step,
@@ -20,12 +19,22 @@ from condsim.dynamics import (
     kinetic_energy,
     spring_damping,
     triples,
-    world_inertia,
 )
 from condsim.errors import DegenerateConstraintError, DimensionMismatchError, InvalidMatrixError, InvalidStateError
 from condsim.harness import Scenario, _lattice_edges, build_scene, external_force, load_scenario, validate_scenario
 
-from conftest import reference_nodalize, scenario_path
+from conftest import (
+    per_body,
+    reference_rotation,
+    reference_kinetic_energy,
+    reference_nodalize,
+    reference_rigid_mass,
+    reference_surface_points,
+    reference_turn,
+    reference_world_inertia,
+    rigid_bodies,
+    scenario_path,
+)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 # component c of a symmetric 3x3 block is its c-th upper-triangle entry, row-major
@@ -35,12 +44,13 @@ COMPONENT = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 def particles(masses, radius=0.0):
     """3-DOF point masses laid out back to back from offset 0."""
     off = 3 * np.arange(len(masses))
-    return Bodies(off, off, np.asarray(masses, dtype=float), np.full(len(masses), radius))
+    return Bodies(off, off, np.asarray(masses, dtype=float), np.full(len(masses), radius), rigid_bodies())
 
 
-def rigid_only(body):
+def rigid_only(*bodies):
+    """Rigid bodies given as ``rigid_bodies`` tuples, and no node."""
     none = np.zeros(0, dtype=int)
-    return Bodies(none, none, np.zeros(0), np.zeros(0), [body])
+    return Bodies(none, none, np.zeros(0), np.zeros(0), rigid_bodies(*bodies))
 
 
 def springs(pairs, stiffness, rest, damping=None):
@@ -261,12 +271,12 @@ class TestAssembleStep:
 
     def test_gyroscopic_term(self):
         inertia = np.diag([0.1, 0.2, 0.3])
-        body = RigidBody(2.0, 0, 0, inertia)
+        bodies = rigid_only((2.0, 0, 0, inertia))
         q = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0, 0.0]])
         omega = np.array([1.0, 2.0, 3.0])
         state = SystemState(q, np.concatenate([np.zeros(3), omega]), dt=0.01)
-        asm = assemble_step(state, rigid_only(body), NO_SPRINGS)
-        iw = world_inertia(body, q)
+        asm = assemble_step(state, bodies, NO_SPRINGS)
+        iw = reference_world_inertia(per_body(bodies.rigid)[0], q)
         expected = (2.0 / 0.01) * iw @ omega - np.cross(omega, iw @ omega)
         assert np.allclose(asm.b[3:], expected)
 
@@ -286,7 +296,7 @@ def dense_reference(state, bodies, s, f_ext=None):
     for off, m in zip(bodies.node_v, bodies.node_mass):
         mass[off : off + 3, off : off + 3] = m * np.eye(3)
     b = np.zeros(n) if f_ext is None else f_ext.copy()
-    for body in bodies.rigid:
+    for body in per_body(bodies.rigid):
         w, x, y, z = q[body.q_offset + 3 : body.q_offset + 7]
         rot = Rotation.from_quat([x, y, z, w]).as_matrix()
         iw = rot @ body.inertia @ rot.T
@@ -309,8 +319,8 @@ def dense_reference(state, bodies, s, f_ext=None):
 def touched_blocks(bodies, s):
     """Distinct (row, column) 3x3 blocks that some mass or spring term writes."""
     blocks = {(o // 3, o // 3) for o in bodies.node_v.tolist()}
-    for body in bodies.rigid:
-        c = body.v_offset // 3
+    for vo in bodies.rigid.v_off.tolist():
+        c = vo // 3
         blocks |= {(c + a, c + b) for a in (0, 1) for b in (0, 1)}
     for i, j in zip(s.vi.tolist(), s.vj.tolist()):
         blocks |= {(i // 3, i // 3), (j // 3, j // 3), (i // 3, j // 3), (j // 3, i // 3)}
@@ -326,11 +336,13 @@ def random_layout(rng):
     v_off = np.cumsum([0] + [3 if k == "node" else 6 for k in kinds])
     node = np.array([k == "node" for k in kinds])
     rigid = [
-        RigidBody(rng.uniform(0.5, 2.0), int(q), int(v), np.diag(rng.uniform(0.1, 0.3, 3)))
+        (rng.uniform(0.5, 2.0), int(q), int(v), np.diag(rng.uniform(0.1, 0.3, 3)))
         for q, v in zip(q_off[:-1][~node], v_off[:-1][~node])
     ]
     n_nodes = int(node.sum())
-    bodies = Bodies(q_off[:-1][node], v_off[:-1][node], rng.uniform(0.5, 2.0, n_nodes), np.zeros(n_nodes), rigid)
+    bodies = Bodies(
+        q_off[:-1][node], v_off[:-1][node], rng.uniform(0.5, 2.0, n_nodes), np.zeros(n_nodes), rigid_bodies(*rigid)
+    )
     ends = np.arange(len(kinds))
     pairs = [rng.choice(ends, 2, replace=False) for _ in range(rng.integers(0, 10) if len(kinds) > 1 else 0)]
     pairs += [pairs[k][::-1] for k in rng.integers(0, len(pairs), 2)] if pairs else []  # reversed
@@ -343,8 +355,8 @@ def random_layout(rng):
         rng.uniform(10.0, 100.0, m), rng.uniform(0.2, 1.0, m), DampingPolicy(variant, rng.uniform(0.0, 1.0)),
     )
     q = rng.uniform(-1.0, 1.0, q_off[-1])
-    for body in rigid:
-        q[body.q_offset + 3 : body.q_offset + 7] /= np.linalg.norm(q[body.q_offset + 3 : body.q_offset + 7])
+    for qo in bodies.rigid.q_off.tolist():
+        q[qo + 3 : qo + 7] /= np.linalg.norm(q[qo + 3 : qo + 7])
     return SystemState(q, rng.standard_normal(v_off[-1]), dt=0.01), bodies, s
 
 
@@ -395,7 +407,7 @@ class TestBlockAssembly:
         node_v = np.array([0, 3, 12, 15, 18])
         bodies = Bodies(
             node_v + (node_v > 6), node_v, rng.uniform(0.5, 2.0, 5), np.zeros(5),
-            [RigidBody(1.5, 6, 6, np.diag([0.1, 0.2, 0.3]))],
+            rigid_bodies((1.5, 6, 6, np.diag([0.1, 0.2, 0.3]))),
         )
         q = rng.uniform(-1.0, 1.0, 22)
         q[9:13] /= np.linalg.norm(q[9:13])
@@ -422,7 +434,7 @@ class TestBlockAssembly:
         two_nodes = np.array([0, 3])
         layouts = [
             particles([1.0, 2.0]),
-            Bodies(two_nodes, two_nodes, np.ones(2), np.zeros(2), [RigidBody(2.0, 6, 6, np.diag([0.1, 0.2, 0.3]))]),
+            Bodies(two_nodes, two_nodes, np.ones(2), np.zeros(2), rigid_bodies((2.0, 6, 6, np.diag([0.1, 0.2, 0.3])))),
             particles([1.0, 2.0, 3.0, 4.0]),
             particles([1.0, 2.0, 3.0, 4.0]),
             particles([1.0, 2.0, 3.0, 4.0]),
@@ -433,10 +445,10 @@ class TestBlockAssembly:
                 s = dataclasses.replace(s, qj=np.array([9]), vj=np.array([9]))
             if k == 4:
                 s = dataclasses.replace(s, qj=np.array([6]))
-            n = 3 * len(bodies.node_v) + 6 * len(bodies.rigid)
-            q = rng.uniform(-1.0, 1.0, n + len(bodies.rigid))
-            for body in bodies.rigid:
-                q[body.q_offset + 3 : body.q_offset + 7] = [1.0, 0.0, 0.0, 0.0]
+            n = 3 * len(bodies.node_v) + 6 * bodies.rigid.mass.shape[0]
+            q = rng.uniform(-1.0, 1.0, n + bodies.rigid.mass.shape[0])
+            for qo in bodies.rigid.q_off.tolist():
+                q[qo + 3 : qo + 7] = [1.0, 0.0, 0.0, 0.0]
             state = SystemState(q, rng.standard_normal(n), dt=0.01)
             self.check(assemble_step(state, bodies, s), state, bodies, s)
             patterns.append(s.pattern)
@@ -516,8 +528,8 @@ class TestBlockAssembly:
         # its two triangles read the same floats
         scene = build_scene(load_scenario(scenario_path("box_slide")))
         quat = np.array([0.9, 0.1, -0.3, 0.2])
-        scene.state.q[3:7] = quat / np.linalg.norm(quat)
-        a = assemble_step(scene.state, scene.bodies, scene.constraints).a
+        state = dataclasses.replace(scene.state, q=np.concatenate([scene.state.q[:3], quat / np.linalg.norm(quat)]))
+        a = assemble_step(state, scene.bodies, scene.constraints).a
         assert (a != a.T).nnz == 0
 
     def test_pattern_holds_nothing_longer_than_nnz(self):
@@ -533,7 +545,7 @@ class TestBlockAssembly:
     @pytest.mark.parametrize("vi, vj", [(3, 3), (0, 9)])
     def test_spring_must_join_two_translational_blocks(self, vi, vj):
         # one node's block to itself, or a node to a rigid body's rotation
-        bodies = Bodies(np.array([0, 3]), np.array([0, 3]), np.ones(2), np.zeros(2), [RigidBody(1.0, 6, 6, np.eye(3))])
+        bodies = Bodies(np.array([0, 3]), np.array([0, 3]), np.ones(2), np.zeros(2), rigid_bodies((1.0, 6, 6, np.eye(3))))
         s = Springs(np.array([0]), np.array([3]), np.array([vi]), np.array([vj]), np.ones(1), np.ones(1))
         q = np.concatenate([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(DimensionMismatchError):
@@ -557,7 +569,7 @@ class TestBlockAssembly:
     def test_uncovered_dof_rejected(self, rng):
         # DOF 3-5 carry no node, rigid body or spring: an empty row of A,
         # which no step matrix can scale
-        bodies = Bodies(np.array([0]), np.array([0]), np.ones(1), np.zeros(1))
+        bodies = Bodies(np.array([0]), np.array([0]), np.ones(1), np.zeros(1), rigid_bodies())
         state = SystemState(rng.standard_normal(6), rng.standard_normal(6))
         with pytest.raises(InvalidMatrixError, match="column 3 stores no diagonal entry"):
             assemble_step(state, bodies, springs(np.zeros((0, 2)), 0.0, 0.0))
@@ -578,20 +590,17 @@ def six_row_assembly(state, bodies, s, f_ext=None):
     r_idx, s_idx = np.triu_indices(3)
     on_diag = np.flatnonzero(r_idx == s_idx)
     quarters = 6 * (r_idx[:, None] + [0, 3]) + s_idx[:, None] + [0, 3]
-    n_nodes, n_rigid, m = bodies.node_v.shape[0], len(bodies.rigid), s.k.shape[0]
+    n_nodes, n_rigid, m = bodies.node_v.shape[0], bodies.rigid.mass.shape[0], s.k.shape[0]
     diag = np.empty((6, n_nodes + 2 * n_rigid + 2 * m))
     node_idx = triples(bodies.node_v)
     coef = (2.0 / t) * bodies.node_mass
     b[node_idx] += coef[:, None] * v[node_idx]
     diag[:, :n_nodes] = 0.0
     diag[on_diag, :n_nodes] = coef
-    for k, body in enumerate(bodies.rigid):
+    for k, body in enumerate(per_body(bodies.rigid)):
         vo = body.v_offset
-        inertia = world_inertia(body, q)
-        block = np.zeros((6, 6))
-        block[range(3), range(3)] = body.mass
-        block[3:, 3:] = inertia
-        block = (2.0 / t) * block
+        inertia = reference_world_inertia(body, q)
+        block = (2.0 / t) * reference_rigid_mass(body, inertia)
         diag[:, n_nodes + 2 * k : n_nodes + 2 * k + 2] = block.take(quarters)
         b[vo : vo + 6] += block @ v[vo : vo + 6]
         omega = v[vo + 3 : vo + 6]
@@ -658,7 +667,7 @@ class TestComponentSums:
 
     def test_lattice(self):
         scene = build_scene(load_scenario(scenario_path("lattice_drag")))
-        state, f_ext = scene.state, external_force(scene, 0.0, scene.state.v.shape[0])
+        state, f_ext = scene.state, external_force(scene, 0.0)
         for variant in ("constant", "geometric-projection"):
             springs = dataclasses.replace(scene.constraints, damping=DampingPolicy(variant, 2.0))
             self.check(state, scene.bodies, springs, f_ext)
@@ -667,7 +676,7 @@ class TestComponentSums:
         layouts = 0
         while layouts < 20:
             state, bodies, _ = random_layout(rng)
-            if not bodies.rigid:
+            if not bodies.rigid.mass.size:
                 continue
             layouts += 1
             self.check(state, bodies, springs(np.zeros((0, 2)), 0.0, 0.0), rng.standard_normal(state.v.shape[0]))
@@ -727,15 +736,15 @@ class TestMixedScene:
         assert list(scene.bodies.node_q) == [0, 10, 13]
         assert list(scene.bodies.node_v) == [0, 9, 12]
         assert list(scene.bodies.node_radius) == [0.05, 0.0, 0.0]
-        (cube,) = scene.bodies.rigid
-        assert (cube.q_offset, cube.v_offset) == (3, 3)
+        rigid = scene.bodies.rigid
+        assert rigid.q_off.tolist() == [3] and rigid.v_off.tolist() == [3] and rigid.point_body.tolist() == [0, 0]
         assert np.isclose(np.linalg.norm(scene.state.q[6:10]), 1.0)
 
     def test_assemble_matches_dense_oracle(self):
         scene = self.scene()
         state, t = scene.state, MIXED["step_size"]
         n = state.v.shape[0]
-        asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0, n))
+        asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0))
 
         mass = self.dense_mass()
         a = (2.0 / t) * mass
@@ -796,7 +805,7 @@ class TestMixedScene:
                 q_off=sides[:, :, 1],
                 key=np.arange(k, dtype=np.int64),
             )
-            asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0, n))
+            asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0))
             nodal = contacts.nodalize(detected, state, 1e4)
             aug = contacts.augment_dynamics(asm, nodal)
             layouts.append(asm.pattern.ties)
@@ -841,11 +850,10 @@ class TestIntegrate:
         assert np.allclose(nxt.q, [0.1, 0.0, 0.0])
 
     def test_rigid_quarter_turn(self):
-        body = RigidBody(1.0, 0, 0, np.eye(3))
         q = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0, 0.0]])
         state = SystemState(q, np.zeros(6), dt=0.5)
         v_hat = np.concatenate([np.zeros(3), [0.0, 0.0, np.pi]])
-        nxt = integrate(state, v_hat, rigid_only(body))
+        nxt = integrate(state, v_hat, rigid_only((1.0, 0, 0, np.eye(3))))
         quat = nxt.q[3:7]
         s = np.sin(np.pi / 4)
         assert np.isclose(np.linalg.norm(quat), 1.0)
@@ -868,7 +876,7 @@ class TestIntegrate:
         assert np.allclose(nxt.v, v0 + 0.01 * GRAVITY, atol=1e-14)
 
     def test_quaternion_norm_over_many_steps(self, rng):
-        bodies = rigid_only(RigidBody(1.0, 0, 0, np.eye(3)))
+        bodies = rigid_only((1.0, 0, 0, np.eye(3)))
         q = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0, 0.0]])
         state = SystemState(q, np.zeros(6), dt=0.01)
         for _ in range(10_000):
@@ -878,8 +886,9 @@ class TestIntegrate:
 
 
 class TestRigidKinematics:
-    """The rigid-body terms on floats against the array formulas they
-    replace, bit for bit, on random states."""
+    """The rigid record's terms, stacked over its rows and on floats in the
+    quaternion update, against the per-body references they replace (the
+    ``reference_*`` of conftest), bit for bit, on random states."""
 
     @staticmethod
     def random_body(rng):
@@ -887,34 +896,47 @@ class TestRigidKinematics:
         inertia = half @ half.T + 0.01 * np.eye(3)
         quat = rng.standard_normal(4)
         q = np.concatenate([rng.standard_normal(3), quat / np.linalg.norm(quat)])
-        return RigidBody(rng.uniform(0.1, 10.0), 0, 0, inertia), q
+        return (rng.uniform(0.1, 10.0), 0, 0, inertia), q
+
+    @staticmethod
+    def random_record(rng, r, n_points):
+        """r bodies back to back, each with ``n_points`` random surface
+        points (one count for all, or one per body), and a random state on
+        them."""
+        counts = np.broadcast_to(n_points, (r,))
+        bodies = []
+        for k, count in enumerate(counts.tolist()):
+            half = rng.standard_normal((3, 3))
+            bodies.append((rng.uniform(0.1, 10.0), 7 * k, 6 * k, half @ half.T + 0.01 * np.eye(3),
+                           rng.uniform(-0.2, 0.2, (count, 3)), 0.01))
+        q = rng.standard_normal((r, 7))
+        q[:, 3:] /= np.linalg.norm(q[:, 3:], axis=1)[:, None]
+        v = rng.standard_normal(6 * r) * 10.0 ** rng.uniform(-3, 3, 6 * r)
+        return SystemState(q.ravel(), v, dt=0.01), rigid_only(*bodies)
+
+    def records(self, rng, n_points=4):
+        """Random records of 1 to 64 bodies."""
+        for r in (1, 2, 3, 5, 8, 13, 31, 64):
+            yield self.random_record(rng, r, n_points)
 
     def test_gyroscopic_term_matches_the_array_formula(self, rng):
         for _ in range(500):
             body, q = self.random_body(rng)
             v = rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3, 6)
             state = SystemState(q, v, dt=0.01)
+            bodies = rigid_only(body)
+            (row,) = per_body(bodies.rigid)
             block = np.zeros((6, 6))
-            block[:3, :3] = body.mass * np.eye(3)
-            block[3:, 3:] = world_inertia(body, q)
+            block[:3, :3] = row.mass * np.eye(3)
+            block[3:, 3:] = reference_world_inertia(row, q)
             block = (2.0 / 0.01) * block
             ref = np.zeros(6)
             ref[np.arange(6)] += block @ v
-            ref[3:] -= np.cross(v[3:], world_inertia(body, q) @ v[3:])
-            asm = assemble_step(state, rigid_only(body), NO_SPRINGS)
+            ref[3:] -= np.cross(v[3:], reference_world_inertia(row, q) @ v[3:])
+            asm = assemble_step(state, bodies, NO_SPRINGS)
             assert np.array_equal(asm.b, ref)
 
     def test_quaternion_update_matches_the_array_formula(self, rng):
-        def reference(quat, rotvec):
-            angle = float(np.linalg.norm(rotvec))
-            if angle < 1e-12:
-                dq = np.concatenate([[1.0], 0.5 * rotvec])
-            else:
-                dq = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * (rotvec / angle)])
-            aw, av, bw, bv = dq[0], dq[1:], quat[0], quat[1:]
-            out = np.concatenate([[aw * bw - av @ bv], aw * bv + bw * av + np.cross(av, bv)])
-            return out / np.linalg.norm(out)
-
         for k in range(1000):
             body, q = self.random_body(rng)
             # angular speeds across the small-angle branch at 1e-12 rad per step
@@ -922,7 +944,47 @@ class TestRigidKinematics:
             state = SystemState(q, rng.standard_normal(6), dt=0.01)
             nxt = integrate(state, v_hat, rigid_only(body))
             assert np.array_equal(nxt.q[:3], q[:3] + 0.01 * v_hat[:3])
-            assert np.array_equal(nxt.q[3:], reference(q[3:], 0.01 * v_hat[3:]))
+            assert np.array_equal(nxt.q[3:], reference_turn(q[3:], 0.01 * v_hat[3:]))
+
+    def test_pose_matches_per_body(self, rng):
+        for state, bodies in self.records(rng):
+            rot, world, mass = state.rigid_pose(bodies.rigid)
+            assert state.rigid_pose(bodies.rigid)[0] is rot
+            for k, body in enumerate(per_body(bodies.rigid)):
+                quat = state.q[body.q_offset + 3 : body.q_offset + 7]
+                inertia = reference_world_inertia(body, state.q)
+                assert_same_bits(rot[k], reference_rotation(quat))
+                assert_same_bits(world[k], inertia)
+                assert_same_bits(mass[k], reference_rigid_mass(body, inertia))
+
+    def test_mass_quarters_and_b_match_per_body(self, rng):
+        for state, bodies in self.records(rng):
+            f_ext = rng.standard_normal(state.v.shape[0])
+            TestComponentSums.check(state, bodies, springs(np.zeros((0, 2)), 0.0, 0.0), f_ext)
+
+    @pytest.mark.parametrize("n_points", [4, "mixed"])
+    def test_surface_points_match_per_body(self, rng, n_points):
+        # equal counts turn in one stacked product; mixed counts, with
+        # bodies of no point, in one per count
+        from condsim.contacts import _surface_points
+
+        for r in (1, 2, 3, 5, 8, 13, 31, 64):
+            counts = 4 if n_points == 4 else rng.integers(0, 6, r)
+            state, bodies = self.random_record(rng, r, counts)
+            assert_same_bits(_surface_points(state, bodies.rigid), reference_surface_points(state, bodies.rigid))
+
+    def test_turn_matches_per_body(self, rng):
+        for state, bodies in self.records(rng):
+            v_hat = rng.standard_normal(state.v.shape[0])
+            nxt = integrate(state, v_hat, bodies)
+            for body in per_body(bodies.rigid):
+                qo, vo = body.q_offset, body.v_offset
+                assert_same_bits(nxt.q[qo : qo + 3], state.q[qo : qo + 3] + 0.01 * v_hat[vo : vo + 3])
+                assert_same_bits(nxt.q[qo + 3 : qo + 7], reference_turn(state.q[qo + 3 : qo + 7], 0.01 * v_hat[vo + 3 : vo + 6]))
+
+    def test_kinetic_energy_matches_per_body(self, rng):
+        for state, bodies in self.records(rng):
+            assert kinetic_energy(state, bodies) == reference_kinetic_energy(state, bodies)
 
 
 class TestKineticEnergy:
@@ -935,28 +997,31 @@ class TestKineticEnergy:
 
     def test_rigid_vs_dense_oracle(self, rng):
         inertia = np.diag([0.1, 0.2, 0.3])
-        body = RigidBody(2.0, 0, 0, inertia)
         q = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0, 0.0]])
         omega = rng.standard_normal(3)
         vlin = rng.standard_normal(3)
         state = SystemState(q, np.concatenate([vlin, omega]))
         ref = 0.5 * 2.0 * vlin @ vlin + 0.5 * omega @ inertia @ omega
-        assert np.isclose(kinetic_energy(state, rigid_only(body)), ref, atol=1e-12)
+        assert np.isclose(kinetic_energy(state, rigid_only((2.0, 0, 0, inertia))), ref, atol=1e-12)
 
     def test_world_inertia_built_once_per_state(self, monkeypatch):
-        """``kinetic_energy`` at the end of a step and ``assemble_step`` of the
-        next read the world inertia kept on their state; a quaternion edited
-        in place builds it again."""
+        """``kinetic_energy`` at the end of a step, and ``assemble_step`` and
+        ``detect_contacts`` of the next, read the rigid pose kept on their
+        state; a quaternion cannot be edited in place, and a replaced state
+        builds its own pose."""
         from condsim import dynamics, harness
 
-        calls, original = [], dynamics.world_inertia
-        monkeypatch.setattr(dynamics, "world_inertia", lambda *args: calls.append(1) or original(*args))
+        calls, original = [], dynamics._pose
+        monkeypatch.setattr(dynamics, "_pose", lambda *args: calls.append(1) or original(*args))
         s = load_scenario(scenario_path("box_slide"))
         harness.run(Scenario({**s.raw, "duration": 10 * s.step_size}), harness.RunConfig())
         assert len(calls) == 11  # the scene's state, then one per integrated state
-        body = rigid_only(RigidBody(2.0, 0, 0, np.diag([0.1, 0.2, 0.3])))
+        body = rigid_only((2.0, 0, 0, np.diag([0.1, 0.2, 0.3])))
         state = SystemState(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), np.arange(1.0, 7.0))
         first = kinetic_energy(state, body)
         assert kinetic_energy(state, body) == first and len(calls) == 12
-        state.q[3:7] = [np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0]  # a quarter turn about x swaps I_yy and I_zz
-        assert kinetic_energy(state, body) != first and len(calls) == 13
+        turned = [0.0, 0.0, 0.0, np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0]  # a quarter turn about x swaps I_yy and I_zz
+        with pytest.raises(ValueError, match="read-only"):
+            state.q[:] = turned
+        assert kinetic_energy(state, body) == first and len(calls) == 12
+        assert kinetic_energy(dataclasses.replace(state, q=turned), body) != first and len(calls) == 13

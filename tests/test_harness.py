@@ -445,37 +445,42 @@ class TestStepMemory:
         assert alive == [[], [False] * 2, [False] * 4]
 
     def test_scene_caches_die_with_the_scene(self, monkeypatch):
-        """The node triples, gravity vector, block and tie patterns, proxy
-        table and contact layout that a run's scene caches are freed with
-        it: a second run on a new scene finds them dead, with gc disabled,
-        so nothing but the scene held them, and no back-reference of a
-        cache to the records it was built for makes a cycle."""
+        """The node triples, rigid index rows, gravity vector, block and tie
+        patterns, proxy table and contact layout that a run's scene caches,
+        and the rigid pose of its first state, are freed with it: a second
+        run on a new scene finds them dead, with gc disabled, so nothing but
+        the scene held them, and no back-reference of a cache to the records
+        it was built for makes a cycle. On particle_stack (node contacts)
+        and box_slide (a rigid body)."""
         from condsim import harness
 
         refs, reused, original = [], [], harness._step
 
-        def spy(scene, *args, **kwargs):
-            out = original(scene, *args, **kwargs)
+        def spy(scene, state, *args, **kwargs):
+            out = original(scene, state, *args, **kwargs)
             bodies, pattern, table = scene.bodies, scene.constraints.pattern, scene.bodies.proxies
-            cached = (bodies.q_triples, bodies.v_triples, scene.gravity_force, pattern, pattern.ties, table,
-                      table.layout, table.layout.columns)
+            cached = (bodies.q_triples, bodies.v_triples, bodies.rigid.q_idx, bodies.rigid.v_idx, scene.gravity_force,
+                      pattern, pattern.ties, table, table.layout, table.layout.columns)
             if not refs:
-                refs.extend(weakref.ref(x) for x in cached)
+                refs.extend(weakref.ref(x) for x in cached + state.rigid_pose(bodies.rigid)[:1])
             elif len(reused) < 2:  # the first run's later steps
                 reused.append(all(ref() is x for ref, x in zip(refs, cached)))
             return out
 
         monkeypatch.setattr(harness, "_step", spy)
-        s = load_scenario(scenario_path("particle_stack"))
-        scenario = Scenario({**s.raw, "duration": 3 * s.step_size})
-        gc.disable()
-        try:
-            run(scenario, RunConfig())
-            run(scenario, RunConfig())
-            alive = [ref() is not None for ref in refs]
-        finally:
-            gc.enable()
-        assert reused == [True, True] and alive == [False] * 8
+        for name in ("particle_stack", "box_slide"):
+            refs.clear()
+            reused.clear()
+            s = load_scenario(scenario_path(name))
+            scenario = Scenario({**s.raw, "duration": 3 * s.step_size})
+            gc.disable()
+            try:
+                run(scenario, RunConfig())
+                run(scenario, RunConfig())
+                alive = [ref() is not None for ref in refs]
+            finally:
+                gc.enable()
+            assert reused == [True, True] and alive == [False] * 11, name
 
     def test_traced_peak_of_a_lattice_run(self):
         scenario = lattice_steps(2)
@@ -648,7 +653,8 @@ def box_slide_records():
         "NodalContactSet": nodal, "AugmentedDynamics": aug, "TieLayout": asm.pattern.ties,
         "ProxyTable": bodies.proxies, "ContactLayout": bodies.proxies.layout,
         "ContactColumns": nodal.columns,
-        "RigidBody": bodies.rigid[0], "Bodies": bodies, "SystemState": state, "Springs": scene.constraints,
+        "RigidBodies": bodies.rigid, "Bodies": bodies,
+        "SystemState": state, "Springs": scene.constraints,
         "AssembledDynamics": asm, "BlockPattern": asm.pattern, "DelassusProblem": baselines.assemble_delassus(aug),
         "Scene": scene, "RunResult": run(Scenario({**s.raw, "duration": s.step_size})),
     }
@@ -700,7 +706,8 @@ class TestFrozenScene:
     ARRAYS = {
         "Scene": {"gravity"},
         "Bodies": {"node_q", "node_v", "node_mass", "node_radius"},
-        "RigidBody": {"inertia", "contact_points"},
+        "RigidBodies": {"mass", "q_off", "v_off", "inertia", "points", "point_body", "contact_radius"},
+        "SystemState": {"q", "v"},
         "Springs": {"qi", "qj", "vi", "vj", "k", "rest"},
         "Geometry": set(),
     }
@@ -709,7 +716,7 @@ class TestFrozenScene:
         from condsim.harness import build_scene
 
         scene = build_scene(Scenario(self.RAW))
-        return {"Scene": scene, "Bodies": scene.bodies, "RigidBody": scene.bodies.rigid[0],
+        return {"Scene": scene, "Bodies": scene.bodies, "RigidBodies": scene.bodies.rigid, "SystemState": scene.state,
                 "Springs": scene.constraints, "Geometry": scene.geometry}
 
     def test_fields_cannot_be_assigned(self):
@@ -719,8 +726,9 @@ class TestFrozenScene:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, f.name, getattr(record, f.name))
         scene = records["Scene"]
-        for seq in (scene.bodies.rigid, scene.geometry.planes, scene.geometry.spheres, scene.force_entries):
+        for seq in (scene.geometry.planes, scene.geometry.spheres, scene.force_entries):
             assert isinstance(seq, tuple) and len(seq) == 1
+        assert scene.bodies.rigid.mass.shape == (1,)
 
     def test_arrays_are_read_only_copies(self):
         # every array of the records, and of the scene's force entries, is
@@ -747,6 +755,12 @@ class TestFrozenScene:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
             assert not kept.flags.writeable and not any(np.shares_memory(kept, p) for p in passed)
+        # the rigid pose a state builds, and the index rows the rigid record
+        # builds, are read-only too
+        rigid = scene.bodies.rigid
+        for a in (*scene.state.rigid_pose(rigid), rigid.q_idx, rigid.v_idx, *rigid.point_groups[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
     def test_replaced_records_build_their_own_layouts(self):
         from condsim.contacts import detect_contacts
@@ -767,6 +781,16 @@ class TestFrozenScene:
         assert made is not table and bodies.proxies is table and np.array_equal(made.proxy, table.proxy)
         other = detect_contacts(state, new_bodies, new_geometry).proxies
         assert other is not made and other.geometry is new_geometry and new_bodies.proxies is other
+        # the state's rigid pose, built again for another rigid record and
+        # for a replaced state
+        rot = state.rigid_pose(bodies.rigid)[0]
+        assert state.rigid_pose(bodies.rigid)[0] is rot
+        new_rigid = dataclasses.replace(bodies.rigid)
+        rebuilt = state.rigid_pose(new_rigid)[0]
+        assert rebuilt is not rot and state.rigid_pose(new_rigid)[0] is rebuilt
+        new_state = dataclasses.replace(state)
+        assert new_state.rigid_pose(new_rigid)[0] is not rebuilt
+        assert np.array_equal(new_state.rigid_pose(new_rigid)[0], rot)
         # the scene's gravity vector
         replaced = dataclasses.replace(scene)
         assert replaced.gravity_force is not scene.gravity_force

@@ -324,7 +324,7 @@ class TestStepMatrixFrobenius:
             return np.linalg.norm(np.eye(n) - np.diag(wv) @ dense)
 
         base = fro(w)
-        for col in aug.contacts.nodes:
+        for col in aug.contacts.columns.nodes:
             for fac in (0.9, 1.1):
                 trial = w.copy()
                 trial[col : col + 3] *= fac
@@ -338,20 +338,20 @@ class TestStepMatrixFrobenius:
             n = nodal.n_orig
             a = random_spd(rng, n)
             aug = build_augmented(a, np.zeros(n), nodal)
-            nodes = sorted({*nodal.col_i.tolist(), *nodal.col_j[nodal.col_j >= 0].tolist()})
+            nodes = sorted({*nodal.columns.col_i.tolist(), *nodal.columns.col_j[nodal.columns.col_j >= 0].tolist()})
             diag, rns = a.diagonal(), row_norms_sq(a)
             ref = diag / rns
             for col in nodes:
                 idx = slice(col, col + 3)
                 ref[idx] = sum(diag[idx].tolist()) / sum(rns[idx].tolist())
             assert np.array_equal(step_matrix_frobenius(aug), ref)
-            assert aug.contacts.nodes.tolist() == nodes
+            assert aug.contacts.columns.nodes.tolist() == nodes
 
     def test_one_w_under_every_operator(self, rng, monkeypatch):
         # the operator picks the projection only: solve_vfpi hands
         # surrogate_gamma the same W under each, D-contacts included
         nodal = random_contact_set(rng, n_nodes=12, n_contacts=6)
-        assert np.any(nodal.col_j >= 0)
+        assert np.any(nodal.columns.col_j >= 0)
         n = nodal.n_orig
         aug = build_augmented(random_spd(rng, n), rng.standard_normal(n), nodal)
         seen = []
@@ -486,10 +486,8 @@ class TestOneShot:
         phi = -0.1 * np.abs(g.standard_normal(n_c))
         hit = g.random(n_c) < 0.3
         phi[hit] = g.choice(cls.SPECIAL, hit.sum())
-        nodal = contact_set(6 * n_c, 6 * np.arange(n_c), frames, 0.0, -1, 0.0)
-        nodal = dataclasses.replace(
-            nodal, col_j=col_j, mu=g.uniform(0.05, 1.0, n_c), mu2=g.uniform(0.05, 1.0, n_c), phi=phi
-        )
+        nodal = contact_set(6 * n_c, 6 * np.arange(n_c), frames, 0.0, col_j, 0.0)
+        nodal = dataclasses.replace(nodal, mu=g.uniform(0.05, 1.0, n_c), mu2=g.uniform(0.05, 1.0, n_c), phi=phi)
         aug = build_augmented(sp.identity(6 * n_c, format="csc"), np.zeros(6 * n_c), nodal)
         v = g.standard_normal(6 * n_c)
         hit = g.random(6 * n_c) < 0.3
@@ -656,8 +654,7 @@ def first_step(name: str, kv: float):
     s = load_scenario(scenario_path(name))
     scene = build_scene(s, RunConfig(kv=kv))
     state, bodies = scene.state, scene.bodies
-    n = state.v.shape[0]
-    asm = assemble_step(state, bodies, scene.constraints, external_force(scene, 0.0, n))
+    asm = assemble_step(state, bodies, scene.constraints, external_force(scene, 0.0))
     raw = detect_contacts(state, bodies, scene.geometry)
     nodal = nodalize(raw, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
     aug = augment_dynamics(asm, nodal)

@@ -30,7 +30,7 @@ from condsim.sparse import (
     with_data,
 )
 
-from conftest import ALL_SCENARIOS, build_augmented, contact_set, random_spd, scenario_path
+from conftest import ALL_SCENARIOS, TURNED, build_augmented, contact_set, random_spd, scenario_path
 
 
 def dense(vals) -> sp.csc_matrix:
@@ -89,8 +89,8 @@ class TestTransposeView:
             scene = build_scene(load_scenario(scenario_path(name)), RunConfig())
             state = scene.state
             if name == "box_slide":
-                state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
-            f_ext = external_force(scene, 0.0, state.v.shape[0])
+                state = dataclasses.replace(state, q=np.concatenate([state.q[:3], TURNED]))
+            f_ext = external_force(scene, 0.0)
             asm = assemble_step(state, scene.bodies, scene.constraints, f_ext)
             detected = detect_contacts(state, scene.bodies, scene.geometry)
             nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
@@ -187,8 +187,7 @@ def rebuilt_layout_systems() -> list:
     """box_slide's turned cube augmented on its 4 contacts, on 3 of them,
     then on all 4 again: each change of sources rebuilds the tie layout."""
     scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
-    state = scene.state
-    state.q[3:7] = [np.cos(0.3), 0.0, 0.0, np.sin(0.3)]
+    state = dataclasses.replace(scene.state, q=np.concatenate([scene.state.q[:3], TURNED]))
     raw = detect_contacts(state, scene.bodies, scene.geometry)
     fewer = DetectedContacts(**{f.name: getattr(raw, f.name)[1:] for f in dataclasses.fields(raw)})
     out, layouts = [], []
