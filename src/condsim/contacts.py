@@ -75,7 +75,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .dynamics import (
     AssembledDynamics,
@@ -446,6 +445,9 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
     # single body needs no tree; the pairs are sorted below, so the cheaper
     # unbalanced, uncompacted tree finds the same result
     if table.search:
+        # imported here: scipy.spatial keeps about 7 MB resident that rigid-only runs never use
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
         pairs = tree.query_pairs(r=table.reach + margin, output_type="ndarray")
         e, f = pairs[np.argsort(pairs[:, 0] * stride + pairs[:, 1])].T

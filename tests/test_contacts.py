@@ -1,13 +1,18 @@
 """Contact detection, nodalization and augmentation tests."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import condsim
 from condsim import contacts
 from condsim.contacts import (
     DetectedContacts,
@@ -288,15 +293,16 @@ def bundled_scene(name: str):
 class TestPairSearchGate:
     @pytest.fixture
     def tree_builds(self, monkeypatch):
-        """Counts the KD-trees that ``detect_contacts`` builds."""
+        """Counts the KD-trees that ``detect_contacts`` builds; it imports
+        ``cKDTree`` from ``scipy.spatial`` on each searching call."""
         built = []
-        tree = contacts.cKDTree
+        tree = scipy.spatial.cKDTree
 
         def counting_tree(*args, **kwargs):
             built.append(1)
             return tree(*args, **kwargs)
 
-        monkeypatch.setattr(contacts, "cKDTree", counting_tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
         return built
 
     def test_single_rigid_body_skips_the_tree(self, tree_builds):
@@ -318,6 +324,34 @@ class TestPairSearchGate:
         assert len(tree_builds) == 1
         # five stacked particles: one floor contact and four neighbour pairs
         assert len(raw) == 5 and int((raw.v_off[:, 1] >= 0).sum()) == 4
+
+    # prints whether ``scipy.spatial`` is loaded after a 2-step box_slide run,
+    # and again after one step of particle_stack, which searches its node proxies
+    IMPORTS_AFTER_RUNS = """
+import sys
+import condsim
+
+def first_steps(name, n):
+    s = condsim.load_scenario(sys.argv[1] + "/" + name + ".json")
+    return condsim.Scenario({**s.raw, "duration": n * s.step_size})
+
+condsim.run(first_steps("box_slide", 2))
+print("scipy.spatial" in sys.modules)
+condsim.run(first_steps("particle_stack", 1))
+print("scipy.spatial" in sys.modules)
+"""
+
+    def test_scipy_spatial_loads_only_for_a_search(self):
+        """A run with no pair search never imports ``scipy.spatial``; the
+        first searching step does. In a fresh interpreter, since other test
+        modules import ``scipy.spatial`` themselves."""
+        src = os.path.dirname(condsim.__path__[0])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        scenarios = os.path.dirname(scenario_path("box_slide"))
+        out = subprocess.run([sys.executable, "-c", self.IMPORTS_AFTER_RUNS, scenarios],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestStabilization:
