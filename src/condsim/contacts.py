@@ -21,8 +21,8 @@ builds its frame once, when it is made, and its contacts take that frame;
 only contacts on static spheres and between proxies call ``contact_frames``
 on the step. ``nodalize`` reads the frames and derives none. No Python object is made per contact:
 ``NodalContactSet.contacts`` views the arrays as one numpy record array. Jv
-stays arrays too, never a matrix: per virtual node, its source's velocity
-offset, whether the source is a rigid body, and the lever arm r from the
+stays arrays too, never a matrix: per virtual node, its source's tie
+columns, whether the source is a rigid body, and the lever arm r from the
 body's origin, applied by ``NodalContactSet.virtual_velocity`` and the tie
 fill of ``augment_dynamics``.
 
@@ -40,29 +40,32 @@ with each:
 - ``ContactLayout``, on the ``ProxyTable``: keyed on the bytes of the
   detected sides' ``v_off``/``q_off`` plus n, mu and mu2, so a change of the
   contact set or of those parameters rebuilds it. It holds the columns,
-  the virtual sides with their sources and rigid flags, the rigid sides'
-  index triples, the mu/mu2 arrays and the ``ContactColumns``. Per step,
-  ``nodalize`` computes the lever arms, relative normal velocities and phi.
+  the virtual sides with their sources' tie columns and rigid flags, the
+  rigid sides' index triples, the mu/mu2 arrays and the ``ContactColumns``.
+  Per step, ``nodalize`` computes the lever arms, relative normal
+  velocities and phi.
 - ``ContactColumns``, on the layout: the columns, the contacted nodes,
   checked once for a column carrying two contact sides, their triples for
   W's ties, and the gather indices of ``ContactMap`` and of the solver's
   float pass; every ``NodalContactSet`` holds one.
-- ``TieLayout``, on A_o's ``BlockPattern`` (below). The T rows of a step's
-  lever arms are built once per ``NodalContactSet`` (``tie_rows``), for the
-  warm start and ``augment_dynamics`` alike.
+- ``TieLayout``, on the layout (below): built for the first A_o pattern
+  that the layout's virtual nodes are augmented on, and again for another.
+  The T rows of a step's lever arms are built once per ``NodalContactSet``
+  (``tie_rows``), for the warm start and ``augment_dynamics`` alike.
 
 A miss builds a layout through the same ``build`` that a hit reuses, and
 the layouts die with the scene; every cached array is read-only.
 
 ``augment_dynamics`` writes the block matrix above as A_o plus k_v T^T T with
-T = [Jv, -I]. A ``TieLayout`` holds the augmented CSC pattern and, for each
-value of A_o and each product of two entries of a T row, the entry it adds
-into. It is built once per set of virtual-node sources and cached on A_o's
-``BlockPattern``, so a step fills the augmented matrix's values with one
-``np.bincount`` and makes the matrix from the layout's ``csc_template``
-(``sparse``). The layout also extends the pattern's diagonal positions to
-the augmented matrix, and ``AugmentedDynamics`` carries them for the step
-matrix of the solver. Each product is k_v (t_p t_q), and every entry sums A_o's
+T = [Jv, -I]. The virtual nodes, and so the augmented pattern, are a
+function of the contact set alone: a ``TieLayout``, built once per
+``ContactLayout``, holds the augmented matrix's ``sparse.Pattern`` and, for
+each value of A_o and each product of two entries of a T row, the entry it
+adds into. A step fills the augmented matrix's values with one
+``np.bincount`` and makes the matrix from the pattern's template; the
+pattern also carries the diagonal positions and the kernels that its size
+chooses for the solver, and ``AugmentedDynamics`` carries the pattern. Each
+product is k_v (t_p t_q), and every entry sums A_o's
 value first and then the products row by row, so entries (p, q) and (q, p)
 receive the same floats in the same order: the augmented A is bitwise
 symmetric wherever A_o is.
@@ -78,15 +81,15 @@ import scipy.sparse as sp
 
 from .dynamics import (
     AssembledDynamics,
-    BlockPattern,
     Bodies,
     RigidBodies,
     SystemState,
     _cross,
+    _read_only,
     triples,
 )
 from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
-from .sparse import BINCOUNT_NNZ_MAX, csc_template, entry_columns, with_data
+from .sparse import Pattern, with_data
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
 _UNSET = np.zeros((3, 3))  # stands in for a static sphere's frame until its contacts get theirs
@@ -187,6 +190,7 @@ class ContactColumns:
 
     @classmethod
     def build(cls, col_i: np.ndarray, col_j: np.ndarray) -> ContactColumns:
+        col_i, col_j = _read_only(col_i), _read_only(col_j)
         has_j = col_j >= 0
         j_cols = col_j[has_j]
         nodes = np.sort(np.concatenate([col_i, j_cols]))
@@ -216,14 +220,15 @@ class ContactColumns:
 @dataclass(eq=False)
 class NodalContactSet:
     """Nodalized contacts, whose columns are those of its ``ContactColumns``:
-    ``nodalize`` passes its layout's, and a set made by hand builds its own
-    with ``ContactColumns.build``.
+    ``nodalize`` passes its ``ContactLayout``'s, and the layout itself as
+    ``layout``; a set made by hand builds its own with
+    ``ContactColumns.build`` and has no virtual nodes.
 
     Virtual node k has the columns n_orig + 3k to n_orig + 3k + 2. Its row
-    block of Jv is [I, -[r]x] at a rigid body's velocity offset ``src[k]``
-    (``rigid[k]``, lever arm ``lever[k]``), or I at an original node's
-    (``lever[k]`` zero); ``tie_rows`` holds its T rows, built once per set
-    for the warm start and ``augment_dynamics``."""
+    block of Jv is [I, -[r]x] at a rigid body's velocity offset (lever arm
+    ``lever[k]``), or I at an original node's (``lever[k]`` zero), as the
+    layout's ``tie_cols[k]`` and ``rigid[k]`` say; ``tie_rows`` holds its T
+    rows, built once per set for the warm start and ``augment_dynamics``."""
 
     n_orig: int  # original velocity dimension
     k_v: float
@@ -233,17 +238,15 @@ class NodalContactSet:
     mu: np.ndarray
     mu2: np.ndarray  # mu where the scene sets no mu2
     phi: np.ndarray
-    # per virtual node: source velocity offset, rigid flag and (n_v, 3) lever arm
-    src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    rigid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    lever: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    lever: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # (n_v, 3)
+    layout: ContactLayout | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.columns.col_i.shape[0]
 
     @property
     def n_virtual(self) -> int:
-        return self.src.shape[0]
+        return self.lever.shape[0]
 
     @cached_property
     def tie_rows(self) -> np.ndarray:
@@ -255,14 +258,13 @@ class NodalContactSet:
         velocity, plus w x r on a rigid body, as the sums of its Jv rows. A
         node source's lever entries are zero, so the columns they read may
         be clipped at the end of v."""
-        cols = self.src[:, None, None] + _T_COL
-        return np.einsum("kab,kab->ka", self.tie_rows[:, :, :3], np.take(v, cols, mode="clip")).ravel()
+        return np.einsum("kab,kab->ka", self.tie_rows[:, :, :3], np.take(v, self.layout.tie_cols, mode="clip")).ravel()
 
     @property
     def contacts(self) -> np.recarray:
         """The set's arrays as one record array, with no object per contact.
         Only the benchmark's boundary check reads it; it goes once that check
-        reads the arrays (ROADMAP item 9)."""
+        reads the arrays (ROADMAP item 11, ``boundary_arrays``)."""
         return np.rec.fromarrays(
             [self.columns.col_i, self.frames, self.mu, self.phi, self.columns.col_j, self.mu2], dtype=_RECORD
         )
@@ -277,22 +279,17 @@ class StabilizationParams:
 
 @dataclass(eq=False)
 class AugmentedDynamics:
-    """One step's contact-augmented system. ``diag_pos`` holds the
-    positions of A's diagonal entries in ``a.data``, as the block pattern or
-    the tie layout caches them (``sparse.diagonal_positions``),
-    ``entry_cols`` the column of every entry where the tie layout caches it
-    (``TieLayout``), and ``norm_chunks`` the row chunks of
-    ``sparse.column_norms_sq`` where the block pattern caches them
-    (tie-free systems)."""
+    """One step's contact-augmented system. ``pattern`` is A's
+    ``sparse.Pattern``, A_o's on a tie-free step and the tie layout's
+    otherwise: the solver gathers A's diagonal at its ``diag_pos`` and takes
+    A's product operator and row norms from it."""
 
     a: sp.csc_matrix
     b: np.ndarray
     n: int  # total (original + virtual) velocity dimension
     n_orig: int
     contacts: NodalContactSet
-    diag_pos: np.ndarray
-    entry_cols: np.ndarray | None = None
-    norm_chunks: tuple | None = None
+    pattern: Pattern
 
     # per contact: column offsets i and j (-1 for none) and (n_c, 3, 3) frames
     @property
@@ -498,9 +495,9 @@ def stabilization_term(depth, v_n_prev, params: StabilizationParams, dt: float):
 class ContactLayout:
     """What ``nodalize`` derives from the contact sides alone, for one set of
     detected sides, n, mu and mu2 (``key``: the bytes of the sides'
-    ``v_off`` and ``q_off``, then n, mu and mu2, as ``TieLayout`` keys on
-    its sources' bytes). It is built on the first step that detects these
-    sides and cached on the detection's ``ProxyTable``.
+    ``v_off`` and ``q_off``, then n, mu and mu2). It is built on the first
+    step that detects these sides and cached on the detection's
+    ``ProxyTable``.
 
     Per contact: the columns, as a ``ContactColumns``, and the ``mu``/``mu2``
     arrays. Per contact side, side 0 then side 1 of
@@ -508,8 +505,10 @@ class ContactLayout:
     triples it reads; the ``rigid_side`` sides, with their contacts
     ``rigid_contact`` and the triples of their bodies' origins
     (``rigid_q``) and angular velocities (``rigid_w``); and the
-    ``virtual`` sides, one per virtual node, with its source ``src`` and
-    ``rigid`` flag. Every array is read-only."""
+    ``virtual`` sides, one per virtual node, with its ``rigid`` flag and
+    ``tie_cols``, the source's columns of its T rows, src + ``_T_COL``.
+    Every array is read-only. ``ties`` is the ``TieLayout`` of these
+    virtual nodes on the last A_o pattern that ``augment_dynamics`` met."""
 
     key: tuple
     columns: ContactColumns
@@ -522,8 +521,9 @@ class ContactLayout:
     rigid_q: np.ndarray
     rigid_w: np.ndarray
     virtual: np.ndarray
-    src: np.ndarray
+    tie_cols: np.ndarray
     rigid: np.ndarray
+    ties: TieLayout | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, key: tuple, v_off: np.ndarray, q_off: np.ndarray) -> ContactLayout:
@@ -545,13 +545,13 @@ class ContactLayout:
         cols = cols.reshape(n_c, 2)
         rigid_side = (q_off >= 0).nonzero()[0]
         arrays = (
-            cols, np.full(n_c, mu), np.full(n_c, mu2), v_off[:, None] >= 0, triples(np.maximum(v_off, 0)),
+            np.full(n_c, mu), np.full(n_c, mu2), v_off[:, None] >= 0, triples(np.maximum(v_off, 0)),
             rigid_side, rigid_side // 2, triples(q_off.take(rigid_side)), triples(v_off.take(rigid_side) + 3),
-            virtual, v_off[virtual], q_off[virtual] >= 0,
+            virtual, v_off[virtual][:, None, None] + _T_COL, q_off[virtual] >= 0,
         )
         for a in arrays:
             a.flags.writeable = False
-        return cls(key, ContactColumns.build(cols[:, 0], cols[:, 1]), *arrays[1:])
+        return cls(key, ContactColumns.build(cols[:, 0], cols[:, 1]), *arrays)
 
 
 def _contact_layout(detected: DetectedContacts, n: int, mu: float, mu2: float | None) -> ContactLayout:
@@ -601,9 +601,7 @@ def nodalize(
     v_n = np.einsum("mi,mi->m", frames[:, 0], vel[:, 0] - vel[:, 1])
     phi = stabilization_term(detected.depth, v_n, stab, state.dt)
 
-    return NodalContactSet(
-        n, k_v, layout.columns, frames, layout.mu, layout.mu2, phi, layout.src, layout.rigid, lever[layout.virtual]
-    )
+    return NodalContactSet(n, k_v, layout.columns, frames, layout.mu, layout.mu2, phi, lever[layout.virtual], layout)
 
 
 # Row a of a virtual node's tie T = [Jv, -I] as 4 entries: the source's
@@ -621,45 +619,35 @@ def _tie_rows(lever: np.ndarray) -> np.ndarray:
     return _T_UNIT + _T_SIGN * lever[:, _T_LEVER]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TieLayout:
-    """The CSC pattern of the augmented A for one A_o pattern and one set of
-    virtual-node sources.
+    """The augmented A's CSC ``sparse.Pattern`` ``csc`` for one
+    ``ContactLayout``'s virtual nodes on the A_o pattern ``base``.
 
     The values of a step are A_o's CSC data followed by the 16 products
     t_p t_q of the 4 entries of every T row (``_tie_rows``), row by row;
-    ``pos`` names the augmented entry each of them adds into. Products with
-    a node source's two missing entries go to the extra entry nnz, which is
-    cut off. ``src`` and ``rigid`` are the sources it was built for.
-    ``template`` is the augmented pattern's ``sparse.csc_template``, and
-    ``diag_pos`` the positions of its diagonal entries. ``entry_cols`` is
-    the pattern's ``sparse.entry_columns`` where the solver multiplies
-    through ``sparse.BincountMatvec`` (at most ``BINCOUNT_NNZ_MAX``
-    entries), else None.
+    the read-only ``pos`` names the augmented entry each of them adds into.
+    Products with a node source's two missing entries go to the extra entry
+    nnz, which is cut off.
     """
 
-    src: np.ndarray
-    rigid: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    base: Pattern
     pos: np.ndarray
-    template: sp.csc_matrix
-    diag_pos: np.ndarray
-    entry_cols: np.ndarray | None
+    csc: Pattern
 
     @classmethod
-    def build(cls, pattern: BlockPattern, src: np.ndarray, rigid: np.ndarray) -> TieLayout:
-        """Merge the tie entries into the CSC ``indices``/``indptr`` of A_o's
-        ``BlockPattern``, whose (column, row) keys are sorted: only the tie
-        keys are sorted, and those that A_o lacks are inserted. Virtual rows
-        sort after every original row, so a source column only gains a
-        tail, and the virtual columns come last. A_o's diagonal entries move
-        with A_o's entries, and each virtual column's is a tie entry."""
-        indices, indptr = pattern.indices, pattern.indptr
-        n_o, n_v = indptr.shape[0] - 1, src.shape[0]
+    def build(cls, base: Pattern, tie_cols: np.ndarray, rigid: np.ndarray) -> TieLayout:
+        """Merge the tie entries into the CSC ``indices``/``indptr`` of
+        ``base``, whose (column, row) keys are sorted: only the tie keys are
+        sorted, and those that A_o lacks are inserted. Virtual rows sort
+        after every original row, so a source column only gains a tail, and
+        the virtual columns come last. A_o's diagonal entries move with
+        A_o's entries, and each virtual column's is a tie entry."""
+        indices, indptr = base.indices, base.indptr
+        n_o, n_v = indptr.shape[0] - 1, tie_cols.shape[0]
         n = n_o + 3 * n_v
         cols = np.empty((n_v, 3, 4), dtype=np.int64)
-        cols[:, :, :3] = src[:, None, None] + _T_COL
+        cols[:, :, :3] = tie_cols
         cols[:, :, 3] = n_o + np.arange(3 * n_v).reshape(n_v, 3)
         live = np.ones((n_v, 3, 4), dtype=bool)  # the T row entries that exist
         live[~rigid, :, 1:3] = False
@@ -681,18 +669,11 @@ class TieLayout:
         indptr = np.concatenate([indptr, np.full(3 * n_v, indptr[-1])]) + np.searchsorted(new_col, np.arange(n + 1))
         indices = np.insert(indices, at[new], new_row)
         indptr = indptr.astype(indices.dtype)  # scipy would convert an int64 indptr on every step
-        indices.flags.writeable = indptr.flags.writeable = False
         virtual = np.arange(n_o, n, dtype=np.int64)
-        diag_pos = np.concatenate([kept[pattern.diag_pos], tie_at[np.searchsorted(tie, virtual * n + virtual)]])
-        return cls(
-            src.copy(), rigid.copy(), indices, indptr, np.concatenate([kept, pos]),
-            csc_template(indices, indptr, n), diag_pos, entry_columns(indptr) if nnz <= BINCOUNT_NNZ_MAX else None,
-        )
-
-    def fits(self, nodal: NodalContactSet) -> bool:
-        """Whether this layout was built for these sources and rigid flags
-        (compared as bytes: ``np.array_equal`` costs ten times more here)."""
-        return self.src.tobytes() == nodal.src.tobytes() and self.rigid.tobytes() == nodal.rigid.tobytes()
+        diag_pos = np.concatenate([kept[base.diag_pos], tie_at[np.searchsorted(tie, virtual * n + virtual)]])
+        pos = np.concatenate([kept, pos])
+        pos.flags.writeable = False
+        return cls(base, pos, Pattern.build(indices, indptr, diag_pos))
 
 
 def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> AugmentedDynamics:
@@ -700,27 +681,26 @@ def augment_dynamics(asm: AssembledDynamics, nodal: NodalContactSet) -> Augmente
 
     With T = [Jv, -I] the augmented matrix is A_o (padded with zeros) plus
     k_v T^T T: each row of T adds the outer product of its entries. The
-    ``TieLayout`` cached on A_o's ``BlockPattern`` places them, keyed on the
-    virtual nodes' sources and rigid flags; the step's matrix is made from
-    the layout's template, and carries the layout's diagonal positions and
-    entry columns. A step without virtual nodes returns A_o with the
-    pattern's diagonal positions and row chunks.
+    ``TieLayout`` cached on the set's ``ContactLayout`` places them; it is
+    built once per contact layout, and again for another A_o pattern. The
+    step's matrix is made from the tie layout's template and carries its
+    pattern. A step without virtual nodes returns A_o with A_o's pattern.
     """
     n_o = asm.n
     if asm.b.shape[0] != n_o:
         raise DimensionMismatchError("augment_dynamics: b length mismatch")
-    pattern, layout = asm.pattern, asm.pattern.ties
     if nodal.n_virtual == 0:
-        return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal, pattern.diag_pos, norm_chunks=pattern.norm_chunks)
-    if layout is None or not layout.fits(nodal):
-        layout = pattern.ties = TieLayout.build(pattern, nodal.src, nodal.rigid)
+        return AugmentedDynamics(asm.a, asm.b.copy(), n_o, n_o, nodal, asm.pattern.csc)
+    layout = nodal.layout
+    ties = layout.ties
+    if ties is None or ties.base is not asm.pattern.csc:
+        ties = layout.ties = TieLayout.build(asm.pattern.csc, layout.tie_cols, layout.rigid)
     t = nodal.tie_rows
     vals = np.concatenate([asm.data, (nodal.k_v * (t[..., :, None] * t[..., None, :])).ravel()])
-    n, nnz = layout.indptr.shape[0] - 1, layout.indices.shape[0]
-    a = with_data(layout.template, np.bincount(layout.pos, vals, minlength=nnz + 1)[:nnz])
-    return AugmentedDynamics(
-        a, np.concatenate([asm.b, np.zeros(n - n_o)]), n, n_o, nodal, layout.diag_pos, layout.entry_cols
-    )
+    csc = ties.csc
+    n, nnz = csc.indptr.shape[0] - 1, csc.indices.shape[0]
+    a = with_data(csc.template, np.bincount(ties.pos, vals, minlength=nnz + 1)[:nnz])
+    return AugmentedDynamics(a, np.concatenate([asm.b, np.zeros(n - n_o)]), n, n_o, nodal, csc)
 
 
 def contact_jacobian_matrix(aug: AugmentedDynamics) -> sp.csr_matrix:

@@ -31,10 +31,10 @@ with springs the components go one at a time through one weight vector of
 node-diagonal terms, refilled per component, so a step never holds all six
 at once. Mirrored entries read the same sum, and a rigid body's world
 inertia R I R^T is symmetrized once, so A is bitwise symmetric.
-The pattern also keeps one ``csc_matrix`` template over its index arrays,
-from which each read of ``AssembledDynamics.a`` makes the step's matrix, and
-the positions of A's diagonal entries in ``data``, from which the solver's
-step matrix gathers the diagonal (``sparse``).
+The block pattern keeps A's CSC ``sparse.Pattern``: its template, from
+which each read of ``AssembledDynamics.a`` makes the step's matrix, the
+positions of A's diagonal entries, from which the solver's step matrix
+gathers the diagonal, and the kernels its size chooses (``sparse``).
 
 The rigid bodies (``RigidBodies``) go through stacked ``np.matmul`` and
 elementwise products with the bits of one body's own. A state's rotations,
@@ -62,7 +62,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidMatrixError, InvalidStateError
-from .sparse import csc_template, norm_chunks, with_data
+from .sparse import Pattern, with_data
 
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
 MIN_SPRING_LENGTH = 1e-12  # m, a shorter spring has no direction
@@ -284,7 +284,7 @@ class AssembledDynamics:
 
     @property
     def a(self) -> sp.csc_matrix:
-        return with_data(self.pattern.template, self.data)
+        return with_data(self.pattern.csc.template, self.data)
 
 
 def _spring_coords(springs: Springs) -> np.ndarray:
@@ -362,33 +362,23 @@ class BlockPattern:
 
     ``build`` gives every block its (3, 3) array of ``vals`` indices, lets a
     ``csr_matrix`` of block numbers sort the blocks, and expands them with
-    ``bsr_matrix.tocsr``, whose ``indices``, ``indptr`` and ``data`` are
-    ``indices``, ``indptr`` and ``gather``. That CSR is the CSC of A only
-    because the pattern is symmetric and each block's mirror reads its
-    transposed gather.
-
-    ``template`` is the ``sparse.csc_template`` over ``indices`` and
-    ``indptr`` from which every step's matrix is made, ``diag_pos`` the
-    positions of A's diagonal entries in ``data``, and ``norm_chunks`` the
-    row chunks of ``sparse.column_norms_sq`` (``sparse``). A DOF that no
-    node, rigid body or spring covers has an empty row and no diagonal
-    entry, and ``build`` rejects it.
+    ``bsr_matrix.tocsr``, whose ``indices`` and ``indptr`` make ``csc``,
+    A's ``sparse.Pattern``, and whose ``data`` is ``gather``. That CSR is
+    the CSC of A only because the pattern is symmetric and each block's
+    mirror reads its transposed gather. The diagonal positions come from
+    the blocks (``_block_diagonal_positions``). A DOF that no node, rigid
+    body or spring covers has an empty row and no diagonal entry, and
+    ``build`` rejects it.
     """
 
     n: int
     bodies: Bodies
-    indices: np.ndarray
-    indptr: np.ndarray
+    csc: Pattern
     gather: np.ndarray
     diag_block: np.ndarray
     pair: np.ndarray
     n_pairs: int
     coords: np.ndarray
-    template: sp.csc_matrix
-    diag_pos: np.ndarray
-    norm_chunks: tuple
-    # the contacts.TieLayout of the last virtual-node sources augmented on it
-    ties: object = field(default=None, repr=False)
 
     @classmethod
     def build(cls, n: int, bodies: Bodies, springs: Springs) -> BlockPattern:
@@ -428,14 +418,9 @@ class BlockPattern:
         expanded = sp.bsr_matrix((comp, blocks.indices, blocks.indptr), shape=(n, n)).tocsr()
         indices, indptr, gather = expanded.indices, expanded.indptr, expanded.data
         del comp, expanded
-        diag_pos = _block_diagonal_positions(blocks, indptr)
+        csc = Pattern.build(indices, indptr, _block_diagonal_positions(blocks, indptr))
         del blocks
-        # every step's matrix shares these two arrays
-        indices.flags.writeable = indptr.flags.writeable = False
-        return cls(
-            n, bodies, indices, indptr, gather, diag_block, pair[br.shape[0]:], n_pairs, coords=_spring_coords(springs),
-            template=csc_template(indices, indptr, n), diag_pos=diag_pos, norm_chunks=norm_chunks(indices, indptr),
-        )
+        return cls(n, bodies, csc, gather, diag_block, pair[br.shape[0]:], n_pairs, _spring_coords(springs))
 
 
 def _block_diagonal_positions(blocks: sp.csr_matrix, indptr: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ identical bytes.
 arrays read-only, so a scene's layout never changes once it is built; its
 rigid bodies are one ``RigidBodies`` record of arrays. Its layouts are built
 on its first step and hang off its objects, so they die with it: the node
-triples, rigid index rows and contact layouts on its ``Bodies``, the block
-pattern on its ``Springs``, and the gravity force vector of
+triples, rigid index rows and contact layouts on its ``Bodies`` (each
+contact layout with the tie layout of its virtual nodes, the augmented
+matrix's ``sparse.Pattern``), the block pattern, with A_o's
+``sparse.Pattern``, on its ``Springs``, and the gravity force vector of
 ``external_force`` on the ``Scene`` itself, which each step copies before
 adding the scheduled forces. Each state keeps the rotations, world
 inertias and mass blocks of the rigid bodies (``SystemState.rigid_pose``).

@@ -39,8 +39,9 @@ scaled by a power of two, except on the strict array path
 (``_project_batch``); rows in the normal range keep their bits.
 
 Per solve, W's set-up gathers A's diagonal at the positions its pattern
-caches, and takes tie-free systems' row norms through the CSR view of A^T
-(``step_matrix_frobenius``). Per iteration, batches of at most
+caches and takes A's row norms from the pattern, whose size chooses the
+kernel (``sparse``); so does the product operator of every iteration
+(``solve_vfpi``). Per iteration, batches of at most
 SCALAR_BATCH_MAX contacts under "strict" or "strict-anisotropic" take eta,
 the one-shot solve and Jc^T lambda in one pass over Python floats per
 contact, with the bits of the numpy chain that other batches take
@@ -58,7 +59,7 @@ from scipy.linalg import lapack
 
 from .contacts import AugmentedDynamics, ContactMap
 from .errors import DivergenceError, InvalidMatrixError
-from .sparse import BINCOUNT_NNZ_MAX, BincountMatvec, column_norms_sq, row_norms_sq, spmv
+from .sparse import spmv
 
 # up to this many contacts a loop over Python floats projects, and runs the
 # whole contact pass, faster than numpy, whose fixed cost per call dominates
@@ -300,20 +301,18 @@ def step_matrix_frobenius(aug: AugmentedDynamics) -> np.ndarray:
     contact's block of Jc W Jc^T scalar, (w_i + w_j) I for a D-contact, so W
     is the same under every operator (module docstring).
 
-    The diagonal is gathered at the system's cached ``diag_pos``. Tie-free
-    systems, which multiply through the CSR view ``a.T`` already, take the
-    row norms through it too (``sparse.column_norms_sq`` over the row
-    chunks the system carries, the same bits on their bitwise symmetric A);
-    systems with virtual nodes keep the bincount of ``sparse.row_norms_sq``,
-    cheaper on their small ties.
+    The diagonal is gathered at the ``diag_pos`` of the system's
+    ``sparse.Pattern``, and the row norms come from that pattern: the
+    bincount on a small system, the chunked CSR view of A^T on a large one,
+    the same bits on a bitwise symmetric A (``sparse``).
 
     The returned W is read-only, which tells ``surrogate_gamma`` that its
     ties hold."""
     a = aug.a
-    rns = row_norms_sq(a) if aug.n > aug.n_orig else column_norms_sq(a, aug.norm_chunks)
+    rns = aug.pattern.row_norms_sq(a)
     if np.any(rns <= 0.0):
         raise InvalidMatrixError("zero row norm in step-matrix computation")
-    diag = a.data[aug.diag_pos]
+    diag = a.data[aug.pattern.diag_pos]
     w = diag / rns
     idx = aug.contacts.columns.node_idx
     w[idx] = (diag[idx].sum(axis=1) / rns[idx].sum(axis=1))[:, None]
@@ -582,14 +581,9 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     plain step. Returns (v_hat, lam, report). Each map evaluation's
     contact half is ``contact_pass``, built once per solve.
 
-    Tie-free systems multiply by ``a.T``, A's CSC arrays read as CSR with no
-    copy, which scipy multiplies by gathering rows instead of scattering
-    columns. That is A^T x, which equals A x bit for bit on these bitwise
-    symmetric systems (``sparse`` module docstring). Systems with virtual
-    nodes multiply by A: on their small rigid-body ties, building the view
-    each solve cost more than it saved. Up to BINCOUNT_NNZ_MAX entries they
-    multiply through ``sparse.BincountMatvec`` over the entry columns that
-    the tie layout caches, A x in the same bits.
+    Every product goes through the operator of the system's
+    ``sparse.Pattern``: ``sparse.BincountMatvec`` on a small system, the CSR
+    view ``a.T`` on a large one, A x in the same bits either way.
     """
     a, b = aug.a, aug.b
     n_c = len(aug.contacts)
@@ -619,12 +613,10 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
         x_prev, g = x, chebyshev_update(v_ss, x_prev, nu) if l > 1 else v_ss
         return g, lam, f_c
 
-    v = warm.astype(float)
-    if aug.n > aug.n_orig:
-        op = BincountMatvec(a, aug.entry_cols) if a.nnz <= BINCOUNT_NNZ_MAX else a
-        v, lam = _anderson(plain_map, op, b, v, AA_WINDOW, cfg, report)
-    else:
-        v, lam = _anderson(chebyshev_map if cfg.chebyshev else plain_map, a.T, b, v, 0, cfg, report)
+    tied = aug.n > aug.n_orig
+    step_map = chebyshev_map if cfg.chebyshev and not tied else plain_map
+    window = AA_WINDOW if tied else 0
+    v, lam = _anderson(step_map, aug.pattern.operator(a), b, warm.astype(float), window, cfg, report)
     return v, lam, report
 
 

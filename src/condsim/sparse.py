@@ -3,49 +3,46 @@ of A and the positions of its diagonal entries, and the templates that make
 each step's matrix. System matrices are ``scipy.sparse.csc_matrix`` with no
 duplicate entries.
 
-They are bitwise symmetric: the node-block assembly of
-``dynamics.assemble_step`` stores (i, j) and (j, i) as the same float, and
-``contacts.augment_dynamics`` adds the same tie products to both in the same
-order. On tie-free systems, which are the assembled matrix itself,
-``solver.solve_vfpi`` hands ``spmv`` the CSR view ``a.T`` of a CSC matrix,
-which is A x bit for bit, and ``solver.step_matrix_frobenius`` takes the row
-norms as ``column_norms_sq``: the same view's product of the squared entries
-with a vector of ones. That sums column c's squares in ascending row order,
-from 0.0, and the bincount of ``row_norms_sq`` sums row c's squares in
-ascending column order, from 0.0; symmetry makes these the same floats in the
-same order, so the bits match. It squares the entries in chunks of at most
-NORM_CHUNK_ROWS rows of the view, each a matrix made from a template of
-``norm_chunks`` that the block pattern keeps, so a W setup holds a chunk's
-squares rather than a copy of A's data; each row sums in the same order from
-0.0 in its chunk, so the bits are those of the whole view's product. Systems
-with virtual nodes keep the bincount: on their small rigid-body ties,
-building the view each solve costs more than the bincount.
+Every system matrix has one ``Pattern``: its read-only index arrays, the
+``csc_template`` from which ``with_data`` makes each step's matrix (a new
+``csc_matrix`` that shares the index arrays and owns the step's values, at a
+fraction of the cost of the tuple constructor, which checks and converts the
+index arrays each call), the positions of its diagonal entries, and one set
+of kernels, chosen by its number of entries alone:
 
-Systems with virtual nodes of at most ``BINCOUNT_NNZ_MAX`` entries, the
-rigid bodies' small ties, multiply through ``BincountMatvec``, the same bits
-as scipy's CSC kernel without its per-call dispatch; the tie layout keeps
-its ``entry_columns``.
+- up to ``BINCOUNT_NNZ_MAX`` entries (a rigid body's small ties, a small
+  tie-free system), ``entry_cols``: the product goes through
+  ``BincountMatvec``, the same bits as scipy's CSC kernel without its
+  per-call dispatch, and the row norms through the bincount of
+  ``row_norms_sq``;
+- above it, ``norm_chunks``: the product goes through the CSR view ``a.T``
+  of the CSC matrix, which scipy multiplies by gathering rows, and the row
+  norms through ``column_norms_sq``, that view's product of the squared
+  entries with a vector of ones, squared in chunks of at most
+  NORM_CHUNK_ROWS rows (CSR templates over slices of the index arrays), so
+  a W setup holds a chunk's squares rather than a copy of A's data.
 
-A layout of entries (``dynamics.BlockPattern``, ``contacts.TieLayout``) keeps
-one ``csc_template`` over its read-only ``indices`` and ``indptr``, and every
-step's matrix is ``with_data`` of it: a new ``csc_matrix`` that shares the
-index arrays and owns the step's values, at a fraction of the cost of the
-tuple constructor, which checks and converts the index arrays each call.
-``norm_chunks`` keeps CSR templates over slices of them the same way.
+The two sets give the same bits because the matrices are bitwise symmetric:
+the node-block assembly of ``dynamics.assemble_step`` stores (i, j) and
+(j, i) as the same float, and ``contacts.augment_dynamics`` adds the same
+tie products to both in the same order. So ``a.T @ x`` is A x bit for bit,
+and ``column_norms_sq`` sums column c's squares in ascending row order, from
+0.0, as the bincount sums row c's in ascending column order, from 0.0; each
+chunk's rows sum in the same order from 0.0, so chunking keeps the bits.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidMatrixError
 
-# up to this many entries, a system with virtual nodes multiplies through
-# BincountMatvec, faster than scipy's dispatch below about 1k entries
-# (timings in CHANGES.md)
+# up to this many entries, a system multiplies through BincountMatvec,
+# faster than scipy's dispatch below about 1k entries (timings in CHANGES.md)
 BINCOUNT_NNZ_MAX = 1024
 # rows of the CSR view whose entries column_norms_sq squares at a time: about
 # 0.75 MB of squares on the 19k-DOF lattice, against 7.0 MB for all of A's
@@ -160,3 +157,36 @@ def with_data(template, data: np.ndarray):
     a = copy.copy(template)
     a.data = data
     return a
+
+
+@dataclass(frozen=True, eq=False)
+class Pattern:
+    """The square CSC pattern of one system matrix (module docstring):
+    read-only ``indices``, ``indptr`` and ``diag_pos``, the ``template`` of
+    its matrices, and either ``entry_cols`` (at most ``BINCOUNT_NNZ_MAX``
+    entries) or ``norm_chunks``, the other None."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    template: sp.csc_matrix
+    diag_pos: np.ndarray
+    entry_cols: np.ndarray | None
+    norm_chunks: tuple | None
+
+    @classmethod
+    def build(cls, indices: np.ndarray, indptr: np.ndarray, diag_pos: np.ndarray) -> Pattern:
+        """Over ``indices``, ``indptr`` and ``diag_pos``, which become
+        read-only."""
+        indices.flags.writeable = indptr.flags.writeable = diag_pos.flags.writeable = False
+        template = csc_template(indices, indptr, indptr.shape[0] - 1)
+        if indices.shape[0] <= BINCOUNT_NNZ_MAX:
+            return cls(indices, indptr, template, diag_pos, entry_columns(indptr), None)
+        return cls(indices, indptr, template, diag_pos, None, norm_chunks(indices, indptr))
+
+    def operator(self, a: sp.csc_matrix):
+        """What ``spmv`` multiplies by for A x, A a matrix of this pattern."""
+        return a.T if self.entry_cols is None else BincountMatvec(a, self.entry_cols)
+
+    def row_norms_sq(self, a: sp.csc_matrix) -> np.ndarray:
+        """A's squared row norms, A a matrix of this pattern."""
+        return column_norms_sq(a, self.norm_chunks) if self.entry_cols is None else row_norms_sq(a)

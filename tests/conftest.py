@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from condsim.contacts import AugmentedDynamics, ContactColumns, NodalContactSet, contact_frames
 from condsim.dynamics import RigidBodies
 from condsim.solver import step_matrix_frobenius
-from condsim.sparse import diagonal_positions
+from condsim.sparse import Pattern, diagonal_positions
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -263,8 +263,8 @@ def random_contact_set(
 
 def build_augmented(a: sp.csc_matrix, b: np.ndarray, nodal: NodalContactSet) -> AugmentedDynamics:
     """Wrap an already-assembled system and particle-node contacts."""
-    n = a.shape[0]
-    return AugmentedDynamics(a, b.copy(), n, n, nodal, diagonal_positions(a.indices, a.indptr))
+    n, diag_pos = a.shape[0], diagonal_positions(a.indices, a.indptr)
+    return AugmentedDynamics(a, b.copy(), n, n, nodal, Pattern.build(a.indices, a.indptr, diag_pos))
 
 
 def random_contact_augmentation(rng: np.random.Generator):

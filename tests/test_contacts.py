@@ -386,7 +386,7 @@ class TestNodalize:
         # tied to the body at velocity offset 0 by the world lever arm r of
         # the vertex, so its Jv row block is [I3, -[r]x]
         lever = np.array([0.1, 0.1, -0.1])
-        assert nodal.src.tolist() == [0] and nodal.rigid.tolist() == [True]
+        assert nodal.layout.tie_cols[:, 0, 0].tolist() == [0] and nodal.layout.rigid.tolist() == [True]
         assert np.allclose(nodal.lever, [lever])
         jv = np.array([nodal.virtual_velocity(e) for e in np.eye(6)]).T
         assert np.allclose(jv, np.hstack([np.eye(3), -skew(lever)]))
@@ -402,7 +402,7 @@ class TestNodalize:
         nodal = nodalize(raw, state, k_v=1e5)
         assert nodal.columns.col_i.tolist() == [0, 3]  # the node, then a virtual node at column 3
         assert nodal.n_virtual == 1
-        assert nodal.src.tolist() == [0] and nodal.rigid.tolist() == [False]
+        assert nodal.layout.tie_cols[:, 0, 0].tolist() == [0] and nodal.layout.rigid.tolist() == [False]
         assert np.array_equal(nodal.lever, np.zeros((1, 3)))
         jv = np.array([nodal.virtual_velocity(e) for e in np.eye(3)]).T
         assert np.array_equal(jv, np.eye(3))
@@ -448,7 +448,7 @@ class TestAugmentDynamics:
         nodal = nodalize(raw, state, k_v=1e5)
         asm = assemble_step(state, bodies, no_springs())
         aug = augment_dynamics(asm, nodal)
-        assert asm.pattern.ties.fits(nodal)
+        assert nodal.layout.ties.base is asm.pattern.csc and aug.pattern is nodal.layout.ties.csc
         assert aug.b[6:].max() == 0.0 and aug.b[6:].min() == 0.0
         assert np.linalg.eigvalsh(aug.a.toarray()).min() > 0.0
 
@@ -462,7 +462,7 @@ class TestAugmentDynamics:
         asm = assemble_step(state, bodies, no_springs(), rng.standard_normal(6))
         a_dense, b_o = asm.a.toarray(), asm.b.copy()
         aug = augment_dynamics(asm, nodal)
-        assert asm.pattern.ties.fits(nodal)
+        assert nodal.layout.ties.base is asm.pattern.csc and aug.pattern is nodal.layout.ties.csc
 
         lam = rng.standard_normal((len(nodal), 3))
         rhs = aug.b + ContactMap(aug).jc_t(lam)
@@ -480,21 +480,24 @@ class TestAugmentDynamics:
 class TestTieLayout:
     @pytest.fixture
     def layout_builds(self, monkeypatch):
-        """Counts the ``TieLayout`` builds of ``augment_dynamics``."""
-        built = []
-        build = contacts.TieLayout.build
+        """Counts the ``ContactLayout`` builds of ``nodalize`` and the
+        ``TieLayout`` builds of ``augment_dynamics``."""
+        built = {"ContactLayout": 0, "TieLayout": 0}
+        for name in built:
+            cls = getattr(contacts, name)
 
-        def counting_build(*args, **kwargs):
-            built.append(1)
-            return build(*args, **kwargs)
+            def counting(*args, _build=cls.build, _name=name, **kwargs):
+                built[_name] += 1
+                return _build(*args, **kwargs)
 
-        monkeypatch.setattr(contacts.TieLayout, "build", counting_build)
+            monkeypatch.setattr(cls, "build", counting)
         return built
 
     @pytest.mark.parametrize("name, builds", [("box_slide", 1), ("anisotropic_slide", None), ("particle_stack", None)])
     def test_every_step_is_bitwise_symmetric(self, monkeypatch, layout_builds, name, builds):
-        # 50 steps through harness.run; box_slide's cube keeps its 4
-        # contacts, so its layout is built once and reused
+        # 50 steps through harness.run, every one with virtual nodes: one
+        # tie layout per contact layout; box_slide's cube keeps its 4
+        # contacts, so each is built once and reused
         from condsim import harness
 
         solve, seen = harness.solve_vfpi, []
@@ -508,29 +511,47 @@ class TestTieLayout:
         harness.run(harness.Scenario({**s.raw, "duration": 50 * s.step_size}), RunConfig())
         assert len(seen) == 50 and all(tied for tied, _ in seen)
         assert [asym for _, asym in seen] == [0] * 50
+        assert layout_builds["TieLayout"] == layout_builds["ContactLayout"] >= 1
         if builds is not None:
-            assert len(layout_builds) == builds
+            assert layout_builds["TieLayout"] == builds
 
     def test_changed_sources_rebuild_the_layout(self, layout_builds):
+        # the contact set changes, and each change builds a contact layout
+        # and its tie layout, on the one cached spring pattern
         scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
         state = dataclasses.replace(scene.state, q=np.concatenate([scene.state.q[:3], TURNED]))
         raw = detect_contacts(state, scene.bodies, scene.geometry)
         fewer = DetectedContacts(**{f.name: getattr(raw, f.name)[1:] for f in dataclasses.fields(raw)})
+        fewer.proxies = raw.proxies
         pattern, layouts = None, []
         for detected, builds in ((raw, 1), (raw, 1), (fewer, 2), (raw, 3)):
             asm = assemble_step(state, scene.bodies, scene.constraints)
             nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
             aug = augment_dynamics(asm, nodal)
-            assert len(layout_builds) == builds
+            assert layout_builds == {"ContactLayout": builds, "TieLayout": builds}
             assert pattern in (None, asm.pattern)
             pattern = asm.pattern
-            layouts.append(pattern.ties)
+            layouts.append(nodal.layout.ties)
+            assert layouts[-1].base is pattern.csc and aug.pattern is layouts[-1].csc
             _, jv, _, _ = reference_nodalize(detected, state)
             kv = nodal.k_v
             ref = np.block([[asm.a.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]])
             assert np.abs(aug.a.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
             assert (aug.a != aug.a.T).nnz == 0
         assert layouts[0] is layouts[1] and len({id(x) for x in layouts}) == 3
+
+    def test_another_spring_pattern_rebuilds_the_layout(self, layout_builds):
+        # one contact layout augmented on a replaced springs record, whose
+        # pattern is its own: the tie layout is built again for it
+        scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
+        state = scene.state
+        nodal = nodalize(detect_contacts(state, scene.bodies, scene.geometry), state, scene.k_v, scene.mu)
+        first = augment_dynamics(assemble_step(state, scene.bodies, scene.constraints), nodal)
+        asm = assemble_step(state, scene.bodies, dataclasses.replace(scene.constraints))
+        second = augment_dynamics(asm, nodal)
+        assert layout_builds == {"ContactLayout": 1, "TieLayout": 2}
+        assert nodal.layout.ties.base is asm.pattern.csc and second.pattern is not first.pattern
+        assert np.array_equal(second.a.data, first.a.data)
 
 
 def dropped(name: str) -> dict:
@@ -555,7 +576,8 @@ class TestContactLayout:
     step and reused while the contact sides stay the same; every step's
     arrays are those that a fresh scene builds for that step."""
 
-    NODAL = ("frames", "mu", "mu2", "phi", "src", "rigid", "lever", "tie_rows")
+    NODAL = ("frames", "mu", "mu2", "phi", "lever", "tie_rows")
+    LAYOUT = ("tie_cols", "rigid")
     COLUMNS = ("col_i", "col_j", "nodes")
 
     @pytest.fixture
@@ -630,8 +652,10 @@ class TestContactLayout:
                 assert np.array_equal(bits(getattr(aug.contacts, field)), bits(getattr(nodal, field))), (t, field)
             for field in self.COLUMNS:
                 assert np.array_equal(getattr(aug.contacts.columns, field), getattr(nodal.columns, field)), (t, field)
+            for field in self.LAYOUT:
+                assert np.array_equal(getattr(aug.contacts.layout, field), getattr(nodal.layout, field)), (t, field)
             for x, y in ((aug.a.data, ref.a.data), (aug.a.indices, ref.a.indices), (aug.a.indptr, ref.a.indptr),
-                         (aug.b, ref.b), (aug.diag_pos, ref.diag_pos)):
+                         (aug.b, ref.b), (aug.pattern.diag_pos, ref.pattern.diag_pos)):
                 assert np.array_equal(bits(x), bits(y)), t
 
     def test_one_layout_per_contact_set(self, monkeypatch, builds):
@@ -762,7 +786,11 @@ class TestMixedSceneReference:
             assert nodal.n_virtual == 8
             assert np.array_equal(nodal.columns.col_i, cols[:, 0])
             assert np.array_equal(nodal.columns.col_j, cols[:, 1])
-            assert np.array_equal(nodal.src, src) and np.array_equal(nodal.rigid, rigid)
+            # the layout's read-only tie columns: per virtual node, src + _T_COL
+            layout = nodal.layout
+            assert np.array_equal(layout.tie_cols, src[:, None, None] + contacts._T_COL)
+            assert np.array_equal(layout.rigid, rigid)
+            assert not layout.tie_cols.flags.writeable and not layout.rigid.flags.writeable
             assert np.array_equal(nodal.lever, lever)
             assert np.allclose(nodal.phi, phi, rtol=1e-12, atol=1e-15)
             assert np.array_equal(nodal.mu, np.full(7, 0.3))
@@ -796,7 +824,7 @@ class TestMixedSceneReference:
             a_o, b_o = asm.a.toarray(), asm.b.copy()
             assert np.abs(a_o[0:3, 6:9]).min() > 0.0 and np.abs(a_o[6:9, 12:15]).min() > 0.0
             aug = augment_dynamics(asm, nodal)
-            assert asm.pattern.ties.fits(nodal)
+            assert nodal.layout.ties.base is asm.pattern.csc and aug.pattern is nodal.layout.ties.csc
             ref = np.block(
                 [[a_o + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]]
             )

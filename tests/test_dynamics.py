@@ -377,13 +377,13 @@ class TestBlockAssembly:
         mask = np.zeros((n // 3, n // 3))
         mask[tuple(np.array(sorted(touched_blocks(bodies, s))).T)] = 1.0
         canonical = scipy.sparse.csc_matrix(np.kron(mask, np.ones((3, 3))))
-        assert np.array_equal(p.indices, canonical.indices) and np.array_equal(p.indptr, canonical.indptr)
+        assert np.array_equal(p.csc.indices, canonical.indices) and np.array_equal(p.csc.indptr, canonical.indptr)
         # with distinct ids in vals, entry (r, s) of every block reads its
         # block's component (min(r, s), max(r, s)): a diagonal block its own
         # sums, a node pair's two blocks one pair's sums, each spring its pair's
         nb, n_pairs = n // 3, p.n_pairs
         ids = np.arange(6 * (nb + n_pairs))[p.gather]
-        rows, cols = p.indices, np.repeat(np.arange(n), np.diff(p.indptr))
+        rows, cols = p.csc.indices, np.repeat(np.arange(n), np.diff(p.csc.indptr))
         comp = COMPONENT[rows % 3, cols % 3]
         bi, bj = rows // 3, cols // 3
         diag = bi == bj
@@ -453,7 +453,7 @@ class TestBlockAssembly:
             self.check(assemble_step(state, bodies, s), state, bodies, s)
             patterns.append(s.pattern)
             asm = assemble_step(state, bodies, s)
-            assert s.pattern is patterns[-1] and np.shares_memory(asm.a.indices, s.pattern.indices)
+            assert s.pattern is patterns[-1] and np.shares_memory(asm.a.indices, s.pattern.csc.indices)
         assert len({id(p) for p in patterns}) == len(layouts)
 
     def test_pattern_follows_edits_of_the_offsets(self, rng):
@@ -538,9 +538,10 @@ class TestBlockAssembly:
         scene = build_scene(load_scenario(scenario_path("lattice_drag")))
         s = scene.constraints
         assemble_step(scene.state, scene.bodies, s)
-        nnz = s.pattern.indices.shape[0]
-        arrays = {k: v for k, v in vars(s.pattern).items() if isinstance(v, np.ndarray)}
-        assert {k for k, v in arrays.items() if v.size > nnz} == set()
+        nnz = s.pattern.csc.indices.shape[0]
+        for record in (s.pattern, s.pattern.csc):
+            arrays = {k: v for k, v in vars(record).items() if isinstance(v, np.ndarray)}
+            assert {k for k, v in arrays.items() if v.size > nnz} == set()
 
     @pytest.mark.parametrize("vi, vj", [(3, 3), (0, 9)])
     def test_spring_must_join_two_translational_blocks(self, vi, vj):
@@ -564,7 +565,7 @@ class TestBlockAssembly:
         s = springs([(0, 1), (1, 2)], 100.0, 1.0)
         state = SystemState(rng.standard_normal(9), rng.standard_normal(9))
         asm = assemble_step(state, bodies, s)
-        assert np.array_equal(asm.data[asm.pattern.diag_pos], asm.a.diagonal())
+        assert np.array_equal(asm.data[asm.pattern.csc.diag_pos], asm.a.diagonal())
 
     def test_uncovered_dof_rejected(self, rng):
         # DOF 3-5 carry no node, rigid body or spring: an empty row of A,
@@ -777,7 +778,8 @@ class TestMixedScene:
     def test_virtual_node_change_keeps_the_spring_pattern(self, monkeypatch):
         # contacts on the cube's points, then also on particle 0 twice (an
         # identity-tied virtual node) and between particle 0 and the cube: a
-        # new tie layout each time, built into the cached spring pattern
+        # new contact layout each time, whose tie layout is built into the
+        # cached spring pattern
         from condsim import contacts, dynamics
 
         builds, build = [], dynamics.BlockPattern.build
@@ -808,14 +810,14 @@ class TestMixedScene:
             asm = assemble_step(state, scene.bodies, scene.constraints, external_force(scene, 0.0))
             nodal = contacts.nodalize(detected, state, 1e4)
             aug = contacts.augment_dynamics(asm, nodal)
-            layouts.append(asm.pattern.ties)
+            layouts.append(nodal.layout.ties)
             _, jv, _, _ = reference_nodalize(detected, state)
             kv = nodal.k_v
             ref = np.block([[asm.a.toarray() + kv * jv.T @ jv, -kv * jv.T], [-kv * jv, kv * np.eye(jv.shape[0])]])
             assert np.abs(aug.a.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
             assert (aug.a != aug.a.T).nnz == 0
         assert len(builds) == 1 and layouts[0] is not layouts[1]
-        assert scene.constraints.pattern.ties is layouts[1]
+        assert all(layout.base is scene.constraints.pattern.csc for layout in layouts)
 
     def test_kinetic_energy_is_half_vMv(self):
         scene = self.scene()

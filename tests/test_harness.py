@@ -445,9 +445,10 @@ class TestStepMemory:
         assert alive == [[], [False] * 2, [False] * 4]
 
     def test_scene_caches_die_with_the_scene(self, monkeypatch):
-        """The node triples, rigid index rows, gravity vector, block and tie
-        patterns, proxy table and contact layout that a run's scene caches,
-        and the rigid pose of its first state, are freed with it: a second
+        """The node triples, rigid index rows, gravity vector, block pattern
+        and its CSC pattern, proxy table, contact layout and its tie layout
+        that a run's scene caches, and the rigid pose of its first state,
+        are freed with it: a second
         run on a new scene finds them dead, with gc disabled, so nothing but
         the scene held them, and no back-reference of a cache to the records
         it was built for makes a cycle. On particle_stack (node contacts)
@@ -460,7 +461,7 @@ class TestStepMemory:
             out = original(scene, state, *args, **kwargs)
             bodies, pattern, table = scene.bodies, scene.constraints.pattern, scene.bodies.proxies
             cached = (bodies.q_triples, bodies.v_triples, bodies.rigid.q_idx, bodies.rigid.v_idx, scene.gravity_force,
-                      pattern, pattern.ties, table, table.layout, table.layout.columns)
+                      pattern, pattern.csc, table, table.layout, table.layout.ties, table.layout.columns)
             if not refs:
                 refs.extend(weakref.ref(x) for x in cached + state.rigid_pose(bodies.rigid)[:1])
             elif len(reused) < 2:  # the first run's later steps
@@ -480,7 +481,7 @@ class TestStepMemory:
                 alive = [ref() is not None for ref in refs]
             finally:
                 gc.enable()
-            assert reused == [True, True] and alive == [False] * 11, name
+            assert reused == [True, True] and alive == [False] * 12, name
 
     def test_traced_peak_of_a_lattice_run(self):
         scenario = lattice_steps(2)
@@ -650,7 +651,7 @@ def box_slide_records():
     aug = augment_dynamics(asm, nodal)
     return {
         "Plane": scene.geometry.planes[0], "Geometry": scene.geometry, "DetectedContacts": detected,
-        "NodalContactSet": nodal, "AugmentedDynamics": aug, "TieLayout": asm.pattern.ties,
+        "NodalContactSet": nodal, "AugmentedDynamics": aug, "TieLayout": nodal.layout.ties, "Pattern": aug.pattern,
         "ProxyTable": bodies.proxies, "ContactLayout": bodies.proxies.layout,
         "ContactColumns": nodal.columns,
         "RigidBodies": bodies.rigid, "Bodies": bodies,
@@ -761,6 +762,19 @@ class TestFrozenScene:
         for a in (*scene.state.rigid_pose(rigid), rigid.q_idx, rigid.v_idx, *rigid.point_groups[0]):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+    def test_hand_built_contact_columns_are_read_only(self):
+        # a contact set made by hand holds read-only copies of its columns,
+        # so its contacted nodes and gathers cannot go stale
+        from condsim.contacts import ContactColumns
+
+        col_i, col_j = np.array([0, 3]), np.array([-1, 6])
+        c = ContactColumns.build(col_i, col_j)
+        for a in (c.col_i, c.col_j, c.nodes, c.node_idx, c.has_j, c.j_cols, c.idx_i, c.idx_j, c.gather):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 9
+        col_i[0] = 9
+        assert c.col_i.tolist() == [0, 3] and c.nodes.tolist() == [0, 3, 6]
 
     def test_replaced_records_build_their_own_layouts(self):
         from condsim.contacts import detect_contacts

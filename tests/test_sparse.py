@@ -1,7 +1,9 @@
 """Sparse/dense kernel tests against dense numpy oracles."""
 
 import dataclasses
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from condsim.contacts import DetectedContacts, augment_dynamics, detect_contacts
 from condsim.dynamics import assemble_step
 from condsim.errors import DimensionMismatchError, InvalidMatrixError, NotPositiveDefiniteError
 from condsim.harness import RunConfig, build_scene, external_force, load_scenario
+from condsim.solver import step_matrix_frobenius
 from condsim.sparse import (
     BINCOUNT_NNZ_MAX,
     BincountMatvec,
@@ -69,9 +72,9 @@ class TestSpmv:
 
 
 class TestTransposeView:
-    """The tie-free loop of ``solve_vfpi`` multiplies by ``a.T``, the CSC
-    arrays of A read as CSR: exact wherever A is bitwise symmetric, which
-    the assembled and the augmented matrices both are."""
+    """``solve_vfpi`` multiplies a system above BINCOUNT_NNZ_MAX entries by
+    ``a.T``, the CSC arrays of A read as CSR: exact wherever A is bitwise
+    symmetric, which the assembled and the augmented matrices both are."""
 
     def test_lattice_products_are_bitwise_equal(self, rng):
         scene = build_scene(load_scenario(scenario_path("lattice_drag")), RunConfig())
@@ -165,9 +168,24 @@ class TestRowNorms:
         assert np.allclose(row_norms_sq(b), ref, rtol=1e-14, atol=0.0)
 
 
+def cube_on_lattice(side: int) -> dict:
+    """The benchmark's dragged ``side`` x ``side`` x 3 lattice (seed 3) with
+    its rigid cube resting on the middle of the top layer: four contacts
+    between the cube's corners and lattice nodes, on virtual nodes."""
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+    mid = 0.05 * (side // 2)
+    return {**workloads.lattice_scenario(3, 1, side=side), "bodies": [workloads._cube((mid, mid, 0.24))]}
+
+
 def solved_systems(monkeypatch, name: str, steps: int) -> list:
     """The augmented system of every solve in the first ``steps`` steps of
-    the bundled scenario ``name`` under ``RunConfig()``."""
+    the bundled scenario ``name``, or of ``cube_on_lattice(5)``, under
+    ``RunConfig()``."""
     from condsim import harness
 
     solve, seen = harness.solve_vfpi, []
@@ -177,24 +195,27 @@ def solved_systems(monkeypatch, name: str, steps: int) -> list:
         return solve(aug, *args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_vfpi", keeping)
-    s = load_scenario(scenario_path(name))
-    harness.run(harness.Scenario({**s.raw, "duration": steps * s.step_size}), RunConfig())
+    raw = cube_on_lattice(5) if name == "cube_on_lattice" else load_scenario(scenario_path(name)).raw
+    harness.run(harness.Scenario({**raw, "duration": steps * raw["step_size"]}), RunConfig())
     assert len(seen) == steps
     return seen
 
 
 def rebuilt_layout_systems() -> list:
     """box_slide's turned cube augmented on its 4 contacts, on 3 of them,
-    then on all 4 again: each change of sources rebuilds the tie layout."""
+    then on all 4 again: each change of the contact set rebuilds the
+    contact layout and its tie layout."""
     scene = build_scene(load_scenario(scenario_path("box_slide")), RunConfig())
     state = dataclasses.replace(scene.state, q=np.concatenate([scene.state.q[:3], TURNED]))
     raw = detect_contacts(state, scene.bodies, scene.geometry)
     fewer = DetectedContacts(**{f.name: getattr(raw, f.name)[1:] for f in dataclasses.fields(raw)})
+    fewer.proxies = raw.proxies
     out, layouts = [], []
     for detected in (raw, fewer, raw):
         asm = assemble_step(state, scene.bodies, scene.constraints)
-        out.append(augment_dynamics(asm, nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)))
-        layouts.append(asm.pattern.ties)
+        nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
+        out.append(augment_dynamics(asm, nodal))
+        layouts.append(nodal.layout.ties)
     assert len({id(x) for x in layouts}) == 3
     return out
 
@@ -204,30 +225,30 @@ STEPPED = [("lattice_drag", 5), ("box_slide", 20), ("particle_stack", 20)]
 
 class TestDiagonalPositions:
     """``step_matrix_frobenius`` gathers A's diagonal at the positions that
-    the block pattern and the tie layout cache."""
+    the system's pattern caches, the block pattern's or the tie layout's."""
 
     @pytest.mark.parametrize("name, steps", STEPPED)
     def test_gather_is_the_diagonal(self, monkeypatch, name, steps):
         for aug in solved_systems(monkeypatch, name, steps):
-            assert np.array_equal(aug.a.data[aug.diag_pos], aug.a.diagonal())
+            assert np.array_equal(aug.a.data[aug.pattern.diag_pos], aug.a.diagonal())
 
     def test_after_layout_rebuilds(self):
         for aug in rebuilt_layout_systems():
             assert aug.n > aug.n_orig
-            assert np.array_equal(aug.a.data[aug.diag_pos], aug.a.diagonal())
+            assert np.array_equal(aug.a.data[aug.pattern.diag_pos], aug.a.diagonal())
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_block_pattern_reads_the_scan_positions(self, name):
         # BlockPattern.build takes them from its block CSR, not from a scan
         scene = build_scene(load_scenario(scenario_path(name)), RunConfig())
-        pattern = assemble_step(scene.state, scene.bodies, scene.constraints).pattern
-        assert np.array_equal(pattern.diag_pos, diagonal_positions(pattern.indices, pattern.indptr))
+        csc = assemble_step(scene.state, scene.bodies, scene.constraints).pattern.csc
+        assert np.array_equal(csc.diag_pos, diagonal_positions(csc.indices, csc.indptr))
 
     def test_found_in_any_pattern(self):
         a = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 4.0]]))
         assert np.array_equal(diagonal_positions(a.indices, a.indptr), [0, 3, 6])
         aug = build_augmented(a, np.zeros(3), contact_set(3))
-        assert np.array_equal(aug.a.data[aug.diag_pos], [2.0, 3.0, 4.0])
+        assert np.array_equal(aug.a.data[aug.pattern.diag_pos], [2.0, 3.0, 4.0])
 
     def test_missing_diagonal_entry_rejected(self):
         a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
@@ -236,8 +257,8 @@ class TestDiagonalPositions:
 
 
 class TestColumnNorms:
-    """Tie-free systems take their row norms through the CSR view of A^T,
-    bit for bit the bincount wherever A is bitwise symmetric."""
+    """Large systems take their row norms through the CSR view of A^T, bit
+    for bit the bincount wherever A is bitwise symmetric."""
 
     @pytest.mark.parametrize("name, steps", STEPPED)
     def test_bitwise_equal_to_bincount(self, monkeypatch, name, steps):
@@ -275,27 +296,10 @@ class TestColumnNorms:
         for out in (column_norms_sq(a), column_norms_sq(a, chunks)):
             assert np.array_equal(out.view(np.int64), whole.view(np.int64))
 
-    def test_the_pattern_keeps_the_chunks(self, monkeypatch):
-        # W's setup squares the entries of at most NORM_CHUNK_ROWS rows at a
-        # time, through templates that share the pattern's index arrays
-        monkeypatch.setattr(sparse, "NORM_CHUNK_ROWS", 64)
-        for aug in solved_systems(monkeypatch, "lattice_drag", 2):
-            p = aug.norm_chunks
-            assert aug.n == aug.n_orig and p is not None
-            spans = [(r0, lo, hi, t.shape[0]) for r0, lo, hi, t in p]
-            assert [lo for _, lo, _, _ in spans] == [0] + [hi for _, _, hi, _ in spans[:-1]]
-            assert spans[-1][2] == aug.a.nnz
-            assert all(rows <= sparse.NORM_CHUNK_ROWS for *_, rows in spans)
-            assert [r0 for r0, *_ in spans] == list(range(0, aug.n, sparse.NORM_CHUNK_ROWS))
-            for _, lo, hi, t in p:
-                assert np.shares_memory(t.indices, aug.a.indices)
-                assert not t.indices.flags.writeable and not np.any(t.data)
-                assert np.shares_memory(with_data(t, np.ones(hi - lo)).indices, aug.a.indices)
-
 
 class TestBincountMatvec:
-    """Small systems with virtual nodes multiply through one bincount over
-    A's entries, bit for bit scipy's CSC product."""
+    """Small systems multiply through one bincount over A's entries, bit for
+    bit scipy's CSC product."""
 
     @pytest.mark.parametrize("name", ["box_slide", "anisotropic_slide", "particle_stack"])
     def test_bitwise_equal_to_scipy(self, monkeypatch, rng, name):
@@ -307,21 +311,74 @@ class TestBincountMatvec:
                 assert np.array_equal(spmv(op, x).view(np.int64), spmv(aug.a, x).view(np.int64))
 
     def test_the_tie_layout_keeps_the_columns(self, monkeypatch):
-        # the solver builds its BincountMatvec over the layout's columns
-        # instead of finding them every solve; a rebuilt layout has its own
+        # the solver builds its BincountMatvec over the columns of the tie
+        # layout's pattern instead of finding them every solve; a rebuilt
+        # layout has its own
         for aug in solved_systems(monkeypatch, "particle_stack", 3) + rebuilt_layout_systems():
             assert aug.a.nnz <= BINCOUNT_NNZ_MAX
-            assert np.array_equal(aug.entry_cols, entry_columns(aug.a.indptr))
+            assert np.array_equal(aug.pattern.entry_cols, entry_columns(aug.a.indptr))
             x = np.arange(aug.n, dtype=float)
-            assert np.array_equal(BincountMatvec(aug.a, aug.entry_cols) @ x, aug.a @ x)
+            assert np.array_equal(BincountMatvec(aug.a, aug.pattern.entry_cols) @ x, aug.a @ x)
 
-    def test_the_solver_takes_it_on_small_ties(self, monkeypatch):
+
+class TestSizeRule:
+    """Every system's ``sparse.Pattern`` chooses its kernels by its number
+    of entries alone, with or without ties: up to BINCOUNT_NNZ_MAX the
+    solver multiplies through ``BincountMatvec`` and takes the bincount's
+    row norms, above it the CSR view ``a.T`` and the chunked
+    ``column_norms_sq``. Both give the bits of ``a @ x`` and
+    ``row_norms_sq``."""
+
+    # per system: its first two steps carry virtual nodes, it is small
+    CASES = {
+        "free_fall": (False, True),
+        "box_slide": (True, True),
+        "lattice_drag": (False, False),
+        "cube_on_lattice": (True, False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_the_pattern_picks_the_kernels(self, monkeypatch, rng, name):
         from condsim import solver
 
-        seen = []
-        monkeypatch.setattr(solver, "spmv", lambda a, x: seen.append(type(a)) or spmv(a, x))
-        solved_systems(monkeypatch, "box_slide", 2)
-        assert seen and set(seen) == {BincountMatvec}
+        tied, small = self.CASES[name]
+        ops = []
+        monkeypatch.setattr(solver, "spmv", lambda a, x: ops.append(a) or spmv(a, x))
+        monkeypatch.setattr(sparse, "NORM_CHUNK_ROWS", 64)
+        systems = solved_systems(monkeypatch, name, 2)
+        if small:
+            assert ops and all(type(op) is BincountMatvec for op in ops)
+        else:
+            assert ops and all(op.format == "csr" for op in ops)
+        for aug in systems:
+            a, p = aug.a, aug.pattern
+            assert (aug.n > aug.n_orig, a.nnz <= BINCOUNT_NNZ_MAX) == (tied, small)
+            assert (p.entry_cols is None, p.norm_chunks is None) == (not small, small)
+            # either kernel set gives the bits of a @ x, of the bincount's
+            # row norms and so of W
+            if small:
+                other = dataclasses.replace(p, entry_cols=None, norm_chunks=norm_chunks(p.indices, p.indptr))
+            else:
+                other = dataclasses.replace(p, entry_cols=entry_columns(p.indptr), norm_chunks=None)
+            x = rng.standard_normal(aug.n)
+            for q in (p, other):
+                assert np.array_equal(spmv(q.operator(a), x).view(np.int64), (a @ x).view(np.int64))
+                assert np.array_equal(q.row_norms_sq(a).view(np.int64), row_norms_sq(a).view(np.int64))
+            w = step_matrix_frobenius(dataclasses.replace(aug, pattern=other))
+            assert np.array_equal(step_matrix_frobenius(aug).view(np.int64), w.view(np.int64))
+            if small:
+                continue
+            # a large pattern squares at most NORM_CHUNK_ROWS rows at a time,
+            # through templates that share its index arrays
+            spans = [(r0, lo, hi, t.shape[0]) for r0, lo, hi, t in p.norm_chunks]
+            assert [lo for _, lo, _, _ in spans] == [0] + [hi for _, _, hi, _ in spans[:-1]]
+            assert spans[-1][2] == a.nnz
+            assert all(rows <= sparse.NORM_CHUNK_ROWS for *_, rows in spans)
+            assert [r0 for r0, *_ in spans] == list(range(0, aug.n, sparse.NORM_CHUNK_ROWS))
+            for _, lo, hi, t in p.norm_chunks:
+                assert np.shares_memory(t.indices, a.indices)
+                assert not t.indices.flags.writeable and not np.any(t.data)
+                assert np.shares_memory(with_data(t, np.ones(hi - lo)).indices, a.indices)
 
 
 class TestTemplate:
@@ -338,11 +395,12 @@ class TestTemplate:
         before = second.data.copy()
         first.data[:] = -1.0
         assert np.array_equal(second.data, before)
-        template = one.pattern.template
+        csc = one.pattern.csc
+        template = csc.template
         assert not np.any(template.data) and not template.data.flags.writeable
         for a in (first, second, template):
-            assert np.shares_memory(a.indices, one.pattern.indices)
-            assert np.shares_memory(a.indptr, one.pattern.indptr)
+            assert np.shares_memory(a.indices, csc.indices)
+            assert np.shares_memory(a.indptr, csc.indptr)
             assert not a.indices.flags.writeable and not a.indptr.flags.writeable
             with pytest.raises(ValueError):
                 a.indices[0] = 0
@@ -353,7 +411,8 @@ class TestTemplate:
         state = scene.state
         nodal = nodalize(detect_contacts(state, scene.bodies, scene.geometry), state, scene.k_v, scene.mu)
         one, two = (augment_dynamics(assemble_step(state, scene.bodies, scene.constraints), nodal) for _ in range(2))
-        layout = scene.constraints.pattern.ties
+        layout = nodal.layout.ties.csc
+        assert one.pattern is two.pattern is layout
         assert np.shares_memory(one.a.indices, layout.indices) and np.shares_memory(two.a.indices, layout.indices)
         assert one.a.data is not two.a.data
         before = two.a.data.copy()
