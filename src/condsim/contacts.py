@@ -16,10 +16,11 @@ stack of rotation blocks over nodes. Each contact side owns its node, which
 Contacts stay arrays from detection to the solver: ``detect_contacts`` returns
 one ``DetectedContacts`` record with a row per contact, and ``nodalize`` turns
 it into the per-contact column, frame, mu and phi arrays of a
-``NodalContactSet`` in batched numpy. Frames come from detection: a ``Plane``
-builds its frame once, when it is made, and its contacts take that frame;
-only contacts on static spheres and between proxies call ``contact_frames``
-on the step. ``nodalize`` reads the frames and derives none. No Python object is made per contact:
+``NodalContactSet`` in batched numpy. Frames come from detection: the
+``Geometry`` builds every plane's frame once, when it is made, and a plane's
+contacts take that frame; only contacts on static spheres and between
+proxies call ``contact_frames`` on the step. ``nodalize`` reads the frames
+and derives none. No Python object is made per contact:
 ``NodalContactSet.contacts`` views the arrays as one numpy record array. Jv
 stays arrays too, never a matrix: per virtual node, its source's tie
 columns, whether the source is a rigid body, and the lever arm r from the
@@ -31,23 +32,22 @@ objects, and values computed per step. What invalidates a layout is named
 with each:
 
 - ``ProxyTable``, on ``Bodies.proxies``: the proxied nodes' coordinate
-  triples, every proxy's radius and row of (velocity offset, rigid
-  coordinate offset, body), and the primitives' frame table. The bodies
-  and the ``Geometry`` are frozen records, so nothing invalidates it; it
-  is built again only for another ``Geometry`` object. Per step,
-  ``detect_contacts`` computes the proxy centers (rigid points turned by the
-  state's ``rigid_pose``), distances, frames, points, depths and keys.
+  triples and every proxy's radius and row of (velocity offset, rigid
+  coordinate offset, body), built from the bodies alone. The bodies are a
+  frozen record, so nothing invalidates it. Per step, ``detect_contacts``
+  computes the proxy centers (rigid points turned by the state's
+  ``rigid_pose``), distances, frames, points, depths and keys against the
+  ``Geometry``'s arrays.
 - ``ContactLayout``, on the ``ProxyTable``: keyed on the bytes of the
-  detected sides' ``v_off``/``q_off`` plus n, mu and mu2, so a change of the
-  contact set or of those parameters rebuilds it. It holds the columns,
-  the virtual sides with their sources' tie columns and rigid flags, the
-  rigid sides' index triples, the mu/mu2 arrays and the ``ContactColumns``.
-  Per step, ``nodalize`` computes the lever arms, relative normal
-  velocities and phi.
-- ``ContactColumns``, on the layout: the columns, the contacted nodes,
-  checked once for a column carrying two contact sides, their triples for
-  W's ties, and the gather indices of ``ContactMap`` and of the solver's
-  float pass; every ``NodalContactSet`` holds one.
+  detected sides' ``v_off``/``q_off`` plus n, so only a change of the
+  contact set rebuilds it. It holds the columns, the virtual sides with
+  their sources' tie columns and rigid flags, the rigid sides' index
+  triples and the ``ContactColumns``. Per step, ``nodalize`` computes the
+  mu/mu2 arrays, the lever arms, relative normal velocities and phi.
+- ``ContactColumns``, on the layout: the columns, checked once for a
+  column carrying two contact sides, the contacted nodes' triples for W's
+  ties, and the gather indices of ``ContactMap`` and of the solver's float
+  pass; every ``NodalContactSet`` holds one.
 - ``TieLayout``, on the layout (below): built for the first A_o pattern
   that the layout's virtual nodes are augmented on, and again for another.
   The T rows of a step's lever arms are built once per ``NodalContactSet``
@@ -92,44 +92,40 @@ from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateErro
 from .sparse import Pattern, with_data
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
-_UNSET = np.zeros((3, 3))  # stands in for a static sphere's frame until its contacts get theirs
-
-
-@dataclass(frozen=True, eq=False)
-class Plane:
-    """A static half-space. Its contact frame, rows (n, t1, t2) from
-    ``contact_frames``, is computed once when the plane is made, and
-    ``normal`` is the frame's unit row n; both are read-only. A zero normal
-    raises ``InvalidStateError``."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    frame: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        frame = contact_frames(self.normal)[0]
-        frame.flags.writeable = False
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "normal", frame[0])
-
-
-@dataclass(eq=False)
-class StaticSphere:
-    center: np.ndarray
-    radius: float
 
 
 @dataclass(frozen=True, eq=False)
 class Geometry:
-    """Static primitives, as tuples; the dynamic proxies live on ``Bodies``."""
+    """The static primitives as read-only arrays, row k primitive k: the
+    half-spaces through ``plane_point`` with outward normals
+    ``plane_normal``, and the spheres of ``sphere_center`` and
+    ``sphere_radius``. The dynamic proxies live on ``Bodies``.
 
-    planes: tuple = ()
-    spheres: tuple = ()
+    ``frames`` holds every primitive's contact frame, rows (n, t1, t2) from
+    ``contact_frames``: each plane's, built once when the geometry is made,
+    then a zero placeholder per sphere, whose contacts get theirs on the
+    step. ``plane_normal`` is the planes' unit rows n of those frames. A
+    zero or non-finite normal raises ``InvalidStateError``, and unpaired
+    rows ``DimensionMismatchError``."""
+
+    plane_point: np.ndarray = ()  # (k, 3)
+    plane_normal: np.ndarray = ()  # (k, 3)
+    sphere_center: np.ndarray = ()  # (s, 3)
+    sphere_radius: np.ndarray = ()  # (s,)
     margin: float = DEFAULT_MARGIN
+    frames: np.ndarray = field(init=False, repr=False)  # (k + s, 3, 3)
 
     def __post_init__(self):
-        object.__setattr__(self, "planes", tuple(self.planes))
-        object.__setattr__(self, "spheres", tuple(self.spheres))
+        for name in ("plane_point", "plane_normal", "sphere_center"):
+            object.__setattr__(self, name, _read_only(np.reshape(getattr(self, name), (-1, 3)), float))
+        object.__setattr__(self, "sphere_radius", _read_only(self.sphere_radius, float))
+        if self.plane_point.shape != self.plane_normal.shape or self.sphere_radius.shape != self.sphere_center.shape[:1]:
+            raise DimensionMismatchError("every plane needs one point and one normal, every sphere one center and one radius")
+        frames = np.concatenate([contact_frames(self.plane_normal), np.zeros((self.sphere_radius.shape[0], 3, 3))])
+        normal = frames[: self.plane_normal.shape[0], 0].copy()
+        frames.flags.writeable = normal.flags.writeable = False
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "plane_normal", normal)
 
 
 @dataclass(eq=False)
@@ -167,8 +163,8 @@ _RECORD = np.dtype(
 @dataclass(eq=False)
 class ContactColumns:
     """One contact set's columns ``col_i``/``col_j`` and their index
-    arrays: ``nodes``, the contacted node columns, ascending, and their ``triples`` in
-    ``node_idx`` (W's node ties); the D-contacts ``has_j`` and their
+    arrays: ``node_idx``, the ``triples`` of the contacted node columns in
+    ascending order (W's node ties); the D-contacts ``has_j`` and their
     ``j_cols``; ``ContactMap``'s gathers ``idx_i``/``idx_j``; and, built on
     first use, since only small batches read them, the float pass's order
     of v* entries, ``gather``, with ``has_j`` as Python bools in
@@ -180,7 +176,6 @@ class ContactColumns:
 
     col_i: np.ndarray
     col_j: np.ndarray
-    nodes: np.ndarray
     node_idx: np.ndarray
     has_j: np.ndarray
     any_j: bool
@@ -198,9 +193,9 @@ class ContactColumns:
         if shared.size:
             raise InvalidMatrixError(f"column {shared[0]} carries more than one contact side")
         node_idx, idx_i, idx_j = triples(nodes), triples(col_i), triples(j_cols)
-        for a in (nodes, has_j, j_cols):
+        for a in (has_j, j_cols):
             a.flags.writeable = False
-        return cls(col_i, col_j, nodes, node_idx, has_j, bool(j_cols.shape[0]), j_cols, idx_i, idx_j)
+        return cls(col_i, col_j, node_idx, has_j, bool(j_cols.shape[0]), j_cols, idx_i, idx_j)
 
     @cached_property
     def gather(self) -> np.ndarray:
@@ -313,21 +308,16 @@ def contact_frames(normals: np.ndarray) -> np.ndarray:
     the frame deterministic under tiny normal perturbations.
     """
     n = np.asarray(normals, dtype=float).reshape(-1, 3)
-    norm = _row_norms(n)
+    norm = np.linalg.norm(n, axis=1)
     if not ((norm >= 1e-12) & (norm < np.inf)).all():
         raise InvalidStateError("contact normal is zero or not finite")
     n = np.where(np.abs(norm - 1.0)[:, None] > 1e-9, n / norm[:, None], n)
     e = np.zeros(n.shape)
     e[np.arange(n.shape[0]), np.abs(n).argmin(axis=1)] = 1.0
     t1 = _cross(_cross(n, e), n)
-    t1 /= _row_norms(t1)[:, None]
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
     t2 = _cross(n, t1)
     return np.concatenate([n, t1, t2], axis=1).reshape(-1, 3, 3)
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)``'s arithmetic at a lower fixed cost per call."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def _surface_points(state: SystemState, rigid: RigidBodies) -> np.ndarray:
@@ -343,53 +333,46 @@ def _surface_points(state: SystemState, rigid: RigidBodies) -> np.ndarray:
 
 @dataclass(eq=False)
 class ProxyTable:
-    """What ``detect_contacts`` reads of a scene's layout, built on its
-    first detection and cached on ``Bodies.proxies``.
+    """What ``detect_contacts`` reads of a scene's bodies, built from them
+    alone on their first detection and cached on ``Bodies.proxies``.
 
     The proxies are the proxied nodes (``node_radius`` > 0), then every
     rigid surface point. ``coords`` holds the proxied nodes' coordinate
     triples and ``radii`` every proxy's radius; ``proxy`` has one row of
     (velocity offset, rigid coordinate offset, body) per proxy, the last
-    two -1 for a node, plus a last row of -1 for a static side; ``frames``
-    holds each primitive's frame, a plane's own, then a placeholder per
-    static sphere; ``reach`` is twice the largest radius, for the pair
-    search that ``search`` turns on. Every array is read-only.
+    two -1 for a node, plus a last row of -1 for a static side; ``reach``
+    is twice the largest radius, for the pair search that ``search`` turns
+    on. Every array is read-only. ``layout`` is the ``ContactLayout`` of the
+    last contact sides nodalized on it."""
 
-    ``geometry`` is the ``Geometry`` it was built for. ``layout`` is the
-    ``ContactLayout`` of the last contact sides nodalized on it."""
-
-    geometry: Geometry
     coords: np.ndarray
     radii: np.ndarray
     proxy: np.ndarray
-    frames: np.ndarray
     search: bool
     reach: float
     layout: ContactLayout | None = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, bodies: Bodies, geometry: Geometry) -> ProxyTable:
+    def build(cls, bodies: Bodies) -> ProxyTable:
         proxied = (bodies.node_radius > 0).nonzero()[0]
         n_nodes, rigid, body = proxied.shape[0], bodies.rigid, bodies.rigid.point_body
         radii = np.concatenate([bodies.node_radius[proxied], rigid.contact_radius[body]])
         proxy = np.full((radii.shape[0] + 1, 3), -1)
         proxy[:n_nodes, 0] = bodies.node_v[proxied]
         proxy[n_nodes:-1] = np.stack([rigid.v_off[body], rigid.q_off[body], body], axis=1)
-        frames = np.array([p.frame for p in geometry.planes] + [_UNSET] * len(geometry.spheres)).reshape(-1, 3, 3)
         # a lattice proxies every node: it shares the bodies' triples
         coords = bodies.q_triples if n_nodes == bodies.node_q.shape[0] else bodies.q_triples[proxied]
-        for a in (coords, radii, proxy, frames):
+        for a in (coords, radii, proxy):
             a.flags.writeable = False
         n_proxies = radii.shape[0]
         search = n_proxies > 1 and bool(n_nodes or rigid.mass.shape[0] > 1)
-        return cls(geometry, coords, radii, proxy, frames, search, 2.0 * radii.max() if n_proxies else 0.0)
+        return cls(coords, radii, proxy, search, 2.0 * radii.max() if n_proxies else 0.0)
 
 
-def proxy_table(bodies: Bodies, geometry: Geometry) -> ProxyTable:
-    """The ``ProxyTable`` cached on ``bodies``, built on first use and again
-    for another ``Geometry`` object."""
-    if bodies.proxies is None or bodies.proxies.geometry is not geometry:
-        object.__setattr__(bodies, "proxies", ProxyTable.build(bodies, geometry))
+def proxy_table(bodies: Bodies) -> ProxyTable:
+    """The ``ProxyTable`` cached on ``bodies``, built on first use."""
+    if bodies.proxies is None:
+        object.__setattr__(bodies, "proxies", ProxyTable.build(bodies))
     return bodies.proxies
 
 
@@ -405,32 +388,30 @@ def detect_contacts(state: SystemState, bodies: Bodies, geometry: Geometry) -> D
     ``contact_frames``. The record carries the table, whose contact layout
     ``nodalize`` reuses.
     """
-    table = proxy_table(bodies, geometry)
+    table = proxy_table(bodies)
     margin = geometry.margin
-    planes, spheres = geometry.planes, geometry.spheres
     centers = np.concatenate([state.q[table.coords], _surface_points(state, bodies.rigid)])
     radii, proxy = table.radii, table.proxy
-    n_planes, n_prims, n_proxies = len(planes), len(planes) + len(spheres), centers.shape[0]
+    n_planes, n_prims, n_proxies = geometry.plane_point.shape[0], geometry.frames.shape[0], centers.shape[0]
+    spheres = n_prims > n_planes
     stride = n_prims + n_proxies
 
-    # signed distances of every (primitive, proxy), and the normals of the
-    # sphere ones; the contacts come out row-major over (proxy, primitive)
-    sd_cols = [(centers - plane.point) @ plane.normal - radii for plane in planes]
-    normal_cols = []
-    for sphere in spheres:
-        d = centers - sphere.center
-        dist = np.linalg.norm(d, axis=1)
+    # signed distances of every (primitive, proxy), planes then spheres, and
+    # the normals of the sphere ones; the contacts come out row-major over
+    # (proxy, primitive)
+    signed = ((centers - geometry.plane_point[:, None]) @ geometry.plane_normal[:, :, None])[..., 0] - radii
+    if spheres:
+        d = centers - geometry.sphere_center[:, None]
+        dist = np.linalg.norm(d, axis=2)
         apart = dist > 1e-12
-        sd_cols.append(np.where(apart, dist - sphere.radius - radii, np.inf))
-        normal_cols.append(d / np.where(apart, dist, 1.0)[:, None])
-    signed = np.array(sd_cols).reshape(n_prims, n_proxies)
+        signed = np.concatenate([signed, np.where(apart, dist - geometry.sphere_radius[:, None] - radii, np.inf)])
+        normals = d / np.where(apart, dist, 1.0)[..., None]
     first, k = np.nonzero(signed.T < margin)
-    frame = table.frames[k]
+    frame = geometry.frames[k]
     if spheres:
         on_sphere = (k >= n_planes).nonzero()[0]
         if on_sphere.size:
-            normal = np.array(normal_cols)[k[on_sphere] - n_planes, first[on_sphere]]
-            frame[on_sphere] = contact_frames(normal)
+            frame[on_sphere] = contact_frames(normals[k[on_sphere] - n_planes, first[on_sphere]])
     # row 0 of a frame is its normal, bit for bit
     point = centers[first] - radii[first, None] * frame[:, 0]
     second = np.full(first.shape[0], -1)
@@ -494,17 +475,15 @@ def stabilization_term(depth, v_n_prev, params: StabilizationParams, dt: float):
 @dataclass(eq=False)
 class ContactLayout:
     """What ``nodalize`` derives from the contact sides alone, for one set of
-    detected sides, n, mu and mu2 (``key``: the bytes of the sides'
-    ``v_off`` and ``q_off``, then n, mu and mu2). It is built on the first
-    step that detects these sides and cached on the detection's
-    ``ProxyTable``.
+    detected sides and n (``key``: the bytes of the sides' ``v_off`` and
+    ``q_off``, then n). It is built on the first step that detects these
+    sides and cached on the detection's ``ProxyTable``.
 
-    Per contact: the columns, as a ``ContactColumns``, and the ``mu``/``mu2``
-    arrays. Per contact side, side 0 then side 1 of
-    each contact: ``moving`` (a dynamic side) and ``vel_idx``, the velocity
-    triples it reads; the ``rigid_side`` sides, with their contacts
-    ``rigid_contact`` and the triples of their bodies' origins
-    (``rigid_q``) and angular velocities (``rigid_w``); and the
+    Per contact: the columns, as a ``ContactColumns``. Per contact side,
+    side 0 then side 1 of each contact: ``moving`` (a dynamic side) and
+    ``vel_idx``, the velocity triples it reads; the ``rigid_side`` sides,
+    with their contacts ``rigid_contact`` and the triples of their bodies'
+    origins (``rigid_q``) and angular velocities (``rigid_w``); and the
     ``virtual`` sides, one per virtual node, with its ``rigid`` flag and
     ``tie_cols``, the source's columns of its T rows, src + ``_T_COL``.
     Every array is read-only. ``ties`` is the ``TieLayout`` of these
@@ -512,8 +491,6 @@ class ContactLayout:
 
     key: tuple
     columns: ContactColumns
-    mu: np.ndarray
-    mu2: np.ndarray
     moving: np.ndarray
     vel_idx: np.ndarray
     rigid_side: np.ndarray
@@ -530,7 +507,7 @@ class ContactLayout:
         """Over the contact sides in contact order, the first side on an
         original node keeps that node; every later side on it, and every
         rigid side, gets a fresh virtual node, numbered in the same order."""
-        n, mu, mu2 = key[2:]
+        n = key[2]
         n_c = v_off.shape[0]
         v_off = v_off.ravel()  # per contact side, side 0 then side 1
         q_off = q_off.ravel()
@@ -545,7 +522,7 @@ class ContactLayout:
         cols = cols.reshape(n_c, 2)
         rigid_side = (q_off >= 0).nonzero()[0]
         arrays = (
-            np.full(n_c, mu), np.full(n_c, mu2), v_off[:, None] >= 0, triples(np.maximum(v_off, 0)),
+            v_off[:, None] >= 0, triples(np.maximum(v_off, 0)),
             rigid_side, rigid_side // 2, triples(q_off.take(rigid_side)), triples(v_off.take(rigid_side) + 3),
             virtual, v_off[virtual][:, None, None] + _T_COL, q_off[virtual] >= 0,
         )
@@ -554,11 +531,11 @@ class ContactLayout:
         return cls(key, ContactColumns.build(cols[:, 0], cols[:, 1]), *arrays)
 
 
-def _contact_layout(detected: DetectedContacts, n: int, mu: float, mu2: float | None) -> ContactLayout:
+def _contact_layout(detected: DetectedContacts, n: int) -> ContactLayout:
     """The ``ContactLayout`` cached on the detection's ``ProxyTable``,
     rebuilt when its key differs; a detection without a table gets a new
     one."""
-    key = (detected.v_off.tobytes(), detected.q_off.tobytes(), n, float(mu), float(mu if mu2 is None else mu2))
+    key = (detected.v_off.tobytes(), detected.q_off.tobytes(), n)
     table = detected.proxies
     layout = None if table is None else table.layout
     if layout is None or layout.key != key:
@@ -584,12 +561,13 @@ def nodalize(
     keeps that node; every later side on it, and every rigid side, gets a
     fresh virtual node, numbered in the same order and tied to its source by
     Jv. Those columns come from the sides' ``ContactLayout``; this step
-    computes the lever arms, the relative normal velocities and phi.
+    computes the mu/mu2 arrays, the lever arms, the relative normal
+    velocities and phi.
     """
     stab = stab or StabilizationParams()
     n = state.v.shape[0]
     n_c = len(detected)
-    layout = _contact_layout(detected, n, mu, mu2)
+    layout = _contact_layout(detected, n)
     frames = detected.frame
     rigid = layout.rigid_side
     # per contact side: lever arm from the body origin, and velocity v + w x r
@@ -601,7 +579,8 @@ def nodalize(
     v_n = np.einsum("mi,mi->m", frames[:, 0], vel[:, 0] - vel[:, 1])
     phi = stabilization_term(detected.depth, v_n, stab, state.dt)
 
-    return NodalContactSet(n, k_v, layout.columns, frames, layout.mu, layout.mu2, phi, lever[layout.virtual], layout)
+    mu, mu2 = np.full(n_c, float(mu)), np.full(n_c, float(mu if mu2 is None else mu2))
+    return NodalContactSet(n, k_v, layout.columns, frames, mu, mu2, phi, lever[layout.virtual], layout)
 
 
 # Row a of a virtual node's tie T = [Jv, -I] as 4 entries: the source's

@@ -10,12 +10,13 @@ identical bytes.
 arrays read-only, so a scene's layout never changes once it is built; its
 rigid bodies are one ``RigidBodies`` record of arrays. Its layouts are built
 on its first step and hang off its objects, so they die with it: the node
-triples, rigid index rows and contact layouts on its ``Bodies`` (each
-contact layout with the tie layout of its virtual nodes, the augmented
-matrix's ``sparse.Pattern``), the block pattern, with A_o's
-``sparse.Pattern``, on its ``Springs``, and the gravity force vector of
-``external_force`` on the ``Scene`` itself, which each step copies before
-adding the scheduled forces. Each state keeps the rotations, world
+triples, rigid index rows and proxy table on its ``Bodies`` (the table is
+built from the bodies alone and holds the contact layout of the last contact
+sides, keyed on those sides and n; that layout holds the tie layout of its
+virtual nodes, with the augmented matrix's ``sparse.Pattern``), the block
+pattern, with A_o's ``sparse.Pattern``, on its ``Springs``, and the gravity
+force vector of ``external_force`` on the ``Scene`` itself, which each step
+copies before adding the scheduled forces. Each state keeps the rotations, world
 inertias and mass blocks of the rigid bodies (``SystemState.rigid_pose``).
 """
 
@@ -35,9 +36,7 @@ from . import baselines as bl
 from .contacts import (
     DEFAULT_MARGIN,
     Geometry,
-    Plane,
     StabilizationParams,
-    StaticSphere,
     augment_dynamics,
     detect_contacts,
     nodalize,
@@ -204,7 +203,10 @@ SCENARIO_SCHEMA = {
 def _scenario_validator():
     cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
     cls.check_schema(SCENARIO_SCHEMA)
-    return cls(SCENARIO_SCHEMA)
+    # jsonschema's "integer" accepts 3.0, which the scene builder cannot use
+    # as a count or an index
+    integer = cls.TYPE_CHECKER.redefine("integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
+    return jsonschema.validators.extend(cls, type_checker=integer)(SCENARIO_SCHEMA)
 
 
 # built once: jsonschema.validate checks the schema itself again on every call
@@ -309,8 +311,8 @@ def _check_finite(node, loc: str) -> None:
 
 def _check_directions(data: dict) -> None:
     """Reject plane normals and rigid-body orientations too short to have a
-    direction: a plane builds its contact frame from its normal, and a body
-    normalizes its quaternion."""
+    direction: the geometry builds each plane's frame from its normal, and a
+    body normalizes its quaternion."""
     planes = data.get("geometry", {}).get("planes", [])
     vectors = [(p["normal"], f"geometry/planes/{k}/normal") for k, p in enumerate(planes)]
     for k, body in enumerate(data.get("bodies", [])):
@@ -443,10 +445,10 @@ def build_scene(s: Scenario, cfg: RunConfig | None = None) -> Scene:
     dt = s.step_size
 
     geo = data.get("geometry", {})
+    planes, spheres = geo.get("planes", []), geo.get("spheres", [])
     geometry = Geometry(
-        [Plane(np.array(p["point"], dtype=float), np.array(p["normal"], dtype=float)) for p in geo.get("planes", [])],
-        [StaticSphere(np.array(sp["center"], dtype=float), sp["radius"]) for sp in geo.get("spheres", [])],
-        geo.get("margin", DEFAULT_MARGIN),
+        [p["point"] for p in planes], [p["normal"] for p in planes],
+        [sp["center"] for sp in spheres], [sp["radius"] for sp in spheres], geo.get("margin", DEFAULT_MARGIN),
     )
 
     # layout: the listed bodies in order, then the lattice nodes

@@ -112,6 +112,59 @@ def reference_surface_points(state, rigid: RigidBodies) -> np.ndarray:
     return np.concatenate([np.zeros((0, 3))] + out)
 
 
+def reference_detect(state, bodies, planes, spheres, margin: float) -> dict:
+    """Contacts as ``detect_contacts`` orders and keys them, with the static
+    primitives one at a time, each over every proxy, as the library ran them
+    before it held the geometry as one array record; then every proxy pair,
+    checked one at a time. ``planes`` are (point, normal) and ``spheres``
+    (center, radius) pairs. Returns ``DetectedContacts``' arrays by name."""
+    rigid = bodies.rigid
+    proxied = np.flatnonzero(bodies.node_radius > 0)
+    centers = np.concatenate([state.q[bodies.q_triples[proxied]].reshape(-1, 3), reference_surface_points(state, rigid)])
+    radii = np.concatenate([bodies.node_radius[proxied], rigid.contact_radius[rigid.point_body]])
+    # per proxy, and -1 last for a static side
+    v_off = np.concatenate([bodies.node_v[proxied], rigid.v_off[rigid.point_body], [-1]])
+    q_off = np.concatenate([np.full(proxied.shape[0], -1), rigid.q_off[rigid.point_body], [-1]])
+    body = np.concatenate([np.full(proxied.shape[0], -1), rigid.point_body]).tolist()
+    n_prims, n_proxies = len(planes) + len(spheres), centers.shape[0]
+    stride = n_prims + n_proxies
+    signed, frames = [], []
+    for point, normal in planes:
+        frame = contact_frames(np.asarray(normal, dtype=float))[0]
+        signed.append((centers - np.asarray(point, dtype=float)) @ frame[0] - radii)
+        frames.append(np.broadcast_to(frame, (n_proxies, 3, 3)))
+    for center, radius in spheres:
+        d = centers - np.asarray(center, dtype=float)
+        dist = np.linalg.norm(d, axis=1)
+        apart = dist > 1e-12
+        signed.append(np.where(apart, dist - radius - radii, np.inf))
+        frames.append(contact_frames(d / np.where(apart, dist, 1.0)[:, None]))
+    rows = []  # (key, signed distance, frame, point, first proxy, second proxy or -1)
+    for e in range(n_proxies):
+        for k in range(n_prims):
+            if signed[k][e] < margin:
+                frame = frames[k][e]
+                rows.append((e * stride + k, signed[k][e], frame, centers[e] - radii[e] * frame[0], e, -1))
+    for e in range(n_proxies):
+        for f in range(e + 1, n_proxies):
+            d = centers[e] - centers[f]
+            dist = np.linalg.norm(d)
+            sd = dist - radii[e] - radii[f]
+            if sd < margin and dist > 1e-12 and (body[e] < 0 or body[e] != body[f]):
+                normal = d / dist
+                point = centers[f] + (radii[f] + 0.5 * sd) * normal
+                rows.append((e * stride + n_prims + f, sd, contact_frames(normal)[0], point, e, f))
+    sides = np.array([r[4:] for r in rows], dtype=int).reshape(-1, 2)
+    return {
+        "key": np.array([r[0] for r in rows], dtype=np.int64),
+        "depth": np.array([max(0.0, -r[1]) + 0.0 for r in rows]),
+        "frame": np.array([r[2] for r in rows]).reshape(-1, 3, 3),
+        "point": np.array([r[3] for r in rows]).reshape(-1, 3),
+        "v_off": v_off[sides],
+        "q_off": q_off[sides],
+    }
+
+
 def reference_turn(quat: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
     """The unit quaternion exp(rotvec) quat, (w, x, y, z), in array formulas."""
     angle = float(np.linalg.norm(rotvec))

@@ -17,10 +17,8 @@ from condsim import contacts
 from condsim.contacts import (
     DetectedContacts,
     Geometry,
-    Plane,
     StabilizationParams,
     ContactMap,
-    StaticSphere,
     augment_dynamics,
     contact_frames,
     contact_jacobian_matrix,
@@ -29,7 +27,7 @@ from condsim.contacts import (
     stabilization_term,
 )
 from condsim.dynamics import Bodies, DampingPolicy, Springs, SystemState, assemble_step
-from condsim.errors import InvalidMatrixError, InvalidStateError
+from condsim.errors import DimensionMismatchError, InvalidMatrixError, InvalidStateError
 from condsim.harness import RunConfig, _warm_velocity, build_scene, load_scenario
 
 from conftest import (
@@ -38,6 +36,7 @@ from conftest import (
     contact_set,
     random_contact_set,
     random_spd,
+    reference_detect,
     reference_nodalize,
     resting_cubes,
     rigid_bodies,
@@ -50,17 +49,23 @@ vec3 = st.tuples(
 )
 
 
-FLOOR = Plane(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+FLOOR = ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+
+
+def static_geometry(planes=(), spheres=()) -> Geometry:
+    """A ``Geometry`` of (point, normal) planes and (center, radius) spheres."""
+    return Geometry([p for p, _ in planes], [n for _, n in planes], [c for c, _ in spheres], [r for _, r in spheres])
 
 
 def particle_scene(positions, radius=0.5, dt=0.01, **geometry):
     """Particles at ``positions`` with proxy radius ``radius`` (one for all,
-    or one per particle), and a ``Geometry`` of the keyword arguments."""
+    or one per particle), and a ``static_geometry`` of the keyword
+    arguments."""
     off = 3 * np.arange(len(positions))
     bodies = Bodies(off, off, np.ones(len(positions)), np.full(len(positions), radius), rigid_bodies())
     q = np.concatenate([np.asarray(p, dtype=float) for p in positions])
     state = SystemState(q, np.zeros(q.shape[0]), dt=dt)
-    return state, bodies, Geometry(**geometry)
+    return state, bodies, static_geometry(**geometry)
 
 
 def no_springs():
@@ -76,7 +81,7 @@ def cube_scene(points, inertia=1.0, radius=0.0):
     bodies = Bodies(none, none, np.zeros(0), np.zeros(0), rigid)
     q = np.concatenate([[0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]])
     state = SystemState(q, np.zeros(6), dt=0.01)
-    return state, bodies, Geometry(planes=[FLOOR])
+    return state, bodies, static_geometry(planes=[FLOOR])
 
 
 class TestContactFrame:
@@ -132,20 +137,46 @@ class TestContactFrame:
 
 class TestPlaneFrame:
     def test_plane_holds_its_frame(self):
-        for normal in ([0.0, 0.0, 1.0], [0.0, 0.6, -0.8], [3.0, -1.0, 2.0]):
-            plane = Plane(np.zeros(3), np.array(normal))
-            assert np.array_equal(plane.frame, contact_frames(np.array(normal))[0])
-            assert np.array_equal(plane.normal, plane.frame[0])
-            assert np.isclose(np.linalg.norm(plane.normal), 1.0, rtol=0.0, atol=1e-15)
+        # every plane's frame is built once, with the geometry: its unit
+        # normal row is the frame's, bit for bit; each sphere has a zero
+        # placeholder
+        normals = [[0.0, 0.0, 1.0], [0.0, 0.6, -0.8], [3.0, -1.0, 2.0]]
+        geometry = static_geometry([(np.zeros(3), n) for n in normals], [(np.ones(3), 0.5)])
+        assert geometry.frames.shape == (4, 3, 3) and geometry.plane_normal.shape == (3, 3)
+        assert np.array_equal(geometry.frames[:3], contact_frames(np.array(normals)))
+        assert not geometry.frames[3].any()
+        assert bits(geometry.plane_normal).tolist() == bits(geometry.frames[:3, 0]).tolist()
+        assert np.allclose(np.linalg.norm(geometry.plane_normal, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        for name in ("plane_point", "plane_normal", "sphere_center", "sphere_radius", "frames"):
             with pytest.raises(ValueError, match="read-only"):
-                plane.frame[0, 0] = 1.0
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                plane.normal = np.array([1.0, 0.0, 0.0])
+                getattr(geometry, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            geometry.plane_normal = np.array([[1.0, 0.0, 0.0]])
+
+    def test_empty_geometry(self):
+        geometry = Geometry()
+        shapes = [getattr(geometry, name).shape
+                  for name in ("plane_point", "plane_normal", "sphere_center", "sphere_radius", "frames")]
+        assert shapes == [(0, 3), (0, 3), (0, 3), (0,), (0, 3, 3)]
+        state, bodies, _ = particle_scene([[0.0, 0.0, 0.0]])
+        raw = detect_contacts(state, bodies, geometry)
+        assert len(raw) == 0 and raw.frame.shape == (0, 3, 3)
 
     @pytest.mark.parametrize("normal", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]], ids=["zero", "nan"])
     def test_normal_without_direction_rejected(self, normal):
         with pytest.raises(InvalidStateError):
-            Plane(np.zeros(3), np.array(normal))
+            static_geometry([FLOOR, (np.zeros(3), np.array(normal))])
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [{"plane_point": np.zeros((1, 3)), "plane_normal": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]},
+         {"sphere_center": np.zeros((3, 3)), "sphere_radius": [0.5]}],
+        ids=["planes", "spheres"],
+    )
+    def test_unpaired_rows_rejected(self, arrays):
+        # the stacked products would broadcast the one row over the others
+        with pytest.raises(DimensionMismatchError):
+            Geometry(**arrays)
 
     @pytest.mark.parametrize("name", ["box_slide", "anisotropic_slide", "particle_stack", "lattice_drag"])
     def test_every_step_frame_is_contact_frames_of_its_normal(self, monkeypatch, name):
@@ -158,7 +189,7 @@ class TestPlaneFrame:
         s = load_scenario(scenario_path(name))
         s = harness.Scenario({**s.raw, "duration": 50 * s.step_size})
         scene = build_scene(s, RunConfig())
-        (floor,) = scene.geometry.planes
+        (floor_normal,) = scene.geometry.plane_normal
         proxied = np.flatnonzero(scene.bodies.node_radius > 0)
         stride = 1 + proxied.shape[0] + scene.bodies.rigid.points.shape[0]
         frames_of, nodalize_of, calls, steps = contacts.contact_frames, contacts.nodalize, [], []
@@ -169,7 +200,7 @@ class TestPlaneFrame:
 
         def checking(detected, state, *args, **kwargs):
             nodal = nodalize_of(detected, state, *args, **kwargs)
-            normals = np.tile(floor.normal, (len(nodal), 1))
+            normals = np.tile(floor_normal, (len(nodal), 1))
             pair = detected.v_off[:, 1] >= 0
             e, f = np.divmod(detected.key[pair], stride)
             for m, a, b in zip(np.flatnonzero(pair), proxied[e], proxied[f - 1]):
@@ -205,7 +236,7 @@ class TestDetectContacts:
         assert raw.point.shape == (0, 3) and raw.v_off.shape == (0, 2) and raw.key.dtype == np.int64
 
     def test_proxy_on_static_sphere(self):
-        state, bodies, geom = particle_scene([[0.0, 0.0, 1.4]], radius=0.5, spheres=[StaticSphere(np.zeros(3), 1.0)])
+        state, bodies, geom = particle_scene([[0.0, 0.0, 1.4]], radius=0.5, spheres=[(np.zeros(3), 1.0)])
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 1
         assert np.isclose(raw.depth[0], 0.1)
@@ -219,7 +250,7 @@ class TestDetectContacts:
         # a radius is skipped
         state, bodies, geom = particle_scene(
             [[0.0, 0.0, 0.4], [5.0, 0.0, 0.0], [3.0, 0.0, 0.4]], radius=[0.5, 0.0, 0.5],
-            planes=[FLOOR], spheres=[StaticSphere(np.array([1.5, 0.0, 0.4]), 1.2)],
+            planes=[FLOOR], spheres=[([1.5, 0.0, 0.4], 1.2)],
         )
         raw = detect_contacts(state, bodies, geom)
         assert [(v, tuple(np.round(normal, 12))) for v, normal in zip(raw.v_off[:, 0], raw.frame[:, 0])] == [
@@ -255,6 +286,38 @@ class TestDetectContacts:
         state, bodies, geom = cube_scene([[0.0, 0.0, -0.1], [0.01, 0.0, -0.1]], radius=0.05)
         raw = detect_contacts(state, bodies, geom)
         assert raw.v_off.tolist() == [[0, -1], [0, -1]] and raw.q_off.tolist() == [[0, -1], [0, -1]]
+
+    def test_matches_per_primitive_reference(self, rng):
+        # random scenes of 0-3 planes, 0-3 spheres, particle proxies (some
+        # without a radius) and turned rigid bodies' points: the stacked
+        # plane product and the batched sphere pass give the per-primitive
+        # loops' contacts bit for bit
+        def quat():
+            q = rng.standard_normal(4)
+            return q / np.linalg.norm(q)
+
+        kinds = np.zeros(3, dtype=int)  # contacts on planes, on spheres, between proxies
+        for _ in range(60):
+            n_p, n_r = int(rng.integers(0, 5)), int(rng.integers(0, 3))
+            radius = rng.uniform(0.0, 0.2, n_p) * (rng.random(n_p) < 0.8)
+            rigid = [(1.0, 3 * n_p + 7 * b, 3 * n_p + 6 * b, np.eye(3), rng.uniform(-0.2, 0.2, (int(rng.integers(0, 5)), 3)),
+                      float(rng.uniform(0.0, 0.1))) for b in range(n_r)]
+            off = 3 * np.arange(n_p)
+            bodies = Bodies(off, off, np.ones(n_p), radius, rigid_bodies(*rigid))
+            # proxies packed in the middle of the unit box, so that they touch
+            q = np.concatenate([rng.uniform(0.3, 0.7, 3 * n_p)] + [np.concatenate([rng.uniform(0.3, 0.7, 3), quat()])
+                                                                   for _ in range(n_r)])
+            state = SystemState(q, np.zeros(3 * n_p + 6 * n_r))
+            planes = [(rng.uniform(0.0, 1.0, 3), rng.standard_normal(3)) for _ in range(int(rng.integers(0, 4)))]
+            spheres = [(rng.uniform(0.0, 1.0, 3), float(rng.uniform(0.1, 0.5))) for _ in range(int(rng.integers(0, 4)))]
+            raw = detect_contacts(state, bodies, static_geometry(planes, spheres))
+            ref = reference_detect(state, bodies, planes, spheres, contacts.DEFAULT_MARGIN)
+            for name, values in ref.items():
+                assert bits(getattr(raw, name)).tolist() == bits(values).tolist(), name
+            stride = len(planes) + len(spheres) + int(np.count_nonzero(radius)) + sum(r[4].shape[0] for r in rigid)
+            kinds += np.bincount(np.searchsorted([len(planes), len(planes) + len(spheres)], raw.key % stride, "right"),
+                                 minlength=3)
+        assert (kinds > 20).all(), kinds
 
     def test_dense_clouds_match_all_pairs(self, rng):
         # random clouds of overlapping proxies with random radii (some
@@ -395,7 +458,7 @@ class TestNodalize:
         # particle wedged between two planes: diagonalization needs one
         # contact per node, so the second contact gets an identity-tied
         # virtual node
-        ceiling = Plane(np.array([0.0, 0.0, 0.8]), np.array([0.0, 0.0, -1.0]))
+        ceiling = ([0.0, 0.0, 0.8], [0.0, 0.0, -1.0])
         state, bodies, geom = particle_scene([[0.0, 0.0, 0.4]], radius=0.5, planes=[FLOOR, ceiling])
         raw = detect_contacts(state, bodies, geom)
         assert len(raw) == 2
@@ -578,7 +641,7 @@ class TestContactLayout:
 
     NODAL = ("frames", "mu", "mu2", "phi", "lever", "tie_rows")
     LAYOUT = ("tie_cols", "rigid")
-    COLUMNS = ("col_i", "col_j", "nodes")
+    COLUMNS = ("col_i", "col_j", "node_idx")
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -669,14 +732,17 @@ class TestContactLayout:
         assert len(layouts) == len(sets)
 
     def test_changed_key_rebuilds_the_layout(self, builds):
+        # the layout holds no parameter: other mu and mu2 reuse it, and
+        # each step's sets carry their own mu/mu2 arrays
         state, bodies, geometry = bundled_scene("particle_stack")
         detected = detect_contacts(state, bodies, geometry)
         first = nodalize(detected, state, 1e5, mu=0.2)
-        assert nodalize(detected, state, 1e5, mu=0.2).columns.col_i is first.columns.col_i
-        for kwargs in ({"mu": 0.3}, {"mu": 0.2, "mu2": 0.4}):
+        for kwargs in ({"mu": 0.2}, {"mu": 0.3}, {"mu": 0.2, "mu2": 0.4}):
             nodal = nodalize(detected, state, 1e5, **kwargs)
-            assert nodal.mu[0] == kwargs["mu"] and nodal.mu2[0] == kwargs.get("mu2", kwargs["mu"])
-        assert builds == {"ProxyTable": 1, "ContactLayout": 3}
+            assert nodal.columns is first.columns and nodal.layout is first.layout
+            assert nodal.mu.tolist() == [kwargs["mu"]] * 5 and nodal.mu2.tolist() == [kwargs.get("mu2", kwargs["mu"])] * 5
+        assert first.mu.tolist() == first.mu2.tolist() == [0.2] * 5
+        assert builds == {"ProxyTable": 1, "ContactLayout": 1}
         # a record made field by field carries no table: its layout is new
         fields = {f.name: getattr(detected, f.name) for f in dataclasses.fields(detected)}
         copied = DetectedContacts(**fields)
@@ -684,13 +750,12 @@ class TestContactLayout:
         # as many contacts, with the floor's on particle 1: node 3 then
         # carries its floor side first, and every later side on nodes 3,
         # 6 and 9 takes a virtual node
-        nodalize(detected, state, 1e5, mu=0.2)
         v_off = detected.v_off.copy()
         v_off[0, 0] = 3
         moved = DetectedContacts(**{**fields, "v_off": v_off})
         moved.proxies = detected.proxies
         nodal = nodalize(moved, state, 1e5, mu=0.2)
-        assert builds["ContactLayout"] == 6 and moved.proxies.layout.columns is nodal.columns
+        assert builds["ContactLayout"] == 3 and moved.proxies.layout.columns is nodal.columns
         assert nodal.columns.col_i.tolist() == [3, 0, 18, 21, 24] and nodal.columns.col_j.tolist() == [-1, 15, 6, 9, 12]
 
     def test_tie_rows_built_once_per_step(self, monkeypatch):
@@ -704,19 +769,22 @@ class TestContactLayout:
         assert len(calls) == 5
 
     def test_changed_scene_rebuilds_the_table(self, builds):
-        # a scene cannot be edited; records made with dataclasses.replace
-        # build their own tables, and the old bodies keep theirs
+        # a scene cannot be edited; bodies made with dataclasses.replace
+        # build their own tables, and the old bodies keep theirs. The table
+        # holds nothing of the geometry: another geometry reuses it
         state, bodies, geometry = bundled_scene("particle_stack")
-        table = contacts.proxy_table(bodies, geometry)
-        assert contacts.proxy_table(bodies, geometry) is table
+        table = contacts.proxy_table(bodies)
+        assert contacts.proxy_table(bodies) is table
         with pytest.raises(ValueError):
             bodies.node_radius[0] = 0.0
         fewer = dataclasses.replace(bodies, node_radius=np.where(np.arange(5) == 0, 0.0, bodies.node_radius))
         # the floor contact and the pair (0, 1) went with particle 0's proxy
         assert len(detect_contacts(state, fewer, geometry)) == 3
-        sphere = dataclasses.replace(geometry, spheres=geometry.spheres + (StaticSphere(np.zeros(3), 1.0),))
-        detect_contacts(state, fewer, sphere)
-        assert builds["ProxyTable"] == 3 and fewer.proxies.frames.shape == (2, 3, 3)
+        fewer_table = fewer.proxies
+        # a sphere under particle 1 adds its contact
+        sphere = dataclasses.replace(geometry, sphere_center=[[0.0, 0.0, -0.9]], sphere_radius=[1.0])
+        assert len(detect_contacts(state, fewer, sphere)) == 4
+        assert builds["ProxyTable"] == 2 and fewer.proxies is fewer_table
         assert bodies.proxies is table and len(detect_contacts(state, bodies, geometry)) == 5
 
 

@@ -107,6 +107,25 @@ class TestValidation:
         assert main(["run", "--scenario", str(path)]) == 2
         assert re.fullmatch(f"error: {named}\n", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("where", [("lattice", "nz"), ("forces", 0, "body"), ("springs", 0, "i")],
+                             ids=["lattice-nz", "force-body", "spring-i"])
+    def test_integer_written_as_float_exit_2(self, tmp_path, capsys, where):
+        # jsonschema's "integer" takes 3.0: these passed validation, then
+        # the run ended in a TypeError traceback (exit 1)
+        name = {"lattice": "lattice_drag", "forces": "box_slide"}.get(where[0])
+        data = load_scenario(scenario_path(name)).raw if name else json.loads(json.dumps(TestFrozenScene.RAW))
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = float(node[where[-1]])
+        named = f"scenario invalid at {'/'.join(map(str, where))}: {node[where[-1]]!r} is not of type 'integer'"
+        with pytest.raises(ScenarioValidationError, match=re.escape(named)):
+            validate_scenario(data)
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"step_size": 0.01,\n  "duration": }')
@@ -650,7 +669,7 @@ def box_slide_records():
     nodal = nodalize(detected, state, scene.k_v, scene.mu, scene.mu2, scene.stab)
     aug = augment_dynamics(asm, nodal)
     return {
-        "Plane": scene.geometry.planes[0], "Geometry": scene.geometry, "DetectedContacts": detected,
+        "Geometry": scene.geometry, "DetectedContacts": detected,
         "NodalContactSet": nodal, "AugmentedDynamics": aug, "TieLayout": nodal.layout.ties, "Pattern": aug.pattern,
         "ProxyTable": bodies.proxies, "ContactLayout": bodies.proxies.layout,
         "ContactColumns": nodal.columns,
@@ -710,7 +729,7 @@ class TestFrozenScene:
         "RigidBodies": {"mass", "q_off", "v_off", "inertia", "points", "point_body", "contact_radius"},
         "SystemState": {"q", "v"},
         "Springs": {"qi", "qj", "vi", "vj", "k", "rest"},
-        "Geometry": set(),
+        "Geometry": {"plane_point", "plane_normal", "sphere_center", "sphere_radius", "frames"},
     }
 
     def records(self):
@@ -727,8 +746,10 @@ class TestFrozenScene:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, f.name, getattr(record, f.name))
         scene = records["Scene"]
-        for seq in (scene.geometry.planes, scene.geometry.spheres, scene.force_entries):
-            assert isinstance(seq, tuple) and len(seq) == 1
+        assert isinstance(scene.force_entries, tuple) and len(scene.force_entries) == 1
+        geometry = scene.geometry
+        assert geometry.plane_point.shape == geometry.plane_normal.shape == geometry.sphere_center.shape == (1, 3)
+        assert geometry.sphere_radius.shape == (1,) and geometry.frames.shape == (2, 3, 3)
         assert scene.bodies.rigid.mass.shape == (1,)
 
     def test_arrays_are_read_only_copies(self):
@@ -737,11 +758,13 @@ class TestFrozenScene:
         # afterwards cannot reach the record
         records = self.records()
         for name, record in records.items():
-            arrays = {f.name for f in dataclasses.fields(record) if isinstance(getattr(record, f.name), np.ndarray)}
-            assert arrays == self.ARRAYS[name], name
-            for field in arrays:
+            fields = {f.name: f.init for f in dataclasses.fields(record) if isinstance(getattr(record, f.name), np.ndarray)}
+            assert set(fields) == self.ARRAYS[name], name
+            for field, init in fields.items():
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(record, field)[...] = 0
+                if not init:  # built by the record itself
+                    continue
                 passed = np.array(getattr(record, field))
                 made = dataclasses.replace(record, **{field: passed})
                 kept = getattr(made, field)
@@ -770,11 +793,11 @@ class TestFrozenScene:
 
         col_i, col_j = np.array([0, 3]), np.array([-1, 6])
         c = ContactColumns.build(col_i, col_j)
-        for a in (c.col_i, c.col_j, c.nodes, c.node_idx, c.has_j, c.j_cols, c.idx_i, c.idx_j, c.gather):
+        for a in (c.col_i, c.col_j, c.node_idx, c.has_j, c.j_cols, c.idx_i, c.idx_j, c.gather):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 9
         col_i[0] = 9
-        assert c.col_i.tolist() == [0, 3] and c.nodes.tolist() == [0, 3, 6]
+        assert c.col_i.tolist() == [0, 3] and c.node_idx[:, 0].tolist() == [0, 3, 6]
 
     def test_replaced_records_build_their_own_layouts(self):
         from condsim.contacts import detect_contacts
@@ -790,11 +813,11 @@ class TestFrozenScene:
         own = assemble_step(state, bodies, new_springs).pattern
         assert own is not pattern and springs.pattern is pattern
         assert assemble_step(state, new_bodies, new_springs).pattern is not own
-        # the bodies' proxy table, built again for another geometry
+        # the bodies' proxy table, built again for replaced bodies; it holds
+        # nothing of the geometry, so another geometry keeps it
         made = detect_contacts(state, new_bodies, geometry).proxies
         assert made is not table and bodies.proxies is table and np.array_equal(made.proxy, table.proxy)
-        other = detect_contacts(state, new_bodies, new_geometry).proxies
-        assert other is not made and other.geometry is new_geometry and new_bodies.proxies is other
+        assert detect_contacts(state, new_bodies, new_geometry).proxies is made and new_bodies.proxies is made
         # the state's rigid pose, built again for another rigid record and
         # for a replaced state
         rot = state.rigid_pose(bodies.rigid)[0]

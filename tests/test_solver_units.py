@@ -324,7 +324,7 @@ class TestStepMatrixFrobenius:
             return np.linalg.norm(np.eye(n) - np.diag(wv) @ dense)
 
         base = fro(w)
-        for col in aug.contacts.columns.nodes:
+        for col in aug.contacts.columns.node_idx[:, 0]:
             for fac in (0.9, 1.1):
                 trial = w.copy()
                 trial[col : col + 3] *= fac
@@ -345,7 +345,7 @@ class TestStepMatrixFrobenius:
                 idx = slice(col, col + 3)
                 ref[idx] = sum(diag[idx].tolist()) / sum(rns[idx].tolist())
             assert np.array_equal(step_matrix_frobenius(aug), ref)
-            assert aug.contacts.columns.nodes.tolist() == nodes
+            assert aug.contacts.columns.node_idx[:, 0].tolist() == nodes
 
     def test_one_w_under_every_operator(self, rng, monkeypatch):
         # the operator picks the projection only: solve_vfpi hands
