@@ -114,10 +114,10 @@ def reference_surface_points(state, rigid: RigidBodies) -> np.ndarray:
 
 def reference_detect(state, bodies, planes, spheres, margin: float) -> dict:
     """Contacts as ``detect_contacts`` orders and keys them, with the static
-    primitives one at a time, each over every proxy, as the library ran them
-    before it held the geometry as one array record; then every proxy pair,
-    checked one at a time. ``planes`` are (point, normal) and ``spheres``
-    (center, radius) pairs. Returns ``DetectedContacts``' arrays by name."""
+    primitives checked one at a time, each over every proxy, then every
+    proxy pair, one at a time. ``planes`` are (point, normal) and
+    ``spheres`` (center, radius) pairs. Returns ``DetectedContacts``' arrays
+    by name."""
     rigid = bodies.rigid
     proxied = np.flatnonzero(bodies.node_radius > 0)
     centers = np.concatenate([state.q[bodies.q_triples[proxied]].reshape(-1, 3), reference_surface_points(state, rigid)])
