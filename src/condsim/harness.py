@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import time
 import typing
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import jsonschema
 import numpy as np
 
 from . import baselines as bl
@@ -200,17 +201,68 @@ SCENARIO_SCHEMA = {
 }
 
 
-def _scenario_validator():
-    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-    cls.check_schema(SCENARIO_SCHEMA)
-    # jsonschema's "integer" accepts 3.0, which the scene builder cannot use
-    # as a count or an index
-    integer = cls.TYPE_CHECKER.redefine("integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
-    return jsonschema.validators.extend(cls, type_checker=integer)(SCENARIO_SCHEMA)
+# the Python type of each JSON type in SCENARIO_SCHEMA; no bool is a number,
+# and an "integer" is an int, not 3.0, which the scene builder cannot use as a
+# count or an index
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int, "number": numbers.Number}
+# the keywords that apply to one type of instance only, with that type;
+# "additionalProperties" is read as false
+_TYPED_KEYWORDS = {
+    **dict.fromkeys(("properties", "additionalProperties", "required"), "object"),
+    **dict.fromkeys(("items", "minItems", "maxItems"), "array"),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+}
 
 
-# built once: jsonschema.validate checks the schema itself again on every call
-_SCENARIO_VALIDATOR = _scenario_validator()
+def _is(node, kind: str) -> bool:
+    return isinstance(node, _TYPES[kind]) and (kind == "boolean" or not isinstance(node, bool))
+
+
+def _schema_errors(node, schema: dict, path: tuple, errors: list) -> None:
+    """Append ``(path, message)`` for each keyword of ``schema`` that
+    ``node`` breaks, in the schema's keyword order, descending through
+    ``properties`` and ``items``. The messages are jsonschema 4's for the
+    keyword values the schema holds; a keyword the walker does not know
+    raises KeyError."""
+    for key, want in schema.items():
+        message = None
+        if key == "type":
+            if not _is(node, want):
+                message = f"{node!r} is not of type {want!r}"
+        elif key == "enum":
+            if node not in want:
+                message = f"{node!r} is not one of {want!r}"
+        elif key in _BOUNDS:
+            broken, words = _BOUNDS[key]
+            if _is(node, "number") and broken(node, want):
+                message = f"{node!r} is {words} {want!r}"
+        elif not _is(node, _TYPED_KEYWORDS[key]):
+            continue
+        elif key == "properties":
+            for name, value in node.items():
+                if name in want:
+                    _schema_errors(value, want[name], (*path, name), errors)
+        elif key == "items":
+            for k, value in enumerate(node):
+                _schema_errors(value, want, (*path, k), errors)
+        elif key == "required":
+            errors.extend((path, f"{name!r} is a required property") for name in want if name not in node)
+        elif key == "additionalProperties":
+            extra = sorted((name for name in node if name not in schema["properties"]), key=str)
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                message = f"Additional properties are not allowed ({', '.join(map(repr, extra))} {verb} unexpected)"
+        elif key == "minItems":
+            if len(node) < want:
+                message = f"{node!r} is too short"
+        elif len(node) > want:  # maxItems
+            message = f"{node!r} is too long"
+        if message is not None:
+            errors.append((path, message))
 
 
 @dataclass
@@ -284,14 +336,20 @@ class RunResult:
 
 
 def validate_scenario(data: dict) -> None:
-    exc = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(data))
-    if exc is not None:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ScenarioValidationError(f"scenario invalid at {loc}: {exc.message}") from exc
+    errors = []
+    _schema_errors(data, SCENARIO_SCHEMA, (), errors)
+    if errors:
+        # as jsonschema's best_match picks: the shallowest error, then the
+        # largest path, then the first at that path in the schema's order
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        raise ScenarioValidationError(f"scenario invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
     _check_finite(data, "")
     _check_directions(data)
-    steps = data["duration"] / data["step_size"]
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
+    try:
+        steps = data["duration"] / data["step_size"]
+    except OverflowError:  # an integer duration too large for a float
+        steps = math.inf
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise ScenarioValidationError(
             "duration/step_size must be an integer step count of at least 1, "
             f"got {steps!r} for duration={data['duration']} step_size={data['step_size']}"

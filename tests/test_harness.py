@@ -14,6 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
+import condsim
 from condsim.cli import main
 from condsim.errors import DivergenceError, ScenarioValidationError, UnsupportedRegimeError
 from condsim.harness import (
@@ -84,6 +85,23 @@ class TestValidation:
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("duration, step_size", [(1e308, 1e-10), (10**400, 0.01)], ids=["float", "integer"])
+    def test_overflowing_step_count_exit_2(self, tmp_path, capsys, duration, step_size):
+        # the step count overflows a float: round(inf), or the division by an
+        # integer too large for a float, raised a bare OverflowError, and the
+        # run exited 1 with a traceback
+        bad = {**MINIMAL, "duration": duration, "step_size": step_size}
+        named = (
+            "duration/step_size must be an integer step count of at least 1, "
+            f"got inf for duration={duration} step_size={step_size}"
+        )
+        with pytest.raises(ScenarioValidationError, match=re.escape(named)):
+            validate_scenario(bad)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(bad))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
     @pytest.mark.parametrize(
         "free, inertia",
         [(True, [0.0, 0.0, 0.0]), (False, [-0.002, 0.002, 0.002]), (False, [0.002, 0.002, 0.0])],
@@ -110,8 +128,8 @@ class TestValidation:
     @pytest.mark.parametrize("where", [("lattice", "nz"), ("forces", 0, "body"), ("springs", 0, "i")],
                              ids=["lattice-nz", "force-body", "spring-i"])
     def test_integer_written_as_float_exit_2(self, tmp_path, capsys, where):
-        # jsonschema's "integer" takes 3.0: these passed validation, then
-        # the run ended in a TypeError traceback (exit 1)
+        # "integer" takes no 3.0: these once passed validation, then the
+        # run ended in a TypeError traceback (exit 1)
         name = {"lattice": "lattice_drag", "forces": "box_slide"}.get(where[0])
         data = load_scenario(scenario_path(name)).raw if name else json.loads(json.dumps(TestFrozenScene.RAW))
         node = data
@@ -966,6 +984,28 @@ class TestBenchScaling:
 
 
 class TestCli:
+    # prints which of the modules a rigid run does not need are loaded after
+    # the command line is imported and box_slide runs two steps
+    IMPORTS_OF_A_RIGID_RUN = """
+import sys
+import condsim.cli
+from condsim import harness
+
+s = harness.load_scenario(sys.argv[1])
+harness.run(harness.Scenario({**s.raw, "duration": 2 * s.step_size}), harness.RunConfig())
+print([name for name in ("jsonschema", "scipy.spatial") if name in sys.modules])
+"""
+
+    def test_rigid_run_loads_neither_jsonschema_nor_scipy_spatial(self):
+        """Each would add megabytes of resident memory that a rigid run never
+        uses. In a fresh interpreter, since test modules import both."""
+        src = os.path.dirname(condsim.__path__[0])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", self.IMPORTS_OF_A_RIGID_RUN, scenario_path("box_slide")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     def test_run_writes_csv(self, tmp_path):
         out = tmp_path / "out.csv"
         code = main(["run", "--scenario", scenario_path("free_fall"), "--out", str(out)])
