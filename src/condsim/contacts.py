@@ -92,6 +92,11 @@ from .errors import DimensionMismatchError, InvalidMatrixError, InvalidStateErro
 from .sparse import Pattern, with_data
 
 DEFAULT_MARGIN = 1e-4  # m, contact activation distance
+# the order in which ``ContactMap`` holds the components of its frames'
+# second axis and of its columns, so that einsum's sums repeat the order of
+# the (n_c, 3, 3) products
+_JC_ORDER = np.array([0, 2, 1])
+_JC_ORDER.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +170,11 @@ class ContactColumns:
     """One contact set's columns ``col_i``/``col_j`` and their index
     arrays: ``node_idx``, the ``triples`` of the contacted node columns in
     ascending order (W's node ties); the D-contacts ``has_j`` and their
-    ``j_cols``; ``ContactMap``'s gathers ``idx_i``/``idx_j``; and, built on
-    first use, since only small batches read them, the float pass's order
-    of v* entries, ``gather``, with ``has_j`` as Python bools in
-    ``j_flags``. Every array is read-only.
+    ``j_cols``; ``ContactMap``'s gathers ``idx_i``/``idx_j``, component-major
+    (3, n_c) and (3, n_j) with the rows in the component order ``_JC_ORDER``;
+    and, built on first use, since only small batches read them, the float
+    pass's order of v* entries, ``gather``, with ``has_j`` as Python bools
+    in ``j_flags``. Every array is read-only.
 
     ``build`` rejects a column that carries two contact sides with
     ``InvalidMatrixError``: J_c W J_c^T would have off-diagonal blocks
@@ -192,15 +198,15 @@ class ContactColumns:
         shared = nodes[1:][nodes[1:] == nodes[:-1]]
         if shared.size:
             raise InvalidMatrixError(f"column {shared[0]} carries more than one contact side")
-        node_idx, idx_i, idx_j = triples(nodes), triples(col_i), triples(j_cols)
-        for a in (has_j, j_cols):
+        node_idx, idx_i, idx_j = triples(nodes), _JC_ORDER[:, None] + col_i, _JC_ORDER[:, None] + j_cols
+        for a in (has_j, j_cols, idx_i, idx_j):
             a.flags.writeable = False
         return cls(col_i, col_j, node_idx, has_j, bool(j_cols.shape[0]), j_cols, idx_i, idx_j)
 
     @cached_property
     def gather(self) -> np.ndarray:
         """Per contact its columns i, then j for a D-contact."""
-        both = np.concatenate([self.idx_i, triples(self.col_j)], axis=1)
+        both = np.concatenate([triples(self.col_i), triples(self.col_j)], axis=1)
         live = np.ones(both.shape, dtype=bool)
         live[:, 3:] = self.has_j[:, None]
         gather = both[live]
@@ -705,27 +711,39 @@ def contact_jacobian_matrix(aug: AugmentedDynamics) -> sp.csr_matrix:
 class ContactMap:
     """J_c and J_c^T of one augmented system, with the gather/scatter indices
     of the contact set's ``ContactColumns``, built once per layout, so that
-    an iterative solver can apply them cheaply."""
+    an iterative solver can apply them cheaply.
+
+    Both products run over component-major arrays: ``frames`` holds entry
+    (a, b) of contact m's frame at [a, k, m], with b = ``_JC_ORDER[k]``, as
+    ``idx_i``/``idx_j`` hold its columns. ``einsum`` then sums each entry
+    of J_c v along k, 0 + ((F_a0 r0 + F_a2 r2) + F_a1 r1), the bits of the
+    float pass and of the (n_c, 3, 3) ``"mab,mb->ma"`` sum, and each entry
+    of J_c^T lam along a, 0 + ((F_0b l0 + F_1b l1) + F_2b l2), those of
+    ``"mba,mb->ma"``; its rows come out in ``_JC_ORDER``, the order the
+    scatter indices keep."""
 
     def __init__(self, aug: AugmentedDynamics):
         columns = aug.contacts.columns
         self.n = aug.n
-        self.frames = aug.frames
+        self.frames = aug.frames.transpose(1, 2, 0).take(_JC_ORDER, axis=1)
         self.idx_i, self.has_j, self.any_j, self.idx_j = columns.idx_i, columns.has_j, columns.any_j, columns.idx_j
 
     def jc(self, v: np.ndarray) -> np.ndarray:
-        """J_c v as (n_c, 3) contact-frame velocities."""
+        """J_c v as (n_c, 3) contact-frame velocities, the transpose of a
+        (3, n_c) array."""
         rel = v[self.idx_i]
         if self.any_j:
-            rel[self.has_j] -= v[self.idx_j]
-        return np.einsum("mab,mb->ma", self.frames, rel)
+            rel[:, self.has_j] -= v[self.idx_j]
+        return np.einsum("abm,bm->am", self.frames, rel).T
 
     def jc_t(self, lam: np.ndarray) -> np.ndarray:
-        """J_c^T lam over the augmented coordinates. Every contact side owns
+        """J_c^T lam over the augmented coordinates, for (n_c, 3) impulses;
+        the transpose of a (3, n_c) array, as ``jc`` and the strict array
+        projection give them, reads without a copy. Every contact side owns
         its node (``NodalContactSet``), so plain writes scatter it."""
         out = np.zeros(self.n)
-        world = np.einsum("mba,mb->ma", self.frames, lam)
+        world = np.einsum("bam,bm->am", self.frames, lam.T)
         out[self.idx_i] = world
         if self.any_j:
-            out[self.idx_j] = 0.0 - world[self.has_j]  # the bits of 0 - x: a zero reads +0.0
+            out[self.idx_j] = 0.0 - world[:, self.has_j]  # the bits of 0 - x: a zero reads +0.0
         return out

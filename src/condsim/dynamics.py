@@ -29,8 +29,10 @@ per component with ``np.bincount`` over the node-diagonal blocks and over the
 unordered node pairs, and fills the CSC data with one gather. On a scene
 with springs the components go one at a time through one weight vector of
 node-diagonal terms, refilled per component, so a step never holds all six
-at once. Mirrored entries read the same sum, and a rigid body's world
-inertia R I R^T is symmetrized once, so A is bitwise symmetric.
+at once. The springs' geometry runs over component-major (3, m) rows,
+from coordinate indices cached on the pattern as (2, 3, m)
+(``_spring_geometry``). Mirrored entries read the same sum, and a rigid
+body's world inertia R I R^T is symmetrized once, so A is bitwise symmetric.
 The block pattern keeps A's CSC ``sparse.Pattern``: its template, from
 which each read of ``AssembledDynamics.a`` makes the step's matrix, the
 positions of A's diagonal entries, from which the solver's step matrix
@@ -96,8 +98,12 @@ def _read_only_fields(record, dtype, *names) -> None:
 
 
 def _index_rows(offsets: np.ndarray, width: int) -> np.ndarray:
-    """(k, width) indices of the ``width`` entries from each offset on, read-only."""
-    out = offsets[:, None] + np.arange(width)
+    """(k, width) indices of the ``width`` entries from each offset on,
+    read-only, filled one column at a time: a broadcast sum would run
+    numpy's inner loop once per row, over ``width`` entries."""
+    out = np.empty((offsets.shape[0], width), dtype=offsets.dtype)
+    for c in range(width):
+        np.add(offsets, c, out=out[:, c])
     out.flags.writeable = False
     return out
 
@@ -288,18 +294,25 @@ class AssembledDynamics:
 
 
 def _spring_coords(springs: Springs) -> np.ndarray:
-    """(2, m, 3) coordinate indices of the two ends of every spring."""
-    return triples(np.concatenate([springs.qi, springs.qj])).reshape(2, -1, 3)
+    """(2, 3, m) coordinate indices of the two ends of every spring,
+    component-major: [e, c, k] is coordinate c of end e of spring k."""
+    coords = np.stack([springs.qi, springs.qj])[:, None] + _XYZ[:, None]
+    coords.flags.writeable = False
+    return coords
 
 
 def _spring_geometry(q: np.ndarray, coords: np.ndarray):
     """Length (m,) and unit direction p_i - p_j (3, m) of every spring, from
-    the coordinate indices of ``_spring_coords``."""
+    the component-major coordinate indices of ``_spring_coords``. The length
+    sums the squares in the order of ``np.linalg.norm`` over a spring's
+    (3,) difference, so it has its bits."""
     d = q[coords[0]] - q[coords[1]]
-    dist = np.linalg.norm(d, axis=1)
+    d0, d1, d2 = d
+    dist = np.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
     if np.any(dist < MIN_SPRING_LENGTH):
         raise DegenerateConstraintError("distance spring endpoints coincide")
-    return dist, np.divide(d.T, dist, out=np.empty(d.shape[::-1]))
+    d /= dist
+    return dist, d
 
 
 def spring_damping(springs: Springs, dist: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -357,8 +370,9 @@ class BlockPattern:
     bitwise symmetric. A spring must therefore join two distinct blocks, neither of them a rigid body's
     angular velocity. The spring ends in ``diag_block`` also sum the spring
     forces into b.
-    ``coords`` caches the springs' coordinate indices (``_spring_coords``),
-    and ``bodies`` are the bodies it was built for.
+    ``coords`` caches the springs' component-major (2, 3, m) coordinate
+    indices (``_spring_coords``), and ``bodies`` are the bodies it was
+    built for.
 
     ``build`` gives every block its (3, 3) array of ``vals`` indices, lets a
     ``csr_matrix`` of block numbers sort the blocks, and expands them with

@@ -203,8 +203,12 @@ SCENARIO_SCHEMA = {
 
 # the Python type of each JSON type in SCENARIO_SCHEMA; no bool is a number,
 # and an "integer" is an int, not 3.0, which the scene builder cannot use as a
-# count or an index
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int, "number": numbers.Number}
+# count or an index. A "number" tries float and int before the
+# ``numbers.Number`` ABC, whose check is slow.
+_TYPES = {
+    "object": dict, "array": list, "string": str, "boolean": bool, "integer": int,
+    "number": (float, int, numbers.Number),
+}
 # the keywords that apply to one type of instance only, with that type;
 # "additionalProperties" is read as false
 _TYPED_KEYWORDS = {
@@ -222,12 +226,18 @@ def _is(node, kind: str) -> bool:
     return isinstance(node, _TYPES[kind]) and (kind == "boolean" or not isinstance(node, bool))
 
 
-def _schema_errors(node, schema: dict, path: tuple, errors: list) -> None:
+def _schema_errors(node, schema: dict, path: tuple, errors: list) -> tuple | None:
     """Append ``(path, message)`` for each keyword of ``schema`` that
     ``node`` breaks, in the schema's keyword order, descending through
     ``properties`` and ``items``. The messages are jsonschema 4's for the
     keyword values the schema holds; a keyword the walker does not know
-    raises KeyError."""
+    raises KeyError.
+
+    Returns ``(path, value)`` of the first NaN or infinite float of the
+    walk, which passes every bound of the schema, or None. The walk visits
+    each node before what it holds, in the data's order; with no error
+    appended it has visited every node."""
+    bad = (path, node) if isinstance(node, float) and not math.isfinite(node) else None
     for key, want in schema.items():
         message = None
         if key == "type":
@@ -245,10 +255,12 @@ def _schema_errors(node, schema: dict, path: tuple, errors: list) -> None:
         elif key == "properties":
             for name, value in node.items():
                 if name in want:
-                    _schema_errors(value, want[name], (*path, name), errors)
+                    inner = _schema_errors(value, want[name], (*path, name), errors)
+                    bad = bad or inner
         elif key == "items":
             for k, value in enumerate(node):
-                _schema_errors(value, want, (*path, k), errors)
+                inner = _schema_errors(value, want, (*path, k), errors)
+                bad = bad or inner
         elif key == "required":
             errors.extend((path, f"{name!r} is a required property") for name in want if name not in node)
         elif key == "additionalProperties":
@@ -263,6 +275,7 @@ def _schema_errors(node, schema: dict, path: tuple, errors: list) -> None:
             message = f"{node!r} is too long"
         if message is not None:
             errors.append((path, message))
+    return bad
 
 
 @dataclass
@@ -337,13 +350,14 @@ class RunResult:
 
 def validate_scenario(data: dict) -> None:
     errors = []
-    _schema_errors(data, SCENARIO_SCHEMA, (), errors)
-    if errors:
-        # as jsonschema's best_match picks: the shallowest error, then the
-        # largest path, then the first at that path in the schema's order
-        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+    bad = _schema_errors(data, SCENARIO_SCHEMA, (), errors)
+    if errors or bad:
+        # a schema error first, as jsonschema's best_match picks it (the
+        # shallowest, then the largest path, then the first at that path in
+        # the schema's order); else the first non-finite number
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0])) if errors else (
+            bad[0], f"{bad[1]!r} is not a finite number")
         raise ScenarioValidationError(f"scenario invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
-    _check_finite(data, "")
     _check_directions(data)
     try:
         steps = data["duration"] / data["step_size"]
@@ -355,16 +369,6 @@ def validate_scenario(data: dict) -> None:
             f"got {steps!r} for duration={data['duration']} step_size={data['step_size']}"
         )
     _check_targets(data)
-
-
-def _check_finite(node, loc: str) -> None:
-    """Reject NaN and infinite numbers, which pass every bound of the
-    schema, naming where they sit."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ScenarioValidationError(f"scenario invalid at {loc or '<root>'}: {node!r} is not a finite number")
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, value in items:
-        _check_finite(value, f"{loc}/{key}" if loc else str(key))
 
 
 def _check_directions(data: dict) -> None:

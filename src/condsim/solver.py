@@ -45,7 +45,12 @@ kernel (``sparse``); so does the product operator of every iteration
 SCALAR_BATCH_MAX contacts under "strict" or "strict-anisotropic" take eta,
 the one-shot solve and Jc^T lambda in one pass over Python floats per
 contact, with the bits of the numpy chain that other batches take
-(``contact_pass``).
+(``contact_pass``). The chain runs over component-major (3, n_c) rows:
+``ContactMap`` holds its frames and columns with the components in the
+order 0, 2, 1, so that einsum sums each entry of Jc v in the order of the
+float pass, and the strict projection keeps each impulse component a
+contiguous row. The map writes v*, G(x) and f = G(x) - x into buffers that
+each solve allocates once (``_anderson``).
 """
 
 from __future__ import annotations
@@ -257,7 +262,7 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         if lam_star.shape[0] <= SCALAR_BATCH_MAX:
             rows = zip(lam_star.tolist(), mu.tolist())
             return np.array([_strict_row(*row, m) for row, m in rows]).reshape(-1, 3)
-        out = lam_star.copy()
+        out = lam_star.copy(order="K")
         ln, t1, t2 = out.T
         # + 0.0 turns -0.0 into +0.0, whichever zero np.maximum keeps on a tie
         np.maximum(ln, 0.0, out=ln)
@@ -274,7 +279,7 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
             t2[over] *= scale
         return out
     if operator == "proximal":
-        out = lam_star.copy()
+        out = lam_star.copy(order="K")
         tn = np.linalg.norm(out[:, 1:], axis=1)
         inside = tn <= mu * out[:, 0]
         polar = mu * tn <= -out[:, 0]
@@ -369,7 +374,10 @@ def contact_solve_oneshot(
 def contact_pass(aug: AugmentedDynamics, gamma: np.ndarray, operator: str):
     """The contact half of one V-FPI map: a function of v* that returns lam
     and J_c^T lam, as ``ContactMap.jc``, ``contact_solve_oneshot`` and
-    ``ContactMap.jc_t`` give them.
+    ``ContactMap.jc_t`` give them. That chain passes the contacts'
+    components as (3, n_c) rows: eta and lam are the (n_c, 3) transposes of
+    C-ordered arrays, which the one-shot solve and the strict projection
+    keep.
 
     Batches that project on Python floats anyway, at most SCALAR_BATCH_MAX
     contacts under "strict" or "strict-anisotropic", take one pass over
@@ -396,8 +404,9 @@ def _float_pass(aug: AugmentedDynamics, gamma: list, operator: str):
     for bit the chain's arrays, NaN signs aside. Per contact it reads v* at
     column i (minus column j's for a D-contact), rotates into the frame F,
     scales by gamma, projects with ``_strict_row`` or ``_aniso_row`` and
-    rotates back. The sums repeat ``einsum``'s order and its +0.0 start,
-    which turns a -0.0 sum into +0.0: J_c v's entry a is
+    rotates back. The sums repeat the order of ``ContactMap``'s einsums
+    over its permuted component-major frames, and their +0.0 start, which
+    turns a -0.0 sum into +0.0: J_c v's entry a is
     0 + ((F_a0 r0 + F_a2 r2) + F_a1 r1), and J_c^T lam's is
     0 + ((F_0a l0 + F_1a l1) + F_2a l2). v* is gathered and J_c^T lam
     scattered in the order of ``ContactColumns.gather``; the frames and
@@ -449,7 +458,11 @@ def chebyshev_nu(l: int, l_s: int, rho: float, nu_prev: float) -> float:
 
 
 def chebyshev_update(v_ss: np.ndarray, v_prevprev: np.ndarray, nu: float) -> np.ndarray:
-    return nu * (v_ss - v_prevprev) + v_prevprev
+    """nu (v_ss - v_prevprev) + v_prevprev, written over ``v_ss``."""
+    v_ss -= v_prevprev
+    v_ss *= nu
+    v_ss += v_prevprev
+    return v_ss
 
 
 def estimate_rho(norm_l: float, norm_lm1: float, prev_rho: float = 0.0) -> float:
@@ -498,8 +511,16 @@ def _anderson(step_map, a, b: np.ndarray, v: np.ndarray, window: int, cfg: Solve
     J. Optim. 2020) over at most ``window`` differences. Window 0 is the
     plain iteration x <- G(x).
 
-    ``step_map(x, r)`` returns G(x), its lam and J_c^T lam from r = A x - b,
-    with A x from ``spmv(a, x)``. With f = G(x) - x, the rows of dG and dF
+    ``step_map(x, r, out)`` returns G(x), its lam and J_c^T lam from
+    r = A x - b, with A x from ``spmv(a, x)``; it may write G(x) into
+    ``out``. G(x) and f = G(x) - x go into three pairs of buffers, one pair
+    per evaluation in turn, so no evaluation overwrites what the loop still
+    reads: the evaluation point x, the kept G(x) with its f and r = A G(x) - b,
+    and, on a tie-free system, the Chebyshev map's previous point. Each of
+    those is one of the last two outputs or an array of its own: a rejected
+    candidate is followed by an evaluation at the kept G(x), which is kept,
+    and Chebyshev runs only without a window, where x is the last output and
+    the previous point the one before. With f = G(x) - x, the rows of dG and dF
     hold the differences of G and f between successive kept iterates since
     the last restart, and M = dF dF^T gains one row and column per kept
     iterate. The candidate is G(x) - gamma dG with (M + lambda I) gamma = dF f,
@@ -522,9 +543,11 @@ def _anderson(step_map, a, b: np.ndarray, v: np.ndarray, window: int, cfg: Solve
     k = n_aa = 0  # differences held (rows 0..k-1), kept candidates
     g = r_g = None  # the newest kept G(x), and A g - b once its force check ran
     x, r = v, None  # the next evaluation point, and A x - b where known
+    buffers = [(np.empty_like(v), np.empty_like(v)) for _ in range(3)]  # separate, so G(x) alone outlives the solve
     while True:
-        g_x, lam_x, f_c_x = step_map(x, spmv(a, x) - b if r is None else r)
-        f_x = g_x - x
+        out, f_x = buffers[len(trace) % 3]
+        g_x, lam_x, f_c_x = step_map(x, spmv(a, x) - b if r is None else r, out)
+        np.subtract(g_x, x, f_x)
         norm_f = math.sqrt(f_x.dot(f_x))
         trace.append(norm_f)
         # a NaN residual fails the comparison too
@@ -579,7 +602,10 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     history if it has virtual nodes, else with an empty window and, with
     ``cfg.chebyshev``, the Chebyshev weighting and under-relaxation on each
     plain step. Returns (v_hat, lam, report). Each map evaluation's
-    contact half is ``contact_pass``, built once per solve.
+    contact half is ``contact_pass``, built once per solve. The maps write
+    v*, G(x) and the Chebyshev update over the buffer that ``_anderson``
+    hands them, with w r and w J_c^T lam in one scratch array of the solve:
+    the same operations in the same order as fresh arrays.
 
     Every product goes through the operator of the system's
     ``sparse.Pattern``: ``sparse.BincountMatvec`` on a small system, the CSR
@@ -593,24 +619,31 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     report = SolverReport()
     trace = report.residual_trace
 
-    def plain_map(x, r):
-        v_star = x - w * r
+    scaled = np.empty_like(w)
+
+    # out passed by position: the keyword costs about 0.1 us per call, which
+    # small systems pay on every iteration
+    def plain_map(x, r, out):
+        v_star = np.subtract(x, np.multiply(w, r, scaled), out)
         if not n_c:
             return v_star, np.zeros((0, 3)), 0.0
         lam, f_c = contacts(v_star)
-        return v_star + w * f_c, lam, f_c
+        return np.add(v_star, np.multiply(w, f_c, scaled), out), lam, f_c
 
     x_prev, rho, nu = None, 0.0, 1.0
 
-    def chebyshev_map(x, r):
+    def chebyshev_map(x, r, out):
         nonlocal x_prev, rho, nu
         l = len(trace) + 1  # the iteration this evaluation makes
         if l > 2:
             rho = estimate_rho(trace[-1], trace[-2], rho)
-        g, lam, f_c = plain_map(x, r)
-        v_ss = UNDER_RELAX * g + (1.0 - UNDER_RELAX) * x
+        g, lam, f_c = plain_map(x, r, out)
+        g *= UNDER_RELAX  # v_ss = UNDER_RELAX g + (1 - UNDER_RELAX) x
+        g += np.multiply(1.0 - UNDER_RELAX, x, scaled)
         nu = chebyshev_nu(l, CHEBY_START, rho, nu)
-        x_prev, g = x, chebyshev_update(v_ss, x_prev, nu) if l > 1 else v_ss
+        if l > 1:
+            chebyshev_update(g, x_prev, nu)
+        x_prev = x
         return g, lam, f_c
 
     tied = aug.n > aug.n_orig

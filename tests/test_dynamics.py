@@ -607,7 +607,7 @@ def six_row_assembly(state, bodies, s, f_ext=None):
         omega = v[vo + 3 : vo + 6]
         b[vo + 3 : vo + 6] -= np.cross(omega, inertia @ omega)
     if m:
-        ends = q[p.coords]
+        ends = q[p.coords.transpose(0, 2, 1)]
         d = ends[0] - ends[1]
         dist = np.linalg.norm(d, axis=1)
         u = d.T / dist

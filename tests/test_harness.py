@@ -616,7 +616,8 @@ class TestBenchHooks:
 
     # perfbench's check_round digests (sha256 of every step's positions and
     # iteration counts) of the rigid workloads; the same at 1 and 2 BLAS
-    # threads. lattice_19k's depends on the thread count, so it is left out.
+    # threads. lattice_19k's depends on the thread count, so
+    # LATTICE_DIGESTS holds it at one thread.
     RIGID_DIGESTS = {
         ("box_slide", 3): "ea55e56a9070d9faff70eac44994d6a673d709af281dcd27a49b492b5d62d9e7",
         ("box_slide", 7): "e73255d0bd9fbd0f67852d086f147d94b416c503e6b90010cd2da8d2a9968948",
@@ -638,6 +639,38 @@ class TestBenchHooks:
         out = bench.check_round(w, bench.oracle_params(w, seed), res, [])
         assert out["failed"] == 0, out
         assert out["digest"] == self.RIGID_DIGESTS[(workload, seed)]
+
+    LATTICE_DIGESTS = {
+        3: "be57a8f4ca11c34d4a409a4fbd2a6035781ed7ab6082dc98adcd35051f15174c",
+        53: "a50e369b396831dc0445bdf691907e869f30be8dc7f916bb871ec8b5682924e4",
+    }
+    LATTICE_ROUNDS = """
+import json, os, sys, tempfile
+sys.path.insert(0, "perfbench")
+import run as bench
+mods, w = bench.load_condsim(), bench.W.WORKLOADS["lattice_19k"]
+for seed in map(int, sys.argv[1:]):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = bench.write_json(os.path.join(tmp, "scenario.json"), bench.W.scenario(w, seed))
+        out = bench.run_round(mods, w, path, bench.oracle_params(w, seed))
+    print(json.dumps([seed, out["failed"], out["digest"]]))
+"""
+
+    def test_lattice_workload_digest(self):
+        """A round of ``lattice_19k`` keeps its trajectory and iteration
+        counts bit for bit at one BLAS thread, checked as the benchmark
+        checks it (``perfbench/run.py::run_round``), in a process of its
+        own so that the thread count holds from numpy's first import."""
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        seeds = sorted(self.LATTICE_DIGESTS)
+        out = subprocess.run(
+            [sys.executable, "-c", self.LATTICE_ROUNDS, *map(str, seeds)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        got = [json.loads(line) for line in out.stdout.splitlines()]
+        assert got == [[seed, 0, self.LATTICE_DIGESTS[seed]] for seed in seeds]
 
     def test_boundary_check_accepts_a_lattice_step(self, bench, tmp_path, monkeypatch):
         """The benchmark checks every lattice solve through

@@ -20,7 +20,7 @@ from condsim.contacts import (
     detect_contacts,
     nodalize,
 )
-from condsim.dynamics import assemble_step
+from condsim.dynamics import assemble_step, triples
 from condsim.errors import DivergenceError, InvalidMatrixError
 from condsim.harness import RunConfig, build_scene, external_force, load_scenario
 from condsim.solver import (
@@ -548,6 +548,104 @@ class TestOneShot:
                 assert lam[0, 0] == np.inf and np.array_equal(lam[1], [1.0, 0.0, 0.0])
 
 
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal shapes, values and zero signs."""
+    return x.shape == y.shape and np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestComponentMajorChain:
+    """The array contact pass over component-major arrays against copies of
+    the (n_c, 3) formulas it replaced, bit for bit: the two einsums, the
+    scatter and the 0.0 - world of the second sides."""
+
+    @staticmethod
+    def _system(g, n_c):
+        """(aug, v*, lam) over n_c contacts, about half of them D-contacts,
+        with signed zeros among the frame entries, v* and lam. Contact 0 has
+        the +z frame, whose entries are all >= 0, over a v* of -0.0, so its
+        products and sums are all -0.0, where einsum's sums start from +0.0."""
+        col_j = np.where(g.random(n_c) < 0.5, 6 * np.arange(n_c) + 3, -1)
+        col_j[:2] = [-1, 3]  # both kinds of contact in every set
+        frames = contact_frames(g.standard_normal((n_c, 3)))
+        frames[g.random(frames.shape) < 0.1] = 0.0
+        frames[g.random(frames.shape) < 0.1] = -0.0
+        frames[0] = UP
+        nodal = contact_set(6 * n_c, 6 * np.arange(n_c), frames, 0.0, col_j, 0.0)
+        nodal = dataclasses.replace(
+            nodal, mu=g.uniform(0.05, 1.0, n_c), mu2=g.uniform(0.05, 1.0, n_c), phi=-0.1 * np.abs(g.standard_normal(n_c))
+        )
+        aug = build_augmented(sp.identity(6 * n_c, format="csc"), np.zeros(6 * n_c), nodal)
+        v, lam = g.standard_normal(6 * n_c), g.standard_normal((n_c, 3))
+        for x in (v, lam):
+            x[g.random(x.shape) < 0.15] = 0.0
+            x[g.random(x.shape) < 0.15] = -0.0
+        v[:6] = [-0.0, -0.0, -0.0, 0.0, 0.0, 0.0]
+        return aug, v, lam
+
+    @staticmethod
+    def _jc(aug, v):
+        cols = aug.contacts.columns
+        rel = v[triples(cols.col_i)]
+        rel[cols.has_j] -= v[triples(cols.j_cols)]
+        return np.einsum("mab,mb->ma", aug.frames, rel)
+
+    @staticmethod
+    def _jc_t(aug, lam):
+        cols = aug.contacts.columns
+        out = np.zeros(aug.n)
+        world = np.einsum("mba,mb->ma", aug.frames, np.ascontiguousarray(lam))
+        out[triples(cols.col_i)] = world
+        out[triples(cols.j_cols)] = 0.0 - world[cols.has_j]
+        return out
+
+    SIZES = (17, 36, 300)
+
+    @pytest.mark.parametrize("n_c", SIZES)
+    def test_products_match_the_row_major_formulas(self, rng, n_c):
+        for _ in range(20):
+            aug, v, lam = self._system(rng, n_c)
+            jmap = ContactMap(aug)
+            eta = jmap.jc(v)
+            assert _same(eta, self._jc(aug, v))
+            assert eta.T.flags.c_contiguous
+            for layout in (np.ascontiguousarray(lam), np.asfortranarray(lam)):
+                assert _same(jmap.jc_t(layout), self._jc_t(aug, lam))
+
+    @pytest.mark.parametrize("operator", solver.OPERATORS)
+    @pytest.mark.parametrize("n_c", SIZES)
+    def test_contact_pass_matches_the_row_major_chain(self, rng, n_c, operator):
+        for _ in range(20):
+            aug, v, _ = self._system(rng, n_c)
+            nodal = aug.contacts
+            gamma = rng.uniform(0.1, 2.0, n_c)
+            lam_star = -self._jc(aug, v)
+            lam_star[:, 0] -= nodal.phi
+            lam_star /= gamma[:, None]
+            lam = _project_batch(lam_star, nodal.mu, nodal.mu2, operator)
+            got = solver.contact_pass(aug, gamma, operator)(v)
+            assert _same(got[0], lam) and _same(got[1], self._jc_t(aug, lam)), operator
+
+    @pytest.mark.parametrize("operator", solver.OPERATORS)
+    @pytest.mark.parametrize("n_c", SIZES)
+    def test_projection_keeps_its_bits_in_either_layout(self, rng, n_c, operator):
+        for _ in range(20):
+            aug, v, lam = self._system(rng, n_c)
+            nodal = aug.contacts
+            gamma = rng.uniform(0.1, 2.0, n_c)
+            eta = 3.0 * lam
+            c_order, f_order = np.ascontiguousarray(eta), np.asfortranarray(eta)
+            ref = contact_solve_oneshot(gamma, c_order, nodal.phi, nodal.mu, operator, nodal.mu2)
+            got = contact_solve_oneshot(gamma, f_order, nodal.phi, nodal.mu, operator, nodal.mu2)
+            assert _same(got, ref)
+            if operator != "strict-anisotropic":  # the float rows build a new C array
+                assert got.T.flags.c_contiguous
+            assert _same(_project_batch(f_order, nodal.mu, nodal.mu2, operator),
+                         _project_batch(c_order, nodal.mu, nodal.mu2, operator))
+            for m in range(3):  # one row of each layout: contiguous, and strided
+                ref = project(c_order[m], nodal.mu[m], operator, nodal.mu2[m])
+                assert _same(project(f_order[m], nodal.mu[m], operator, nodal.mu2[m]), ref)
+
+
 class TestChebyshev:
     def test_before_start(self):
         assert chebyshev_nu(3, 10, 0.7, 1.0) == 1.0
@@ -738,7 +836,7 @@ def record_anderson(g_of_x, x0, max_iters, nan_calls=(), window=solver.AA_WINDOW
     n = x0.shape[0]
     calls = []
 
-    def step_map(x, r):
+    def step_map(x, r, out):
         g = np.full(n, np.nan) if len(calls) in nan_calls else g_of_x(x)
         calls.append((x.copy(), g))
         return g, None, np.zeros(n)
