@@ -68,6 +68,7 @@ from .sparse import Pattern, with_data
 
 EPS_DAMPING_FLOOR = 1e-6  # N s/m, keeps E positive definite without visible damping
 MIN_SPRING_LENGTH = 1e-12  # m, a shorter spring has no direction
+INDEX_LOOP_ROWS = 256  # rows from which _index_rows fills its columns one call each
 
 
 _XYZ = np.arange(3)
@@ -99,11 +100,16 @@ def _read_only_fields(record, dtype, *names) -> None:
 
 def _index_rows(offsets: np.ndarray, width: int) -> np.ndarray:
     """(k, width) indices of the ``width`` entries from each offset on,
-    read-only, filled one column at a time: a broadcast sum would run
-    numpy's inner loop once per row, over ``width`` entries."""
-    out = np.empty((offsets.shape[0], width), dtype=offsets.dtype)
-    for c in range(width):
-        np.add(offsets, c, out=out[:, c])
+    read-only. A broadcast sum runs numpy's inner loop once per row, over
+    ``width`` entries, so from INDEX_LOOP_ROWS rows on the columns are
+    filled one call each instead; below, those ``width`` calls cost more
+    than the sum (timings in CHANGES.md)."""
+    if offsets.shape[0] < INDEX_LOOP_ROWS:
+        out = offsets[:, None] + np.arange(width)
+    else:
+        out = np.empty((offsets.shape[0], width), dtype=offsets.dtype)
+        for c in range(width):
+            np.add(offsets, c, out=out[:, c])
     out.flags.writeable = False
     return out
 

@@ -49,8 +49,7 @@ contact, with the bits of the numpy chain that other batches take
 ``ContactMap`` holds its frames and columns with the components in the
 order 0, 2, 1, so that einsum sums each entry of Jc v in the order of the
 float pass, and the strict projection keeps each impulse component a
-contiguous row. The map writes v*, G(x) and f = G(x) - x into buffers that
-each solve allocates once (``_anderson``).
+contiguous row.
 """
 
 from __future__ import annotations
@@ -269,14 +268,14 @@ def _project_batch(lam_star: np.ndarray, mu: np.ndarray, mu2, operator: str) -> 
         ln += 0.0
         limit = mu * ln
         tn = np.sqrt(t1 * t1 + t2 * t2)  # the bits of np.linalg.norm over 2 entries
-        over = np.flatnonzero(tn > limit)
-        if over.size:  # often none: every contact sticks
-            # rows over the limit scale down to it; a zero tangent over a
-            # negative limit goes to 0
-            tn = tn[over]
-            scale = np.divide(limit[over], tn, out=np.zeros_like(tn), where=tn > 0)
-            t1[over] *= scale
-            t2[over] *= scale
+        over = tn > limit
+        if over.any():  # often none: every contact sticks
+            # rows over the limit scale down to it, and a zero tangent over a
+            # negative limit to 0; the other rows scale by 1.0, which keeps
+            # their bits, so both tangent components scale in one call
+            scale = np.subtract(1.0, over)
+            np.divide(limit, tn, scale, where=over & (tn > 0))
+            out.T[1:] *= scale
         return out
     if operator == "proximal":
         out = lam_star.copy(order="K")
@@ -458,11 +457,7 @@ def chebyshev_nu(l: int, l_s: int, rho: float, nu_prev: float) -> float:
 
 
 def chebyshev_update(v_ss: np.ndarray, v_prevprev: np.ndarray, nu: float) -> np.ndarray:
-    """nu (v_ss - v_prevprev) + v_prevprev, written over ``v_ss``."""
-    v_ss -= v_prevprev
-    v_ss *= nu
-    v_ss += v_prevprev
-    return v_ss
+    return nu * (v_ss - v_prevprev) + v_prevprev
 
 
 def estimate_rho(norm_l: float, norm_lm1: float, prev_rho: float = 0.0) -> float:
@@ -511,16 +506,8 @@ def _anderson(step_map, a, b: np.ndarray, v: np.ndarray, window: int, cfg: Solve
     J. Optim. 2020) over at most ``window`` differences. Window 0 is the
     plain iteration x <- G(x).
 
-    ``step_map(x, r, out)`` returns G(x), its lam and J_c^T lam from
-    r = A x - b, with A x from ``spmv(a, x)``; it may write G(x) into
-    ``out``. G(x) and f = G(x) - x go into three pairs of buffers, one pair
-    per evaluation in turn, so no evaluation overwrites what the loop still
-    reads: the evaluation point x, the kept G(x) with its f and r = A G(x) - b,
-    and, on a tie-free system, the Chebyshev map's previous point. Each of
-    those is one of the last two outputs or an array of its own: a rejected
-    candidate is followed by an evaluation at the kept G(x), which is kept,
-    and Chebyshev runs only without a window, where x is the last output and
-    the previous point the one before. With f = G(x) - x, the rows of dG and dF
+    ``step_map(x, r)`` returns G(x), its lam and J_c^T lam from r = A x - b,
+    with A x from ``spmv(a, x)``. With f = G(x) - x, the rows of dG and dF
     hold the differences of G and f between successive kept iterates since
     the last restart, and M = dF dF^T gains one row and column per kept
     iterate. The candidate is G(x) - gamma dG with (M + lambda I) gamma = dF f,
@@ -543,11 +530,9 @@ def _anderson(step_map, a, b: np.ndarray, v: np.ndarray, window: int, cfg: Solve
     k = n_aa = 0  # differences held (rows 0..k-1), kept candidates
     g = r_g = None  # the newest kept G(x), and A g - b once its force check ran
     x, r = v, None  # the next evaluation point, and A x - b where known
-    buffers = [(np.empty_like(v), np.empty_like(v)) for _ in range(3)]  # separate, so G(x) alone outlives the solve
     while True:
-        out, f_x = buffers[len(trace) % 3]
-        g_x, lam_x, f_c_x = step_map(x, spmv(a, x) - b if r is None else r, out)
-        np.subtract(g_x, x, f_x)
+        g_x, lam_x, f_c_x = step_map(x, spmv(a, x) - b if r is None else r)
+        f_x = g_x - x
         norm_f = math.sqrt(f_x.dot(f_x))
         trace.append(norm_f)
         # a NaN residual fails the comparison too
@@ -602,10 +587,7 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     history if it has virtual nodes, else with an empty window and, with
     ``cfg.chebyshev``, the Chebyshev weighting and under-relaxation on each
     plain step. Returns (v_hat, lam, report). Each map evaluation's
-    contact half is ``contact_pass``, built once per solve. The maps write
-    v*, G(x) and the Chebyshev update over the buffer that ``_anderson``
-    hands them, with w r and w J_c^T lam in one scratch array of the solve:
-    the same operations in the same order as fresh arrays.
+    contact half is ``contact_pass``, built once per solve.
 
     Every product goes through the operator of the system's
     ``sparse.Pattern``: ``sparse.BincountMatvec`` on a small system, the CSR
@@ -619,31 +601,24 @@ def solve_vfpi(aug: AugmentedDynamics, cfg: SolverConfig, warm: np.ndarray):
     report = SolverReport()
     trace = report.residual_trace
 
-    scaled = np.empty_like(w)
-
-    # out passed by position: the keyword costs about 0.1 us per call, which
-    # small systems pay on every iteration
-    def plain_map(x, r, out):
-        v_star = np.subtract(x, np.multiply(w, r, scaled), out)
+    def plain_map(x, r):
+        v_star = x - w * r
         if not n_c:
             return v_star, np.zeros((0, 3)), 0.0
         lam, f_c = contacts(v_star)
-        return np.add(v_star, np.multiply(w, f_c, scaled), out), lam, f_c
+        return v_star + w * f_c, lam, f_c
 
     x_prev, rho, nu = None, 0.0, 1.0
 
-    def chebyshev_map(x, r, out):
+    def chebyshev_map(x, r):
         nonlocal x_prev, rho, nu
         l = len(trace) + 1  # the iteration this evaluation makes
         if l > 2:
             rho = estimate_rho(trace[-1], trace[-2], rho)
-        g, lam, f_c = plain_map(x, r, out)
-        g *= UNDER_RELAX  # v_ss = UNDER_RELAX g + (1 - UNDER_RELAX) x
-        g += np.multiply(1.0 - UNDER_RELAX, x, scaled)
+        g, lam, f_c = plain_map(x, r)
+        v_ss = UNDER_RELAX * g + (1.0 - UNDER_RELAX) * x
         nu = chebyshev_nu(l, CHEBY_START, rho, nu)
-        if l > 1:
-            chebyshev_update(g, x_prev, nu)
-        x_prev = x
+        x_prev, g = x, chebyshev_update(v_ss, x_prev, nu) if l > 1 else v_ss
         return g, lam, f_c
 
     tied = aug.n > aug.n_orig

@@ -15,8 +15,9 @@ of kernels, chosen by its number of entries alone:
   ``BincountMatvec``, the same bits as scipy's CSC kernel without its
   per-call dispatch, and the row norms through the bincount of
   ``row_norms_sq``;
-- above it, ``norm_chunks``: the product goes through the CSR view ``a.T``
-  of the CSC matrix, which scipy multiplies by gathering rows, and the row
+- above it, ``norm_chunks``: the product goes through the CSR view of the
+  CSC matrix, ``a.T``, which scipy multiplies by gathering rows and which
+  ``with_data`` makes from the pattern's ``view`` template, and the row
   norms through ``column_norms_sq``, that view's product of the squared
   entries with a vector of ones, squared in chunks of at most
   NORM_CHUNK_ROWS rows (CSR templates over slices of the index arrays), so
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -164,7 +166,8 @@ class Pattern:
     """The square CSC pattern of one system matrix (module docstring):
     read-only ``indices``, ``indptr`` and ``diag_pos``, the ``template`` of
     its matrices, and either ``entry_cols`` (at most ``BINCOUNT_NNZ_MAX``
-    entries) or ``norm_chunks``, the other None."""
+    entries) or ``norm_chunks``, the other None; a pattern with
+    ``norm_chunks`` makes its CSR ``view`` template on first use."""
 
     indices: np.ndarray
     indptr: np.ndarray
@@ -183,9 +186,16 @@ class Pattern:
             return cls(indices, indptr, template, diag_pos, entry_columns(indptr), None)
         return cls(indices, indptr, template, diag_pos, None, norm_chunks(indices, indptr))
 
+    @cached_property
+    def view(self) -> sp.csr_matrix:
+        """The CSR template over the pattern's index arrays, whose matrix
+        with A's data is ``a.T``: ``with_data`` makes it without the checks
+        of the constructor that ``a.T`` runs on every call (15 us)."""
+        return self.template.T
+
     def operator(self, a: sp.csc_matrix):
         """What ``spmv`` multiplies by for A x, A a matrix of this pattern."""
-        return a.T if self.entry_cols is None else BincountMatvec(a, self.entry_cols)
+        return with_data(self.view, a.data) if self.entry_cols is None else BincountMatvec(a, self.entry_cols)
 
     def row_norms_sq(self, a: sp.csc_matrix) -> np.ndarray:
         """A's squared row norms, A a matrix of this pattern."""

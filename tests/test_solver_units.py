@@ -646,6 +646,46 @@ class TestComponentMajorChain:
                 assert _same(project(f_order[m], nodal.mu[m], operator, nodal.mu2[m]), ref)
 
 
+    @staticmethod
+    def _strict(lam_star, mu):
+        """The strict array projection as it scaled only the rows over the
+        limit, through their indices."""
+        out = lam_star.copy()
+        ln, t1, t2 = out.T
+        np.maximum(ln, 0.0, out=ln)
+        ln += 0.0
+        limit = mu * ln
+        tn = np.sqrt(t1 * t1 + t2 * t2)
+        over = np.flatnonzero(tn > limit)
+        tn = tn[over]
+        scale = np.divide(limit[over], tn, out=np.zeros_like(tn), where=tn > 0)
+        t1[over] *= scale
+        t2[over] *= scale
+        return out
+
+    def test_strict_scaling_matches_the_indexed_rows(self, rng):
+        # sticking and sliding rows, signed zeros, infinite and NaN entries,
+        # tangents whose squares underflow, and negative friction
+        # coefficients, where a zero tangent lies over a negative limit; the
+        # infinities make 0 * inf and inf / inf, which both formulas meet
+        with np.errstate(invalid="ignore"):
+            self._check_strict_scaling(rng)
+
+    def _check_strict_scaling(self, rng):
+        for n_c in self.SIZES:
+            for _ in range(20):
+                lam = rng.standard_normal((n_c, 3)) * rng.choice([1e-170, 1.0, 1e3], (n_c, 1))
+                for value in (0.0, -0.0, np.inf, -np.inf, np.nan):
+                    lam[rng.random(lam.shape) < 0.04] = value
+                mu = rng.uniform(-0.5, 1.0, n_c)
+                mu[rng.random(n_c) < 0.1] = 0.0
+                ref = self._strict(lam, mu)
+                for layout in (np.ascontiguousarray(lam), np.asfortranarray(lam)):
+                    got = _project_batch(layout, mu, None, "strict")
+                    assert np.array_equal(got, ref, equal_nan=True)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 class TestChebyshev:
     def test_before_start(self):
         assert chebyshev_nu(3, 10, 0.7, 1.0) == 1.0
@@ -836,7 +876,7 @@ def record_anderson(g_of_x, x0, max_iters, nan_calls=(), window=solver.AA_WINDOW
     n = x0.shape[0]
     calls = []
 
-    def step_map(x, r, out):
+    def step_map(x, r):
         g = np.full(n, np.nan) if len(calls) in nan_calls else g_of_x(x)
         calls.append((x.copy(), g))
         return g, None, np.zeros(n)
