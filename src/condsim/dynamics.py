@@ -21,8 +21,9 @@ and per spring K = (t/2) k u u^T plus its diagonal damping on both of its
 node-diagonal blocks and -K on its two off-diagonal blocks; geometric
 damping (``spring_damping``) reuses the step's spring geometry. The sparsity
 pattern depends only on the offsets, so it is built once per scene
-(``BlockPattern``) and cached on the ``Springs``: a block-level CSR matrix
-orders the touched blocks, and scipy's BSR-to-CSR expansion writes the
+(``BlockPattern``) and cached on the ``Springs``: the block-level CSR of the
+touched blocks is written in closed form from the sorted node-pair keys,
+with no sort of the blocks, and scipy's BSR-to-CSR expansion writes the
 entries; A's pattern and blocks are symmetric, so that CSR is A's CSC. Each
 step computes the 6 components k u_r u_s, r <= s, of every spring, sums them
 per component with ``np.bincount`` over the node-diagonal blocks and over the
@@ -348,8 +349,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Component c of a symmetric 3x3 block is its entry (_R[c], _S[c]), r <= s.
 _R, _S = np.triu_indices(3)
 _DIAG = np.flatnonzero(_R == _S)
-_COMP = np.empty((3, 3), dtype=int)
-_COMP[_R, _S] = _COMP[_S, _R] = np.arange(6)
 _QUARTERS = 6 * (_R[:, None] + [0, 3]) + _S[:, None] + [0, 3]  # a 6x6 block's two diagonal quarters, flat
 
 
@@ -380,15 +379,17 @@ class BlockPattern:
     indices (``_spring_coords``), and ``bodies`` are the bodies it was
     built for.
 
-    ``build`` gives every block its (3, 3) array of ``vals`` indices, lets a
-    ``csr_matrix`` of block numbers sort the blocks, and expands them with
-    ``bsr_matrix.tocsr``, whose ``indices`` and ``indptr`` make ``csc``,
-    A's ``sparse.Pattern``, and whose ``data`` is ``gather``. That CSR is
-    the CSC of A only because the pattern is symmetric and each block's
-    mirror reads its transposed gather. The diagonal positions come from
-    the blocks (``_block_diagonal_positions``). A DOF that no node, rigid
-    body or spring covers has an empty row and no diagonal entry, and
-    ``build`` rejects it.
+    ``build`` lays out the block-level CSR from the sorted unique pair keys
+    in closed form (``_block_rows``): per block row its lower blocks, its
+    diagonal block, then its upper blocks, each block with its (3, 3) array
+    of ``vals`` indices. It expands them with ``bsr_matrix.tocsr``, whose
+    ``indices`` and ``indptr`` make ``csc``, A's ``sparse.Pattern``, and
+    whose ``data`` is ``gather``. That CSR is the CSC of A only because the
+    pattern is symmetric and each block's mirror reads its transposed
+    gather. The diagonal positions follow from each block row's count of
+    lower blocks. A DOF that no node, rigid body or spring covers would have
+    an empty row and no diagonal entry, and ``build`` rejects it before it
+    lays out any block.
     """
 
     n: int
@@ -414,49 +415,90 @@ class BlockPattern:
         if np.any(bi == bj) or np.any(np.isin(np.concatenate([bi, bj]), br + 1)):
             raise DimensionMismatchError("a spring must join two distinct blocks of translational velocity")
         diag_block = np.concatenate([bn, (br[:, None] + [0, 1]).ravel(), bi, bj])
+        covered = np.bincount(diag_block, minlength=nb)
+        if not covered.all():
+            raise InvalidMatrixError(f"column {3 * int(np.argmin(covered))} stores no diagonal entry")
+        del covered
         pair_keys, pair = np.unique(
             np.concatenate([br * (nb + 1) + 1, np.minimum(bi, bj) * nb + np.maximum(bi, bj)]), return_inverse=True
         )
+        del bn, bi, bj
         lo, hi = np.divmod(pair_keys, nb)
         del pair_keys
         n_pairs = lo.shape[0]
-        # block k: the diagonal blocks d, each pair (lo, hi), then its mirror
-        # (hi, lo); component c of block k sits in vals at base + c * stride
-        d = np.flatnonzero(np.bincount(diag_block, minlength=nb))
-        k = np.arange(d.shape[0] + 2 * n_pairs)
-        blocks = sp.csr_matrix((k, (np.concatenate([d, lo, hi]), np.concatenate([d, hi, lo]))), shape=(nb, nb))
-        base = np.concatenate([d, 6 * nb + np.tile(np.arange(n_pairs), 2)])[blocks.data]
-        stride = np.repeat([nb, n_pairs], [d.shape[0], 2 * n_pairs])[blocks.data]
-        del lo, hi, d, k
-        comp = stride[:, None, None] * _COMP
-        comp += base[:, None, None]
-        del base, stride
+        comp, cols, bptr, n_lower = _block_rows(nb, lo, hi)
+        del lo, hi
         # The CSR arrays of the expanded matrix B are the CSC arrays of B^T,
         # and B^T = B: the pattern is symmetric, a pair and its mirror share
-        # base and stride, and _COMP is symmetric. A block whose mirror is not
-        # its transpose must give the mirror the transposed gather.
-        expanded = sp.bsr_matrix((comp, blocks.indices, blocks.indptr), shape=(n, n)).tocsr()
-        indices, indptr, gather = expanded.indices, expanded.indptr, expanded.data
-        del comp, expanded
-        csc = Pattern.build(indices, indptr, _block_diagonal_positions(blocks, indptr))
+        # base and stride, and entries (r, s) and (s, r) of a block read one
+        # component. A block whose mirror is not its transpose must give the
+        # mirror the transposed gather.
+        blocks = sp.bsr_matrix((comp, cols, bptr), shape=(n, n))
+        del comp, cols, bptr  # the blocks keep comp and their own copies of the index arrays
+        expanded = blocks.tocsr()
         del blocks
+        indices, indptr = expanded.indices, expanded.indptr
+        gather = expanded.data.astype(np.int64, copy=False)  # each step takes through it faster than through int32
+        del expanded
+        # entry (3r + c, 3r + c) follows row 3r + c's 3 n_lower[r] entries
+        # of lower blocks and c of its diagonal block
+        diag_pos = (indptr[:-1].reshape(nb, 3) + (3 * n_lower[:, None] + _XYZ)).ravel()
+        del n_lower
+        csc = Pattern.build(indices, indptr, diag_pos)
         return cls(n, bodies, csc, gather, diag_block, pair[br.shape[0]:], n_pairs, _spring_coords(springs))
 
 
-def _block_diagonal_positions(blocks: sp.csr_matrix, indptr: np.ndarray) -> np.ndarray:
-    """``sparse.diagonal_positions`` of the expansion of the block CSR
-    ``blocks``, whose row pointers are ``indptr``, from the blocks alone:
-    if block row r's diagonal block is its p-th, entry (3r + c, 3r + c) is
-    the (3p + c)-th of row 3r + c. A block row without its diagonal block
-    raises ``InvalidMatrixError``, as there."""
-    nb = blocks.shape[0]
-    rank = np.flatnonzero(blocks.indices == np.repeat(np.arange(nb), np.diff(blocks.indptr)))
-    if rank.shape[0] != nb:
-        present = np.zeros(nb, dtype=bool)
-        present[blocks.indices[rank]] = True
-        raise InvalidMatrixError(f"column {3 * int(np.argmin(present))} stores no diagonal entry")
-    rank -= blocks.indptr[:-1]
-    return (indptr[:-1].reshape(nb, 3) + (3 * rank[:, None] + _XYZ)).ravel()
+def _block_rows(nb: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The block-level CSR of A's node blocks, from the pairs (lo, hi),
+    lo < hi, of the sorted unique pair keys, every block row holding its
+    diagonal block: the (B, 3, 3) ``vals`` indices of the blocks, in
+    scipy's index dtype for their range, their columns and row pointers,
+    and the count of lower blocks per row.
+
+    Block row r holds its lower blocks (r, lo) of the pairs with hi = r by
+    ascending lo, which a stable sort on hi keeps from the key order, then
+    (r, r), then its upper blocks (r, hi) of the pairs with lo = r, in key
+    order: ascending columns, as scipy sorts them. Component c of a block
+    sits in vals at base + c * stride: base r and stride nb for (r, r),
+    base 6 nb + p and stride n_pairs for both blocks of pair p. Each
+    component is written in one pass over the blocks, component-major, and
+    the result is transposed once."""
+    n_pairs = lo.shape[0]
+    lower = np.argsort(hi, kind="stable")  # the pairs in the order of their lower blocks
+    n_lower, n_upper = np.bincount(hi, minlength=nb), np.bincount(lo, minlength=nb)
+    bptr = np.zeros(nb + 1, dtype=int)
+    np.cumsum(n_lower + n_upper + 1, out=bptr[1:])
+    diag_at = bptr[:-1] + n_lower
+    # row r's first lower block sits at bptr[r] and its first upper block at
+    # diag_at[r] + 1; less the lower (upper) blocks of the rows before r, that
+    # is where the k-th lower (upper) block over all rows sits, less k
+    first_lower = bptr[:-1] - (np.cumsum(n_lower) - n_lower)
+    first_upper = diag_at + 1 - (np.cumsum(n_upper) - n_upper)
+    del n_upper
+    ids = np.arange(n_pairs)
+    lower_at = first_lower[hi[lower]] + ids
+    upper_at = first_upper[lo] + ids
+    del first_lower, first_upper
+    n_blocks = int(bptr[-1])
+    # int32 wherever it holds every vals index, so the expansion writes half the bytes
+    dtype = sp.get_index_dtype(maxval=6 * (nb + n_pairs))
+    comp = np.empty((3, 3, n_blocks), dtype=dtype)  # component-major: comp[r, s] over the blocks
+    cols, base, stride = np.empty(n_blocks, dtype=dtype), comp[0, 0], np.full(n_blocks, n_pairs, dtype=dtype)
+    cols[diag_at] = base[diag_at] = np.arange(nb)
+    stride[diag_at] = nb
+    del diag_at
+    cols[upper_at], base[upper_at] = hi, 6 * nb + ids
+    del upper_at, ids
+    cols[lower_at], base[lower_at] = lo[lower], 6 * nb + lower
+    del lower_at, lower, base
+    for c in range(1, 6):
+        r, s = _R[c], _S[c]
+        np.add(comp[_R[c - 1], _S[c - 1]], stride, out=comp[r, s])
+        if r != s:
+            comp[s, r] = comp[r, s]
+    del stride
+    comp = comp.reshape(9, n_blocks).T.copy().reshape(n_blocks, 3, 3)
+    return comp, cols, bptr, n_lower
 
 
 def block_pattern(n: int, bodies: Bodies, springs: Springs) -> BlockPattern:

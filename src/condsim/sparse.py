@@ -113,16 +113,17 @@ def norm_chunks(indices: np.ndarray, indptr: np.ndarray) -> tuple:
     ``column_norms_sq``: per chunk of at most NORM_CHUNK_ROWS rows, its first
     row, the span ``lo:hi`` of its entries in ``data`` and a ``csr_matrix``
     template over its slice of ``indices``, whose ``data`` takes no memory.
-    Building the templates checks their index arrays once; each product
-    then makes its matrix with ``with_data``."""
+    Each template is made empty, at its shape, and then given the slice: the
+    constructor would copy a slice of a larger array. Each product then
+    makes its matrix with ``with_data``."""
     n = indptr.shape[0] - 1
     chunks = []
     for r0 in range(0, n, NORM_CHUNK_ROWS):
         r1 = min(r0 + NORM_CHUNK_ROWS, n)
         lo, hi = int(indptr[r0]), int(indptr[r1])
-        zeros = np.broadcast_to(np.float64(0.0), (hi - lo,))
-        template = sp.csr_matrix((zeros, indices[lo:hi], indptr[r0 : r1 + 1] - lo), shape=(r1 - r0, n))
-        template.indices = indices[lo:hi]  # the constructor copies a slice of a larger array
+        template = sp.csr_matrix((r1 - r0, n))
+        template.data = np.broadcast_to(np.float64(0.0), (hi - lo,))
+        template.indices, template.indptr = indices[lo:hi], indptr[r0 : r1 + 1] - lo
         chunks.append((r0, lo, hi, template))
     return tuple(chunks)
 

@@ -1,7 +1,10 @@
 """Shared fixtures, references and random-system generators for the test
 suite."""
 
+import importlib.util
 import os
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +36,17 @@ TURNED = np.array([np.cos(0.3), 0.0, 0.0, np.sin(0.3)])
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name + ".json")
+
+
+def perfbench_workloads():
+    """perfbench's ``workloads`` module, loaded from its file once."""
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture

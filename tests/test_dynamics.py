@@ -7,8 +7,10 @@ import pytest
 import scipy.sparse
 from scipy.spatial.transform import Rotation
 
+from condsim import sparse
 from condsim.dynamics import (
     EPS_DAMPING_FLOOR,
+    BlockPattern,
     Bodies,
     DampingPolicy,
     Springs,
@@ -24,7 +26,9 @@ from condsim.errors import DegenerateConstraintError, DimensionMismatchError, In
 from condsim.harness import Scenario, _lattice_edges, build_scene, external_force, load_scenario, validate_scenario
 
 from conftest import (
+    ALL_SCENARIOS,
     per_body,
+    perfbench_workloads,
     reference_rotation,
     reference_kinetic_energy,
     reference_nodalize,
@@ -559,6 +563,13 @@ class TestBlockAssembly:
         with pytest.raises(DimensionMismatchError, match="offset 6 lies outside the 6-DOF state"):
             assemble_step(SystemState(q, np.zeros(6)), particles([1.0, 1.0]), s)
 
+    @pytest.mark.parametrize("n, node_v", [(7, [0, 3]), (9, [0, 4])])
+    def test_offsets_off_the_blocks_rejected(self, n, node_v):
+        # a 7-DOF state, and a node at velocity offset 4 of a 9-DOF state
+        bodies = Bodies(np.array(node_v), np.array(node_v), np.ones(2), np.zeros(2), rigid_bodies())
+        with pytest.raises(DimensionMismatchError, match="block assembly needs n and velocity offsets that are multiples of 3"):
+            assemble_step(SystemState(np.zeros(n), np.zeros(n)), bodies, NO_SPRINGS)
+
 
     def test_pattern_caches_the_diagonal_positions(self, rng):
         bodies = particles([1.0, 2.0, 3.0])
@@ -574,6 +585,113 @@ class TestBlockAssembly:
         state = SystemState(rng.standard_normal(6), rng.standard_normal(6))
         with pytest.raises(InvalidMatrixError, match="column 3 stores no diagonal entry"):
             assemble_step(state, bodies, springs(np.zeros((0, 2)), 0.0, 0.0))
+
+
+def reference_block_pattern(n, bodies, s) -> dict:
+    """``BlockPattern.build``'s arrays as it made them before it wrote the
+    block CSR in closed form: a ``csr_matrix`` of block numbers sorts the
+    diagonal blocks, each node pair and its mirror; a (B, 1, 1) x (3, 3)
+    broadcast gives every block its ``vals`` indices; the diagonal positions
+    come from the rank of each diagonal block in its block row; and the norm
+    chunks' templates come from scipy's constructor. For layouts that cover
+    every DOF."""
+    nb = n // 3
+    bn, br, bi, bj = (o // 3 for o in (bodies.node_v, bodies.rigid.v_off, s.vi, s.vj))
+    diag_block = np.concatenate([bn, (br[:, None] + [0, 1]).ravel(), bi, bj])
+    pair_keys, pair = np.unique(
+        np.concatenate([br * (nb + 1) + 1, np.minimum(bi, bj) * nb + np.maximum(bi, bj)]), return_inverse=True
+    )
+    lo, hi = np.divmod(pair_keys, nb)
+    n_pairs = lo.shape[0]
+    d = np.flatnonzero(np.bincount(diag_block, minlength=nb))
+    k = np.arange(d.shape[0] + 2 * n_pairs)
+    blocks = scipy.sparse.csr_matrix((k, (np.concatenate([d, lo, hi]), np.concatenate([d, hi, lo]))), shape=(nb, nb))
+    base = np.concatenate([d, 6 * nb + np.tile(np.arange(n_pairs), 2)])[blocks.data]
+    stride = np.repeat([nb, n_pairs], [d.shape[0], 2 * n_pairs])[blocks.data]
+    comp = stride[:, None, None] * COMPONENT + base[:, None, None]
+    expanded = scipy.sparse.bsr_matrix((comp, blocks.indices, blocks.indptr), shape=(n, n)).tocsr()
+    indices, indptr = expanded.indices, expanded.indptr
+    rank = np.flatnonzero(blocks.indices == np.repeat(np.arange(nb), np.diff(blocks.indptr))) - blocks.indptr[:-1]
+    chunks = []
+    if indices.shape[0] > sparse.BINCOUNT_NNZ_MAX:
+        for r0 in range(0, n, sparse.NORM_CHUNK_ROWS):
+            r1 = min(r0 + sparse.NORM_CHUNK_ROWS, n)
+            lo_e, hi_e = int(indptr[r0]), int(indptr[r1])
+            zeros = np.zeros(hi_e - lo_e)
+            chunks.append((r0, lo_e, hi_e, scipy.sparse.csr_matrix((zeros, indices[lo_e:hi_e], indptr[r0 : r1 + 1] - lo_e), shape=(r1 - r0, n))))
+    return {
+        "indices": indices,
+        "indptr": indptr,
+        "gather": expanded.data,
+        "diag_pos": (indptr[:-1].reshape(nb, 3) + (3 * rank[:, None] + np.arange(3))).ravel(),
+        "pair": pair[br.shape[0] :],
+        "n_pairs": n_pairs,
+        "diag_block": diag_block,
+        "chunks": chunks,
+    }
+
+
+def assert_same_array(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+class TestBlockPatternReference:
+    """``BlockPattern.build`` writes the block CSR in closed form from the
+    sorted pair keys; its pattern equals ``reference_block_pattern``'s
+    bit for bit, dtypes included, so no trajectory moves."""
+
+    @staticmethod
+    def check(n, bodies, s):
+        p, ref = BlockPattern.build(n, bodies, s), reference_block_pattern(n, bodies, s)
+        for got, want in (
+            (p.csc.indices, ref["indices"]), (p.csc.indptr, ref["indptr"]), (p.gather, ref["gather"]),
+            (p.csc.diag_pos, ref["diag_pos"]), (p.pair, ref["pair"]), (p.diag_block, ref["diag_block"]),
+        ):
+            assert_same_array(got, want)
+        assert p.gather.dtype == np.int64 and p.n_pairs == ref["n_pairs"]
+        assert (p.csc.norm_chunks is None) == (not ref["chunks"])
+        for (r0, lo, hi, t), (r0_ref, lo_ref, hi_ref, t_ref) in zip(p.csc.norm_chunks or (), ref["chunks"], strict=True):
+            assert (r0, lo, hi, t.shape) == (r0_ref, lo_ref, hi_ref, t_ref.shape)
+            assert_same_array(t.indices, t_ref.indices)
+            assert_same_array(t.indptr, t_ref.indptr)
+            assert np.shares_memory(t.indices, p.csc.indices)
+        return p
+
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_bundled_scenarios(self, name):
+        scene = build_scene(load_scenario(scenario_path(name)))
+        self.check(scene.state.v.shape[0], scene.bodies, scene.constraints)
+
+    def test_bench_lattice(self):
+        # perfbench's 46 x 46 x 3 lattice at seed 3: 19,044 DOF, 45,362 springs
+        scene = build_scene(Scenario(perfbench_workloads().lattice_scenario(3, 2)))
+        p = self.check(scene.state.v.shape[0], scene.bodies, scene.constraints)
+        assert p.csc.indices.shape[0] == 873_648 and len(p.csc.norm_chunks) == 10
+
+    def test_random_layouts(self, rng):
+        for _ in range(60):
+            state, bodies, s = random_layout(rng)
+            self.check(state.v.shape[0], bodies, s)
+
+    def test_mixed_layouts(self):
+        # nodes listed out of offset order around rigid bodies, one node
+        # without a spring, springs listed as (j, i), two springs on one pair
+        # and springs on rigid bodies' linear blocks; then every rigid body
+        # after the nodes, the last one sprung to a node
+        def layout(kinds, pairs, node_order):
+            q_off = np.cumsum([0] + [3 if k == "node" else 7 for k in kinds])
+            v_off = np.cumsum([0] + [3 if k == "node" else 6 for k in kinds])
+            node = np.flatnonzero([k == "node" for k in kinds])[node_order]
+            rigid = [(1.0, int(q_off[b]), int(v_off[b]), np.eye(3)) for b, k in enumerate(kinds) if k == "rigid"]
+            bodies = Bodies(q_off[node], v_off[node], np.ones(node.shape[0]), np.zeros(node.shape[0]), rigid_bodies(*rigid))
+            ends = np.array(pairs)
+            s = Springs(q_off[ends[:, 0]], q_off[ends[:, 1]], v_off[ends[:, 0]], v_off[ends[:, 1]], np.ones(len(pairs)), np.ones(len(pairs)))
+            return int(v_off[-1]), bodies, s
+
+        kinds = ["node", "rigid", "node", "node", "rigid", "node", "node"]
+        self.check(*layout(kinds, [(2, 0), (0, 2), (1, 3), (3, 4), (6, 3), (2, 6)], [3, 0, 4, 1, 2]))
+        kinds = ["node"] * 4 + ["rigid"] * 3
+        self.check(*layout(kinds, [(1, 0), (2, 1), (1, 2), (6, 3), (0, 4)], [0, 1, 2, 3]))
 
 
 def six_row_assembly(state, bodies, s, f_ext=None):

@@ -1,9 +1,8 @@
 """Sparse/dense kernel tests against dense numpy oracles."""
 
 import dataclasses
-import importlib.util
 import re
-import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from condsim.sparse import (
     with_data,
 )
 
-from conftest import ALL_SCENARIOS, TURNED, build_augmented, contact_set, random_spd, scenario_path
+from conftest import ALL_SCENARIOS, TURNED, build_augmented, contact_set, perfbench_workloads, random_spd, scenario_path
 
 
 def dense(vals) -> sp.csc_matrix:
@@ -172,12 +171,7 @@ def cube_on_lattice(side: int) -> dict:
     """The benchmark's dragged ``side`` x ``side`` x 3 lattice (seed 3) with
     its rigid cube resting on the middle of the top layer: four contacts
     between the cube's corners and lattice nodes, on virtual nodes."""
-    workloads = sys.modules.get("perfbench_workloads")
-    if workloads is None:
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
-        spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     mid = 0.05 * (side // 2)
     return {**workloads.lattice_scenario(3, 1, side=side), "bodies": [workloads._cube((mid, mid, 0.24))]}
 
@@ -295,6 +289,41 @@ class TestColumnNorms:
         assert len(chunks) == (1 if rows is None else -(-n // rows))
         for out in (column_norms_sq(a), column_norms_sq(a, chunks)):
             assert np.array_equal(out.view(np.int64), whole.view(np.int64))
+
+
+class TestNormChunks:
+    """Each row chunk's CSR template is made over its slice of the pattern's
+    own ``indices``: scipy's constructor would copy a slice of a larger
+    array. Patterns with many chunks: the block pattern of lattice_drag and
+    the tie layout of a cube on a lattice, at 64 rows per chunk."""
+
+    @staticmethod
+    def patterns(monkeypatch, name):
+        monkeypatch.setattr(sparse, "NORM_CHUNK_ROWS", 64)
+        patterns = [aug.pattern for aug in solved_systems(monkeypatch, name, 1)]
+        assert all(len(p.norm_chunks) > 2 for p in patterns)
+        return patterns
+
+    @pytest.mark.parametrize("name", ["lattice_drag", "cube_on_lattice"])
+    def test_templates_share_the_pattern_indices(self, monkeypatch, name):
+        for p in self.patterns(monkeypatch, name):
+            for _, lo, hi, t in p.norm_chunks:
+                assert np.shares_memory(t.indices, p.indices)
+                assert t.indices.ctypes.data == p.indices[lo:].ctypes.data and t.indices.shape == (hi - lo,)
+
+    @pytest.mark.parametrize("name", ["lattice_drag", "cube_on_lattice"])
+    def test_building_copies_no_slice(self, monkeypatch, name):
+        # in four chunks, each slice is under half of indices, which scipy's
+        # constructor would copy; the chunks keep only their row pointers
+        for p in self.patterns(monkeypatch, name):
+            monkeypatch.setattr(sparse, "NORM_CHUNK_ROWS", -(-p.indptr.shape[0] // 4))
+            tracemalloc.start()
+            chunks = norm_chunks(p.indices, p.indptr)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            kept = sum(t.indptr.nbytes for *_, t in chunks)
+            largest = max(hi - lo for _, lo, hi, _ in chunks) * p.indices.itemsize
+            assert len(chunks) == 4 and peak < kept + largest // 2
 
 
 class TestBincountMatvec:
